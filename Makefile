@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race bench bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short
+.PHONY: check fmt vet build test race bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short
 
-check: fmt vet build race fuzz-smoke sampling
+check: fmt vet build race fuzz-smoke sampling bench-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +24,13 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run xxx .
 
+# The repo's benchmark (bench/, its own module) must keep compiling and
+# passing its own tests against this tree: an API break against the
+# surface listed in bench/README.md fails here, not in the benchmark
+# pipeline. About 8 s.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Benchmark-regression gate: run the key hot-path benchmarks (count=4
 # best-of, pinned -cpu 1,4,8) and compare against the committed
 # BENCH_5.json — fail on >20% ns/op or any allocs/op regression. Seeds
@@ -32,12 +39,15 @@ bench:
 bench-gate:
 	$(GO) run ./cmd/benchgate
 
-# Concurrency-stress suite: N emitting goroutines racing install/
-# uninstall/flush with exact tuple accounting, plus the sharded
-# accumulator's exactness/ordering/drop-accounting suite — under the
-# race detector, twice, to shake out interleavings.
+# The suites below select tests by name convention, not by list: a new
+# test joins its suite by carrying the suite's word in its name.
+
+# Concurrency-stress suite (Stress*, Sharded*): N emitting goroutines
+# racing install/uninstall/flush with exact tuple accounting, plus the
+# sharded accumulator's exactness/ordering/drop-accounting suite — under
+# the race detector, twice, to shake out interleavings.
 stress:
-	$(GO) test ./internal/agent ./internal/advice -race -count=2 -run 'TestStress|TestSharded'
+	$(GO) test ./internal/agent ./internal/advice -race -count=2 -run 'Stress|Sharded'
 
 # Replay the checked-in fuzz corpora, then give each target a short live
 # fuzzing burst. FUZZTIME=2m fuzz-smoke for a deeper local run.
@@ -71,33 +81,35 @@ scenarios-short:
 scenarios:
 	$(GO) run ./cmd/ptbench -all
 
-# The differential query-correctness sweeps (plain and budgeted) under
-# the race detector, in both topologies: flat agent→frontend merge and
-# the 2-tier combiner tree, which must agree byte-for-byte.
+# The differential query-correctness sweeps (TestDifferential*: plain and
+# budgeted) under the race detector. Each case runs in both topologies —
+# flat agent→frontend merge and the 2-tier combiner tree — which must
+# agree with the oracle and each other byte-for-byte.
 differential:
-	PT_DIFF_CASES=500 $(GO) test ./pivot -race -run 'TestDifferentialPipelineMatchesOracle|TestBudgetedDifferentialTruncationAccounted|TestDifferentialTreeMatchesFlat|TestBudgetedDifferentialTreeTruncationAccounted'
+	PT_DIFF_CASES=500 $(GO) test ./pivot -race -run '^TestDifferential'
 
 # The combiner-tier suite: partition/rendezvous unit tests, tree wiring,
-# tenant fair-share control plane, combiner-kill chaos, and the tree
-# differential sweeps at a reduced case count — all under -race.
+# tenant fair-share control plane, combiner-kill chaos (TestCombiner*),
+# and the differential sweeps at a reduced case count — all under -race.
 combiner:
 	$(GO) test ./internal/combiner ./internal/cluster ./internal/core -race
-	$(GO) test ./pivot -race -count=2 -run 'TestCombinerKillRehomesAndConservesTuples'
-	PT_DIFF_CASES=120 $(GO) test ./pivot -race -run 'TestDifferentialTreeMatchesFlat|TestBudgetedDifferentialTreeTruncationAccounted'
+	$(GO) test ./pivot -race -count=2 -run '^TestCombiner'
+	PT_DIFF_CASES=120 $(GO) test ./pivot -race -run '^TestDifferential'
 
-# The request-level sampling suite: the 300-case sampled differential
-# sweep against the statistical oracle, rate-1.0 byte-identity with the
-# exact path, the error-vs-rate estimator sweep, the happened-before
-# join decision-atomicity property tests, and the rate-clamp/AIMD
-# controller units — all under the race detector. Failures print the
+# The request-level sampling suite (*Sampl*): the 300-case sampled
+# differential sweep against the statistical oracle, rate-1.0
+# byte-identity with the exact path, the error-vs-rate estimator sweep,
+# the happened-before join decision-atomicity property tests, and the
+# rate-clamp/AIMD controller units — all under the race detector. Failures print the
 # seed; replay with go test ./pivot -run <Test> -seed=<N>.
 sampling:
-	$(GO) test ./pivot -race -run 'TestSampledDifferentialWithinBounds|TestSampledRateOneMatchesExactBytes|TestSampledErrorVsRate|TestHBJoinSamplingAtomicityTable|TestHBJoinSamplingAtomicityQuick'
+	$(GO) test ./pivot -race -run 'Sampl'
 	$(GO) test ./internal/sampling -race
 
-# The safety-valve chaos suite: advice quarantine, frontend-kill lease
-# expiry, budget exhaustion accounting, and the governance unit tests —
-# repeated under the race detector to shake out ordering assumptions.
+# The safety-valve chaos suite (TestSafety*): advice quarantine,
+# frontend-kill lease expiry, budget exhaustion accounting, and the
+# governance unit tests — repeated under the race detector to shake out
+# ordering assumptions.
 safety:
-	$(GO) test ./pivot -race -count=2 -run 'TestPanickingAdviceIsQuarantined|TestQuarantineNoticeCrossesBus|TestKilledFrontendLeaseExpiry|TestBudgetExhaustionAccounted|TestLeaseRenewalKeepsInProcessQueryAlive'
+	$(GO) test ./pivot -race -count=2 -run '^TestSafety'
 	$(GO) test ./internal/agent ./internal/advice ./internal/baggage ./internal/tracepoint -race -count=2

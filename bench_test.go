@@ -419,37 +419,26 @@ func BenchmarkHereParallel(b *testing.B) {
 }
 
 // BenchmarkReportBatch measures one flush interval of a 64-query agent:
-// drain, snapshot-encode, and publication. "batched" ships the interval as
-// one size-capped ReportBatch frame (the default); "frame-per-report"
-// forces the cap to one byte so every report pays its own frame, the
-// pre-batching behavior.
+// drain, snapshot-encode, and publication as one size-capped ReportBatch
+// frame. (The sub-benchmark name is the BENCH_5.json gate key.)
 func BenchmarkReportBatch(b *testing.B) {
 	const queries = 64
-	for _, mode := range []struct {
-		name       string
-		batchBytes int
-	}{
-		{"batched", 0},
-		{"frame-per-report", 1},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			a, bb, tp := benchInstall(b, queries)
-			defer a.Close()
-			a.SetBatchBytes(mode.batchBytes)
-			frames := 0
-			bb.Subscribe(agent.ResultsTopic, func(any) { frames++ })
-			ctx := tracepoint.WithProc(context.Background(),
-				tracepoint.ProcInfo{Host: "h", ProcName: "p"})
-			ctx = baggage.NewContext(ctx, baggage.New())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tp.Here(ctx, 1) // one crossing feeds all 64 queries
-				a.Flush()
-			}
-			b.ReportMetric(float64(frames)/float64(b.N), "frames/flush")
-		})
-	}
+	b.Run("batched", func(b *testing.B) {
+		a, bb, tp := benchInstall(b, queries)
+		defer a.Close()
+		frames := 0
+		bb.Subscribe(agent.ResultsTopic, func(any) { frames++ })
+		ctx := tracepoint.WithProc(context.Background(),
+			tracepoint.ProcInfo{Host: "h", ProcName: "p"})
+		ctx = baggage.NewContext(ctx, baggage.New())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tp.Here(ctx, 1) // one crossing feeds all 64 queries
+			a.Flush()
+		}
+		b.ReportMetric(float64(frames)/float64(b.N), "frames/flush")
+	})
 }
 
 // BenchmarkWeave measures dynamic weave + unweave of a compiled query —

@@ -1,6 +1,12 @@
-// Command experiments regenerates the paper's entire evaluation — every
-// figure and table DESIGN.md indexes — and prints the results, optionally
-// writing them to a file for EXPERIMENTS.md.
+// Command experiments regenerates the paper's evaluation — every figure
+// and table DESIGN.md indexes — and prints the results, optionally writing
+// them to a file for EXPERIMENTS.md.
+//
+//	experiments                        everything, at the paper's sizing
+//	experiments -quick                 everything, scaled down
+//	experiments -only "Fig 1"          one step: the §2.1 motivating experiment
+//	experiments -only "Fig 8 (fixed)"  HDFS-6268 after both fixes
+//	experiments -only "§6.2 rogue GC"  (an unknown name lists the steps)
 package main
 
 import (
@@ -8,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -16,6 +24,7 @@ import (
 func main() {
 	out := flag.String("out", "", "also write the report to this file")
 	quick := flag.Bool("quick", false, "scaled-down configurations (faster)")
+	only := flag.String("only", "", "run just the step with this name, e.g. \"Fig 8 (fixed)\"")
 	flag.Parse()
 
 	var w io.Writer = os.Stdout
@@ -95,6 +104,18 @@ func main() {
 		}},
 	}
 
+	if *only != "" {
+		i := slices.IndexFunc(steps, func(s step) bool { return s.name == *only })
+		if i < 0 {
+			names := make([]string, len(steps))
+			for j, s := range steps {
+				names[j] = s.name
+			}
+			fmt.Fprintf(os.Stderr, "experiments: no step %q; steps: %s\n", *only, strings.Join(names, ", "))
+			os.Exit(2)
+		}
+		steps = steps[i : i+1]
+	}
 	for _, s := range steps {
 		start := time.Now()
 		res, err := s.run()

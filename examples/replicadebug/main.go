@@ -41,6 +41,6 @@ func main() {
 	fmt.Println("       always take the first location -> HDFS-6268.")
 	fmt.Println()
 	fmt.Println("Re-run with the fixes (NameNode shuffling + client random")
-	fmt.Println("selection): `go run ./cmd/replicabug -fixed` — selection")
-	fmt.Println("becomes uniform and client throughput evens out.")
+	fmt.Println("selection): `go run ./cmd/experiments -only \"Fig 8 (fixed)\"` —")
+	fmt.Println("selection becomes uniform and client throughput evens out.")
 }

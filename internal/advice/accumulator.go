@@ -1,173 +1,26 @@
 package advice
 
 import (
-	"sync/atomic"
-
-	"repro/internal/agg"
 	"repro/internal/tuple"
 )
 
-// Group is one group-by bucket of partially aggregated results. Groups are
-// the unit of transport between agents and the query frontend: partial
-// aggregate states merge correctly across processes (unlike final values —
-// an average of averages is not the average).
-type Group struct {
-	Key    string
-	Rep    tuple.Tuple // representative working tuple for non-agg columns
-	States []*agg.State
-
-	// seq is the group's creation stamp from a shared sequence source (see
-	// Accumulator.SetSeqSource): sharded accumulators use it to restore
-	// global first-seen order when merging shard drains. Zero when no
-	// sequence source is attached.
-	seq int64
-}
-
-// Clone deep-copies the group.
-func (g *Group) Clone() *Group {
-	c := &Group{Key: g.Key, Rep: g.Rep.Clone(), seq: g.seq}
-	for _, s := range g.States {
-		c.States = append(c.States, s.Clone())
-	}
-	return c
-}
-
-// Limits bounds an accumulator's memory: group-by cardinality and raw-row
-// count. Both default on — an unbounded GROUP BY over a high-cardinality
-// key (or a raw query that never drains) must not grow agent memory
-// without bound. Zero fields select the defaults; negative fields disable
-// that cap. Every capped row is counted, never silently lost.
-type Limits struct {
-	MaxGroups int
-	MaxRaws   int
-}
-
-// Accumulator limit defaults.
-const (
-	DefaultMaxGroups = 16384
-	DefaultMaxRaws   = 65536
-)
-
-// OverflowKey identifies the overflow group that absorbs aggregate rows
-// beyond the group cap. The NUL prefix keeps it out of every real group's
-// key space (keys are encoded tuple values, which never start with NUL).
-const OverflowKey = "\x00overflow"
-
-func (l Limits) maxGroups() int {
-	switch {
-	case l.MaxGroups < 0:
-		return -1
-	case l.MaxGroups == 0:
-		return DefaultMaxGroups
-	default:
-		return l.MaxGroups
-	}
-}
-
-func (l Limits) maxRaws() int {
-	switch {
-	case l.MaxRaws < 0:
-		return -1
-	case l.MaxRaws == 0:
-		return DefaultMaxRaws
-	default:
-		return l.MaxRaws
-	}
-}
-
-// Accumulator aggregates emitted working tuples for one EmitOp. The same
-// type serves process-local aggregation in agents (fed by Add) and global
-// aggregation at the frontend (fed by MergeGroup/MergeRaw).
+// Accumulator aggregates emitted working tuples for one EmitOp: a Merger
+// plus the fold-in path (Add) that turns working tuples into groups and
+// raw rows. Agents hold these (striped, see ShardedAccumulator); everything
+// downstream of an agent holds a plain Merger.
 type Accumulator struct {
-	Op     *EmitOp
-	limits Limits
-	groups map[string]*Group
-	order  []string
-	raws   []tuple.Tuple
+	Merger
 
 	// keyScratch is the reused buffer Add builds group keys in; the map
 	// lookup via string(keyScratch) does not allocate, so folding into an
 	// existing group is allocation-free. Accumulator is not safe for
 	// concurrent use, so a single scratch suffices.
 	keyScratch []byte
-
-	// seqSrc, when set, stamps each new group with a creation sequence
-	// shared across sibling shard accumulators (see ShardedAccumulator).
-	seqSrc *atomic.Int64
-
-	// Cumulative eviction accounting; survives Reset so heartbeats can
-	// report exact totals for the query's lifetime.
-	rawsDropped      int64
-	groupsOverflowed int64
 }
 
 // NewAccumulator returns an empty accumulator for op with default limits.
 func NewAccumulator(op *EmitOp) *Accumulator {
-	return &Accumulator{Op: op, groups: make(map[string]*Group)}
-}
-
-// SetLimits replaces the accumulator's limits (zero value = defaults).
-func (a *Accumulator) SetLimits(l Limits) { a.limits = l }
-
-// SetSeqSource attaches a shared group-creation sequence: every group this
-// accumulator creates is stamped from src, so drains of sibling shard
-// accumulators can be merged back into global first-seen order.
-func (a *Accumulator) SetSeqSource(src *atomic.Int64) { a.seqSrc = src }
-
-// RawsDropped returns how many raw rows FIFO eviction has discarded.
-func (a *Accumulator) RawsDropped() int64 { return a.rawsDropped }
-
-// GroupsOverflowed returns how many rows were folded into the overflow
-// group instead of their own group.
-func (a *Accumulator) GroupsOverflowed() int64 { return a.groupsOverflowed }
-
-// capRaws FIFO-evicts the oldest raw rows beyond the cap, counting each.
-func (a *Accumulator) capRaws() {
-	max := a.limits.maxRaws()
-	if max < 0 {
-		return
-	}
-	if excess := len(a.raws) - max; excess > 0 {
-		a.raws = append(a.raws[:0:0], a.raws[excess:]...)
-		a.rawsDropped += int64(excess)
-	}
-}
-
-// atGroupCap reports whether creating another real group would exceed the
-// cap (the overflow group itself rides above the cap).
-func (a *Accumulator) atGroupCap() bool {
-	max := a.limits.maxGroups()
-	if max < 0 {
-		return false
-	}
-	n := len(a.groups)
-	if _, ok := a.groups[OverflowKey]; ok {
-		n--
-	}
-	return n >= max
-}
-
-// overflowGroup returns the overflow group, creating it from a template
-// tuple on first use: aggregate states start empty, and non-aggregate
-// columns read "(overflow)" so the catch-all row is self-describing.
-func (a *Accumulator) overflowGroup(rep tuple.Tuple) *Group {
-	if g, ok := a.groups[OverflowKey]; ok {
-		return g
-	}
-	g := &Group{Key: OverflowKey, Rep: rep.Clone()}
-	if a.seqSrc != nil {
-		g.seq = a.seqSrc.Add(1)
-	}
-	for _, col := range a.Op.Cols {
-		if col.IsAgg {
-			g.States = append(g.States, agg.New(col.Fn))
-		} else if col.Pos >= 0 && col.Pos < len(g.Rep) {
-			g.Rep[col.Pos] = tuple.String("(overflow)")
-		}
-	}
-	a.groups[OverflowKey] = g
-	a.order = append(a.order, OverflowKey)
-	return g
+	return &Accumulator{Merger: Merger{Op: op, groups: make(map[string]*Group)}}
 }
 
 // Add folds one emitted working tuple at unit weight.
@@ -195,18 +48,8 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 			a.groupsOverflowed++
 			g = a.overflowGroup(w)
 		} else {
-			key := string(a.keyScratch)
-			g = &Group{Key: key, Rep: w.Clone()}
-			if a.seqSrc != nil {
-				g.seq = a.seqSrc.Add(1)
-			}
-			for _, col := range a.Op.Cols {
-				if col.IsAgg {
-					g.States = append(g.States, agg.New(col.Fn))
-				}
-			}
-			a.groups[key] = g
-			a.order = append(a.order, key)
+			g = &Group{Key: string(a.keyScratch), Rep: w.Clone(), States: a.newStates()}
+			a.insert(g)
 		}
 	}
 	k := 0
@@ -221,108 +64,4 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 		}
 		k++
 	}
-}
-
-// MergeGroup folds a partial group from another accumulator (e.g. an
-// agent's report) into this one. Groups beyond the cap — including
-// overflow groups arriving from agents — merge into the local overflow
-// group, so "overflowed" stays exact end-to-end.
-func (a *Accumulator) MergeGroup(g *Group) {
-	mine, ok := a.groups[g.Key]
-	if !ok {
-		if g.Key == OverflowKey {
-			mine = a.overflowGroup(g.Rep)
-		} else if a.atGroupCap() {
-			a.groupsOverflowed++
-			mine = a.overflowGroup(g.Rep)
-		} else {
-			a.groups[g.Key] = g.Clone()
-			a.order = append(a.order, g.Key)
-			return
-		}
-	}
-	for i, s := range g.States {
-		mine.States[i].Merge(s)
-	}
-}
-
-// MergeRaw folds a raw row from another accumulator.
-func (a *Accumulator) MergeRaw(row tuple.Tuple) {
-	a.raws = append(a.raws, row.Clone())
-	a.capRaws()
-}
-
-// Groups snapshots the current partial groups, in first-seen order.
-func (a *Accumulator) Groups() []*Group {
-	out := make([]*Group, 0, len(a.order))
-	for _, key := range a.order {
-		out = append(out, a.groups[key])
-	}
-	return out
-}
-
-// Raws returns the accumulated raw rows.
-func (a *Accumulator) Raws() []tuple.Tuple { return a.raws }
-
-// Rows materializes the final result rows in Select-column order.
-func (a *Accumulator) Rows() []tuple.Tuple {
-	if a.Op.Raw {
-		out := make([]tuple.Tuple, len(a.raws))
-		copy(out, a.raws)
-		return out
-	}
-	out := make([]tuple.Tuple, 0, len(a.order))
-	for _, key := range a.order {
-		g := a.groups[key]
-		row := make(tuple.Tuple, len(a.Op.Cols))
-		k := 0
-		for i, col := range a.Op.Cols {
-			if col.IsAgg {
-				row[i] = g.States[k].Result()
-				k++
-			} else {
-				row[i] = g.Rep[col.Pos]
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// Empty reports whether the accumulator holds no data.
-func (a *Accumulator) Empty() bool {
-	return len(a.order) == 0 && len(a.raws) == 0
-}
-
-// Reset clears the accumulator for the next reporting interval.
-func (a *Accumulator) Reset() {
-	a.groups = make(map[string]*Group)
-	a.order = nil
-	a.raws = nil
-}
-
-// absorb moves src's contents into a without cloning: groups and raw rows
-// are stolen wholesale, same-key groups merge their partial states (keeping
-// the earliest creation stamp), and eviction counters transfer. src must be
-// exclusively owned by the caller and must not be used afterwards. This is
-// the merge half of the sharded accumulator's steal-and-merge Drain.
-func (a *Accumulator) absorb(src *Accumulator) {
-	for _, key := range src.order {
-		g := src.groups[key]
-		mine, ok := a.groups[key]
-		if !ok {
-			a.groups[key] = g
-			a.order = append(a.order, key)
-			continue
-		}
-		if g.seq < mine.seq {
-			mine.seq = g.seq
-		}
-		for i, st := range g.States {
-			mine.States[i].Merge(st)
-		}
-	}
-	a.raws = append(a.raws, src.raws...)
-	a.rawsDropped += src.rawsDropped
-	a.groupsOverflowed += src.groupsOverflowed
 }

@@ -43,31 +43,6 @@ func TestAccumulatorGroupsAndRows(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMergeGroupAcrossProcesses(t *testing.T) {
-	// Two process-local accumulators merge into a global one with correct
-	// combined aggregates.
-	a1 := NewAccumulator(groupedOp())
-	a1.Add(tuple.Tuple{tuple.String("k"), tuple.Int(10)})
-	a2 := NewAccumulator(groupedOp())
-	a2.Add(tuple.Tuple{tuple.String("k"), tuple.Int(20)})
-	a2.Add(tuple.Tuple{tuple.String("other"), tuple.Int(1)})
-
-	global := NewAccumulator(groupedOp())
-	for _, g := range a1.Groups() {
-		global.MergeGroup(g)
-	}
-	for _, g := range a2.Groups() {
-		global.MergeGroup(g)
-	}
-	rows := global.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if rows[0][1].Int() != 30 || rows[0][2].Int() != 2 {
-		t.Errorf("merged row = %v", rows[0])
-	}
-}
-
 func TestAccumulatorRawMode(t *testing.T) {
 	op := &EmitOp{
 		Cols:   []EmitCol{{Pos: 1}, {Pos: 0}},
@@ -76,7 +51,7 @@ func TestAccumulatorRawMode(t *testing.T) {
 	}
 	acc := NewAccumulator(op)
 	acc.Add(tuple.Tuple{tuple.Int(1), tuple.Int(2)})
-	acc.MergeRaw(tuple.Tuple{tuple.Int(9), tuple.Int(8)})
+	mustMerge(t, &acc.Merger, nil, []tuple.Tuple{{tuple.Int(9), tuple.Int(8)}}, nil)
 	rows := acc.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)

@@ -79,14 +79,16 @@ func TestAccumulatorRawsCapFIFOEvicts(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMergeRawCapped(t *testing.T) {
-	acc := NewAccumulator(rawOp())
-	acc.SetLimits(Limits{MaxRaws: 2})
-	for i := int64(0); i < 4; i++ {
-		acc.MergeRaw(kvRow("k", i))
+func TestMergeRawsCapped(t *testing.T) {
+	m := NewMerger(rawOp(), Limits{MaxRaws: 2})
+	mustMerge(t, m, nil, []tuple.Tuple{kvRow("k", 0)}, nil)
+	mustMerge(t, m, nil, []tuple.Tuple{kvRow("k", 1), kvRow("k", 2), kvRow("k", 3)}, nil)
+	raws := m.Raws()
+	if len(raws) != 2 || m.RawsDropped() != 2 {
+		t.Fatalf("raws=%d dropped=%d, want 2/2", len(raws), m.RawsDropped())
 	}
-	if len(acc.Raws()) != 2 || acc.RawsDropped() != 2 {
-		t.Fatalf("raws=%d dropped=%d, want 2/2", len(acc.Raws()), acc.RawsDropped())
+	if raws[0][1].Int() != 2 || raws[1][1].Int() != 3 {
+		t.Fatalf("FIFO eviction kept %v, want the newest two", raws)
 	}
 }
 
@@ -129,7 +131,7 @@ func TestAccumulatorGroupCapOverflows(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMergeGroupRoutesOverflow(t *testing.T) {
+func TestMergeRoutesOverflow(t *testing.T) {
 	remote := NewAccumulator(aggOp())
 	remote.SetLimits(Limits{MaxGroups: 1})
 	remote.Add(kvRow("a", 1))
@@ -138,9 +140,7 @@ func TestAccumulatorMergeGroupRoutesOverflow(t *testing.T) {
 	local := NewAccumulator(aggOp())
 	local.SetLimits(Limits{MaxGroups: 1})
 	local.Add(kvRow("z", 5))
-	for _, g := range remote.Groups() {
-		local.MergeGroup(g)
-	}
+	mustMerge(t, &local.Merger, remote.Groups(), nil, nil)
 	// "a" exceeds the local cap and lands in overflow; the remote
 	// overflow group (holding b's 2) merges into the local overflow.
 	var overflow *Group

@@ -13,7 +13,7 @@ import (
 // so concurrent tracepoint fires on different goroutines never contend on
 // one mutex or one group map. Each shard is a full Accumulator behind its
 // own cache-line-padded lock; Drain steals every shard's contents and
-// merges them into a single unbounded accumulator (merge-on-flush).
+// absorbs them into a single unbounded Merger (merge-on-flush).
 //
 // The striping preserves exact aggregation semantics because partial
 // aggregate states merge associatively and commutatively (see package agg):
@@ -40,7 +40,7 @@ type ShardedAccumulator struct {
 	pending atomic.Int64
 
 	// Eviction accounting folded in from drained shard accumulators;
-	// cumulative across Drains like Accumulator's counters are across
+	// cumulative across Drains like Merger's counters are across
 	// Resets.
 	rawsDropped      atomic.Int64
 	groupsOverflowed atomic.Int64
@@ -78,8 +78,8 @@ func NewShardedAccumulator(op *EmitOp, nshards int) *ShardedAccumulator {
 
 func (s *ShardedAccumulator) newShardAcc() *Accumulator {
 	a := NewAccumulator(s.Op)
-	a.SetLimits(s.limits)
-	a.SetSeqSource(&s.seq)
+	a.limits = s.limits
+	a.seqSrc = &s.seq
 	return a
 }
 
@@ -136,13 +136,12 @@ func (s *ShardedAccumulator) Empty() bool { return s.pending.Load() == 0 }
 
 // Drain steals every shard's accumulator — each swap holds that shard's
 // lock only long enough to exchange a pointer — and merges the stolen
-// contents, outside all locks, into one unbounded Accumulator in global
+// contents, outside all locks, into one unbounded Merger in global
 // first-seen group order. Concurrent Adds land either in a stolen
 // accumulator (this drain) or a fresh one (the next); no tuple is lost or
 // double-drained.
-func (s *ShardedAccumulator) Drain() *Accumulator {
-	out := NewAccumulator(s.Op)
-	out.SetLimits(Limits{MaxGroups: -1, MaxRaws: -1})
+func (s *ShardedAccumulator) Drain() *Merger {
+	out := NewMerger(s.Op, Unbounded)
 	var drained int64
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -159,14 +158,14 @@ func (s *ShardedAccumulator) Drain() *Accumulator {
 
 		s.rawsDropped.Add(old.rawsDropped)
 		s.groupsOverflowed.Add(old.groupsOverflowed)
-		out.absorb(old)
+		out.Absorb(&old.Merger)
 	}
 	if drained != 0 {
 		s.pending.Add(-drained)
 	}
 	if len(out.order) > 1 {
 		sort.SliceStable(out.order, func(i, j int) bool {
-			return out.groups[out.order[i]].seq < out.groups[out.order[j]].seq
+			return out.order[i].seq < out.order[j].seq
 		})
 	}
 	return out

@@ -16,8 +16,8 @@ func gkey(k string) string {
 	return tuple.Tuple{tuple.String(k)}.Key([]int{0})
 }
 
-// drainSums folds a drained accumulator's groups into key -> summed value.
-func drainSums(t *testing.T, into map[string]int64, acc *Accumulator) {
+// drainSums folds a drained merger's groups into key -> summed value.
+func drainSums(t *testing.T, into map[string]int64, acc *Merger) {
 	t.Helper()
 	for _, g := range acc.Groups() {
 		if len(g.States) != 1 {

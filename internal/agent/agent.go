@@ -3,10 +3,20 @@
 // at the process's tracepoints, performs process-local partial aggregation
 // of emitted tuples, and publishes partial query results at a configurable
 // interval (one second by default).
+//
+// File map:
+//
+//	agent.go     the Agent: control path (install, weave, uninstall), the
+//	             lock-free emit hot path, advice sinks, Stats
+//	messages.go  bus topics, message types, the heartbeat Stats shape
+//	flush.go     Flush (drain → tenant accounting → build reports →
+//	             publish), the batch splitter, trace and health frames
+//	leases.go    install leases: renew, expiry
+//	retention.go the outage ring buffer: retain, replay
+//	sampling.go  request-level sampling: decision minting, adaptive tick
 package agent
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -26,279 +36,6 @@ import (
 	"repro/internal/tuple"
 )
 
-// Topics used on the message bus.
-const (
-	ControlTopic = "pt.control"
-	ResultsTopic = "pt.results"
-	// HealthTopic carries agent Heartbeats. It is separate from
-	// ResultsTopic so health traffic never perturbs result consumers.
-	HealthTopic = "pt.health"
-	// StatusRequestTopic/StatusResponseTopic carry frontend status
-	// queries (see core.PivotTracing.Status and cmd/ptstat).
-	StatusRequestTopic  = "pt.status.req"
-	StatusResponseTopic = "pt.status.resp"
-	// QuarantineTopic carries Quarantine notices: an agent tripped a
-	// query's circuit breaker and unwove its advice.
-	QuarantineTopic = "pt.quarantine"
-	// TraceTopic carries causal-trace observability frames: SpanBatch
-	// (captured spans, best-effort) and ExplainStats (per-operator advice
-	// counters for EXPLAIN ANALYZE). Separate from ResultsTopic so trace
-	// volume never competes with query results, and dropped trace frames
-	// are not retained/replayed — spans are strictly best-effort.
-	TraceTopic = "pt.trace"
-	// tenantResultsPrefix prefixes the per-tenant result topics a combiner
-	// tree routes merged frames to (see TenantResultsTopic).
-	tenantResultsPrefix = "pt.results.t."
-)
-
-// TenantResultsTopic is the per-tenant results topic: a combiner tree with
-// tenant routing forwards a tenant's merged report frames here, and only
-// that tenant's frontend subscribes — so per-frontend inbound traffic
-// scales with the tree, not with the cluster.
-func TenantResultsTopic(tenant string) string {
-	return tenantResultsPrefix + tenant
-}
-
-// MetaReportTracepoint is the meta-tracepoint crossed once per report the
-// agent publishes, letting Pivot Tracing queries observe Pivot Tracing's
-// own reporting (e.g. From r In agent.Report GroupBy r.host Select
-// r.host, SUM(r.tuples)). It is opt-in via Agent.EnableMetaTracepoint.
-const MetaReportTracepoint = "agent.Report"
-
-// MetaReportExports are the declared exports of MetaReportTracepoint.
-var MetaReportExports = []string{"query", "rows", "tuples"}
-
-// Heartbeat is the agent's periodic liveness beacon, published on
-// HealthTopic at every flush (reports or not). Time is the agent's own
-// clock; Interval is its reporting cadence, so the frontend can judge
-// staleness relative to how often this agent should speak.
-type Heartbeat struct {
-	Host     string
-	ProcName string
-	Time     time.Duration
-	Interval time.Duration
-	Queries  int
-	Stats    Stats
-}
-
-// StatusRequest asks the frontend for its status text (cmd/ptstat sends
-// these over the bus); ID correlates the response.
-type StatusRequest struct {
-	ID string
-}
-
-// StatusResponse is the frontend's rendered status.
-type StatusResponse struct {
-	ID   string
-	Text string
-}
-
-// Install instructs agents to weave a query's advice programs. Each agent
-// weaves the programs whose tracepoints exist in its process.
-type Install struct {
-	QueryID  string
-	Programs []*advice.Program
-	// TTL is the query's lease duration: if the frontend stops renewing
-	// (see Renew), agents auto-uninstall the query TTL after the last
-	// renewal, so a crashed frontend never leaves instrumentation
-	// resident. Zero means no lease (immortal), preserving direct
-	// installs by tests and embedders that manage lifecycle themselves.
-	TTL time.Duration
-	// Limits bounds the agent-side accumulator for this query.
-	Limits advice.Limits
-	// Tenant names the frontend that owns this query ("" = the primary
-	// frontend). Agents account per-tenant tuple usage against it, and a
-	// tenant-routing combiner learns the query→tenant mapping from it.
-	Tenant string
-	// Share is the fair-share divisor the installing frontend applied to
-	// its budgets (how many tenants split the agent's capacity); carried on
-	// the wire so agents and operators can audit the split. Zero or one
-	// means the full, unsplit budget.
-	Share int
-}
-
-// Uninstall instructs agents to remove a query's advice.
-type Uninstall struct {
-	QueryID string
-}
-
-// Renew extends the lease of the listed queries. The frontend publishes
-// these periodically on the control topic; TTL == 0 keeps each query's
-// current lease duration.
-type Renew struct {
-	QueryIDs []string
-	TTL      time.Duration
-}
-
-// Quarantine is published on QuarantineTopic when an agent trips a
-// query's circuit breaker: the offending program is unwoven in that
-// process while the rest of the query keeps running.
-type Quarantine struct {
-	QueryID    string
-	Tracepoint string
-	Host       string
-	ProcName   string
-	Reason     string
-	Time       time.Duration
-}
-
-// DefaultLease is the lease TTL the frontend attaches to installs unless
-// the query specifies its own (plan.Options.Lease).
-const DefaultLease = 30 * time.Second
-
-// ReportBatch coalesces one flush interval's Reports from one process into
-// a single bus frame, cutting frames and syscalls when many queries are
-// installed. Batches are split so each frame's approximate payload stays
-// under the agent's batch-size cap (SetBatchBytes). Consumers treat a
-// batch exactly as its constituent Reports in order.
-type ReportBatch struct {
-	Host     string
-	ProcName string
-	Time     time.Duration
-	Reports  []Report
-}
-
-// DefaultBatchBytes is the default approximate size cap of one ReportBatch
-// frame's payload.
-const DefaultBatchBytes = 256 << 10
-
-// SpanBatch coalesces one flush interval's captured spans from one process
-// into a single TraceTopic frame, mirroring ReportBatch's size-capped
-// splitting. Spans are best-effort: a dropped frame is never retained.
-type SpanBatch struct {
-	Host     string
-	ProcName string
-	Time     time.Duration
-	Spans    []spans.Span
-}
-
-// OpStats is one advice program's live operator counters, snapshot at
-// flush time for EXPLAIN ANALYZE. Values are cumulative since install.
-type OpStats struct {
-	Tracepoint     string
-	Invocations    int64
-	Sampled        int64
-	DroppedByJoin  int64
-	TuplesFiltered int64
-	TuplesPacked   int64
-	PackedBytes    int64
-	PackRefused    int64
-	EvictedGroups  int64
-	EvictedTuples  int64
-	EvictedBytes   int64
-	TuplesEmitted  int64
-	Panics         int64
-}
-
-// ExplainStats carries one query's per-operator counters from one process,
-// published on TraceTopic at every flush while span capture is enabled.
-// FlushNS is the wall-clock nanoseconds the agent spent draining and
-// encoding this query's partial results in the flush that produced this
-// snapshot — the agent-side "merge time" of EXPLAIN ANALYZE.
-type ExplainStats struct {
-	QueryID  string
-	Host     string
-	ProcName string
-	Time     time.Duration
-	FlushNS  int64
-	Ops      []OpStats
-}
-
-// Report is one interval's partial results from one process for one query.
-type Report struct {
-	QueryID  string
-	Host     string
-	ProcName string
-	Time     time.Duration
-	Groups   []*advice.Group
-	Raws     []tuple.Tuple
-	// Drops are baggage eviction tombstones observed by this query's
-	// advice since the last report: results the budget truncated. The
-	// frontend unions them (tombstones are globally unique per evicted
-	// group) so reported + dropped reconciles against the true total.
-	Drops []baggage.DropRecord
-}
-
-// DefaultInterval is the agent reporting interval (the paper's default).
-const DefaultInterval = time.Second
-
-// DefaultRetention is the default capacity of the agent's outage ring
-// buffer (reports retained per process while the bus link is down).
-const DefaultRetention = 64
-
-// Stats counts an agent's activity, used by the tuple-traffic experiments
-// (Fig 6, and the §4 claim that Q2 drops from ~600 emitted tuples/s to 6
-// reported tuples/s per DataNode) and by the frontend's health view. The
-// resilience counters make report loss auditable: every report the agent
-// ever published is either merged at the frontend, still buffered, or
-// counted in ReportsDropped — nothing disappears silently.
-type Stats struct {
-	TuplesEmitted int64 // advice EMIT operations executed
-	RowsReported  int64 // aggregated rows published to the bus
-	Reports       int64 // per-query reports published
-	Batches       int64 // ReportBatch frames published (coalesced reports)
-
-	ReportsRetained int64 // reports buffered during bus outages
-	ReportsReplayed int64 // buffered reports replayed after reconnect
-	ReportsDropped  int64 // reports lost to ring-buffer overflow
-	Reconnects      int64 // bus link reconnections observed
-
-	// Governance counters (this PR's safety valves). Like the resilience
-	// counters, every limit hit is accounted: a row, group, or byte the
-	// tracer gave up is counted here, never silently lost.
-	LeasesExpired        int64 // queries auto-uninstalled on lease expiry
-	Quarantines          int64 // programs unwoven by the circuit breaker
-	RawsDropped          int64 // raw rows FIFO-evicted by accumulator caps
-	GroupsOverflowed     int64 // rows folded into accumulator overflow groups
-	BaggageGroupsDropped int64 // baggage groups evicted by budgets (pack side)
-	BaggageTuplesDropped int64 // baggage tuples evicted by budgets (pack side)
-	BaggageBytesDropped  int64 // baggage bytes evicted by budgets (pack side)
-
-	// Span-capture counters (zero unless EnableSpans was called).
-	SpansCaptured int64 // spans recorded at tracepoint crossings
-	SpansDropped  int64 // spans overwritten in the ring before shipping
-	SpanBatches   int64 // SpanBatch frames published on TraceTopic
-
-	// Combiner counters (zero for ordinary agents). A combiner tier
-	// heartbeats with the same Stats shape so ptstat shows the whole
-	// aggregation tree in one table: reports merged in from downstream and
-	// frames forwarded upstream. Merged − forwarded traffic is the tree's
-	// whole point; both sides are counted so the reduction is auditable.
-	CombinerReportsMerged int64 // downstream reports folded into tier state
-	CombinerFramesOut     int64 // merged frames forwarded upstream
-
-	// Sampling counters. SampledOut counts crossings this process's advice
-	// suppressed because the request's sampling decision said no — the
-	// sampled-rate half of drop accounting (suppressed + reported-weight
-	// reconciles against the unsampled total). SampleRateMilli is the
-	// lowest adaptive effective rate across this agent's sampled queries,
-	// in thousandths: 1000 means everything runs exact (no backoff, or no
-	// sampled queries); 0 appears only in frames from combiner tiers,
-	// which do not sample.
-	SampledOut      int64
-	SampleRateMilli int64
-}
-
-// TenantQuota is one tenant's resource usage at one process, as accounted
-// by its agent: live queries owned by the tenant and cumulative tuples its
-// queries emitted there. Published inside TenantUsage frames.
-type TenantQuota struct {
-	Tenant  string
-	Queries int64
-	Tuples  int64
-}
-
-// TenantUsage carries one process's per-tenant quota counters, published
-// on HealthTopic at each flush while any tenant-owned query is installed.
-// The primary frontend aggregates these into core.Status's tenants table,
-// making the fair-share split observable on the wire.
-type TenantUsage struct {
-	Host     string
-	ProcName string
-	Time     time.Duration
-	Usage    []TenantQuota // sorted by tenant
-}
-
 // Agent is the per-process Pivot Tracing runtime.
 type Agent struct {
 	env      *simtime.Env
@@ -317,8 +54,7 @@ type Agent struct {
 	// accShards fixes the shard count of accumulators created after the
 	// call; <= 0 means GOMAXPROCS at creation time. Benchmarks use 1 to
 	// ablate sharding.
-	accShards  atomic.Int64
-	batchBytes atomic.Int64 // ReportBatch size cap; <= 0 = DefaultBatchBytes
+	accShards atomic.Int64
 	// reportTopic overrides the topic report batches are published on (a
 	// combiner tree assigns each agent its hash partition); nil selects
 	// ResultsTopic.
@@ -371,13 +107,6 @@ type Agent struct {
 	metaTP atomic.Pointer[tracepoint.Tracepoint]
 
 	controlSub bus.Subscription
-}
-
-// samplingQuery is one entry of the agent's sampling view: a query
-// installed with SampleRate > 0 and that installed (base) rate.
-type samplingQuery struct {
-	id   string
-	rate float64
 }
 
 // agentMeters are the agent's self-telemetry instruments.
@@ -447,9 +176,6 @@ func (a *Agent) EnableSpans(seed uint64, capacity int) *spans.Recorder {
 	return rec
 }
 
-// DefaultSpanBuffer is the default span ring capacity per process.
-const DefaultSpanBuffer = 4096
-
 type queryState struct {
 	programs []*advice.Program
 	// acc is created lazily on the first emitting weave or fire and then
@@ -464,7 +190,7 @@ type queryState struct {
 	ttl    time.Duration // lease duration; 0 = immortal
 	expiry time.Duration // agent-clock deadline; 0 = immortal
 	tenant string        // owning tenant frontend; "" = primary
-	drops  map[baggage.DropRecord]bool
+	drops  baggage.DropSet
 	// sampleRate is the query's installed request-sampling rate (0 =
 	// exact), read from its programs at install time.
 	sampleRate float64
@@ -534,31 +260,6 @@ func (a *Agent) onControl(msg any) {
 	}
 }
 
-// renew extends the lease of the listed queries from the agent's own
-// clock. TTL == 0 keeps each query's current lease duration; a query
-// installed without a lease stays immortal unless the renewal carries an
-// explicit TTL.
-func (a *Agent) renew(m Renew) {
-	now := a.now()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, id := range m.QueryIDs {
-		qs, ok := a.queries[id]
-		if !ok {
-			continue
-		}
-		ttl := m.TTL
-		if ttl <= 0 {
-			ttl = qs.ttl
-		}
-		if ttl <= 0 {
-			continue
-		}
-		qs.ttl = ttl
-		qs.expiry = now + ttl
-	}
-}
-
 func (a *Agent) install(m Install) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -611,13 +312,6 @@ func (a *Agent) rebuildViewLocked() {
 // memory (each shard carries the full accumulator Limits).
 func (a *Agent) SetAccumulatorShards(n int) {
 	a.accShards.Store(int64(n))
-}
-
-// SetBatchBytes sets the approximate payload cap of one ReportBatch frame;
-// n <= 0 restores DefaultBatchBytes. A single oversized report still ships
-// (alone in its own batch) — the cap splits, it never drops.
-func (a *Agent) SetBatchBytes(n int) {
-	a.batchBytes.Store(int64(n))
 }
 
 // SetReportTopic redirects the agent's report batches to topic — a
@@ -727,70 +421,6 @@ func (a *Agent) EmitTuple(p *advice.Program, w tuple.Tuple) {
 	qs.tuples.Add(1)
 }
 
-// EmitTupleWeighted implements advice.WeightedEmitter: EmitTuple for a
-// tuple from a sampled request, carrying its inverse-rate weight into
-// the accumulator so COUNT/SUM aggregate to unbiased estimates.
-func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float64) {
-	a.tuplesEmitted.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.tuples.Inc()
-	}
-	view := a.queriesView.Load()
-	if view == nil {
-		return
-	}
-	qs, ok := (*view)[p.QueryID]
-	if !ok {
-		return
-	}
-	a.ensureAcc(qs, p.Emit).AddWeighted(w, weight)
-	qs.tuples.Add(1)
-}
-
-// NoteSampledOut implements advice.SampleSink: a crossing was suppressed
-// by the request's sampling decision.
-func (a *Agent) NoteSampledOut(p *advice.Program) {
-	a.sampledOut.Add(1)
-}
-
-// MintSampleDecision mints the request-level sampling decision into
-// fresh baggage, once, at request creation, in the originating process.
-// For every query installed here with a sampling rate, one draw against
-// the query's current adaptive effective rate decides the whole request:
-// the decision tuple (query, effective-rate or 0) then travels with the
-// baggage through every split, join, and process transfer, so advice at
-// every tracepoint on the causal path agrees. Queries are visited in id
-// order with a per-agent seeded RNG, keeping simulated runs
-// deterministic. With no sampled queries installed this is a single
-// atomic load.
-func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
-	view := a.samplingView.Load()
-	if view == nil || len(*view) == 0 || bag == nil {
-		return
-	}
-	a.rngMu.Lock()
-	defer a.rngMu.Unlock()
-	if a.sampleRng == nil {
-		// Seeded from the process identity: unique per process, stable per
-		// simulated run, so scenario reports stay byte-reproducible.
-		a.sampleRng = rand.New(rand.NewSource(a.proc.ProcID*0x9E3779B9 + 1))
-	}
-	for _, sq := range *view {
-		eff := a.sampler.Effective(sq.id)
-		if eff <= 0 {
-			eff = sq.rate
-		}
-		switch {
-		case eff >= 1:
-			bag.PackSampleDecision(sq.id, 1)
-		case a.sampleRng.Float64() < eff:
-			bag.PackSampleDecision(sq.id, eff)
-		default:
-			bag.PackSampleDecision(sq.id, 0)
-		}
-	}
-}
-
 // NoteQuarantine implements advice.QuarantineNotifier: the program's
 // circuit breaker tripped in this process. The agent unweaves just that
 // program (the query's advice at other tracepoints keeps running),
@@ -836,12 +466,7 @@ func (a *Agent) NoteBaggageDrops(p *advice.Program, recs []baggage.DropRecord) {
 	if !ok {
 		return
 	}
-	if qs.drops == nil {
-		qs.drops = make(map[baggage.DropRecord]bool)
-	}
-	for _, r := range recs {
-		qs.drops[r] = true
-	}
+	qs.drops.Add(recs...)
 }
 
 // NotePackStats implements advice.PackStatsSink: budget evictions
@@ -854,367 +479,6 @@ func (a *Agent) NotePackStats(p *advice.Program, st baggage.PackStats) {
 	if m := a.meters.Load(); m != nil {
 		m.bagBytesC.Add(st.EvictedBytes)
 	}
-}
-
-// reportLoop publishes partial results every interval until the simulation
-// ends.
-func (a *Agent) reportLoop() {
-	for !a.env.Done() {
-		a.env.Sleep(a.interval)
-		a.Flush()
-	}
-}
-
-// Flush publishes the current partial results immediately (also called by
-// tests and by experiment harnesses at shutdown to avoid losing the last
-// interval).
-func (a *Agent) Flush() {
-	a.expireLeases()
-	// Adaptive sampling tick: baggage drop counters growing since the last
-	// flush means the request path is over budget — back sampling rates
-	// off. A quiet interval walks them back toward each query's base rate.
-	cur := a.baggageGroupsDropped.Load() + a.baggageTuplesDropped.Load() + a.baggageBytesDropped.Load()
-	prev := a.pressureMark.Swap(cur)
-	a.sampler.Tick(cur > prev)
-	a.mu.Lock()
-	type pending struct {
-		id      string
-		acc     *advice.Accumulator // drained snapshot, exclusively owned
-		drops   []baggage.DropRecord
-		tuples  int64
-		tenant  string
-		flushNS int64
-	}
-	var out []pending
-	for id, qs := range a.queries {
-		acc := qs.acc.Load()
-		if (acc == nil || acc.Empty()) && len(qs.drops) == 0 {
-			continue
-		}
-		drainStart := time.Now()
-		p := pending{id: id, tuples: qs.tuples.Swap(0), tenant: qs.tenant}
-		if acc != nil {
-			// Drain steals the shard contents under short per-shard locks
-			// and merges outside them; the result is exclusively ours, so
-			// everything below — including bus publication — happens with
-			// no agent lock held and no cloning (snapshot-then-encode).
-			p.acc = acc.Drain()
-		}
-		if len(qs.drops) > 0 {
-			for r := range qs.drops {
-				p.drops = append(p.drops, r)
-			}
-			sort.Slice(p.drops, func(i, j int) bool {
-				if p.drops[i].Slot != p.drops[j].Slot {
-					return p.drops[i].Slot < p.drops[j].Slot
-				}
-				return p.drops[i].Key < p.drops[j].Key
-			})
-			qs.drops = nil
-		}
-		p.flushNS = int64(time.Since(drainStart))
-		if (p.acc == nil || p.acc.Empty()) && len(p.drops) == 0 {
-			// The accumulator's emptiness hint raced with an in-flight Add
-			// and nothing actually drained; the tuples (if any) belong to
-			// the next interval.
-			qs.tuples.Add(p.tuples)
-			continue
-		}
-		out = append(out, p)
-	}
-	nQueries := len(a.queries)
-	// Per-tenant quota accounting happens here on the cold path: fold the
-	// tuples each flush drains into the owning tenant's cumulative total,
-	// then snapshot live query counts per tenant. EmitTuple never sees any
-	// of this.
-	for _, p := range out {
-		if p.tenant == "" || p.tuples == 0 {
-			continue
-		}
-		if a.tenantTuples == nil {
-			a.tenantTuples = make(map[string]int64)
-		}
-		a.tenantTuples[p.tenant] += p.tuples
-	}
-	var usage []TenantQuota
-	if len(a.tenantTuples) > 0 {
-		queriesBy := make(map[string]int64)
-		for _, qs := range a.queries {
-			if qs.tenant != "" {
-				queriesBy[qs.tenant]++
-			}
-		}
-		usage = make([]TenantQuota, 0, len(a.tenantTuples))
-		for tenant, tuples := range a.tenantTuples {
-			usage = append(usage, TenantQuota{Tenant: tenant, Queries: queriesBy[tenant], Tuples: tuples})
-		}
-		sort.Slice(usage, func(i, j int) bool { return usage[i].Tenant < usage[j].Tenant })
-	}
-	a.mu.Unlock()
-
-	// Deterministic order across queries.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].id < out[k-1].id; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
-	now := a.now()
-	reports := make([]Report, 0, len(out))
-	for _, p := range out {
-		r := Report{
-			QueryID:  p.id,
-			Host:     a.proc.Host,
-			ProcName: a.proc.ProcName,
-			Time:     now,
-			Drops:    p.drops,
-		}
-		if p.acc != nil {
-			r.Groups = p.acc.Groups()
-			r.Raws = p.acc.Raws()
-		}
-		rows := int64(len(r.Groups) + len(r.Raws))
-		a.rowsReported.Add(rows)
-		a.reports.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.reports.Inc()
-			m.rows.Add(rows)
-		}
-		reports = append(reports, r)
-	}
-	a.publishBatches(reports)
-	if rec := a.recorder.Load(); rec != nil {
-		a.publishSpans(rec, now)
-		flushNS := make(map[string]int64, len(out))
-		for _, p := range out {
-			flushNS[p.id] = p.flushNS
-		}
-		a.publishExplain(flushNS, now)
-	}
-	a.bus.Publish(HealthTopic, Heartbeat{
-		Host:     a.proc.Host,
-		ProcName: a.proc.ProcName,
-		Time:     a.now(),
-		Interval: a.interval,
-		Queries:  nQueries,
-		Stats:    a.Stats(),
-	})
-	if len(usage) > 0 {
-		a.bus.Publish(HealthTopic, TenantUsage{
-			Host:     a.proc.Host,
-			ProcName: a.proc.ProcName,
-			Time:     a.now(),
-			Usage:    usage,
-		})
-	}
-	// Cross the agent.Report meta-tracepoint last, with no agent locks
-	// held: its woven advice re-enters the agent via EmitTuple, and the
-	// tuples it emits belong to the next interval.
-	if tp := a.metaTP.Load(); tp != nil {
-		ctx := tracepoint.WithProc(baggage.NewContext(context.Background(), baggage.New()), a.proc)
-		for i, p := range out {
-			r := &reports[i]
-			tp.Here(ctx, p.id, int64(len(r.Groups)+len(r.Raws)), p.tuples)
-		}
-	}
-}
-
-// publishBatches coalesces this interval's reports into ReportBatch frames
-// on the agent's report topic (ResultsTopic unless SetReportTopic
-// partitioned it), starting a new frame whenever adding the next report
-// would push the approximate payload past the batch-size cap. A single
-// report larger than the cap still ships, alone in its own frame.
-func (a *Agent) publishBatches(reports []Report) {
-	if len(reports) == 0 {
-		return
-	}
-	topic := a.ReportTopic()
-	limit := int(a.batchBytes.Load())
-	if limit <= 0 {
-		limit = DefaultBatchBytes
-	}
-	batch := reports[:0:0]
-	size := 0
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		a.batches.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.batchesC.Inc()
-		}
-		a.bus.Publish(topic, ReportBatch{
-			Host:     a.proc.Host,
-			ProcName: a.proc.ProcName,
-			Time:     a.now(),
-			Reports:  batch,
-		})
-		batch, size = nil, 0
-	}
-	for i := range reports {
-		sz := reportSize(&reports[i])
-		if len(batch) > 0 && size+sz > limit {
-			flush()
-		}
-		batch = append(batch, reports[i])
-		size += sz
-	}
-	flush()
-}
-
-// publishSpans drains the span ring into size-capped SpanBatch frames on
-// TraceTopic, reusing the ReportBatch splitting discipline.
-func (a *Agent) publishSpans(rec *spans.Recorder, now time.Duration) {
-	drained := rec.Drain()
-	if len(drained) == 0 {
-		return
-	}
-	limit := int(a.batchBytes.Load())
-	if limit <= 0 {
-		limit = DefaultBatchBytes
-	}
-	batch := drained[:0:0]
-	size := 0
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		a.spanBatches.Add(1)
-		a.bus.Publish(TraceTopic, SpanBatch{
-			Host:     a.proc.Host,
-			ProcName: a.proc.ProcName,
-			Time:     now,
-			Spans:    batch,
-		})
-		batch, size = nil, 0
-	}
-	for i := range drained {
-		sz := spanSize(&drained[i])
-		if len(batch) > 0 && size+sz > limit {
-			flush()
-		}
-		batch = append(batch, drained[i])
-		size += sz
-	}
-	flush()
-}
-
-// spanSize approximates one span's encoded payload size (same arithmetic
-// size model as reportSize; framing varints are deliberately undercounted).
-func spanSize(sp *spans.Span) int {
-	return len(sp.Tracepoint) + len(sp.Host) + len(sp.ProcName) + 8*len(sp.Parents) + 36
-}
-
-// publishExplain snapshots every installed query's per-operator advice
-// counters into ExplainStats frames on TraceTopic. flushNS carries the
-// per-query drain time measured in the surrounding Flush (zero for queries
-// that had nothing to drain this interval).
-func (a *Agent) publishExplain(flushNS map[string]int64, now time.Duration) {
-	type snap struct {
-		id    string
-		progs []*advice.Program
-	}
-	a.mu.Lock()
-	qsnaps := make([]snap, 0, len(a.queries))
-	for id, qs := range a.queries {
-		qsnaps = append(qsnaps, snap{id: id, progs: qs.programs})
-	}
-	a.mu.Unlock()
-	sort.Slice(qsnaps, func(i, j int) bool { return qsnaps[i].id < qsnaps[j].id })
-	for _, q := range qsnaps {
-		es := ExplainStats{
-			QueryID:  q.id,
-			Host:     a.proc.Host,
-			ProcName: a.proc.ProcName,
-			Time:     now,
-			FlushNS:  flushNS[q.id],
-		}
-		for _, prog := range q.progs {
-			if a.reg.Lookup(prog.Tracepoint) == nil {
-				continue // tracepoint not present in this process
-			}
-			c := &prog.Cost
-			es.Ops = append(es.Ops, OpStats{
-				Tracepoint:     prog.Tracepoint,
-				Invocations:    c.Invocations.Load(),
-				Sampled:        c.Sampled.Load(),
-				DroppedByJoin:  c.DroppedByJoin.Load(),
-				TuplesFiltered: c.TuplesFiltered.Load(),
-				TuplesPacked:   c.TuplesPacked.Load(),
-				PackedBytes:    c.PackedBytes.Load(),
-				PackRefused:    c.PackRefused.Load(),
-				EvictedGroups:  c.PackEvictedGroups.Load(),
-				EvictedTuples:  c.PackEvictedTuples.Load(),
-				EvictedBytes:   c.PackEvictedBytes.Load(),
-				TuplesEmitted:  c.TuplesEmitted.Load(),
-				Panics:         c.Panics.Load(),
-			})
-		}
-		if len(es.Ops) == 0 {
-			continue
-		}
-		a.bus.Publish(TraceTopic, es)
-	}
-}
-
-// ReportSize approximates one report's encoded payload size with the
-// arithmetic size model — the same figure publishBatches splits on.
-// Combiner tiers reuse it so their upstream frames honor the identical
-// batch-size discipline.
-func ReportSize(r *Report) int { return reportSize(r) }
-
-// reportSize approximates the report's encoded payload size using the
-// arithmetic size model (tuple.SizeTuple, agg.State.EncodedSize) — no
-// scratch encodings. It deliberately undercounts small framing varints;
-// the batch cap is approximate by contract.
-func reportSize(r *Report) int {
-	n := len(r.QueryID) + len(r.Host) + len(r.ProcName) + 16
-	for _, g := range r.Groups {
-		n += len(g.Key) + tuple.SizeTuple(g.Rep)
-		for _, st := range g.States {
-			n += st.EncodedSize()
-		}
-	}
-	for _, t := range r.Raws {
-		n += tuple.SizeTuple(t)
-	}
-	for _, d := range r.Drops {
-		n += len(d.Slot) + len(d.Key) + 4
-	}
-	return n
-}
-
-// expireLeases uninstalls every query whose lease has lapsed. Called from
-// Flush, so orphaned queries disappear within one reporting interval of
-// their deadline.
-func (a *Agent) expireLeases() {
-	now := a.now()
-	a.mu.Lock()
-	var expired []string
-	for id, qs := range a.queries {
-		if qs.expiry > 0 && now >= qs.expiry {
-			expired = append(expired, id)
-		}
-	}
-	a.mu.Unlock()
-	sort.Strings(expired)
-	for _, id := range expired {
-		a.uninstall(id)
-		a.leasesExpired.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.expiredC.Inc()
-		}
-	}
-}
-
-// LeaseDeadline returns the query's lease expiry on the agent's clock, or
-// 0 if the query is not installed or has no lease.
-func (a *Agent) LeaseDeadline(queryID string) time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if qs, ok := a.queries[queryID]; ok {
-		return qs.expiry
-	}
-	return 0
 }
 
 // Installed reports whether the query is currently installed.
@@ -1254,100 +518,6 @@ func (a *Agent) CostReport() string {
 		}
 	}
 	return b.String()
-}
-
-// SetRetention sets the capacity of the agent's outage ring buffer: how
-// many reports are retained for replay while the bus link is down. When
-// the buffer is full the oldest report is evicted and counted as dropped.
-// capacity <= 0 selects DefaultRetention.
-func (a *Agent) SetRetention(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultRetention
-	}
-	a.retainMu.Lock()
-	a.retainCap = capacity
-	a.retainMu.Unlock()
-}
-
-// Retain buffers a report that failed to reach the bus server (the link's
-// OnDrop path), evicting the oldest buffered report — counted in
-// ReportsDropped — if the ring is full.
-func (a *Agent) Retain(r Report) {
-	m := a.meters.Load()
-	a.retainMu.Lock()
-	limit := a.retainCap
-	if limit <= 0 {
-		limit = DefaultRetention
-	}
-	evicted := 0
-	for len(a.retained) >= limit {
-		a.retained = append(a.retained[:0], a.retained[1:]...)
-		evicted++
-	}
-	a.retained = append(a.retained, r)
-	buffered := len(a.retained)
-	a.retainMu.Unlock()
-
-	a.reportsRetained.Add(1)
-	a.reportsDropped.Add(int64(evicted))
-	if m != nil {
-		m.retainedC.Inc()
-		m.droppedC.Add(int64(evicted))
-		m.buffered.Set(int64(buffered))
-	}
-}
-
-// ReplayRetained drains the outage buffer in FIFO order through send,
-// stopping at the first failure (the failed report stays buffered, at the
-// front). It returns how many reports were replayed. Typically called
-// from a link's OnUp callback with the link's direct Send.
-func (a *Agent) ReplayRetained(send func(Report) error) int {
-	m := a.meters.Load()
-	replayed := 0
-	for {
-		a.retainMu.Lock()
-		if len(a.retained) == 0 {
-			a.retainMu.Unlock()
-			break
-		}
-		r := a.retained[0]
-		a.retained = a.retained[1:]
-		buffered := len(a.retained)
-		a.retainMu.Unlock()
-
-		if err := send(r); err != nil {
-			// Put the failed report back at the front; it is still the
-			// oldest unreplayed one.
-			a.retainMu.Lock()
-			a.retained = append([]Report{r}, a.retained...)
-			a.retainMu.Unlock()
-			break
-		}
-		replayed++
-		a.reportsReplayed.Add(1)
-		if m != nil {
-			m.replayedC.Inc()
-			m.buffered.Set(int64(buffered))
-		}
-	}
-	return replayed
-}
-
-// Buffered returns the number of reports currently awaiting replay.
-func (a *Agent) Buffered() int {
-	a.retainMu.Lock()
-	defer a.retainMu.Unlock()
-	return len(a.retained)
-}
-
-// NoteReconnect records a bus-link reconnection in the agent's stats (the
-// pivot layer wires this to the link's OnUp callback so heartbeats carry
-// the count).
-func (a *Agent) NoteReconnect() {
-	a.reconnects.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.reconnects.Inc()
-	}
 }
 
 // Stats returns the agent's activity counters.

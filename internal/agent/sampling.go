@@ -1,0 +1,90 @@
+package agent
+
+import (
+	"math/rand"
+
+	"repro/internal/advice"
+	"repro/internal/baggage"
+	"repro/internal/tuple"
+)
+
+// samplingQuery is one entry of the agent's sampling view: a query
+// installed with SampleRate > 0 and that installed (base) rate.
+type samplingQuery struct {
+	id   string
+	rate float64
+}
+
+// EmitTupleWeighted implements advice.WeightedEmitter: EmitTuple for a
+// tuple from a sampled request, carrying its inverse-rate weight into
+// the accumulator so COUNT/SUM aggregate to unbiased estimates.
+func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float64) {
+	a.tuplesEmitted.Add(1)
+	if m := a.meters.Load(); m != nil {
+		m.tuples.Inc()
+	}
+	view := a.queriesView.Load()
+	if view == nil {
+		return
+	}
+	qs, ok := (*view)[p.QueryID]
+	if !ok {
+		return
+	}
+	a.ensureAcc(qs, p.Emit).AddWeighted(w, weight)
+	qs.tuples.Add(1)
+}
+
+// NoteSampledOut implements advice.SampleSink: a crossing was suppressed
+// by the request's sampling decision.
+func (a *Agent) NoteSampledOut(p *advice.Program) {
+	a.sampledOut.Add(1)
+}
+
+// MintSampleDecision mints the request-level sampling decision into
+// fresh baggage, once, at request creation, in the originating process.
+// For every query installed here with a sampling rate, one draw against
+// the query's current adaptive effective rate decides the whole request:
+// the decision tuple (query, effective-rate or 0) then travels with the
+// baggage through every split, join, and process transfer, so advice at
+// every tracepoint on the causal path agrees. Queries are visited in id
+// order with a per-agent seeded RNG, keeping simulated runs
+// deterministic. With no sampled queries installed this is a single
+// atomic load.
+func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
+	view := a.samplingView.Load()
+	if view == nil || len(*view) == 0 || bag == nil {
+		return
+	}
+	a.rngMu.Lock()
+	defer a.rngMu.Unlock()
+	if a.sampleRng == nil {
+		// Seeded from the process identity: unique per process, stable per
+		// simulated run, so scenario reports stay byte-reproducible.
+		a.sampleRng = rand.New(rand.NewSource(a.proc.ProcID*0x9E3779B9 + 1))
+	}
+	for _, sq := range *view {
+		eff := a.sampler.Effective(sq.id)
+		if eff <= 0 {
+			eff = sq.rate
+		}
+		switch {
+		case eff >= 1:
+			bag.PackSampleDecision(sq.id, 1)
+		case a.sampleRng.Float64() < eff:
+			bag.PackSampleDecision(sq.id, eff)
+		default:
+			bag.PackSampleDecision(sq.id, 0)
+		}
+	}
+}
+
+// tickSampling is the adaptive sampling tick, once per flush: baggage drop
+// counters growing since the last flush means the request path is over
+// budget — back sampling rates off. A quiet interval walks them back
+// toward each query's base rate.
+func (a *Agent) tickSampling() {
+	cur := a.baggageGroupsDropped.Load() + a.baggageTuplesDropped.Load() + a.baggageBytesDropped.Load()
+	prev := a.pressureMark.Swap(cur)
+	a.sampler.Tick(cur > prev)
+}

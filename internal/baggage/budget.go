@@ -1,6 +1,7 @@
 package baggage
 
 import (
+	"sort"
 	"strings"
 
 	"repro/internal/tuple"
@@ -101,6 +102,69 @@ func (b Budget) maxTuples() int {
 type DropRecord struct {
 	Slot string
 	Key  string
+}
+
+// DropSet is a set of eviction tombstones. Tombstones are globally unique
+// per evicted group, so set union keeps drop accounting exact however many
+// fires, reports or merge tiers carry the same record. The zero value is
+// an empty set ready for Add.
+type DropSet map[DropRecord]struct{}
+
+// Add inserts recs and returns how many were not already present.
+func (s *DropSet) Add(recs ...DropRecord) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	if *s == nil {
+		*s = make(DropSet, len(recs))
+	}
+	before := len(*s)
+	for _, r := range recs {
+		(*s)[r] = struct{}{}
+	}
+	return len(*s) - before
+}
+
+// Sorted returns the tombstones ordered by (slot, key); nil when empty.
+func (s DropSet) Sorted() []DropRecord {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]DropRecord, 0, len(s))
+	for r := range s {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Slot != out[j].Slot {
+			return out[i].Slot < out[j].Slot
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// Groups counts the distinct evicted groups. A whole-slot tombstone that
+// coexists with per-group tombstones for the same slot is not counted
+// again: the per-group records are then the precise count. (Whole-slot
+// evictions only happen for non-aggregated slots, where group records
+// never appear, so this only suppresses genuine double counting.)
+func (s DropSet) Groups() int {
+	if len(s) == 0 {
+		return 0
+	}
+	keyed := make(map[string]bool) // slots holding per-group tombstones
+	for r := range s {
+		if r.Key != "" {
+			keyed[r.Slot] = true
+		}
+	}
+	n := 0
+	for r := range s {
+		if r.Key != "" || !keyed[r.Slot] {
+			n++
+		}
+	}
+	return n
 }
 
 // PackStats accounts one PackBudgeted call. Every tuple offered is either
@@ -207,15 +271,12 @@ func (b *Baggage) enforce(budget Budget, prefix string) (groups, tuples, bytes i
 
 // usage sums the query's content cost and stored-tuple count across every
 // instance (active and frozen) — the same contents a serialize would ship.
-// The drop slot is excluded so accounting never triggers eviction, the
-// trace slot is excluded so span capture never charges a query's budget,
-// and the sample slot is excluded so a request's sampling identity never
-// competes with query data for space.
+// System slots are excluded (see isSystemSlot).
 func (b *Baggage) usage(prefix string) (bytes, tuples int) {
 	b.ensureDecoded()
 	for _, in := range b.insts {
 		for _, slot := range in.order {
-			if slot == DropSlot || slot == TraceSlot || slot == SampleSlot || queryPrefix(slot) != prefix {
+			if isSystemSlot(slot) || queryPrefix(slot) != prefix {
 				continue
 			}
 			s := in.slots[slot]
@@ -235,7 +296,7 @@ func (b *Baggage) victim(prefix string) (string, *Set) {
 	var bestSlot string
 	var best *Set
 	for _, slot := range act.order {
-		if slot == DropSlot || slot == TraceSlot || slot == SampleSlot || queryPrefix(slot) != prefix {
+		if isSystemSlot(slot) || queryPrefix(slot) != prefix {
 			continue
 		}
 		s := act.slots[slot]
@@ -331,6 +392,16 @@ func (b *Baggage) DropRecords(prefix string) []DropRecord {
 		out = append(out, DropRecord{Slot: slot, Key: t[1].Str()})
 	}
 	return out
+}
+
+// isSystemSlot reports whether slot is one of the tracer's own reserved
+// slots (DropSlot, TraceSlot, SampleSlot): the leading '!' keeps them
+// outside every query's namespace. They are exempt from budget accounting
+// and victim selection — recording a drop must never cascade into more
+// drops, span capture must never charge a query's budget, and a request's
+// sampling identity must never compete with query data for space.
+func isSystemSlot(slot string) bool {
+	return strings.HasPrefix(slot, "!")
 }
 
 // queryPrefix is the query-scoping portion of a slot name: the text before

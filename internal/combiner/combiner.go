@@ -1,30 +1,35 @@
 // Package combiner implements hierarchical aggregation tiers for Pivot
 // Tracing: aggregator processes that subscribe to a partition of the agent
-// report topics, merge agg.State/ReportBatch frames per query in virtual
+// report topics, merge Report/ReportBatch frames per query in virtual
 // time, and forward the merged frames upstream. Tiers compose into
 // rack→pod→frontend trees, so trace export cost scales with the topology
 // rather than with cluster size — the agents' partial-aggregation argument
 // (§4 of the paper) applied once more above the agents.
 //
-// Correctness rests on the merge-on-flush invariant: agg.State merging is
-// associative and commutative, raw rows and drop tombstones are unioned,
-// so any reassociation of the merge tree yields byte-identical final
-// results. The differential suite (pivot/differential_tree_test.go) proves
-// this against the flat topology on every generated case.
+// A combiner holds one advice.Merger per query with pending state — the
+// same type agents drain and the frontend merges into — so the merge
+// algebra (clone on first insert, pairwise agg.State merge, raw-row and
+// tombstone union, group-shape validation) is not restated here. What this
+// package owns is the tier around it: partition hashing and rendezvous
+// ownership (partition.go), the flush cadence, key-sorted drains stamped
+// with the tier's identity, tenant routing, and the merged/forwarded
+// ledger. Any reassociation of the merge tree yields byte-identical final
+// results; the differential suite (pivot/differential_test.go) proves this
+// against the flat topology on every generated case.
 package combiner
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/advice"
 	"repro/internal/agent"
-	"repro/internal/baggage"
 	"repro/internal/bus"
 	"repro/internal/simtime"
-	"repro/internal/tuple"
 )
 
 // RootTopic is the conventional upstream topic of the mid tier: mid
@@ -49,16 +54,6 @@ type Config struct {
 	// tier of a multi-tenant deployment, so each tenant frontend receives
 	// exactly its own queries' frames.
 	TenantRouting bool
-	// BatchBytes caps one forwarded ReportBatch frame's approximate
-	// payload; <= 0 selects agent.DefaultBatchBytes.
-	BatchBytes int
-}
-
-// queryAgg is one query's merged-but-unforwarded state.
-type queryAgg struct {
-	groups map[string]*advice.Group
-	raws   []tuple.Tuple
-	drops  map[baggage.DropRecord]bool
 }
 
 // Combiner is one aggregation-tier process. It merges every Report and
@@ -66,7 +61,8 @@ type queryAgg struct {
 // forwards the merged reports upstream at each flush. Nothing is dropped
 // in-process: every report merged in is either already forwarded or still
 // pending, and both sides are counted (CombinerReportsMerged /
-// CombinerFramesOut in its heartbeats).
+// CombinerFramesOut in its heartbeats). A report the merger rejects as
+// malformed is skipped whole and counted on neither side.
 type Combiner struct {
 	env        *simtime.Env
 	host, proc string
@@ -74,8 +70,8 @@ type Combiner struct {
 	cfg        Config
 
 	mu      sync.Mutex
-	pending map[string]*queryAgg
-	tenants map[string]string // queryID → owning tenant (TenantRouting)
+	pending map[string]*advice.Merger // per query: merged, not yet forwarded
+	tenants map[string]string         // queryID → owning tenant (TenantRouting)
 	closed  bool
 
 	reportsMerged atomic.Int64 // downstream reports folded in
@@ -99,7 +95,7 @@ func New(env *simtime.Env, host, proc string, b *bus.Bus, cfg Config) *Combiner 
 	}
 	c := &Combiner{
 		env: env, host: host, proc: proc, b: b, cfg: cfg,
-		pending: make(map[string]*queryAgg),
+		pending: make(map[string]*advice.Merger),
 	}
 	for _, topic := range cfg.Subscribe {
 		c.subs = append(c.subs, b.Subscribe(topic, c.onReport))
@@ -159,41 +155,23 @@ func (c *Combiner) onReport(msg any) {
 	}
 }
 
-// merge folds one report. Groups merge by key with the frontend's
-// clone-on-first-insert discipline (the in-process bus shares pointers, so
-// a group is never mutated in place on first sight); raw rows append; drop
-// tombstones union (they are globally unique, so the dedup set keeps the
-// forwarded Drops exact even when several downstream reports carry the
-// same tombstone).
+// merge folds one report into its query's merger. The report stays
+// shared with every other subscriber of the topic (see advice.Merger.Merge
+// for the ownership rule).
 func (c *Combiner) merge(r *agent.Report) {
-	c.reportsMerged.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	qa := c.pending[r.QueryID]
-	if qa == nil {
-		qa = &queryAgg{groups: make(map[string]*advice.Group)}
-		c.pending[r.QueryID] = qa
+	m, held := c.pending[r.QueryID]
+	if !held {
+		m = advice.NewMerger(nil, advice.Unbounded)
 	}
-	for _, g := range r.Groups {
-		if mine, ok := qa.groups[g.Key]; ok {
-			for i, st := range g.States {
-				if i < len(mine.States) {
-					mine.States[i].Merge(st)
-				}
-			}
-		} else {
-			qa.groups[g.Key] = g.Clone()
-		}
+	if _, err := m.Merge(r.Groups, r.Raws, r.Drops); err != nil {
+		return // malformed: skipped whole, and a first report leaves no pending entry
 	}
-	qa.raws = append(qa.raws, r.Raws...)
-	if len(r.Drops) > 0 {
-		if qa.drops == nil {
-			qa.drops = make(map[baggage.DropRecord]bool)
-		}
-		for _, d := range r.Drops {
-			qa.drops[d] = true
-		}
+	if !held {
+		c.pending[r.QueryID] = m
 	}
+	c.reportsMerged.Add(1)
 }
 
 // now returns the combiner's report timestamp (virtual under simulation).
@@ -218,30 +196,15 @@ func (c *Combiner) drainLocked(now time.Duration) []agent.Report {
 	sort.Strings(ids)
 	out := make([]agent.Report, 0, len(ids))
 	for _, id := range ids {
-		qa := c.pending[id]
-		r := agent.Report{QueryID: id, Host: c.host, ProcName: c.proc, Time: now, Raws: qa.raws}
-		keys := make([]string, 0, len(qa.groups))
-		for k := range qa.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			r.Groups = append(r.Groups, qa.groups[k])
-		}
-		if len(qa.drops) > 0 {
-			for d := range qa.drops {
-				r.Drops = append(r.Drops, d)
-			}
-			sort.Slice(r.Drops, func(i, j int) bool {
-				if r.Drops[i].Slot != r.Drops[j].Slot {
-					return r.Drops[i].Slot < r.Drops[j].Slot
-				}
-				return r.Drops[i].Key < r.Drops[j].Key
-			})
-		}
-		out = append(out, r)
+		m := c.pending[id]
+		groups := m.Groups()
+		slices.SortFunc(groups, func(a, b *advice.Group) int { return strings.Compare(a.Key, b.Key) })
+		out = append(out, agent.Report{
+			QueryID: id, Host: c.host, ProcName: c.proc, Time: now,
+			Groups: groups, Raws: m.Raws(), Drops: m.Drops(),
+		})
 	}
-	c.pending = make(map[string]*queryAgg)
+	c.pending = make(map[string]*advice.Merger)
 	return out
 }
 
@@ -271,10 +234,6 @@ func (c *Combiner) Flush() {
 	reports := c.drainLocked(now)
 	c.mu.Unlock()
 
-	limit := c.cfg.BatchBytes
-	if limit <= 0 {
-		limit = agent.DefaultBatchBytes
-	}
 	// Partition the (query-sorted) reports into per-topic runs, preserving
 	// order within each topic.
 	topics := make([]string, 0, 1)
@@ -289,28 +248,12 @@ func (c *Combiner) Flush() {
 		c.rowsOut.Add(int64(len(r.Groups) + len(r.Raws)))
 	}
 	for _, topic := range topics {
-		run := byTopic[topic]
-		var batch []agent.Report
-		size := 0
-		flush := func() {
-			if len(batch) == 0 {
-				return
-			}
+		agent.SplitBatches(byTopic[topic], agent.ReportSize, func(batch []agent.Report) {
 			c.framesOut.Add(1)
 			c.b.Publish(topic, agent.ReportBatch{
 				Host: c.host, ProcName: c.proc, Time: now, Reports: batch,
 			})
-			batch, size = nil, 0
-		}
-		for i := range run {
-			sz := agent.ReportSize(&run[i])
-			if len(batch) > 0 && size+sz > limit {
-				flush()
-			}
-			batch = append(batch, run[i])
-			size += sz
-		}
-		flush()
+		})
 	}
 
 	c.b.Publish(agent.HealthTopic, agent.Heartbeat{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,10 +187,12 @@ func countGroup(key string, n int64) *advice.Group {
 	return &advice.Group{Key: key, Rep: tuple.Tuple{tuple.String(key)}, States: []*agg.State{st}}
 }
 
-// TestCombinerMergesAndForwards: reports from two partition topics merge
-// per query/group and forward upstream as one batch, with exact merge and
-// frame accounting.
-func TestCombinerMergesAndForwards(t *testing.T) {
+// TestCombinerForwards: reports from two partition topics land in their
+// queries' mergers and forward upstream as one batch, key-sorted and
+// stamped with the tier's identity, with exact merged/forwarded
+// accounting. (What merging does to the contents is advice.Merger's
+// contract — see advice.TestMergeAlgebra.)
+func TestCombinerForwards(t *testing.T) {
 	b := bus.New()
 	var got []agent.ReportBatch
 	b.Subscribe(agent.ResultsTopic, func(msg any) {
@@ -212,7 +215,7 @@ func TestCombinerMergesAndForwards(t *testing.T) {
 
 	b.Publish(PartitionTopic(0, 2), agent.Report{
 		QueryID: "Q1", Host: "h0", ProcName: "w",
-		Groups: []*advice.Group{countGroup("k", 3)},
+		Groups: []*advice.Group{countGroup("z", 1), countGroup("k", 3)},
 	})
 	b.Publish(PartitionTopic(1, 2), agent.ReportBatch{
 		Host: "h1", ProcName: "w",
@@ -237,8 +240,8 @@ func TestCombinerMergesAndForwards(t *testing.T) {
 	if rs[0].Host != "rack0" || rs[0].ProcName != "combiner-0" {
 		t.Fatalf("forwarded report not stamped with combiner identity: %+v", rs[0])
 	}
-	if len(rs[0].Groups) != 1 || rs[0].Groups[0].States[0].Count() != 7 {
-		t.Fatalf("Q1 groups did not merge to count 7: %+v", rs[0].Groups)
+	if g := rs[0].Groups; len(g) != 2 || g[0].Key != "k" || g[1].Key != "z" || g[0].States[0].Count() != 7 {
+		t.Fatalf("Q1 did not drain as k=7, z in key order: %+v", g)
 	}
 	if len(rs[1].Raws) != 1 || len(rs[1].Drops) != 1 || rs[1].Drops[0].Key != "h1.w.1" {
 		t.Fatalf("Q2 raws/drops not forwarded: %+v", rs[1])
@@ -251,8 +254,8 @@ func TestCombinerMergesAndForwards(t *testing.T) {
 	if st.CombinerFramesOut != 1 || st.Batches != 1 {
 		t.Errorf("frames out = %d/%d, want 1/1", st.CombinerFramesOut, st.Batches)
 	}
-	if st.Reports != 2 || st.RowsReported != 2 {
-		t.Errorf("Reports/RowsReported = %d/%d, want 2/2", st.Reports, st.RowsReported)
+	if st.Reports != 2 || st.RowsReported != 3 {
+		t.Errorf("Reports/RowsReported = %d/%d, want 2/3", st.Reports, st.RowsReported)
 	}
 	if len(beats) != 1 || beats[0].Stats.CombinerReportsMerged != 3 {
 		t.Errorf("heartbeat missing combiner accounting: %+v", beats)
@@ -281,8 +284,9 @@ func TestCombinerDoesNotMutateSource(t *testing.T) {
 	}
 }
 
-// TestCombinerBatchSplitting: a tiny BatchBytes cap splits the flush into
-// several frames, all counted.
+// TestCombinerBatchSplitting: merged reports that together exceed
+// agent.DefaultBatchBytes forward as several frames, all counted. (The
+// splitting rule itself is agent.SplitBatches' — see its test.)
 func TestCombinerBatchSplitting(t *testing.T) {
 	b := bus.New()
 	var frames int
@@ -291,16 +295,15 @@ func TestCombinerBatchSplitting(t *testing.T) {
 			frames++
 		}
 	})
-	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}, BatchBytes: 1})
+	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
 	defer c.Close()
+	big := tuple.Tuple{tuple.String(strings.Repeat("x", agent.DefaultBatchBytes/2))}
 	for q := 0; q < 5; q++ {
-		b.Publish(PartitionTopic(0, 1), agent.Report{
-			QueryID: fmt.Sprintf("Q%d", q), Groups: []*advice.Group{countGroup("k", 1)},
-		})
+		b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: fmt.Sprintf("Q%d", q), Raws: []tuple.Tuple{big}})
 	}
 	c.Flush()
 	if frames != 5 {
-		t.Fatalf("frames = %d, want 5 (one per report at BatchBytes=1)", frames)
+		t.Fatalf("frames = %d, want 5 (two half-cap reports never share a frame)", frames)
 	}
 	if got := c.Stats().CombinerFramesOut; got != 5 {
 		t.Fatalf("CombinerFramesOut = %d, want 5", got)

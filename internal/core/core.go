@@ -45,6 +45,7 @@ type PivotTracing struct {
 
 	tel           *telemetry.Registry
 	reportsMerged *telemetry.Counter
+	reportsReject *telemetry.Counter
 	groupsMerged  *telemetry.Counter
 	rawsMerged    *telemetry.Counter
 	dropsMerged   *telemetry.Counter
@@ -91,6 +92,7 @@ func newFrontend(b *bus.Bus, reg *tracepoint.Registry) *PivotTracing {
 		agents:        make(map[string]*agentHealth),
 		tel:           tel,
 		reportsMerged: tel.Counter("core.reports.merged"),
+		reportsReject: tel.Counter("core.reports.rejected"),
 		groupsMerged:  tel.Counter("core.groups.merged"),
 		rawsMerged:    tel.Counter("core.raws.merged"),
 		dropsMerged:   tel.Counter("core.baggage.drops.merged"),
@@ -169,14 +171,13 @@ type Installed struct {
 	Plan *plan.Plan
 
 	mu          sync.Mutex
-	global      *advice.Accumulator
+	global      *advice.Merger // groups + raws + eviction tombstones, merged
 	listeners   []func(agent.Report)
 	installedAt time.Time
 	firstResult time.Duration // install→first-report latency; -1 until set
 	reports     int64         // reports merged
 	lease       time.Duration // install TTL agents enforce; 0 = immortal
 	limits      advice.Limits
-	drops       map[baggage.DropRecord]bool // union of reported eviction tombstones
 	quarantines []agent.Quarantine
 	mergeNS     int64 // cumulative wall-clock ns spent merging this query's reports
 }
@@ -239,14 +240,12 @@ func (pt *PivotTracing) InstallNamed(name, text string, opts plan.Options) (*Ins
 		pt:          pt,
 		Name:        name,
 		Plan:        p,
-		global:      advice.NewAccumulator(p.Emit.Emit),
+		global:      advice.NewMerger(p.Emit.Emit, opts.Limits),
 		installedAt: time.Now(),
 		firstResult: -1,
 		lease:       lease,
 		limits:      opts.Limits,
-		drops:       make(map[baggage.DropRecord]bool),
 	}
-	h.global.SetLimits(opts.Limits)
 	pt.mu.Lock()
 	pt.installed[name] = h
 	pt.named[name] = q
@@ -356,7 +355,10 @@ func (pt *PivotTracing) onReport(msg any) {
 	}
 }
 
-// mergeReport folds one report into its query's global state.
+// mergeReport folds one report into its query's global state. A report the
+// merger rejects as malformed (frames decode from the network) is counted
+// in core.reports.rejected and otherwise ignored: it reaches neither the
+// results nor the listeners.
 func (pt *PivotTracing) mergeReport(r agent.Report) {
 	pt.mu.Lock()
 	h := pt.installed[r.QueryID]
@@ -364,32 +366,27 @@ func (pt *PivotTracing) mergeReport(r agent.Report) {
 	if h == nil {
 		return
 	}
-	pt.reportsMerged.Inc()
-	pt.groupsMerged.Add(int64(len(r.Groups)))
-	pt.rawsMerged.Add(int64(len(r.Raws)))
 	mergeStart := time.Now()
 	h.mu.Lock()
+	newDrops, err := h.global.Merge(r.Groups, r.Raws, r.Drops)
+	if err != nil {
+		h.mu.Unlock()
+		pt.reportsReject.Inc()
+		return
+	}
 	if h.firstResult < 0 {
 		h.firstResult = time.Since(h.installedAt)
 		pt.firstResultNS.Observe(int64(h.firstResult))
 	}
 	h.reports++
-	for _, g := range r.Groups {
-		h.global.MergeGroup(g)
-	}
-	for _, raw := range r.Raws {
-		h.global.MergeRaw(raw)
-	}
-	for _, d := range r.Drops {
-		if !h.drops[d] {
-			h.drops[d] = true
-			pt.dropsMerged.Inc()
-		}
-	}
 	var listeners []func(agent.Report)
 	listeners = append(listeners, h.listeners...)
 	h.mergeNS += int64(time.Since(mergeStart))
 	h.mu.Unlock()
+	pt.reportsMerged.Inc()
+	pt.groupsMerged.Add(int64(len(r.Groups)))
+	pt.rawsMerged.Add(int64(len(r.Raws)))
+	pt.dropsMerged.Add(int64(newDrops))
 	for _, fn := range listeners {
 		fn(r)
 	}
@@ -428,45 +425,14 @@ func (h *Installed) Lease() time.Duration {
 func (h *Installed) DroppedGroups() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for d := range h.drops {
-		if d.Key != "" || !h.wholeSlotShadowedLocked(d.Slot) {
-			n++
-		}
-	}
-	return n
-}
-
-// wholeSlotShadowedLocked reports whether a whole-slot tombstone for slot
-// coexists with per-group tombstones for the same slot; the per-group
-// records are then the precise count and the whole-slot record is not
-// counted again. (Whole-slot evictions only happen for non-aggregated
-// slots, where group records never appear, so this only suppresses
-// genuine double counting.)
-func (h *Installed) wholeSlotShadowedLocked(slot string) bool {
-	for d := range h.drops {
-		if d.Slot == slot && d.Key != "" {
-			return true
-		}
-	}
-	return false
+	return h.global.DroppedGroups()
 }
 
 // Drops returns the query's baggage eviction tombstones, sorted.
 func (h *Installed) Drops() []baggage.DropRecord {
 	h.mu.Lock()
-	out := make([]baggage.DropRecord, 0, len(h.drops))
-	for d := range h.drops {
-		out = append(out, d)
-	}
-	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Slot != out[j].Slot {
-			return out[i].Slot < out[j].Slot
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
+	defer h.mu.Unlock()
+	return h.global.Drops()
 }
 
 // Quarantines returns the circuit-breaker notices received for this
@@ -483,7 +449,7 @@ func (h *Installed) Quarantines() []agent.Quarantine {
 func (h *Installed) Partial() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.drops) > 0 || len(h.quarantines) > 0
+	return h.global.DroppedGroups() > 0 || len(h.quarantines) > 0
 }
 
 // OnReport registers a callback invoked for every per-interval report the
@@ -582,12 +548,7 @@ func (h *Installed) ExplainAnalyze() string {
 	h.mu.Lock()
 	reports, mergeNS := h.reports, h.mergeNS
 	rows := int64(len(h.global.Rows()))
-	dropped := 0
-	for d := range h.drops {
-		if d.Key != "" || !h.wholeSlotShadowedLocked(d.Slot) {
-			dropped++
-		}
-	}
+	dropped := h.global.DroppedGroups()
 	h.mu.Unlock()
 	fmt.Fprintf(&b, "\n\nMERGE at frontend  [reports=%d rows=%d dropped-groups=%d merge=%s]",
 		reports, rows, dropped, time.Duration(mergeNS))

@@ -29,7 +29,7 @@ type Collector struct {
 	bin time.Duration
 
 	mu   sync.Mutex
-	bins map[int64]*advice.Accumulator
+	bins map[int64]*advice.Merger
 }
 
 // NewCollector returns a collector for a query's emit operation with the
@@ -38,7 +38,7 @@ func NewCollector(op *advice.EmitOp, bin time.Duration) *Collector {
 	if bin <= 0 {
 		bin = time.Second
 	}
-	return &Collector{op: op, bin: bin, bins: make(map[int64]*advice.Accumulator)}
+	return &Collector{op: op, bin: bin, bins: make(map[int64]*advice.Merger)}
 }
 
 // binOf maps a report time to its bin index with floor division, so
@@ -64,15 +64,12 @@ func (c *Collector) OnReport(r agent.Report) {
 	b := c.binOf(r.Time)
 	acc, ok := c.bins[b]
 	if !ok {
-		acc = advice.NewAccumulator(c.op)
+		acc = advice.NewMerger(c.op, advice.Limits{})
 		c.bins[b] = acc
 	}
-	for _, g := range r.Groups {
-		acc.MergeGroup(g)
-	}
-	for _, raw := range r.Raws {
-		acc.MergeRaw(raw)
-	}
+	// The frontend merged this report before notifying listeners, so its
+	// shape is already validated; tombstones are not part of a series.
+	_, _ = acc.Merge(r.Groups, r.Raws, nil)
 }
 
 // Series extracts one time series per group: the group key is the

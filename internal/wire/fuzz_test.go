@@ -128,6 +128,17 @@ func messageSeeds(t testing.TB) map[string][]byte {
 				States: []*agg.State{wst},
 			}},
 		}),
+		// Decodable, but malformed for any query: two groups of one report
+		// disagree on state count and aggregate. The codec accepts them;
+		// the merger must reject the report (see mergeDecoded).
+		"ragged-report": mustMarshal(agent.Report{
+			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
+			Groups: []*advice.Group{
+				{Key: "a", Rep: tuple.Tuple{tuple.String("h")}, States: []*agg.State{st, wst}},
+				{Key: "b", Rep: tuple.Tuple{tuple.String("h")}, States: []*agg.State{st}},
+				{Key: "a", States: []*agg.State{agg.New(agg.Max), wst}},
+			},
+		}),
 		"report-batch": mustMarshal(agent.ReportBatch{
 			Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Reports: []agent.Report{
@@ -184,9 +195,29 @@ func exprSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
+// mergeDecoded feeds a decoded report to the two kinds of merger a frame
+// can reach — a combiner tier's (no query knowledge) and a frontend's
+// (here the seed installs' GroupBy host Select host, COUNT) — and then
+// materializes rows. Whatever shape the frame smuggled in, the merger
+// either folds it or rejects it; neither path may panic.
+func mergeDecoded(r *agent.Report) {
+	tier := advice.NewMerger(nil, advice.Unbounded)
+	frontend := advice.NewMerger(&advice.EmitOp{
+		Cols:    []advice.EmitCol{{Pos: 0}, {IsAgg: true, Pos: -1, Fn: agg.Count}},
+		GroupBy: []int{0}, Schema: tuple.Schema{"host", "COUNT"},
+	}, advice.Limits{MaxGroups: 2, MaxRaws: 2})
+	for _, m := range []*advice.Merger{tier, frontend} {
+		for pass := 0; pass < 2; pass++ { // second pass takes the merge-into-existing path
+			_, _ = m.Merge(r.Groups, r.Raws, r.Drops)
+		}
+	}
+	frontend.Rows()
+}
+
 // FuzzUnmarshal: decoding arbitrary bytes must never panic, and any
 // successfully decoded message must re-marshal to a stable canonical
-// encoding (Marshal ∘ Unmarshal is a fixpoint).
+// encoding (Marshal ∘ Unmarshal is a fixpoint). Every decoded Report and
+// ReportBatch must also survive a Merger.
 func FuzzUnmarshal(f *testing.F) {
 	for _, s := range messageSeeds(f) {
 		f.Add(s)
@@ -195,6 +226,14 @@ func FuzzUnmarshal(f *testing.F) {
 		msg, err := Unmarshal(data)
 		if err != nil {
 			return
+		}
+		switch m := msg.(type) {
+		case agent.Report:
+			mergeDecoded(&m)
+		case agent.ReportBatch:
+			for i := range m.Reports {
+				mergeDecoded(&m.Reports[i])
+			}
 		}
 		enc, err := Marshal(msg)
 		if err != nil {

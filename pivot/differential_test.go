@@ -9,9 +9,17 @@ package pivot
 // merge — and the result set must be byte-equal to what the reference
 // evaluator (internal/oracle) computes from the materialized trace.
 //
+// Every case runs in both topologies: flat (agents → frontend) and a
+// 2-tier combiner tree (agents → partitioned mid combiners → root →
+// frontend). Both must equal the oracle, and each other, byte for byte:
+// the load-bearing proof that reassociating the merge tree cannot corrupt
+// aggregation — agg.State merging is associative and commutative, raw
+// rows union, and drop tombstones stay exact through the extra union at
+// each tier.
+//
 // Reproduce a failure with the seed printed in the failure message:
 //
-//	go test ./pivot -run TestDifferentialPipelineMatchesOracle -seed=<N>
+//	go test ./pivot -run '^TestDifferential$' -seed=<N>
 
 import (
 	"bytes"
@@ -41,26 +49,50 @@ const (
 	diffBudgetSeed = 2_000_000
 )
 
-func TestDifferentialPipelineMatchesOracle(t *testing.T) {
-	n := 500
+// diffCases resolves the per-sweep case count: PT_DIFF_CASES wins, then
+// -short, then the full default.
+func diffCases(t *testing.T, full, short int) int {
 	if s := os.Getenv("PT_DIFF_CASES"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v <= 0 {
 			t.Fatalf("bad PT_DIFF_CASES=%q", s)
 		}
-		n = v
-	} else if testing.Short() {
-		n = 120
+		return v
 	}
-	randtest.Check(t, n, diffBaseSeed, runDifferentialCase)
+	if testing.Short() {
+		return short
+	}
+	return full
 }
 
-// runDifferentialCase executes one generated case through the pipeline
-// twice (optimized and unoptimized plans) and against the oracle.
-func runDifferentialCase(seed int64) error {
-	c := querygen.Generate(seed)
+// treeCluster builds a differential-case cluster with a 2-tier combiner
+// tree: 3 mid combiners over 12 partition topics (several per combiner, so
+// rendezvous ownership is non-trivial even with few agents), flushing on
+// the same 5ms cadence as the agents.
+func treeCluster(env *simtime.Env, cfg cluster.Config) *cluster.Cluster {
+	cl := cluster.New(env, cfg)
+	cl.EnableCombinerTree(cluster.TreeSpec{MidCombiners: 3})
+	return cl
+}
 
-	var gotOpt, gotUnopt []tuple.Tuple
+// topologies are the deployments every differential case runs through.
+var topologies = []struct {
+	name string
+	tree bool
+}{{"flat", false}, {"tree", true}}
+
+// diffResult is what the frontend reports for one installed query.
+type diffResult struct {
+	rows    []tuple.Tuple
+	dropped int
+	partial bool
+}
+
+// runPipeline executes the case's trace script on a fresh cluster in the
+// given topology with the case's query installed once per entry of opts,
+// and returns each install's results in order.
+func runPipeline(c *querygen.Case, tree bool, opts ...plan.Options) ([]diffResult, error) {
+	out := make([]diffResult, len(opts))
 	var runErr error
 	env := simtime.NewEnv()
 	env.Run(func() {
@@ -68,17 +100,21 @@ func runDifferentialCase(seed int64) error {
 		// Short intervals spread the trace over several reporting
 		// rounds, exercising the frontend's multi-report merge.
 		cfg.ReportInterval = 5 * time.Millisecond
-		cl := cluster.New(env, cfg)
-		x := cluster.NewScriptExec(cl, c)
-		hOpt, err := cl.PT.Install(c.QueryText)
-		if err != nil {
-			runErr = fmt.Errorf("install optimized: %w", err)
-			return
+		var cl *cluster.Cluster
+		if tree {
+			cl = treeCluster(env, cfg)
+		} else {
+			cl = cluster.New(env, cfg)
 		}
-		hUnopt, err := cl.PT.InstallNamed("", c.QueryText, plan.Options{})
-		if err != nil {
-			runErr = fmt.Errorf("install unoptimized: %w", err)
-			return
+		x := cluster.NewScriptExec(cl, c)
+		handles := make([]*Query, len(opts))
+		for i, o := range opts {
+			h, err := cl.PT.InstallNamed("", c.QueryText, o)
+			if err != nil {
+				runErr = fmt.Errorf("install #%d: %w", i, err)
+				return
+			}
+			handles[i] = h
 		}
 		if err := x.Run(); err != nil {
 			runErr = err
@@ -86,25 +122,47 @@ func runDifferentialCase(seed int64) error {
 		}
 		env.Sleep(3 * cfg.ReportInterval)
 		cl.FlushAgents()
-		gotOpt, gotUnopt = hOpt.Rows(), hUnopt.Rows()
+		for i, h := range handles {
+			out[i] = diffResult{h.Rows(), h.DroppedGroups(), h.Partial()}
+		}
 	})
 	if runErr != nil {
-		return fmt.Errorf("query %q: %w", c.QueryText, runErr)
+		return nil, fmt.Errorf("query %q: %w", c.QueryText, runErr)
 	}
+	return out, nil
+}
 
-	want, err := oracleRows(c)
-	if err != nil {
-		return err
-	}
-
-	wantC := oracle.Canonical(want)
-	if !bytes.Equal(wantC, oracle.Canonical(gotOpt)) {
-		return diffError(c, "optimized plan", want, gotOpt)
-	}
-	if !bytes.Equal(wantC, oracle.Canonical(gotUnopt)) {
-		return diffError(c, "unoptimized plan", want, gotUnopt)
-	}
-	return nil
+// TestDifferential: optimized and unoptimized plans, in both topologies,
+// against the oracle — and flat against tree.
+func TestDifferential(t *testing.T) {
+	randtest.Check(t, diffCases(t, 500, 120), diffBaseSeed, func(seed int64) error {
+		c := querygen.Generate(seed)
+		var got [][]diffResult // per topology: optimized, unoptimized
+		for _, top := range topologies {
+			res, err := runPipeline(c, top.tree, plan.Optimized, plan.Options{})
+			if err != nil {
+				return fmt.Errorf("%s: %w", top.name, err)
+			}
+			got = append(got, res)
+		}
+		want, err := oracleRows(c) // the trace is stamped by the runs above
+		if err != nil {
+			return err
+		}
+		wantC := oracle.Canonical(want)
+		for ti, top := range topologies {
+			for i, which := range []string{"optimized", "unoptimized"} {
+				if !bytes.Equal(wantC, oracle.Canonical(got[ti][i].rows)) {
+					return diffError(c, top.name+" "+which+" plan", want, got[ti][i].rows)
+				}
+			}
+		}
+		if flat, tree := got[0][0].rows, got[1][0].rows; !bytes.Equal(oracle.Canonical(flat), oracle.Canonical(tree)) {
+			return fmt.Errorf("flat and tree topologies diverge\nquery: %s\nflat:\n%s\ntree:\n%s",
+				c.QueryText, oracle.Format(flat), oracle.Format(tree))
+		}
+		return nil
+	})
 }
 
 // oracleRows evaluates the case's query with the reference evaluator
@@ -127,90 +185,68 @@ func oracleRows(c *querygen.Case) ([]tuple.Tuple, error) {
 	return want, nil
 }
 
-// The budgeted differential mode: the same trace-script interpreter, but
-// the query runs under a deliberately tiny baggage budget. Truncation
-// must be *accounted*: every reported group is byte-exact against the
-// oracle (a surviving group carries its full aggregate, never a
-// truncated portion), and reported + dropped reconciles exactly with the
-// oracle's group count.
-func TestBudgetedDifferentialTruncationAccounted(t *testing.T) {
-	n := 150
-	if s := os.Getenv("PT_DIFF_CASES"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			t.Fatalf("bad PT_DIFF_CASES=%q", s)
+// TestDifferentialBudgeted: the same trace-script interpreter, but the
+// query runs under a deliberately tiny baggage budget, in both topologies.
+// Truncation must be *accounted*: every reported group is byte-exact
+// against the oracle (a surviving group carries its full aggregate, never
+// a truncated portion), and reported + dropped reconciles exactly with the
+// oracle's group count — through the tree too, i.e. the tiers' extra
+// tombstone unions neither lose nor double-count an eviction.
+func TestDifferentialBudgeted(t *testing.T) {
+	randtest.Check(t, diffCases(t, 150, 50), diffBudgetSeed, func(seed int64) error {
+		c := querygen.GenerateBudgeted(seed)
+		// Small enough to usually truncate a 4–12 key pool, varied enough
+		// to also hit the everything-fits path.
+		budget := 2 + int(seed%5)
+		var got []diffResult // per topology
+		for _, top := range topologies {
+			res, err := runPipeline(c, top.tree, plan.Options{
+				Optimize: true,
+				Safety:   advice.Safety{Budget: baggage.Budget{MaxTuples: budget}},
+			})
+			if err != nil {
+				return fmt.Errorf("%s budget %d: %w", top.name, budget, err)
+			}
+			got = append(got, res[0])
 		}
-		n = v
-	} else if testing.Short() {
-		n = 50
-	}
-	randtest.Check(t, n, diffBudgetSeed, runBudgetedDifferentialCase)
+		want, err := oracleRows(c)
+		if err != nil {
+			return err
+		}
+		for ti, top := range topologies {
+			if err := checkBudgeted(c, want, got[ti]); err != nil {
+				return fmt.Errorf("%s budget %d: %w", top.name, budget, err)
+			}
+		}
+		return nil
+	})
 }
 
-func runBudgetedDifferentialCase(seed int64) error {
-	c := querygen.GenerateBudgeted(seed)
-	// Small enough to usually truncate a 4–12 key pool, varied enough to
-	// also hit the everything-fits path.
-	budget := 2 + int(seed%5)
-
-	var got []tuple.Tuple
-	var dropped int
-	var partial bool
-	var runErr error
-	env := simtime.NewEnv()
-	env.Run(func() {
-		cfg := cluster.DefaultConfig()
-		cfg.ReportInterval = 5 * time.Millisecond
-		cl := cluster.New(env, cfg)
-		x := cluster.NewScriptExec(cl, c)
-		h, err := cl.PT.InstallNamed("QB", c.QueryText, plan.Options{
-			Optimize: true,
-			Safety:   advice.Safety{Budget: baggage.Budget{MaxTuples: budget}},
-		})
-		if err != nil {
-			runErr = fmt.Errorf("install budgeted: %w", err)
-			return
-		}
-		if err := x.Run(); err != nil {
-			runErr = err
-			return
-		}
-		env.Sleep(3 * cfg.ReportInterval)
-		cl.FlushAgents()
-		got, dropped, partial = h.Rows(), h.DroppedGroups(), h.Partial()
-	})
-	if runErr != nil {
-		return fmt.Errorf("budget %d, query %q: %w", budget, c.QueryText, runErr)
-	}
-
-	want, err := oracleRows(c)
-	if err != nil {
-		return err
-	}
-
+// checkBudgeted is the truncation-accounting oracle of the budgeted sweep.
+func checkBudgeted(c *querygen.Case, want []tuple.Tuple, got diffResult) error {
 	// Reported ⊆ oracle, byte-exact per row: truncation may lose whole
 	// groups but never corrupts a survivor.
 	wantRow := map[string]bool{}
 	for _, r := range want {
 		wantRow[string(oracle.Canonical([]tuple.Tuple{r}))] = true
 	}
-	for _, r := range got {
+	for _, r := range got.rows {
 		if !wantRow[string(oracle.Canonical([]tuple.Tuple{r}))] {
-			return fmt.Errorf("budget %d: reported row %v is not an oracle row\nquery: %s\noracle:\n%s\npipeline:\n%s",
-				budget, r, c.QueryText, oracle.Format(want), oracle.Format(got))
+			return fmt.Errorf("reported row %v is not an oracle row\nquery: %s\noracle:\n%s\npipeline:\n%s",
+				r, c.QueryText, oracle.Format(want), oracle.Format(got.rows))
 		}
 	}
 	// Exact reconciliation: nothing vanishes unaccounted, nothing is
 	// counted twice.
-	if len(got)+dropped != len(want) {
-		return fmt.Errorf("budget %d: reported %d + dropped %d != oracle %d groups\nquery: %s\noracle:\n%s\npipeline:\n%s",
-			budget, len(got), dropped, len(want), c.QueryText, oracle.Format(want), oracle.Format(got))
+	if len(got.rows)+got.dropped != len(want) {
+		return fmt.Errorf("reported %d + dropped %d != oracle %d groups\nquery: %s\noracle:\n%s\npipeline:\n%s",
+			len(got.rows), got.dropped, len(want), c.QueryText, oracle.Format(want), oracle.Format(got.rows))
 	}
-	if dropped > 0 && !partial {
-		return fmt.Errorf("budget %d: %d groups dropped but the query is not flagged partial", budget, dropped)
+	if got.dropped > 0 && !got.partial {
+		return fmt.Errorf("%d groups dropped but the query is not flagged partial", got.dropped)
 	}
-	if dropped == 0 && !bytes.Equal(oracle.Canonical(want), oracle.Canonical(got)) {
-		return diffError(c, "budgeted (nothing dropped)", want, got)
+	if got.dropped == 0 && !bytes.Equal(oracle.Canonical(want), oracle.Canonical(got.rows)) {
+		return diffError(c, "budgeted (nothing dropped)", want, got.rows)
 	}
 	return nil
 }

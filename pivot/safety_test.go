@@ -22,7 +22,7 @@ import (
 // that exhausts its baggage budget reports exactly which groups it lost.
 // Deterministic under -race -count=N.
 
-func TestPanickingAdviceIsQuarantined(t *testing.T) {
+func TestSafetyPanickingAdviceIsQuarantined(t *testing.T) {
 	pt := New("app")
 	tel := pt.EnableSelfTelemetry()
 	tp := pt.Define("Work.Do", "n")
@@ -91,10 +91,10 @@ func TestPanickingAdviceIsQuarantined(t *testing.T) {
 	}
 }
 
-// TestKilledFrontendLeaseExpiry kills the frontend's bus link mid-query
+// TestSafetyKilledFrontendLeaseExpiry kills the frontend's bus link mid-query
 // (no reconnect — the frontend is "dead") and asserts every agent sheds
 // the orphaned query within two lease TTLs.
-func TestKilledFrontendLeaseExpiry(t *testing.T) {
+func TestSafetyKilledFrontendLeaseExpiry(t *testing.T) {
 	srv, err := bus.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +162,11 @@ func TestKilledFrontendLeaseExpiry(t *testing.T) {
 	}
 }
 
-// TestQuarantineNoticeCrossesBus runs the panicking-advice scenario with
+// TestSafetyQuarantineNoticeCrossesBus runs the panicking-advice scenario with
 // the faulty process connected as a TCP worker and asserts the
 // pt.quarantine notice reaches the frontend over the bus — the worker
 // trips the breaker locally, but the operator watches the frontend.
-func TestQuarantineNoticeCrossesBus(t *testing.T) {
+func TestSafetyQuarantineNoticeCrossesBus(t *testing.T) {
 	srv, err := bus.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -239,11 +239,11 @@ func TestQuarantineNoticeCrossesBus(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionAccounted runs a happened-before join whose source
+// TestSafetyBudgetExhaustionAccounted runs a happened-before join whose source
 // groups overflow a tiny baggage budget, and reconciles: every group is
 // either reported with an exact aggregate or counted dropped — nothing
 // vanishes, nothing is partially merged.
-func TestBudgetExhaustionAccounted(t *testing.T) {
+func TestSafetyBudgetExhaustionAccounted(t *testing.T) {
 	pt := New("app")
 	src := pt.Define("Src.Emit", "key", "val")
 	sink := pt.Define("Sink.Done")
@@ -313,10 +313,10 @@ func TestBudgetExhaustionAccounted(t *testing.T) {
 	}
 }
 
-// TestLeaseRenewalKeepsInProcessQueryAlive covers the benign path: an
+// TestSafetyLeaseRenewalKeepsInProcessQueryAlive covers the benign path: an
 // embedded runtime whose StartReporting tick both renews and flushes
 // never sheds its own queries.
-func TestLeaseRenewalKeepsInProcessQueryAlive(t *testing.T) {
+func TestSafetyLeaseRenewalKeepsInProcessQueryAlive(t *testing.T) {
 	pt := New("app")
 	pt.Define("Work.Do", "n")
 	q, err := pt.Frontend.InstallNamed("QK",
