@@ -31,7 +31,13 @@ import (
 type fireScratch struct {
 	proj    tuple.Tuple
 	working []tuple.Tuple
+	spare   []tuple.Tuple // the unpack join's other working set; the two swap per unpack
+	arena   tuple.Tuple   // the joined tuples' values, carved off back to back
 }
+
+// maxPooledArena bounds the values a pooled scratch retains: one wide
+// cartesian join must not pin its arena for the process lifetime.
+const maxPooledArena = 1 << 12
 
 var firePool = sync.Pool{New: func() any { return new(fireScratch) }}
 
@@ -414,14 +420,14 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 	}
 	fs := firePool.Get().(*fireScratch)
 	defer func() {
-		for i := range fs.proj {
-			fs.proj[i] = tuple.Value{}
+		clear(fs.proj)
+		clear(fs.working)
+		clear(fs.spare)
+		clear(fs.arena)
+		fs.proj, fs.working, fs.spare, fs.arena = fs.proj[:0], fs.working[:0], fs.spare[:0], fs.arena[:0]
+		if cap(fs.arena) > maxPooledArena {
+			fs.spare, fs.arena = nil, nil
 		}
-		fs.proj = fs.proj[:0]
-		for i := range fs.working {
-			fs.working[i] = nil
-		}
-		fs.working = fs.working[:0]
 		firePool.Put(fs)
 	}()
 	fs.proj = vals.AppendProject(fs.proj[:0], p.Observe)
@@ -462,13 +468,18 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 				len(working), len(unpacked), ceiling, u.Slot))
 			return
 		}
-		next := make([]tuple.Tuple, 0, len(working)*len(unpacked))
+		// Each joined tuple is carved off the arena with no spare capacity,
+		// so a later append (COMPUTE) moves it out instead of overwriting
+		// its neighbour; arena growth leaves earlier tuples where they were.
+		next := fs.spare[:0]
 		for _, w := range working {
 			for _, t := range unpacked {
-				next = append(next, w.Concat(t))
+				at := len(fs.arena)
+				fs.arena = append(append(fs.arena, w...), t...)
+				next = append(next, fs.arena[at:len(fs.arena):len(fs.arena)])
 			}
 		}
-		working = next
+		fs.spare, fs.working, working = working, next, next
 	}
 
 	// FILTER

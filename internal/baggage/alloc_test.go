@@ -54,3 +54,50 @@ func TestAllocByteSizeIsSingleBufferFree(t *testing.T) {
 			"(regression in the pooled sizing path)", n)
 	}
 }
+
+// hbBaggage is the baggage of the happened-before request at its process
+// boundary: one instance holding one FIRST slot with one tuple.
+func hbBaggage() *Baggage {
+	bag := New()
+	bag.Pack("q.g", SetSpec{Kind: First, Fields: tuple.Schema{"tenant"}}, tuple.Tuple{tuple.String("tenant-1")})
+	return bag
+}
+
+// The ceilings below are the measured counts of the shared-instance
+// design; a rise means something immutable is being copied again.
+
+func TestAllocSplitSharesFrozenInstances(t *testing.T) {
+	bag := hbBaggage()
+	// Per branch: the Baggage, its instance list, its empty active
+	// instance — whatever the receiver holds.
+	if n := testing.AllocsPerRun(1000, func() { bag.Split() }); n > 6 {
+		t.Errorf("Split allocates %.1f objects/op, want <= 6 (is it copying frozen instances?)", n)
+	}
+}
+
+func TestAllocJoinSharesFrozenInstances(t *testing.T) {
+	l, r := hbBaggage().Split()
+	// The joined Baggage, its instance list and its active instance.
+	if n := testing.AllocsPerRun(1000, func() { Join(l, r) }); n > 3 {
+		t.Errorf("Join of two empty branches allocates %.1f objects/op, want <= 3", n)
+	}
+}
+
+func TestAllocUnpackOfOneContributionCopiesNoTuple(t *testing.T) {
+	l, _ := hbBaggage().Split()
+	// The returned slice only.
+	if n := testing.AllocsPerRun(1000, func() { l.Unpack("q.g") }); n > 1 {
+		t.Errorf("Unpack of a slot one instance contributes to allocates %.1f objects/op, want <= 1", n)
+	}
+}
+
+func TestAllocDeserializeAndFirstTouch(t *testing.T) {
+	wire := hbBaggage().Serialize()
+	// Deserialize: its copy of the bytes (the Baggage does not escape
+	// here). First touch: the instance list, the instance, its slot list,
+	// the slot name, the set, its field list and field name, its tuple
+	// list, the tuple and its string.
+	if n := testing.AllocsPerRun(1000, func() { Deserialize(wire).TupleCount() }); n > 11 {
+		t.Errorf("Deserialize + first touch allocates %.1f objects/op, want <= 11", n)
+	}
+}

@@ -2,6 +2,7 @@ package baggage
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -68,45 +69,60 @@ var (
 
 func newNonce() uint64 { return nonceBase ^ nonceCounter.Add(1) }
 
-// instance is one versioned baggage instance (§5). The first instance of a
-// Baggage is the active one for the current branch; the rest are frozen
-// read-only copies inherited from before branch points. The nonce is the
-// instance's globally unique identity: frozen copies propagated down both
-// sides of a branch share it (so they deduplicate at the rejoin), while
-// distinct instances — even ones that coincidentally share an interval
-// tree ID and contents — never do.
+// instance is one versioned baggage instance (§5). A Baggage holds one
+// active instance — the only one its branch ever writes — and the frozen
+// instances inherited from before branch points. The nonce is the
+// instance's globally unique identity: a frozen instance reached down both
+// sides of a branch deduplicates by it at the rejoin, while distinct
+// instances — even with the same interval tree ID and contents — never do.
+//
+// A frozen instance, its sets and every stored tuple are immutable and
+// shared by all the Baggage values that inherited them, possibly on
+// different goroutines; nothing may write through them.
 type instance struct {
-	stamp *itc.Stamp
+	stamp itc.Stamp
 	nonce uint64
-	slots map[string]*Set
-	order []string // deterministic slot iteration
+	slots []slot // in creation order, which is the serialized order
 }
 
-func newInstance(stamp *itc.Stamp) *instance {
-	return &instance{stamp: stamp, nonce: newNonce(), slots: make(map[string]*Set)}
+// slot is one named tuple set of an instance.
+type slot struct {
+	name string
+	set  *Set
 }
 
-func (in *instance) set(slot string, spec SetSpec) *Set {
-	s, ok := in.slots[slot]
-	if !ok {
-		s = NewSet(spec)
-		in.slots[slot] = s
-		in.order = append(in.order, slot)
-	} else if !s.Spec.Equal(spec) {
-		panic("baggage: conflicting specs for slot " + slot)
+func newInstance(stamp itc.Stamp) *instance {
+	return &instance{stamp: stamp, nonce: newNonce()}
+}
+
+// lookup returns the set stored under name, or nil. An instance holds a
+// handful of slots: a scan beats a map and its allocations.
+func (in *instance) lookup(name string) *Set {
+	for i := range in.slots {
+		if in.slots[i].name == name {
+			return in.slots[i].set
+		}
 	}
+	return nil
+}
+
+func (in *instance) set(name string, spec SetSpec) *Set {
+	if s := in.lookup(name); s != nil {
+		if !s.Spec.Equal(spec) {
+			panic("baggage: conflicting specs for slot " + name)
+		}
+		return s
+	}
+	s := NewSet(spec)
+	in.slots = append(in.slots, slot{name, s})
 	return s
 }
 
+// clone copies an active instance; writes to the copy do not reach in.
 func (in *instance) clone() *instance {
-	c := &instance{
-		stamp: in.stamp.Clone(),
-		nonce: in.nonce,
-		slots: make(map[string]*Set),
-	}
-	for _, slot := range in.order {
-		c.slots[slot] = in.slots[slot].Clone()
-		c.order = append(c.order, slot)
+	c := &instance{stamp: in.stamp, nonce: in.nonce, slots: make([]slot, len(in.slots))}
+	for i, sl := range in.slots {
+		c.slots[i] = slot{sl.name, sl.set.Clone()}
 	}
 	return c
 }
@@ -120,9 +136,10 @@ func (in *instance) clone() *instance {
 // Baggage is not safe for concurrent use; an execution branching into
 // parallel work must call Split and give each branch its own Baggage.
 type Baggage struct {
-	raw     []byte // lazily-decoded serialized form (nil once decoded)
-	insts   []*instance
+	raw     []byte      // lazily-decoded serialized form (nil once decoded); never written
+	insts   []*instance // the active instance, then the frozen ones newest first; never written in place
 	decoded bool
+	shared  bool // other Baggage values hold insts[0] too: copy it before writing
 }
 
 // New returns empty baggage.
@@ -145,24 +162,28 @@ func (b *Baggage) ensureDecoded() {
 	b.decoded = true
 }
 
-// active returns the active instance, creating it (with a fresh seed stamp)
-// if the baggage is empty.
+// active returns the active instance for writing: created (with a fresh
+// seed stamp) if the baggage is empty, copied first if it is shared.
 func (b *Baggage) active() *instance {
 	b.ensureDecoded()
-	if len(b.insts) == 0 {
-		b.insts = append(b.insts, newInstance(itc.Seed()))
+	switch {
+	case len(b.insts) == 0:
+		b.insts = []*instance{newInstance(itc.Seed())}
+	case b.shared:
+		b.insts = append([]*instance{b.insts[0].clone()}, b.insts[1:]...)
+		b.shared = false
 	}
 	return b.insts[0]
 }
 
 // Pack stores tuples into the active instance under the given slot,
-// applying the spec's retention/aggregation semantics.
+// applying the spec's retention/aggregation semantics. The tuples are
+// retained, not copied: the caller must not write to them afterwards.
 func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) {
 	set := b.active().set(slot, spec)
 	for _, t := range tuples {
 		set.Pack(t)
 	}
-	b.raw = nil
 	if m := meters.Load(); m != nil {
 		m.TuplesPacked.Add(int64(len(tuples)))
 	}
@@ -174,110 +195,125 @@ func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) {
 // RECENT kinds merge in that order while FIRST kinds merge oldest-first:
 // a FIRST tuple packed before a branch point wins over one packed inside a
 // branch, preserving the paper's "first event of the execution" semantics.
+//
+// The returned slice is the caller's; the tuples in it may be the stored
+// ones, shared with this and other baggage, and must not be written.
 func (b *Baggage) Unpack(slot string) []tuple.Tuple {
 	b.ensureDecoded()
-	sets := make([]*Set, 0, len(b.insts))
+	var src *Set // the newest contribution
+	contributions := 0
 	for _, in := range b.insts {
-		if s, ok := in.slots[slot]; ok {
-			sets = append(sets, s)
+		if s := in.lookup(slot); s != nil {
+			if src == nil {
+				src = s
+			}
+			contributions++
 		}
 	}
-	if len(sets) == 0 {
+	if src == nil {
 		return nil
-	}
-	if k := sets[0].Spec.Kind; k == First || k == FirstN {
-		for i, j := 0, len(sets)-1; i < j; i, j = i+1, j-1 {
-			sets[i], sets[j] = sets[j], sets[i]
-		}
-	}
-	acc := sets[0].Clone()
-	for _, s := range sets[1:] {
-		acc.Merge(s)
 	}
 	// Budget tombstones suppress evicted content from the merged view:
 	// without this, a group evicted on one branch would resurface from a
 	// pre-split frozen copy and be double-counted against its tombstone.
+	var evicted map[string]bool
 	if slot != DropSlot {
 		whole, keys := b.evictions(slot)
 		if whole {
 			return nil
 		}
-		if len(keys) > 0 && acc.Spec.Kind == Agg {
-			for key := range keys {
-				acc.removeGroup(key)
-			}
+		if src.Spec.Kind == Agg {
+			evicted = keys
 		}
 	}
-	out := acc.Unpack()
+	// One contribution with nothing to suppress is read where it is.
+	if contributions > 1 || len(evicted) > 0 {
+		src = b.merged(slot, src.Spec.Kind == First || src.Spec.Kind == FirstN)
+		for key := range evicted {
+			src.removeGroup(key)
+		}
+	}
+	out := src.Unpack()
 	if m := meters.Load(); m != nil {
 		m.TuplesUnpacked.Add(int64(len(out)))
 	}
 	return out
 }
 
+// merged folds every instance's contribution to slot into a set of its
+// own, newest first or oldest first.
+func (b *Baggage) merged(slot string, oldestFirst bool) *Set {
+	var acc *Set
+	for i := range b.insts {
+		if oldestFirst {
+			i = len(b.insts) - 1 - i
+		}
+		switch s := b.insts[i].lookup(slot); {
+		case s == nil:
+		case acc == nil:
+			acc = s.Clone()
+		default:
+			acc.Merge(s)
+		}
+	}
+	return acc
+}
+
 // Slots returns the slot names present in any instance, sorted.
 func (b *Baggage) Slots() []string {
 	b.ensureDecoded()
-	seen := map[string]bool{}
 	var out []string
 	for _, in := range b.insts {
-		for _, slot := range in.order {
-			if !seen[slot] {
-				seen[slot] = true
-				out = append(out, slot)
-			}
+		for _, sl := range in.slots {
+			out = append(out, sl.name)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // TupleCount returns the total number of stored tuples (groups for AGG
 // sets) across all instances — the paper's cost metric for propagation.
 func (b *Baggage) TupleCount() int {
 	b.ensureDecoded()
-	n := 0
+	total := 0
 	for _, in := range b.insts {
-		for _, s := range in.slots {
-			n += s.Len()
+		for _, sl := range in.slots {
+			total += sl.set.Len()
 		}
 	}
-	return n
+	return total
 }
 
 // Split divides the baggage for a branching execution. The receiver's
-// active instance is frozen and copied to both sides; each side gets a new
+// active instance is frozen and shared by both sides; each side gets a new
 // empty active instance tagged with half of the divided interval tree ID,
 // so tuples packed by one branch are invisible to the other until Join.
-// The receiver must not be used after Split.
+// The receiver should not be used after Split; if it is, it reads what it
+// held and its first write copies the frozen instance, so neither branch
+// sees or serializes the difference.
 func (b *Baggage) Split() (*Baggage, *Baggage) {
 	if m := meters.Load(); m != nil {
 		m.Splits.Inc()
 	}
 	b.ensureDecoded()
-	act := b.active()
-	s1, s2 := act.stamp.Fork()
-
-	frozen := make([]*instance, 0, len(b.insts))
-	for _, in := range b.insts {
-		frozen = append(frozen, in)
+	if len(b.insts) == 0 {
+		b.active()
 	}
-
-	mk := func(stamp *itc.Stamp) *Baggage {
-		nb := New()
-		nb.insts = append(nb.insts, newInstance(stamp))
-		for _, in := range frozen {
-			nb.insts = append(nb.insts, in.clone())
-		}
-		return nb
+	b.shared = true
+	s1, s2 := b.insts[0].stamp.Fork()
+	branch := func(stamp itc.Stamp) *Baggage {
+		insts := make([]*instance, 1, 1+len(b.insts))
+		insts[0] = newInstance(stamp)
+		return &Baggage{decoded: true, insts: append(insts, b.insts...)}
 	}
-	return mk(s1), mk(s2)
+	return branch(s1), branch(s2)
 }
 
 // Join merges the baggage of two rejoining branches: the active instances'
 // contents merge into a new active instance whose ID joins the two halves,
-// and frozen instances from both sides are kept with duplicates discarded.
-// The arguments must not be used after Join. Join(nil, b) == b.
+// and frozen instances from both sides are kept, the first of each nonce,
+// in a list of its own. Neither argument is written. Join(nil, b) == b.
 func Join(a, b *Baggage) *Baggage {
 	if a == nil {
 		return b
@@ -296,75 +332,73 @@ func Join(a, b *Baggage) *Baggage {
 	if m := meters.Load(); m != nil {
 		m.Joins.Inc()
 	}
-	actA, actB := a.insts[0], b.insts[0]
-	merged := newInstance(itc.Join(actA.stamp, actB.stamp))
-	for _, src := range []*instance{actA, actB} {
-		for _, slot := range src.order {
-			set := src.slots[slot]
-			dst, ok := merged.slots[slot]
-			if !ok {
-				merged.slots[slot] = set.Clone()
-				merged.order = append(merged.order, slot)
-				continue
+	merged := newInstance(itc.Join(a.insts[0].stamp, b.insts[0].stamp))
+	for _, src := range [2]*instance{a.insts[0], b.insts[0]} {
+		for _, sl := range src.slots {
+			if dst := merged.lookup(sl.name); dst != nil {
+				dst.Merge(sl.set)
+			} else {
+				merged.slots = append(merged.slots, slot{sl.name, sl.set.Clone()})
 			}
-			dst.Merge(set)
 		}
 	}
-	out := New()
-	out.insts = append(out.insts, merged)
-	seen := map[uint64]bool{}
-	for _, in := range append(a.insts[1:], b.insts[1:]...) {
-		if seen[in.nonce] {
-			continue
+	insts := make([]*instance, 1, len(a.insts)+len(b.insts)-1)
+	insts[0] = merged
+	for _, frozen := range [2][]*instance{a.insts[1:], b.insts[1:]} {
+	next:
+		for _, in := range frozen {
+			for _, have := range insts[1:] {
+				if have.nonce == in.nonce {
+					continue next
+				}
+			}
+			insts = append(insts, in)
 		}
-		seen[in.nonce] = true
-		out.insts = append(out.insts, in)
 	}
-	return out
+	return &Baggage{decoded: true, insts: insts}
 }
 
-// Adopt replaces b's contents with o's. RPC layers use it to propagate
-// baggage back along a synchronous call: the response baggage (which
-// causally extends the request baggage) overwrites the caller's copy while
-// existing context references to b stay valid.
+// Adopt moves o's contents into b. RPC layers use it to propagate baggage
+// back along a synchronous call: the response baggage (which causally
+// extends the request baggage) overwrites the caller's copy while existing
+// context references to b stay valid. o is left empty, so a stray later
+// use of it cannot write b's active instance.
 func (b *Baggage) Adopt(o *Baggage) {
-	if o == nil {
+	if o == nil || o == b {
 		return
 	}
-	b.raw = o.raw
-	b.insts = o.insts
-	b.decoded = o.decoded
+	*b = *o
+	*o = Baggage{decoded: true}
 }
 
-// Clone deep-copies the baggage (undecoded baggage stays lazy).
+// Clone returns baggage with b's contents that is written independently of
+// b: the active instance is copied (at once, or when first written if it
+// is shared already), the raw bytes and frozen instances are shared.
 func (b *Baggage) Clone() *Baggage {
 	if b == nil {
 		return nil
 	}
-	if !b.decoded {
-		raw := make([]byte, len(b.raw))
-		copy(raw, b.raw)
-		return &Baggage{raw: raw}
+	c := *b
+	if len(c.insts) > 0 && !c.shared {
+		c.insts = append([]*instance{c.insts[0].clone()}, c.insts[1:]...)
 	}
-	c := New()
-	for _, in := range b.insts {
-		c.insts = append(c.insts, in.clone())
-	}
-	return c
+	return &c
 }
 
-// ctxKey is the context key type for baggage propagation.
-type ctxKey struct{}
+// ContextKey is the context key of the request's *Baggage, exported so that
+// a context carrying several request-scoped values in one node can answer
+// for it.
+type ContextKey struct{}
 
 // NewContext returns a context carrying b. This is the Go analog of the
 // paper's thread-local baggage storage.
 func NewContext(ctx context.Context, b *Baggage) context.Context {
-	return context.WithValue(ctx, ctxKey{}, b)
+	return context.WithValue(ctx, ContextKey{}, b)
 }
 
 // FromContext extracts the baggage from ctx, or nil if none is attached.
 func FromContext(ctx context.Context) *Baggage {
-	b, _ := ctx.Value(ctxKey{}).(*Baggage)
+	b, _ := ctx.Value(ContextKey{}).(*Baggage)
 	return b
 }
 

@@ -1,7 +1,9 @@
 package baggage
 
 import (
+	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -360,5 +362,161 @@ func TestFirstNOldestFirstAcrossBranch(t *testing.T) {
 	got := l.Unpack("s")
 	if len(got) != 3 || got[0][0].Int() != 1 || got[1][0].Int() != 2 || got[2][0].Int() != 3 {
 		t.Fatalf("FIRSTN unpack = %v, want [1 2 3]", got)
+	}
+}
+
+// The tests below pin what sharing frozen instances must not break: no
+// operation writes memory that another Baggage can reach.
+
+// A use of the receiver after Split — pivot.Split leaves it reachable
+// through the parent context — reads what it held and writes a copy:
+// neither branch sees or serializes the difference, nor the receiver a
+// branch's writes.
+func TestUseAfterSplitNeverReachesTheBranches(t *testing.T) {
+	b := New()
+	b.Pack("x.all", allSpec("v"), tuple.Tuple{tuple.Int(1)})
+	b.Pack("q.agg", aggSpec(), kv("a", 1))
+	l, r := b.Split()
+	wantL, wantR := l.Serialize(), r.Serialize()
+
+	b.Pack("x.all", allSpec("v"), tuple.Tuple{tuple.Int(2)})
+	b.Pack("q.agg", aggSpec(), kv("a", 10))
+	b.PackBudgeted("q.agg", aggSpec(), Budget{MaxTuples: 1}, kv("b", 1)) // evicts, writes a tombstone
+	if got := b.Unpack("x.all"); len(got) != 2 {
+		t.Errorf("receiver unpacks %v after its own pack, want both rows", got)
+	}
+	for name, br := range map[string]*Baggage{"left": l, "right": r} {
+		if got := br.Unpack("x.all"); len(got) != 1 || got[0][0].Int() != 1 {
+			t.Errorf("%s branch unpacks %v after the receiver was written, want the pre-split row only", name, got)
+		}
+		if got := br.Unpack("q.agg"); len(got) != 1 || got[0][1].Int() != 1 {
+			t.Errorf("%s branch unpacks %v after the receiver was written, want a=1", name, got)
+		}
+		if br.HasDrops() {
+			t.Errorf("%s branch sees the receiver's eviction tombstone", name)
+		}
+	}
+	if !bytes.Equal(l.Serialize(), wantL) || !bytes.Equal(r.Serialize(), wantR) {
+		t.Error("writing the receiver after Split changed what a branch serializes")
+	}
+
+	before := b.Serialize()
+	l.Pack("x.all", allSpec("v"), tuple.Tuple{tuple.Int(3)})
+	if !bytes.Equal(b.Serialize(), before) || !bytes.Equal(r.Serialize(), wantR) {
+		t.Error("a branch's pack changed what the receiver or its sibling serializes")
+	}
+}
+
+// Join must build its instance list in a slice of its own: appending to an
+// argument's list would write into a backing array that another Baggage
+// (a Clone, say) shares.
+func TestJoinNeverAppendsToItsArguments(t *testing.T) {
+	root := New()
+	root.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
+	a, b := root.Split()
+	a1, _ := a.Split() // a1 holds [its own, a's, root's]; b holds [its own, root's]
+
+	// Give a1's list spare capacity with a sentinel in it.
+	sentinel := &instance{}
+	padded := append(make([]*instance, 0, len(a1.insts)+4), a1.insts...)
+	padded = append(padded, sentinel)
+	a1.insts = padded[:len(padded)-1]
+	wantA, wantB := a1.Serialize(), b.Serialize()
+
+	j := Join(a1, b)
+	if padded[len(padded)-1] != sentinel {
+		t.Error("Join wrote into the spare capacity of its argument's instance list")
+	}
+	if len(j.insts) != 3 {
+		t.Errorf("joined baggage holds %d instances, want 3 (root's deduplicated)", len(j.insts))
+	}
+	if !bytes.Equal(a1.Serialize(), wantA) || !bytes.Equal(b.Serialize(), wantB) {
+		t.Error("Join changed what an argument serializes")
+	}
+}
+
+// Adopt moves: the two values must not be left sharing an active instance,
+// or a stray use of the source writes through to the adopter.
+func TestAdoptLeavesNothingShared(t *testing.T) {
+	src := New()
+	src.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
+	dst := New()
+	dst.Adopt(src)
+	want := dst.Serialize()
+	src.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(2)})
+	if !bytes.Equal(dst.Serialize(), want) {
+		t.Error("packing the source after Adopt changed the adopter")
+	}
+	if got := dst.Unpack("s"); len(got) != 1 {
+		t.Errorf("adopter unpacks %v, want the one adopted row", got)
+	}
+	dst.Adopt(dst)
+	if !bytes.Equal(dst.Serialize(), want) {
+		t.Error("adopting itself changed the baggage")
+	}
+}
+
+// The cluster RPC layer's thread-spawn pattern: the parent keeps one
+// *Baggage across the branch (contexts refer to it), adopting its half of
+// the split and then the join of itself with the finished branch.
+func TestAdoptSplitJoinInPlace(t *testing.T) {
+	spec := SetSpec{Kind: Agg, Fields: tuple.Schema{"v"}, Aggs: []AggField{{Pos: 0, Fn: agg.Count}}}
+	parent := New()
+	parent.Pack("c", spec, tuple.Tuple{tuple.Int(0)})
+	for round := 0; round < 3; round++ {
+		mine, theirs := parent.Split()
+		parent.Adopt(mine)
+		parent.Pack("c", spec, tuple.Tuple{tuple.Int(0)})
+		theirs.Pack("c", spec, tuple.Tuple{tuple.Int(0)})
+		parent.Adopt(Join(parent, theirs))
+	}
+	if got := parent.Unpack("c"); len(got) != 1 || got[0][0].Int() != 7 {
+		t.Fatalf("count after three in-place branches = %v, want 7", got)
+	}
+}
+
+// Branches run on their own goroutines while holding the same frozen
+// instances: under -race, any write through a shared instance, set or
+// tuple by Unpack, Pack, Serialize, a nested Split/Join or a budget
+// eviction fails here.
+func TestBranchesUseSharedFrozenInstancesConcurrently(t *testing.T) {
+	root := New()
+	root.Pack("q.first", SetSpec{Kind: First, Fields: tuple.Schema{"v"}}, tuple.Tuple{tuple.Int(1)})
+	root.Pack("q.recent", SetSpec{Kind: Recent, Fields: tuple.Schema{"v"}}, tuple.Tuple{tuple.Int(1)})
+	for i := 0; i < 4; i++ {
+		root.PackBudgeted("q.agg", aggSpec(), Budget{MaxTuples: 8}, kv(string(rune('a'+i)), 1))
+	}
+	const workers = 4
+	branches := []*Baggage{root}
+	for len(branches) < workers {
+		l, r := branches[0].Split()
+		branches = append(branches[1:], l, r)
+	}
+	var wg sync.WaitGroup
+	for w, br := range branches {
+		wg.Add(1)
+		go func(w int, br *Baggage) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				br.Unpack("q.first")
+				br.Unpack("q.agg")
+				br.Pack("q.recent", SetSpec{Kind: Recent, Fields: tuple.Schema{"v"}}, tuple.Tuple{tuple.Int(int64(i))})
+				br.PackBudgeted("q.agg", aggSpec(), Budget{MaxTuples: 8}, kv(string(rune('a'+(w+i)%12)), 1))
+				br.Serialize()
+				br.DropRecords("q")
+				l, r := br.Split()
+				l.Pack("q.agg", aggSpec(), kv("a", 1))
+				r.Unpack("q.agg")
+				*br = *Join(l, r)
+			}
+		}(w, br)
+	}
+	wg.Wait()
+	all := branches[0]
+	for _, br := range branches[1:] {
+		all = Join(all, br)
+	}
+	if got := all.Unpack("q.first"); len(got) != 1 || got[0][0].Int() != 1 {
+		t.Fatalf("FIRST after rejoining = %v, want the pre-split row", got)
 	}
 }

@@ -222,7 +222,6 @@ func (b *Baggage) PackBudgeted(slot string, spec SetSpec, budget Budget, tuples 
 	if ks != nil {
 		putScratch(ks)
 	}
-	b.raw = nil
 	st.EvictedGroups, st.EvictedTuples, st.EvictedBytes = b.enforce(budget, queryPrefix(slot))
 	if m := meters.Load(); m != nil {
 		m.TuplesPacked.Add(st.Packed)
@@ -275,13 +274,12 @@ func (b *Baggage) enforce(budget Budget, prefix string) (groups, tuples, bytes i
 func (b *Baggage) usage(prefix string) (bytes, tuples int) {
 	b.ensureDecoded()
 	for _, in := range b.insts {
-		for _, slot := range in.order {
-			if isSystemSlot(slot) || queryPrefix(slot) != prefix {
+		for _, sl := range in.slots {
+			if isSystemSlot(sl.name) || queryPrefix(sl.name) != prefix {
 				continue
 			}
-			s := in.slots[slot]
-			bytes += s.CostBytes()
-			tuples += s.Len()
+			bytes += sl.set.CostBytes()
+			tuples += sl.set.Len()
 		}
 	}
 	return
@@ -292,19 +290,14 @@ func (b *Baggage) usage(prefix string) (bytes, tuples int) {
 // slot). Only the active instance is eligible — frozen instances are
 // shared with sibling branches and must stay immutable.
 func (b *Baggage) victim(prefix string) (string, *Set) {
-	act := b.active()
 	var bestSlot string
 	var best *Set
-	for _, slot := range act.order {
-		if isSystemSlot(slot) || queryPrefix(slot) != prefix {
+	for _, sl := range b.active().slots {
+		if isSystemSlot(sl.name) || queryPrefix(sl.name) != prefix || sl.set.Len() == 0 {
 			continue
 		}
-		s := act.slots[slot]
-		if s.Len() == 0 {
-			continue
-		}
-		if best == nil || s.CostBytes() > best.CostBytes() {
-			best, bestSlot = s, slot
+		if best == nil || sl.set.CostBytes() > best.CostBytes() {
+			best, bestSlot = sl.set, sl.name
 		}
 	}
 	return bestSlot, best
@@ -321,8 +314,8 @@ func (b *Baggage) recordDrop(slot, key string) {
 func (b *Baggage) evictions(slot string) (whole bool, keys map[string]bool) {
 	b.ensureDecoded()
 	for _, in := range b.insts {
-		ds, ok := in.slots[DropSlot]
-		if !ok {
+		ds := in.lookup(DropSlot)
+		if ds == nil {
 			continue
 		}
 		for _, t := range ds.tuples {
@@ -349,7 +342,7 @@ func (b *Baggage) HasDrops() bool {
 	}
 	b.ensureDecoded()
 	for _, in := range b.insts {
-		if s, ok := in.slots[DropSlot]; ok && s.Len() > 0 {
+		if s := in.lookup(DropSlot); s != nil && s.Len() > 0 {
 			return true
 		}
 	}
@@ -365,31 +358,28 @@ func (b *Baggage) DropRecords(prefix string) []DropRecord {
 		return nil
 	}
 	b.ensureDecoded()
-	var acc *Set
-	for _, in := range b.insts {
-		s, ok := in.slots[DropSlot]
-		if !ok || s.Len() == 0 {
-			continue
-		}
-		if acc == nil {
-			acc = s.Clone()
-		} else {
-			acc.Merge(s)
-		}
-	}
-	if acc == nil {
-		return nil
-	}
 	var out []DropRecord
-	for _, t := range acc.tuples {
-		if len(t) != 2 {
+	for _, in := range b.insts {
+		s := in.lookup(DropSlot)
+		if s == nil {
 			continue
 		}
-		slot := t[0].Str()
-		if prefix != "" && queryPrefix(slot) != prefix {
-			continue
+	next:
+		for _, t := range s.tuples {
+			if len(t) != 2 {
+				continue
+			}
+			rec := DropRecord{Slot: t[0].Str(), Key: t[1].Str()}
+			if prefix != "" && queryPrefix(rec.Slot) != prefix {
+				continue
+			}
+			for _, have := range out {
+				if have == rec {
+					continue next
+				}
+			}
+			out = append(out, rec)
 		}
-		out = append(out, DropRecord{Slot: slot, Key: t[1].Str()})
 	}
 	return out
 }

@@ -75,6 +75,7 @@ func decodeSpec(buf []byte) (SetSpec, []byte, error) {
 		return spec, nil, errTruncated
 	}
 	buf = buf[k:]
+	spec.Fields = make(tuple.Schema, 0, boundedCount(cnt, buf))
 	for i := uint64(0); i < cnt; i++ {
 		var f string
 		var err error
@@ -162,6 +163,7 @@ func decodeSet(buf []byte) (*Set, []byte, error) {
 	}
 	buf = buf[k:]
 	if spec.Kind != Agg {
+		s.tuples = make([]tuple.Tuple, 0, boundedCount(cnt, buf))
 		for i := uint64(0); i < cnt; i++ {
 			var t tuple.Tuple
 			t, buf, err = tuple.DecodeTuple(buf)
@@ -172,6 +174,7 @@ func decodeSet(buf []byte) (*Set, []byte, error) {
 		}
 		return s, buf, nil
 	}
+	keyPos := identity(len(spec.GroupBy))
 	for i := uint64(0); i < cnt; i++ {
 		var keyVals tuple.Tuple
 		keyVals, buf, err = tuple.DecodeTuple(buf)
@@ -182,7 +185,7 @@ func decodeSet(buf []byte) (*Set, []byte, error) {
 			return nil, nil, fmt.Errorf("baggage: group key has %d values for %d group-by fields",
 				len(keyVals), len(spec.GroupBy))
 		}
-		g := &group{keyVals: keyVals}
+		g := &group{keyVals: keyVals, states: make([]*agg.State, 0, len(spec.Aggs))}
 		for range spec.Aggs {
 			var st *agg.State
 			st, buf, err = agg.Decode(buf)
@@ -191,12 +194,20 @@ func decodeSet(buf []byte) (*Set, []byte, error) {
 			}
 			g.states = append(g.states, st)
 		}
-		key := keyVals.Key(identity(len(keyVals)))
+		key := keyVals.Key(keyPos)
 		s.groups[key] = g
 		s.order = append(s.order, key)
 	}
 	s.recomputeBytes()
 	return s, buf, nil
+}
+
+// boundedCount is a decoded element count as a preallocation hint, capped by
+// what the buffer could possibly hold (one byte per element minimum):
+// baggage arrives from peer processes, and a corrupt count must not balloon
+// an allocation before the decode loop hits errTruncated.
+func boundedCount(cnt uint64, buf []byte) int {
+	return int(min(cnt, uint64(len(buf))))
 }
 
 // identity returns [0, 1, ..., n-1].
@@ -211,10 +222,10 @@ func identity(n int) []int {
 func encodeInstance(buf []byte, in *instance) []byte {
 	buf = itc.AppendStamp(buf, in.stamp)
 	buf = binary.AppendUvarint(buf, in.nonce)
-	buf = binary.AppendUvarint(buf, uint64(len(in.order)))
-	for _, slot := range in.order {
-		buf = appendString(buf, slot)
-		buf = appendSet(buf, in.slots[slot])
+	buf = binary.AppendUvarint(buf, uint64(len(in.slots)))
+	for _, sl := range in.slots {
+		buf = appendString(buf, sl.name)
+		buf = appendSet(buf, sl.set)
 	}
 	return buf
 }
@@ -236,19 +247,18 @@ func decodeInstance(buf []byte) (*instance, []byte, error) {
 		return nil, nil, errTruncated
 	}
 	buf = buf[k:]
+	in.slots = make([]slot, 0, boundedCount(cnt, buf))
 	for i := uint64(0); i < cnt; i++ {
-		var slot string
-		slot, buf, err = decodeString(buf)
+		var sl slot
+		sl.name, buf, err = decodeString(buf)
 		if err != nil {
 			return nil, nil, err
 		}
-		var set *Set
-		set, buf, err = decodeSet(buf)
+		sl.set, buf, err = decodeSet(buf)
 		if err != nil {
 			return nil, nil, err
 		}
-		in.slots[slot] = set
-		in.order = append(in.order, slot)
+		in.slots = append(in.slots, sl)
 	}
 	return in, buf, nil
 }
@@ -262,15 +272,7 @@ func decodeInstances(buf []byte) ([]*instance, error) {
 		return nil, errTruncated
 	}
 	buf = buf[k:]
-	// Bound the preallocation by what the buffer could possibly hold (one
-	// byte per instance minimum): baggage arrives from peer processes, and
-	// a corrupt count must not balloon an allocation before the per-
-	// instance decode loop hits errTruncated.
-	hint := cnt
-	if hint > uint64(len(buf)) {
-		hint = uint64(len(buf))
-	}
-	insts := make([]*instance, 0, hint)
+	insts := make([]*instance, 0, boundedCount(cnt, buf))
 	for i := uint64(0); i < cnt; i++ {
 		in, rest, err := decodeInstance(buf)
 		if err != nil {
@@ -283,6 +285,15 @@ func decodeInstances(buf []byte) ([]*instance, error) {
 		return nil, fmt.Errorf("baggage: %d trailing bytes", len(buf))
 	}
 	return insts, nil
+}
+
+// appendInstances appends the encoding of decoded, non-empty baggage.
+func (b *Baggage) appendInstances(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b.insts)))
+	for _, in := range b.insts {
+		buf = encodeInstance(buf, in)
+	}
+	return buf
 }
 
 // Serialize renders the baggage to bytes. Empty baggage serializes to nil
@@ -303,11 +314,7 @@ func (b *Baggage) Serialize() []byte {
 		// result: one allocation per call (the escaping result itself)
 		// instead of the log-many growth reallocations of a cold append.
 		s := getScratch()
-		buf := s.buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(len(b.insts)))
-		for _, in := range b.insts {
-			buf = encodeInstance(buf, in)
-		}
+		buf := b.appendInstances(s.buf[:0])
 		out = make([]byte, len(buf))
 		copy(out, buf)
 		s.buf = buf
@@ -348,11 +355,7 @@ func (b *Baggage) ByteSize() int {
 		return 0
 	}
 	s := getScratch()
-	buf := s.buf[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(b.insts)))
-	for _, in := range b.insts {
-		buf = encodeInstance(buf, in)
-	}
+	buf := b.appendInstances(s.buf[:0])
 	n := len(buf)
 	s.buf = buf
 	putScratch(s)

@@ -1,6 +1,7 @@
 package baggage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -190,6 +191,143 @@ func TestQuickMergeCommutesWithWireRoundtrip(t *testing.T) {
 							return fmt.Errorf("slot %s: duplicate frontier rows %d and %d", slot, i, j)
 						}
 					}
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// deepCopy is the oracle for TestQuickSharingMatchesDeepCopies: the
+// baggage rebuilt so that it shares no instance, set, tuple or
+// aggregation state with b or with anything else — how Split and Clone
+// copied before frozen instances were shared.
+func deepCopy(b *Baggage) *Baggage {
+	if !b.decoded {
+		return &Baggage{raw: append([]byte(nil), b.raw...)}
+	}
+	deep := func(in *instance) *instance {
+		c := &instance{stamp: in.stamp, nonce: in.nonce}
+		for _, sl := range in.slots {
+			s := NewSet(sl.set.Spec)
+			s.bytes = sl.set.bytes
+			for _, t := range sl.set.tuples {
+				s.tuples = append(s.tuples, t.Clone())
+			}
+			for _, key := range sl.set.order {
+				g := sl.set.groups[key]
+				ng := &group{keyVals: g.keyVals.Clone(), cost: g.cost}
+				for _, st := range g.states {
+					ng.states = append(ng.states, st.Clone())
+				}
+				s.groups[key] = ng
+				s.order = append(s.order, key)
+			}
+			c.slots = append(c.slots, slot{sl.name, s})
+		}
+		return c
+	}
+	c := &Baggage{decoded: true}
+	for _, in := range b.insts {
+		c.insts = append(c.insts, deep(in))
+	}
+	return c
+}
+
+// sameView reports how two baggages differ in what they serialize or
+// unpack, or nil.
+func sameView(got, want *Baggage) error {
+	if g, w := got.Serialize(), want.Serialize(); !bytes.Equal(g, w) {
+		return fmt.Errorf("serializes to\n%x, the deep-copied shadow to\n%x", g, w)
+	}
+	for _, slot := range want.Slots() {
+		g, w := got.Unpack(slot), want.Unpack(slot)
+		if len(g) != len(w) {
+			return fmt.Errorf("slot %s unpacks %v, the deep-copied shadow %v", slot, g, w)
+		}
+		for i := range w {
+			if !g[i].Equal(w[i]) {
+				return fmt.Errorf("slot %s row %d unpacks %v, the deep-copied shadow %v", slot, i, g[i], w[i])
+			}
+		}
+	}
+	return nil
+}
+
+// TestQuickSharingMatchesDeepCopies drives random pack / budgeted pack
+// with eviction / split / join / wire round-trip / Clone sequences over a
+// set of branches twice: on baggage that shares its frozen instances, sets
+// and tuples, and on a shadow in which every baggage is deep-copied after
+// every step, so that nothing in it is shared. After every step each live
+// baggage must serialize and unpack exactly as its shadow does — which,
+// the shadow's baggages being unable to affect one another, also shows
+// that writing one branch never changes a sibling. Receivers of Split and
+// originals of Clone stay in play as stale handles that are written and
+// read but never joined (their interval tree IDs overlap their branches').
+func TestQuickSharingMatchesDeepCopies(t *testing.T) {
+	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
+	randtest.Check(t, 300, 500, func(seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		// live[i] and shadow[i] are the same baggage in the two worlds;
+		// the first `branches` of them may be joined.
+		live, shadow := []*Baggage{New()}, []*Baggage{New()}
+		branches := 1
+		for step := 0; step < 60; step++ {
+			k := rng.Intn(len(live))
+			op := rng.Intn(8)
+			switch op {
+			case 0, 1, 2: // pack, sometimes under a budget small enough to evict
+				spec := kinds[rng.Intn(len(kinds))]
+				row := tuple.Tuple{tuple.String(string(rune('x' + rng.Intn(4)))), tuple.Int(int64(rng.Intn(100)))}
+				for _, b := range []*Baggage{live[k], shadow[k]} {
+					if op == 0 {
+						b.PackBudgeted("q."+spec.Kind.String(), spec, Budget{MaxTuples: 6}, row)
+					} else {
+						b.Pack("q."+spec.Kind.String(), spec, row)
+					}
+				}
+			case 3: // split: the receiver becomes a stale handle
+				if k >= branches {
+					continue
+				}
+				l, r := live[k].Split()
+				sl, sr := shadow[k].Split()
+				live, shadow = append(live, live[k]), append(shadow, shadow[k])
+				live[k], shadow[k] = l, sl
+				live, shadow = append(live, nil), append(shadow, nil)
+				copy(live[branches+1:], live[branches:])
+				copy(shadow[branches+1:], shadow[branches:])
+				live[branches], shadow[branches] = r, sr
+				branches++
+			case 4: // join two branches
+				j := rng.Intn(branches)
+				if k >= branches || j == k {
+					continue
+				}
+				live[k], shadow[k] = Join(live[k], live[j]), Join(shadow[k], shadow[j])
+				live, shadow = append(live[:j], live[j+1:]...), append(shadow[:j], shadow[j+1:]...)
+				branches--
+			case 5: // wire round-trip
+				live[k], shadow[k] = Deserialize(live[k].Serialize()), Deserialize(shadow[k].Serialize())
+			case 6: // Clone: the original becomes a stale handle
+				live, shadow = append(live, live[k]), append(shadow, shadow[k])
+				live[k], shadow[k] = live[k].Clone(), shadow[k].Clone()
+			case 7: // read only
+			}
+			for i := range shadow {
+				// New instances draw nonces from one process-wide counter;
+				// give the shadow's the live one's, position by position.
+				shadow[i] = deepCopy(shadow[i])
+				if live[i].decoded && shadow[i].decoded && len(live[i].insts) == len(shadow[i].insts) {
+					for p, in := range live[i].insts {
+						shadow[i].insts[p].nonce = in.nonce
+					}
+				}
+			}
+			for i := range live {
+				if err := sameView(live[i], shadow[i]); err != nil {
+					return fmt.Errorf("step %d (op %d on %d): baggage %d of %d (%d joinable) %v",
+						step, op, k, i, len(live), branches, err)
 				}
 			}
 		}

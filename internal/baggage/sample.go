@@ -25,7 +25,6 @@ var SampleSpec = SetSpec{Kind: Union, Fields: tuple.Schema{"q", "r"}}
 // request's baggage first splits.
 func (b *Baggage) PackSampleDecision(queryID string, rate float64) {
 	b.active().set(SampleSlot, SampleSpec).Pack(tuple.Tuple{tuple.String(queryID), tuple.Float(rate)})
-	b.raw = nil
 }
 
 // SampleRate looks up the request's decision for queryID: (rate, true)
@@ -40,8 +39,8 @@ func (b *Baggage) SampleRate(queryID string) (float64, bool) {
 	}
 	b.ensureDecoded()
 	for _, in := range b.insts {
-		s, ok := in.slots[SampleSlot]
-		if !ok {
+		s := in.lookup(SampleSlot)
+		if s == nil {
 			continue
 		}
 		for _, t := range s.tuples {

@@ -113,6 +113,15 @@ type group struct {
 	cost    int // cached encoded size (see Set.CostBytes)
 }
 
+// clone copies the group's mutable part, its aggregation states.
+func (g *group) clone() *group {
+	c := &group{keyVals: g.keyVals, states: make([]*agg.State, len(g.states)), cost: g.cost}
+	for i, st := range g.states {
+		c.states[i] = st.Clone()
+	}
+	return c
+}
+
 // recomputeCost refreshes the group's cached encoded size. The sizes are
 // computed arithmetically (no scratch encoding), so cost maintenance on
 // the pack hot path never allocates.
@@ -129,7 +138,9 @@ func (g *group) recomputeCost() {
 // (slot names, specs, and stamps are bounded per-slot overhead on top).
 func encSize(t tuple.Tuple) int { return tuple.SizeTuple(t) }
 
-// Set is a tuple set stored in a baggage instance under one slot.
+// Set is a tuple set stored in a baggage instance under one slot. Stored
+// tuples and group keys are never written after they are stored, so copies
+// of a set (Clone, Merge, Unpack) share them.
 type Set struct {
 	Spec   SetSpec
 	tuples []tuple.Tuple     // non-AGG kinds
@@ -230,13 +241,7 @@ func (s *Set) Pack(t tuple.Tuple) {
 			s.bytes += encSize(t)
 		}
 	case Union:
-		for _, mine := range s.tuples {
-			if mine.Equal(t) {
-				return
-			}
-		}
-		s.tuples = append(s.tuples, t)
-		s.bytes += encSize(t)
+		s.addDistinct(t)
 	case Agg:
 		// Build the group key in a pooled scratch buffer; the map lookup
 		// via string(ks.buf) does not allocate, so folding into an
@@ -264,6 +269,17 @@ func (s *Set) Pack(t tuple.Tuple) {
 	}
 }
 
+// addDistinct stores t unless an equal tuple is already stored.
+func (s *Set) addDistinct(t tuple.Tuple) {
+	for _, mine := range s.tuples {
+		if mine.Equal(t) {
+			return
+		}
+	}
+	s.tuples = append(s.tuples, t)
+	s.bytes += encSize(t)
+}
+
 // Merge folds another set with the same spec into s. Used when rejoining
 // branched baggage and when combining instances at unpack. A spec
 // mismatch drops o rather than panicking: merge sites are where
@@ -281,7 +297,9 @@ func (s *Set) Merge(o *Set) {
 	case All:
 		s.tuples = append(s.tuples, o.tuples...)
 		s.bytes += o.bytes
-	case First:
+	case First, Recent:
+		// The receiver wins if it has a tuple: for FIRST it is the older
+		// side, for RECENT the left branch — a deterministic tie-break.
 		if len(s.tuples) == 0 && len(o.tuples) > 0 {
 			s.tuples = append(s.tuples, o.tuples[0])
 			s.bytes += encSize(o.tuples[0])
@@ -294,13 +312,6 @@ func (s *Set) Merge(o *Set) {
 			s.tuples = append(s.tuples, t)
 			s.bytes += encSize(t)
 		}
-	case Recent:
-		// Deterministic tie-break across branches: the left (receiver)
-		// branch wins if it has a tuple.
-		if len(s.tuples) == 0 && len(o.tuples) > 0 {
-			s.tuples = append(s.tuples, o.tuples[0])
-			s.bytes += encSize(o.tuples[0])
-		}
 	case RecentN:
 		s.tuples = append(s.tuples, o.tuples...)
 		if excess := len(s.tuples) - s.Spec.N; excess > 0 {
@@ -310,27 +321,14 @@ func (s *Set) Merge(o *Set) {
 	case Frontier, Union:
 		// Union the branch contributions, dropping exact duplicates.
 		for _, t := range o.tuples {
-			dup := false
-			for _, mine := range s.tuples {
-				if mine.Equal(t) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				s.tuples = append(s.tuples, t)
-				s.bytes += encSize(t)
-			}
+			s.addDistinct(t)
 		}
 	case Agg:
 		for _, key := range o.order {
 			og := o.groups[key]
 			g, ok := s.groups[key]
 			if !ok {
-				g = &group{keyVals: og.keyVals.Clone(), cost: og.cost}
-				for _, st := range og.states {
-					g.states = append(g.states, st.Clone())
-				}
+				g = og.clone()
 				if g.cost == 0 {
 					g.recomputeCost()
 				}
@@ -352,14 +350,11 @@ func (s *Set) Merge(o *Set) {
 // Unpack materializes the set's contents as tuples in the packed field
 // layout. AGG sets yield one tuple per group, with group-by positions
 // holding the key values and aggregated positions holding partial results;
-// positions covered by neither hold null.
+// positions covered by neither hold null. The slice is new; the tuples of
+// a non-AGG set are the stored ones and must not be written.
 func (s *Set) Unpack() []tuple.Tuple {
 	if s.Spec.Kind != Agg {
-		out := make([]tuple.Tuple, len(s.tuples))
-		for i, t := range s.tuples {
-			out[i] = t.Clone()
-		}
-		return out
+		return append(make([]tuple.Tuple, 0, len(s.tuples)), s.tuples...)
 	}
 	out := make([]tuple.Tuple, 0, len(s.order))
 	for _, key := range s.order {
@@ -384,23 +379,20 @@ func (s *Set) Len() int {
 	return len(s.tuples)
 }
 
-// Clone deep-copies the set.
+// Clone returns a set with the same contents that can be packed and merged
+// into without s seeing it — for the copy of an active instance and for a
+// merge accumulator. Only what those writes touch is copied: the tuple
+// list and the groups' aggregation states.
 func (s *Set) Clone() *Set {
-	c := NewSet(s.Spec)
-	c.bytes = s.bytes
-	for _, t := range s.tuples {
-		c.tuples = append(c.tuples, t.Clone())
+	c := &Set{Spec: s.Spec, bytes: s.bytes}
+	if s.Spec.Kind != Agg {
+		c.tuples = append([]tuple.Tuple(nil), s.tuples...)
+		return c
 	}
-	if s.Spec.Kind == Agg {
-		for _, key := range s.order {
-			g := s.groups[key]
-			ng := &group{keyVals: g.keyVals.Clone(), cost: g.cost}
-			for _, st := range g.states {
-				ng.states = append(ng.states, st.Clone())
-			}
-			c.groups[key] = ng
-			c.order = append(c.order, key)
-		}
+	c.groups = make(map[string]*group, len(s.groups))
+	c.order = append([]string(nil), s.order...)
+	for key, g := range s.groups {
+		c.groups[key] = g.clone()
 	}
 	return c
 }

@@ -1,12 +1,11 @@
-// Package benchgate locks in the hot-path overhaul with a benchmark
-// regression gate. It parses `go test -bench` output, folds repeated
-// counts into a best-of summary (min ns/op — the least-noisy estimator of
-// a benchmark's true cost on a busy machine), and compares a fresh run
-// against a committed baseline (BENCH_5.json, named for the paper's
-// Table 5 overhead study). Time regressions beyond a tolerance fail the
-// gate; allocation-count regressions fail at any size, because allocs/op
-// is deterministic and every new steady-state allocation is a hot-path
-// bug, not noise.
+// Package benchgate locks in the hot-path overhaul with an allocation
+// regression gate. It parses `go test -bench -benchmem` output, keeps each
+// benchmark's allocs/op, and compares a fresh run against a committed
+// baseline (BENCH_5.json, named for the paper's Table 5 overhead study).
+// Any allocation-count regression fails, because allocs/op is
+// deterministic and every new steady-state allocation is a hot-path bug,
+// not noise. Timings are not gated here: they swing with the machine, and
+// live in the bench/ ledger with its bounds and spreads.
 package benchgate
 
 import (
@@ -20,11 +19,9 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's summarized cost.
+// Result is one benchmark's gated cost.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
 }
 
 // Baseline maps a full benchmark name (including the -cpu suffix, e.g.
@@ -34,8 +31,8 @@ type Result struct {
 type Baseline map[string]Result
 
 // Parse reads `go test -bench -benchmem` output and summarizes repeated
-// runs of the same benchmark: min ns/op, and min B/op and allocs/op to
-// match (warm-up iterations can only inflate those).
+// runs of the same benchmark by their minimum allocs/op (warm-up
+// iterations can only inflate it).
 func Parse(r io.Reader) (Baseline, error) {
 	out := Baseline{}
 	sc := bufio.NewScanner(r)
@@ -45,16 +42,8 @@ func Parse(r io.Reader) (Baseline, error) {
 		if !ok {
 			continue
 		}
-		if prev, seen := out[name]; seen {
-			if prev.NsPerOp < res.NsPerOp {
-				res.NsPerOp = prev.NsPerOp
-			}
-			if prev.BytesPerOp < res.BytesPerOp {
-				res.BytesPerOp = prev.BytesPerOp
-			}
-			if prev.AllocsPerOp < res.AllocsPerOp {
-				res.AllocsPerOp = prev.AllocsPerOp
-			}
+		if prev, seen := out[name]; seen && prev.AllocsPerOp < res.AllocsPerOp {
+			continue
 		}
 		out[name] = res
 	}
@@ -68,8 +57,8 @@ func Parse(r io.Reader) (Baseline, error) {
 //
 //	BenchmarkName-8  	 1234567	   229.5 ns/op	   0 B/op	   0 allocs/op
 //
-// extra metrics (frames/flush, MB/s) are ignored. Lines that are not
-// benchmark results report ok=false.
+// every metric but allocs/op is ignored. Lines that are not benchmark
+// results with an allocation count report ok=false.
 func parseLine(line string) (string, Result, bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
 		return "", Result{}, false
@@ -78,55 +67,29 @@ func parseLine(line string) (string, Result, bool) {
 	if len(fields) < 4 {
 		return "", Result{}, false
 	}
-	name := fields[0]
-	res := Result{BytesPerOp: -1, AllocsPerOp: -1}
-	haveNs := false
 	for i := 2; i+1 < len(fields); i++ {
-		v := fields[i]
-		switch fields[i+1] {
-		case "ns/op":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return "", Result{}, false
-			}
-			res.NsPerOp = f
-			haveNs = true
-		case "B/op":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return "", Result{}, false
-			}
-			res.BytesPerOp = n
-		case "allocs/op":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return "", Result{}, false
-			}
-			res.AllocsPerOp = n
+		if fields[i+1] != "allocs/op" {
+			continue
 		}
+		n, err := strconv.ParseInt(fields[i], 10, 64)
+		if err != nil {
+			return "", Result{}, false
+		}
+		return fields[0], Result{AllocsPerOp: n}, true
 	}
-	if !haveNs {
-		return "", Result{}, false
-	}
-	return name, res, true
+	return "", Result{}, false
 }
 
-// Regression is one gate violation.
+// Regression is one gate violation: a benchmark whose allocs/op rose.
 type Regression struct {
-	Name   string
-	Metric string // "ns/op" or "allocs/op"
-	Base   float64
-	Got    float64
+	Name      string
+	Base, Got int64
 }
 
 func (r Regression) String() string {
-	if r.Metric == "allocs/op" {
-		return fmt.Sprintf("%s: allocs/op regressed %d -> %d (any increase fails: "+
-			"a new steady-state allocation is a hot-path bug, not noise)",
-			r.Name, int64(r.Base), int64(r.Got))
-	}
-	return fmt.Sprintf("%s: ns/op regressed %.1f -> %.1f (%+.1f%%)",
-		r.Name, r.Base, r.Got, 100*(r.Got-r.Base)/r.Base)
+	return fmt.Sprintf("%s: allocs/op regressed %d -> %d (any increase fails: "+
+		"a new steady-state allocation is a hot-path bug, not noise)",
+		r.Name, r.Base, r.Got)
 }
 
 // allocSlackFloor separates the two allocation regimes. At or below it,
@@ -144,24 +107,19 @@ func allocCap(base int64) int64 {
 	return base + base/100
 }
 
-// Compare gates current against base: ns/op may grow by at most tolPct
-// percent; allocs/op may not grow at all (see allocSlackFloor for the
-// one carve-out on amortized pipelines). Benchmarks present in only one
-// of the two sets are reported via missing/extra so a silently-deleted
-// benchmark cannot pass the gate.
-func Compare(base, current Baseline, tolPct float64) (regs []Regression, missing, extra []string) {
+// Compare gates current against base: allocs/op may not grow at all (see
+// allocSlackFloor for the one carve-out on amortized pipelines).
+// Benchmarks present in only one of the two sets are reported via
+// missing/extra so a silently-deleted benchmark cannot pass the gate.
+func Compare(base, current Baseline) (regs []Regression, missing, extra []string) {
 	for name, b := range base {
 		c, ok := current[name]
 		if !ok {
 			missing = append(missing, name)
 			continue
 		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+tolPct/100) {
-			regs = append(regs, Regression{Name: name, Metric: "ns/op", Base: b.NsPerOp, Got: c.NsPerOp})
-		}
-		if b.AllocsPerOp >= 0 && c.AllocsPerOp > allocCap(b.AllocsPerOp) {
-			regs = append(regs, Regression{Name: name, Metric: "allocs/op",
-				Base: float64(b.AllocsPerOp), Got: float64(c.AllocsPerOp)})
+		if c.AllocsPerOp > allocCap(b.AllocsPerOp) {
+			regs = append(regs, Regression{Name: name, Base: b.AllocsPerOp, Got: c.AllocsPerOp})
 		}
 	}
 	for name := range current {
@@ -169,12 +127,7 @@ func Compare(base, current Baseline, tolPct float64) (regs []Regression, missing
 			extra = append(extra, name)
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Name != regs[j].Name {
-			return regs[i].Name < regs[j].Name
-		}
-		return regs[i].Metric < regs[j].Metric
-	})
+	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
 	sort.Strings(missing)
 	sort.Strings(extra)
 	return regs, missing, extra

@@ -28,16 +28,12 @@ func TestParseSummarizesBestOf(t *testing.T) {
 	if len(b) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(b), b)
 	}
-	got := b["BenchmarkHereParallel/sharded-8"]
-	if got.NsPerOp != 242.5 || got.AllocsPerOp != 0 || got.BytesPerOp != 0 {
-		t.Errorf("sharded-8 best-of = %+v, want min ns/op 242.5 with 0 allocs", got)
+	if got := b["BenchmarkHereParallel/sharded-8"]; got.AllocsPerOp != 0 {
+		t.Errorf("sharded-8 = %+v, want 0 allocs/op", got)
 	}
-	if got := b["BenchmarkHereParallel/sharded"]; got.NsPerOp != 224.1 {
-		t.Errorf("sharded best-of ns/op = %v, want 224.1 (min of repeats)", got.NsPerOp)
-	}
-	batch := b["BenchmarkReportBatch/batched-8"]
-	if batch.NsPerOp != 360100 || batch.AllocsPerOp != 980 || batch.BytesPerOp != 107000 {
-		t.Errorf("batched-8 = %+v, extra frames/flush metric must not break parsing", batch)
+	if batch := b["BenchmarkReportBatch/batched-8"]; batch.AllocsPerOp != 980 {
+		t.Errorf("batched-8 = %+v, want 980 allocs/op (min of repeats; "+
+			"the extra frames/flush metric must not break parsing)", batch)
 	}
 }
 
@@ -51,35 +47,19 @@ func TestParseIgnoresNonResultLines(t *testing.T) {
 	}
 }
 
-func TestCompareGatesTimeAtTolerance(t *testing.T) {
-	base := Baseline{"BenchmarkX-8": {NsPerOp: 100, AllocsPerOp: 0}}
-	within := Baseline{"BenchmarkX-8": {NsPerOp: 119, AllocsPerOp: 0}}
-	if regs, _, _ := Compare(base, within, 20); len(regs) != 0 {
-		t.Errorf("+19%% ns/op within 20%% tolerance flagged: %v", regs)
-	}
-	beyond := Baseline{"BenchmarkX-8": {NsPerOp: 121, AllocsPerOp: 0}}
-	regs, _, _ := Compare(base, beyond, 20)
-	if len(regs) != 1 || regs[0].Metric != "ns/op" {
-		t.Fatalf("+21%% ns/op not flagged: %v", regs)
-	}
-	if !strings.Contains(regs[0].String(), "ns/op regressed") {
-		t.Errorf("regression message %q does not name the metric", regs[0])
-	}
-}
-
 func TestCompareGatesAnyAllocRegression(t *testing.T) {
-	base := Baseline{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 0}}
-	cur := Baseline{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 1}}
-	regs, _, _ := Compare(base, cur, 20)
-	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
+	base := Baseline{"BenchmarkX": {AllocsPerOp: 0}}
+	cur := Baseline{"BenchmarkX": {AllocsPerOp: 1}}
+	regs, _, _ := Compare(base, cur)
+	if len(regs) != 1 {
 		t.Fatalf("0 -> 1 allocs/op not flagged: %v", regs)
 	}
 	if !strings.Contains(regs[0].String(), "allocs/op regressed 0 -> 1") {
 		t.Errorf("regression message %q does not name the alloc counts", regs[0])
 	}
 	// Improvements never flag.
-	better := Baseline{"BenchmarkX": {NsPerOp: 50, AllocsPerOp: 0}}
-	if regs, _, _ := Compare(Baseline{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 3}}, better, 20); len(regs) != 0 {
+	better := Baseline{"BenchmarkX": {AllocsPerOp: 0}}
+	if regs, _, _ := Compare(Baseline{"BenchmarkX": {AllocsPerOp: 3}}, better); len(regs) != 0 {
 		t.Errorf("improvement flagged as regression: %v", regs)
 	}
 }
@@ -88,26 +68,26 @@ func TestCompareGatesAnyAllocRegression(t *testing.T) {
 // sync.Pool mid-run on amortized pipeline benchmarks) but still catches
 // real growth; at or below the floor any increase fails.
 func TestCompareAllocSlackAboveFloor(t *testing.T) {
-	base := Baseline{"BenchmarkFlush": {NsPerOp: 100, AllocsPerOp: 1000}}
-	jitter := Baseline{"BenchmarkFlush": {NsPerOp: 100, AllocsPerOp: 1005}}
-	if regs, _, _ := Compare(base, jitter, 20); len(regs) != 0 {
+	base := Baseline{"BenchmarkFlush": {AllocsPerOp: 1000}}
+	jitter := Baseline{"BenchmarkFlush": {AllocsPerOp: 1005}}
+	if regs, _, _ := Compare(base, jitter); len(regs) != 0 {
 		t.Errorf("1000 -> 1005 allocs/op (GC pool jitter) flagged: %v", regs)
 	}
-	growth := Baseline{"BenchmarkFlush": {NsPerOp: 100, AllocsPerOp: 1011}}
-	if regs, _, _ := Compare(base, growth, 20); len(regs) != 1 {
+	growth := Baseline{"BenchmarkFlush": {AllocsPerOp: 1011}}
+	if regs, _, _ := Compare(base, growth); len(regs) != 1 {
 		t.Errorf("1000 -> 1011 allocs/op (>1%%) not flagged: %v", regs)
 	}
-	atFloor := Baseline{"BenchmarkHot": {NsPerOp: 100, AllocsPerOp: allocSlackFloor}}
-	bump := Baseline{"BenchmarkHot": {NsPerOp: 100, AllocsPerOp: allocSlackFloor + 1}}
-	if regs, _, _ := Compare(atFloor, bump, 20); len(regs) != 1 {
+	atFloor := Baseline{"BenchmarkHot": {AllocsPerOp: allocSlackFloor}}
+	bump := Baseline{"BenchmarkHot": {AllocsPerOp: allocSlackFloor + 1}}
+	if regs, _, _ := Compare(atFloor, bump); len(regs) != 1 {
 		t.Errorf("+1 alloc at the exactness floor not flagged: %v", regs)
 	}
 }
 
 func TestCompareReportsMissingAndExtra(t *testing.T) {
-	base := Baseline{"BenchmarkGone": {NsPerOp: 1}}
-	cur := Baseline{"BenchmarkNew": {NsPerOp: 1}}
-	_, missing, extra := Compare(base, cur, 20)
+	base := Baseline{"BenchmarkGone": {AllocsPerOp: 1}}
+	cur := Baseline{"BenchmarkNew": {AllocsPerOp: 1}}
+	_, missing, extra := Compare(base, cur)
 	if len(missing) != 1 || missing[0] != "BenchmarkGone" {
 		t.Errorf("missing = %v, want [BenchmarkGone]: a deleted benchmark must not silently pass", missing)
 	}
@@ -119,8 +99,8 @@ func TestCompareReportsMissingAndExtra(t *testing.T) {
 func TestBaselineRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_5.json")
 	want := Baseline{
-		"BenchmarkHereParallel/sharded-8": {NsPerOp: 242.5, BytesPerOp: 0, AllocsPerOp: 0},
-		"BenchmarkReportBatch/batched":    {NsPerOp: 119120, BytesPerOp: 104329, AllocsPerOp: 978},
+		"BenchmarkHereParallel/sharded-8": {AllocsPerOp: 0},
+		"BenchmarkReportBatch/batched":    {AllocsPerOp: 978},
 	}
 	if err := Write(path, want); err != nil {
 		t.Fatal(err)

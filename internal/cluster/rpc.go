@@ -135,8 +135,7 @@ func (p *Process) Go(ctx context.Context, fn func(ctx context.Context)) (join fu
 	return func() {
 		done.Wait()
 		if parent != nil {
-			merged := baggage.Join(parent.Clone(), theirs)
-			parent.Adopt(merged)
+			parent.Adopt(baggage.Join(parent, theirs))
 		}
 	}
 }

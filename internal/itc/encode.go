@@ -40,9 +40,9 @@ func DecodeID(buf []byte) (*ID, []byte, error) {
 	tag, rest := buf[0], buf[1:]
 	switch tag {
 	case tagIDZero:
-		return leafID(0), rest, nil
+		return idZero, rest, nil
 	case tagIDOne:
-		return leafID(1), rest, nil
+		return idOne, rest, nil
 	case tagIDNode:
 		l, rest, err := DecodeID(rest)
 		if err != nil {
@@ -100,22 +100,22 @@ func DecodeEvent(buf []byte) (*Event, []byte, error) {
 }
 
 // AppendStamp appends the binary encoding of s to buf.
-func AppendStamp(buf []byte, s *Stamp) []byte {
+func AppendStamp(buf []byte, s Stamp) []byte {
 	buf = AppendID(buf, s.id)
 	return AppendEvent(buf, s.ev)
 }
 
 // DecodeStamp decodes a Stamp from the front of buf.
-func DecodeStamp(buf []byte) (*Stamp, []byte, error) {
+func DecodeStamp(buf []byte) (Stamp, []byte, error) {
 	id, rest, err := DecodeID(buf)
 	if err != nil {
-		return nil, nil, err
+		return Stamp{}, nil, err
 	}
 	ev, rest, err := DecodeEvent(rest)
 	if err != nil {
-		return nil, nil, err
+		return Stamp{}, nil, err
 	}
-	return &Stamp{id: id, ev: ev}, rest, nil
+	return Stamp{id: id, ev: ev}, rest, nil
 }
 
 // KeyID returns a compact string form of an ID usable as a map key.

@@ -16,6 +16,11 @@ import (
 	"strings"
 )
 
+// Every tree in this package is immutable once built: operations return
+// new roots that share unchanged subtrees (and whole histories) with their
+// inputs, so stamps are copied by value and never deep-copied. Callers must
+// not write to the exported node fields.
+
 // ID is a node of an interval tree identifier: a leaf owning all (1) or none
 // (0) of its interval, or an interior node splitting the interval in two.
 type ID struct {
@@ -25,22 +30,33 @@ type ID struct {
 	L, R *ID
 }
 
-func leafID(v int) *ID     { return &ID{Leaf: true, Val: v} }
+// The two ID leaves, and the two halves of the seed ID that the first fork
+// of every request hands out, are shared by every tree.
+var (
+	idZero  = &ID{Leaf: true, Val: 0}
+	idOne   = &ID{Leaf: true, Val: 1}
+	idLeft  = &ID{L: idOne, R: idZero}
+	idRight = &ID{L: idZero, R: idOne}
+)
+
 func nodeID(l, r *ID) *ID  { return &ID{L: l, R: r} }
 func (i *ID) isZero() bool { return i.Leaf && i.Val == 0 }
 func (i *ID) isOne() bool  { return i.Leaf && i.Val == 1 }
 
-// normID collapses (0,0) -> 0 and (1,1) -> 1.
-func normID(i *ID) *ID {
-	if i.Leaf {
-		return i
+// normNodeID is nodeID(l, r) normalized: (0,0) -> 0 and (1,1) -> 1, at
+// every level.
+func normNodeID(l, r *ID) *ID {
+	if !l.Leaf {
+		l = normNodeID(l.L, l.R)
 	}
-	l, r := normID(i.L), normID(i.R)
+	if !r.Leaf {
+		r = normNodeID(r.L, r.R)
+	}
 	if l.isZero() && r.isZero() {
-		return leafID(0)
+		return idZero
 	}
 	if l.isOne() && r.isOne() {
-		return leafID(1)
+		return idOne
 	}
 	return nodeID(l, r)
 }
@@ -49,17 +65,17 @@ func normID(i *ID) *ID {
 func split(i *ID) (*ID, *ID) {
 	switch {
 	case i.isZero():
-		return leafID(0), leafID(0)
+		return idZero, idZero
 	case i.isOne():
-		return nodeID(leafID(1), leafID(0)), nodeID(leafID(0), leafID(1))
+		return idLeft, idRight
 	case i.L.isZero():
 		r1, r2 := split(i.R)
-		return nodeID(leafID(0), r1), nodeID(leafID(0), r2)
+		return nodeID(idZero, r1), nodeID(idZero, r2)
 	case i.R.isZero():
 		l1, l2 := split(i.L)
-		return nodeID(l1, leafID(0)), nodeID(l2, leafID(0))
+		return nodeID(l1, idZero), nodeID(l2, idZero)
 	default:
-		return nodeID(i.L, leafID(0)), nodeID(leafID(0), i.R)
+		return nodeID(i.L, idZero), nodeID(idZero, i.R)
 	}
 }
 
@@ -74,15 +90,8 @@ func sumID(a, b *ID) *ID {
 	case a.Leaf || b.Leaf:
 		panic("itc: sum of overlapping IDs")
 	default:
-		return normID(nodeID(sumID(a.L, b.L), sumID(a.R, b.R)))
+		return normNodeID(sumID(a.L, b.L), sumID(a.R, b.R))
 	}
-}
-
-func (i *ID) clone() *ID {
-	if i.Leaf {
-		return leafID(i.Val)
-	}
-	return nodeID(i.L.clone(), i.R.clone())
 }
 
 // Equal reports structural equality of two IDs.
@@ -111,11 +120,23 @@ type Event struct {
 	L, R *Event
 }
 
-func leafEv(n uint64) *Event              { return &Event{Leaf: true, N: n} }
+// evZero is the history of a request that has recorded no event yet —
+// every stamp baggage creates — shared by every tree.
+var evZero = &Event{Leaf: true}
+
+func leafEv(n uint64) *Event {
+	if n == 0 {
+		return evZero
+	}
+	return &Event{Leaf: true, N: n}
+}
 func nodeEv(n uint64, l, r *Event) *Event { return &Event{N: n, L: l, R: r} }
 
 // lift adds m to the base of e, returning a new tree.
 func lift(m uint64, e *Event) *Event {
+	if m == 0 {
+		return e
+	}
 	if e.Leaf {
 		return leafEv(e.N + m)
 	}
@@ -124,6 +145,9 @@ func lift(m uint64, e *Event) *Event {
 
 // sink subtracts m from the base of e (m must not exceed the base).
 func sink(m uint64, e *Event) *Event {
+	if m == 0 {
+		return e
+	}
 	if e.Leaf {
 		return leafEv(e.N - m)
 	}
@@ -192,13 +216,13 @@ func joinEv(a, b *Event) *Event {
 	switch {
 	case a.Leaf && b.Leaf:
 		if a.N >= b.N {
-			return leafEv(a.N)
+			return a
 		}
-		return leafEv(b.N)
+		return b
 	case a.Leaf:
-		return joinEv(nodeEv(a.N, leafEv(0), leafEv(0)), b)
+		return joinEv(nodeEv(a.N, evZero, evZero), b)
 	case b.Leaf:
-		return joinEv(a, nodeEv(b.N, leafEv(0), leafEv(0)))
+		return joinEv(a, nodeEv(b.N, evZero, evZero))
 	case a.N > b.N:
 		return joinEv(b, a)
 	default:
@@ -207,13 +231,6 @@ func joinEv(a, b *Event) *Event {
 			joinEv(a.L, lift(d, b.L)),
 			joinEv(a.R, lift(d, b.R))))
 	}
-}
-
-func (e *Event) clone() *Event {
-	if e.Leaf {
-		return leafEv(e.N)
-	}
-	return nodeEv(e.N, e.L.clone(), e.R.clone())
 }
 
 // Equal reports structural equality of two event trees.
@@ -276,7 +293,7 @@ func grow(i *ID, e *Event) (*Event, uint64) {
 	switch {
 	case i.Leaf && i.isOne():
 		// Owning the whole subtree: fill would have applied; grow left.
-		ev, c := grow(leafID(1), e.L)
+		ev, c := grow(idOne, e.L)
 		return nodeEv(e.N, ev, e.R), c + 1
 	case i.Leaf:
 		panic("itc: grow with zero ID")
@@ -296,66 +313,61 @@ func grow(i *ID, e *Event) (*Event, uint64) {
 	}
 }
 
-// Stamp is an interval tree clock: an identity and an event history.
+// Stamp is an interval tree clock: an identity and an event history. It is
+// two pointers into immutable trees; copy it by value.
 type Stamp struct {
 	id *ID
 	ev *Event
 }
 
 // Seed returns the initial stamp owning the entire ID space.
-func Seed() *Stamp {
-	return &Stamp{id: leafID(1), ev: leafEv(0)}
+func Seed() Stamp {
+	return Stamp{id: idOne, ev: evZero}
 }
 
 // Fork splits s into two stamps with disjoint IDs and the same history.
-// The receiver is not modified.
-func (s *Stamp) Fork() (*Stamp, *Stamp) {
+func (s Stamp) Fork() (Stamp, Stamp) {
 	l, r := split(s.id)
-	return &Stamp{id: l, ev: s.ev.clone()}, &Stamp{id: r, ev: s.ev.clone()}
+	return Stamp{id: l, ev: s.ev}, Stamp{id: r, ev: s.ev}
 }
 
 // Join merges two stamps: IDs are summed, histories are joined pointwise.
-func Join(a, b *Stamp) *Stamp {
-	return &Stamp{id: sumID(a.id, b.id), ev: joinEv(a.ev, b.ev)}
+func Join(a, b Stamp) Stamp {
+	return Stamp{id: sumID(a.id, b.id), ev: joinEv(a.ev, b.ev)}
 }
 
 // Event returns a new stamp whose history records one new event in s's
-// interval (s itself is unchanged).
-func (s *Stamp) Event() *Stamp {
+// interval.
+func (s Stamp) Event() Stamp {
 	if s.id.isZero() {
 		panic("itc: event on anonymous stamp")
 	}
 	filled := fill(s.id, s.ev)
 	if !filled.Equal(s.ev) {
-		return &Stamp{id: s.id.clone(), ev: filled}
+		return Stamp{id: s.id, ev: filled}
 	}
 	grown, _ := grow(s.id, s.ev)
-	return &Stamp{id: s.id.clone(), ev: normEv(grown)}
+	return Stamp{id: s.id, ev: normEv(grown)}
 }
 
 // Leq reports whether s's history is causally dominated by o's.
-func (s *Stamp) Leq(o *Stamp) bool { return leqEv(s.ev, o.ev) }
+func (s Stamp) Leq(o Stamp) bool { return leqEv(s.ev, o.ev) }
 
 // Peek returns an anonymous stamp (zero ID) carrying s's history, used for
 // message timestamps.
-func (s *Stamp) Peek() *Stamp {
-	return &Stamp{id: leafID(0), ev: s.ev.clone()}
+func (s Stamp) Peek() Stamp {
+	return Stamp{id: idZero, ev: s.ev}
 }
 
 // ID returns the stamp's identifier tree.
-func (s *Stamp) ID() *ID { return s.id }
-
-// Clone deep-copies the stamp.
-func (s *Stamp) Clone() *Stamp {
-	return &Stamp{id: s.id.clone(), ev: s.ev.clone()}
-}
+func (s Stamp) ID() *ID { return s.id }
 
 // Equal reports structural equality of two stamps.
-func (s *Stamp) Equal(o *Stamp) bool {
+func (s Stamp) Equal(o Stamp) bool {
 	return s.id.Equal(o.id) && s.ev.Equal(o.ev)
 }
 
-func (s *Stamp) String() string {
+func (s Stamp) String() string {
 	var b strings.Builder
 	b.WriteByte('(')
 	b.WriteString(s.id.String())

@@ -97,7 +97,7 @@ func TestPeekIsAnonymous(t *testing.T) {
 
 func TestDeepForkTree(t *testing.T) {
 	// Fork 64 ways; all pairwise disjoint; join-all restores seed ID.
-	stamps := []*Stamp{Seed()}
+	stamps := []Stamp{Seed()}
 	for len(stamps) < 64 {
 		s := stamps[0]
 		stamps = stamps[1:]
@@ -141,9 +141,9 @@ func TestStampStringRendering(t *testing.T) {
 }
 
 // randomWalk produces a stamp by a random sequence of forks/events/joins.
-func randomWalk(seed int64, steps int) []*Stamp {
+func randomWalk(seed int64, steps int) []Stamp {
 	rng := rand.New(rand.NewSource(seed))
-	stamps := []*Stamp{Seed()}
+	stamps := []Stamp{Seed()}
 	for i := 0; i < steps; i++ {
 		k := rng.Intn(len(stamps))
 		switch rng.Intn(3) {

@@ -393,17 +393,22 @@ type ProcInfo struct {
 	ProcID   int64
 }
 
-type procKey struct{}
+// ProcKey is the context key of the process identity, a *ProcInfo that is
+// never written; exported so that a context carrying several request-scoped
+// values in one node can answer for it.
+type ProcKey struct{}
 
 // WithProc attaches process identity to a context.
 func WithProc(ctx context.Context, info ProcInfo) context.Context {
-	return context.WithValue(ctx, procKey{}, info)
+	return context.WithValue(ctx, ProcKey{}, &info)
 }
 
 // ProcFromContext returns the process identity attached to ctx, or zero.
 func ProcFromContext(ctx context.Context) ProcInfo {
-	info, _ := ctx.Value(procKey{}).(ProcInfo)
-	return info
+	if info, _ := ctx.Value(ProcKey{}).(*ProcInfo); info != nil {
+		return *info
+	}
+	return ProcInfo{}
 }
 
 // Clock abstracts the time source for the "time" default export, so

@@ -1,0 +1,77 @@
+//go:build !race
+
+package pivot
+
+// Excluded under -race: the race detector's instrumentation adds
+// bookkeeping allocations unrelated to the code under test.
+
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// TestAllocsHBRequest pins the allocation cost of one happened-before
+// request — the nine calls of the hb-crossings workload in bench/ and of
+// BenchmarkHBRequest — call by call, so that a regression names the call
+// that caused it without running bench/. The ceilings are the measured
+// counts; lower them when a change removes an allocation.
+func TestAllocsHBRequest(t *testing.T) {
+	pt := New("alloc")
+	recv := pt.Define("Gateway.Receive", "tenant")
+	write := pt.Define("Store.Write", "bytes")
+	if _, err := pt.Install(`From w In Store.Write
+Join g In First(Gateway.Receive) On g -> w
+GroupBy g.tenant
+Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
+		t.Fatal(err)
+	}
+	stCtx := pt.Context(context.Background())
+	var tenant, size any = "tenant-1", int64(512)
+
+	var (
+		ctx, sctx, l, r, joined context.Context
+		wire                    []byte
+	)
+	calls := []struct {
+		name    string
+		ceiling float64
+		call    func()
+	}{
+		{"NewRequest", 2, func() { ctx = pt.NewRequest(context.Background()) }},
+		{"Here(Gateway.Receive): pack", 6, func() { recv.Here(ctx, tenant) }},
+		{"Inject", 1, func() { wire = Inject(ctx) }},
+		{"Extract", 3, func() { sctx = Extract(stCtx, wire) }},
+		{"Split: decode + branch", 18, func() { l, r = Split(sctx) }},
+		{"Here(Store.Write) on the left branch: unpack + emit", 1, func() { write.Here(l, size) }},
+		{"Here(Store.Write) on the right branch: unpack + emit", 1, func() { write.Here(r, size) }},
+		{"Join", 4, func() { joined = Join(sctx, l, r) }},
+		{"Here(Store.Write) after the join: unpack + emit", 1, func() { write.Here(joined, size) }},
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 200
+	got := make([]uint64, len(calls))
+	var before, after runtime.MemStats
+	for n := 0; n < runs+1; n++ {
+		for i, c := range calls {
+			runtime.ReadMemStats(&before)
+			c.call()
+			runtime.ReadMemStats(&after)
+			if n > 0 { // the first request warms pools and the group table
+				got[i] += after.Mallocs - before.Mallocs
+			}
+		}
+	}
+	total, ceiling := 0.0, 0.0
+	for i, c := range calls {
+		per := float64(got[i]) / runs
+		total += per
+		ceiling += c.ceiling
+		if per > c.ceiling+0.5 { // a GC that empties a sync.Pool mid-run adds hundredths, a regression adds whole objects
+			t.Errorf("%s allocates %.2f objects/request, ceiling %.0f", c.name, per, c.ceiling)
+		}
+		t.Logf("%-55s %6.2f", c.name, per)
+	}
+	t.Logf("%-55s %6.2f (ceiling %.0f)", "request", total, ceiling)
+}

@@ -105,7 +105,7 @@ func New(procName string) *PT {
 // Context attaches this process's identity to ctx so tracepoint crossings
 // export the right host and procName defaults.
 func (pt *PT) Context(ctx context.Context) context.Context {
-	return tracepoint.WithProc(ctx, pt.info)
+	return &hopCtx{Context: ctx, proc: &pt.info}
 }
 
 // NewRequest returns a context for a fresh request entering this process:
@@ -118,7 +118,29 @@ func (pt *PT) NewRequest(ctx context.Context) context.Context {
 	if pt.Agent != nil {
 		pt.Agent.MintSampleDecision(bag)
 	}
-	return baggage.NewContext(pt.Context(ctx), bag)
+	return &hopCtx{Context: ctx, proc: &pt.info, bag: bag}
+}
+
+// hopCtx is the one context node a request gains on entering this process:
+// the process identity and the request's baggage together, where
+// tracepoint.WithProc and baggage.NewContext would stack two nodes and box
+// the identity again for every request.
+type hopCtx struct {
+	context.Context
+	proc *tracepoint.ProcInfo
+	bag  *baggage.Baggage // nil from PT.Context: baggage further up stays visible
+}
+
+func (c *hopCtx) Value(key any) any {
+	switch key.(type) {
+	case tracepoint.ProcKey:
+		return c.proc
+	case baggage.ContextKey:
+		if c.bag != nil {
+			return c.bag
+		}
+	}
+	return c.Context.Value(key)
 }
 
 // Define declares a tracepoint exporting the named variables (in addition
