@@ -8,7 +8,9 @@
 //
 //	agent.go     the Agent: control path (install, weave, uninstall), the
 //	             lock-free emit hot path, advice sinks, Stats
-//	messages.go  bus topics, message types, the heartbeat Stats shape
+//	messages.go  bus topics, message types
+//	stats.go     Counters: the one declaration of the heartbeat counters
+//	             (Stats, the agent's live counts), StatFields, Values
 //	flush.go     Flush (drain → tenant accounting → build reports →
 //	             publish), the batch splitter, trace and health frames
 //	leases.go    install leases: renew, expiry
@@ -63,32 +65,18 @@ type Agent struct {
 	// flush time (cold path, under mu — the hot emit path stays untouched).
 	tenantTuples map[string]int64
 
-	tuplesEmitted atomic.Int64
-	rowsReported  atomic.Int64
-	reports       atomic.Int64
-	batches       atomic.Int64
+	// live holds what the agent itself counts, one atomic per fact; Stats
+	// adds what other components count (installed accumulators, the span
+	// recorder, the sampler). RawsDropped and GroupsOverflowed hold the
+	// share of uninstalled queries, folded in at uninstall so Stats stays
+	// cumulative across a query's whole lifetime.
+	live Counters[atomic.Int64]
 
 	retainMu  sync.Mutex
 	retained  []Report // FIFO ring of reports awaiting replay
 	retainCap int
 
-	reportsRetained atomic.Int64
-	reportsReplayed atomic.Int64
-	reportsDropped  atomic.Int64
-	reconnects      atomic.Int64
-
-	leasesExpired        atomic.Int64
-	quarantines          atomic.Int64
-	baggageGroupsDropped atomic.Int64
-	baggageTuplesDropped atomic.Int64
-	baggageBytesDropped  atomic.Int64
-	// Accumulator drop counters folded in when a query is uninstalled,
-	// so Stats stays cumulative across a query's whole lifetime.
-	rawsDroppedRetired      atomic.Int64
-	groupsOverflowedRetired atomic.Int64
-
-	recorder    atomic.Pointer[spans.Recorder]
-	spanBatches atomic.Int64
+	recorder atomic.Pointer[spans.Recorder]
 
 	// Request-level sampling state. sampler holds per-query adaptive
 	// effective rates; samplingView is a copy-on-write, id-sorted list of
@@ -98,55 +86,40 @@ type Agent struct {
 	// flush: any growth is budget pressure and backs the rates off.
 	sampler      *sampling.Controller
 	samplingView atomic.Pointer[[]samplingQuery]
-	sampledOut   atomic.Int64
 	pressureMark atomic.Int64
 	rngMu        sync.Mutex
 	sampleRng    *rand.Rand
 
-	meters atomic.Pointer[agentMeters]
+	gauges atomic.Pointer[agentGauges]
 	metaTP atomic.Pointer[tracepoint.Tracepoint]
 
 	controlSub bus.Subscription
 }
 
-// agentMeters are the agent's self-telemetry instruments.
-type agentMeters struct {
-	reports    *telemetry.Counter
-	rows       *telemetry.Counter
-	tuples     *telemetry.Counter
-	queries    *telemetry.Gauge
-	retainedC  *telemetry.Counter
-	replayedC  *telemetry.Counter
-	droppedC   *telemetry.Counter
-	reconnects *telemetry.Counter
-	buffered   *telemetry.Gauge
-	expiredC   *telemetry.Counter
-	quarantC   *telemetry.Counter
-	bagBytesC  *telemetry.Counter
-	batchesC   *telemetry.Counter
-	shardsG    *telemetry.Gauge
+// agentGauges are the agent's instantaneous self-telemetry values; its
+// counters need no instruments of their own (see SetTelemetry).
+type agentGauges struct {
+	queries  *telemetry.Gauge
+	buffered *telemetry.Gauge
+	shards   *telemetry.Gauge
 }
 
-// SetTelemetry attaches self-telemetry to the agent: "agent.reports",
-// "agent.rows", "agent.tuples" counters, an "agent.queries" gauge, and the
-// resilience meters "agent.reports.retained", "agent.reports.replayed",
-// "agent.reports.dropped", "agent.reconnects", and "agent.reports.buffered".
+// SetTelemetry attaches self-telemetry to the agent. Every snapshot of t
+// then carries each counter of Stats under its metric name (StatFields),
+// read from Stats itself, so the registry and the heartbeat cannot
+// disagree; plus the gauges "agent.queries", "agent.reports.buffered" and
+// "agent.acc.shards". Call it once per agent.
 func (a *Agent) SetTelemetry(t *telemetry.Registry) {
-	a.meters.Store(&agentMeters{
-		reports:    t.Counter("agent.reports"),
-		rows:       t.Counter("agent.rows"),
-		tuples:     t.Counter("agent.tuples"),
-		queries:    t.Gauge("agent.queries"),
-		retainedC:  t.Counter("agent.reports.retained"),
-		replayedC:  t.Counter("agent.reports.replayed"),
-		droppedC:   t.Counter("agent.reports.dropped"),
-		reconnects: t.Counter("agent.reconnects"),
-		buffered:   t.Gauge("agent.reports.buffered"),
-		expiredC:   t.Counter("agent.leases.expired"),
-		quarantC:   t.Counter("agent.quarantines"),
-		bagBytesC:  t.Counter("agent.baggage.dropped.bytes"),
-		batchesC:   t.Counter("agent.batches"),
-		shardsG:    t.Gauge("agent.acc.shards"),
+	a.gauges.Store(&agentGauges{
+		queries:  t.Gauge("agent.queries"),
+		buffered: t.Gauge("agent.reports.buffered"),
+		shards:   t.Gauge("agent.acc.shards"),
+	})
+	t.Source(func(snap *telemetry.Snapshot) {
+		s := a.Stats()
+		for i, f := range StatFields {
+			snap.Counters[f.Metric] = s.Values()[i]
+		}
 	})
 }
 
@@ -282,8 +255,8 @@ func (a *Agent) install(m Install) {
 	a.queries[m.QueryID] = qs
 	a.weaveLocked(qs)
 	a.rebuildViewLocked()
-	if m := a.meters.Load(); m != nil {
-		m.queries.Set(int64(len(a.queries)))
+	if g := a.gauges.Load(); g != nil {
+		g.queries.Set(int64(len(a.queries)))
 	}
 }
 
@@ -347,8 +320,8 @@ func (a *Agent) ensureAcc(qs *queryState, op *advice.EmitOp) *advice.ShardedAccu
 	if !qs.acc.CompareAndSwap(nil, acc) {
 		return qs.acc.Load()
 	}
-	if m := a.meters.Load(); m != nil {
-		m.shardsG.Set(int64(acc.Shards()))
+	if g := a.gauges.Load(); g != nil {
+		g.shards.Set(int64(acc.Shards()))
 	}
 	return acc
 }
@@ -389,14 +362,14 @@ func (a *Agent) uninstall(queryID string) {
 		a.reg.Unweave(w.tp, w.a)
 	}
 	if acc := qs.acc.Load(); acc != nil {
-		a.rawsDroppedRetired.Add(acc.RawsDropped())
-		a.groupsOverflowedRetired.Add(acc.GroupsOverflowed())
+		a.live.RawsDropped.Add(acc.RawsDropped())
+		a.live.GroupsOverflowed.Add(acc.GroupsOverflowed())
 	}
 	a.sampler.Remove(queryID)
 	delete(a.queries, queryID)
 	a.rebuildViewLocked()
-	if m := a.meters.Load(); m != nil {
-		m.queries.Set(int64(len(a.queries)))
+	if g := a.gauges.Load(); g != nil {
+		g.queries.Set(int64(len(a.queries)))
 	}
 }
 
@@ -405,10 +378,7 @@ func (a *Agent) uninstall(queryID string) {
 // takes no locks: the query resolves through the copy-on-write view and
 // the tuple lands in a sharded accumulator striped across Ps.
 func (a *Agent) EmitTuple(p *advice.Program, w tuple.Tuple) {
-	a.tuplesEmitted.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.tuples.Inc()
-	}
+	a.live.TuplesEmitted.Add(1)
 	view := a.queriesView.Load()
 	if view == nil {
 		return
@@ -441,10 +411,7 @@ func (a *Agent) NoteQuarantine(p *advice.Program, reason string) {
 	if adv != nil {
 		a.reg.Unweave(p.Tracepoint, adv)
 	}
-	a.quarantines.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.quarantC.Inc()
-	}
+	a.live.Quarantines.Add(1)
 	a.bus.Publish(QuarantineTopic, Quarantine{
 		QueryID:    p.QueryID,
 		Tracepoint: p.Tracepoint,
@@ -473,12 +440,9 @@ func (a *Agent) NoteBaggageDrops(p *advice.Program, recs []baggage.DropRecord) {
 // performed at this process's pack sites. Each eviction happens at
 // exactly one pack site, so summing across agents is exact.
 func (a *Agent) NotePackStats(p *advice.Program, st baggage.PackStats) {
-	a.baggageGroupsDropped.Add(st.EvictedGroups)
-	a.baggageTuplesDropped.Add(st.EvictedTuples)
-	a.baggageBytesDropped.Add(st.EvictedBytes)
-	if m := a.meters.Load(); m != nil {
-		m.bagBytesC.Add(st.EvictedBytes)
-	}
+	a.live.BaggageGroupsDropped.Add(st.EvictedGroups)
+	a.live.BaggageTuplesDropped.Add(st.EvictedTuples)
+	a.live.BaggageBytesDropped.Add(st.EvictedBytes)
 }
 
 // Installed reports whether the query is currently installed.
@@ -522,36 +486,20 @@ func (a *Agent) CostReport() string {
 
 // Stats returns the agent's activity counters.
 func (a *Agent) Stats() Stats {
-	rawsDropped := a.rawsDroppedRetired.Load()
-	groupsOverflowed := a.groupsOverflowedRetired.Load()
+	var s Stats
+	live, vals := a.live.Values(), s.Values()
 	a.mu.Lock()
+	for i := range live {
+		vals[i] = live[i].Load()
+	}
 	for _, qs := range a.queries {
 		if acc := qs.acc.Load(); acc != nil {
-			rawsDropped += acc.RawsDropped()
-			groupsOverflowed += acc.GroupsOverflowed()
+			s.RawsDropped += acc.RawsDropped()
+			s.GroupsOverflowed += acc.GroupsOverflowed()
 		}
 	}
 	a.mu.Unlock()
-	s := Stats{
-		TuplesEmitted:        a.tuplesEmitted.Load(),
-		RowsReported:         a.rowsReported.Load(),
-		Reports:              a.reports.Load(),
-		Batches:              a.batches.Load(),
-		ReportsRetained:      a.reportsRetained.Load(),
-		ReportsReplayed:      a.reportsReplayed.Load(),
-		ReportsDropped:       a.reportsDropped.Load(),
-		Reconnects:           a.reconnects.Load(),
-		LeasesExpired:        a.leasesExpired.Load(),
-		Quarantines:          a.quarantines.Load(),
-		RawsDropped:          rawsDropped,
-		GroupsOverflowed:     groupsOverflowed,
-		BaggageGroupsDropped: a.baggageGroupsDropped.Load(),
-		BaggageTuplesDropped: a.baggageTuplesDropped.Load(),
-		BaggageBytesDropped:  a.baggageBytesDropped.Load(),
-		SpanBatches:          a.spanBatches.Load(),
-		SampledOut:           a.sampledOut.Load(),
-		SampleRateMilli:      a.sampler.MinEffectiveMilli(),
-	}
+	s.SampleRateMilli = a.sampler.MinEffectiveMilli()
 	if rec := a.recorder.Load(); rec != nil {
 		s.SpansCaptured = rec.Captured()
 		s.SpansDropped = rec.Dropped()

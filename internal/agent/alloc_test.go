@@ -39,3 +39,19 @@ func TestAllocWovenEmitPathIsAllocationFree(t *testing.T) {
 			"or sharded accumulator path)", n)
 	}
 }
+
+// TestAllocStatsIsAllocationFree: callers sample Stats inside measured
+// windows (bench/ reads it twice per flush point), so the snapshot must
+// stay a plain value copy of the live counters.
+func TestAllocStatsIsAllocationFree(t *testing.T) {
+	a := New(nil, info("h1"), tracepoint.NewRegistry(), bus.New(), 0)
+	defer a.Close()
+	a.Deliver(Install{QueryID: "Q", Programs: []*advice.Program{stressProgram("Q")}})
+	var s Stats
+	if n := testing.AllocsPerRun(1000, func() { s = a.Stats() }); n != 0 {
+		t.Errorf("Agent.Stats allocates %.1f objects/op, want 0", n)
+	}
+	if s.SampleRateMilli != 1000 {
+		t.Errorf("Stats = %+v, want an idle agent's", s)
+	}
+}

@@ -148,13 +148,8 @@ func (a *Agent) buildReports(out []flushed, now time.Duration) []Report {
 			r.Groups = f.merged.Groups()
 			r.Raws = f.merged.Raws()
 		}
-		rows := int64(len(r.Groups) + len(r.Raws))
-		a.rowsReported.Add(rows)
-		a.reports.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.reports.Inc()
-			m.rows.Add(rows)
-		}
+		a.live.RowsReported.Add(int64(len(r.Groups) + len(r.Raws)))
+		a.live.Reports.Add(1)
 		reports = append(reports, r)
 	}
 	return reports
@@ -208,10 +203,7 @@ func SplitBatches[T any](items []T, size func(*T) int, publish func([]T)) {
 func (a *Agent) publishBatches(reports []Report) {
 	topic := a.ReportTopic()
 	SplitBatches(reports, ReportSize, func(batch []Report) {
-		a.batches.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.batchesC.Inc()
-		}
+		a.live.Batches.Add(1)
 		a.bus.Publish(topic, ReportBatch{
 			Host:     a.proc.Host,
 			ProcName: a.proc.ProcName,
@@ -225,7 +217,7 @@ func (a *Agent) publishBatches(reports []Report) {
 // TraceTopic.
 func (a *Agent) publishSpans(rec *spans.Recorder, now time.Duration) {
 	SplitBatches(rec.Drain(), spanSize, func(batch []spans.Span) {
-		a.spanBatches.Add(1)
+		a.live.SpanBatches.Add(1)
 		a.bus.Publish(TraceTopic, SpanBatch{
 			Host:     a.proc.Host,
 			ProcName: a.proc.ProcName,

@@ -46,10 +46,7 @@ func (a *Agent) expireLeases() {
 	sort.Strings(expired)
 	for _, id := range expired {
 		a.uninstall(id)
-		a.leasesExpired.Add(1)
-		if m := a.meters.Load(); m != nil {
-			m.expiredC.Inc()
-		}
+		a.live.LeasesExpired.Add(1)
 	}
 }
 

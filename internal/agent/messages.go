@@ -217,59 +217,6 @@ const DefaultRetention = 64
 // DefaultSpanBuffer is the default span ring capacity per process.
 const DefaultSpanBuffer = 4096
 
-// Stats counts an agent's activity, used by the tuple-traffic experiments
-// (Fig 6, and the §4 claim that Q2 drops from ~600 emitted tuples/s to 6
-// reported tuples/s per DataNode) and by the frontend's health view. The
-// resilience counters make report loss auditable: every report the agent
-// ever published is either merged at the frontend, still buffered, or
-// counted in ReportsDropped — nothing disappears silently.
-type Stats struct {
-	TuplesEmitted int64 // advice EMIT operations executed
-	RowsReported  int64 // aggregated rows published to the bus
-	Reports       int64 // per-query reports published
-	Batches       int64 // ReportBatch frames published (coalesced reports)
-
-	ReportsRetained int64 // reports buffered during bus outages
-	ReportsReplayed int64 // buffered reports replayed after reconnect
-	ReportsDropped  int64 // reports lost to ring-buffer overflow
-	Reconnects      int64 // bus link reconnections observed
-
-	// Governance counters (this PR's safety valves). Like the resilience
-	// counters, every limit hit is accounted: a row, group, or byte the
-	// tracer gave up is counted here, never silently lost.
-	LeasesExpired        int64 // queries auto-uninstalled on lease expiry
-	Quarantines          int64 // programs unwoven by the circuit breaker
-	RawsDropped          int64 // raw rows FIFO-evicted by accumulator caps
-	GroupsOverflowed     int64 // rows folded into accumulator overflow groups
-	BaggageGroupsDropped int64 // baggage groups evicted by budgets (pack side)
-	BaggageTuplesDropped int64 // baggage tuples evicted by budgets (pack side)
-	BaggageBytesDropped  int64 // baggage bytes evicted by budgets (pack side)
-
-	// Span-capture counters (zero unless EnableSpans was called).
-	SpansCaptured int64 // spans recorded at tracepoint crossings
-	SpansDropped  int64 // spans overwritten in the ring before shipping
-	SpanBatches   int64 // SpanBatch frames published on TraceTopic
-
-	// Combiner counters (zero for ordinary agents). A combiner tier
-	// heartbeats with the same Stats shape so ptstat shows the whole
-	// aggregation tree in one table: reports merged in from downstream and
-	// frames forwarded upstream. Merged − forwarded traffic is the tree's
-	// whole point; both sides are counted so the reduction is auditable.
-	CombinerReportsMerged int64 // downstream reports folded into tier state
-	CombinerFramesOut     int64 // merged frames forwarded upstream
-
-	// Sampling counters. SampledOut counts crossings this process's advice
-	// suppressed because the request's sampling decision said no — the
-	// sampled-rate half of drop accounting (suppressed + reported-weight
-	// reconciles against the unsampled total). SampleRateMilli is the
-	// lowest adaptive effective rate across this agent's sampled queries,
-	// in thousandths: 1000 means everything runs exact (no backoff, or no
-	// sampled queries); 0 appears only in frames from combiner tiers,
-	// which do not sample.
-	SampledOut      int64
-	SampleRateMilli int64
-}
-
 // TenantQuota is one tenant's resource usage at one process, as accounted
 // by its agent: live queries owned by the tenant and cumulative tuples its
 // queries emitted there. Published inside TenantUsage frames.

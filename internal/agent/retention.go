@@ -17,7 +17,6 @@ func (a *Agent) SetRetention(capacity int) {
 // OnDrop path), evicting the oldest buffered report — counted in
 // ReportsDropped — if the ring is full.
 func (a *Agent) Retain(r Report) {
-	m := a.meters.Load()
 	a.retainMu.Lock()
 	limit := a.retainCap
 	if limit <= 0 {
@@ -32,12 +31,10 @@ func (a *Agent) Retain(r Report) {
 	buffered := len(a.retained)
 	a.retainMu.Unlock()
 
-	a.reportsRetained.Add(1)
-	a.reportsDropped.Add(int64(evicted))
-	if m != nil {
-		m.retainedC.Inc()
-		m.droppedC.Add(int64(evicted))
-		m.buffered.Set(int64(buffered))
+	a.live.ReportsRetained.Add(1)
+	a.live.ReportsDropped.Add(int64(evicted))
+	if g := a.gauges.Load(); g != nil {
+		g.buffered.Set(int64(buffered))
 	}
 }
 
@@ -46,7 +43,6 @@ func (a *Agent) Retain(r Report) {
 // front). It returns how many reports were replayed. Typically called
 // from a link's OnUp callback with the link's direct Send.
 func (a *Agent) ReplayRetained(send func(Report) error) int {
-	m := a.meters.Load()
 	replayed := 0
 	for {
 		a.retainMu.Lock()
@@ -68,10 +64,9 @@ func (a *Agent) ReplayRetained(send func(Report) error) int {
 			break
 		}
 		replayed++
-		a.reportsReplayed.Add(1)
-		if m != nil {
-			m.replayedC.Inc()
-			m.buffered.Set(int64(buffered))
+		a.live.ReportsReplayed.Add(1)
+		if g := a.gauges.Load(); g != nil {
+			g.buffered.Set(int64(buffered))
 		}
 	}
 	return replayed
@@ -88,8 +83,5 @@ func (a *Agent) Buffered() int {
 // pivot layer wires this to the link's OnUp callback so heartbeats carry
 // the count).
 func (a *Agent) NoteReconnect() {
-	a.reconnects.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.reconnects.Inc()
-	}
+	a.live.Reconnects.Add(1)
 }

@@ -19,10 +19,7 @@ type samplingQuery struct {
 // tuple from a sampled request, carrying its inverse-rate weight into
 // the accumulator so COUNT/SUM aggregate to unbiased estimates.
 func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float64) {
-	a.tuplesEmitted.Add(1)
-	if m := a.meters.Load(); m != nil {
-		m.tuples.Inc()
-	}
+	a.live.TuplesEmitted.Add(1)
 	view := a.queriesView.Load()
 	if view == nil {
 		return
@@ -38,7 +35,7 @@ func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float
 // NoteSampledOut implements advice.SampleSink: a crossing was suppressed
 // by the request's sampling decision.
 func (a *Agent) NoteSampledOut(p *advice.Program) {
-	a.sampledOut.Add(1)
+	a.live.SampledOut.Add(1)
 }
 
 // MintSampleDecision mints the request-level sampling decision into
@@ -84,7 +81,7 @@ func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
 // budget — back sampling rates off. A quiet interval walks them back
 // toward each query's base rate.
 func (a *Agent) tickSampling() {
-	cur := a.baggageGroupsDropped.Load() + a.baggageTuplesDropped.Load() + a.baggageBytesDropped.Load()
+	cur := a.live.BaggageGroupsDropped.Load() + a.live.BaggageTuplesDropped.Load() + a.live.BaggageBytesDropped.Load()
 	prev := a.pressureMark.Swap(cur)
 	a.sampler.Tick(cur > prev)
 }

@@ -62,7 +62,8 @@ type Config struct {
 // in-process: every report merged in is either already forwarded or still
 // pending, and both sides are counted (CombinerReportsMerged /
 // CombinerFramesOut in its heartbeats). A report the merger rejects as
-// malformed is skipped whole and counted on neither side.
+// malformed is skipped whole and counted on neither side, but in
+// ReportsRejected.
 type Combiner struct {
 	env        *simtime.Env
 	host, proc string
@@ -74,10 +75,11 @@ type Combiner struct {
 	tenants map[string]string         // queryID → owning tenant (TenantRouting)
 	closed  bool
 
-	reportsMerged atomic.Int64 // downstream reports folded in
-	reportsOut    atomic.Int64 // merged reports forwarded
-	framesOut     atomic.Int64 // upstream ReportBatch frames published
-	rowsOut       atomic.Int64 // group+raw rows forwarded
+	reportsMerged   atomic.Int64 // downstream reports folded in
+	reportsRejected atomic.Int64 // downstream reports the merger refused as malformed
+	reportsOut      atomic.Int64 // merged reports forwarded
+	framesOut       atomic.Int64 // upstream ReportBatch frames published
+	rowsOut         atomic.Int64 // group+raw rows forwarded
 
 	subs    []bus.Subscription
 	ctrlSub bus.Subscription
@@ -166,6 +168,7 @@ func (c *Combiner) merge(r *agent.Report) {
 		m = advice.NewMerger(nil, advice.Unbounded)
 	}
 	if _, err := m.Merge(r.Groups, r.Raws, r.Drops); err != nil {
+		c.reportsRejected.Add(1)
 		return // malformed: skipped whole, and a first report leaves no pending entry
 	}
 	if !held {
@@ -277,6 +280,7 @@ func (c *Combiner) Stats() agent.Stats {
 		Batches:               c.framesOut.Load(),
 		CombinerReportsMerged: c.reportsMerged.Load(),
 		CombinerFramesOut:     c.framesOut.Load(),
+		ReportsRejected:       c.reportsRejected.Load(),
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,6 +97,17 @@ func TestMalformedReportRejected(t *testing.T) {
 	c.Flush()
 	if got := c.Stats().CombinerReportsMerged; got != 1 {
 		t.Fatalf("CombinerReportsMerged = %d, want 1", got)
+	}
+	// The two skipped reports reach operators: in the tier's heartbeat
+	// (published by the Flush above) and in ptstat's agents table.
+	st := pt.Status()
+	if len(st.Agents) != 2 || st.Agents[1].Host != "rack" || st.Agents[1].Stats.ReportsRejected != 2 {
+		t.Fatalf("status agents = %+v, want h1 then the rack tier with ReportsRejected = 2", st.Agents)
+	}
+	lines := strings.Split(RenderStatus(st), "\n")
+	header, row := strings.Fields(lines[1]), strings.Fields(lines[3])
+	if col := slices.Index(header, "rejected"); col < 0 || len(row) != len(header) || row[col] != "2" {
+		t.Fatalf("agents table does not show 2 under a rejected column:\n%s\n%s", lines[1], lines[3])
 	}
 	if rejected.Load() != 2 || merged.Load() != 2 {
 		t.Fatalf("after the combiner flush: rejected/merged = %d/%d, want 2/2", rejected.Load(), merged.Load())

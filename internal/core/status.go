@@ -192,68 +192,38 @@ func (pt *PivotTracing) StatusAt(now time.Duration) Status {
 // StatusText renders the wall-clock status (see RenderStatus).
 func (pt *PivotTracing) StatusText() string { return RenderStatus(pt.Status()) }
 
-// statColumns is the audit trail from agent.Stats field to the ptstat
-// agent-table column that surfaces it. An empty column is a deliberate
-// "no column" decision and must carry a reason. The companion test
-// reflects over agent.Stats and fails when the heartbeat grows a counter
-// with no entry here, so every new field forces an explicit render
-// decision instead of silently never reaching operators.
-var statColumns = map[string]string{
-	"TuplesEmitted": "tuples",
-	"RowsReported":  "rows",
-	"Reports":       "reports",
-	"Batches":       "batches",
-
-	"ReportsRetained": "", // transient buffer occupancy; replay/drops columns show the outcome
-	"ReportsReplayed": "replay",
-	"ReportsDropped":  "drops",
-	"Reconnects":      "reconn",
-
-	"LeasesExpired":        "expired",
-	"Quarantines":          "quarant",
-	"RawsDropped":          "rawdrop",
-	"GroupsOverflowed":     "ovflow",
-	"BaggageGroupsDropped": "", // bagdrop (bytes) is the representative eviction figure
-	"BaggageTuplesDropped": "", // bagdrop (bytes) is the representative eviction figure
-	"BaggageBytesDropped":  "bagdrop",
-
-	"SpansCaptured": "spans",
-	"SpansDropped":  "spandrop",
-	"SpanBatches":   "", // framing detail; spans/spandrop carry the signal
-
-	"CombinerReportsMerged": "cmerged",
-	"CombinerFramesOut":     "cfwd",
-
-	"SampledOut":      "smplout",
-	"SampleRateMilli": "srate",
-}
+// statWidth is the rendered width of one agent.Stats column.
+func statWidth(f agent.StatField) int { return max(7, len(f.Column)) }
 
 // RenderStatus formats a Status as the aligned tables cmd/ptstat prints:
-// agents (with heartbeat age and health), queries (with cost counters),
-// then the frontend telemetry snapshot.
+// agents (with heartbeat age and health, then one column per agent.Stats
+// counter that declares one, in declaration order), queries (with cost
+// counters), then the frontend telemetry snapshot.
 func RenderStatus(s Status) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "agents (%d):\n", len(s.Agents))
-	fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7s %9s %7s %9s %9s %7s %7s %7s %7s %7s %7s %7s %8s %8s %8s %8s %7s %7s %5s\n",
-		"host", "proc", "age", "interval", "health", "queries", "reports", "batches",
-		"rows", "tuples", "reconn", "replay", "drops", "expired", "quarant",
-		"rawdrop", "ovflow", "bagdrop", "spans", "spandrop", "cmerged", "cfwd",
-		"smplout", "srate")
+	fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7s",
+		"host", "proc", "age", "interval", "health", "queries")
+	for _, f := range agent.StatFields {
+		if f.Column != "" {
+			fmt.Fprintf(&b, " %*s", statWidth(f), f.Column)
+		}
+	}
+	b.WriteByte('\n')
 	for _, a := range s.Agents {
 		health := "ok"
 		if !a.Healthy {
 			health = "UNHEALTHY"
 		}
-		fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7d %9d %7d %9d %9d %7d %7d %7d %7d %7d %7d %7d %8d %8d %8d %8d %7d %7d %5d\n",
+		fmt.Fprintf(&b, "  %-24s %-12s %10s %10s %-9s %7d",
 			a.Host, a.ProcName,
-			a.Age.Round(time.Millisecond), a.Interval, health, a.Queries,
-			a.Stats.Reports, a.Stats.Batches, a.Stats.RowsReported, a.Stats.TuplesEmitted,
-			a.Stats.Reconnects, a.Stats.ReportsReplayed, a.Stats.ReportsDropped,
-			a.Stats.LeasesExpired, a.Stats.Quarantines,
-			a.Stats.RawsDropped, a.Stats.GroupsOverflowed, a.Stats.BaggageBytesDropped,
-			a.Stats.SpansCaptured, a.Stats.SpansDropped,
-			a.Stats.CombinerReportsMerged, a.Stats.CombinerFramesOut,
-			a.Stats.SampledOut, a.Stats.SampleRateMilli)
+			a.Age.Round(time.Millisecond), a.Interval, health, a.Queries)
+		for i, f := range agent.StatFields {
+			if f.Column != "" {
+				fmt.Fprintf(&b, " %*d", statWidth(f), a.Stats.Values()[i])
+			}
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "\nqueries (%d):\n", len(s.Queries))
 	fmt.Fprintf(&b, "  %-16s %8s %9s %14s %12s %9s %9s %8s %8s\n",

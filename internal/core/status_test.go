@@ -83,6 +83,26 @@ func TestStatusSortsAgentsAndRendersHealth(t *testing.T) {
 	}
 }
 
+// TestStatusHeaderCarriesEveryDeclaredColumn: the agents table is built
+// from agent.StatFields, so each counter that declares a ptstat column gets
+// exactly one, under that name.
+func TestStatusHeaderCarriesEveryDeclaredColumn(t *testing.T) {
+	out := RenderStatus(Status{Agents: []AgentHealth{{Host: "h", ProcName: "p"}}})
+	lines := strings.Split(out, "\n")
+	header := make(map[string]int)
+	for _, col := range strings.Fields(lines[1]) {
+		header[col]++
+	}
+	for _, f := range agent.StatFields {
+		if f.Column != "" && header[f.Column] != 1 {
+			t.Errorf("agent.Stats.%s declares column %q, which the header carries %d times:\n%s", f.Name, f.Column, header[f.Column], lines[1])
+		}
+	}
+	if got, want := len(strings.Fields(lines[2])), len(strings.Fields(lines[1])); got != want {
+		t.Errorf("an agent row has %d cells under %d header columns:\n%s\n%s", got, want, lines[1], lines[2])
+	}
+}
+
 func TestStatusRequestRoundTrip(t *testing.T) {
 	b := bus.New()
 	pt := New(b, tracepoint.NewRegistry())

@@ -174,6 +174,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	sources  []func(*Snapshot)
 }
 
 // NewRegistry returns an empty registry.
@@ -221,6 +222,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Source registers fn to write values into every Snapshot, after the
+// registry's own metrics and outside its lock: a component that already
+// keeps its counters exports them by name instead of counting each fact a
+// second time in a registry Counter.
+func (r *Registry) Source(fn func(*Snapshot)) {
+	r.mu.Lock()
+	r.sources = append(r.sources, fn)
+	r.mu.Unlock()
+}
+
 // Snapshot is a named point-in-time export of a registry.
 type Snapshot struct {
 	Counters map[string]int64
@@ -261,6 +272,7 @@ func (r *Registry) Snapshot() Snapshot {
 			h    *Histogram
 		}{name, h})
 	}
+	sources := r.sources
 	r.mu.Unlock()
 
 	s := Snapshot{
@@ -276,6 +288,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, e := range hists {
 		s.Hists[e.name] = e.h.snapshot()
+	}
+	for _, fn := range sources {
+		fn(&s)
 	}
 	return s
 }

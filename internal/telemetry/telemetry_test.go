@@ -123,6 +123,22 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+func TestSourceWritesIntoEverySnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("own").Add(2)
+	var n int64
+	r.Source(func(s *Snapshot) {
+		n++
+		s.Counters["sourced"] = n
+	})
+	for want := int64(1); want <= 2; want++ {
+		s := r.Snapshot()
+		if s.Counters["own"] != 2 || s.Counters["sourced"] != want {
+			t.Errorf("snapshot %d counters = %v", want, s.Counters)
+		}
+	}
+}
+
 func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops")

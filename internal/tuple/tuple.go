@@ -270,14 +270,6 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Concat returns a tuple with o's values appended (the joined tuple t1·t2
-// of the paper's happened-before join).
-func (t Tuple) Concat(o Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(o))
-	out = append(out, t...)
-	return append(out, o...)
-}
-
 // Equal reports pointwise equality of two tuples.
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t) != len(o) {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,6 +15,39 @@ import (
 	"repro/internal/spans"
 	"repro/internal/tuple"
 )
+
+// counterFrames re-ends full — a marshaled frame whose last field is the
+// counter run of vals — the three ways a peer of another version, or a
+// hostile one, could: short carries 5 counters fewer, extra 3 more (7, 8,
+// 9), and huge claims 2^28 counters in a one-byte body.
+func counterFrames(full []byte, vals []int64) (short, extra, huge []byte) {
+	head := full[:len(full)-len(appendCounters(nil, vals))]
+	short = appendCounters(bytes.Clone(head), vals[:len(vals)-5])
+	extra = appendCounters(bytes.Clone(head), append(slices.Clone(vals), 7, 8, 9))
+	huge = append(bytes.Clone(head), 0x80, 0x80, 0x80, 0x80, 0x01, 0x00)
+	return short, extra, huge
+}
+
+// fullHeartbeat and fullExplain carry a distinct non-zero value in every
+// counter, whatever counters internal/agent declares.
+func fullHeartbeat() agent.Heartbeat {
+	hb := agent.Heartbeat{Host: "h", ProcName: "p", Time: time.Second, Interval: time.Second, Queries: 2}
+	for i := range hb.Stats.Values() {
+		hb.Stats.Values()[i] = int64(i + 1)
+	}
+	return hb
+}
+
+func fullExplain() agent.ExplainStats {
+	es := agent.ExplainStats{
+		QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second, FlushNS: 1234,
+		Ops: []agent.OpStats{{Tracepoint: "Tp"}},
+	}
+	for i := range es.Ops[0].Values() {
+		es.Ops[0].Values()[i] = int64(100 + i)
+	}
+	return es
+}
 
 // messageSeeds marshals one instance of every bus message type, plus
 // malformed shapes the decoder must reject without panicking or
@@ -47,7 +81,14 @@ func messageSeeds(t testing.TB) map[string][]byte {
 			}},
 		}
 	}
+	hb, es := fullHeartbeat(), fullExplain()
+	hbShort, hbExtra, hbHuge := counterFrames(mustMarshal(hb), hb.Stats.Values()[:])
+	esShort, esExtra, esHuge := counterFrames(mustMarshal(es), es.Ops[0].Values()[:])
 	return map[string][]byte{
+		// Counter runs from a peer that knows fewer or more counters, and a
+		// count no body could hold (see TestCounterRunTolerance).
+		"heartbeat-short": hbShort, "heartbeat-extra": hbExtra, "heartbeat-huge-count": hbHuge,
+		"explain-short": esShort, "explain-extra": esExtra, "explain-huge-count": esHuge,
 		"install": mustMarshal(agent.Install{
 			QueryID: "Q1",
 			Programs: []*advice.Program{{

@@ -527,13 +527,41 @@ const (
 	TagTenantUsage    = 12
 )
 
-// heartbeatInts is how many varints a Heartbeat carries after its two
-// strings: Time, Interval, Queries, then every Stats field in order.
-const heartbeatInts = 25
+// appendCounters encodes a struct's counters (agent.Stats, agent.OpStats:
+// declared in internal/agent, which fixes their order) as a count and that
+// many varints.
+func appendCounters(buf []byte, vs []int64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vs)))
+	for _, v := range vs {
+		buf = binary.AppendVarint(buf, v)
+	}
+	return buf
+}
 
-// opStatsInts is how many varints one OpStats carries after its tracepoint
-// name: every counter field in declaration order.
-const opStatsInts = 12
+// decodeCounters reads what appendCounters wrote into dst, which the caller
+// passes zeroed. A sender that knows fewer counters than dst leaves the
+// tail zero; one that knows more has its extras parsed and ignored — the
+// counter lists are append-only, so frames between versions degrade
+// instead of being rejected. A count the remaining bytes cannot hold (one
+// byte per varint at least) is rejected before the loop.
+func decodeCounters(buf []byte, dst []int64) ([]byte, error) {
+	n, k := binary.Uvarint(buf)
+	if k <= 0 || n > uint64(len(buf)-k) {
+		return nil, errTruncated
+	}
+	buf = buf[k:]
+	for i := 0; i < int(n); i++ {
+		v, k := binary.Varint(buf)
+		if k <= 0 {
+			return nil, errTruncated
+		}
+		if i < len(dst) {
+			dst[i] = v
+		}
+		buf = buf[k:]
+	}
+	return buf, nil
+}
 
 // appendSpan encodes one span record (no tag byte). Ids are raw uvarints
 // (they are uniformly-mixed 64-bit values; zig-zag would only cost bytes).
@@ -745,35 +773,16 @@ func Marshal(msg any) ([]byte, error) {
 		buf := []byte{TagUninstall}
 		return appendString(buf, m.QueryID), nil
 	case agent.Heartbeat:
-		buf := []byte{TagHeartbeat}
+		// One allocation for the common frame: full-width Time, Interval
+		// and Queries, counters below 2^20; append grows a busier one.
+		buf := make([]byte, 0, 4+len(m.Host)+len(m.ProcName)+3*binary.MaxVarintLen64+3*agent.NumStats)
+		buf = append(buf, TagHeartbeat)
 		buf = appendString(buf, m.Host)
 		buf = appendString(buf, m.ProcName)
 		buf = binary.AppendVarint(buf, int64(m.Time))
 		buf = binary.AppendVarint(buf, int64(m.Interval))
 		buf = binary.AppendVarint(buf, int64(m.Queries))
-		buf = binary.AppendVarint(buf, m.Stats.TuplesEmitted)
-		buf = binary.AppendVarint(buf, m.Stats.RowsReported)
-		buf = binary.AppendVarint(buf, m.Stats.Reports)
-		buf = binary.AppendVarint(buf, m.Stats.Batches)
-		buf = binary.AppendVarint(buf, m.Stats.ReportsRetained)
-		buf = binary.AppendVarint(buf, m.Stats.ReportsReplayed)
-		buf = binary.AppendVarint(buf, m.Stats.ReportsDropped)
-		buf = binary.AppendVarint(buf, m.Stats.Reconnects)
-		buf = binary.AppendVarint(buf, m.Stats.LeasesExpired)
-		buf = binary.AppendVarint(buf, m.Stats.Quarantines)
-		buf = binary.AppendVarint(buf, m.Stats.RawsDropped)
-		buf = binary.AppendVarint(buf, m.Stats.GroupsOverflowed)
-		buf = binary.AppendVarint(buf, m.Stats.BaggageGroupsDropped)
-		buf = binary.AppendVarint(buf, m.Stats.BaggageTuplesDropped)
-		buf = binary.AppendVarint(buf, m.Stats.BaggageBytesDropped)
-		buf = binary.AppendVarint(buf, m.Stats.SpansCaptured)
-		buf = binary.AppendVarint(buf, m.Stats.SpansDropped)
-		buf = binary.AppendVarint(buf, m.Stats.SpanBatches)
-		buf = binary.AppendVarint(buf, m.Stats.CombinerReportsMerged)
-		buf = binary.AppendVarint(buf, m.Stats.CombinerFramesOut)
-		buf = binary.AppendVarint(buf, m.Stats.SampledOut)
-		buf = binary.AppendVarint(buf, m.Stats.SampleRateMilli)
-		return buf, nil
+		return appendCounters(buf, m.Stats.Values()[:]), nil
 	case agent.StatusRequest:
 		buf := []byte{TagStatusRequest}
 		return appendString(buf, m.ID), nil
@@ -824,20 +833,9 @@ func Marshal(msg any) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(m.Time))
 		buf = binary.AppendVarint(buf, m.FlushNS)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Ops)))
-		for _, op := range m.Ops {
-			buf = appendString(buf, op.Tracepoint)
-			buf = binary.AppendVarint(buf, op.Invocations)
-			buf = binary.AppendVarint(buf, op.Sampled)
-			buf = binary.AppendVarint(buf, op.DroppedByJoin)
-			buf = binary.AppendVarint(buf, op.TuplesFiltered)
-			buf = binary.AppendVarint(buf, op.TuplesPacked)
-			buf = binary.AppendVarint(buf, op.PackedBytes)
-			buf = binary.AppendVarint(buf, op.PackRefused)
-			buf = binary.AppendVarint(buf, op.EvictedGroups)
-			buf = binary.AppendVarint(buf, op.EvictedTuples)
-			buf = binary.AppendVarint(buf, op.EvictedBytes)
-			buf = binary.AppendVarint(buf, op.TuplesEmitted)
-			buf = binary.AppendVarint(buf, op.Panics)
+		for i := range m.Ops {
+			buf = appendString(buf, m.Ops[i].Tracepoint)
+			buf = appendCounters(buf, m.Ops[i].Values()[:])
 		}
 		return buf, nil
 	default:
@@ -936,30 +934,18 @@ func Unmarshal(buf []byte) (any, error) {
 		if m.ProcName, buf, err = decodeString(buf); err != nil {
 			return nil, err
 		}
-		ints := [heartbeatInts]int64{}
-		for i := range ints {
+		var hdr [3]int64
+		for i := range hdr {
 			v, k := binary.Varint(buf)
 			if k <= 0 {
 				return nil, errTruncated
 			}
-			ints[i] = v
+			hdr[i] = v
 			buf = buf[k:]
 		}
-		m.Time = time.Duration(ints[0])
-		m.Interval = time.Duration(ints[1])
-		m.Queries = int(ints[2])
-		m.Stats = agent.Stats{
-			TuplesEmitted: ints[3], RowsReported: ints[4], Reports: ints[5],
-			Batches:         ints[6],
-			ReportsRetained: ints[7], ReportsReplayed: ints[8],
-			ReportsDropped: ints[9], Reconnects: ints[10],
-			LeasesExpired: ints[11], Quarantines: ints[12],
-			RawsDropped: ints[13], GroupsOverflowed: ints[14],
-			BaggageGroupsDropped: ints[15], BaggageTuplesDropped: ints[16],
-			BaggageBytesDropped: ints[17],
-			SpansCaptured:       ints[18], SpansDropped: ints[19], SpanBatches: ints[20],
-			CombinerReportsMerged: ints[21], CombinerFramesOut: ints[22],
-			SampledOut: ints[23], SampleRateMilli: ints[24],
+		m.Time, m.Interval, m.Queries = time.Duration(hdr[0]), time.Duration(hdr[1]), int(hdr[2])
+		if _, err = decodeCounters(buf, m.Stats.Values()[:]); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case TagStatusRequest:
@@ -1116,19 +1102,9 @@ func Unmarshal(buf []byte) (any, error) {
 			if op.Tracepoint, buf, err = decodeString(buf); err != nil {
 				return nil, err
 			}
-			ints := [opStatsInts]int64{}
-			for j := range ints {
-				v, k := binary.Varint(buf)
-				if k <= 0 {
-					return nil, errTruncated
-				}
-				ints[j] = v
-				buf = buf[k:]
+			if buf, err = decodeCounters(buf, op.Values()[:]); err != nil {
+				return nil, err
 			}
-			op.Invocations, op.Sampled, op.DroppedByJoin = ints[0], ints[1], ints[2]
-			op.TuplesFiltered, op.TuplesPacked, op.PackedBytes = ints[3], ints[4], ints[5]
-			op.PackRefused, op.EvictedGroups, op.EvictedTuples = ints[6], ints[7], ints[8]
-			op.EvictedBytes, op.TuplesEmitted, op.Panics = ints[9], ints[10], ints[11]
 			m.Ops = append(m.Ops, op)
 		}
 		return m, nil

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -278,10 +281,10 @@ func TestGovernanceCodecRoundtrip(t *testing.T) {
 		t.Fatalf("report drops roundtrip = %+v", grep.Drops)
 	}
 
-	// Fill every Stats field with a distinct value via reflection so the
-	// test fails the moment a counter is added to agent.Stats without a
-	// matching wire encode/decode pair: the new field would round-trip to
-	// zero and the struct comparison below would catch it.
+	// Fill every Stats field with a distinct value via reflection — not
+	// through Stats.Values, which the codec itself uses — so a field the
+	// array view missed or misplaced would round-trip to the wrong value
+	// and the struct comparison below would catch it.
 	hb := agent.Heartbeat{
 		Host: "h", ProcName: "p", Time: time.Second, Interval: time.Second, Queries: 2,
 	}
@@ -298,6 +301,87 @@ func TestGovernanceCodecRoundtrip(t *testing.T) {
 					sv.Type().Field(i).Name, gv.Field(i).Int(), sv.Field(i).Int())
 			}
 		}
+	}
+}
+
+// TestCounterRunTolerance: the counter runs of Heartbeat and ExplainStats
+// are count-prefixed, so frames between versions that know different
+// counters degrade instead of failing. Fewer counters than known: the
+// missing tail reads as zero. More: the extras are ignored and re-marshal
+// yields the canonical frame of the known counters. A count the remaining
+// bytes cannot hold is rejected as truncated.
+func TestCounterRunTolerance(t *testing.T) {
+	decode := func(buf []byte) any {
+		t.Helper()
+		msg, err := Unmarshal(buf)
+		if err != nil {
+			t.Fatalf("Unmarshal(%x): %v", buf, err)
+		}
+		return msg
+	}
+	hb, es := fullHeartbeat(), fullExplain()
+	for _, c := range []struct {
+		name  string
+		msg   any
+		vals  []int64                      // the message's counters, aliased
+		decod func(msg any) (any, []int64) // a decoded message and its counters
+	}{
+		{"heartbeat", hb, hb.Stats.Values()[:], func(msg any) (any, []int64) {
+			m := msg.(agent.Heartbeat)
+			return m, m.Stats.Values()[:]
+		}},
+		{"explain", es, es.Ops[0].Values()[:], func(msg any) (any, []int64) {
+			m := msg.(agent.ExplainStats)
+			return m, m.Ops[0].Values()[:]
+		}},
+	} {
+		full, err := Marshal(c.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short, extra, huge := counterFrames(full, c.vals)
+
+		_, got := c.decod(decode(short))
+		known := len(c.vals) - 5
+		if !slices.Equal(got[:known], c.vals[:known]) || !slices.Equal(got[known:], make([]int64, 5)) {
+			t.Errorf("%s, 5 counters short: decoded %v, want %v then five zeros", c.name, got, c.vals[:known])
+		}
+
+		msg, got := c.decod(decode(extra))
+		if !slices.Equal(got, c.vals) {
+			t.Errorf("%s, 3 extra counters: decoded %v, want %v", c.name, got, c.vals)
+		}
+		if again, err := Marshal(msg); err != nil || !bytes.Equal(again, full) {
+			t.Errorf("%s, 3 extra counters: re-marshal = %x (err %v), want the canonical %x", c.name, again, err, full)
+		}
+
+		if _, err := Unmarshal(huge); !errors.Is(err, errTruncated) {
+			t.Errorf("%s, count beyond the body: err = %v, want errTruncated", c.name, err)
+		}
+	}
+}
+
+// TestIdleHeartbeatSize pins what the count-prefixed counter run costs on
+// the wire: one byte per idle counter plus the count byte, no names, no
+// per-link state — 49 bytes with this tree's 25 counters, where the
+// positional frame of 24 counters it replaced took 47. Heartbeats dominate
+// the wire bytes of a quiet deployment.
+func TestIdleHeartbeatSize(t *testing.T) {
+	b := bus.New()
+	a := agent.New(nil, tracepoint.ProcInfo{Host: "h1", ProcName: "dn"}, tracepoint.NewRegistry(), b, time.Second)
+	defer a.Close()
+	var hb agent.Heartbeat
+	b.Subscribe(agent.HealthTopic, func(msg any) { hb, _ = msg.(agent.Heartbeat) })
+	a.Flush()
+	buf, err := Marshal(hb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tag; two 2-byte names with their lengths; wall-clock Time (9),
+	// 1s Interval (5), Queries; the count; the counters, all one byte but
+	// SampleRateMilli = 1000.
+	if want := 1 + 3 + 3 + 9 + 5 + 1 + 1 + agent.NumStats + 1; len(buf) != want {
+		t.Errorf("idle heartbeat is %d bytes, want %d: %x", len(buf), want, buf)
 	}
 }
 
