@@ -58,16 +58,17 @@ bench-gate:
 stress:
 	$(GO) test ./internal/agent ./internal/advice -race -count=2 -run 'Stress|Sharded'
 
-# Replay the checked-in fuzz corpora, then give each target a short live
-# fuzzing burst. FUZZTIME=2m fuzz-smoke for a deeper local run.
+# Replay the checked-in fuzz corpora, then give every fuzz target of the
+# packages that decode untrusted bytes a short live burst. The targets are
+# read off `go test -list`, so a new one joins by existing. FUZZTIME=2m
+# fuzz-smoke for a deeper local run.
+FUZZ_PKGS = ./internal/tuple ./internal/wire ./internal/baggage ./internal/itc
+
 fuzz-smoke:
-	$(GO) test ./internal/tuple ./internal/wire ./internal/baggage -run '^Fuzz'
-	@set -e; for t in FuzzDecodeValue FuzzDecodeTuple FuzzValueRoundTrip; do \
-		$(GO) test ./internal/tuple -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
-	@set -e; for t in FuzzUnmarshal FuzzDecodeExpr; do \
-		$(GO) test ./internal/wire -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
-	@set -e; for t in FuzzDecodeBaggage; do \
-		$(GO) test ./internal/baggage -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done
+	$(GO) test $(FUZZ_PKGS) -run '^Fuzz'
+	@set -e; for p in $(FUZZ_PKGS); do \
+		for t in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			$(GO) test $$p -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME); done; done
 
 # Full-suite statement coverage, failing if the total drops below the
 # floor recorded in coverage.baseline.

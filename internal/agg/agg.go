@@ -8,7 +8,6 @@ package agg
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -228,8 +227,6 @@ func (s *State) Clone() *State {
 	return &c
 }
 
-var errTruncated = errors.New("agg: truncated encoding")
-
 // Append serializes the state to buf (for baggage and bus transport).
 // The weighted fields are appended only for inexact states (flag bit
 // 4), so exact states — including every state produced at sampling
@@ -277,50 +274,35 @@ func (s *State) EncodedSize() int {
 
 // Decode deserializes one state from the front of buf.
 func Decode(buf []byte) (*State, []byte, error) {
-	if len(buf) < 2 {
-		return nil, nil, errTruncated
-	}
-	s := &State{fn: Func(buf[0])}
-	flags := buf[1]
-	s.anyFloat = flags&1 != 0
-	s.seen = flags&2 != 0
-	s.inexact = flags&4 != 0
-	rest := buf[2:]
-	var k int
-	s.count, k = binary.Varint(rest)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	rest = rest[k:]
-	s.sumI, k = binary.Varint(rest)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	rest = rest[k:]
-	if len(rest) < 8 {
-		return nil, nil, errTruncated
-	}
-	s.sumF = floatFromBits(binary.LittleEndian.Uint64(rest))
-	rest = rest[8:]
-	var err error
-	s.minmax, rest, err = tuple.DecodeValue(rest)
-	if err != nil {
+	r := tuple.NewReader(buf)
+	s := Read(&r)
+	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
+	return s, r.Rest(), nil
+}
+
+// Read decodes one state from r: nil, without allocating, if r has failed.
+func Read(r *tuple.Reader) *State {
+	fn, flags := Func(r.Byte()), r.Byte()
+	if r.Err() != nil {
+		return nil
+	}
+	s := &State{fn: fn, anyFloat: flags&1 != 0, seen: flags&2 != 0, inexact: flags&4 != 0}
+	s.count = r.Varint()
+	s.sumI = r.Varint()
+	s.sumF = floatFromBits(r.Fixed64())
+	s.minmax = r.Value()
 	if s.inexact {
-		if len(rest) < 16 {
-			return nil, nil, errTruncated
-		}
-		s.wcount = floatFromBits(binary.LittleEndian.Uint64(rest))
-		s.wsum = floatFromBits(binary.LittleEndian.Uint64(rest[8:]))
-		rest = rest[16:]
+		s.wcount = floatFromBits(r.Fixed64())
+		s.wsum = floatFromBits(r.Fixed64())
 	} else {
 		// Exact states never ship the weighted fields; rebuild the
 		// exact-state invariant so later weighted merges stay correct.
 		s.wcount = float64(s.count)
 		s.wsum = s.sumF
 	}
-	return s, rest, nil
+	return s
 }
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -3,6 +3,7 @@ package baggage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -159,6 +160,38 @@ func TestCorruptBaggageDropsSilently(t *testing.T) {
 	d := Deserialize([]byte{99, 1, 2, 3})
 	if got := d.Unpack("s"); got != nil {
 		t.Fatalf("corrupt baggage unpacked %v", got)
+	}
+}
+
+// TestOverDeepStampDropsSilently: one instance whose stamp is 16 Mi nested
+// interior ID tags. The in-band decoder runs inside the traced application;
+// without itc's depth cap this input ends the process with a stack
+// overflow, which no recover catches. With it the baggage is corrupt, and
+// dropped like any other.
+func TestOverDeepStampDropsSilently(t *testing.T) {
+	in := append([]byte{1}, bytes.Repeat([]byte{2}, 16<<20)...)
+	if _, err := decodeInstances(in); err == nil {
+		t.Fatal("over-deep stamp decoded")
+	}
+	if got := Deserialize(in).Unpack("s"); got != nil {
+		t.Fatalf("over-deep baggage unpacked %v", got)
+	}
+}
+
+// TestEveryPrefixIsTruncated: whichever codec runs out of bytes — itc,
+// tuple, agg or this package's own — baggage cut short fails with the one
+// sentinel, tuple.ErrTruncated, and never panics. The empty prefix is
+// skipped: zero bytes are valid, empty baggage.
+func TestEveryPrefixIsTruncated(t *testing.T) {
+	for name, frame := range baggageSeeds(t) {
+		if _, err := decodeInstances(frame); err != nil {
+			continue // a malformed seed
+		}
+		for cut := 1; cut < len(frame); cut++ {
+			if insts, err := decodeInstances(frame[:cut]); !errors.Is(err, tuple.ErrTruncated) {
+				t.Errorf("%s cut at %d of %d: got %d instances, err %v, want tuple.ErrTruncated", name, cut, len(frame), len(insts), err)
+			}
+		}
 	}
 }
 

@@ -22,22 +22,14 @@ import (
 //
 // Empty baggage serializes to zero bytes, matching the paper's default.
 
-var errTruncated = errors.New("baggage: truncated encoding")
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func decodeString(buf []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 || uint64(len(buf)-k) < n {
-		return "", nil, errTruncated
-	}
-	return string(buf[k : k+int(n)]), buf[k+int(n):], nil
-}
-
-func appendSpec(buf []byte, spec SetSpec) []byte {
+// AppendSpec appends the encoding of spec; internal/wire ships pack specs
+// inside advice programs with it.
+func AppendSpec(buf []byte, spec SetSpec) []byte {
 	buf = append(buf, byte(spec.Kind))
 	buf = binary.AppendVarint(buf, int64(spec.N))
 	buf = binary.AppendUvarint(buf, uint64(len(spec.Fields)))
@@ -56,83 +48,33 @@ func appendSpec(buf []byte, spec SetSpec) []byte {
 	return buf
 }
 
-func decodeSpec(buf []byte) (SetSpec, []byte, error) {
-	var spec SetSpec
-	if len(buf) == 0 {
-		return spec, nil, errTruncated
+// ReadSpec decodes what AppendSpec wrote. Specs arrive from peer processes,
+// in baggage and in installs: one whose positions fall outside the field
+// layout is rejected, so every decoded set satisfies the invariants Pack
+// would have established and Unpack never indexes out of range on hostile
+// bytes.
+func ReadSpec(r *tuple.Reader) SetSpec {
+	spec := SetSpec{Kind: SetKind(r.Byte()), N: int(r.Varint()), Fields: r.Strings(), GroupBy: r.Ints()}
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		spec.Aggs = append(spec.Aggs, AggField{Pos: int(r.Varint()), Fn: agg.Func(r.Byte())})
 	}
-	spec.Kind = SetKind(buf[0])
-	buf = buf[1:]
-	n, k := binary.Varint(buf)
-	if k <= 0 {
-		return spec, nil, errTruncated
-	}
-	spec.N = int(n)
-	buf = buf[k:]
-
-	cnt, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return spec, nil, errTruncated
-	}
-	buf = buf[k:]
-	spec.Fields = make(tuple.Schema, 0, boundedCount(cnt, buf))
-	for i := uint64(0); i < cnt; i++ {
-		var f string
-		var err error
-		f, buf, err = decodeString(buf)
-		if err != nil {
-			return spec, nil, err
-		}
-		spec.Fields = append(spec.Fields, f)
-	}
-
-	cnt, k = binary.Uvarint(buf)
-	if k <= 0 {
-		return spec, nil, errTruncated
-	}
-	buf = buf[k:]
-	for i := uint64(0); i < cnt; i++ {
-		g, k := binary.Varint(buf)
-		if k <= 0 {
-			return spec, nil, errTruncated
-		}
-		buf = buf[k:]
-		spec.GroupBy = append(spec.GroupBy, int(g))
-	}
-
-	cnt, k = binary.Uvarint(buf)
-	if k <= 0 {
-		return spec, nil, errTruncated
-	}
-	buf = buf[k:]
-	for i := uint64(0); i < cnt; i++ {
-		pos, k := binary.Varint(buf)
-		if k <= 0 || len(buf) <= k {
-			return spec, nil, errTruncated
-		}
-		fn := agg.Func(buf[k])
-		buf = buf[k+1:]
-		spec.Aggs = append(spec.Aggs, AggField{Pos: int(pos), Fn: fn})
-	}
-	// Baggage arrives from peer processes: reject specs whose positions
-	// fall outside the field layout, so every decoded set satisfies the
-	// invariants Pack would have established and Unpack never indexes out
-	// of range on hostile bytes.
 	for _, g := range spec.GroupBy {
 		if g < 0 || g >= len(spec.Fields) {
-			return spec, nil, fmt.Errorf("baggage: group-by position %d outside %d fields", g, len(spec.Fields))
+			r.Fail(fmt.Errorf("baggage: group-by position %d outside %d fields", g, len(spec.Fields)))
+			return spec
 		}
 	}
 	for _, a := range spec.Aggs {
 		if a.Pos < 0 || a.Pos >= len(spec.Fields) {
-			return spec, nil, fmt.Errorf("baggage: agg position %d outside %d fields", a.Pos, len(spec.Fields))
+			r.Fail(fmt.Errorf("baggage: agg position %d outside %d fields", a.Pos, len(spec.Fields)))
+			return spec
 		}
 	}
-	return spec, buf, nil
+	return spec
 }
 
 func appendSet(buf []byte, s *Set) []byte {
-	buf = appendSpec(buf, s.Spec)
+	buf = AppendSpec(buf, s.Spec)
 	if s.Spec.Kind != Agg {
 		buf = binary.AppendUvarint(buf, uint64(len(s.tuples)))
 		for _, t := range s.tuples {
@@ -151,63 +93,40 @@ func appendSet(buf []byte, s *Set) []byte {
 	return buf
 }
 
-func decodeSet(buf []byte) (*Set, []byte, error) {
-	spec, buf, err := decodeSpec(buf)
-	if err != nil {
-		return nil, nil, err
+func readSet(r *tuple.Reader) *Set {
+	spec := ReadSpec(r)
+	n := r.Count()
+	if r.Err() != nil {
+		return nil
 	}
 	s := NewSet(spec)
-	cnt, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	buf = buf[k:]
 	if spec.Kind != Agg {
-		s.tuples = make([]tuple.Tuple, 0, boundedCount(cnt, buf))
-		for i := uint64(0); i < cnt; i++ {
-			var t tuple.Tuple
-			t, buf, err = tuple.DecodeTuple(buf)
-			if err != nil {
-				return nil, nil, err
-			}
-			s.tuples = append(s.tuples, t)
+		s.tuples = make([]tuple.Tuple, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			s.tuples = append(s.tuples, r.Tuple())
 		}
-		return s, buf, nil
+		return s
 	}
 	keyPos := identity(len(spec.GroupBy))
-	for i := uint64(0); i < cnt; i++ {
-		var keyVals tuple.Tuple
-		keyVals, buf, err = tuple.DecodeTuple(buf)
-		if err != nil {
-			return nil, nil, err
-		}
+	for ; n > 0 && r.Err() == nil; n-- {
+		keyVals := r.Tuple()
 		if len(keyVals) != len(spec.GroupBy) {
-			return nil, nil, fmt.Errorf("baggage: group key has %d values for %d group-by fields",
-				len(keyVals), len(spec.GroupBy))
+			r.Fail(fmt.Errorf("baggage: group key has %d values for %d group-by fields",
+				len(keyVals), len(spec.GroupBy)))
 		}
 		g := &group{keyVals: keyVals, states: make([]*agg.State, 0, len(spec.Aggs))}
 		for range spec.Aggs {
-			var st *agg.State
-			st, buf, err = agg.Decode(buf)
-			if err != nil {
-				return nil, nil, err
-			}
-			g.states = append(g.states, st)
+			g.states = append(g.states, agg.Read(r))
+		}
+		if r.Err() != nil {
+			return nil
 		}
 		key := keyVals.Key(keyPos)
 		s.groups[key] = g
 		s.order = append(s.order, key)
 	}
 	s.recomputeBytes()
-	return s, buf, nil
-}
-
-// boundedCount is a decoded element count as a preallocation hint, capped by
-// what the buffer could possibly hold (one byte per element minimum):
-// baggage arrives from peer processes, and a corrupt count must not balloon
-// an allocation before the decode loop hits errTruncated.
-func boundedCount(cnt uint64, buf []byte) int {
-	return int(min(cnt, uint64(len(buf))))
+	return s
 }
 
 // identity returns [0, 1, ..., n-1].
@@ -230,59 +149,37 @@ func encodeInstance(buf []byte, in *instance) []byte {
 	return buf
 }
 
-func decodeInstance(buf []byte) (*instance, []byte, error) {
-	stamp, buf, err := itc.DecodeStamp(buf)
-	if err != nil {
-		return nil, nil, err
+func readInstance(r *tuple.Reader) *instance {
+	stamp, rest, err := itc.DecodeStamp(r.Rest())
+	if errors.Is(err, itc.ErrTruncated) {
+		err = tuple.ErrTruncated // one sentinel for callers, whichever codec ran out of bytes
 	}
+	r.Resume(rest, err)
 	in := newInstance(stamp)
-	nonce, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
+	in.nonce = r.Uvarint()
+	n := r.Count()
+	in.slots = make([]slot, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		in.slots = append(in.slots, slot{name: r.String(), set: readSet(r)})
 	}
-	in.nonce = nonce
-	buf = buf[k:]
-	cnt, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	buf = buf[k:]
-	in.slots = make([]slot, 0, boundedCount(cnt, buf))
-	for i := uint64(0); i < cnt; i++ {
-		var sl slot
-		sl.name, buf, err = decodeString(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		sl.set, buf, err = decodeSet(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		in.slots = append(in.slots, sl)
-	}
-	return in, buf, nil
+	return in
 }
 
 func decodeInstances(buf []byte) ([]*instance, error) {
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	cnt, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, errTruncated
+	r := tuple.NewReader(buf)
+	n := r.Count()
+	insts := make([]*instance, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		insts = append(insts, readInstance(&r))
 	}
-	buf = buf[k:]
-	insts := make([]*instance, 0, boundedCount(cnt, buf))
-	for i := uint64(0); i < cnt; i++ {
-		in, rest, err := decodeInstance(buf)
-		if err != nil {
-			return nil, err
-		}
-		insts = append(insts, in)
-		buf = rest
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("baggage: %d trailing bytes", len(buf))
+	if rest := r.Rest(); len(rest) != 0 {
+		return nil, fmt.Errorf("baggage: %d trailing bytes", len(rest))
 	}
 	return insts, nil
 }

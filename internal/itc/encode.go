@@ -17,7 +17,18 @@ const (
 	tagIDNode = 2
 )
 
-var errTruncated = errors.New("itc: truncated encoding")
+// ErrTruncated reports bytes that end before the encoding does.
+var ErrTruncated = errors.New("itc: truncated encoding")
+
+// maxDepth bounds the nesting DecodeID and DecodeEvent follow. The decoders
+// recurse once per level and stamps arrive in-band, inside the traced
+// application: without a bound, a few megabytes of nested interior tags
+// overflow the goroutine stack, which no recover catches. A tree gains one
+// level per Fork that is never joined back, so 1<<16 is far beyond any
+// request's fan-out and still only a few megabytes of stack.
+const maxDepth = 1 << 16
+
+var errTooDeep = fmt.Errorf("itc: tree nested deeper than %d levels", maxDepth)
 
 // AppendID appends the binary encoding of i to buf.
 func AppendID(buf []byte, i *ID) []byte {
@@ -33,9 +44,14 @@ func AppendID(buf []byte, i *ID) []byte {
 }
 
 // DecodeID decodes an ID from the front of buf, returning the remainder.
-func DecodeID(buf []byte) (*ID, []byte, error) {
+func DecodeID(buf []byte) (*ID, []byte, error) { return decodeID(buf, 0) }
+
+func decodeID(buf []byte, depth int) (*ID, []byte, error) {
 	if len(buf) == 0 {
-		return nil, nil, errTruncated
+		return nil, nil, ErrTruncated
+	}
+	if depth > maxDepth {
+		return nil, nil, errTooDeep
 	}
 	tag, rest := buf[0], buf[1:]
 	switch tag {
@@ -44,11 +60,11 @@ func DecodeID(buf []byte) (*ID, []byte, error) {
 	case tagIDOne:
 		return idOne, rest, nil
 	case tagIDNode:
-		l, rest, err := DecodeID(rest)
+		l, rest, err := decodeID(rest, depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, rest, err := DecodeID(rest)
+		r, rest, err := decodeID(rest, depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -71,25 +87,30 @@ func AppendEvent(buf []byte, e *Event) []byte {
 }
 
 // DecodeEvent decodes an Event from the front of buf.
-func DecodeEvent(buf []byte) (*Event, []byte, error) {
+func DecodeEvent(buf []byte) (*Event, []byte, error) { return decodeEvent(buf, 0) }
+
+func decodeEvent(buf []byte, depth int) (*Event, []byte, error) {
 	if len(buf) == 0 {
-		return nil, nil, errTruncated
+		return nil, nil, ErrTruncated
+	}
+	if depth > maxDepth {
+		return nil, nil, errTooDeep
 	}
 	tag, rest := buf[0], buf[1:]
 	n, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return nil, nil, errTruncated
+		return nil, nil, ErrTruncated
 	}
 	rest = rest[k:]
 	switch tag {
 	case 0:
 		return leafEv(n), rest, nil
 	case 1:
-		l, rest, err := DecodeEvent(rest)
+		l, rest, err := decodeEvent(rest, depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, rest, err := DecodeEvent(rest)
+		r, rest, err := decodeEvent(rest, depth+1)
 		if err != nil {
 			return nil, nil, err
 		}

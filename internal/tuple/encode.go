@@ -11,7 +11,174 @@ import (
 // Integers use zig-zag varints; floats use 8 fixed bytes; strings are
 // length-prefixed. Tuples are a uvarint count followed by each value.
 
-var errTruncated = errors.New("tuple: truncated encoding")
+// ErrTruncated reports that the bytes ended before the encoding did: a
+// short buffer, a varint that runs off its end, or a count the unread
+// bytes could not hold. Every decoder built on Reader fails with it.
+var ErrTruncated = errors.New("tuple: truncated encoding")
+
+// Reader consumes a varint-framed byte string a peer wrote. It is where
+// the repo's decoders (tuple, agg, baggage, wire) decide how untrusted
+// bytes are handled: every read checks the bytes left; Count refuses a
+// list length the unread bytes could not hold; and the first failure
+// sticks — every later read returns a zero value and Err keeps the first
+// cause. A decoder is therefore the list of its fields and one Err check.
+// Reads are method calls, which Go evaluates in lexical order, so a
+// decoder may read its fields inside a composite literal. Loops over a
+// Count stop at the first failure (`n > 0 && r.Err() == nil`), so a
+// failed decode allocates nothing further.
+type Reader struct {
+	buf []byte
+	err error
+}
+
+// NewReader returns a Reader over buf, which it never writes.
+func NewReader(buf []byte) Reader { return Reader{buf: buf} }
+
+// Err returns the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Rest returns the unread bytes: nil after a failure.
+func (r *Reader) Rest() []byte { return r.buf }
+
+// Fail records err unless an earlier failure is already recorded, and
+// drops the unread bytes so that every later read fails by itself.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.buf = nil
+}
+
+// Resume continues after a decoder with the (buf) → (x, rest, err) shape
+// (internal/itc) ran over Rest: it fails with err or moves on to rest.
+func (r *Reader) Resume(rest []byte, err error) {
+	switch {
+	case err != nil:
+		r.Fail(err)
+	case r.err == nil:
+		r.buf = rest
+	}
+}
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	v, k := binary.Uvarint(r.buf)
+	if k <= 0 {
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	r.buf = r.buf[k:]
+	return v
+}
+
+// Varint reads a zig-zag varint.
+func (r *Reader) Varint() int64 {
+	v, k := binary.Varint(r.buf)
+	if k <= 0 {
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	r.buf = r.buf[k:]
+	return v
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if len(r.buf) == 0 {
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	b := r.buf[0]
+	r.buf = r.buf[1:]
+	return b
+}
+
+// Fixed64 reads eight little-endian bytes.
+func (r *Reader) Fixed64() uint64 {
+	if len(r.buf) < 8 {
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
+}
+
+// Count reads a list length. Every element of every list encoded in this
+// repo takes at least one byte, so a count above the unread bytes is
+// refused here, before it can size an allocation or drive a loop. (The
+// comparison is in uint64: a count above MaxInt64 would go negative
+// through int.)
+func (r *Reader) Count() int {
+	n, k := binary.Uvarint(r.buf)
+	if k <= 0 || n > uint64(len(r.buf)-k) {
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	r.buf = r.buf[k:]
+	return int(n)
+}
+
+// String reads a length-prefixed string.
+func (r *Reader) String() string {
+	n, k := binary.Uvarint(r.buf)
+	if k <= 0 || n > uint64(len(r.buf)-k) {
+		r.Fail(ErrTruncated)
+		return ""
+	}
+	s := string(r.buf[k : k+int(n)])
+	r.buf = r.buf[k+int(n):]
+	return s
+}
+
+// Strings reads a count and that many strings.
+func (r *Reader) Strings() []string {
+	n := r.Count()
+	out := make([]string, 0, n)
+	for ; n > 0 && r.err == nil; n-- {
+		out = append(out, r.String())
+	}
+	return out
+}
+
+// Ints reads a count and that many varints.
+func (r *Reader) Ints() []int {
+	n := r.Count()
+	out := make([]int, 0, n)
+	for ; n > 0 && r.err == nil; n-- {
+		out = append(out, int(r.Varint()))
+	}
+	return out
+}
+
+// Value reads one value.
+func (r *Reader) Value() Value {
+	switch kind := Kind(r.Byte()); kind {
+	case KindNull:
+		return Null
+	case KindInt:
+		return Int(r.Varint())
+	case KindFloat:
+		return Float(math.Float64frombits(r.Fixed64()))
+	case KindString:
+		return String(r.String())
+	case KindBool:
+		return Bool(r.Byte() != 0)
+	default:
+		r.Fail(fmt.Errorf("tuple: bad kind tag %d", kind))
+		return Null
+	}
+}
+
+// Tuple reads one tuple.
+func (r *Reader) Tuple() Tuple {
+	n := r.Count()
+	t := make(Tuple, 0, n)
+	for ; n > 0 && r.err == nil; n-- {
+		t = append(t, r.Value())
+	}
+	return t
+}
 
 // AppendValue appends the binary encoding of v to buf.
 func AppendValue(buf []byte, v Value) []byte {
@@ -35,39 +202,12 @@ func AppendValue(buf []byte, v Value) []byte {
 
 // DecodeValue decodes one value from the front of buf.
 func DecodeValue(buf []byte) (Value, []byte, error) {
-	if len(buf) == 0 {
-		return Null, nil, errTruncated
+	r := NewReader(buf)
+	v := r.Value()
+	if err := r.Err(); err != nil {
+		return Null, nil, err
 	}
-	kind, rest := Kind(buf[0]), buf[1:]
-	switch kind {
-	case KindNull:
-		return Null, rest, nil
-	case KindInt:
-		n, k := binary.Varint(rest)
-		if k <= 0 {
-			return Null, nil, errTruncated
-		}
-		return Int(n), rest[k:], nil
-	case KindFloat:
-		if len(rest) < 8 {
-			return Null, nil, errTruncated
-		}
-		bits := binary.LittleEndian.Uint64(rest)
-		return Float(math.Float64frombits(bits)), rest[8:], nil
-	case KindString:
-		n, k := binary.Uvarint(rest)
-		if k <= 0 || uint64(len(rest)-k) < n {
-			return Null, nil, errTruncated
-		}
-		return String(string(rest[k : k+int(n)])), rest[k+int(n):], nil
-	case KindBool:
-		if len(rest) < 1 {
-			return Null, nil, errTruncated
-		}
-		return Bool(rest[0] != 0), rest[1:], nil
-	default:
-		return Null, nil, fmt.Errorf("tuple: bad kind tag %d", kind)
-	}
+	return v, r.Rest(), nil
 }
 
 // AppendTuple appends the binary encoding of t to buf.
@@ -81,29 +221,12 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 
 // DecodeTuple decodes one tuple from the front of buf.
 func DecodeTuple(buf []byte) (Tuple, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
+	r := NewReader(buf)
+	t := r.Tuple()
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
-	rest := buf[k:]
-	// Each value takes at least one byte, so a corrupt count larger than
-	// the remaining buffer must not drive the preallocation. Compare in
-	// uint64: a count above MaxInt64 would go negative through int(n).
-	capHint := len(rest)
-	if n < uint64(capHint) {
-		capHint = int(n)
-	}
-	t := make(Tuple, 0, capHint)
-	for i := uint64(0); i < n; i++ {
-		var v Value
-		var err error
-		v, rest, err = DecodeValue(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		t = append(t, v)
-	}
-	return t, rest, nil
+	return t, r.Rest(), nil
 }
 
 // UvarintLen returns the number of bytes binary.AppendUvarint writes for x.

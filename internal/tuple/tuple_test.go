@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -216,6 +217,47 @@ func TestDecodeErrorPaths(t *testing.T) {
 	}
 	if _, _, err := DecodeTuple([]byte{2, byte(KindNull)}); err == nil {
 		t.Error("truncated tuple should fail")
+	}
+}
+
+// TestReaderFirstErrorWins: after its first failure a Reader returns zero
+// values, has no bytes left and keeps the first cause, whatever is read or
+// failed afterwards; Count refuses a length the unread bytes cannot hold.
+func TestReaderFirstErrorWins(t *testing.T) {
+	r := NewReader([]byte{7, 200, 1, 2, 3})
+	if b := r.Byte(); b != 7 || r.Err() != nil {
+		t.Fatalf("Byte() = %d, err %v", b, r.Err())
+	}
+	r.Value() // kind tag 200
+	first := r.Err()
+	if first == nil || errors.Is(first, ErrTruncated) {
+		t.Fatalf("bad kind tag: err = %v, want a bad-tag error", first)
+	}
+	if u, v, b, s, n := r.Uvarint(), r.Varint(), r.Byte(), r.String(), r.Count(); u != 0 || v != 0 || b != 0 || s != "" || n != 0 {
+		t.Errorf("reads after a failure returned %d %d %d %q %d, want zero values", u, v, b, s, n)
+	}
+	if !r.Value().IsNull() || len(r.Tuple()) != 0 || len(r.Strings()) != 0 || len(r.Ints()) != 0 || r.Fixed64() != 0 {
+		t.Error("composite reads after a failure returned non-zero values")
+	}
+	r.Fail(errors.New("later"))
+	r.Resume([]byte{1}, nil)
+	if r.Err() != first || r.Rest() != nil {
+		t.Errorf("after later failures: err = %v, rest = %v; want the first cause and no bytes", r.Err(), r.Rest())
+	}
+
+	r = NewReader([]byte{3, 1, 2})
+	if n := r.Count(); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("Count of 3 with 2 bytes left = %d, err %v; want ErrTruncated", n, r.Err())
+	}
+
+	r = NewReader([]byte{9, 9})
+	r.Resume([]byte{5}, nil)
+	if b := r.Byte(); b != 5 || r.Err() != nil || len(r.Rest()) != 0 {
+		t.Errorf("Resume(rest, nil) then Byte() = %d, err %v, %d bytes left", b, r.Err(), len(r.Rest()))
+	}
+	cause := errors.New("foreign decoder failed")
+	if r.Resume(nil, cause); r.Err() != cause {
+		t.Errorf("Resume(nil, err): err = %v, want %v", r.Err(), cause)
 	}
 }
 

@@ -5,7 +5,16 @@ package wire
 // Excluded under -race: the race detector's instrumentation adds
 // bookkeeping allocations unrelated to the code under test.
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/advice"
+	"repro/internal/agent"
+	"repro/internal/agg"
+	"repro/internal/tuple"
+)
 
 // TestAllocMarshalHeartbeat: every agent and combiner tier marshals one
 // heartbeat per flush on a TCP link; the frame is sized up front rather
@@ -18,5 +27,39 @@ func TestAllocMarshalHeartbeat(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("Marshal(Heartbeat) allocates %.1f objects/op, want at most 1 (the frame)", n)
+	}
+}
+
+// TestAllocUnmarshalReportBatch pins the decode of a small report frame — a
+// batch of one report with 8 groups of GroupBy host Select host, SUM, COUNT
+// — at the count the hand-rolled decoders had before they moved onto
+// tuple.Reader (measured at that commit): per group the Group, its key, its
+// tuple, the tuple's string, two states and two growths of the state list;
+// four growths of the group list, the query id, the report list and the
+// boxed batch. A Reader that starts escaping to the heap fails here before
+// it reaches the benchmark.
+func TestAllocUnmarshalReportBatch(t *testing.T) {
+	rep := agent.Report{QueryID: "Q1", Host: "h", ProcName: "p", Time: time.Second}
+	for i := 0; i < 8; i++ {
+		sum, count := agg.New(agg.Sum), agg.New(agg.Count)
+		sum.Add(tuple.Int(int64(100 * i)))
+		count.Add(tuple.Null)
+		host := fmt.Sprintf("host-%d", i)
+		rep.Groups = append(rep.Groups, &advice.Group{
+			Key: host, Rep: tuple.Tuple{tuple.String(host), tuple.Null, tuple.Null},
+			States: []*agg.State{sum, count},
+		})
+	}
+	frame, err := Marshal(agent.ReportBatch{Host: "h", ProcName: "p", Time: time.Second, Reports: []agent.Report{rep}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 71
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := Unmarshal(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n > want {
+		t.Errorf("Unmarshal(ReportBatch of 8 groups) allocates %.1f objects/op, want at most %d", n, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/advice"
 	"repro/internal/agent"
 	"repro/internal/agg"
+	"repro/internal/baggage"
 	"repro/internal/query"
 	"repro/internal/randtest"
 	"repro/internal/spans"
@@ -81,6 +82,17 @@ func messageSeeds(t testing.TB) map[string][]byte {
 			}},
 		}
 	}
+	// badSpecInstall packs into a set whose group-by and aggregate positions
+	// lie outside its one field: Unmarshal must reject it, as baggage
+	// rejects such a spec in-band (TestInstallRejectsSpecOutsideFields).
+	badSpecInstall := sampledInstall(0)
+	badSpecInstall.Programs[0].Pack = &advice.PackOp{
+		Slot: "QS.e", Source: []int{0},
+		Spec: baggage.SetSpec{
+			Kind: baggage.Agg, Fields: tuple.Schema{"host"},
+			GroupBy: []int{3}, Aggs: []baggage.AggField{{Pos: -1, Fn: agg.Count}},
+		},
+	}
 	hb, es := fullHeartbeat(), fullExplain()
 	hbShort, hbExtra, hbHuge := counterFrames(mustMarshal(hb), hb.Stats.Values()[:])
 	esShort, esExtra, esHuge := counterFrames(mustMarshal(es), es.Ops[0].Values()[:])
@@ -111,7 +123,8 @@ func messageSeeds(t testing.TB) map[string][]byte {
 				},
 			}},
 		}),
-		"sampled-install": mustMarshal(sampledInstall(0.1)),
+		"sampled-install":  mustMarshal(sampledInstall(0.1)),
+		"bad-spec-install": mustMarshal(badSpecInstall),
 		// Hostile sampling rates: the decoder clamps every one of these to
 		// 0 (unsampled), so re-marshaling yields the canonical zero bits —
 		// the fuzz fixpoint proves the clamp, not just the parse.

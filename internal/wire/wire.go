@@ -5,14 +5,15 @@
 // including filter and compute expressions — over the network is what
 // makes that work across process boundaries.
 //
-// The format is the repository's usual varint style. Expressions are
-// encoded structurally (the advice instruction set has no jumps or
-// recursion, and expressions are finite trees, so decoding is safe).
+// The format is the repository's usual varint style, and every decoder here
+// is a list of reads from one tuple.Reader, which detects truncation, bounds
+// counts and keeps the first error. Expressions are encoded structurally
+// (the advice instruction set has no jumps or recursion); they are trees, so
+// readExpr bounds the nesting it follows.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -27,21 +28,11 @@ import (
 	"repro/internal/tuple"
 )
 
-var errTruncated = errors.New("wire: truncated message")
-
 // --- primitives ---
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func decodeString(buf []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 || uint64(len(buf)-k) < n {
-		return "", nil, errTruncated
-	}
-	return string(buf[k : k+int(n)]), buf[k+int(n):], nil
 }
 
 func appendInts(buf []byte, xs []int) []byte {
@@ -52,60 +43,12 @@ func appendInts(buf []byte, xs []int) []byte {
 	return buf
 }
 
-// capHint bounds a decoded element count by what the remaining buffer
-// could possibly hold (one byte per element minimum), so a corrupt count
-// can't balloon a preallocation. Compared in uint64: a count above
-// MaxInt64 would go negative through a plain int conversion.
-func capHint(n uint64, buf []byte) int {
-	if n < uint64(len(buf)) {
-		return int(n)
-	}
-	return len(buf)
-}
-
-func decodeInts(buf []byte) ([]int, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	buf = buf[k:]
-	out := make([]int, 0, capHint(n, buf))
-	for i := uint64(0); i < n; i++ {
-		v, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, nil, errTruncated
-		}
-		buf = buf[k:]
-		out = append(out, int(v))
-	}
-	return out, buf, nil
-}
-
 func appendStrings(buf []byte, xs []string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(xs)))
 	for _, x := range xs {
 		buf = appendString(buf, x)
 	}
 	return buf
-}
-
-func decodeStrings(buf []byte) ([]string, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	buf = buf[k:]
-	out := make([]string, 0, capHint(n, buf))
-	for i := uint64(0); i < n; i++ {
-		var s string
-		var err error
-		s, buf, err = decodeString(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, s)
-	}
-	return out, buf, nil
 }
 
 // --- expressions ---
@@ -144,57 +87,44 @@ func AppendExpr(buf []byte, e query.Expr) []byte {
 	}
 }
 
+// maxExprDepth bounds the nesting readExpr follows: it recurses once per
+// level, and a frame of nested unary tags would otherwise overflow the
+// goroutine stack, which no recover catches. The query parser builds one
+// level per operator a person typed; 256 is far beyond that and a few
+// kilobytes of stack.
+const maxExprDepth = 256
+
+var errExprDepth = fmt.Errorf("wire: expression nested deeper than %d levels", maxExprDepth)
+
 // DecodeExpr decodes one expression tree.
 func DecodeExpr(buf []byte) (query.Expr, []byte, error) {
-	if len(buf) == 0 {
-		return nil, nil, errTruncated
+	r := tuple.NewReader(buf)
+	e := readExpr(&r, 0)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
-	tag, rest := buf[0], buf[1:]
-	switch tag {
-	case exprNil:
-		return nil, rest, nil
+	return e, r.Rest(), nil
+}
+
+func readExpr(r *tuple.Reader, depth int) query.Expr {
+	if depth > maxExprDepth {
+		r.Fail(errExprDepth)
+		return nil
+	}
+	switch tag := r.Byte(); tag {
+	case exprNil: // also what a failed Reader yields, which ends the recursion
+		return nil
 	case exprField:
-		alias, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		field, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return query.FieldRef{Alias: alias, Field: field}, rest, nil
+		return query.FieldRef{Alias: r.String(), Field: r.String()}
 	case exprLiteral:
-		v, rest, err := tuple.DecodeValue(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return query.Literal{Value: v}, rest, nil
+		return query.Literal{Value: r.Value()}
 	case exprBinary:
-		if len(rest) == 0 {
-			return nil, nil, errTruncated
-		}
-		op := query.BinOp(rest[0])
-		l, rest, err := DecodeExpr(rest[1:])
-		if err != nil {
-			return nil, nil, err
-		}
-		r, rest, err := DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return query.Binary{Op: op, L: l, R: r}, rest, nil
+		return query.Binary{Op: query.BinOp(r.Byte()), L: readExpr(r, depth+1), R: readExpr(r, depth+1)}
 	case exprUnary:
-		if len(rest) == 0 {
-			return nil, nil, errTruncated
-		}
-		op := rest[0]
-		x, rest, err := DecodeExpr(rest[1:])
-		if err != nil {
-			return nil, nil, err
-		}
-		return query.Unary{Op: op, X: x}, rest, nil
+		return query.Unary{Op: r.Byte(), X: readExpr(r, depth+1)}
 	default:
-		return nil, nil, fmt.Errorf("wire: bad expr tag %d", tag)
+		r.Fail(fmt.Errorf("wire: bad expr tag %d", tag))
+		return nil
 	}
 }
 
@@ -209,83 +139,14 @@ func appendBindings(buf []byte, m map[query.FieldRef]int) []byte {
 	return buf
 }
 
-func decodeBindings(buf []byte) (map[query.FieldRef]int, []byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
+func readBindings(r *tuple.Reader) map[query.FieldRef]int {
+	n := r.Count()
+	m := make(map[query.FieldRef]int, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		ref := query.FieldRef{Alias: r.String(), Field: r.String()}
+		m[ref] = int(r.Varint())
 	}
-	buf = buf[k:]
-	m := make(map[query.FieldRef]int, capHint(n, buf))
-	for i := uint64(0); i < n; i++ {
-		alias, rest, err := decodeString(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		field, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		pos, k := binary.Varint(rest)
-		if k <= 0 {
-			return nil, nil, errTruncated
-		}
-		buf = rest[k:]
-		m[query.FieldRef{Alias: alias, Field: field}] = int(pos)
-	}
-	return m, buf, nil
-}
-
-// --- baggage set specs (re-encoded here to keep package APIs narrow) ---
-
-func appendSpec(buf []byte, spec baggage.SetSpec) []byte {
-	buf = append(buf, byte(spec.Kind))
-	buf = binary.AppendVarint(buf, int64(spec.N))
-	buf = appendStrings(buf, spec.Fields)
-	buf = appendInts(buf, spec.GroupBy)
-	buf = binary.AppendUvarint(buf, uint64(len(spec.Aggs)))
-	for _, a := range spec.Aggs {
-		buf = binary.AppendVarint(buf, int64(a.Pos))
-		buf = append(buf, byte(a.Fn))
-	}
-	return buf
-}
-
-func decodeSpec(buf []byte) (baggage.SetSpec, []byte, error) {
-	var spec baggage.SetSpec
-	if len(buf) == 0 {
-		return spec, nil, errTruncated
-	}
-	spec.Kind = baggage.SetKind(buf[0])
-	n, k := binary.Varint(buf[1:])
-	if k <= 0 {
-		return spec, nil, errTruncated
-	}
-	spec.N = int(n)
-	buf = buf[1+k:]
-	fields, buf, err := decodeStrings(buf)
-	if err != nil {
-		return spec, nil, err
-	}
-	spec.Fields = fields
-	gb, buf, err := decodeInts(buf)
-	if err != nil {
-		return spec, nil, err
-	}
-	spec.GroupBy = gb
-	cnt, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return spec, nil, errTruncated
-	}
-	buf = buf[k:]
-	for i := uint64(0); i < cnt; i++ {
-		pos, k := binary.Varint(buf)
-		if k <= 0 || len(buf) <= k {
-			return spec, nil, errTruncated
-		}
-		spec.Aggs = append(spec.Aggs, baggage.AggField{Pos: int(pos), Fn: agg.Func(buf[k])})
-		buf = buf[k+1:]
-	}
-	return spec, buf, nil
+	return m
 }
 
 // --- advice programs ---
@@ -321,7 +182,7 @@ func AppendProgram(buf []byte, p *advice.Program) []byte {
 	if p.Pack != nil {
 		buf = append(buf, 1)
 		buf = appendString(buf, p.Pack.Slot)
-		buf = appendSpec(buf, p.Pack.Spec)
+		buf = baggage.AppendSpec(buf, p.Pack.Spec)
 		buf = appendInts(buf, p.Pack.Source)
 	} else {
 		buf = append(buf, 0)
@@ -352,161 +213,50 @@ func AppendProgram(buf []byte, p *advice.Program) []byte {
 
 // DecodeProgram decodes one advice program.
 func DecodeProgram(buf []byte) (*advice.Program, []byte, error) {
-	p := &advice.Program{}
-	var err error
-	if p.QueryID, buf, err = decodeString(buf); err != nil {
+	r := tuple.NewReader(buf)
+	p := readProgram(&r)
+	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	if p.Tracepoint, buf, err = decodeString(buf); err != nil {
-		return nil, nil, err
-	}
-	if p.Observe, buf, err = decodeInts(buf); err != nil {
-		return nil, nil, err
-	}
-	var fields []string
-	if fields, buf, err = decodeStrings(buf); err != nil {
-		return nil, nil, err
-	}
-	p.ObserveFields = fields
-	se, k := binary.Varint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	p.SampleEvery = se
-	buf = buf[k:]
-	srBits, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
-	}
-	// Hostile rates (NaN, negative, zero, > 1, absurd weights) are clamped
-	// to "unsampled" here so a corrupt frame can never inflate weights.
-	p.SampleRate = sampling.ClampRate(math.Float64frombits(srBits))
-	buf = buf[k:]
-	var safety [4]int64
-	for i := range safety {
-		v, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, nil, errTruncated
-		}
-		safety[i] = v
-		buf = buf[k:]
-	}
-	p.Safety = advice.Safety{
-		Budget:      baggage.Budget{MaxBytes: int(safety[0]), MaxTuples: int(safety[1])},
-		FaultLimit:  safety[2],
-		CostCeiling: safety[3],
-	}
+	return p, r.Rest(), nil
+}
 
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
+func readProgram(r *tuple.Reader) *advice.Program {
+	p := &advice.Program{
+		QueryID: r.String(), Tracepoint: r.String(),
+		Observe: r.Ints(), ObserveFields: r.Strings(),
+		SampleEvery: r.Varint(),
+		// Hostile rates (NaN, negative, zero, > 1, absurd weights) are clamped
+		// to "unsampled" here so a corrupt frame can never inflate weights.
+		SampleRate: sampling.ClampRate(math.Float64frombits(r.Uvarint())),
+		Safety: advice.Safety{
+			Budget:     baggage.Budget{MaxBytes: int(r.Varint()), MaxTuples: int(r.Varint())},
+			FaultLimit: r.Varint(), CostCeiling: r.Varint(),
+		},
 	}
-	buf = buf[k:]
-	for i := uint64(0); i < n; i++ {
-		var u advice.UnpackOp
-		if u.Slot, buf, err = decodeString(buf); err != nil {
-			return nil, nil, err
-		}
-		var fs []string
-		if fs, buf, err = decodeStrings(buf); err != nil {
-			return nil, nil, err
-		}
-		u.Fields = fs
-		p.Unpacks = append(p.Unpacks, u)
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		p.Unpacks = append(p.Unpacks, advice.UnpackOp{Slot: r.String(), Fields: r.Strings()})
 	}
-
-	n, k = binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		p.Filters = append(p.Filters, advice.FilterOp{Expr: readExpr(r, 0), Bindings: readBindings(r)})
 	}
-	buf = buf[k:]
-	for i := uint64(0); i < n; i++ {
-		var f advice.FilterOp
-		if f.Expr, buf, err = DecodeExpr(buf); err != nil {
-			return nil, nil, err
-		}
-		if f.Bindings, buf, err = decodeBindings(buf); err != nil {
-			return nil, nil, err
-		}
-		p.Filters = append(p.Filters, f)
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		p.Computes = append(p.Computes, advice.ComputeOp{Expr: readExpr(r, 0), Bindings: readBindings(r)})
 	}
-
-	n, k = binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, nil, errTruncated
+	if r.Byte() == 1 {
+		// ReadSpec validates the spec's positions against its fields, as it
+		// does for specs arriving in baggage.
+		p.Pack = &advice.PackOp{Slot: r.String(), Spec: baggage.ReadSpec(r), Source: r.Ints()}
 	}
-	buf = buf[k:]
-	for i := uint64(0); i < n; i++ {
-		var c advice.ComputeOp
-		if c.Expr, buf, err = DecodeExpr(buf); err != nil {
-			return nil, nil, err
-		}
-		if c.Bindings, buf, err = decodeBindings(buf); err != nil {
-			return nil, nil, err
-		}
-		p.Computes = append(p.Computes, c)
-	}
-
-	if len(buf) == 0 {
-		return nil, nil, errTruncated
-	}
-	hasPack := buf[0] == 1
-	buf = buf[1:]
-	if hasPack {
-		pk := &advice.PackOp{}
-		if pk.Slot, buf, err = decodeString(buf); err != nil {
-			return nil, nil, err
-		}
-		if pk.Spec, buf, err = decodeSpec(buf); err != nil {
-			return nil, nil, err
-		}
-		if pk.Source, buf, err = decodeInts(buf); err != nil {
-			return nil, nil, err
-		}
-		p.Pack = pk
-	}
-
-	if len(buf) == 0 {
-		return nil, nil, errTruncated
-	}
-	hasEmit := buf[0] == 1
-	buf = buf[1:]
-	if hasEmit {
+	if r.Byte() == 1 {
 		em := &advice.EmitOp{}
-		n, k = binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, nil, errTruncated
+		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+			em.Cols = append(em.Cols, advice.EmitCol{IsAgg: r.Byte() == 1, Fn: agg.Func(r.Byte()), Pos: int(r.Varint())})
 		}
-		buf = buf[k:]
-		for i := uint64(0); i < n; i++ {
-			if len(buf) < 2 {
-				return nil, nil, errTruncated
-			}
-			col := advice.EmitCol{IsAgg: buf[0] == 1, Fn: agg.Func(buf[1])}
-			pos, k := binary.Varint(buf[2:])
-			if k <= 0 {
-				return nil, nil, errTruncated
-			}
-			col.Pos = int(pos)
-			buf = buf[2+k:]
-			em.Cols = append(em.Cols, col)
-		}
-		if em.GroupBy, buf, err = decodeInts(buf); err != nil {
-			return nil, nil, err
-		}
-		if len(buf) == 0 {
-			return nil, nil, errTruncated
-		}
-		em.Raw = buf[0] == 1
-		buf = buf[1:]
-		var schema []string
-		if schema, buf, err = decodeStrings(buf); err != nil {
-			return nil, nil, err
-		}
-		em.Schema = schema
+		em.GroupBy, em.Raw, em.Schema = r.Ints(), r.Byte() == 1, r.Strings()
 		p.Emit = em
 	}
-	return p, buf, nil
+	return p
 }
 
 // --- control and results messages ---
@@ -538,29 +288,18 @@ func appendCounters(buf []byte, vs []int64) []byte {
 	return buf
 }
 
-// decodeCounters reads what appendCounters wrote into dst, which the caller
+// readCounters reads what appendCounters wrote into dst, which the caller
 // passes zeroed. A sender that knows fewer counters than dst leaves the
 // tail zero; one that knows more has its extras parsed and ignored — the
 // counter lists are append-only, so frames between versions degrade
-// instead of being rejected. A count the remaining bytes cannot hold (one
-// byte per varint at least) is rejected before the loop.
-func decodeCounters(buf []byte, dst []int64) ([]byte, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 || n > uint64(len(buf)-k) {
-		return nil, errTruncated
-	}
-	buf = buf[k:]
-	for i := 0; i < int(n); i++ {
-		v, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		if i < len(dst) {
+// instead of being rejected.
+func readCounters(r *tuple.Reader, dst []int64) {
+	n := r.Count()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if v := r.Varint(); i < len(dst) {
 			dst[i] = v
 		}
-		buf = buf[k:]
 	}
-	return buf, nil
 }
 
 // appendSpan encodes one span record (no tag byte). Ids are raw uvarints
@@ -580,56 +319,18 @@ func appendSpan(buf []byte, sp *spans.Span) []byte {
 	return buf
 }
 
-// decodeSpan decodes one span record (no tag byte).
-func decodeSpan(buf []byte) (spans.Span, []byte, error) {
-	var sp spans.Span
-	var err error
-	ids := [2]uint64{}
-	for i := range ids {
-		v, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return sp, nil, errTruncated
+// readSpan decodes one span record (no tag byte).
+func readSpan(r *tuple.Reader) spans.Span {
+	sp := spans.Span{TraceID: r.Uvarint(), SpanID: r.Uvarint()}
+	if n := r.Count(); n > 0 {
+		sp.Parents = make([]uint64, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			sp.Parents = append(sp.Parents, r.Uvarint())
 		}
-		ids[i] = v
-		buf = buf[k:]
 	}
-	sp.TraceID, sp.SpanID = ids[0], ids[1]
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return sp, nil, errTruncated
-	}
-	buf = buf[k:]
-	if n > 0 {
-		sp.Parents = make([]uint64, 0, capHint(n, buf))
-	}
-	for i := uint64(0); i < n; i++ {
-		v, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return sp, nil, errTruncated
-		}
-		sp.Parents = append(sp.Parents, v)
-		buf = buf[k:]
-	}
-	if sp.Tracepoint, buf, err = decodeString(buf); err != nil {
-		return sp, nil, err
-	}
-	if sp.Host, buf, err = decodeString(buf); err != nil {
-		return sp, nil, err
-	}
-	if sp.ProcName, buf, err = decodeString(buf); err != nil {
-		return sp, nil, err
-	}
-	times := [2]int64{}
-	for i := range times {
-		v, k := binary.Varint(buf)
-		if k <= 0 {
-			return sp, nil, errTruncated
-		}
-		times[i] = v
-		buf = buf[k:]
-	}
-	sp.Start, sp.Duration = time.Duration(times[0]), time.Duration(times[1])
-	return sp, buf, nil
+	sp.Tracepoint, sp.Host, sp.ProcName = r.String(), r.String(), r.String()
+	sp.Start, sp.Duration = time.Duration(r.Varint()), time.Duration(r.Varint())
+	return sp
 }
 
 // appendReport encodes one report body (no tag byte); shared by the
@@ -660,86 +361,29 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 	return buf
 }
 
-// decodeReport decodes one report body (no tag byte); shared by the
+// readReport decodes one report body (no tag byte); shared by the
 // TagReport and TagReportBatch decodings.
-func decodeReport(buf []byte) (agent.Report, []byte, error) {
-	var m agent.Report
-	var err error
-	if m.QueryID, buf, err = decodeString(buf); err != nil {
-		return m, nil, err
-	}
-	if m.Host, buf, err = decodeString(buf); err != nil {
-		return m, nil, err
-	}
-	if m.ProcName, buf, err = decodeString(buf); err != nil {
-		return m, nil, err
-	}
-	tns, k := binary.Varint(buf)
-	if k <= 0 {
-		return m, nil, errTruncated
-	}
-	m.Time = time.Duration(tns)
-	buf = buf[k:]
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return m, nil, errTruncated
-	}
-	buf = buf[k:]
-	for i := uint64(0); i < n; i++ {
-		g := &advice.Group{}
-		if g.Key, buf, err = decodeString(buf); err != nil {
-			return m, nil, err
-		}
-		if g.Rep, buf, err = tuple.DecodeTuple(buf); err != nil {
-			return m, nil, err
-		}
-		ns, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return m, nil, errTruncated
-		}
-		buf = buf[k:]
-		for s := uint64(0); s < ns; s++ {
-			st, rest, err := agg.Decode(buf)
-			if err != nil {
-				return m, nil, err
-			}
-			g.States = append(g.States, st)
-			buf = rest
+func readReport(r *tuple.Reader) agent.Report {
+	m := agent.Report{QueryID: r.String(), Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		g := &advice.Group{Key: r.String(), Rep: r.Tuple()}
+		for ns := r.Count(); ns > 0 && r.Err() == nil; ns-- {
+			g.States = append(g.States, agg.Read(r))
 		}
 		m.Groups = append(m.Groups, g)
 	}
-	n, k = binary.Uvarint(buf)
-	if k <= 0 {
-		return m, nil, errTruncated
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		m.Raws = append(m.Raws, r.Tuple())
 	}
-	buf = buf[k:]
-	for i := uint64(0); i < n; i++ {
-		var r tuple.Tuple
-		if r, buf, err = tuple.DecodeTuple(buf); err != nil {
-			return m, nil, err
-		}
-		m.Raws = append(m.Raws, r)
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		m.Drops = append(m.Drops, baggage.DropRecord{Slot: r.String(), Key: r.String()})
 	}
-	n, k = binary.Uvarint(buf)
-	if k <= 0 {
-		return m, nil, errTruncated
-	}
-	buf = buf[k:]
-	for i := uint64(0); i < n; i++ {
-		var d baggage.DropRecord
-		if d.Slot, buf, err = decodeString(buf); err != nil {
-			return m, nil, err
-		}
-		if d.Key, buf, err = decodeString(buf); err != nil {
-			return m, nil, err
-		}
-		m.Drops = append(m.Drops, d)
-	}
-	return m, buf, nil
+	return m
 }
 
-// Marshal encodes a bus message (agent.Install, agent.Uninstall, or
-// agent.Report). Unknown message types return an error.
+// Marshal encodes a bus message: any of the twelve types of
+// internal/agent/messages.go that carry a Tag constant above. Unknown
+// message types return an error.
 func Marshal(msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case agent.Install:
@@ -845,271 +489,88 @@ func Marshal(msg any) ([]byte, error) {
 
 // Unmarshal decodes a message produced by Marshal.
 func Unmarshal(buf []byte) (any, error) {
-	if len(buf) == 0 {
-		return nil, errTruncated
+	r := tuple.NewReader(buf)
+	msg := readMessage(&r)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	tag, buf := buf[0], buf[1:]
-	switch tag {
+	return msg, nil
+}
+
+func readMessage(r *tuple.Reader) any {
+	switch tag := r.Byte(); tag {
 	case TagInstall:
-		var m agent.Install
-		var err error
-		if m.QueryID, buf, err = decodeString(buf); err != nil {
-			return nil, err
+		m := agent.Install{
+			QueryID: r.String(), TTL: time.Duration(r.Varint()),
+			Limits: advice.Limits{MaxGroups: int(r.Varint()), MaxRaws: int(r.Varint())},
+			Tenant: r.String(), Share: int(r.Varint()),
 		}
-		var hdr [3]int64
-		for i := range hdr {
-			v, k := binary.Varint(buf)
-			if k <= 0 {
-				return nil, errTruncated
-			}
-			hdr[i] = v
-			buf = buf[k:]
+		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+			m.Programs = append(m.Programs, readProgram(r))
 		}
-		m.TTL = time.Duration(hdr[0])
-		m.Limits = advice.Limits{MaxGroups: int(hdr[1]), MaxRaws: int(hdr[2])}
-		if m.Tenant, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		share, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		m.Share = int(share)
-		buf = buf[k:]
-		n, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		buf = buf[k:]
-		for i := uint64(0); i < n; i++ {
-			p, rest, err := DecodeProgram(buf)
-			if err != nil {
-				return nil, err
-			}
-			m.Programs = append(m.Programs, p)
-			buf = rest
-		}
-		return m, nil
+		return m
 	case TagUninstall:
-		var m agent.Uninstall
-		var err error
-		if m.QueryID, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return agent.Uninstall{QueryID: r.String()}
 	case TagRenew:
-		var m agent.Renew
-		ttl, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		m.TTL = time.Duration(ttl)
-		buf = buf[k:]
-		ids, _, err := decodeStrings(buf)
-		if err != nil {
-			return nil, err
-		}
-		m.QueryIDs = ids
-		return m, nil
+		return agent.Renew{TTL: time.Duration(r.Varint()), QueryIDs: r.Strings()}
 	case TagQuarantine:
-		var m agent.Quarantine
-		var err error
-		for _, dst := range []*string{&m.QueryID, &m.Tracepoint, &m.Host, &m.ProcName, &m.Reason} {
-			if *dst, buf, err = decodeString(buf); err != nil {
-				return nil, err
-			}
+		return agent.Quarantine{
+			QueryID: r.String(), Tracepoint: r.String(), Host: r.String(), ProcName: r.String(),
+			Reason: r.String(), Time: time.Duration(r.Varint()),
 		}
-		tns, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		m.Time = time.Duration(tns)
-		return m, nil
 	case TagHeartbeat:
-		var m agent.Heartbeat
-		var err error
-		if m.Host, buf, err = decodeString(buf); err != nil {
-			return nil, err
+		m := agent.Heartbeat{
+			Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint()),
+			Interval: time.Duration(r.Varint()), Queries: int(r.Varint()),
 		}
-		if m.ProcName, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		var hdr [3]int64
-		for i := range hdr {
-			v, k := binary.Varint(buf)
-			if k <= 0 {
-				return nil, errTruncated
-			}
-			hdr[i] = v
-			buf = buf[k:]
-		}
-		m.Time, m.Interval, m.Queries = time.Duration(hdr[0]), time.Duration(hdr[1]), int(hdr[2])
-		if _, err = decodeCounters(buf, m.Stats.Values()[:]); err != nil {
-			return nil, err
-		}
-		return m, nil
+		readCounters(r, m.Stats.Values()[:])
+		return m
 	case TagStatusRequest:
-		var m agent.StatusRequest
-		var err error
-		if m.ID, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return agent.StatusRequest{ID: r.String()}
 	case TagStatusResponse:
-		var m agent.StatusResponse
-		var err error
-		if m.ID, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		if m.Text, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return agent.StatusResponse{ID: r.String(), Text: r.String()}
 	case TagReport:
-		m, _, err := decodeReport(buf)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
+		return readReport(r)
 	case TagReportBatch:
-		var m agent.ReportBatch
-		var err error
-		if m.Host, buf, err = decodeString(buf); err != nil {
-			return nil, err
+		m := agent.ReportBatch{Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
+		n := r.Count()
+		m.Reports = make([]agent.Report, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			m.Reports = append(m.Reports, readReport(r))
 		}
-		if m.ProcName, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		tns, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		m.Time = time.Duration(tns)
-		buf = buf[k:]
-		n, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		buf = buf[k:]
-		m.Reports = make([]agent.Report, 0, capHint(n, buf))
-		for i := uint64(0); i < n; i++ {
-			var r agent.Report
-			if r, buf, err = decodeReport(buf); err != nil {
-				return nil, err
-			}
-			m.Reports = append(m.Reports, r)
-		}
-		return m, nil
+		return m
 	case TagSpanBatch:
-		var m agent.SpanBatch
-		var err error
-		if m.Host, buf, err = decodeString(buf); err != nil {
-			return nil, err
+		m := agent.SpanBatch{Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
+		n := r.Count()
+		m.Spans = make([]spans.Span, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			m.Spans = append(m.Spans, readSpan(r))
 		}
-		if m.ProcName, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		tns, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		m.Time = time.Duration(tns)
-		buf = buf[k:]
-		n, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		buf = buf[k:]
-		m.Spans = make([]spans.Span, 0, capHint(n, buf))
-		for i := uint64(0); i < n; i++ {
-			var sp spans.Span
-			if sp, buf, err = decodeSpan(buf); err != nil {
-				return nil, err
-			}
-			m.Spans = append(m.Spans, sp)
-		}
-		return m, nil
+		return m
 	case TagTenantUsage:
-		var m agent.TenantUsage
-		var err error
-		if m.Host, buf, err = decodeString(buf); err != nil {
-			return nil, err
+		m := agent.TenantUsage{Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
+		n := r.Count()
+		m.Usage = make([]agent.TenantQuota, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			m.Usage = append(m.Usage, agent.TenantQuota{Tenant: r.String(), Queries: r.Varint(), Tuples: r.Varint()})
 		}
-		if m.ProcName, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		tns, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		m.Time = time.Duration(tns)
-		buf = buf[k:]
-		n, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		buf = buf[k:]
-		m.Usage = make([]agent.TenantQuota, 0, capHint(n, buf))
-		for i := uint64(0); i < n; i++ {
-			var u agent.TenantQuota
-			if u.Tenant, buf, err = decodeString(buf); err != nil {
-				return nil, err
-			}
-			var pair [2]int64
-			for j := range pair {
-				v, k := binary.Varint(buf)
-				if k <= 0 {
-					return nil, errTruncated
-				}
-				pair[j] = v
-				buf = buf[k:]
-			}
-			u.Queries, u.Tuples = pair[0], pair[1]
-			m.Usage = append(m.Usage, u)
-		}
-		return m, nil
+		return m
 	case TagExplainStats:
-		var m agent.ExplainStats
-		var err error
-		if m.QueryID, buf, err = decodeString(buf); err != nil {
-			return nil, err
+		m := agent.ExplainStats{
+			QueryID: r.String(), Host: r.String(), ProcName: r.String(),
+			Time: time.Duration(r.Varint()), FlushNS: r.Varint(),
 		}
-		if m.Host, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		if m.ProcName, buf, err = decodeString(buf); err != nil {
-			return nil, err
-		}
-		var hdr [2]int64
-		for i := range hdr {
-			v, k := binary.Varint(buf)
-			if k <= 0 {
-				return nil, errTruncated
-			}
-			hdr[i] = v
-			buf = buf[k:]
-		}
-		m.Time = time.Duration(hdr[0])
-		m.FlushNS = hdr[1]
-		n, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, errTruncated
-		}
-		buf = buf[k:]
-		m.Ops = make([]agent.OpStats, 0, capHint(n, buf))
-		for i := uint64(0); i < n; i++ {
-			var op agent.OpStats
-			if op.Tracepoint, buf, err = decodeString(buf); err != nil {
-				return nil, err
-			}
-			if buf, err = decodeCounters(buf, op.Values()[:]); err != nil {
-				return nil, err
-			}
+		n := r.Count()
+		m.Ops = make([]agent.OpStats, 0, n)
+		for ; n > 0 && r.Err() == nil; n-- {
+			op := agent.OpStats{Tracepoint: r.String()}
+			readCounters(r, op.Values()[:])
 			m.Ops = append(m.Ops, op)
 		}
-		return m, nil
+		return m
 	default:
-		return nil, fmt.Errorf("wire: bad message tag %d", tag)
+		r.Fail(fmt.Errorf("wire: bad message tag %d", tag))
+		return nil
 	}
 }
 

@@ -304,6 +304,83 @@ func TestGovernanceCodecRoundtrip(t *testing.T) {
 	}
 }
 
+// TestInstallRejectsSpecOutsideFields: a pack spec reaches agents inside
+// an install and is decoded by the same baggage.ReadSpec that decodes
+// specs arriving in-band, so one whose group-by or aggregate position lies
+// outside its fields fails at Unmarshal instead of being woven and
+// quarantined on its first crossing.
+func TestInstallRejectsSpecOutsideFields(t *testing.T) {
+	install := func(spec baggage.SetSpec) []byte {
+		buf, err := Marshal(agent.Install{QueryID: "Q1", Programs: []*advice.Program{{
+			QueryID: "Q1", Tracepoint: "Tp", Observe: []int{0}, ObserveFields: tuple.Schema{"e.host"},
+			Pack: &advice.PackOp{Slot: "Q1.e", Spec: spec, Source: []int{0}},
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	fields := tuple.Schema{"host"}
+	if _, err := Unmarshal(install(baggage.SetSpec{Kind: baggage.Agg, Fields: fields,
+		GroupBy: []int{0}, Aggs: []baggage.AggField{{Pos: 0, Fn: agg.Count}}})); err != nil {
+		t.Fatalf("install with a well-formed spec: %v", err)
+	}
+	for name, spec := range map[string]baggage.SetSpec{
+		"group-by past the fields":  {Kind: baggage.Agg, Fields: fields, GroupBy: []int{1}},
+		"negative group-by":         {Kind: baggage.Agg, Fields: fields, GroupBy: []int{-1}},
+		"aggregate past the fields": {Kind: baggage.Agg, Fields: fields, Aggs: []baggage.AggField{{Pos: 1, Fn: agg.Sum}}},
+		"negative aggregate":        {Kind: baggage.Agg, Fields: fields, Aggs: []baggage.AggField{{Pos: -1, Fn: agg.Sum}}},
+	} {
+		if msg, err := Unmarshal(install(spec)); err == nil {
+			t.Errorf("%s: install decoded to %+v, want an error", name, msg)
+		}
+	}
+	if _, err := Unmarshal(messageSeeds(t)["bad-spec-install"]); err == nil {
+		t.Error("the bad-spec-install fuzz seed decodes, want an error")
+	}
+}
+
+// TestDecodeExprDepthCap: nesting beyond maxExprDepth fails the decode with
+// an ordinary error. Without the cap this input — 24 MiB of nested NOT
+// operators, well under the bus's frame limit — ends the process with a
+// stack overflow.
+func TestDecodeExprDepthCap(t *testing.T) {
+	deep := bytes.Repeat([]byte{exprUnary, '!'}, 12<<20)
+	if _, _, err := DecodeExpr(deep); err != errExprDepth {
+		t.Errorf("DecodeExpr of 12 Mi nested unaries: err = %v, want %v", err, errExprDepth)
+	}
+	atCap := append(bytes.Repeat([]byte{exprUnary, '!'}, maxExprDepth), exprNil)
+	if _, rest, err := DecodeExpr(atCap); err != nil || len(rest) != 0 {
+		t.Errorf("DecodeExpr of %d nested unaries: err = %v, %d bytes left", maxExprDepth, err, len(rest))
+	}
+}
+
+// TestEveryPrefixIsTruncated: whichever codec runs out of bytes — tuple,
+// agg, baggage's spec or this package's own — a frame cut short fails with
+// the one sentinel, tuple.ErrTruncated, and never panics.
+func TestEveryPrefixIsTruncated(t *testing.T) {
+	for name, frame := range messageSeeds(t) {
+		if _, err := Unmarshal(frame); err != nil {
+			continue // a malformed seed; only whole frames have prefixes worth cutting
+		}
+		for cut := 0; cut < len(frame); cut++ {
+			if msg, err := Unmarshal(frame[:cut]); !errors.Is(err, tuple.ErrTruncated) {
+				t.Errorf("%s cut at %d of %d: got %+v, err %v, want tuple.ErrTruncated", name, cut, len(frame), msg, err)
+			}
+		}
+	}
+	for name, frame := range exprSeeds(t) {
+		if _, rest, err := DecodeExpr(frame); err != nil || len(rest) != 0 {
+			continue
+		}
+		for cut := 0; cut < len(frame); cut++ {
+			if e, _, err := DecodeExpr(frame[:cut]); !errors.Is(err, tuple.ErrTruncated) {
+				t.Errorf("expr %s cut at %d of %d: got %v, err %v, want tuple.ErrTruncated", name, cut, len(frame), e, err)
+			}
+		}
+	}
+}
+
 // TestCounterRunTolerance: the counter runs of Heartbeat and ExplainStats
 // are count-prefixed, so frames between versions that know different
 // counters degrade instead of failing. Fewer counters than known: the
@@ -355,8 +432,8 @@ func TestCounterRunTolerance(t *testing.T) {
 			t.Errorf("%s, 3 extra counters: re-marshal = %x (err %v), want the canonical %x", c.name, again, err, full)
 		}
 
-		if _, err := Unmarshal(huge); !errors.Is(err, errTruncated) {
-			t.Errorf("%s, count beyond the body: err = %v, want errTruncated", c.name, err)
+		if _, err := Unmarshal(huge); !errors.Is(err, tuple.ErrTruncated) {
+			t.Errorf("%s, count beyond the body: err = %v, want tuple.ErrTruncated", c.name, err)
 		}
 	}
 }
