@@ -81,7 +81,9 @@ coverage:
 		{ echo "coverage dropped below the recorded baseline"; exit 1; }
 
 # The ptbench scenario library at the reduced (<=64-host) sizing, under
-# the race detector, plus the byte-identical same-seed report check.
+# the race detector, plus the byte-identical report checks: two same-seed
+# runs against each other, and the seed-1 report against the checked-in
+# internal/scenario/testdata/short-seed1.json.
 # Replay a failure with the printed `go run ./cmd/ptbench ...` command.
 scenarios-short:
 	$(GO) test ./internal/scenario -race -run 'TestAllScenariosShort|TestReportDeterminism'
@@ -92,9 +94,10 @@ scenarios:
 	$(GO) run ./cmd/ptbench -all
 
 # The differential query-correctness sweeps (TestDifferential*: plain and
-# budgeted) under the race detector. Each case runs in both topologies —
-# flat agent→frontend merge and the 2-tier combiner tree — which must
-# agree with the oracle and each other byte-for-byte.
+# budgeted) under the race detector. Each case runs in every topology —
+# flat agent→frontend merge and combiner trees 1 and 3 mids wide — which
+# must agree with the oracle and with flat byte-for-byte. Failures print
+# the seed; replay with go test ./pivot -run '^TestDifferential$' -seed=<N>.
 differential:
 	PT_DIFF_CASES=500 $(GO) test ./pivot -race -run '^TestDifferential'
 

@@ -148,8 +148,8 @@ func runExplainAnalyze(text string, requests int) (string, error) {
 	env.Run(func() {
 		cfg := cluster.DefaultConfig()
 		cfg.ReportInterval = 5 * time.Millisecond
+		cfg.Spans = true // span capture also enables EXPLAIN ANALYZE shipping
 		cl := cluster.New(env, cfg)
-		cl.EnableSpans(0) // span capture also enables EXPLAIN ANALYZE shipping
 		x := cluster.NewScriptExec(cl, c)
 		h, err := cl.PT.Install(text)
 		if err != nil {

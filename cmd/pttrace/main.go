@@ -13,7 +13,7 @@
 //
 // With -addr, pttrace joins the deployment's pub/sub server as a passive
 // trace listener; the deployment must have span capture enabled
-// (PT.EnableSpans / Cluster.EnableSpans). With -demo it executes the
+// (PT.EnableSpans / cluster.Config.Spans). With -demo it executes the
 // fixed split/join storage workload (querygen.DemoCase) on a simulated
 // cluster — a request fans out to two datanode reads and joins back — and
 // renders the resulting traces.
@@ -76,8 +76,8 @@ func runDemo(requests int) (string, error) {
 	env.Run(func() {
 		cfg := cluster.DefaultConfig()
 		cfg.ReportInterval = 5 * time.Millisecond
+		cfg.Spans = true
 		cl := cluster.New(env, cfg)
-		builder := cl.EnableSpans(0)
 		x := cluster.NewScriptExec(cl, c)
 		for i := 0; i < requests; i++ {
 			if err := x.Run(); err != nil {
@@ -88,7 +88,7 @@ func runDemo(requests int) (string, error) {
 		}
 		env.Sleep(3 * cfg.ReportInterval)
 		cl.FlushAgents()
-		writeTraces(&out, builder)
+		writeTraces(&out, cl.PT.Traces())
 	})
 	return out.String(), runErr
 }

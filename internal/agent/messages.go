@@ -39,8 +39,9 @@ const (
 	tenantResultsPrefix = "pt.results.t."
 )
 
-// TenantResultsTopic is the per-tenant results topic: a combiner tree with
-// tenant routing forwards a tenant's merged report frames here, and only
+// TenantResultsTopic is the per-tenant results topic: the combiner tier
+// that delivers to frontends publishes a tenant's merged report frames
+// here, and only
 // that tenant's frontend subscribes — so per-frontend inbound traffic
 // scales with the tree, not with the cluster.
 func TenantResultsTopic(tenant string) string {
@@ -95,8 +96,8 @@ type Install struct {
 	// Limits bounds the agent-side accumulator for this query.
 	Limits advice.Limits
 	// Tenant names the frontend that owns this query ("" = the primary
-	// frontend). Agents account per-tenant tuple usage against it, and a
-	// tenant-routing combiner learns the query→tenant mapping from it.
+	// frontend). Agents account per-tenant tuple usage against it, and the
+	// delivering combiner tier learns the query→tenant mapping from it.
 	Tenant string
 	// Share is the fair-share divisor the installing frontend applied to
 	// its budgets (how many tenants split the agent's capacity); carried on

@@ -14,10 +14,10 @@ import (
 	"repro/internal/agent"
 	"repro/internal/baggage"
 	"repro/internal/bus"
+	"repro/internal/combiner"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/simtime"
-	"repro/internal/spans"
 	"repro/internal/tracepoint"
 )
 
@@ -42,6 +42,16 @@ type Config struct {
 	// this just below their data-read size so control RPCs stay cheap;
 	// zero preserves the exact model everywhere.
 	SmallFlowCutoff float64
+	// Combiners is the width of the mid combiner tier that aggregates
+	// agent reports under one root combiner before any frontend sees them
+	// (tree.go), so no frontend subscription scales with agent count.
+	// Zero is the flat deployment — a tree with no tiers — where agents
+	// publish on the results topic the frontends read.
+	Combiners int
+	// Spans turns on causal span capture: every monitored process records
+	// spans at tracepoint crossings and the frontend reconstructs
+	// per-request DAGs (PT.Traces()), which also enables EXPLAIN ANALYZE.
+	Spans bool
 }
 
 // DefaultConfig models the paper's testbed: 1 Gbit NICs, commodity disks,
@@ -66,18 +76,23 @@ type Cluster struct {
 	PT  *core.PivotTracing
 	cfg Config
 
+	// combiners are the aggregation tiers in dataflow order (mids, then
+	// the root) and partitions the number of topics agent reports are
+	// sharded across; both are fixed by New and empty/zero when flat.
+	combiners  []*combiner.Combiner
+	partitions int
+
 	mu      sync.Mutex
 	hosts   map[string]*netsim.Host
 	procs   []*Process
 	byName  map[string]*Process // "host/proc"
 	nextID  int64
-	spansOn bool
-	spanCap int
 	tenants []*core.PivotTracing // additional tenant frontends (tree.go)
-	tree    *CombinerTree        // hierarchical aggregation tiers, if enabled
 }
 
-// New creates an empty cluster.
+// New creates an empty cluster. The reporting topology is decided here,
+// before any process exists: every agent is handed its report topic as it
+// starts and never retargeted.
 func New(env *simtime.Env, cfg Config) *Cluster {
 	c := &Cluster{
 		Env:    env,
@@ -88,6 +103,10 @@ func New(env *simtime.Env, cfg Config) *Cluster {
 		byName: make(map[string]*Process),
 	}
 	c.PT = core.New(c.Bus, tracepoint.NewRegistry())
+	if cfg.Spans {
+		c.PT.EnableTraceCollection()
+	}
+	c.newTiers()
 	if cfg.SmallFlowCutoff > 0 {
 		c.Net.SetSmallFlowCutoff(cfg.SmallFlowCutoff)
 	}
@@ -101,25 +120,6 @@ func New(env *simtime.Env, cfg Config) *Cluster {
 		}
 	})
 	return c
-}
-
-// EnableSpans turns on causal span capture across the deployment: every
-// monitored process records spans at tracepoint crossings (ring capacity
-// per agent; <= 0 selects the agent default) and the frontend
-// reconstructs per-request DAGs, returned here as the builder. Processes
-// started after this call are enabled as they start.
-func (c *Cluster) EnableSpans(capacity int) *spans.Builder {
-	c.mu.Lock()
-	c.spansOn = true
-	c.spanCap = capacity
-	procs := append([]*Process(nil), c.procs...)
-	c.mu.Unlock()
-	for _, p := range procs {
-		if p.Agent != nil {
-			p.Agent.EnableSpans(uint64(p.Info.ProcID)<<32, capacity)
-		}
-	}
-	return c.PT.EnableTraceCollection()
 }
 
 // clock adapts the simulation environment to the tracepoint.Clock
@@ -186,8 +186,8 @@ func (c *Cluster) StartAll(procName string, hosts []string) []*Process {
 	return out
 }
 
-// Hosts returns all host names in creation order... map order is not
-// stable, so callers that need ordering should track their own lists.
+// Hosts returns every host, in no particular order; callers that need one
+// track their own lists.
 func (c *Cluster) Hosts() []*netsim.Host {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -251,21 +251,15 @@ func (c *Cluster) start(hostName, procName string, monitored bool) *Process {
 	}
 	c.byName[key] = p
 	c.procs = append(c.procs, p)
-	spansOn, spanCap := c.spansOn, c.spanCap
-	parts := 0
-	if c.tree != nil {
-		parts = c.tree.Partitions
-	}
 	tenants := append([]*core.PivotTracing(nil), c.tenants...)
 	c.mu.Unlock()
 	if monitored {
-		p.Agent = agent.New(c.Env, p.Info, p.Reg, c.Bus, c.cfg.ReportInterval)
-		if spansOn {
-			p.Agent.EnableSpans(uint64(p.Info.ProcID)<<32, spanCap)
+		a := agent.New(c.Env, p.Info, p.Reg, c.Bus, c.cfg.ReportInterval)
+		a.SetReportTopic(c.reportTopic(hostName, procName))
+		if c.cfg.Spans {
+			a.EnableSpans(uint64(p.Info.ProcID)<<32, 0)
 		}
-		if parts > 0 {
-			p.Agent.SetReportTopic(agentPartitionTopic(hostName, procName, parts))
-		}
+		p.Agent = a
 		// Replay standing queries so late-started processes participate —
 		// the primary's and every tenant frontend's.
 		for _, msg := range c.PT.Installs() {
@@ -317,16 +311,17 @@ func (c *Cluster) Procs() []*Process {
 }
 
 // FlushAgents forces every agent to report immediately (used at experiment
-// shutdown so the final interval is not lost). With a combiner tree
-// enabled, the tiers are flushed afterwards in dataflow order so the
-// agents' final reports reach the frontends too.
+// shutdown so the final interval is not lost), then flushes the combiner
+// tiers in dataflow order so those reports reach the frontends too.
 func (c *Cluster) FlushAgents() {
 	for _, p := range c.Procs() {
 		if p.Agent != nil {
 			p.Agent.Flush()
 		}
 	}
-	c.FlushTree()
+	for _, t := range c.combiners {
+		t.Flush()
+	}
 }
 
 // WeaveAll weaves advice into the named tracepoint in every process that

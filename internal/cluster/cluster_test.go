@@ -10,11 +10,7 @@ import (
 	"repro/internal/tuple"
 )
 
-func testCluster(env *simtime.Env) *Cluster {
-	cfg := DefaultConfig()
-	cfg.RPCLatency = 0
-	return New(env, cfg)
-}
+func testCluster(env *simtime.Env) *Cluster { return tieredCluster(env, 0) }
 
 func TestEndToEndQ2StyleQuery(t *testing.T) {
 	env := simtime.NewEnv()

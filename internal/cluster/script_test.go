@@ -25,8 +25,8 @@ func TestScriptExecDrivesDemoCase(t *testing.T) {
 	env.Run(func() {
 		cfg := DefaultConfig()
 		cfg.ReportInterval = 5 * time.Millisecond
+		cfg.Spans = true
 		cl := New(env, cfg)
-		builder := cl.EnableSpans(0)
 		x := NewScriptExec(cl, c)
 		for i := 0; i < 2; i++ {
 			if err := x.Run(); err != nil {
@@ -37,7 +37,7 @@ func TestScriptExecDrivesDemoCase(t *testing.T) {
 		}
 		env.Sleep(3 * cfg.ReportInterval)
 		cl.FlushAgents()
-		traces = len(builder.TraceIDs())
+		traces = len(cl.PT.Traces().TraceIDs())
 		for _, p := range x.Procs {
 			spans += p.Agent.Stats().SpansCaptured
 		}

@@ -2,122 +2,56 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/agent"
 	"repro/internal/combiner"
 	"repro/internal/core"
 )
 
 // This file wires the hierarchical-aggregation and multi-tenant layers
-// over a simulated cluster: a 2-tier combiner tree (agents → partitioned
-// mid combiners → root combiner → frontends) and additional tenant
-// frontends sharing the deployment's bus and master registry.
+// over a simulated cluster: the combiner tiers between agents and
+// frontends (agents → partitioned mid combiners → root combiner →
+// frontends), the rule that gives an agent its report topic, and
+// additional tenant frontends sharing the deployment's bus and master
+// registry.
 
-// TreeSpec configures a combiner tree for EnableCombinerTree.
-type TreeSpec struct {
-	// MidCombiners is the mid-tier width (rack/pod aggregators); <= 0
-	// selects 4.
-	MidCombiners int
-	// Partitions is how many partition topics agent report traffic is
-	// sharded across; <= 0 selects 4 * MidCombiners (several partitions
-	// per combiner keeps rendezvous rebalancing granular).
-	Partitions int
-	// TenantRouting makes the root tier deliver each tenant's queries on
-	// that tenant's own results topic.
-	TenantRouting bool
-	// Interval is the combiner flush cadence; <= 0 selects the cluster's
-	// agent reporting interval.
-	Interval time.Duration
-}
-
-// CombinerTree is a running 2-tier aggregation tree.
-type CombinerTree struct {
-	Mid        []*combiner.Combiner
-	Root       *combiner.Combiner
-	Partitions int
-}
-
-// Stats sums merge/forward accounting across all tiers.
-func (t *CombinerTree) Stats() (reportsMerged, framesOut int64) {
-	for _, m := range t.Mid {
-		s := m.Stats()
-		reportsMerged += s.CombinerReportsMerged
-		framesOut += s.CombinerFramesOut
+// newTiers stands up cfg.Combiners mid combiners, each owning a disjoint
+// share of the partition topics (several partitions per combiner keeps
+// rendezvous rebalancing granular), under one root. The root has no
+// upstream tier, so it is the one that delivers to frontends and routes
+// each tenant's queries to that tenant's topic. Flat deployments get no
+// tiers.
+func (c *Cluster) newTiers() {
+	if c.cfg.Combiners <= 0 {
+		return
 	}
-	s := t.Root.Stats()
-	return reportsMerged + s.CombinerReportsMerged, framesOut + s.CombinerFramesOut
-}
-
-// EnableCombinerTree stands up a 2-tier combiner tree on the cluster bus
-// and re-points every agent (current and future) at its partition topic.
-// Agent reports then flow partition → owning mid combiner → root →
-// frontend(s), so no frontend subscription scales with agent count. Call
-// once, before or after starting processes.
-func (c *Cluster) EnableCombinerTree(spec TreeSpec) *CombinerTree {
-	if spec.MidCombiners <= 0 {
-		spec.MidCombiners = 4
-	}
-	if spec.Partitions <= 0 {
-		spec.Partitions = 4 * spec.MidCombiners
-	}
-	if spec.Interval <= 0 {
-		spec.Interval = c.cfg.ReportInterval
-	}
-
-	members := make([]string, spec.MidCombiners)
+	members := make([]string, c.cfg.Combiners)
 	for i := range members {
 		members[i] = fmt.Sprintf("combiner-mid-%d", i)
 	}
-	topics := combiner.PartitionTopics(spec.Partitions)
-	tree := &CombinerTree{Partitions: spec.Partitions}
+	c.partitions = 4 * len(members)
+	topics := combiner.PartitionTopics(c.partitions)
 	for _, name := range members {
-		tree.Mid = append(tree.Mid, combiner.New(c.Env, "combiners", name, c.Bus, combiner.Config{
-			Interval:  spec.Interval,
+		c.combiners = append(c.combiners, combiner.New(c.Env, "combiners", name, c.Bus, combiner.Config{
+			Interval:  c.cfg.ReportInterval,
 			Subscribe: combiner.Owned(topics, members, name),
 			Upstream:  combiner.RootTopic,
 		}))
 	}
-	tree.Root = combiner.New(c.Env, "combiners", "combiner-root", c.Bus, combiner.Config{
-		Interval:      spec.Interval,
-		Subscribe:     []string{combiner.RootTopic},
-		TenantRouting: spec.TenantRouting,
-	})
-
-	c.mu.Lock()
-	c.tree = tree
-	procs := append([]*Process(nil), c.procs...)
-	c.mu.Unlock()
-	for _, p := range procs {
-		if p.Agent != nil {
-			p.Agent.SetReportTopic(agentPartitionTopic(p.Info.Host, p.Info.ProcName, spec.Partitions))
-		}
-	}
-	return tree
+	c.combiners = append(c.combiners, combiner.New(c.Env, "combiners", "combiner-root", c.Bus, combiner.Config{
+		Interval:  c.cfg.ReportInterval,
+		Subscribe: []string{combiner.RootTopic},
+	}))
 }
 
-// Tree returns the cluster's combiner tree, or nil if none was enabled.
-func (c *Cluster) Tree() *CombinerTree {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tree
-}
-
-func agentPartitionTopic(host, proc string, parts int) string {
-	return combiner.PartitionTopic(combiner.Partition(host, proc, parts), parts)
-}
-
-// FlushTree flushes the tree tiers in dataflow order (mids, then root) so
-// everything agents have already published reaches the frontends. Safe to
-// call with no tree enabled.
-func (c *Cluster) FlushTree() {
-	tree := c.Tree()
-	if tree == nil {
-		return
+// reportTopic is where the agent of host/proc publishes its reports: its
+// hash partition's topic under a tree, so no single process subscribes to
+// every agent's traffic, and the frontends' own topic without one.
+func (c *Cluster) reportTopic(host, proc string) string {
+	if c.partitions == 0 {
+		return agent.ResultsTopic
 	}
-	for _, m := range tree.Mid {
-		m.Flush()
-	}
-	tree.Root.Flush()
+	return combiner.PartitionTopic(combiner.Partition(host, proc, c.partitions), c.partitions)
 }
 
 // NewTenantFrontend creates an additional frontend for the named tenant

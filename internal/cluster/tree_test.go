@@ -2,14 +2,38 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
+	"repro/internal/agent"
 	"repro/internal/combiner"
 	"repro/internal/simtime"
 	"repro/internal/tuple"
 )
 
-// TestCombinerTreeEndToEnd: with a 2-tier tree enabled, agent reports flow
+// tieredCluster is the package's test cluster behind a combiner tree n
+// mids wide (0 = flat, which is testCluster).
+func tieredCluster(env *simtime.Env, n int) *Cluster {
+	cfg := DefaultConfig()
+	cfg.RPCLatency = 0
+	cfg.Combiners = n
+	return New(env, cfg)
+}
+
+// TestFlatClusterHasNoTiers: Combiners 0 is a tree with no tiers — agents
+// report on the topic the frontends read.
+func TestFlatClusterHasNoTiers(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		c := tieredCluster(env, 0)
+		if len(c.combiners) != 0 {
+			t.Fatalf("flat cluster stood up %d combiners", len(c.combiners))
+		}
+		if got := c.Start("h1", "svc").Agent.ReportTopic(); got != agent.ResultsTopic {
+			t.Fatalf("flat agent reports on %q, want %q", got, agent.ResultsTopic)
+		}
+	})
+}
+
+// TestCombinerTreeEndToEnd: behind a 2-wide tree, agent reports flow
 // partition topic → mid combiner → root → frontend, results match the flat
 // answer, and the tiers' merge/forward accounting is non-trivial.
 func TestCombinerTreeEndToEnd(t *testing.T) {
@@ -17,20 +41,17 @@ func TestCombinerTreeEndToEnd(t *testing.T) {
 	var rows []tuple.Tuple
 	var merged, frames int64
 	env.Run(func() {
-		c := testCluster(env)
-		tree := c.EnableCombinerTree(TreeSpec{MidCombiners: 2, TenantRouting: true})
-
-		// One process started before a second after EnableCombinerTree:
-		// both must report via their partition topics.
+		c := tieredCluster(env, 2)
 		p1 := c.Start("h1", "svc")
 		tp1 := p1.Define("Work.Do", "n")
-		p2 := c.Start("h2", "svc")
-		tp2 := p2.Define("Work.Do", "n")
 
 		h, err := c.PT.Install(`From e In Work.Do GroupBy e.host Select e.host, COUNT`)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A process started after the install reports through the tree too.
+		p2 := c.Start("h2", "svc")
+		tp2 := p2.Define("Work.Do", "n")
 		for i := 0; i < 3; i++ {
 			tp1.Here(p1.NewRequest())
 		}
@@ -39,13 +60,17 @@ func TestCombinerTreeEndToEnd(t *testing.T) {
 		env.Sleep(3 * c.cfg.ReportInterval)
 		c.FlushAgents()
 		rows = h.Rows()
-		merged, frames = tree.Stats()
+		for _, tier := range c.combiners {
+			s := tier.Stats()
+			merged += s.CombinerReportsMerged
+			frames += s.CombinerFramesOut
+		}
 
 		// The frontend must not have seen any direct agent frames: agents
 		// publish on partition topics only.
 		for _, p := range c.Procs() {
-			if p.Agent != nil && p.Agent.ReportTopic() == "pt.results" {
-				t.Errorf("agent %s still reports on the flat results topic", p.Info.Host)
+			if p.Agent.ReportTopic() == agent.ResultsTopic {
+				t.Errorf("agent %s reports on the flat results topic", p.Info.Host)
 			}
 		}
 	})
@@ -58,15 +83,14 @@ func TestCombinerTreeEndToEnd(t *testing.T) {
 }
 
 // TestTenantFrontendOverTree: a tenant frontend's query rides the tree and
-// is delivered on the tenant's own topic by the tenant-routing root, while
+// is delivered on the tenant's own topic by the root combiner, while
 // the primary's query still lands on the shared results topic. Both see
 // exactly their own rows, and late-started processes replay the tenant's
 // installs.
 func TestTenantFrontendOverTree(t *testing.T) {
 	env := simtime.NewEnv()
 	env.Run(func() {
-		c := testCluster(env)
-		c.EnableCombinerTree(TreeSpec{MidCombiners: 2, TenantRouting: true})
+		c := tieredCluster(env, 2)
 		ten := c.NewTenantFrontend("acme", 2)
 
 		p1 := c.Start("h1", "svc")
@@ -119,18 +143,17 @@ func TestTenantFrontendOverTree(t *testing.T) {
 func TestTreeRebalanceOwnership(t *testing.T) {
 	env := simtime.NewEnv()
 	env.Run(func() {
-		c := testCluster(env)
-		tree := c.EnableCombinerTree(TreeSpec{MidCombiners: 3, Interval: time.Second})
+		c := tieredCluster(env, 3)
 		owned := map[string]int{}
-		for _, m := range tree.Mid {
+		for _, m := range c.combiners[:3] {
 			for _, topic := range m.Topics() {
 				owned[topic]++
 			}
 		}
-		if len(owned) != tree.Partitions {
-			t.Fatalf("mids own %d topics, want %d", len(owned), tree.Partitions)
+		if len(owned) != c.partitions {
+			t.Fatalf("mids own %d topics, want %d", len(owned), c.partitions)
 		}
-		for _, topic := range combiner.PartitionTopics(tree.Partitions) {
+		for _, topic := range combiner.PartitionTopics(c.partitions) {
 			if owned[topic] != 1 {
 				t.Errorf("topic %q owned by %d mids, want exactly 1", topic, owned[topic])
 			}

@@ -11,11 +11,12 @@
 // algebra (clone on first insert, pairwise agg.State merge, raw-row and
 // tombstone union, group-shape validation) is not restated here. What this
 // package owns is the tier around it: partition hashing and rendezvous
-// ownership (partition.go), the flush cadence, key-sorted drains stamped
-// with the tier's identity, tenant routing, and the merged/forwarded
-// ledger. Any reassociation of the merge tree yields byte-identical final
-// results; the differential suite (pivot/differential_test.go) proves this
-// against the flat topology on every generated case.
+// ownership (assign.go), the flush cadence, key-sorted drains stamped
+// with the tier's identity, tenant routing at the tier that delivers to
+// frontends, and the merged/forwarded ledger. Any reassociation of the
+// merge tree yields byte-identical final results; the differential suite
+// (pivot/differential_test.go) proves this against the flat topology on
+// every generated case.
 package combiner
 
 import (
@@ -44,16 +45,35 @@ type Config struct {
 	// Subscribe is the disjoint set of downstream topics this combiner
 	// owns (partition topics for a mid tier, RootTopic for the root).
 	Subscribe []string
-	// Upstream is the topic merged frames forward to; "" selects
-	// agent.ResultsTopic (the frontend's subscription).
+	// Upstream is the next tier's topic, which merged frames forward to.
+	// "" marks the tier that delivers to frontends: it learns each query's
+	// owning tenant from the Install frames on the control topic and
+	// publishes that tenant's queries on the tenant's own results topic
+	// (agent.TenantResultsTopic), everything else on agent.ResultsTopic,
+	// so each tenant frontend receives exactly its own queries' frames.
 	Upstream string
-	// TenantRouting makes the combiner learn each query's owning tenant
-	// from Install frames on the control topic and route that query's
-	// merged frames to the tenant's own results topic
-	// (agent.TenantResultsTopic) instead of Upstream. Enabled on the root
-	// tier of a multi-tenant deployment, so each tenant frontend receives
-	// exactly its own queries' frames.
-	TenantRouting bool
+}
+
+// route is what the delivering tier remembers of one tenant-owned query.
+// It is leased like the query itself (agent/leases.go) so a tenant that
+// dies without uninstalling does not stay in the table forever.
+type route struct {
+	tenant string
+	ttl    time.Duration // the install's lease; 0 = immortal
+	expiry time.Duration // on the combiner's clock; 0 = never
+}
+
+// routeGrace is how many lease durations a route outlives its last
+// renewal. Agents shed the query after one; nothing of it can still be in
+// flight below this tier one more later, so no tail frame of a dead
+// tenant is misdelivered onto the shared results topic.
+const routeGrace = 2
+
+// arm restarts the route's lease from now.
+func (r *route) arm(now time.Duration) {
+	if r.ttl > 0 {
+		r.expiry = now + routeGrace*r.ttl
+	}
 }
 
 // Combiner is one aggregation-tier process. It merges every Report and
@@ -72,7 +92,7 @@ type Combiner struct {
 
 	mu      sync.Mutex
 	pending map[string]*advice.Merger // per query: merged, not yet forwarded
-	tenants map[string]string         // queryID → owning tenant (TenantRouting)
+	routes  map[string]route          // queryID → owning tenant (delivering tier only)
 	closed  bool
 
 	reportsMerged   atomic.Int64 // downstream reports folded in
@@ -81,9 +101,7 @@ type Combiner struct {
 	framesOut       atomic.Int64 // upstream ReportBatch frames published
 	rowsOut         atomic.Int64 // group+raw rows forwarded
 
-	subs    []bus.Subscription
-	ctrlSub bus.Subscription
-	hasCtrl bool
+	subs []bus.Subscription
 }
 
 // New starts a combiner on b subscribing to cfg.Subscribe. host/proc name
@@ -102,10 +120,9 @@ func New(env *simtime.Env, host, proc string, b *bus.Bus, cfg Config) *Combiner 
 	for _, topic := range cfg.Subscribe {
 		c.subs = append(c.subs, b.Subscribe(topic, c.onReport))
 	}
-	if cfg.TenantRouting {
-		c.tenants = make(map[string]string)
-		c.ctrlSub = b.Subscribe(agent.ControlTopic, c.onControl)
-		c.hasCtrl = true
+	if cfg.Upstream == "" {
+		c.routes = make(map[string]route)
+		c.subs = append(c.subs, b.Subscribe(agent.ControlTopic, c.onControl))
 	}
 	if env != nil {
 		env.Go(c.flushLoop)
@@ -129,19 +146,33 @@ func (c *Combiner) flushLoop() {
 	}
 }
 
-// onControl learns query→tenant ownership from install traffic.
+// onControl learns query→tenant ownership from install traffic and keeps
+// each route's lease in step with the query's.
 func (c *Combiner) onControl(msg any) {
+	now := c.now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch m := msg.(type) {
 	case agent.Install:
-		c.mu.Lock()
 		if m.Tenant != "" {
-			c.tenants[m.QueryID] = m.Tenant
+			r := route{tenant: m.Tenant, ttl: m.TTL}
+			r.arm(now)
+			c.routes[m.QueryID] = r
 		}
-		c.mu.Unlock()
+	case agent.Renew:
+		for _, id := range m.QueryIDs {
+			r, ok := c.routes[id]
+			if !ok {
+				continue
+			}
+			if m.TTL > 0 {
+				r.ttl = m.TTL
+			}
+			r.arm(now)
+			c.routes[id] = r
+		}
 	case agent.Uninstall:
-		c.mu.Lock()
-		delete(c.tenants, m.QueryID)
-		c.mu.Unlock()
+		delete(c.routes, m.QueryID)
 	}
 }
 
@@ -211,38 +242,34 @@ func (c *Combiner) drainLocked(now time.Duration) []agent.Report {
 	return out
 }
 
-// route returns the upstream topic for one query's merged frames.
-func (c *Combiner) route(queryID string) string {
-	if c.cfg.TenantRouting {
-		c.mu.Lock()
-		tenant := c.tenants[queryID]
-		c.mu.Unlock()
-		if tenant != "" {
-			return agent.TenantResultsTopic(tenant)
-		}
-	}
+// topicLocked returns the topic one query's merged frames go out on.
+// Caller holds c.mu.
+func (c *Combiner) topicLocked(queryID string) string {
 	if c.cfg.Upstream != "" {
 		return c.cfg.Upstream
+	}
+	if r, ok := c.routes[queryID]; ok {
+		return agent.TenantResultsTopic(r.tenant)
 	}
 	return agent.ResultsTopic
 }
 
 // Flush forwards the merged pending state upstream as size-capped
-// ReportBatch frames — one batch run per route topic, so a tenant-routing
-// root emits each tenant's queries on that tenant's own topic — then
-// heartbeats the tier's merge/forward accounting on the health topic.
+// ReportBatch frames — one batch run per topic, so the delivering tier
+// emits each tenant's queries on that tenant's own topic — forgets the
+// routes whose lease lapsed routeGrace TTLs ago, then heartbeats the
+// tier's merge/forward accounting on the health topic.
 func (c *Combiner) Flush() {
 	now := c.now()
 	c.mu.Lock()
 	reports := c.drainLocked(now)
-	c.mu.Unlock()
 
 	// Partition the (query-sorted) reports into per-topic runs, preserving
 	// order within each topic.
 	topics := make([]string, 0, 1)
 	byTopic := make(map[string][]agent.Report)
 	for _, r := range reports {
-		t := c.route(r.QueryID)
+		t := c.topicLocked(r.QueryID)
 		if _, ok := byTopic[t]; !ok {
 			topics = append(topics, t)
 		}
@@ -250,6 +277,12 @@ func (c *Combiner) Flush() {
 		c.reportsOut.Add(1)
 		c.rowsOut.Add(int64(len(r.Groups) + len(r.Raws)))
 	}
+	for id, r := range c.routes {
+		if r.expiry > 0 && now >= r.expiry {
+			delete(c.routes, id)
+		}
+	}
+	c.mu.Unlock()
 	for _, topic := range topics {
 		agent.SplitBatches(byTopic[topic], agent.ReportSize, func(batch []agent.Report) {
 			c.framesOut.Add(1)
@@ -316,8 +349,5 @@ func (c *Combiner) Close() {
 	c.mu.Unlock()
 	for _, s := range c.subs {
 		c.b.Unsubscribe(s)
-	}
-	if c.hasCtrl {
-		c.b.Unsubscribe(c.ctrlSub)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/baggage"
 	"repro/internal/bus"
+	"repro/internal/simtime"
 	"repro/internal/tuple"
 )
 
@@ -310,9 +311,10 @@ func TestCombinerBatchSplitting(t *testing.T) {
 	}
 }
 
-// TestCombinerTenantRouting: a tenant-routing combiner learns ownership
-// from control traffic and fans each tenant's queries out on that tenant's
-// own results topic; unowned queries still go upstream.
+// TestCombinerTenantRouting: the combiner that delivers to frontends (no
+// Upstream) learns ownership from control traffic and fans each tenant's
+// queries out on that tenant's own results topic; unowned queries go out
+// on the shared one. A combiner with an Upstream only forwards.
 func TestCombinerTenantRouting(t *testing.T) {
 	b := bus.New()
 	byTopic := map[string][]string{} // topic -> query IDs seen
@@ -329,10 +331,7 @@ func TestCombinerTenantRouting(t *testing.T) {
 	collect(agent.TenantResultsTopic("alice"))
 	collect(agent.TenantResultsTopic("bob"))
 
-	c := New(nil, "root", "combiner-root", b, Config{
-		Subscribe:     []string{RootTopic},
-		TenantRouting: true,
-	})
+	c := New(nil, "root", "combiner-root", b, Config{Subscribe: []string{RootTopic}})
 	defer c.Close()
 
 	b.Publish(agent.ControlTopic, agent.Install{QueryID: "alice.Q1", Tenant: "alice"})
@@ -358,6 +357,65 @@ func TestCombinerTenantRouting(t *testing.T) {
 	if got := byTopic[agent.ResultsTopic]; len(got) != 2 || got[1] != "alice.Q1" {
 		t.Fatalf("post-uninstall frames not rerouted upstream: %v", byTopic)
 	}
+
+	// A tier with an Upstream sits below the delivering one: it holds no
+	// control subscription and forwards a tenant's query like any other.
+	collect("up")
+	mid := New(nil, "mid", "combiner-mid", b, Config{Subscribe: []string{PartitionTopic(0, 1)}, Upstream: "up"})
+	defer mid.Close()
+	if len(mid.subs) != 1 {
+		t.Fatalf("mid tier holds %d subscriptions, want only its partition topic", len(mid.subs))
+	}
+	b.Publish(agent.ControlTopic, agent.Install{QueryID: "bob.Q2", Tenant: "bob"})
+	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "bob.Q2", Groups: []*advice.Group{countGroup("k", 1)}})
+	mid.Flush()
+	if got := byTopic["up"]; len(got) != 1 || got[0] != "bob.Q2" {
+		t.Fatalf("mid tier did not forward bob.Q2 upstream: %v", byTopic)
+	}
+	if got := byTopic[agent.TenantResultsTopic("bob")]; len(got) != 1 {
+		t.Fatalf("mid tier routed to the tenant topic: %v", byTopic)
+	}
+}
+
+// TestCombinerRouteLease: a route lives as long as its query's lease is
+// renewed and is forgotten two TTLs after the last renewal — a tenant that
+// dies without uninstalling (Cluster.DropTenantFrontend) must not stay in
+// the delivering tier's table forever. TTL 0 stays immortal.
+func TestCombinerRouteLease(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		b := bus.New()
+		c := New(env, "root", "combiner-root", b, Config{Interval: 500 * time.Millisecond, Subscribe: []string{RootTopic}})
+		defer c.Close()
+		routes := func() int {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return len(c.routes)
+		}
+		b.Publish(agent.ControlTopic, agent.Install{QueryID: "acme.Q1", Tenant: "acme", TTL: time.Second})
+		b.Publish(agent.ControlTopic, agent.Install{QueryID: "acme.Q2", Tenant: "acme", TTL: time.Second})
+		b.Publish(agent.ControlTopic, agent.Install{QueryID: "forever.Q1", Tenant: "forever"})
+
+		// Renewed every 1.5 s — later than the agents' 1×TTL, inside the
+		// route's 2×TTL — Q1 survives; Q2 is never renewed.
+		for i := 0; i < 4; i++ {
+			env.Sleep(1500 * time.Millisecond)
+			b.Publish(agent.ControlTopic, agent.Renew{QueryIDs: []string{"acme.Q1", "forever.Q1", "gone.Q7"}})
+		}
+		if got := routes(); got != 2 {
+			t.Fatalf("%d routes after 6 s with acme.Q1 renewed, want 2 (acme.Q1, forever.Q1)", got)
+		}
+		// A renewal that carries a TTL re-leases the route at that TTL.
+		b.Publish(agent.ControlTopic, agent.Renew{QueryIDs: []string{"acme.Q1"}, TTL: 3 * time.Second})
+		env.Sleep(5 * time.Second)
+		if got := routes(); got != 2 {
+			t.Fatalf("%d routes 5 s into a 3 s lease, want 2", got)
+		}
+		env.Sleep(5 * time.Second)
+		if got := routes(); got != 1 {
+			t.Fatalf("%d routes 10 s after the last renewal, want 1 (the unleased one)", got)
+		}
+	})
 }
 
 // TestDrainPendingAccounting: DrainPending returns the unforwarded state
@@ -386,7 +444,7 @@ func TestDrainPendingAccounting(t *testing.T) {
 // folded in.
 func TestCloseStopsIntake(t *testing.T) {
 	b := bus.New()
-	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}, TenantRouting: true})
+	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
 	c.Close()
 	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "Q1"})
 	if c.Pending() != 0 {

@@ -47,8 +47,8 @@ func NewWithOptions(b *bus.Bus, reg *tracepoint.Registry, o Options) *PivotTraci
 		pt.traceSub = b.Subscribe(agent.TraceTopic, pt.onTrace)
 		return pt
 	}
-	// Tenant frontend: its own results topic (where a tenant-routing
-	// combiner tier delivers its queries' frames), the shared results
+	// Tenant frontend: its own results topic (where the delivering
+	// combiner tier publishes its queries' frames), the shared results
 	// topic (flat deployments with no tree publish everything there), and
 	// quarantine notices. Deliberately NOT health/status/trace: those
 	// scale with fleet size and belong to the primary.

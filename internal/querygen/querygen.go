@@ -234,12 +234,7 @@ func Generate(seed int64) *Case {
 		c.TPs = append(c.TPs, TP{Name: fmt.Sprintf("Gen.Tp%d", i), Sig: sig, Fields: signatures[sig]})
 	}
 
-	c.NumProcs = 1 + rng.Intn(3)
-	nHosts := 1 + rng.Intn(c.NumProcs)
-	for p := 0; p < c.NumProcs; p++ {
-		c.Hosts = append(c.Hosts, fmt.Sprintf("h%d", p%nHosts))
-		c.ProcNames = append(c.ProcNames, fmt.Sprintf("p%d", p))
-	}
+	genProcs(rng, c)
 	c.Linear = rng.Intn(2) == 0
 
 	q, qtps := genQuery(rng, c)
@@ -248,32 +243,39 @@ func Generate(seed int64) *Case {
 	return c
 }
 
-// GenerateBudgeted builds a case tailored to budgeted differential
-// testing: many fires of one source tracepoint over a small key pool,
-// scattered across branches and processes, every branch folded back into
-// one, and exactly one final sink fire whose causal past therefore holds
-// every source event — and every eviction tombstone. The query is a
-// happened-before join grouped by source key, so under a baggage budget
-// the pipeline must either report a group's exact aggregate or count it
-// dropped; the oracle knows the full answer either way.
-func GenerateBudgeted(seed int64) *Case {
-	rng := rand.New(rand.NewSource(seed))
-	c := &Case{Seed: seed}
-	c.TPs = []TP{
-		{Name: "Gen.Src", Fields: []Field{{"key", tuple.KindString}, {"val", tuple.KindInt}}},
-		{Name: "Gen.Sink", Fields: []Field{{"n", tuple.KindInt}}},
-	}
-	const srcTP, sinkTP = 0, 1
-
+// genProcs draws the case's process count and lays the processes out
+// over hosts.
+func genProcs(rng *rand.Rand, c *Case) {
 	c.NumProcs = 1 + rng.Intn(3)
 	nHosts := 1 + rng.Intn(c.NumProcs)
 	for p := 0; p < c.NumProcs; p++ {
 		c.Hosts = append(c.Hosts, fmt.Sprintf("h%d", p%nHosts))
 		c.ProcNames = append(c.ProcNames, fmt.Sprintf("p%d", p))
 	}
-	c.QueryText = "From b In Gen.Sink Join a In Gen.Src On a -> b GroupBy a.key Select a.key, SUM(a.val)"
+}
 
-	nKeys := 4 + rng.Intn(9)
+// The fan-in cases (GenerateBudgeted, GenerateSampled) share two
+// tracepoints: a keyed source fired many times and a sink fired once.
+const srcTP, sinkTP = 0, 1
+
+// newFanInCase starts a fan-in case: the two tracepoints and the process
+// layout.
+func newFanInCase(rng *rand.Rand, seed int64) *Case {
+	c := &Case{Seed: seed}
+	c.TPs = []TP{
+		{Name: "Gen.Src", Fields: []Field{{"key", tuple.KindString}, {"val", tuple.KindInt}}},
+		{Name: "Gen.Sink", Fields: []Field{{"n", tuple.KindInt}}},
+	}
+	genProcs(rng, c)
+	return c
+}
+
+// genFanInOps writes the fan-in script: many fires of the source
+// tracepoint over a pool of nKeys keys, scattered across branches and
+// processes, every branch folded back into one, and exactly one final sink
+// fire whose causal past therefore holds every source event — and every
+// eviction tombstone.
+func genFanInOps(rng *rand.Rand, c *Case, nKeys int) {
 	nFires := nKeys + rng.Intn(2*nKeys)
 	type br struct{ proc int }
 	branches := []br{{0}}
@@ -325,6 +327,18 @@ func GenerateBudgeted(seed int64) *Case {
 		branches[0].proc = p
 	}
 	fire(0, sinkTP, tuple.Int(1))
+}
+
+// GenerateBudgeted builds a case tailored to budgeted differential
+// testing: the fan-in script (genFanInOps) over a 4–12 key pool, under a
+// happened-before join grouped by source key, so under a baggage budget
+// the pipeline must either report a group's exact aggregate or count it
+// dropped; the oracle knows the full answer either way.
+func GenerateBudgeted(seed int64) *Case {
+	rng := rand.New(rand.NewSource(seed))
+	c := newFanInCase(rng, seed)
+	c.QueryText = "From b In Gen.Sink Join a In Gen.Src On a -> b GroupBy a.key Select a.key, SUM(a.val)"
+	genFanInOps(rng, c, 4+rng.Intn(9))
 	return c
 }
 
@@ -344,74 +358,12 @@ var sampledRates = []float64{0.05, 0.1, 0.2, 0.25, 0.5}
 // against the oracle's totals.
 func GenerateSampled(seed int64) *Case {
 	rng := rand.New(rand.NewSource(seed))
-	c := &Case{Seed: seed}
-	c.TPs = []TP{
-		{Name: "Gen.Src", Fields: []Field{{"key", tuple.KindString}, {"val", tuple.KindInt}}},
-		{Name: "Gen.Sink", Fields: []Field{{"n", tuple.KindInt}}},
-	}
-	const srcTP, sinkTP = 0, 1
-
-	c.NumProcs = 1 + rng.Intn(3)
-	nHosts := 1 + rng.Intn(c.NumProcs)
-	for p := 0; p < c.NumProcs; p++ {
-		c.Hosts = append(c.Hosts, fmt.Sprintf("h%d", p%nHosts))
-		c.ProcNames = append(c.ProcNames, fmt.Sprintf("p%d", p))
-	}
+	c := newFanInCase(rng, seed)
 	c.SampleRate = sampledRates[rng.Intn(len(sampledRates))]
 	c.QueryText = fmt.Sprintf(
 		"From b In Gen.Sink Join a In Gen.Src On a -> b GroupBy a.key Select a.key, COUNT, SUM(a.val) Sample %v",
 		c.SampleRate)
-
-	nKeys := 3 + rng.Intn(4)
-	nFires := nKeys + rng.Intn(2*nKeys)
-	type br struct{ proc int }
-	branches := []br{{0}}
-	delay := func() time.Duration {
-		return time.Duration(rng.Intn(5)) * 700 * time.Microsecond
-	}
-	fire := func(b, tp int, args ...tuple.Value) {
-		ev := Event{ID: len(c.Events), TP: tp, Proc: branches[b].proc, Args: args}
-		c.Events = append(c.Events, ev)
-		c.Ops = append(c.Ops, Op{Kind: OpFire, Delay: delay(), Branch: b, Event: ev.ID})
-	}
-	for fired := 0; fired < nFires; {
-		k := rng.Intn(100)
-		switch {
-		case k < 15 && len(branches) < 4:
-			b := rng.Intn(len(branches))
-			c.Ops = append(c.Ops, Op{Kind: OpSplit, Delay: delay(), Branch: b})
-			branches = append(branches, br{branches[b].proc})
-		case k < 25 && len(branches) > 1:
-			b := rng.Intn(len(branches))
-			o := rng.Intn(len(branches))
-			if o == b {
-				o = (o + 1) % len(branches)
-			}
-			c.Ops = append(c.Ops, Op{Kind: OpJoin, Delay: delay(), Branch: b, Other: o})
-			branches = append(branches[:o], branches[o+1:]...)
-		case k < 45 && c.NumProcs > 1:
-			b := rng.Intn(len(branches))
-			p := rng.Intn(c.NumProcs)
-			c.Ops = append(c.Ops, Op{Kind: OpTransfer, Delay: delay(), Branch: b, Proc: p})
-			branches[b].proc = p
-		default:
-			b := rng.Intn(len(branches))
-			fire(b, srcTP,
-				tuple.String(fmt.Sprintf("k%02d", rng.Intn(nKeys))),
-				tuple.Int(int64(1+rng.Intn(16))))
-			fired++
-		}
-	}
-	for len(branches) > 1 {
-		c.Ops = append(c.Ops, Op{Kind: OpJoin, Delay: delay(), Branch: 0, Other: len(branches) - 1})
-		branches = branches[:len(branches)-1]
-	}
-	if c.NumProcs > 1 && rng.Intn(2) == 0 {
-		p := rng.Intn(c.NumProcs)
-		c.Ops = append(c.Ops, Op{Kind: OpTransfer, Delay: delay(), Branch: 0, Proc: p})
-		branches[0].proc = p
-	}
-	fire(0, sinkTP, tuple.Int(1))
+	genFanInOps(rng, c, 3+rng.Intn(4))
 	return c
 }
 

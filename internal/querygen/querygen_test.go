@@ -1,6 +1,7 @@
 package querygen
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -20,6 +21,24 @@ func TestGenerateIsDeterministic(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestGeneratedCasesArePinned: the differential sweeps name their cases
+// by seed, so a generator change that moves one rng call silently re-deals
+// every seed — old failures stop replaying and the sweeps cover different
+// ground. The digest is over %#v of every generator's case for seeds
+// 1–3000; a change that means to re-deal them records the new digest here.
+func TestGeneratedCasesArePinned(t *testing.T) {
+	const want = "74293c07b013f702c5f0128ae1d4d09cfa2667d71e4259aedc4742c2ace59834"
+	h := sha256.New()
+	for seed := int64(1); seed <= 3000; seed++ {
+		fmt.Fprintf(h, "%#v", Generate(seed))
+		fmt.Fprintf(h, "%#v", GenerateBudgeted(seed))
+		fmt.Fprintf(h, "%#v", GenerateSampled(seed))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("generated cases changed: digest %s, want %s", got, want)
+	}
 }
 
 func TestGeneratedQueriesParseAnalyzeAndCompile(t *testing.T) {

@@ -52,6 +52,11 @@ func deploy(env *simtime.Env, r *Run, interval time.Duration) *Deployment {
 	// Scenario reads are 64 kB+; everything below rides the closed-form
 	// small-flow path so million-request runs stay fast.
 	cfg.SmallFlowCutoff = 32e3
+	if r.S.CombinerTree {
+		// One mid combiner per rack, so agent report traffic aggregates
+		// rack by rack before it reaches the frontends.
+		cfg.Combiners = racks
+	}
 	c := cluster.New(env, cfg)
 	topo := c.AdoptTopology(netsim.TopologyConfig{
 		Racks:        racks,
@@ -72,21 +77,6 @@ func deploy(env *simtime.Env, r *Run, interval time.Duration) *Deployment {
 	d.Admin = c.StartUnmonitored("master", "Admin")
 	d.AdminFS = hdfs.NewClient(d.Admin, d.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
 	return d
-}
-
-// EnableCombinerTree stands up a 2-tier combiner tree sized to the
-// topology — one mid combiner per rack, partitions at rack granularity —
-// so agent report traffic aggregates rack-by-rack before reaching the
-// frontends. tenantRouting turns on per-tenant delivery at the root.
-func (d *Deployment) EnableCombinerTree(tenantRouting bool) *cluster.CombinerTree {
-	racks := (d.Topo.Size() + hostsPerRack - 1) / hostsPerRack
-	if racks < 1 {
-		racks = 1
-	}
-	return d.C.EnableCombinerTree(cluster.TreeSpec{
-		MidCombiners:  racks,
-		TenantRouting: tenantRouting,
-	})
 }
 
 // WorkerNames returns the names of the first n topology hosts (all of

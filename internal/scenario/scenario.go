@@ -47,6 +47,9 @@ type Scenario struct {
 	// to it so the virtual duration is deterministic. Halved (at least
 	// 4s) for short runs.
 	Horizon time.Duration
+	// CombinerTree deploys the cluster behind a rack-granularity combiner
+	// tree (cluster.Config.Combiners) instead of flat.
+	CombinerTree bool
 	// Run executes the scenario body inside a fresh simulation.
 	Run func(r *Run) error
 }

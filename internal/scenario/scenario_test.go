@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,38 @@ func TestReportDeterminism(t *testing.T) {
 	a, b := render(), render()
 	if !bytes.Equal(a, b) {
 		t.Errorf("same-seed runs produced different JSON reports\n%s", randtest.Replay(t, seed))
+	}
+}
+
+// TestReportDeterminismGolden renders what
+//
+//	go run ./cmd/ptbench -all -short -seed 1 -json testdata/short-seed1.json
+//
+// writes and requires the checked-in bytes: a refactor that claims the
+// same behaviour proves it here instead of by hand. The report is the same
+// under any GOMAXPROCS and with or without -race. A change that means to
+// move it rewrites the file with the repo's regeneration switch:
+//
+//	PT_REGEN_CORPUS=1 go test ./internal/scenario -run TestReportDeterminismGolden
+func TestReportDeterminismGolden(t *testing.T) {
+	const golden = "testdata/short-seed1.json"
+	h := &Harness{Seed: 1, Short: true}
+	got, err := NewReport(1, true, h.RunAll(All())).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("PT_REGEN_CORPUS") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the short seed-1 report differs from %s; diff it against\n  go run ./cmd/ptbench -all -short -seed 1 -json /dev/stdout", golden)
 	}
 }
 

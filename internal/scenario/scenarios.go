@@ -748,9 +748,9 @@ func MultiTenantStorm() *Scenario {
 		DefaultHosts: 1024,
 		ShortHosts:   64,
 		Horizon:      12 * time.Second,
+		CombinerTree: true,
 		Run: func(r *Run) error {
 			d := deploy(r.Env, r, 500*time.Millisecond)
-			d.EnableCombinerTree(true)
 			hosts := d.WorkerNames(0)
 			d.StartDataNodes(hosts)
 			const readSize = 64e3
@@ -1099,9 +1099,9 @@ func SamplingStorm() *Scenario {
 		DefaultHosts: 1024,
 		ShortHosts:   64,
 		Horizon:      20 * time.Second,
+		CombinerTree: true,
 		Run: func(r *Run) error {
 			d := deploy(r.Env, r, 500*time.Millisecond)
-			d.EnableCombinerTree(false)
 			hosts := d.WorkerNames(0)
 
 			nGen, ops1, ops2 := 384, 75, 60

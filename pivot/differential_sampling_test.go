@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/oracle"
@@ -69,12 +68,10 @@ func runSampledDifferentialCase(seed int64) error {
 	var runErr error
 	env := simtime.NewEnv()
 	env.Run(func() {
-		cfg := cluster.DefaultConfig()
-		cfg.ReportInterval = 5 * time.Millisecond
 		// The 2-tier combiner tree is load-bearing: the Exact flag and the
 		// weighted fields must survive the extra pairwise merges at the mid
 		// and root tiers, not just the flat agent→frontend path.
-		cl := treeCluster(env, cfg)
+		cl := diffCluster(env, diffTree)
 		x := cluster.NewScriptExec(cl, c)
 		h, err := cl.PT.Install(c.QueryText)
 		if err != nil {
@@ -87,7 +84,7 @@ func runSampledDifferentialCase(seed int64) error {
 				return
 			}
 		}
-		env.Sleep(3 * cfg.ReportInterval)
+		env.Sleep(3 * diffInterval)
 		cl.FlushAgents()
 		rows, groups = h.Rows(), h.Groups()
 		for _, p := range cl.Procs() {
@@ -221,9 +218,7 @@ func TestSampledErrorVsRate(t *testing.T) {
 		var runErr error
 		env := simtime.NewEnv()
 		env.Run(func() {
-			cfg := cluster.DefaultConfig()
-			cfg.ReportInterval = 5 * time.Millisecond
-			cl := treeCluster(env, cfg)
+			cl := diffCluster(env, diffTree)
 			x := cluster.NewScriptExec(cl, c)
 			handles := make([]interface{ Rows() []tuple.Tuple }, estimators)
 			for i := range handles {
@@ -240,7 +235,7 @@ func TestSampledErrorVsRate(t *testing.T) {
 					return
 				}
 			}
-			env.Sleep(3 * cfg.ReportInterval)
+			env.Sleep(3 * diffInterval)
 			cl.FlushAgents()
 			for i, h := range handles {
 				for _, r := range h.Rows() {
@@ -305,9 +300,7 @@ func TestSampledRateOneMatchesExactBytes(t *testing.T) {
 			var runErr error
 			env := simtime.NewEnv()
 			env.Run(func() {
-				cfg := cluster.DefaultConfig()
-				cfg.ReportInterval = 5 * time.Millisecond
-				cl := treeCluster(env, cfg)
+				cl := diffCluster(env, diffTree)
 				x := cluster.NewScriptExec(cl, c)
 				h, err := cl.PT.InstallNamed("QS", queryText, plan.Optimized)
 				if err != nil {
@@ -320,7 +313,7 @@ func TestSampledRateOneMatchesExactBytes(t *testing.T) {
 						return
 					}
 				}
-				env.Sleep(3 * cfg.ReportInterval)
+				env.Sleep(3 * diffInterval)
 				cl.FlushAgents()
 				rows, groups = h.Rows(), h.Groups()
 			})

@@ -9,13 +9,13 @@ package pivot
 // merge — and the result set must be byte-equal to what the reference
 // evaluator (internal/oracle) computes from the materialized trace.
 //
-// Every case runs in both topologies: flat (agents → frontend) and a
-// 2-tier combiner tree (agents → partitioned mid combiners → root →
-// frontend). Both must equal the oracle, and each other, byte for byte:
-// the load-bearing proof that reassociating the merge tree cannot corrupt
-// aggregation — agg.State merging is associative and commutative, raw
-// rows union, and drop tombstones stay exact through the extra union at
-// each tier.
+// Every case runs in every topology of the table below: flat (agents →
+// frontend) and combiner trees of two widths (agents → partitioned mid
+// combiners → root → frontend). All must equal the oracle, and every tree
+// must equal flat, byte for byte: the load-bearing proof that
+// reassociating the merge tree cannot corrupt aggregation — agg.State
+// merging is associative and commutative, raw rows union, and drop
+// tombstones stay exact through the extra union at each tier.
 //
 // Reproduce a failure with the seed printed in the failure message:
 //
@@ -65,21 +65,31 @@ func diffCases(t *testing.T, full, short int) int {
 	return full
 }
 
-// treeCluster builds a differential-case cluster with a 2-tier combiner
-// tree: 3 mid combiners over 12 partition topics (several per combiner, so
-// rendezvous ownership is non-trivial even with few agents), flushing on
-// the same 5ms cadence as the agents.
-func treeCluster(env *simtime.Env, cfg cluster.Config) *cluster.Cluster {
-	cl := cluster.New(env, cfg)
-	cl.EnableCombinerTree(cluster.TreeSpec{MidCombiners: 3})
-	return cl
+// diffInterval is short enough to spread a trace over several reporting
+// rounds, exercising the multi-report merge at every tier; the combiners
+// flush on the same cadence as the agents.
+const diffInterval = 5 * time.Millisecond
+
+// diffCluster builds a differential-case cluster behind a combiner tree
+// that many mids wide (0 = flat).
+func diffCluster(env *simtime.Env, combiners int) *cluster.Cluster {
+	cfg := cluster.DefaultConfig()
+	cfg.ReportInterval = diffInterval
+	cfg.Combiners = combiners
+	return cluster.New(env, cfg)
 }
 
-// topologies are the deployments every differential case runs through.
+// diffTree is the tree the single-topology suites run behind: 3 mids over
+// 12 partition topics — several per combiner, so rendezvous ownership is
+// non-trivial even with few agents.
+const diffTree = 3
+
+// topologies are the deployments every differential case runs through;
+// flat comes first and is what the others are compared to.
 var topologies = []struct {
-	name string
-	tree bool
-}{{"flat", false}, {"tree", true}}
+	name      string
+	combiners int
+}{{"flat", 0}, {"tree-1", 1}, {"tree", diffTree}}
 
 // diffResult is what the frontend reports for one installed query.
 type diffResult struct {
@@ -91,21 +101,12 @@ type diffResult struct {
 // runPipeline executes the case's trace script on a fresh cluster in the
 // given topology with the case's query installed once per entry of opts,
 // and returns each install's results in order.
-func runPipeline(c *querygen.Case, tree bool, opts ...plan.Options) ([]diffResult, error) {
+func runPipeline(c *querygen.Case, combiners int, opts ...plan.Options) ([]diffResult, error) {
 	out := make([]diffResult, len(opts))
 	var runErr error
 	env := simtime.NewEnv()
 	env.Run(func() {
-		cfg := cluster.DefaultConfig()
-		// Short intervals spread the trace over several reporting
-		// rounds, exercising the frontend's multi-report merge.
-		cfg.ReportInterval = 5 * time.Millisecond
-		var cl *cluster.Cluster
-		if tree {
-			cl = treeCluster(env, cfg)
-		} else {
-			cl = cluster.New(env, cfg)
-		}
+		cl := diffCluster(env, combiners)
 		x := cluster.NewScriptExec(cl, c)
 		handles := make([]*Query, len(opts))
 		for i, o := range opts {
@@ -120,7 +121,7 @@ func runPipeline(c *querygen.Case, tree bool, opts ...plan.Options) ([]diffResul
 			runErr = err
 			return
 		}
-		env.Sleep(3 * cfg.ReportInterval)
+		env.Sleep(3 * diffInterval)
 		cl.FlushAgents()
 		for i, h := range handles {
 			out[i] = diffResult{h.Rows(), h.DroppedGroups(), h.Partial()}
@@ -132,14 +133,14 @@ func runPipeline(c *querygen.Case, tree bool, opts ...plan.Options) ([]diffResul
 	return out, nil
 }
 
-// TestDifferential: optimized and unoptimized plans, in both topologies,
-// against the oracle — and flat against tree.
+// TestDifferential: optimized and unoptimized plans, in every topology,
+// against the oracle — and every tree against flat.
 func TestDifferential(t *testing.T) {
 	randtest.Check(t, diffCases(t, 500, 120), diffBaseSeed, func(seed int64) error {
 		c := querygen.Generate(seed)
 		var got [][]diffResult // per topology: optimized, unoptimized
 		for _, top := range topologies {
-			res, err := runPipeline(c, top.tree, plan.Optimized, plan.Options{})
+			res, err := runPipeline(c, top.combiners, plan.Optimized, plan.Options{})
 			if err != nil {
 				return fmt.Errorf("%s: %w", top.name, err)
 			}
@@ -157,12 +158,23 @@ func TestDifferential(t *testing.T) {
 				}
 			}
 		}
-		if flat, tree := got[0][0].rows, got[1][0].rows; !bytes.Equal(oracle.Canonical(flat), oracle.Canonical(tree)) {
-			return fmt.Errorf("flat and tree topologies diverge\nquery: %s\nflat:\n%s\ntree:\n%s",
-				c.QueryText, oracle.Format(flat), oracle.Format(tree))
+		for ti := range topologies {
+			if err := sameAsFlat(c, ti, got[0][0].rows, got[ti][0].rows); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
+}
+
+// sameAsFlat compares what topology ti reported with what flat did.
+func sameAsFlat(c *querygen.Case, ti int, flat, tree []tuple.Tuple) error {
+	if ti == 0 || bytes.Equal(oracle.Canonical(flat), oracle.Canonical(tree)) {
+		return nil
+	}
+	name := topologies[ti].name
+	return fmt.Errorf("flat and %s topologies diverge\nquery: %s\nflat:\n%s\n%s:\n%s",
+		name, c.QueryText, oracle.Format(flat), name, oracle.Format(tree))
 }
 
 // oracleRows evaluates the case's query with the reference evaluator
@@ -186,7 +198,7 @@ func oracleRows(c *querygen.Case) ([]tuple.Tuple, error) {
 }
 
 // TestDifferentialBudgeted: the same trace-script interpreter, but the
-// query runs under a deliberately tiny baggage budget, in both topologies.
+// query runs under a deliberately tiny baggage budget, in every topology.
 // Truncation must be *accounted*: every reported group is byte-exact
 // against the oracle (a surviving group carries its full aggregate, never
 // a truncated portion), and reported + dropped reconciles exactly with the
@@ -200,7 +212,7 @@ func TestDifferentialBudgeted(t *testing.T) {
 		budget := 2 + int(seed%5)
 		var got []diffResult // per topology
 		for _, top := range topologies {
-			res, err := runPipeline(c, top.tree, plan.Options{
+			res, err := runPipeline(c, top.combiners, plan.Options{
 				Optimize: true,
 				Safety:   advice.Safety{Budget: baggage.Budget{MaxTuples: budget}},
 			})
@@ -216,6 +228,9 @@ func TestDifferentialBudgeted(t *testing.T) {
 		for ti, top := range topologies {
 			if err := checkBudgeted(c, want, got[ti]); err != nil {
 				return fmt.Errorf("%s budget %d: %w", top.name, budget, err)
+			}
+			if err := sameAsFlat(c, ti, got[0].rows, got[ti].rows); err != nil {
+				return fmt.Errorf("budget %d: %w", budget, err)
 			}
 		}
 		return nil

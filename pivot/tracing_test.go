@@ -29,8 +29,8 @@ func runDemoTraced(t *testing.T, c *querygen.Case, inspect func(cl *cluster.Clus
 	env.Run(func() {
 		cfg := cluster.DefaultConfig()
 		cfg.ReportInterval = 5 * time.Millisecond
+		cfg.Spans = true
 		cl := cluster.New(env, cfg)
-		builder := cl.EnableSpans(0)
 		x := cluster.NewScriptExec(cl, c)
 		h, err := cl.PT.Install(c.QueryText)
 		if err != nil {
@@ -43,7 +43,7 @@ func runDemoTraced(t *testing.T, c *querygen.Case, inspect func(cl *cluster.Clus
 		}
 		env.Sleep(3 * cfg.ReportInterval)
 		cl.FlushAgents()
-		inspect(cl, builder, h)
+		inspect(cl, cl.PT.Traces(), h)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
