@@ -35,6 +35,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tracepoint"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 	"repro/pivot"
 )
 
@@ -764,5 +765,55 @@ func BenchmarkHBRequest(b *testing.B) {
 		write.Here(r, size)
 		joined := pivot.Join(sctx, l, r)
 		write.Here(joined, size)
+	}
+}
+
+// BenchmarkWideReport measures the reporting path, one op being one round
+// of bench/'s wide-groups workload on one worker: 8192 crossings that
+// each create a group, Flush, the report frame through wire.Marshal and
+// wire.Unmarshal, the frontend's merge into rows it already holds, and
+// Rows(). allocs/op over 8192 is the cost of a reported row (pinned per
+// layer by pivot.TestAllocsWideRound); the gate holds it to 1%.
+func BenchmarkWideReport(b *testing.B) {
+	const rows = 8192
+	worker, front := pivot.New("worker"), pivot.New("frontend")
+	tp := worker.Define("Svc.Handle", "key", "v")
+	front.Define("Svc.Handle", "key", "v")
+	front.Bus.Subscribe(agent.ControlTopic, func(msg any) { worker.Bus.Publish(agent.ControlTopic, msg) })
+	worker.Bus.Subscribe(agent.ResultsTopic, func(msg any) {
+		frame, err := wire.Marshal(msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decoded, err := wire.Unmarshal(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		front.Bus.Publish(agent.ResultsTopic, decoded)
+	})
+	q, err := front.Install(`From e In Svc.Handle GroupBy e.key Select e.key, COUNT, SUM(e.v)`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]any, rows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	var one any = int64(1)
+	ctx := worker.NewRequest(context.Background())
+	round := func() {
+		for _, k := range keys {
+			tp.Here(ctx, k, one)
+		}
+		worker.Flush()
+		if got := len(q.Rows()); got != rows {
+			b.Fatalf("%d rows visible, want %d", got, rows)
+		}
+	}
+	round() // sizes the worker's table and fills the frontend's
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }

@@ -20,7 +20,7 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for op with default limits.
 func NewAccumulator(op *EmitOp) *Accumulator {
-	return &Accumulator{Merger: Merger{Op: op, groups: make(map[string]*Group)}}
+	return &Accumulator{Merger: *NewMerger(op, Limits{})}
 }
 
 // Add folds one emitted working tuple at unit weight.
@@ -48,8 +48,7 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 			a.groupsOverflowed++
 			g = a.overflowGroup(w)
 		} else {
-			g = &Group{Key: string(a.keyScratch), Rep: w.Clone(), States: a.newStates()}
-			a.insert(g)
+			g = a.newGroup(string(a.keyScratch), w, a.empty)
 		}
 	}
 	k := 0

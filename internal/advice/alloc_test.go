@@ -35,3 +35,83 @@ func TestAllocShardedAddSteadyStateIsAllocationFree(t *testing.T) {
 			"want 0 (regression in the shard-affinity or scratch-key path)", n)
 	}
 }
+
+// wideTuples returns n working tuples with distinct group keys.
+func wideTuples(n int) []tuple.Tuple {
+	out := make([]tuple.Tuple, n)
+	for i := range out {
+		out[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(1)}
+	}
+	return out
+}
+
+// TestAllocNewGroupPerRow: a row costs the tier that creates it one
+// allocation, its key; the group, its states and its Rep come out of
+// slabs, whose chunks (and the growth of the table) add a few hundred
+// allocations to 8192 rows in an accumulator that knows nothing yet, and a
+// handful in one that Reset sized from the interval before.
+func TestAllocNewGroupPerRow(t *testing.T) {
+	const rows = 8192
+	ws := wideTuples(rows)
+	fill := func(acc *Accumulator) {
+		for _, w := range ws {
+			acc.Add(w)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { fill(NewAccumulator(aggOp())) }) / rows; n > 1.1 {
+		t.Errorf("a fresh accumulator allocates %.3f objects per new group, want at most 1.1", n)
+	}
+	acc := NewAccumulator(aggOp())
+	fill(acc)
+	if n := testing.AllocsPerRun(5, func() { acc.Reset(); fill(acc) }) / rows; n > 1.01 {
+		t.Errorf("an accumulator sized by Reset allocates %.3f objects per new group, want at most 1.01", n)
+	}
+}
+
+// TestAllocMergeExistingIsAllocationFree: a tier that merges a row it
+// already holds allocates nothing — no clone, and no shape template for
+// the check (checkShape used to build one per report on an empty merger).
+func TestAllocMergeExistingIsAllocationFree(t *testing.T) {
+	acc := NewAccumulator(aggOp())
+	for _, w := range wideTuples(64) {
+		acc.Add(w)
+	}
+	groups := acc.Groups()
+	m := NewMerger(aggOp(), Limits{})
+	mustMerge(t, m, groups, nil, nil)
+	if n := testing.AllocsPerRun(100, func() { mustMerge(t, m, groups, nil, nil) }); n != 0 {
+		t.Errorf("merging 64 groups the merger holds allocates %.1f objects, want 0", n)
+	}
+	empty := NewMerger(aggOp(), Limits{})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := empty.checkShape(groups); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("checkShape on an empty merger allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestAllocRawsAtCapAmortized: a raw query sitting at its cap used to copy
+// every kept row to a new array for each row added. Eviction is now a
+// move of the slice's front; the array is replaced when append finds it
+// full, a quarter of the cap apart.
+func TestAllocRawsAtCapAmortized(t *testing.T) {
+	const max = 1024
+	m := NewMerger(rawOp(), Limits{MaxRaws: max})
+	row := []tuple.Tuple{kvRow("k", 0)}
+	for i := 0; i < max; i++ {
+		mustMerge(t, m, nil, row, nil)
+	}
+	const adds = 8 * max
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < adds; i++ {
+			mustMerge(t, m, nil, row, nil)
+		}
+	}) / adds; n > 0.05 {
+		t.Errorf("adding a raw row at the cap allocates %.3f objects, want at most 0.05", n)
+	}
+	if got := m.RawsDropped(); got != 2*adds { // AllocsPerRun runs its function once to warm up
+		t.Errorf("RawsDropped = %d, want %d", got, 2*adds)
+	}
+}

@@ -2,10 +2,12 @@ package advice
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/baggage"
+	"repro/internal/slab"
 	"repro/internal/tuple"
 )
 
@@ -16,7 +18,7 @@ import (
 type Group struct {
 	Key    string
 	Rep    tuple.Tuple // representative working tuple for non-agg columns
-	States []*agg.State
+	States []agg.State
 
 	// seq is the group's creation stamp from a shared sequence source (see
 	// ShardedAccumulator): Drain uses it to restore global first-seen order
@@ -26,14 +28,7 @@ type Group struct {
 
 // Clone deep-copies the group.
 func (g *Group) Clone() *Group {
-	c := &Group{Key: g.Key, Rep: g.Rep.Clone(), seq: g.seq}
-	if len(g.States) > 0 {
-		c.States = make([]*agg.State, len(g.States))
-		for i, s := range g.States {
-			c.States[i] = s.Clone()
-		}
-	}
-	return c
+	return &Group{Key: g.Key, Rep: g.Rep.Clone(), States: slices.Clone(g.States), seq: g.seq}
 }
 
 // Limits bounds a merger's memory: group-by cardinality and raw-row
@@ -95,7 +90,11 @@ func (l Limits) maxRaws() int {
 //
 // There are two ways in — Merge for reports other bus subscribers may
 // share, Absorb for exclusively-owned drains — and one way out: Groups,
-// Raws and Drops. A Merger is not safe for concurrent use.
+// Raws and Drops. What comes out is published and may be aliased from then
+// on, so a merger never writes to a group, state, value or raw-row slice
+// it has handed out once Reset (or a sharded Drain) has let go of it: the
+// rows live in slabs that are dropped with the interval, not recycled. A
+// Merger is not safe for concurrent use.
 type Merger struct {
 	// Op is the query's emit operation. It shapes new and overflow groups,
 	// validates incoming ones, and materializes Rows. A combiner tier does
@@ -107,6 +106,16 @@ type Merger struct {
 	order  []*Group
 	raws   []tuple.Tuple
 	drops  baggage.DropSet
+
+	// empty is one empty state per aggregate column of Op: the states of a
+	// new group, and the shape checkShape holds incoming ones to. Nil
+	// without an Op.
+	empty []agg.State
+
+	// The groups the merger creates, their states and their Rep values.
+	groupSlab slab.Slab[Group]
+	stateSlab slab.Slab[agg.State]
+	valueSlab slab.Slab[tuple.Value]
 
 	// seqSrc, when set, stamps each group this merger creates with a
 	// sequence shared across sibling shards (see ShardedAccumulator).
@@ -121,7 +130,30 @@ type Merger struct {
 // NewMerger returns an empty merger for op (nil at a combiner tier, which
 // requires Unbounded limits) with the given limits (zero value = defaults).
 func NewMerger(op *EmitOp, l Limits) *Merger {
-	return &Merger{Op: op, limits: l, groups: make(map[string]*Group)}
+	m := &Merger{Op: op, limits: l, groups: make(map[string]*Group)}
+	if op != nil {
+		for _, col := range op.Cols {
+			if col.IsAgg {
+				m.empty = append(m.empty, agg.Make(col.Fn))
+			}
+		}
+	}
+	return m
+}
+
+// next returns the empty merger that takes over from m when m's contents
+// are handed off whole: same query, limits, sequence source and running
+// eviction counts, its table and slabs sized from what m held (see
+// slab.Slab.Next).
+func (m *Merger) next() Merger {
+	n := Merger{
+		Op: m.Op, limits: m.limits, empty: m.empty, seqSrc: m.seqSrc,
+		rawsDropped: m.rawsDropped, groupsOverflowed: m.groupsOverflowed,
+		groupSlab: m.groupSlab.Next(), stateSlab: m.stateSlab.Next(), valueSlab: m.valueSlab.Next(),
+	}
+	n.groups = make(map[string]*Group, n.groupSlab.Want())
+	n.order = make([]*Group, 0, n.groupSlab.Want())
+	return n
 }
 
 // SetLimits replaces the merger's limits (zero value = defaults).
@@ -135,13 +167,17 @@ func (m *Merger) RawsDropped() int64 { return m.rawsDropped }
 func (m *Merger) GroupsOverflowed() int64 { return m.groupsOverflowed }
 
 // capRaws FIFO-evicts the oldest raw rows beyond the cap, counting each.
+// Eviction moves the front of the slice and writes nothing — Raws hands
+// the slice out — and the append that follows copies the kept rows to a
+// larger array only when the current one is full, a quarter of the cap
+// apart.
 func (m *Merger) capRaws() {
 	max := m.limits.maxRaws()
 	if max < 0 {
 		return
 	}
 	if excess := len(m.raws) - max; excess > 0 {
-		m.raws = append(m.raws[:0:0], m.raws[excess:]...)
+		m.raws = m.raws[excess:]
 		m.rawsDropped += int64(excess)
 	}
 }
@@ -160,24 +196,20 @@ func (m *Merger) atGroupCap() bool {
 	return n >= max
 }
 
-// newStates returns one empty partial state per aggregate column of Op.
-func (m *Merger) newStates() []*agg.State {
-	var states []*agg.State
-	for _, col := range m.Op.Cols {
-		if col.IsAgg {
-			states = append(states, agg.New(col.Fn))
-		}
-	}
-	return states
-}
-
-// insert registers a group the merger owns, stamping its creation order.
-func (m *Merger) insert(g *Group) {
+// newGroup registers a group the merger creates, stamping its creation
+// order. The group, its copy of rep and its copy of states are cut out of
+// the slabs.
+func (m *Merger) newGroup(key string, rep tuple.Tuple, states []agg.State) *Group {
+	g := &m.groupSlab.Take(1)[0]
+	g.Key, g.Rep, g.States = key, m.valueSlab.Take(len(rep)), m.stateSlab.Take(len(states))
+	copy(g.Rep, rep)
+	copy(g.States, states)
 	if m.seqSrc != nil {
 		g.seq = m.seqSrc.Add(1)
 	}
-	m.groups[g.Key] = g
+	m.groups[key] = g
 	m.order = append(m.order, g)
+	return g
 }
 
 // overflowGroup returns the overflow group, creating it from a template
@@ -187,13 +219,12 @@ func (m *Merger) overflowGroup(rep tuple.Tuple) *Group {
 	if g, ok := m.groups[OverflowKey]; ok {
 		return g
 	}
-	g := &Group{Key: OverflowKey, Rep: rep.Clone(), States: m.newStates()}
+	g := m.newGroup(OverflowKey, rep, m.empty)
 	for _, col := range m.Op.Cols {
 		if !col.IsAgg && col.Pos >= 0 && col.Pos < len(g.Rep) {
 			g.Rep[col.Pos] = tuple.String("(overflow)")
 		}
 	}
-	m.insert(g)
 	return g
 }
 
@@ -201,8 +232,8 @@ func (m *Merger) overflowGroup(rep tuple.Tuple) *Group {
 // groups have the same shape: Merge checked it, Absorb's contract implies
 // it.
 func mergeStates(dst, src *Group) {
-	for i, st := range src.States {
-		dst.States[i].Merge(st)
+	for i := range src.States {
+		dst.States[i].Merge(&src.States[i])
 	}
 }
 
@@ -217,22 +248,18 @@ func (m *Merger) checkShape(groups []*Group) error {
 	if len(groups) == 0 {
 		return nil
 	}
-	var want []*agg.State // every group the merger holds has one shape
+	want, minRep := m.empty, 0 // every group the merger holds has one shape
 	switch {
-	case len(m.order) > 0:
-		want = m.order[0].States
 	case m.Op != nil:
-		want = m.newStates()
-	case groups[0] != nil:
-		want = groups[0].States
-	}
-	minRep := 0
-	if m.Op != nil {
 		for _, col := range m.Op.Cols {
 			if !col.IsAgg && col.Pos >= minRep {
 				minRep = col.Pos + 1
 			}
 		}
+	case len(m.order) > 0:
+		want = m.order[0].States
+	case groups[0] != nil:
+		want = groups[0].States
 	}
 	for _, g := range groups {
 		if g == nil {
@@ -244,8 +271,8 @@ func (m *Merger) checkShape(groups []*Group) error {
 		if len(g.Rep) < minRep {
 			return fmt.Errorf("advice: group %q has a %d-column representative, want at least %d", g.Key, len(g.Rep), minRep)
 		}
-		for i, st := range g.States {
-			if st == nil || st.Fn() != want[i].Fn() {
+		for i := range g.States {
+			if g.States[i].Fn() != want[i].Fn() {
 				return fmt.Errorf("advice: group %q state %d does not match the query's aggregate", g.Key, i)
 			}
 		}
@@ -256,8 +283,9 @@ func (m *Merger) checkShape(groups []*Group) error {
 // Merge folds one report's contents: partial groups, raw rows and eviction
 // tombstones. The report may be shared with other bus subscribers, so the
 // source is never mutated: a group is cloned the first time its key is
-// seen and only the merger's own clone is ever merged into; raw rows are
-// immutable once published and are appended by reference. Groups beyond
+// seen — into slabs sized, at the report's first new key, for all of its
+// new keys — and only the merger's own clone is ever merged into; raw rows
+// are immutable once published and are appended by reference. Groups beyond
 // the cap merge into the overflow group (an overflow group arriving from
 // downstream is an ordinary first sight of OverflowKey), so "overflowed"
 // stays exact end-to-end. A report with a malformed group is rejected
@@ -267,7 +295,8 @@ func (m *Merger) Merge(groups []*Group, raws []tuple.Tuple, drops []baggage.Drop
 	if err := m.checkShape(groups); err != nil {
 		return 0, err
 	}
-	for _, g := range groups {
+	sized := false
+	for i, g := range groups {
 		mine, ok := m.groups[g.Key]
 		switch {
 		case ok:
@@ -275,7 +304,11 @@ func (m *Merger) Merge(groups []*Group, raws []tuple.Tuple, drops []baggage.Drop
 			m.groupsOverflowed++
 			mine = m.overflowGroup(g.Rep)
 		default:
-			m.insert(g.Clone())
+			if !sized {
+				m.expect(groups[i:])
+				sized = true
+			}
+			m.newGroup(g.Key, g.Rep, g.States)
 			continue
 		}
 		mergeStates(mine, g)
@@ -285,6 +318,21 @@ func (m *Merger) Merge(groups []*Group, raws []tuple.Tuple, drops []baggage.Drop
 		m.capRaws()
 	}
 	return m.drops.Add(drops...), nil
+}
+
+// expect sizes the slabs for the groups among rest whose key the merger
+// does not hold yet, so cloning them costs one allocation per slab.
+func (m *Merger) expect(rest []*Group) {
+	groups, values := 0, 0
+	for _, g := range rest {
+		if _, ok := m.groups[g.Key]; !ok {
+			groups++
+			values += len(g.Rep)
+		}
+	}
+	m.groupSlab.Expect(groups)
+	m.stateSlab.Expect(groups * len(rest[0].States))
+	m.valueSlab.Expect(values)
 }
 
 // Absorb moves src's contents into m without cloning: groups and raw rows
@@ -329,16 +377,20 @@ func (m *Merger) Drops() []baggage.DropRecord { return m.drops.Sorted() }
 // account for (see baggage.DropSet.Groups).
 func (m *Merger) DroppedGroups() int { return m.drops.Groups() }
 
+// Len returns how many result rows the merger holds: groups, or raw rows
+// for a raw query.
+func (m *Merger) Len() int { return len(m.order) + len(m.raws) }
+
 // Rows materializes the final result rows in Select-column order.
 func (m *Merger) Rows() []tuple.Tuple {
 	if m.Op.Raw {
-		out := make([]tuple.Tuple, len(m.raws))
-		copy(out, m.raws)
-		return out
+		return slices.Clone(m.raws)
 	}
-	out := make([]tuple.Tuple, 0, len(m.order))
-	for _, g := range m.order {
-		row := make(tuple.Tuple, len(m.Op.Cols))
+	n := len(m.Op.Cols)
+	out := make([]tuple.Tuple, len(m.order))
+	values := make([]tuple.Value, len(m.order)*n)
+	for r, g := range m.order {
+		row := values[r*n : (r+1)*n : (r+1)*n]
 		k := 0
 		for i, col := range m.Op.Cols {
 			if col.IsAgg {
@@ -348,7 +400,7 @@ func (m *Merger) Rows() []tuple.Tuple {
 				row[i] = g.Rep[col.Pos]
 			}
 		}
-		out = append(out, row)
+		out[r] = row
 	}
 	return out
 }
@@ -358,10 +410,6 @@ func (m *Merger) Empty() bool {
 	return len(m.order) == 0 && len(m.raws) == 0 && len(m.drops) == 0
 }
 
-// Reset clears the merger for the next reporting interval.
-func (m *Merger) Reset() {
-	m.groups = make(map[string]*Group)
-	m.order = nil
-	m.raws = nil
-	m.drops = nil
-}
+// Reset lets go of the merger's contents — whoever took them with Groups
+// and Raws keeps them — and starts the next reporting interval empty.
+func (m *Merger) Reset() { *m = m.next() }

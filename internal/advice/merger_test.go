@@ -65,7 +65,7 @@ func genReports(rng *rand.Rand, n int) []report {
 			if k == OverflowKey {
 				rep[0] = tuple.String("(overflow)")
 			}
-			g := &Group{Key: k, Rep: rep, States: []*agg.State{agg.New(agg.Sum), agg.New(agg.Count), agg.New(agg.Max)}}
+			g := &Group{Key: k, Rep: rep, States: []agg.State{agg.Make(agg.Sum), agg.Make(agg.Count), agg.Make(agg.Max)}}
 			for f := rng.Intn(4); f >= 0; f-- {
 				v, w := tuple.Int(int64(rng.Intn(100))), weights[rng.Intn(len(weights))]
 				g.States[0].AddWeighted(v, w)
@@ -94,8 +94,8 @@ func canonical(r report) string {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
 	for _, g := range groups {
 		fmt.Fprintf(&b, "group %q rep=%v", g.Key, g.Rep[0])
-		for _, st := range g.States {
-			fmt.Fprintf(&b, " %x", st.Append(nil))
+		for i := range g.States {
+			fmt.Fprintf(&b, " %x", g.States[i].Append(nil))
 		}
 		b.WriteByte('\n')
 	}
@@ -223,21 +223,20 @@ func TestMergeMatchesDirectFold(t *testing.T) {
 }
 
 // TestMergeRejectsMalformedShape: a group whose states do not match the
-// query's aggregates — wrong count, wrong function, nil, or a
+// query's aggregates — wrong count, wrong function, a nil group, or a
 // representative too short for Rows to project — rejects the whole report
 // and leaves the merger untouched, with and without an Op.
 func TestMergeRejectsMalformedShape(t *testing.T) {
 	good := func(k string) *Group {
 		return &Group{Key: k, Rep: tuple.Tuple{tuple.String(k), tuple.Int(1)},
-			States: []*agg.State{agg.New(agg.Sum), agg.New(agg.Count), agg.New(agg.Max)}}
+			States: []agg.State{agg.Make(agg.Sum), agg.Make(agg.Count), agg.Make(agg.Max)}}
 	}
 	bad := map[string]*Group{
 		"one state too few": {Key: "x", Rep: good("x").Rep, States: good("x").States[:2]},
 		"one state too many": {Key: "x", Rep: good("x").Rep,
-			States: append(good("x").States, agg.New(agg.Count))},
+			States: append(good("x").States, agg.Make(agg.Count))},
 		"wrong function": {Key: "x", Rep: good("x").Rep,
-			States: []*agg.State{agg.New(agg.Sum), agg.New(agg.Min), agg.New(agg.Max)}},
-		"nil state": {Key: "x", Rep: good("x").Rep, States: []*agg.State{agg.New(agg.Sum), nil, agg.New(agg.Max)}},
+			States: []agg.State{agg.Make(agg.Sum), agg.Make(agg.Min), agg.Make(agg.Max)}},
 		"nil group": nil,
 	}
 	for _, withOp := range []bool{true, false} {

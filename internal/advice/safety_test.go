@@ -92,6 +92,39 @@ func TestMergeRawsCapped(t *testing.T) {
 	}
 }
 
+// TestMergeRawsCapNeverWritesPublishedRows: Raws hands out the merger's own
+// slice, so eviction at the cap may not move rows within it. A slice taken
+// at the cap reads the same after the merger has evicted every row of it,
+// and the merger stays FIFO with an exact count throughout.
+func TestMergeRawsCapNeverWritesPublishedRows(t *testing.T) {
+	const max = 64
+	m := NewMerger(rawOp(), Limits{MaxRaws: max})
+	next := int64(0)
+	add := func() {
+		mustMerge(t, m, nil, []tuple.Tuple{kvRow("k", next)}, nil)
+		next++
+	}
+	for next < max {
+		add()
+	}
+	published := m.Raws()
+	for next < 4*max {
+		add()
+		raws := m.Raws()
+		if len(raws) != max || m.RawsDropped() != next-max {
+			t.Fatalf("after %d adds: %d rows held, %d dropped, want %d/%d", next, len(raws), m.RawsDropped(), max, next-max)
+		}
+		if first, last := raws[0][1].Int(), raws[max-1][1].Int(); first != next-max || last != next-1 {
+			t.Fatalf("after %d adds the merger holds rows %d..%d, want the newest %d", next, first, last, max)
+		}
+	}
+	for i, row := range published {
+		if row[1].Int() != int64(i) {
+			t.Fatalf("published row %d now reads %v: eviction wrote into a slice Raws handed out", i, row)
+		}
+	}
+}
+
 func TestAccumulatorGroupCapOverflows(t *testing.T) {
 	acc := NewAccumulator(aggOp())
 	acc.SetLimits(Limits{MaxGroups: 2})

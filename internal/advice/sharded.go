@@ -1,8 +1,9 @@
 package advice
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,7 @@ import (
 // so concurrent tracepoint fires on different goroutines never contend on
 // one mutex or one group map. Each shard is a full Accumulator behind its
 // own cache-line-padded lock; Drain steals every shard's contents and
-// absorbs them into a single unbounded Merger (merge-on-flush).
+// absorbs them into a single Merger (merge-on-flush).
 //
 // The striping preserves exact aggregation semantics because partial
 // aggregate states merge associatively and commutatively (see package agg):
@@ -24,10 +25,10 @@ import (
 // Limits semantics: each shard carries the full configured Limits, so
 // between flushes the sharded accumulator can hold up to shards×MaxGroups
 // groups and shards×MaxRaws raw rows. Drop counters remain exact — every
-// row a shard evicts is counted, and the counts survive Drain.
+// row a shard evicts is counted, and the counts survive Drain: a stolen
+// accumulator hands its running totals to the one that replaces it.
 type ShardedAccumulator struct {
 	Op     *EmitOp
-	limits Limits
 	shards []accShard
 	hints  sync.Pool     // *shardHint; per-P private slots give shard affinity
 	next   atomic.Uint64 // round-robin assignment for fresh hints
@@ -38,12 +39,6 @@ type ShardedAccumulator struct {
 	// stole. It can read >0 for an empty accumulator (an Add in flight),
 	// never 0 for one holding data — Empty() is a conservative fast path.
 	pending atomic.Int64
-
-	// Eviction accounting folded in from drained shard accumulators;
-	// cumulative across Drains like Merger's counters are across
-	// Resets.
-	rawsDropped      atomic.Int64
-	groupsOverflowed atomic.Int64
 }
 
 // accShard pads each shard's lock and accumulator pointer out to its own
@@ -71,16 +66,11 @@ func NewShardedAccumulator(op *EmitOp, nshards int) *ShardedAccumulator {
 	}
 	s := &ShardedAccumulator{Op: op, shards: make([]accShard, nshards)}
 	for i := range s.shards {
-		s.shards[i].acc = s.newShardAcc()
+		a := NewAccumulator(op)
+		a.seqSrc = &s.seq
+		s.shards[i].acc = a
 	}
 	return s
-}
-
-func (s *ShardedAccumulator) newShardAcc() *Accumulator {
-	a := NewAccumulator(s.Op)
-	a.limits = s.limits
-	a.seqSrc = &s.seq
-	return a
 }
 
 // Shards returns the shard count.
@@ -90,7 +80,6 @@ func (s *ShardedAccumulator) Shards() int { return len(s.shards) }
 // set limits once, before the accumulator is shared with concurrent
 // adders.
 func (s *ShardedAccumulator) SetLimits(l Limits) {
-	s.limits = l
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -135,14 +124,16 @@ func (s *ShardedAccumulator) AddWeighted(w tuple.Tuple, weight float64) {
 func (s *ShardedAccumulator) Empty() bool { return s.pending.Load() == 0 }
 
 // Drain steals every shard's accumulator — each swap holds that shard's
-// lock only long enough to exchange a pointer — and merges the stolen
-// contents, outside all locks, into one unbounded Merger in global
-// first-seen group order. Concurrent Adds land either in a stolen
-// accumulator (this drain) or a fresh one (the next); no tuple is lost or
-// double-drained.
+// lock only long enough to exchange a pointer, leaving an empty one sized
+// from what was stolen — and merges the stolen contents, outside all
+// locks, into one Merger in global first-seen group order: the first
+// non-empty shard's own merger, as it is when no other shard held data.
+// Concurrent Adds land either in a stolen accumulator (this drain) or a
+// fresh one (the next); no tuple is lost or double-drained.
 func (s *ShardedAccumulator) Drain() *Merger {
-	out := NewMerger(s.Op, Unbounded)
+	var out *Merger
 	var drained int64
+	absorbed := false
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -152,21 +143,23 @@ func (s *ShardedAccumulator) Drain() *Merger {
 		}
 		old := sh.acc
 		drained += sh.adds
-		sh.acc = s.newShardAcc()
+		sh.acc = &Accumulator{Merger: old.next()}
 		sh.adds = 0
 		sh.mu.Unlock()
 
-		s.rawsDropped.Add(old.rawsDropped)
-		s.groupsOverflowed.Add(old.groupsOverflowed)
-		out.Absorb(&old.Merger)
+		if out == nil {
+			out = &old.Merger
+		} else {
+			out.Absorb(&old.Merger)
+			absorbed = true
+		}
 	}
-	if drained != 0 {
-		s.pending.Add(-drained)
+	if out == nil {
+		return NewMerger(s.Op, Unbounded)
 	}
-	if len(out.order) > 1 {
-		sort.SliceStable(out.order, func(i, j int) bool {
-			return out.order[i].seq < out.order[j].seq
-		})
+	s.pending.Add(-drained)
+	if absorbed {
+		slices.SortFunc(out.order, func(a, b *Group) int { return cmp.Compare(a.seq, b.seq) })
 	}
 	return out
 }
@@ -174,7 +167,7 @@ func (s *ShardedAccumulator) Drain() *Merger {
 // RawsDropped returns how many raw rows FIFO eviction has discarded across
 // all shards, cumulative across Drains.
 func (s *ShardedAccumulator) RawsDropped() int64 {
-	total := s.rawsDropped.Load()
+	var total int64
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -187,7 +180,7 @@ func (s *ShardedAccumulator) RawsDropped() int64 {
 // GroupsOverflowed returns how many rows were folded into overflow groups
 // across all shards, cumulative across Drains.
 func (s *ShardedAccumulator) GroupsOverflowed() int64 {
-	total := s.groupsOverflowed.Load()
+	var total int64
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()

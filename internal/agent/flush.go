@@ -241,8 +241,8 @@ func ReportSize(r *Report) int {
 	n := len(r.QueryID) + len(r.Host) + len(r.ProcName) + 16
 	for _, g := range r.Groups {
 		n += len(g.Key) + tuple.SizeTuple(g.Rep)
-		for _, st := range g.States {
-			n += st.EncodedSize()
+		for i := range g.States {
+			n += g.States[i].EncodedSize()
 		}
 	}
 	for _, t := range r.Raws {

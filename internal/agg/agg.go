@@ -71,8 +71,9 @@ func (f Func) Combiner() Func {
 	return f
 }
 
-// State is a mergeable partial aggregate. The zero value is not usable;
-// construct with New.
+// State is a mergeable partial aggregate: construct one with New or Make
+// (the zero value is an empty COUNT). States are plain values — reports
+// hold them in slices, copied by assignment.
 //
 // A state fed only unit-weight values (Add) is exact and carries no
 // extra bytes on the wire. Folding any value with a weight != 1
@@ -82,23 +83,26 @@ func (f Func) Combiner() Func {
 // final result approximate end to end.
 type State struct {
 	fn       Func
+	anyFloat bool
+	seen     bool
+	inexact  bool
 	count    int64
 	sumI     int64
 	sumF     float64
-	anyFloat bool
 	minmax   tuple.Value // current MIN or MAX value
-	seen     bool
 
 	// Weighted (Horvitz-Thompson) companions to count/sum. Exact states
 	// maintain the invariant wcount == float64(count), wsum == sumF, so
 	// exact and inexact partials merge without special cases.
-	inexact bool
-	wcount  float64 // Σ weight
-	wsum    float64 // Σ weight·value (Sum/Average)
+	wcount float64 // Σ weight
+	wsum   float64 // Σ weight·value (Sum/Average)
 }
 
 // New returns an empty partial state for fn.
 func New(fn Func) *State { return &State{fn: fn} }
+
+// Make returns an empty partial state for fn, as a value.
+func Make(fn Func) State { return State{fn: fn} }
 
 // Fn returns the state's aggregator.
 func (s *State) Fn() Func { return s.fn }
@@ -279,16 +283,17 @@ func Decode(buf []byte) (*State, []byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	return s, r.Rest(), nil
+	return &s, r.Rest(), nil
 }
 
-// Read decodes one state from r: nil, without allocating, if r has failed.
-func Read(r *tuple.Reader) *State {
+// MinEncodedSize is the fewest bytes Append writes for a state.
+const MinEncodedSize = 13
+
+// Read decodes one state from r; what it returns after r has failed is
+// meaningless.
+func Read(r *tuple.Reader) State {
 	fn, flags := Func(r.Byte()), r.Byte()
-	if r.Err() != nil {
-		return nil
-	}
-	s := &State{fn: fn, anyFloat: flags&1 != 0, seen: flags&2 != 0, inexact: flags&4 != 0}
+	s := State{fn: fn, anyFloat: flags&1 != 0, seen: flags&2 != 0, inexact: flags&4 != 0}
 	s.count = r.Varint()
 	s.sumI = r.Varint()
 	s.sumF = floatFromBits(r.Fixed64())

@@ -116,7 +116,8 @@ func readSet(r *tuple.Reader) *Set {
 		}
 		g := &group{keyVals: keyVals, states: make([]*agg.State, 0, len(spec.Aggs))}
 		for range spec.Aggs {
-			g.states = append(g.states, agg.Read(r))
+			st := agg.Read(r)
+			g.states = append(g.states, &st)
 		}
 		if r.Err() != nil {
 			return nil

@@ -185,7 +185,7 @@ func countGroup(key string, n int64) *advice.Group {
 	for i := int64(0); i < n; i++ {
 		st.Add(tuple.Int(1))
 	}
-	return &advice.Group{Key: key, Rep: tuple.Tuple{tuple.String(key)}, States: []*agg.State{st}}
+	return &advice.Group{Key: key, Rep: tuple.Tuple{tuple.String(key)}, States: []agg.State{*st}}
 }
 
 // TestCombinerForwards: reports from two partition topics land in their

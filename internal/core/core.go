@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -467,23 +468,18 @@ func (h *Installed) Rows() []tuple.Tuple {
 	defer h.mu.Unlock()
 	rows := h.global.Rows()
 	if !h.global.Op.Raw {
-		sort.Slice(rows, func(i, j int) bool {
-			return rowLess(rows[i], rows[j])
-		})
+		slices.SortFunc(rows, compareRows)
 	}
 	return rows
 }
 
-func rowLess(a, b tuple.Tuple) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
+func compareRows(a, b tuple.Tuple) int {
+	for i := range min(len(a), len(b)) {
 		if c := a[i].Compare(b[i]); c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return len(a) < len(b)
+	return len(a) - len(b)
 }
 
 // Groups snapshots the globally merged partial groups (cloned, in
@@ -547,7 +543,7 @@ func (h *Installed) ExplainAnalyze() string {
 	b.WriteString(h.Plan.ExplainAnalyze())
 	h.mu.Lock()
 	reports, mergeNS := h.reports, h.mergeNS
-	rows := int64(len(h.global.Rows()))
+	rows := h.global.Len()
 	dropped := h.global.DroppedGroups()
 	h.mu.Unlock()
 	fmt.Fprintf(&b, "\n\nMERGE at frontend  [reports=%d rows=%d dropped-groups=%d merge=%s]",

@@ -69,7 +69,7 @@ func TestMalformedReportRejected(t *testing.T) {
 		return overWire(t, r)
 	}
 	short := withGroup(func(g *advice.Group) { g.Key, g.States = "first-sight", g.States[:1] })
-	wrongFn := withGroup(func(g *advice.Group) { g.States[1] = agg.New(agg.Max) })
+	wrongFn := withGroup(func(g *advice.Group) { g.States[1] = agg.Make(agg.Max) })
 
 	rejected := pt.Telemetry().Counter("core.reports.rejected")
 	merged := pt.Telemetry().Counter("core.reports.merged")

@@ -158,7 +158,7 @@ func (pt *PivotTracing) StatusAt(now time.Duration) Status {
 		h.mu.Lock()
 		qs := QueryStatus{
 			Name:          h.Name,
-			Rows:          len(h.global.Rows()),
+			Rows:          h.global.Len(),
 			Reports:       h.reports,
 			FirstResult:   h.firstResult,
 			Lease:         h.lease,

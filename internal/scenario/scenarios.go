@@ -1219,15 +1219,15 @@ func SamplingStorm() *Scenario {
 				flagErr = fmt.Errorf("no groups to check (%d exact, %d sampled)", len(exGroups), len(saGroups))
 			}
 			for _, g := range exGroups {
-				for _, st := range g.States {
-					if !st.Exact() {
+				for i := range g.States {
+					if !g.States[i].Exact() {
 						flagErr = fmt.Errorf("exact query group %q flagged approximate", g.Key)
 					}
 				}
 			}
 			for _, g := range saGroups {
-				for _, st := range g.States {
-					if st.Exact() {
+				for i := range g.States {
+					if g.States[i].Exact() {
 						flagErr = fmt.Errorf("sampled query group %q not flagged approximate", g.Key)
 					}
 				}

@@ -119,6 +119,18 @@ func (r *Reader) Count() int {
 	return int(n)
 }
 
+// CountOf is Count for a list whose elements take at least size bytes
+// each: a tighter bound for a decoder that allocates the whole list at
+// once.
+func (r *Reader) CountOf(size int) int {
+	n := r.Count()
+	if n*size > len(r.buf) { // n is at most len(r.buf): the product cannot overflow
+		r.Fail(ErrTruncated)
+		return 0
+	}
+	return n
+}
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n, k := binary.Uvarint(r.buf)

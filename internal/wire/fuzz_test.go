@@ -169,7 +169,7 @@ func messageSeeds(t testing.TB) map[string][]byte {
 			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{{
 				Key: "k", Rep: tuple.Tuple{tuple.String("h"), tuple.Int(1)},
-				States: []*agg.State{st},
+				States: []agg.State{*st},
 			}},
 			Raws: []tuple.Tuple{{tuple.Float(1.5)}},
 		}),
@@ -179,7 +179,7 @@ func messageSeeds(t testing.TB) map[string][]byte {
 			QueryID: "QS", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{{
 				Key: "k", Rep: tuple.Tuple{tuple.String("h"), tuple.Int(1)},
-				States: []*agg.State{wst},
+				States: []agg.State{*wst},
 			}},
 		}),
 		// Decodable, but malformed for any query: two groups of one report
@@ -188,11 +188,36 @@ func messageSeeds(t testing.TB) map[string][]byte {
 		"ragged-report": mustMarshal(agent.Report{
 			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{
-				{Key: "a", Rep: tuple.Tuple{tuple.String("h")}, States: []*agg.State{st, wst}},
-				{Key: "b", Rep: tuple.Tuple{tuple.String("h")}, States: []*agg.State{st}},
-				{Key: "a", States: []*agg.State{agg.New(agg.Max), wst}},
+				{Key: "a", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*st, *wst}},
+				{Key: "b", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*st}},
+				{Key: "a", States: []agg.State{agg.Make(agg.Max), *wst}},
 			},
 		}),
+		// Ragged the other way: later groups carry more states, and a wider
+		// Rep, than the first one sized the decoder's slabs for.
+		"ragged-growing-report": mustMarshal(agent.Report{
+			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
+			Groups: []*advice.Group{
+				{Key: "a", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*st}},
+				{Key: "b", Rep: tuple.Tuple{tuple.String("h"), tuple.Int(1), tuple.Null}, States: []agg.State{*st, *wst, *st}},
+				{Key: "c"},
+				{Key: "d", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*wst, *st}},
+			},
+			Raws: []tuple.Tuple{{tuple.Int(1)}, {tuple.Int(1), tuple.Int(2), tuple.Int(3)}, {}},
+		}),
+		// Report claiming 2^31 groups in a 40-byte frame.
+		"huge-groups": append([]byte{TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+			0x80, 0x80, 0x80, 0x80, 0x08}, make([]byte, 27)...),
+		// Report claiming 12 groups where the unread bytes could hold 11:
+		// under the old one-byte-per-element bound, over the group bound.
+		"groups-past-frame": append([]byte{TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+			12}, make([]byte, 35)...),
+		// One group claiming 100 states with 20 bytes — not two states — left.
+		"states-past-frame": append([]byte{TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+			0x01, 0x01, 'k', 0x00, 100}, make([]byte, 20)...),
+		// No groups, and 2^21 raw rows claimed in a four-byte body.
+		"raws-past-frame": {TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+			0x00, 0x80, 0x80, 0x80, 0x01, 0x00, 0x00, 0x00, 0x00},
 		"report-batch": mustMarshal(agent.ReportBatch{
 			Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Reports: []agent.Report{

@@ -24,6 +24,7 @@ import (
 	"repro/internal/baggage"
 	"repro/internal/query"
 	"repro/internal/sampling"
+	"repro/internal/slab"
 	"repro/internal/spans"
 	"repro/internal/tuple"
 )
@@ -345,8 +346,8 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 		buf = appendString(buf, g.Key)
 		buf = tuple.AppendTuple(buf, g.Rep)
 		buf = binary.AppendUvarint(buf, uint64(len(g.States)))
-		for _, st := range g.States {
-			buf = st.Append(buf)
+		for i := range g.States {
+			buf = g.States[i].Append(buf)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.Raws)))
@@ -362,23 +363,58 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 }
 
 // readReport decodes one report body (no tag byte); shared by the
-// TagReport and TagReportBatch decodings.
+// TagReport and TagReportBatch decodings. The groups, their states and
+// every Rep and raw-row value are cut from one slab each, sized from the
+// counts the frame gives — a count times the width of the first element
+// that carries it, which is exact unless the frame's groups are ragged —
+// and never beyond what the unread bytes could encode.
 func readReport(r *tuple.Reader) agent.Report {
 	m := agent.Report{QueryID: r.String(), Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
-	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-		g := &advice.Group{Key: r.String(), Rep: r.Tuple()}
-		for ns := r.Count(); ns > 0 && r.Err() == nil; ns-- {
-			g.States = append(g.States, agg.Read(r))
+	if n := r.CountOf(minGroupSize); n > 0 {
+		var states slab.Slab[agg.State]
+		var values slab.Slab[tuple.Value]
+		groups := make([]advice.Group, n)
+		m.Groups = make([]*advice.Group, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			g := &groups[i]
+			m.Groups[i] = g
+			g.Key, g.Rep = r.String(), readTuple(r, &values, n-i)
+			ns := r.CountOf(agg.MinEncodedSize)
+			states.Expect(min((n-i)*ns, len(r.Rest())/agg.MinEncodedSize))
+			g.States = states.Take(ns)
+			for k := 0; k < ns && r.Err() == nil; k++ {
+				g.States[k] = agg.Read(r)
+			}
 		}
-		m.Groups = append(m.Groups, g)
 	}
-	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-		m.Raws = append(m.Raws, r.Tuple())
+	if n := r.Count(); n > 0 {
+		var values slab.Slab[tuple.Value]
+		m.Raws = make([]tuple.Tuple, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m.Raws[i] = readTuple(r, &values, n-i)
+		}
 	}
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 		m.Drops = append(m.Drops, baggage.DropRecord{Slot: r.String(), Key: r.String()})
 	}
 	return m
+}
+
+// minGroupSize is the fewest bytes appendReport writes for a group: an
+// empty key, an empty Rep and no states, one length byte each.
+const minGroupSize = 3
+
+// readTuple decodes one tuple into values, which expects this tuple's
+// width for each of the more tuples (this one included) the caller has yet
+// to read.
+func readTuple(r *tuple.Reader, values *slab.Slab[tuple.Value], more int) tuple.Tuple {
+	n := r.Count()
+	values.Expect(min(more*n, len(r.Rest())))
+	t := values.Take(n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		t[i] = r.Value()
+	}
+	return t
 }
 
 // Marshal encodes a bus message: any of the twelve types of

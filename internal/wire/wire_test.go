@@ -156,7 +156,7 @@ func TestMessageCodecRoundtrip(t *testing.T) {
 		QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 		Groups: []*advice.Group{{
 			Key: "k", Rep: tuple.Tuple{tuple.String("h"), tuple.Int(1)},
-			States: []*agg.State{st},
+			States: []agg.State{*st},
 		}},
 		Raws: []tuple.Tuple{{tuple.Float(1.5)}},
 	}
@@ -557,4 +557,44 @@ func waitFor(cond func() bool, timeout time.Duration) bool {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return cond()
+}
+
+// TestReadReportSlabs: the report decoder cuts groups, states and values
+// out of shared slabs sized from the first group. A frame whose later
+// groups are wider than the first decodes to what was encoded, no decoded
+// slice has spare capacity that reaches into its neighbour, and a frame
+// that claims more groups, states or raw rows than its bytes could hold is
+// refused before anything is sized from the claim.
+func TestReadReportSlabs(t *testing.T) {
+	seeds := messageSeeds(t)
+	msg, err := Unmarshal(seeds["ragged-growing-report"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := msg.(agent.Report)
+	var shape []int
+	for _, g := range rep.Groups {
+		shape = append(shape, len(g.Rep), len(g.States))
+		if cap(g.Rep) != len(g.Rep) || cap(g.States) != len(g.States) {
+			t.Errorf("group %q: Rep %d/%d, States %d/%d (len/cap): appending would write a neighbour's row",
+				g.Key, len(g.Rep), cap(g.Rep), len(g.States), cap(g.States))
+		}
+	}
+	if want := []int{1, 1, 3, 3, 0, 0, 1, 2}; !slices.Equal(shape, want) {
+		t.Errorf("decoded (Rep, States) widths %v, want %v", shape, want)
+	}
+	if got := rep.Groups[1].States[1].Result(); got.Float() != 50 {
+		t.Errorf("group b's weighted state reads %v, want 50", got)
+	}
+	if len(rep.Raws) != 3 || len(rep.Raws[1]) != 3 || rep.Raws[1][2].Int() != 3 || len(rep.Raws[2]) != 0 {
+		t.Errorf("raw rows decoded as %v", rep.Raws)
+	}
+	if enc, err := Marshal(rep); err != nil || !bytes.Equal(enc, seeds["ragged-growing-report"]) {
+		t.Errorf("re-encoding the decoded report: err=%v, bytes differ=%v", err, !bytes.Equal(enc, seeds["ragged-growing-report"]))
+	}
+	for _, name := range []string{"huge-groups", "groups-past-frame", "states-past-frame", "raws-past-frame"} {
+		if _, err := Unmarshal(seeds[name]); !errors.Is(err, tuple.ErrTruncated) {
+			t.Errorf("%s: Unmarshal error %v, want %v", name, err, tuple.ErrTruncated)
+		}
+	}
 }

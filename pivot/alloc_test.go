@@ -7,8 +7,12 @@ package pivot
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/agent"
+	"repro/internal/wire"
 )
 
 // TestAllocsHBRequest pins the allocation cost of one happened-before
@@ -74,4 +78,64 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 		t.Logf("%-55s %6.2f", c.name, per)
 	}
 	t.Logf("%-55s %6.2f (ceiling %.0f)", "request", total, ceiling)
+}
+
+// TestAllocsWideRound pins what a reported row costs across the whole
+// reporting path — the round of the wide-groups workload in bench/ and of
+// BenchmarkWideReport: one crossing per key in a worker, Flush, the report
+// frame through the wire codec, the frontend's merge, Rows(). A row is
+// three objects: its key where the accumulator creates it, its key and its
+// Rep's string where the frame is decoded. Groups, states and values come
+// out of slabs at both tiers, a merge into a row the frontend holds
+// allocates nothing, and Rows() is two objects however many rows it
+// returns; frames, tables and chunks add hundredths per row.
+func TestAllocsWideRound(t *testing.T) {
+	const rows = 8192
+	worker, front := New("worker"), New("frontend")
+	tp := worker.Define("Svc.Handle", "key", "v")
+	front.Define("Svc.Handle", "key", "v")
+	front.Bus.Subscribe(agent.ControlTopic, func(msg any) { worker.Bus.Publish(agent.ControlTopic, msg) })
+	worker.Bus.Subscribe(agent.ResultsTopic, func(msg any) {
+		frame, err := wire.Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front.Bus.Publish(agent.ResultsTopic, decoded)
+	})
+	q, err := front.Install(`From e In Svc.Handle GroupBy e.key Select e.key, COUNT, SUM(e.v)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]any, rows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	var one any = int64(1)
+	ctx := worker.NewRequest(context.Background())
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 5
+	var before, after runtime.MemStats
+	for n := 0; n <= rounds; n++ {
+		if n == 1 { // the first round sizes the worker's table and fills the frontend's
+			runtime.ReadMemStats(&before)
+		}
+		for _, k := range keys {
+			tp.Here(ctx, k, one)
+		}
+		worker.Flush()
+		if got := len(q.Rows()); got != rows {
+			t.Fatalf("round %d: %d rows visible, want %d", n, got, rows)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / (rounds * rows)
+	t.Logf("%.3f objects per reported row", per)
+	if per > 3.5 {
+		t.Errorf("a reported row costs %.3f objects from crossing to Rows(), want at most 3.5", per)
+	}
 }
