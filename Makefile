@@ -86,7 +86,7 @@ coverage:
 # internal/scenario/testdata/short-seed1.json.
 # Replay a failure with the printed `go run ./cmd/ptbench ...` command.
 scenarios-short:
-	$(GO) test ./internal/scenario -race -run 'TestAllScenariosShort|TestReportDeterminism'
+	$(GO) test ./internal/scenario -race -run 'Short|TestReportDeterminism'
 
 # The full scenario library on thousand-host topologies — the ptbench
 # acceptance run (about half a minute of wall time).

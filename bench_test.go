@@ -27,6 +27,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/baggage"
 	"repro/internal/bus"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/plan"
@@ -728,6 +729,28 @@ func BenchmarkNetsimEventQueue(b *testing.B) {
 			})
 		}
 		wg.Wait()
+	})
+}
+
+// BenchmarkSimRPC measures what the simulation substrate charges for one
+// request with the tracer idle: NewRequest plus one Call between processes
+// on two hosts — two netsim flows and the parks in virtual time they cost,
+// two context nodes, two baggages — the round trip cluster.TestAllocsRPC pins.
+// allocs/op here is the floor under every ptbench request.
+func BenchmarkSimRPC(b *testing.B) {
+	b.ReportAllocs()
+	env := simtime.NewEnv()
+	env.Run(func() {
+		c := cluster.New(env, cluster.DefaultConfig())
+		client, server := c.Start("h1", "client"), c.Start("h2", "server")
+		server.Handle("Svc.Echo", func(ctx context.Context, req any) (any, error) { return req, nil })
+		sz := cluster.Sizes{Request: 100, Response: 100}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.Call(client.NewRequest(), server, "Svc.Echo", nil, sz); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

@@ -9,16 +9,20 @@
 //	go run ./cmd/ptbench -run limplock -v    # one scenario, verbose
 //	go run ./cmd/ptbench -all -short -seed 7 # reduced CI sizing
 //	go run ./cmd/ptbench -all -json out.json # deterministic JSON report
+//	go run ./cmd/ptbench -all -profile prof  # prof/cpu.pprof, prof/allocs.pprof
 //
 // The JSON report is byte-identical across runs with the same seed,
-// scenario set, and host count; exit status is nonzero if any checkpoint
-// fails.
+// scenario set, and host count, profiled or not; exit status is nonzero if
+// any checkpoint fails.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/scenario"
@@ -34,6 +38,7 @@ func main() {
 		short    = flag.Bool("short", false, "reduced sizing (CI / -race subsets)")
 		jsonPath = flag.String("json", "", "write the deterministic JSON report to this file (- for stdout)")
 		verbose  = flag.Bool("v", false, "per-checkpoint progress on stderr")
+		profile  = flag.String("profile", "", "write cpu.pprof and allocs.pprof for the run into this directory")
 	)
 	flag.Parse()
 
@@ -68,7 +73,16 @@ func main() {
 	if *verbose {
 		h.Log = os.Stderr
 	}
+	stopProfile, err := startProfile(*profile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ptbench: %v\n", err)
+		os.Exit(1)
+	}
 	results := h.RunAll(set)
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "ptbench: %v\n", err)
+		os.Exit(1)
+	}
 	rep := scenario.NewReport(*seed, *short, results)
 	rep.Console(os.Stdout)
 
@@ -97,6 +111,42 @@ func main() {
 			strings.Join(ids, ","), strings.Join(ids, ","), *seed, shortFlag(*short))
 		os.Exit(1)
 	}
+}
+
+// startProfile starts a CPU profile into dir/cpu.pprof; the function it
+// returns stops it and writes the allocation profile of everything since
+// process start to dir/allocs.pprof. An empty dir profiles nothing.
+func startProfile(dir string) (stop func() error, err error) {
+	if dir == "" {
+		return func() error { return nil }, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := cpu.Close(); err != nil {
+			return err
+		}
+		allocs, err := os.Create(filepath.Join(dir, "allocs.pprof"))
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile is as of the last completed collection
+		if err := pprof.Lookup("allocs").WriteTo(allocs, 0); err != nil {
+			allocs.Close()
+			return err
+		}
+		return allocs.Close()
+	}, nil
 }
 
 func shortFlag(short bool) string {

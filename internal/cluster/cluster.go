@@ -112,9 +112,10 @@ func New(env *simtime.Env, cfg Config) *Cluster {
 	}
 	// Renew query leases on the virtual clock, as a live frontend would;
 	// lease expiry (a dead frontend) is exercised by the chaos tests over
-	// the TCP bus, where the frontend really can disappear.
+	// the TCP bus, where the frontend really can disappear. The loop ends
+	// when the environment's teardown unwinds it out of its Sleep.
 	env.Go(func() {
-		for !env.Done() {
+		for {
 			env.Sleep(agent.DefaultLease / 3)
 			c.RenewLeases()
 		}
@@ -210,7 +211,10 @@ type Process struct {
 	Agent *agent.Agent
 
 	mu       sync.Mutex
-	handlers map[string]Handler
+	handlers map[string]handler
+
+	base  context.Context  // what Context returns, built once by start
+	clock tracepoint.Clock // the cluster's virtual clock, boxed once
 
 	fileIn, fileOut  *tracepoint.Tracepoint
 	rpcRecv, rpcResp *tracepoint.Tracepoint
@@ -218,6 +222,13 @@ type Process struct {
 
 // Handler serves one RPC method.
 type Handler func(ctx context.Context, req any) (any, error)
+
+// handler is a registered Handler with its method name boxed once, as the
+// RPC boundary tracepoints export it on every call.
+type handler struct {
+	serve  Handler
+	method any
+}
 
 // Start launches a process on a host with a Pivot Tracing agent.
 func (c *Cluster) Start(hostName, procName string) *Process {
@@ -242,8 +253,10 @@ func (c *Cluster) start(hostName, procName string, monitored bool) *Process {
 		},
 		Host:     host,
 		Reg:      tracepoint.NewRegistry(),
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]handler),
+		clock:    clock{env: c.Env},
 	}
+	p.base = p.In(context.Background())
 	key := hostName + "/" + procName
 	if _, dup := c.byName[key]; dup {
 		c.mu.Unlock()
@@ -348,10 +361,7 @@ func (p *Process) Define(name string, exports ...string) *tracepoint.Tracepoint 
 
 // Context returns the base context for code executing in this process:
 // process identity and the virtual clock, but no request baggage.
-func (p *Process) Context() context.Context {
-	ctx := tracepoint.WithProc(context.Background(), p.Info)
-	return tracepoint.WithClock(ctx, clock{env: p.C.Env})
-}
+func (p *Process) Context() context.Context { return p.base }
 
 // NewRequest returns a context for a fresh request originating in this
 // process: identity, clock, and new empty baggage. The process's agent
@@ -362,21 +372,43 @@ func (p *Process) NewRequest() context.Context {
 	if p.Agent != nil {
 		p.Agent.MintSampleDecision(bag)
 	}
-	return baggage.NewContext(p.Context(), bag)
+	return p.reenter(context.Background(), bag)
 }
 
 // In adapts a context to this process: the same request baggage, but this
 // process's identity and clock. Used when an execution logically moves into
 // another process without an RPC (e.g. a task launching in a container).
 func (p *Process) In(ctx context.Context) context.Context {
-	ctx = tracepoint.WithProc(ctx, p.Info)
-	return tracepoint.WithClock(ctx, clock{env: p.C.Env})
+	return p.reenter(ctx, nil)
 }
 
-// reenter adapts an inbound context to this process: same baggage and
-// deadline, this process's identity.
+// reenter adapts an inbound context to this process: same deadline, this
+// process's identity and clock, and bag as the request's baggage (nil keeps
+// whatever ctx carries).
 func (p *Process) reenter(ctx context.Context, bag *baggage.Baggage) context.Context {
-	ctx = tracepoint.WithProc(ctx, p.Info)
-	ctx = tracepoint.WithClock(ctx, clock{env: p.C.Env})
-	return baggage.NewContext(ctx, bag)
+	return &procCtx{Context: ctx, p: p, bag: bag}
+}
+
+// procCtx is the one context node an execution gains on entering a process.
+// It answers for the process identity, the clock and the request's baggage
+// together, where tracepoint.WithProc, tracepoint.WithClock and
+// baggage.NewContext would stack three nodes and box the identity again.
+type procCtx struct {
+	context.Context
+	p   *Process
+	bag *baggage.Baggage
+}
+
+func (c *procCtx) Value(key any) any {
+	switch key.(type) {
+	case tracepoint.ProcKey:
+		return &c.p.Info
+	case tracepoint.ClockKey:
+		return c.p.clock
+	case baggage.ContextKey:
+		if c.bag != nil {
+			return c.bag
+		}
+	}
+	return c.Context.Value(key)
 }

@@ -34,7 +34,7 @@ func (p *Process) Handle(method string, h Handler) {
 		panic(fmt.Sprintf("cluster: duplicate handler %s on %s/%s",
 			method, p.Info.Host, p.Info.ProcName))
 	}
-	p.handlers[method] = h
+	p.handlers[method] = handler{serve: h, method: method}
 }
 
 // Sizes gives the simulated payload sizes of an RPC, in bytes (baggage
@@ -76,9 +76,9 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 	// The callee sees its own deserialized copy — process isolation.
 	calleeBag := baggage.Deserialize(wire)
 	calleeCtx := target.reenter(ctx, calleeBag)
-	target.rpcRecv.Here(calleeCtx, method)
-	resp, err := h(calleeCtx, req)
-	target.rpcResp.Here(calleeCtx, method)
+	target.rpcRecv.Here(calleeCtx, h.method)
+	resp, err := h.serve(calleeCtx, req)
+	target.rpcResp.Here(calleeCtx, h.method)
 
 	respWire := calleeBag.Serialize()
 	stats.baggageBytes.Add(int64(len(respWire)))

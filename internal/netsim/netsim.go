@@ -15,6 +15,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,9 +54,10 @@ type Network struct {
 	// water-filling machinery. See SetSmallFlowCutoff.
 	smallCutoff float64
 
-	// scratchLinks is reused across reshare rounds so steady-state
-	// resharing allocates nothing.
+	// scratchLinks and scratchFlows are reused across reshare rounds so
+	// steady-state resharing allocates nothing.
 	scratchLinks []*Link
+	scratchFlows []*flow
 
 	// Stats counts completed flows and served bytes, for tests and tools.
 	completedFlows int64
@@ -65,7 +67,8 @@ type Network struct {
 type flow struct {
 	remaining float64
 	rate      float64
-	links     []*Link
+	links     []*Link // the flow's own copy of its path, in path when it fits
+	path      [6]*Link
 	finished  bool
 }
 
@@ -172,7 +175,18 @@ func (n *Network) Flow(size float64, links ...*Link) {
 	if size <= 0 || len(links) == 0 {
 		return
 	}
+	if d, small := n.transfer(size, links); small {
+		n.env.Sleep(d)
+	}
+}
+
+// transfer serves one flow. At or under the small-flow cutoff it accounts
+// the bytes at once and returns the service time for the caller to sleep
+// with the network unlocked; otherwise it returns once the flow has been
+// served at its fair share. links is only read, never kept.
+func (n *Network) transfer(size float64, links []*Link) (d time.Duration, small bool) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.smallCutoff > 0 && size <= n.smallCutoff {
 		rate := math.MaxFloat64
 		for _, l := range links {
@@ -183,11 +197,10 @@ func (n *Network) Flow(size float64, links ...*Link) {
 		}
 		n.completedFlows++
 		n.servedBytes += size
-		n.mu.Unlock()
-		n.env.Sleep(time.Duration(size / rate * float64(time.Second)))
-		return
+		return time.Duration(size / rate * float64(time.Second)), true
 	}
-	f := &flow{remaining: size, links: links}
+	f := &flow{remaining: size}
+	f.links = append(f.path[:0], links...)
 	n.ensureEngineLocked()
 	n.settleLocked()
 	n.flows[f] = struct{}{}
@@ -219,7 +232,7 @@ func (n *Network) Flow(size float64, links ...*Link) {
 		n.done.Wait()
 	}
 	n.servedBytes += size
-	n.mu.Unlock()
+	return 0, false
 }
 
 // ensureEngineLocked starts the completion engine on first use.
@@ -232,11 +245,12 @@ func (n *Network) ensureEngineLocked() {
 	n.env.Go(n.engine)
 }
 
-// engine advances flow progress and completes flows at their finish times.
+// engine advances flow progress and completes flows at their finish times,
+// until the environment's teardown unwinds it out of one of its waits.
 func (n *Network) engine() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for !n.env.Done() {
+	for {
 		n.settleLocked()
 		completed, needReshare := n.completeLocked()
 		if completed > 0 {
@@ -324,10 +338,10 @@ func (n *Network) nextCompletionLocked() time.Duration {
 // nothing.
 func (n *Network) reshareLocked() {
 	links := n.scratchLinks[:0]
-	unfrozen := make(map[*flow]struct{}, len(n.flows))
+	flows := n.scratchFlows[:0]
 	for f := range n.flows {
 		f.rate = 0
-		unfrozen[f] = struct{}{}
+		flows = append(flows, f)
 		for _, l := range f.links {
 			if !l.touched {
 				l.touched = true
@@ -338,7 +352,9 @@ func (n *Network) reshareLocked() {
 			l.unfrozen++
 		}
 	}
-	for len(unfrozen) > 0 {
+	// unfrozen is the prefix of flows whose rate is still to be fixed; a
+	// frozen flow is swapped out of it.
+	for unfrozen := flows; len(unfrozen) > 0; {
 		// Find the bottleneck link: minimum fair share among links with
 		// unfrozen flows.
 		var bottleneck *Link
@@ -357,19 +373,16 @@ func (n *Network) reshareLocked() {
 			break
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share.
-		for f := range unfrozen {
-			crosses := false
-			for _, l := range f.links {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
+		for i := 0; i < len(unfrozen); {
+			f := unfrozen[i]
+			if !slices.Contains(f.links, bottleneck) {
+				i++
 				continue
 			}
 			f.rate = share
-			delete(unfrozen, f)
+			last := len(unfrozen) - 1
+			unfrozen[i], unfrozen[last] = unfrozen[last], f
+			unfrozen = unfrozen[:last]
 			for _, l := range f.links {
 				l.remCap -= share
 				if l.remCap < 0 {
@@ -382,5 +395,6 @@ func (n *Network) reshareLocked() {
 	for _, l := range links {
 		l.touched = false
 	}
-	n.scratchLinks = links
+	clear(flows) // finished flows must not stay reachable from the scratch
+	n.scratchLinks, n.scratchFlows = links, flows[:0]
 }

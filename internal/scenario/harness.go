@@ -61,8 +61,9 @@ func (h *Harness) logf(format string, args ...any) {
 }
 
 // RunScenario executes one scenario in a fresh simulation and returns
-// its result. A panic in the scenario body is captured as a failed
-// result, not propagated.
+// its result. A panic in the scenario body or in any goroutine it started
+// is captured as a failed result, not propagated; either way no goroutine
+// of the simulation outlives the call.
 func (h *Harness) RunScenario(s *Scenario) *Result {
 	hosts := s.DefaultHosts
 	if h.Short {
@@ -82,24 +83,16 @@ func (h *Harness) RunScenario(s *Scenario) *Result {
 	}
 	var runErr error
 	func() {
-		// Env.Run re-raises panics from any managed goroutine; capture
-		// them as a failed result rather than killing the harness.
+		// Env.Run tears the simulation down and re-raises a panic from any
+		// managed goroutine — the scenario body (e.g. a malformed query) or
+		// a client it started; capture it as a failed result rather than
+		// killing the harness.
 		defer func() {
 			if p := recover(); p != nil {
 				runErr = fmt.Errorf("scenario panic: %v", p)
 			}
 		}()
-		env.Run(func() {
-			// The scenario body runs in the root managed goroutine; a
-			// panic there (e.g. a malformed query) must not escape the
-			// simulation.
-			defer func() {
-				if p := recover(); p != nil {
-					runErr = fmt.Errorf("scenario panic: %v", p)
-				}
-			}()
-			runErr = s.Run(r)
-		})
+		env.Run(func() { runErr = s.Run(r) })
 	}()
 
 	res.VirtualMS = int64(env.Now() / time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,93 @@ func TestConsoleReport(t *testing.T) {
 	for _, want := range []string{"FAIL", "went sideways", "replay: go run ./cmd/ptbench -seed 9"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("console output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestHarnessCapturesPanicInManagedGoroutine: every DriveAsync client is a
+// goroutine of its own, and a panic in one used to kill the process. It must
+// end that scenario as a failed result and leave the harness able to run the
+// next one.
+func TestHarnessCapturesPanicInManagedGoroutine(t *testing.T) {
+	boom := &Scenario{
+		ID: "boom", Name: "boom", ShortHosts: 1, Horizon: time.Second,
+		Run: func(r *Run) error {
+			r.Env.Go(func() {
+				r.Env.Sleep(time.Millisecond)
+				panic("kaboom in a client")
+			})
+			r.Env.Sleep(time.Second)
+			r.Expect("reached after the panic", nil)
+			return nil
+		},
+	}
+	fine := &Scenario{
+		ID: "fine", Name: "fine", ShortHosts: 1, Horizon: time.Second,
+		Run: func(r *Run) error {
+			r.Expect("ran", nil)
+			return nil
+		},
+	}
+	res := (&Harness{Seed: 1, Short: true}).RunAll([]*Scenario{boom, fine})
+	if res[0].Passed || !strings.Contains(res[0].Err, "kaboom in a client") {
+		t.Errorf("panicking client: Passed = %v, Err = %q; want a failed result carrying the panic value", res[0].Passed, res[0].Err)
+	}
+	if len(res[0].Checkpoints) != 0 {
+		t.Errorf("the scenario body ran on after the panic: %+v", res[0].Checkpoints)
+	}
+	if !res[1].Passed {
+		t.Errorf("the scenario after the panic did not pass: %+v", res[1])
+	}
+}
+
+// goroutineStacks returns the stack of every live goroutine, keyed by its
+// "goroutine N" header.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(g, " [")
+		out[id] = g
+	}
+	return out
+}
+
+// TestShortScenariosLeaveNoGoroutines runs every scenario twice at the short
+// sizing and requires that each run leaves behind no goroutine that was not
+// there before it: Env.Run reaps what the simulation started, and nothing in
+// a deployment may run outside the simulation.
+func TestShortScenariosLeaveNoGoroutines(t *testing.T) {
+	h := &Harness{Seed: testSeed(), Short: true}
+	for _, s := range All() {
+		before := goroutineStacks()
+		var leaked []string
+		for run := 0; run < 2; run++ {
+			h.RunScenario(s)
+		}
+		// Run returns when every managed goroutine has passed its last
+		// statement; the runtime retires them a moment later.
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			leaked = leaked[:0]
+			for id, stack := range goroutineStacks() {
+				if _, ok := before[id]; !ok {
+					leaked = append(leaked, stack)
+				}
+			}
+			if len(leaked) == 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(leaked) > 0 {
+			t.Errorf("%s: %d goroutines left behind after two runs:\n%s", s.ID, len(leaked), strings.Join(leaked, "\n\n"))
 		}
 	}
 }

@@ -3,18 +3,26 @@
 //
 // Code under simulation runs in "managed" goroutines spawned with Env.Go or
 // Env.Run. Managed goroutines must block only through the primitives in this
-// package (Sleep, Cond, Queue, Semaphore, WaitGroup). When every managed
+// package (Sleep, Cond, Queue, Semaphore, WaitGroup, RWLock). When every managed
 // goroutine is blocked, the environment advances virtual time to the next
 // pending timer — so a simulated experiment spanning minutes of virtual time
 // completes in milliseconds of real time.
 //
 // The clock never advances while any managed goroutine is runnable, which
 // makes timing exact: a Sleep(d) wakes at precisely now+d in virtual time.
+//
+// A simulation ends when the root function of Env.Run returns. Goroutines
+// still parked then do not resume: they unwind with runtime.Goexit, running
+// their deferred calls only, and Run returns after the last of them has
+// exited. The one rule this imposes on simulated code: a lock held across a
+// Cond wait is released in a defer, because the wait re-acquires it before
+// unwinding.
 package simtime
 
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -22,20 +30,29 @@ import (
 // Env is a simulation environment: a virtual clock plus the accounting needed
 // to know when all managed goroutines are blocked.
 type Env struct {
-	mu        sync.Mutex
-	now       time.Duration
-	seq       int64
-	timers    timerHeap
-	runnable  int
-	done      bool
-	rootDone  chan struct{}
-	closeOnce sync.Once
-	panicVal  any
+	mu       sync.Mutex
+	now      time.Duration
+	seq      int64
+	timers   timerHeap
+	runnable int
+	done     bool
+	panicVal any
+
+	// Every waiter the environment ever made is on the all list; the ones no
+	// goroutine is using are also on the free list. A park takes its waiter
+	// from the free list and puts it back on waking, so a warm environment
+	// parks without allocating, and teardown finds every parked goroutine by
+	// walking all.
+	all, free *waiter
+
+	// managed counts the managed goroutines that have not exited; Run
+	// returns when it drains.
+	managed sync.WaitGroup
 }
 
 // NewEnv returns a fresh environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{rootDone: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -45,22 +62,30 @@ func (e *Env) Now() time.Duration {
 	return e.now
 }
 
-// Done reports whether the environment has finished (the root function of Run
-// has returned). Long-lived background loops can poll Done to exit cleanly.
+// Done reports whether the environment has finished: the root function of Run
+// has returned, the simulation deadlocked, or a managed goroutine panicked.
+// A loop that parks every iteration need not poll it — its next park unwinds
+// the goroutine — but a loop that can spin without parking must.
 func (e *Env) Done() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.done
 }
 
-// waiter represents one parked managed goroutine.
+// waiter is the parking spot of one managed goroutine. All fields are
+// guarded by Env.mu; ch carries exactly one wake-up per park.
 type waiter struct {
-	ch       chan struct{}
-	wakeAt   time.Duration
-	seq      int64
-	heapIdx  int // index in the timer heap, -1 if not scheduled
-	fired    bool
-	timedOut bool
+	ch      chan struct{} // 1-buffered: the waker never blocks
+	wakeAt  time.Duration
+	seq     int64
+	heapIdx int   // index in the timer heap, -1 if not scheduled
+	cond    *Cond // the Cond whose waiters list holds it, if any
+
+	parked   bool // a goroutine is waiting on ch and nobody has woken it yet
+	timedOut bool // woken by its timer
+	poisoned bool // woken by teardown: the goroutine must unwind
+
+	nextAll, nextFree *waiter
 }
 
 // timerHeap is a min-heap of waiters ordered by (wakeAt, seq).
@@ -93,32 +118,76 @@ func (h *timerHeap) Pop() any {
 	return w
 }
 
-func (e *Env) newWaiter() *waiter {
+// newWaiter readies a waiter for one park of the calling goroutine, with a
+// timer at now+d when timed. seq advances once per park whether or not the
+// waiter is recycled: it breaks ties between timers due at the same instant,
+// so the wake order of a simulation is a function of its park order alone.
+// If the environment is done the caller may not park: newWaiter releases
+// e.mu and unwinds the goroutine. Caller holds e.mu.
+func (e *Env) newWaiter(timed bool, d time.Duration) *waiter {
+	if e.done {
+		e.mu.Unlock()
+		runtime.Goexit()
+	}
+	w := e.free
+	if w == nil {
+		w = &waiter{ch: make(chan struct{}, 1), nextAll: e.all}
+		e.all = w
+	} else {
+		e.free = w.nextFree
+	}
 	e.seq++
-	return &waiter{ch: make(chan struct{}), seq: e.seq, heapIdx: -1}
+	w.seq = e.seq
+	w.parked = true
+	w.heapIdx = -1
+	if timed {
+		w.wakeAt = e.now + max(d, 0)
+		heap.Push(&e.timers, w)
+	}
+	return w
 }
 
-// fire marks w runnable and unparks it. Caller holds e.mu.
+// wake unparks w's goroutine. Caller holds e.mu and has taken w off the
+// timer heap and off its cond's list.
+func (e *Env) wake(w *waiter) {
+	w.parked = false
+	e.runnable++
+	w.ch <- struct{}{}
+}
+
+// fire unparks w on behalf of a Signal or Broadcast. Caller holds e.mu.
 func (e *Env) fire(w *waiter) {
-	if w.fired {
-		return
-	}
-	w.fired = true
 	if w.heapIdx >= 0 {
 		heap.Remove(&e.timers, w.heapIdx)
 	}
-	e.runnable++
-	close(w.ch)
+	e.wake(w)
 }
 
-// block parks the calling goroutine on w. Caller holds e.mu; block unlocks it.
-func (e *Env) block(w *waiter) {
+// park blocks the calling goroutine on w until it is woken, recycles w, and
+// reports whether the wake-up was w's timer. Caller holds e.mu; park releases
+// it. If the wake-up was teardown, park re-acquires relock (the lock a Cond
+// wait released, so the caller's deferred Unlock stays valid) and unwinds the
+// goroutine instead of returning.
+func (e *Env) park(w *waiter, relock sync.Locker) (timedOut bool) {
 	e.runnable--
 	if e.runnable == 0 {
 		e.advance()
 	}
 	e.mu.Unlock()
 	<-w.ch
+	e.mu.Lock()
+	timedOut, poisoned := w.timedOut, w.poisoned
+	w.timedOut, w.poisoned, w.cond = false, false, nil
+	w.nextFree = e.free
+	e.free = w
+	e.mu.Unlock()
+	if relock != nil {
+		relock.Lock()
+	}
+	if poisoned {
+		runtime.Goexit()
+	}
+	return timedOut
 }
 
 // advance moves virtual time forward to the next timer and fires it.
@@ -130,11 +199,7 @@ func (e *Env) advance() {
 	if e.timers.Len() == 0 {
 		// Deadlock: every managed goroutine is blocked and no timer is
 		// pending. Route the panic to the goroutine that called Run.
-		e.done = true
-		if e.panicVal == nil {
-			e.panicVal = "simtime: deadlock — all managed goroutines blocked with no pending timers"
-		}
-		e.closeOnce.Do(func() { close(e.rootDone) })
+		e.finish("simtime: deadlock — all managed goroutines blocked with no pending timers")
 		return
 	}
 	w := heap.Pop(&e.timers).(*waiter)
@@ -142,64 +207,91 @@ func (e *Env) advance() {
 		e.now = w.wakeAt
 	}
 	w.timedOut = true
-	w.fired = true
-	e.runnable++
-	close(w.ch)
+	if w.cond != nil {
+		w.cond.remove(w)
+	}
+	e.wake(w)
+}
+
+// finish ends the simulation: the clock stops, every parked goroutine is
+// woken poisoned, and from here on a goroutine that tries to park unwinds
+// instead. The first non-nil panicVal is what Run re-panics with. Caller
+// holds e.mu.
+func (e *Env) finish(panicVal any) {
+	if e.panicVal == nil {
+		e.panicVal = panicVal
+	}
+	if e.done {
+		return
+	}
+	e.done = true
+	e.timers = nil
+	for w := e.all; w != nil; w = w.nextAll {
+		if w.parked {
+			w.poisoned = true
+			e.wake(w)
+		}
+	}
 }
 
 // Sleep blocks the calling managed goroutine for d of virtual time.
 // Non-positive durations yield (sleep for zero time) to preserve event
 // ordering fairness.
 func (e *Env) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
 	e.mu.Lock()
-	w := e.newWaiter()
-	w.wakeAt = e.now + d
-	heap.Push(&e.timers, w)
-	e.block(w)
+	e.park(e.newWaiter(true, d), nil)
 }
 
-// Go spawns fn as a managed goroutine.
+// Go spawns fn as a managed goroutine. A panic in fn ends the simulation
+// and is re-raised by Run. Once the environment is done there is nothing
+// left to run fn in, and Go does nothing.
 func (e *Env) Go(fn func()) {
+	e.spawn(fn, false)
+}
+
+func (e *Env) spawn(fn func(), root bool) {
 	e.mu.Lock()
+	if e.done {
+		e.mu.Unlock()
+		return
+	}
 	e.runnable++
+	e.managed.Add(1)
 	e.mu.Unlock()
 	go func() {
-		defer e.exit()
+		defer e.exit(root)
 		fn()
 	}()
 }
 
-func (e *Env) exit() {
+// exit is the deferred end of every managed goroutine, reached by return,
+// by the Goexit of a poisoned wake-up, or by a panic, which it recovers.
+func (e *Env) exit(root bool) {
+	defer e.managed.Done()
+	pv := recover()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.runnable--
-	if e.runnable == 0 && !e.done {
+	switch {
+	case pv != nil || root:
+		e.finish(pv)
+	case e.runnable == 0:
 		e.advance()
 	}
-	e.mu.Unlock()
 }
 
-// Run executes fn as the root managed goroutine and returns when fn returns.
-// Other managed goroutines still blocked at that point are abandoned: the
-// clock stops and they never wake. Run must be called from an unmanaged
-// goroutine (typically the test or main goroutine), and at most once per Env.
+// Run executes fn as the root managed goroutine. When fn returns — or the
+// simulation deadlocks, or any managed goroutine panics — the environment is
+// torn down: the clock stops and every managed goroutine still parked in a
+// primitive of this package unwinds with runtime.Goexit, running its deferred
+// calls and nothing else. Run returns once all of them have exited, so a
+// finished simulation leaves no goroutine behind; it then re-panics with the
+// deadlock report or the first panic value, if any. Run must be called from an
+// unmanaged goroutine (typically the test or main goroutine), and at most
+// once per Env.
 func (e *Env) Run(fn func()) {
-	e.mu.Lock()
-	e.runnable++
-	e.mu.Unlock()
-	go func() {
-		defer func() {
-			e.mu.Lock()
-			e.done = true
-			e.runnable--
-			e.mu.Unlock()
-			e.closeOnce.Do(func() { close(e.rootDone) })
-		}()
-		fn()
-	}()
-	<-e.rootDone
+	e.spawn(fn, true)
+	e.managed.Wait()
 	e.mu.Lock()
 	pv := e.panicVal
 	e.mu.Unlock()

