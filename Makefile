@@ -89,7 +89,7 @@ scenarios-short:
 	$(GO) test ./internal/scenario -race -run 'Short|TestReportDeterminism'
 
 # The full scenario library on thousand-host topologies — the ptbench
-# acceptance run (about half a minute of wall time).
+# acceptance run (15–20 s of wall time on two cores).
 scenarios:
 	$(GO) run ./cmd/ptbench -all
 

@@ -754,6 +754,28 @@ func BenchmarkSimRPC(b *testing.B) {
 	})
 }
 
+// BenchmarkSimHandoff measures the scheduler alone: two managed goroutines
+// ping-pong through a pair of simtime.Queues with no virtual time passing,
+// one op being one round trip — two parks, two wake-ups, and two switches
+// of the running goroutine.
+func BenchmarkSimHandoff(b *testing.B) {
+	b.ReportAllocs()
+	env := simtime.NewEnv()
+	env.Run(func() {
+		ping, pong := simtime.NewQueue[int](env), simtime.NewQueue[int](env)
+		env.Go(func() {
+			for {
+				pong.Push(ping.Pop())
+			}
+		})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ping.Push(i)
+			pong.Pop()
+		}
+	})
+}
+
 // hbQuery is the happened-before join of the hb-crossings workload in
 // bench/: Store.Write joined to the first causally-preceding
 // Gateway.Receive, grouped by tenant.

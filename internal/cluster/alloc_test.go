@@ -17,8 +17,7 @@ import (
 // installed — the round trip of the root BenchmarkSimRPC. The ceiling is the
 // measured count: the request's baggage and its context node, the callee's
 // baggage and context node, and one netsim flow each way. Nothing in it is a
-// park: the Sleeps and Cond waits of a round trip reuse the environment's
-// waiters.
+// park: parking in virtual time allocates nothing.
 func TestAllocsRPC(t *testing.T) {
 	const ceiling = 6
 	env := simtime.NewEnv()

@@ -29,7 +29,7 @@ type Client struct {
 	cfg  ClientConfig
 
 	mu  sync.Mutex
-	rng *rand.Rand
+	rng *rand.Rand // seeded on first use: most clients never draw
 
 	tpClientProto *tracepoint.Tracepoint
 }
@@ -43,7 +43,6 @@ func NewClient(proc *cluster.Process, nn *NameNode, cfg ClientConfig) *Client {
 		Proc: proc,
 		nn:   nn,
 		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed ^ proc.Info.ProcID)),
 	}
 	// The paper's Q2 instruments the client protocols of HDFS, HBase, and
 	// MapReduce under one tracepoint vocabulary.
@@ -80,6 +79,9 @@ func (c *Client) chooseReplica(replicas []string) string {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.cfg.Seed ^ c.Proc.Info.ProcID))
+	}
 	return replicas[c.rng.Intn(len(replicas))]
 }
 

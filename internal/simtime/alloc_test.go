@@ -1,10 +1,10 @@
-//go:build !race
+//go:build go1.23 && !race
 
 package simtime
 
-// Allocation pins for parking in virtual time. Excluded under -race: the
-// race detector's instrumentation adds bookkeeping allocations unrelated to
-// the code under test.
+// Allocation pins for parking in virtual time and starting a goroutine.
+// Excluded under -race: the race detector's instrumentation adds
+// bookkeeping allocations unrelated to the code under test.
 
 import (
 	"sync"
@@ -12,9 +12,10 @@ import (
 	"time"
 )
 
-// TestAllocParkWake: on a warm environment — one whose free list already
-// holds as many waiters as goroutines park at once — a park and its wake-up
-// allocate nothing, whichever primitive they go through.
+// TestAllocParkWake: on a warm environment — one whose ready FIFO, timer
+// heap and cond lists have grown to the most goroutines they ever hold — a
+// park and its wake-up allocate nothing, whichever primitive they go
+// through.
 func TestAllocParkWake(t *testing.T) {
 	e := NewEnv()
 	e.Run(func() {
@@ -67,6 +68,73 @@ func TestAllocParkWake(t *testing.T) {
 			if n := testing.AllocsPerRun(200, op.fn); n != 0 {
 				t.Errorf("%s allocates %.2f objects/op on a warm Env, want 0", op.name, n)
 			}
+		}
+	})
+}
+
+// TestAllocRWLockContended: an acquirer that finds the lock held queues
+// itself by value and parks; neither costs an allocation on a warm lock.
+func TestAllocRWLockContended(t *testing.T) {
+	e := NewEnv()
+	e.Run(func() {
+		rw := e.NewRWLock()
+		grab, held := NewQueue[bool](e), NewQueue[int](e)
+		// The holder takes the lock as asked (true = exclusively), says so,
+		// and keeps it for a microsecond: long enough for the measured
+		// acquirer to find it held and queue.
+		e.Go(func() {
+			for {
+				writing := grab.Pop()
+				if writing {
+					rw.Lock()
+				} else {
+					rw.RLock()
+				}
+				held.Push(1)
+				e.Sleep(time.Microsecond)
+				if writing {
+					rw.Unlock()
+				} else {
+					rw.RUnlock()
+				}
+			}
+		})
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"RLock behind a writer", func() {
+				grab.Push(true)
+				held.Pop()
+				rw.RLock()
+				rw.RUnlock()
+			}},
+			{"Lock behind a reader", func() {
+				grab.Push(false)
+				held.Pop()
+				rw.Lock()
+				rw.Unlock()
+			}},
+		} {
+			if n := testing.AllocsPerRun(200, op.fn); n != 0 {
+				t.Errorf("%s allocates %.2f objects/op on a warm lock, want 0", op.name, n)
+			}
+		}
+	})
+}
+
+// TestAllocGo pins what starting a managed goroutine costs: its thread,
+// and the coroutine iter.Pull builds for it.
+func TestAllocGo(t *testing.T) {
+	const want = 13
+	e := NewEnv()
+	e.Run(func() {
+		n := testing.AllocsPerRun(200, func() {
+			e.Go(func() {})
+			e.Sleep(0) // the new goroutine runs to its end
+		})
+		if n > want {
+			t.Errorf("Env.Go allocates %.2f objects, want <= %d", n, want)
 		}
 	})
 }

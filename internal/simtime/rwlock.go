@@ -1,6 +1,6 @@
-package simtime
+//go:build go1.23
 
-import "sync"
+package simtime
 
 // RWLock is a scheduler-aware readers-writer lock. Unlike sync.RWMutex it
 // may be held across virtual-time blocking (Sleep, resource waits): waiters
@@ -14,16 +14,16 @@ import "sync"
 // entirely under heavy contention).
 type RWLock struct {
 	env     *Env
-	mu      sync.Mutex
 	readers int
 	writer  bool
-	queue   []*rwWaiter
+	queue   fifo[rwWaiter]
 }
 
+// rwWaiter is a parked acquirer. It wakes holding the lock: release grants
+// it before firing it.
 type rwWaiter struct {
+	t       *thread
 	writing bool
-	granted bool
-	c       *Cond
 }
 
 // NewRWLock returns an unlocked RWLock.
@@ -34,80 +34,66 @@ func (e *Env) NewRWLock() *RWLock {
 // RLock acquires the lock for reading. Readers queue behind any earlier
 // writer to avoid writer starvation.
 func (l *RWLock) RLock() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.writer && len(l.queue) == 0 {
+	if !l.writer && l.queue.len() == 0 {
 		l.readers++
 		return
 	}
-	w := &rwWaiter{c: l.env.NewCond(&l.mu)}
-	l.queue = append(l.queue, w)
-	for !w.granted {
-		w.c.Wait()
-	}
+	l.wait(false)
 }
 
 // RUnlock releases a read acquisition.
 func (l *RWLock) RUnlock() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.readers--
 	if l.readers < 0 {
 		panic("simtime: RUnlock without RLock")
 	}
 	if l.readers == 0 {
-		l.releaseLocked()
+		l.release()
 	}
 }
 
 // Lock acquires the lock exclusively.
 func (l *RWLock) Lock() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.writer && l.readers == 0 && len(l.queue) == 0 {
+	if !l.writer && l.readers == 0 && l.queue.len() == 0 {
 		l.writer = true
 		return
 	}
-	w := &rwWaiter{writing: true, c: l.env.NewCond(&l.mu)}
-	l.queue = append(l.queue, w)
-	for !w.granted {
-		w.c.Wait()
-	}
+	l.wait(true)
 }
 
 // Unlock releases an exclusive acquisition.
 func (l *RWLock) Unlock() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !l.writer {
 		panic("simtime: Unlock without Lock")
 	}
 	l.writer = false
-	l.releaseLocked()
+	l.release()
 }
 
-// releaseLocked hands the lock to the head of the queue: one writer, or a
-// batch of consecutive readers. Caller holds l.mu.
-func (l *RWLock) releaseLocked() {
-	if len(l.queue) == 0 {
+// wait queues the running thread and parks it until release grants it the
+// lock.
+func (l *RWLock) wait(writing bool) {
+	t := l.env.running()
+	l.queue.push(rwWaiter{t: t, writing: writing})
+	l.env.park(t, nil)
+}
+
+// release hands the lock to the head of the queue: one writer, or a batch of
+// consecutive readers.
+func (l *RWLock) release() {
+	if l.queue.len() == 0 {
 		return
 	}
-	if l.queue[0].writing {
+	if l.queue.peek().writing {
 		if l.readers > 0 {
 			return // readers still draining
 		}
-		w := l.queue[0]
-		l.queue = l.queue[1:]
 		l.writer = true
-		w.granted = true
-		w.c.Signal()
+		l.env.fire(l.queue.pop().t)
 		return
 	}
-	for len(l.queue) > 0 && !l.queue[0].writing {
-		w := l.queue[0]
-		l.queue = l.queue[1:]
+	for l.queue.len() > 0 && !l.queue.peek().writing {
 		l.readers++
-		w.granted = true
-		w.c.Signal()
+		l.env.fire(l.queue.pop().t)
 	}
 }

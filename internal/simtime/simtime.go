@@ -1,15 +1,21 @@
+//go:build go1.23
+
 // Package simtime provides a virtual-time discrete-event scheduler for
 // simulating distributed systems deterministically and quickly.
 //
 // Code under simulation runs in "managed" goroutines spawned with Env.Go or
 // Env.Run. Managed goroutines must block only through the primitives in this
-// package (Sleep, Cond, Queue, Semaphore, WaitGroup, RWLock). When every managed
-// goroutine is blocked, the environment advances virtual time to the next
-// pending timer — so a simulated experiment spanning minutes of virtual time
-// completes in milliseconds of real time.
+// package (Sleep, Cond, Queue, Semaphore, WaitGroup, RWLock). Exactly one of
+// them runs at a time: it runs until it parks in one of those primitives, and
+// then Run resumes the next goroutine made ready by Go, Signal or Broadcast,
+// in FIFO order. Only when none is ready does the clock advance, to the
+// earliest pending timer — so a simulated experiment spanning minutes of
+// virtual time completes in milliseconds of real time, a Sleep(d) wakes at
+// precisely now+d, and the schedule is a function of the simulation alone.
 //
-// The clock never advances while any managed goroutine is runnable, which
-// makes timing exact: a Sleep(d) wakes at precisely now+d in virtual time.
+// Nothing runs concurrently, so nothing here takes a lock: an Env and its
+// primitives may be used only from managed goroutines, or before or after
+// Run.
 //
 // A simulation ends when the root function of Env.Run returns. Goroutines
 // still parked then do not resume: they unwind with runtime.Goexit, running
@@ -20,34 +26,24 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"time"
 )
 
-// Env is a simulation environment: a virtual clock plus the accounting needed
-// to know when all managed goroutines are blocked.
+// Env is a simulation environment: a virtual clock, the timers and ready
+// FIFO that decide which managed goroutine runs next, and the one that runs.
 type Env struct {
-	mu       sync.Mutex
 	now      time.Duration
 	seq      int64
 	timers   timerHeap
-	runnable int
+	ready    fifo[*thread]
+	cur      *thread   // the running thread
+	live     []*thread // every thread that has not exited, in no order
 	done     bool
 	panicVal any
-
-	// Every waiter the environment ever made is on the all list; the ones no
-	// goroutine is using are also on the free list. A park takes its waiter
-	// from the free list and puts it back on waking, so a warm environment
-	// parks without allocating, and teardown finds every parked goroutine by
-	// walking all.
-	all, free *waiter
-
-	// managed counts the managed goroutines that have not exited; Run
-	// returns when it drains.
-	managed sync.WaitGroup
 }
 
 // NewEnv returns a fresh environment with the clock at zero.
@@ -56,248 +52,199 @@ func NewEnv() *Env {
 }
 
 // Now returns the current virtual time.
-func (e *Env) Now() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+func (e *Env) Now() time.Duration { return e.now }
 
 // Done reports whether the environment has finished: the root function of Run
 // has returned, the simulation deadlocked, or a managed goroutine panicked.
 // A loop that parks every iteration need not poll it — its next park unwinds
 // the goroutine — but a loop that can spin without parking must.
-func (e *Env) Done() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.done
-}
+func (e *Env) Done() bool { return e.done }
 
-// waiter is the parking spot of one managed goroutine. All fields are
-// guarded by Env.mu; ch carries exactly one wake-up per park.
-type waiter struct {
-	ch      chan struct{} // 1-buffered: the waker never blocks
-	wakeAt  time.Duration
-	seq     int64
-	heapIdx int   // index in the timer heap, -1 if not scheduled
-	cond    *Cond // the Cond whose waiters list holds it, if any
+// thread is one managed goroutine, run as a coroutine of Run's loop. It
+// parks at most once at a time, so it is also its own parking spot.
+type thread struct {
+	resume func() (struct{}, bool) // runs the thread until it parks or exits
+	yield  func(struct{}) bool     // parks the thread: control goes back to Run
+	timer  int                     // index in the timer heap, -1 if none
+	slot   int                     // index in Env.live
+	cond   *Cond                   // the Cond whose waiters list holds it, if any
 
-	parked   bool // a goroutine is waiting on ch and nobody has woken it yet
 	timedOut bool // woken by its timer
-	poisoned bool // woken by teardown: the goroutine must unwind
-
-	nextAll, nextFree *waiter
+	poisoned bool // resumed by teardown: the thread must unwind
 }
 
-// timerHeap is a min-heap of waiters ordered by (wakeAt, seq).
-type timerHeap []*waiter
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].wakeAt != h[j].wakeAt {
-		return h[i].wakeAt < h[j].wakeAt
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *timerHeap) Push(x any) {
-	w := x.(*waiter)
-	w.heapIdx = len(*h)
-	*h = append(*h, w)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.heapIdx = -1
-	*h = old[:n-1]
-	return w
+// Go spawns fn as a managed goroutine. It first runs once the caller parks,
+// after the goroutines made ready before it. A panic in fn ends the
+// simulation and is re-raised by Run. Once the environment is done there is
+// nothing left to run fn in, and Go does nothing.
+func (e *Env) Go(fn func()) {
+	e.spawn(fn, false)
 }
 
-// newWaiter readies a waiter for one park of the calling goroutine, with a
-// timer at now+d when timed. seq advances once per park whether or not the
-// waiter is recycled: it breaks ties between timers due at the same instant,
-// so the wake order of a simulation is a function of its park order alone.
-// If the environment is done the caller may not park: newWaiter releases
-// e.mu and unwinds the goroutine. Caller holds e.mu.
-func (e *Env) newWaiter(timed bool, d time.Duration) *waiter {
-	if e.done {
-		e.mu.Unlock()
-		runtime.Goexit()
-	}
-	w := e.free
-	if w == nil {
-		w = &waiter{ch: make(chan struct{}, 1), nextAll: e.all}
-		e.all = w
-	} else {
-		e.free = w.nextFree
-	}
-	e.seq++
-	w.seq = e.seq
-	w.parked = true
-	w.heapIdx = -1
-	if timed {
-		w.wakeAt = e.now + max(d, 0)
-		heap.Push(&e.timers, w)
-	}
-	return w
-}
-
-// wake unparks w's goroutine. Caller holds e.mu and has taken w off the
-// timer heap and off its cond's list.
-func (e *Env) wake(w *waiter) {
-	w.parked = false
-	e.runnable++
-	w.ch <- struct{}{}
-}
-
-// fire unparks w on behalf of a Signal or Broadcast. Caller holds e.mu.
-func (e *Env) fire(w *waiter) {
-	if w.heapIdx >= 0 {
-		heap.Remove(&e.timers, w.heapIdx)
-	}
-	e.wake(w)
-}
-
-// park blocks the calling goroutine on w until it is woken, recycles w, and
-// reports whether the wake-up was w's timer. Caller holds e.mu; park releases
-// it. If the wake-up was teardown, park re-acquires relock (the lock a Cond
-// wait released, so the caller's deferred Unlock stays valid) and unwinds the
-// goroutine instead of returning.
-func (e *Env) park(w *waiter, relock sync.Locker) (timedOut bool) {
-	e.runnable--
-	if e.runnable == 0 {
-		e.advance()
-	}
-	e.mu.Unlock()
-	<-w.ch
-	e.mu.Lock()
-	timedOut, poisoned := w.timedOut, w.poisoned
-	w.timedOut, w.poisoned, w.cond = false, false, nil
-	w.nextFree = e.free
-	e.free = w
-	e.mu.Unlock()
-	if relock != nil {
-		relock.Lock()
-	}
-	if poisoned {
-		runtime.Goexit()
-	}
-	return timedOut
-}
-
-// advance moves virtual time forward to the next timer and fires it.
-// Caller holds e.mu and has observed runnable == 0.
-func (e *Env) advance() {
+func (e *Env) spawn(fn func(), root bool) {
 	if e.done {
 		return
 	}
-	if e.timers.Len() == 0 {
-		// Deadlock: every managed goroutine is blocked and no timer is
-		// pending. Route the panic to the goroutine that called Run.
+	t := &thread{timer: -1, slot: len(e.live)}
+	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		defer e.exit(t, root)
+		fn()
+	})
+	e.live = append(e.live, t)
+	e.ready.push(t)
+}
+
+// exit is the deferred end of every thread, reached by return, by the Goexit
+// of a poisoned wake-up, or by a panic, which it recovers.
+func (e *Env) exit(t *thread, root bool) {
+	pv := recover()
+	last := len(e.live) - 1
+	e.live[t.slot], e.live[last].slot = e.live[last], t.slot
+	e.live[last] = nil
+	e.live = e.live[:last]
+	if pv != nil || root {
+		e.finish(pv)
+	}
+}
+
+// Run executes fn as the root managed goroutine, then every goroutine it
+// starts, one at a time, until fn returns — or the simulation deadlocks, or
+// any managed goroutine panics. Then the environment is torn down: the clock
+// stops and every managed goroutine still parked in a primitive of this
+// package unwinds with runtime.Goexit, running its deferred calls and
+// nothing else. Run returns once all of them have exited, so a finished
+// simulation leaves no goroutine behind; it then re-panics with the deadlock
+// report or the first panic value, if any. Run must be called from an
+// unmanaged goroutine (typically the test or main goroutine), and at most
+// once per Env. A managed goroutine that calls runtime.Goexit itself ends the
+// simulation and the goroutine that called Run.
+func (e *Env) Run(fn func()) {
+	e.spawn(fn, true)
+	defer e.reap()
+	for t := e.next(); t != nil; t = e.next() {
+		e.cur = t
+		t.resume()
+	}
+}
+
+// next picks the thread to run: the head of the ready FIFO, or else the
+// owner of the earliest timer, with the clock moved to it. With neither, the
+// simulation is deadlocked and next ends it. nil means the simulation is
+// over.
+func (e *Env) next() *thread {
+	if e.done {
+		return nil
+	}
+	if e.ready.len() > 0 {
+		return e.ready.pop()
+	}
+	if len(e.timers) == 0 {
 		e.finish("simtime: deadlock — all managed goroutines blocked with no pending timers")
-		return
+		return nil
 	}
-	w := heap.Pop(&e.timers).(*waiter)
-	if w.wakeAt > e.now {
-		e.now = w.wakeAt
+	tm := e.timers.pop()
+	e.now = tm.at
+	t := tm.t
+	t.timedOut = true
+	if t.cond != nil {
+		t.cond.remove(t)
 	}
-	w.timedOut = true
-	if w.cond != nil {
-		w.cond.remove(w)
-	}
-	e.wake(w)
+	return t
 }
 
-// finish ends the simulation: the clock stops, every parked goroutine is
-// woken poisoned, and from here on a goroutine that tries to park unwinds
-// instead. The first non-nil panicVal is what Run re-panics with. Caller
-// holds e.mu.
+// finish ends the simulation: the clock stops, and from here on a thread
+// that tries to park unwinds instead. The first non-nil panicVal is what Run
+// re-panics with.
 func (e *Env) finish(panicVal any) {
 	if e.panicVal == nil {
 		e.panicVal = panicVal
 	}
+	e.done = true
+	e.timers = nil
+}
+
+// reap is Run's teardown. It resumes every live thread until it has exited:
+// first the ready ones, which run on to their next park and unwind there,
+// then the parked ones, poisoned, which unwind from their park. iter.Pull
+// carries a thread's Goexit out to whoever resumed it, so each is resumed
+// from a goroutine of its own.
+func (e *Env) reap() {
+	e.finish(nil)
+	for len(e.live) > 0 {
+		var t *thread
+		if e.ready.len() > 0 {
+			t = e.ready.pop()
+		} else {
+			t = e.live[len(e.live)-1]
+			t.poisoned = true
+		}
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			e.cur = t
+			t.resume()
+		}()
+		<-exited
+	}
+	e.cur = nil
+	if e.panicVal != nil {
+		panic(e.panicVal)
+	}
+}
+
+// running returns the running thread, about to park. A thread may not park
+// once the environment is done: it unwinds instead.
+func (e *Env) running() *thread {
+	if e.done {
+		runtime.Goexit()
+	}
+	return e.cur
+}
+
+// arm sets t's timer to fire d from now. seq breaks ties between timers due
+// at the same instant: they fire in the order they were armed.
+func (e *Env) arm(t *thread, d time.Duration) {
+	e.seq++
+	e.timers.push(timer{at: e.now + max(d, 0), seq: e.seq, t: t})
+}
+
+// park suspends the running thread t until it is fired or its timer
+// expires, and reports whether it was the timer. relock is the lock a Cond
+// wait released, if any: park re-acquires it before returning — and before
+// a poisoned thread unwinds, so the caller's deferred Unlock stays valid.
+func (e *Env) park(t *thread, relock sync.Locker) (timedOut bool) {
+	t.yield(struct{}{})
+	if relock != nil {
+		relock.Lock()
+	}
+	if t.poisoned {
+		runtime.Goexit()
+	}
+	timedOut = t.timedOut
+	t.timedOut, t.cond = false, nil
+	return timedOut
+}
+
+// fire makes the parked thread t ready, cancelling its timer. Once the
+// environment is done it does nothing: teardown resumes every thread.
+func (e *Env) fire(t *thread) {
 	if e.done {
 		return
 	}
-	e.done = true
-	e.timers = nil
-	for w := e.all; w != nil; w = w.nextAll {
-		if w.parked {
-			w.poisoned = true
-			e.wake(w)
-		}
+	if t.timer >= 0 {
+		e.timers.remove(t.timer)
 	}
+	e.ready.push(t)
 }
 
 // Sleep blocks the calling managed goroutine for d of virtual time.
 // Non-positive durations yield (sleep for zero time) to preserve event
 // ordering fairness.
 func (e *Env) Sleep(d time.Duration) {
-	e.mu.Lock()
-	e.park(e.newWaiter(true, d), nil)
-}
-
-// Go spawns fn as a managed goroutine. A panic in fn ends the simulation
-// and is re-raised by Run. Once the environment is done there is nothing
-// left to run fn in, and Go does nothing.
-func (e *Env) Go(fn func()) {
-	e.spawn(fn, false)
-}
-
-func (e *Env) spawn(fn func(), root bool) {
-	e.mu.Lock()
-	if e.done {
-		e.mu.Unlock()
-		return
-	}
-	e.runnable++
-	e.managed.Add(1)
-	e.mu.Unlock()
-	go func() {
-		defer e.exit(root)
-		fn()
-	}()
-}
-
-// exit is the deferred end of every managed goroutine, reached by return,
-// by the Goexit of a poisoned wake-up, or by a panic, which it recovers.
-func (e *Env) exit(root bool) {
-	defer e.managed.Done()
-	pv := recover()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runnable--
-	switch {
-	case pv != nil || root:
-		e.finish(pv)
-	case e.runnable == 0:
-		e.advance()
-	}
-}
-
-// Run executes fn as the root managed goroutine. When fn returns — or the
-// simulation deadlocks, or any managed goroutine panics — the environment is
-// torn down: the clock stops and every managed goroutine still parked in a
-// primitive of this package unwinds with runtime.Goexit, running its deferred
-// calls and nothing else. Run returns once all of them have exited, so a
-// finished simulation leaves no goroutine behind; it then re-panics with the
-// deadlock report or the first panic value, if any. Run must be called from an
-// unmanaged goroutine (typically the test or main goroutine), and at most
-// once per Env.
-func (e *Env) Run(fn func()) {
-	e.spawn(fn, true)
-	e.managed.Wait()
-	e.mu.Lock()
-	pv := e.panicVal
-	e.mu.Unlock()
-	if pv != nil {
-		panic(pv)
-	}
+	t := e.running()
+	e.arm(t, d)
+	e.park(t, nil)
 }
 
 // RunFor executes fn as the root goroutine but returns after d of virtual
@@ -311,8 +258,90 @@ func (e *Env) RunFor(d time.Duration, fn func()) {
 
 // String describes the environment state, for debugging.
 func (e *Env) String() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return fmt.Sprintf("simtime.Env{now=%v runnable=%d timers=%d done=%v}",
-		e.now, e.runnable, e.timers.Len(), e.done)
+	return fmt.Sprintf("simtime.Env{now=%v ready=%d timers=%d live=%d done=%v}",
+		e.now, e.ready.len(), len(e.timers), len(e.live), e.done)
+}
+
+// timer is one armed timer. (at, seq) is a total order, so timers pop in
+// exactly one order.
+type timer struct {
+	at  time.Duration
+	seq int64
+	t   *thread
+}
+
+func (a *timer) before(b *timer) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// timerHeap is a 4-ary min-heap of timers that keeps each thread's timer
+// field equal to its timer's index.
+type timerHeap []timer
+
+func (h *timerHeap) push(tm timer) {
+	*h = append(*h, tm)
+	h.up(len(*h) - 1)
+}
+
+func (h *timerHeap) pop() timer {
+	tm := (*h)[0]
+	h.remove(0)
+	return tm
+}
+
+// remove deletes the timer at index i.
+func (h *timerHeap) remove(i int) {
+	old := *h
+	old[i].t.timer = -1
+	last := len(old) - 1
+	moved := old[last]
+	old[last] = timer{}
+	*h = old[:last]
+	if i < last {
+		old[i] = moved
+		if !h.down(i) {
+			h.up(i)
+		}
+	}
+}
+
+func (h timerHeap) up(i int) {
+	tm := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !tm.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.timer = i
+		i = p
+	}
+	h[i] = tm
+	tm.t.timer = i
+}
+
+// down sifts the timer at i toward the leaves and reports whether it moved.
+func (h timerHeap) down(i int) bool {
+	tm, start := h[i], i
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, len(h)); j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&tm) {
+			break
+		}
+		h[i] = h[m]
+		h[i].t.timer = i
+		i = m
+	}
+	h[i] = tm
+	tm.t.timer = i
+	return i != start
 }

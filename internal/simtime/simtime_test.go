@@ -1,6 +1,9 @@
+//go:build go1.23
+
 package simtime
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -309,8 +312,98 @@ func TestQueueBacklogKeepsOrder(t *testing.T) {
 		if q.Len() != next-want {
 			t.Fatalf("Len = %d, want %d", q.Len(), next-want)
 		}
-		if c := cap(q.items); c > 4*(q.Len()+4) {
+		if c := cap(q.items.buf); c > 4*(q.Len()+4) {
 			t.Fatalf("backing array grew to %d for a backlog of %d", c, q.Len())
 		}
 	})
+}
+
+// TestOneGoroutineAtATime: exactly one managed goroutine runs at a time, so
+// they share state without a lock (under -race, every handoff is a
+// synchronisation), and goroutines made ready run in the order they were
+// made ready.
+func TestOneGoroutineAtATime(t *testing.T) {
+	const n, rounds = 8, 100
+	e := NewEnv()
+	counter := 0 // bumped by every goroutine, unlocked
+	var woke []int
+	fireOrder := []int{5, 2, 7, 0, 3, 6, 1, 4}
+	e.Run(func() {
+		wg := e.NewWaitGroup()
+		gates := make([]*Queue[int], n)
+		for i := range gates {
+			gates[i] = NewQueue[int](e)
+			wg.Add(1)
+			e.Go(func() {
+				defer wg.Done()
+				for k := 0; k < rounds; k++ {
+					counter++
+					e.Sleep(time.Duration(k%3) * time.Millisecond)
+				}
+				gates[i].Pop()
+				woke = append(woke, i)
+			})
+		}
+		e.Sleep(time.Second) // every goroutine is parked on its gate by now
+		for _, i := range fireOrder {
+			gates[i].Push(0)
+		}
+		wg.Wait()
+	})
+	if counter != n*rounds {
+		t.Errorf("counter = %d, want %d", counter, n*rounds)
+	}
+	if !slices.Equal(woke, fireOrder) {
+		t.Errorf("woke in order %v, want the order they were made ready, %v", woke, fireOrder)
+	}
+}
+
+// TestSignalRunsAfterWakerParks: Signal and Go only make a goroutine ready;
+// the caller runs on until it parks, then the ready ones run in FIFO order.
+func TestSignalRunsAfterWakerParks(t *testing.T) {
+	e := NewEnv()
+	var log []string
+	e.Run(func() {
+		var mu sync.Mutex
+		cond := e.NewCond(&mu)
+		e.Go(func() {
+			mu.Lock()
+			defer mu.Unlock()
+			cond.Wait()
+			log = append(log, "woken")
+		})
+		e.Sleep(0) // the waiter parks
+		cond.Signal()
+		e.Go(func() { log = append(log, "spawned") })
+		log = append(log, "after Signal and Go")
+		e.Sleep(0)
+		log = append(log, "waker again")
+	})
+	want := []string{"after Signal and Go", "woken", "spawned", "waker again"}
+	if !slices.Equal(log, want) {
+		t.Errorf("ran in order %q, want %q", log, want)
+	}
+}
+
+// TestSameInstantTimersFireInArmOrder: two sleepers due at the same instant
+// wake in the order they armed their timers, as seq says.
+func TestSameInstantTimersFireInArmOrder(t *testing.T) {
+	e := NewEnv()
+	var order []string
+	e.Run(func() {
+		e.Go(func() {
+			e.Sleep(time.Second)
+			order = append(order, "armed first")
+		})
+		e.Sleep(0) // the goroutine arms its timer
+		e.Sleep(time.Second)
+		order = append(order, "armed second")
+		if now := e.Now(); now != time.Second {
+			t.Errorf("now = %v after sleeping to 1s", now)
+		}
+	})
+	want := []string{"armed first", "armed second"}
+	if !slices.Equal(order, want) {
+		t.Errorf("woke in order %q, want %q", order, want)
+	}
 }

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package simtime
 
 import (
@@ -197,6 +199,40 @@ func TestPanicInRootReachesRun(t *testing.T) {
 	})
 	if pv != "root boom" {
 		t.Fatalf("Run panicked with %v, want root boom", pv)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestGoexitEndsRun: runtime.Goexit in a managed goroutine (what t.FailNow
+// does) ends the simulation; the rest is reaped, and the goroutine that
+// called Run unwinds too.
+func TestGoexitEndsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv()
+	var rootUnwound, returned bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run(func() {
+			defer func() { rootUnwound = true }()
+			e.Go(func() {
+				e.Sleep(time.Second)
+				runtime.Goexit()
+			})
+			e.Sleep(time.Hour)
+			t.Error("root resumed after another goroutine called Goexit")
+		})
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned; want its goroutine unwound")
+	}
+	if !rootUnwound {
+		t.Error("root's deferred call did not run")
+	}
+	if !e.Done() {
+		t.Error("Done() = false after Goexit")
 	}
 	waitGoroutines(t, before)
 }
