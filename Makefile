@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short loc
+.PHONY: check fmt vet build test race allocs bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short loc
 
-check: fmt vet build race fuzz-smoke sampling bench-check bench-gate
+check: fmt vet build race allocs fuzz-smoke sampling bench-check bench-gate
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -20,6 +20,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation pins (the alloc_test.go files, every test named *Alloc*):
+# exact object counts per call on the hot paths. Those files are
+# `//go:build !race`, because the race detector's instrumentation allocates,
+# so `race` never runs them; this suite does. A few seconds.
+allocs:
+	$(GO) test -run Alloc ./...
 
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run xxx .

@@ -735,7 +735,8 @@ func BenchmarkNetsimEventQueue(b *testing.B) {
 // BenchmarkSimRPC measures what the simulation substrate charges for one
 // request with the tracer idle: NewRequest plus one Call between processes
 // on two hosts — two netsim flows and the parks in virtual time they cost,
-// two context nodes, two baggages — the round trip cluster.TestAllocsRPC pins.
+// two context nodes each holding its baggage — the round trip
+// cluster.TestAllocsRPC pins.
 // allocs/op here is the floor under every ptbench request.
 func BenchmarkSimRPC(b *testing.B) {
 	b.ReportAllocs()
@@ -788,29 +789,52 @@ Select g.tenant, SUM(w.bytes), COUNT`
 // that workload — the nine calls of bench/workload_hb.go's request:
 // NewRequest, Here (pack), Inject, Extract, Split, Here×2 (unpack +
 // emit on each branch), Join, Here — with inputs boxed up front so only
-// the tracer's allocations are counted.
+// the tracer's allocations are counted. The rows are what the request
+// pays with no query installed, with the hb query, and with the hb query
+// plus seven single-tracepoint queries (hbSingle).
 func BenchmarkHBRequest(b *testing.B) {
-	pt := pivot.New("bench")
-	recv := pt.Define("Gateway.Receive", "tenant")
-	write := pt.Define("Store.Write", "bytes")
-	if _, err := pt.Install(hbQuery); err != nil {
-		b.Fatal(err)
+	for _, queries := range []int{0, 1, 8} {
+		b.Run(fmt.Sprintf("queries=%d", queries), func(b *testing.B) {
+			pt := pivot.New("bench")
+			recv := pt.Define("Gateway.Receive", "tenant")
+			write := pt.Define("Store.Write", "bytes")
+			for i := 0; i < queries; i++ {
+				text := hbQuery
+				if i > 0 {
+					text = hbSingle(i)
+				}
+				if _, err := pt.Install(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			stCtx := pt.Context(context.Background())
+			var tenant, size any = "tenant-1", int64(512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx := pt.NewRequest(context.Background())
+				recv.Here(ctx, tenant)
+				wire := pivot.Inject(ctx)
+				sctx := pivot.Extract(stCtx, wire)
+				l, r := pivot.Split(sctx)
+				write.Here(l, size)
+				write.Here(r, size)
+				joined := pivot.Join(sctx, l, r)
+				write.Here(joined, size)
+			}
+		})
 	}
-	stCtx := pt.Context(context.Background())
-	var tenant, size any = "tenant-1", int64(512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := pt.NewRequest(context.Background())
-		recv.Here(ctx, tenant)
-		wire := pivot.Inject(ctx)
-		sctx := pivot.Extract(stCtx, wire)
-		l, r := pivot.Split(sctx)
-		write.Here(l, size)
-		write.Here(r, size)
-		joined := pivot.Join(sctx, l, r)
-		write.Here(joined, size)
+}
+
+// hbSingle is the i-th single-tracepoint query of BenchmarkHBRequest's
+// queries=8 row: grouped sums on Store.Write, crossed three times a
+// request, alternating with grouped counts on Gateway.Receive, crossed
+// once.
+func hbSingle(i int) string {
+	if i%2 == 0 {
+		return fmt.Sprintf(`From g In Gateway.Receive Where g.time > %d GroupBy g.tenant Select g.tenant, COUNT`, i)
 	}
+	return fmt.Sprintf(`From w In Store.Write Where w.bytes > %d GroupBy w.host Select w.host, SUM(w.bytes)`, i)
 }
 
 // BenchmarkWideReport measures the reporting path, one op being one round

@@ -19,6 +19,7 @@
 package agent
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -91,7 +92,7 @@ type Agent struct {
 	sampleRng    *rand.Rand
 
 	gauges atomic.Pointer[agentGauges]
-	metaTP atomic.Pointer[tracepoint.Tracepoint]
+	meta   atomic.Pointer[metaPoint]
 
 	controlSub bus.Subscription
 }
@@ -129,8 +130,15 @@ func (a *Agent) SetTelemetry(t *telemetry.Registry) {
 // tracer's own reporting. Returns the tracepoint.
 func (a *Agent) EnableMetaTracepoint() *tracepoint.Tracepoint {
 	tp := a.reg.Define(MetaReportTracepoint, MetaReportExports...)
-	a.metaTP.Store(tp)
+	a.meta.Store(&metaPoint{tp: tp, proc: tracepoint.WithProc(context.Background(), a.proc)})
 	return tp
+}
+
+// metaPoint is the armed meta-tracepoint and the process identity its
+// crossings carry, built once so that a flush adds only a baggage node.
+type metaPoint struct {
+	tp   *tracepoint.Tracepoint
+	proc context.Context
 }
 
 // EnableSpans turns on causal span capture in this process: a bounded

@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"context"
 	"slices"
 	"sort"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/advice"
 	"repro/internal/baggage"
 	"repro/internal/spans"
-	"repro/internal/tracepoint"
 	"repro/internal/tuple"
 )
 
@@ -61,11 +59,11 @@ func (a *Agent) Flush() {
 	// Cross the agent.Report meta-tracepoint last, with no agent locks
 	// held: its woven advice re-enters the agent via EmitTuple, and the
 	// tuples it emits belong to the next interval.
-	if tp := a.metaTP.Load(); tp != nil {
-		ctx := tracepoint.WithProc(baggage.NewContext(context.Background(), baggage.New()), a.proc)
+	if m := a.meta.Load(); m != nil {
+		ctx := baggage.ExtractContext(m.proc, nil)
 		for i, f := range out {
 			r := &reports[i]
-			tp.Here(ctx, f.id, int64(len(r.Groups)+len(r.Raws)), f.tuples)
+			m.tp.Here(ctx, f.id, int64(len(r.Groups)+len(r.Raws)), f.tuples)
 		}
 	}
 }

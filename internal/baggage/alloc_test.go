@@ -7,6 +7,7 @@ package baggage
 // assertions for reasons unrelated to the code under test.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/tuple"
@@ -68,8 +69,8 @@ func hbBaggage() *Baggage {
 
 func TestAllocSplitSharesFrozenInstances(t *testing.T) {
 	bag := hbBaggage()
-	// Per branch: the Baggage, its instance list, its empty active
-	// instance — whatever the receiver holds.
+	// Per branch: the Baggage (here it does not escape), its instance
+	// list, its empty active instance — whatever the receiver holds.
 	if n := testing.AllocsPerRun(1000, func() { bag.Split() }); n > 6 {
 		t.Errorf("Split allocates %.1f objects/op, want <= 6 (is it copying frozen instances?)", n)
 	}
@@ -80,6 +81,35 @@ func TestAllocJoinSharesFrozenInstances(t *testing.T) {
 	// The joined Baggage, its instance list and its active instance.
 	if n := testing.AllocsPerRun(1000, func() { Join(l, r) }); n > 3 {
 		t.Errorf("Join of two empty branches allocates %.1f objects/op, want <= 3", n)
+	}
+}
+
+// A context hop is one object: the node holds the baggage by value. The
+// pins store what they build in sink, so that no node lives on the stack.
+var sink [2]context.Context
+
+func TestAllocSplitContextsIsOneNodePerBranch(t *testing.T) {
+	ctx := NewContext(context.Background(), hbBaggage())
+	// Per branch: the node, its instance list, its empty active instance.
+	if n := testing.AllocsPerRun(1000, func() { sink[0], sink[1] = SplitContexts(ctx) }); n > 6 {
+		t.Errorf("SplitContexts allocates %.1f objects/op, want <= 6", n)
+	}
+}
+
+func TestAllocJoinContextIsOneNode(t *testing.T) {
+	ctx := NewContext(context.Background(), hbBaggage())
+	l, r := SplitContexts(ctx)
+	// The node, its instance list and its active instance.
+	if n := testing.AllocsPerRun(1000, func() { sink[0] = JoinContext(ctx, l, r) }); n > 3 {
+		t.Errorf("JoinContext of two empty branches allocates %.1f objects/op, want <= 3", n)
+	}
+}
+
+func TestAllocExtractContextIsOneNode(t *testing.T) {
+	wire := hbBaggage().Serialize()
+	// The node and its copy of the bytes.
+	if n := testing.AllocsPerRun(1000, func() { sink[0] = ExtractContext(context.Background(), wire) }); n > 2 {
+		t.Errorf("ExtractContext allocates %.1f objects/op, want <= 2", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package baggage
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"sort"
@@ -129,26 +130,25 @@ func (in *instance) clone() *instance {
 
 // Baggage is the per-request tuple container. The zero value (or New()) is
 // empty baggage that serializes to zero bytes. Baggage is lazily
-// deserialized: a Baggage constructed by Deserialize keeps the raw bytes
-// and only decodes them when a Pack/Unpack/Split/Join touches the contents,
-// so processes that merely forward baggage pay no decode cost.
+// deserialized: a Baggage loaded from bytes keeps them and only decodes
+// them when a Pack/Unpack/Split/Join touches the contents, so processes
+// that merely forward baggage pay no decode cost.
 //
 // Baggage is not safe for concurrent use; an execution branching into
 // parallel work must call Split and give each branch its own Baggage.
 type Baggage struct {
-	raw     []byte      // lazily-decoded serialized form (nil once decoded); never written
-	insts   []*instance // the active instance, then the frozen ones newest first; never written in place
-	decoded bool
-	shared  bool // other Baggage values hold insts[0] too: copy it before writing
+	raw    []byte      // the serialized form while not yet decoded, else nil; never written
+	insts  []*instance // the active instance, then the frozen ones newest first; never written in place
+	shared bool        // other Baggage values hold insts[0] too: copy it before writing
 }
 
 // New returns empty baggage.
 func New() *Baggage {
-	return &Baggage{decoded: true}
+	return &Baggage{}
 }
 
 func (b *Baggage) ensureDecoded() {
-	if b.decoded {
+	if b.raw == nil {
 		return
 	}
 	insts, err := decodeInstances(b.raw)
@@ -159,7 +159,17 @@ func (b *Baggage) ensureDecoded() {
 	}
 	b.insts = insts
 	b.raw = nil
-	b.decoded = true
+}
+
+// Load replaces b's contents with a private copy of wire, decoded lazily
+// on first access. Empty wire leaves b empty. RPC layers load the response
+// baggage into the caller's in place, so context references to b stay
+// valid.
+func (b *Baggage) Load(wire []byte) {
+	*b = Baggage{}
+	if len(wire) > 0 {
+		b.raw = bytes.Clone(wire)
+	}
 }
 
 // active returns the active instance for writing: created (with a fresh
@@ -293,6 +303,11 @@ func (b *Baggage) TupleCount() int {
 // held and its first write copies the frozen instance, so neither branch
 // sees or serializes the difference.
 func (b *Baggage) Split() (*Baggage, *Baggage) {
+	l, r := b.split()
+	return &l, &r
+}
+
+func (b *Baggage) split() (Baggage, Baggage) {
 	if m := meters.Load(); m != nil {
 		m.Splits.Inc()
 	}
@@ -302,10 +317,10 @@ func (b *Baggage) Split() (*Baggage, *Baggage) {
 	}
 	b.shared = true
 	s1, s2 := b.insts[0].stamp.Fork()
-	branch := func(stamp itc.Stamp) *Baggage {
+	branch := func(stamp itc.Stamp) Baggage {
 		insts := make([]*instance, 1, 1+len(b.insts))
 		insts[0] = newInstance(stamp)
-		return &Baggage{decoded: true, insts: append(insts, b.insts...)}
+		return Baggage{insts: append(insts, b.insts...)}
 	}
 	return branch(s1), branch(s2)
 }
@@ -313,21 +328,21 @@ func (b *Baggage) Split() (*Baggage, *Baggage) {
 // Join merges the baggage of two rejoining branches: the active instances'
 // contents merge into a new active instance whose ID joins the two halves,
 // and frozen instances from both sides are kept, the first of each nonce,
-// in a list of its own. Neither argument is written. Join(nil, b) == b.
+// in a list of its own. Neither argument is written. A nil argument is
+// empty baggage, and joining empty baggage to b gives a copy of b whose
+// first write copies the active instance, so the result and b never write
+// one instance.
 func Join(a, b *Baggage) *Baggage {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	a.ensureDecoded()
-	b.ensureDecoded()
-	if len(a.insts) == 0 {
-		return b
-	}
-	if len(b.insts) == 0 {
-		return a
+	j := join(a, b)
+	return &j
+}
+
+func join(a, b *Baggage) Baggage {
+	switch {
+	case b.empty():
+		return a.share()
+	case a.empty():
+		return b.share()
 	}
 	if m := meters.Load(); m != nil {
 		m.Joins.Inc()
@@ -355,20 +370,27 @@ func Join(a, b *Baggage) *Baggage {
 			insts = append(insts, in)
 		}
 	}
-	return &Baggage{decoded: true, insts: insts}
+	return Baggage{insts: insts}
 }
 
-// Adopt moves o's contents into b. RPC layers use it to propagate baggage
-// back along a synchronous call: the response baggage (which causally
-// extends the request baggage) overwrites the caller's copy while existing
-// context references to b stay valid. o is left empty, so a stray later
-// use of it cannot write b's active instance.
-func (b *Baggage) Adopt(o *Baggage) {
-	if o == nil || o == b {
-		return
+// empty reports whether b (nil included) holds no instance, decoding it.
+func (b *Baggage) empty() bool {
+	if b == nil {
+		return true
 	}
-	*b = *o
-	*o = Baggage{decoded: true}
+	b.ensureDecoded()
+	return len(b.insts) == 0
+}
+
+// share returns a copy of b (nil is empty) that copies the active instance
+// before its first write.
+func (b *Baggage) share() Baggage {
+	if b == nil {
+		return Baggage{}
+	}
+	c := *b
+	c.shared = len(c.insts) > 0
+	return c
 }
 
 // Clone returns baggage with b's contents that is written independently of
@@ -402,12 +424,45 @@ func FromContext(ctx context.Context) *Baggage {
 	return b
 }
 
-// Ensure returns the context's baggage, attaching fresh empty baggage if
-// the context has none, along with the possibly-updated context.
-func Ensure(ctx context.Context) (context.Context, *Baggage) {
-	if b := FromContext(ctx); b != nil {
-		return ctx, b
+// node is a context carrying baggage by value: a request that gains
+// baggage pays for one object, the node, not for a node and a *Baggage.
+type node struct {
+	context.Context
+	b Baggage
+}
+
+func (c *node) Value(key any) any {
+	if _, ok := key.(ContextKey); ok {
+		return &c.b
 	}
-	b := New()
-	return NewContext(ctx, b), b
+	return c.Context.Value(key)
+}
+
+// ExtractContext returns a context carrying baggage loaded from wire (see
+// Load): empty baggage when wire is empty.
+func ExtractContext(ctx context.Context, wire []byte) context.Context {
+	c := &node{Context: ctx}
+	c.b.Load(wire)
+	return c
+}
+
+// SplitContexts divides ctx's baggage (see Split) and returns contexts for
+// the two branches, each carrying its half. Without baggage both are ctx.
+func SplitContexts(ctx context.Context) (context.Context, context.Context) {
+	b := FromContext(ctx)
+	if b == nil {
+		return ctx, ctx
+	}
+	l, r := b.split()
+	return &node{ctx, l}, &node{ctx, r}
+}
+
+// JoinContext returns ctx carrying the Join of a's and b's baggage; ctx
+// itself when neither carries any.
+func JoinContext(ctx, a, b context.Context) context.Context {
+	ab, bb := FromContext(a), FromContext(b)
+	if ab == nil && bb == nil {
+		return ctx
+	}
+	return &node{ctx, join(ab, bb)}
 }

@@ -144,11 +144,11 @@ func TestLazyDeserializePreservesBytesWithoutDecode(t *testing.T) {
 	b.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(42)})
 	buf := b.Serialize()
 	d := Deserialize(buf)
-	if d.decoded {
+	if d.raw == nil {
 		t.Fatal("Deserialize should not eagerly decode")
 	}
 	out := d.Serialize()
-	if d.decoded {
+	if d.raw == nil {
 		t.Fatal("Serialize of untouched baggage should not decode")
 	}
 	if string(out) != string(buf) {
@@ -254,14 +254,24 @@ func TestNestedSplitJoin(t *testing.T) {
 func TestJoinWithNilAndEmpty(t *testing.T) {
 	b := New()
 	b.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
-	if j := Join(nil, b); j != b {
-		t.Error("Join(nil, b) should be b")
+	want := b.Serialize()
+	for name, j := range map[string]*Baggage{
+		"Join(nil, b)":   Join(nil, b),
+		"Join(b, nil)":   Join(b, nil),
+		"Join(empty, b)": Join(New(), b),
+		"Join(b, empty)": Join(b, New()),
+	} {
+		if !bytes.Equal(j.Serialize(), want) {
+			t.Errorf("%s serializes differently from b", name)
+		}
+		// The result shares b's active instance until it writes.
+		j.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(2)})
+		if len(j.Unpack("s")) != 2 || !bytes.Equal(b.Serialize(), want) {
+			t.Errorf("%s: a pack into the result reached b", name)
+		}
 	}
-	if j := Join(b, nil); j != b {
-		t.Error("Join(b, nil) should be b")
-	}
-	if j := Join(New(), b); len(j.Unpack("s")) != 1 {
-		t.Error("Join(empty, b) lost tuples")
+	if j := Join(nil, nil); j.ByteSize() != 0 {
+		t.Error("Join(nil, nil) should be empty")
 	}
 }
 
@@ -289,13 +299,32 @@ func TestContextPropagation(t *testing.T) {
 	if FromContext(ctx) != nil {
 		t.Fatal("background context should have no baggage")
 	}
-	ctx, b := Ensure(ctx)
-	if FromContext(ctx) != b {
-		t.Fatal("Ensure should attach baggage")
+	b := New()
+	if FromContext(NewContext(ctx, b)) != b {
+		t.Fatal("NewContext should attach b")
 	}
-	ctx2, b2 := Ensure(ctx)
-	if ctx2 != ctx || b2 != b {
-		t.Fatal("Ensure should be idempotent")
+	// A node answers with the baggage it holds, the same one every time.
+	ectx := ExtractContext(ctx, nil)
+	e := FromContext(ectx)
+	if e == nil || e.ByteSize() != 0 {
+		t.Fatalf("ExtractContext of no bytes carries %v, want empty baggage", e)
+	}
+	e.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
+	if got := FromContext(ectx).Unpack("s"); len(got) != 1 {
+		t.Fatalf("a pack through the node's baggage is lost: %v", got)
+	}
+	l, r := SplitContexts(ectx)
+	if FromContext(l) == FromContext(r) || len(FromContext(r).Unpack("s")) != 1 {
+		t.Fatal("SplitContexts should give each branch its own baggage holding the past")
+	}
+	if l, r := SplitContexts(ctx); l != ctx || r != ctx {
+		t.Fatal("splitting a context without baggage should return it")
+	}
+	if JoinContext(ctx, ctx, ctx) != ctx {
+		t.Fatal("joining contexts without baggage should return ctx")
+	}
+	if got := FromContext(JoinContext(ctx, l, r)).Unpack("s"); len(got) != 1 {
+		t.Fatalf("JoinContext unpacks %v, want the pre-split row", got)
 	}
 }
 
@@ -468,40 +497,41 @@ func TestJoinNeverAppendsToItsArguments(t *testing.T) {
 	}
 }
 
-// Adopt moves: the two values must not be left sharing an active instance,
-// or a stray use of the source writes through to the adopter.
-func TestAdoptLeavesNothingShared(t *testing.T) {
+// Load keeps a copy of its own: the bytes it was given may be reused.
+func TestLoadKeepsAPrivateCopy(t *testing.T) {
 	src := New()
 	src.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
-	dst := New()
-	dst.Adopt(src)
-	want := dst.Serialize()
-	src.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(2)})
+	wire := src.Serialize()
+	want := bytes.Clone(wire)
+	var dst Baggage
+	dst.Pack("old", allSpec("v"), tuple.Tuple{tuple.Int(9)})
+	dst.Load(wire)
+	clear(wire)
 	if !bytes.Equal(dst.Serialize(), want) {
-		t.Error("packing the source after Adopt changed the adopter")
+		t.Error("overwriting the loaded bytes changed the baggage")
 	}
-	if got := dst.Unpack("s"); len(got) != 1 {
-		t.Errorf("adopter unpacks %v, want the one adopted row", got)
+	if got := dst.Unpack("s"); len(got) != 1 || dst.Unpack("old") != nil {
+		t.Errorf("loaded baggage unpacks %v and old %v, want the one loaded row only", got, dst.Unpack("old"))
 	}
-	dst.Adopt(dst)
-	if !bytes.Equal(dst.Serialize(), want) {
-		t.Error("adopting itself changed the baggage")
+	dst.Load(nil)
+	if dst.ByteSize() != 0 {
+		t.Error("loading no bytes should leave the baggage empty")
 	}
 }
 
 // The cluster RPC layer's thread-spawn pattern: the parent keeps one
-// *Baggage across the branch (contexts refer to it), adopting its half of
+// Baggage across the branch (contexts refer to it), assigned its half of
 // the split and then the join of itself with the finished branch.
-func TestAdoptSplitJoinInPlace(t *testing.T) {
+func TestSplitJoinInPlace(t *testing.T) {
 	spec := SetSpec{Kind: Agg, Fields: tuple.Schema{"v"}, Aggs: []AggField{{Pos: 0, Fn: agg.Count}}}
 	parent := New()
 	parent.Pack("c", spec, tuple.Tuple{tuple.Int(0)})
 	for round := 0; round < 3; round++ {
 		mine, theirs := parent.Split()
-		parent.Adopt(mine)
+		*parent = *mine
 		parent.Pack("c", spec, tuple.Tuple{tuple.Int(0)})
 		theirs.Pack("c", spec, tuple.Tuple{tuple.Int(0)})
-		parent.Adopt(Join(parent, theirs))
+		*parent = *Join(parent, theirs)
 	}
 	if got := parent.Unpack("c"); len(got) != 1 || got[0][0].Int() != 7 {
 		t.Fatalf("count after three in-place branches = %v, want 7", got)

@@ -203,7 +203,7 @@ func (b *Baggage) Serialize() []byte {
 	}
 	var out []byte
 	switch {
-	case !b.decoded:
+	case b.raw != nil:
 		out = make([]byte, len(b.raw))
 		copy(out, b.raw)
 	case len(b.insts) == 0:
@@ -226,16 +226,12 @@ func (b *Baggage) Serialize() []byte {
 	return out
 }
 
-// Deserialize constructs baggage from bytes produced by Serialize. The
-// contents are decoded lazily on first access. A nil/empty buffer yields
-// empty baggage.
+// Deserialize constructs baggage from bytes produced by Serialize (see
+// Load).
 func Deserialize(buf []byte) *Baggage {
-	if len(buf) == 0 {
-		return New()
-	}
-	raw := make([]byte, len(buf))
-	copy(raw, buf)
-	return &Baggage{raw: raw}
+	b := new(Baggage)
+	b.Load(buf)
+	return b
 }
 
 // ByteSize returns the serialized size of the baggage in bytes. Decoded
@@ -246,7 +242,7 @@ func (b *Baggage) ByteSize() int {
 	if b == nil {
 		return 0
 	}
-	if !b.decoded {
+	if b.raw != nil {
 		return len(b.raw)
 	}
 	if len(b.insts) == 0 {

@@ -2,6 +2,7 @@ package baggage
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -203,7 +204,7 @@ func TestQuickMergeCommutesWithWireRoundtrip(t *testing.T) {
 // aggregation state with b or with anything else — how Split and Clone
 // copied before frozen instances were shared.
 func deepCopy(b *Baggage) *Baggage {
-	if !b.decoded {
+	if b.raw != nil {
 		return &Baggage{raw: append([]byte(nil), b.raw...)}
 	}
 	deep := func(in *instance) *instance {
@@ -227,7 +228,7 @@ func deepCopy(b *Baggage) *Baggage {
 		}
 		return c
 	}
-	c := &Baggage{decoded: true}
+	c := &Baggage{}
 	for _, in := range b.insts {
 		c.insts = append(c.insts, deep(in))
 	}
@@ -261,11 +262,15 @@ func sameView(got, want *Baggage) error {
 // every step, so that nothing in it is shared. After every step each live
 // baggage must serialize and unpack exactly as its shadow does — which,
 // the shadow's baggages being unable to affect one another, also shows
-// that writing one branch never changes a sibling. Receivers of Split and
-// originals of Clone stay in play as stale handles that are written and
-// read but never joined (their interval tree IDs overlap their branches').
+// that writing one branch never changes a sibling. Split, join and the
+// wire round-trip also run in their context forms (the live baggage held
+// by value in a context node), and a join with nothing is the degenerate
+// copy. Receivers of Split and originals of Clone stay in play as stale
+// handles that are written and read but never joined (their interval tree
+// IDs overlap their branches').
 func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
+	bg := context.Background()
 	randtest.Check(t, 300, 500, func(seed int64) error {
 		rng := rand.New(rand.NewSource(seed))
 		// live[i] and shadow[i] are the same baggage in the two worlds;
@@ -274,7 +279,7 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 		branches := 1
 		for step := 0; step < 60; step++ {
 			k := rng.Intn(len(live))
-			op := rng.Intn(8)
+			op := rng.Intn(12)
 			switch op {
 			case 0, 1, 2: // pack, sometimes under a budget small enough to evict
 				spec := kinds[rng.Intn(len(kinds))]
@@ -286,11 +291,15 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 						b.Pack("q."+spec.Kind.String(), spec, row)
 					}
 				}
-			case 3: // split: the receiver becomes a stale handle
+			case 3, 8: // split: the receiver becomes a stale handle
 				if k >= branches {
 					continue
 				}
 				l, r := live[k].Split()
+				if op == 8 {
+					lc, rc := SplitContexts(NewContext(bg, live[k]))
+					l, r = FromContext(lc), FromContext(rc)
+				}
 				sl, sr := shadow[k].Split()
 				live, shadow = append(live, live[k]), append(shadow, shadow[k])
 				live[k], shadow[k] = l, sl
@@ -299,16 +308,29 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 				copy(shadow[branches+1:], shadow[branches:])
 				live[branches], shadow[branches] = r, sr
 				branches++
-			case 4: // join two branches
+			case 4, 9: // join two branches
 				j := rng.Intn(branches)
 				if k >= branches || j == k {
 					continue
 				}
-				live[k], shadow[k] = Join(live[k], live[j]), Join(shadow[k], shadow[j])
+				if op == 9 {
+					live[k] = FromContext(JoinContext(bg, NewContext(bg, live[k]), NewContext(bg, live[j])))
+				} else {
+					live[k] = Join(live[k], live[j])
+				}
+				shadow[k] = Join(shadow[k], shadow[j])
 				live, shadow = append(live[:j], live[j+1:]...), append(shadow[:j], shadow[j+1:]...)
 				branches--
-			case 5: // wire round-trip
-				live[k], shadow[k] = Deserialize(live[k].Serialize()), Deserialize(shadow[k].Serialize())
+			case 5, 10: // wire round-trip
+				if op == 10 {
+					live[k] = FromContext(ExtractContext(bg, live[k].Serialize()))
+				} else {
+					live[k] = Deserialize(live[k].Serialize())
+				}
+				shadow[k] = Deserialize(shadow[k].Serialize())
+			case 11: // join with nothing: the result shares the active instance
+				live[k] = FromContext(JoinContext(bg, NewContext(bg, live[k]), bg))
+				shadow[k] = Join(shadow[k], nil)
 			case 6: // Clone: the original becomes a stale handle
 				live, shadow = append(live, live[k]), append(shadow, shadow[k])
 				live[k], shadow[k] = live[k].Clone(), shadow[k].Clone()
@@ -318,7 +340,7 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 				// New instances draw nonces from one process-wide counter;
 				// give the shadow's the live one's, position by position.
 				shadow[i] = deepCopy(shadow[i])
-				if live[i].decoded && shadow[i].decoded && len(live[i].insts) == len(shadow[i].insts) {
+				if live[i].raw == nil && shadow[i].raw == nil && len(live[i].insts) == len(shadow[i].insts) {
 					for p, in := range live[i].insts {
 						shadow[i].insts[p].nonce = in.nonce
 					}

@@ -15,11 +15,11 @@ import (
 // TestAllocsRPC pins what the substrate charges for one simulated request:
 // NewRequest plus one Call between processes on two hosts, with no query
 // installed — the round trip of the root BenchmarkSimRPC. The ceiling is the
-// measured count: the request's baggage and its context node, the callee's
-// baggage and context node, and one netsim flow each way. Nothing in it is a
-// park: parking in virtual time allocates nothing.
+// measured count: the request's context node and the callee's, each holding
+// its baggage, and one netsim flow each way. Nothing in it is a park:
+// parking in virtual time allocates nothing.
 func TestAllocsRPC(t *testing.T) {
-	const ceiling = 6
+	const ceiling = 4
 	env := simtime.NewEnv()
 	env.Run(func() {
 		c := New(env, DefaultConfig())

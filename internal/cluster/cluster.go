@@ -368,25 +368,26 @@ func (p *Process) Context() context.Context { return p.base }
 // mints the request's sampling decision here — once, before the request
 // can split — so every tracepoint on its causal path sees one verdict.
 func (p *Process) NewRequest() context.Context {
-	bag := baggage.New()
+	c := p.receive(context.Background(), nil)
 	if p.Agent != nil {
-		p.Agent.MintSampleDecision(bag)
+		p.Agent.MintSampleDecision(&c.bag)
 	}
-	return p.reenter(context.Background(), bag)
+	return c
 }
 
 // In adapts a context to this process: the same request baggage, but this
 // process's identity and clock. Used when an execution logically moves into
 // another process without an RPC (e.g. a task launching in a container).
 func (p *Process) In(ctx context.Context) context.Context {
-	return p.reenter(ctx, nil)
+	return &procCtx{Context: ctx, p: p}
 }
 
-// reenter adapts an inbound context to this process: same deadline, this
-// process's identity and clock, and bag as the request's baggage (nil keeps
-// whatever ctx carries).
-func (p *Process) reenter(ctx context.Context, bag *baggage.Baggage) context.Context {
-	return &procCtx{Context: ctx, p: p, bag: bag}
+// receive adapts an inbound request to this process: same deadline, this
+// process's identity and clock, and baggage of its own loaded from wire.
+func (p *Process) receive(ctx context.Context, wire []byte) *procCtx {
+	c := &procCtx{Context: ctx, p: p, carries: true}
+	c.bag.Load(wire)
+	return c
 }
 
 // procCtx is the one context node an execution gains on entering a process.
@@ -395,8 +396,9 @@ func (p *Process) reenter(ctx context.Context, bag *baggage.Baggage) context.Con
 // baggage.NewContext would stack three nodes and box the identity again.
 type procCtx struct {
 	context.Context
-	p   *Process
-	bag *baggage.Baggage
+	p       *Process
+	bag     baggage.Baggage
+	carries bool // false from In: the inbound context's baggage stays visible
 }
 
 func (c *procCtx) Value(key any) any {
@@ -406,8 +408,8 @@ func (c *procCtx) Value(key any) any {
 	case tracepoint.ClockKey:
 		return c.p.clock
 	case baggage.ContextKey:
-		if c.bag != nil {
-			return c.bag
+		if c.carries {
+			return &c.bag
 		}
 	}
 	return c.Context.Value(key)

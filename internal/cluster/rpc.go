@@ -63,10 +63,7 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 	stats.calls.Add(1)
 
 	callerBag := baggage.FromContext(ctx)
-	var wire []byte
-	if callerBag != nil {
-		wire = callerBag.Serialize()
-	}
+	wire := callerBag.Serialize()
 	stats.baggageBytes.Add(int64(len(wire)))
 	p.chargeBaggageCost(len(wire))
 
@@ -74,13 +71,12 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 	p.Host.Send(target.Host, sz.Request+float64(len(wire)))
 
 	// The callee sees its own deserialized copy — process isolation.
-	calleeBag := baggage.Deserialize(wire)
-	calleeCtx := target.reenter(ctx, calleeBag)
+	calleeCtx := target.receive(ctx, wire)
 	target.rpcRecv.Here(calleeCtx, h.method)
 	resp, err := h.serve(calleeCtx, req)
 	target.rpcResp.Here(calleeCtx, h.method)
 
-	respWire := calleeBag.Serialize()
+	respWire := calleeCtx.bag.Serialize()
 	stats.baggageBytes.Add(int64(len(respWire)))
 	target.chargeBaggageCost(len(respWire))
 
@@ -89,7 +85,7 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 
 	// Propagate the response baggage back into the caller's context.
 	if callerBag != nil {
-		callerBag.Adopt(baggage.Deserialize(respWire))
+		callerBag.Load(respWire)
 	}
 	return resp, err
 }
@@ -117,25 +113,20 @@ func (p *Process) chargeBaggageCost(wireBytes int) {
 //	join()
 func (p *Process) Go(ctx context.Context, fn func(ctx context.Context)) (join func()) {
 	parent := baggage.FromContext(ctx)
-	var mine, theirs *baggage.Baggage
+	mine, branchCtx := baggage.SplitContexts(ctx)
 	if parent != nil {
-		mine, theirs = parent.Split()
-		parent.Adopt(mine)
+		*parent = *baggage.FromContext(mine)
 	}
 	done := p.C.Env.NewWaitGroup()
 	done.Add(1)
 	p.C.Env.Go(func() {
 		defer done.Done()
-		branchCtx := ctx
-		if theirs != nil {
-			branchCtx = baggage.NewContext(ctx, theirs)
-		}
 		fn(branchCtx)
 	})
 	return func() {
 		done.Wait()
 		if parent != nil {
-			parent.Adopt(baggage.Join(parent, theirs))
+			*parent = *baggage.Join(parent, baggage.FromContext(branchCtx))
 		}
 	}
 }

@@ -59,13 +59,9 @@ func NewScriptExec(cl *Cluster, c *querygen.Case) *ScriptExec {
 // on the root branch). Calling Run again replays the script as another
 // request; event stamps then reflect the latest run.
 func (x *ScriptExec) Run() error {
-	bag := baggage.New()
-	// The originating process's agent mints the request-level sampling
-	// decision into the root branch's baggage, exactly as NewRequest does
-	// for library callers.
-	if a := x.Procs[0].Agent; a != nil {
-		a.MintSampleDecision(bag)
-	}
+	// The root branch's baggage is a new request's in the originating
+	// process, sampling decision included.
+	bag := baggage.FromContext(x.Procs[0].NewRequest())
 	x.branches = map[int]*scriptBranch{0: {bag: bag, proc: 0}}
 	x.c.Execute(x)
 	return x.Err

@@ -42,14 +42,14 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 		ceiling float64
 		call    func()
 	}{
-		{"NewRequest", 2, func() { ctx = pt.NewRequest(context.Background()) }},
+		{"NewRequest", 1, func() { ctx = pt.NewRequest(context.Background()) }},
 		{"Here(Gateway.Receive): pack", 6, func() { recv.Here(ctx, tenant) }},
 		{"Inject", 1, func() { wire = Inject(ctx) }},
-		{"Extract", 3, func() { sctx = Extract(stCtx, wire) }},
-		{"Split: decode + branch", 18, func() { l, r = Split(sctx) }},
+		{"Extract", 2, func() { sctx = Extract(stCtx, wire) }},
+		{"Split: decode + branch", 16, func() { l, r = Split(sctx) }},
 		{"Here(Store.Write) on the left branch: unpack + emit", 1, func() { write.Here(l, size) }},
 		{"Here(Store.Write) on the right branch: unpack + emit", 1, func() { write.Here(r, size) }},
-		{"Join", 4, func() { joined = Join(sctx, l, r) }},
+		{"Join", 3, func() { joined = Join(sctx, l, r) }},
 		{"Here(Store.Write) after the join: unpack + emit", 1, func() { write.Here(joined, size) }},
 	}
 

@@ -114,11 +114,11 @@ func (pt *PT) Context(ctx context.Context) context.Context {
 // downstream tracepoint — across splits, joins, and process transfers —
 // agrees whether this request is kept.
 func (pt *PT) NewRequest(ctx context.Context) context.Context {
-	bag := baggage.New()
+	c := &hopCtx{Context: ctx, proc: &pt.info, carries: true}
 	if pt.Agent != nil {
-		pt.Agent.MintSampleDecision(bag)
+		pt.Agent.MintSampleDecision(&c.bag)
 	}
-	return &hopCtx{Context: ctx, proc: &pt.info, bag: bag}
+	return c
 }
 
 // hopCtx is the one context node a request gains on entering this process:
@@ -127,8 +127,9 @@ func (pt *PT) NewRequest(ctx context.Context) context.Context {
 // the identity again for every request.
 type hopCtx struct {
 	context.Context
-	proc *tracepoint.ProcInfo
-	bag  *baggage.Baggage // nil from PT.Context: baggage further up stays visible
+	proc    *tracepoint.ProcInfo
+	bag     baggage.Baggage
+	carries bool // false from PT.Context: baggage further up stays visible
 }
 
 func (c *hopCtx) Value(key any) any {
@@ -136,8 +137,8 @@ func (c *hopCtx) Value(key any) any {
 	case tracepoint.ProcKey:
 		return c.proc
 	case baggage.ContextKey:
-		if c.bag != nil {
-			return c.bag
+		if c.carries {
+			return &c.bag
 		}
 	}
 	return c.Context.Value(key)
@@ -260,7 +261,7 @@ func (pt *PT) StartReporting(interval time.Duration) (stop func()) {
 // NewRequest attaches fresh, empty baggage to ctx: call at the entry point
 // of each request.
 func NewRequest(ctx context.Context) context.Context {
-	return baggage.NewContext(ctx, baggage.New())
+	return baggage.ExtractContext(ctx, nil)
 }
 
 // Inject serializes the request's baggage for transport in an RPC header.
@@ -275,26 +276,20 @@ func Inject(ctx context.Context) []byte {
 
 // Extract attaches baggage received from the wire to ctx (lazily decoded).
 func Extract(ctx context.Context, wire []byte) context.Context {
-	return baggage.NewContext(ctx, baggage.Deserialize(wire))
+	return baggage.ExtractContext(ctx, wire)
 }
 
 // Split divides the request's baggage for a branching execution, returning
 // contexts for the two branches. Tuples packed by one branch are invisible
 // to the other until Join.
 func Split(ctx context.Context) (context.Context, context.Context) {
-	bag := baggage.FromContext(ctx)
-	if bag == nil {
-		return ctx, ctx
-	}
-	a, b := bag.Split()
-	return baggage.NewContext(ctx, a), baggage.NewContext(ctx, b)
+	return baggage.SplitContexts(ctx)
 }
 
 // Join merges the baggage of two rejoining branches and returns a context
 // carrying the merged baggage.
 func Join(ctx context.Context, a, b context.Context) context.Context {
-	merged := baggage.Join(baggage.FromContext(a), baggage.FromContext(b))
-	return baggage.NewContext(ctx, merged)
+	return baggage.JoinContext(ctx, a, b)
 }
 
 // BusOptions configures a runtime's connection to the pub/sub server: the

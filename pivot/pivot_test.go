@@ -1,10 +1,14 @@
 package pivot
 
 import (
+	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/baggage"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -86,6 +90,55 @@ func TestSplitJoinBranches(t *testing.T) {
 	rows := q.Rows()
 	if len(rows) != 1 || rows[0][1].Int() != 2 {
 		t.Fatalf("rows = %v, want both branch items counted", rows)
+	}
+}
+
+// TestSplitBranchesPackConcurrently: each of Split's contexts holds its
+// branch's baggage by value, so two goroutines packing through them write
+// nothing in common (run under -race), and Join counts every pack once. A
+// degenerate Join — one side carrying no baggage — copies the other side;
+// packing through the result must leave that side as it was.
+func TestSplitBranchesPackConcurrently(t *testing.T) {
+	pt := New("svc")
+	evt := pt.Define("Work.Item", "n")
+	end := pt.Define("Work.Done")
+	q, err := pt.Install(`From e In Work.Done
+		Join w In Work.Item On w -> e
+		GroupBy e.procName
+		Select e.procName, COUNT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const packs = 200
+	ctx := pt.NewRequest(context.Background())
+	l, r := Split(ctx)
+	var wg sync.WaitGroup
+	for _, branch := range []context.Context{l, r} {
+		wg.Add(1)
+		go func(branch context.Context) {
+			defer wg.Done()
+			for i := 0; i < packs; i++ {
+				evt.Here(branch, i)
+			}
+		}(branch)
+	}
+	wg.Wait()
+	end.Here(Join(ctx, l, r))
+	pt.Flush()
+	if rows := q.Rows(); len(rows) != 1 || rows[0][1].Int() != 2*packs {
+		t.Fatalf("rows = %v, want every pack of both branches counted once", rows)
+	}
+
+	dead := baggage.FromContext(l)
+	wire, rows := Inject(l), len(dead.Unpack(dead.Slots()[0]))
+	solo := Join(ctx, l, pt.Context(context.Background()))
+	evt.Here(solo, -1)
+	if !bytes.Equal(Inject(l), wire) || len(dead.Unpack(dead.Slots()[0])) != rows {
+		t.Error("a pack through a degenerate Join's result changed the branch it copied")
+	}
+	if got := len(baggage.FromContext(solo).Unpack(dead.Slots()[0])); got != rows+1 {
+		t.Errorf("the degenerate Join's result unpacks %d rows after its pack, want %d", got, rows+1)
 	}
 }
 
