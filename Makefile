@@ -96,9 +96,14 @@ scenarios-short:
 	$(GO) test ./internal/scenario -race -run 'Short|TestReportDeterminism'
 
 # The full scenario library on thousand-host topologies — the ptbench
-# acceptance run (15–20 s of wall time on two cores).
+# acceptance run (~15 s of wall time on two cores) — whose seed-1 JSON
+# report must be byte-identical to the checked-in
+# internal/scenario/testdata/full-seed1.json. A change that means to move
+# the report rewrites that file with the same ptbench command.
 scenarios:
-	$(GO) run ./cmd/ptbench -all
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/ptbench -all -seed 1 -json "$$out"; \
+	cmp "$$out" internal/scenario/testdata/full-seed1.json
 
 # The differential query-correctness sweeps (TestDifferential*: plain and
 # budgeted) under the race detector. Each case runs in every topology —

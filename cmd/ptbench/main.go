@@ -44,8 +44,7 @@ func main() {
 
 	if *list {
 		for _, s := range scenario.All() {
-			def := s.DefaultHosts
-			fmt.Printf("%-12s %5d hosts  %s\n", s.ID, def, s.Description)
+			fmt.Printf("%-12s %5d hosts  %s\n", s.ID, scenario.DefaultHosts, s.Description)
 		}
 		return
 	}

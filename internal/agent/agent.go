@@ -84,10 +84,12 @@ type Agent struct {
 	// the queries installed with a sampling rate, so MintSampleDecision
 	// iterates (and consumes randomness) in a deterministic order.
 	// pressureMark remembers the baggage-drop counter total at the last
-	// flush: any growth is budget pressure and backs the rates off.
+	// tick: any growth is budget pressure and backs the rates off.
+	// nextTick (under mu) is the agent-clock time the next tick is due.
 	sampler      *sampling.Controller
 	samplingView atomic.Pointer[[]samplingQuery]
 	pressureMark atomic.Int64
+	nextTick     time.Duration
 	rngMu        sync.Mutex
 	sampleRng    *rand.Rand
 
@@ -196,6 +198,7 @@ func New(env *simtime.Env, proc tracepoint.ProcInfo, reg *tracepoint.Registry, b
 		queries: make(map[string]*queryState),
 		sampler: sampling.NewController(),
 	}
+	a.nextTick = a.now() + interval
 	a.rebuildViewLocked()
 	a.controlSub = b.Subscribe(ControlTopic, a.onControl)
 	// Weave standing queries into tracepoints defined after installation.

@@ -76,11 +76,22 @@ func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
 	}
 }
 
-// tickSampling is the adaptive sampling tick, once per flush: baggage drop
-// counters growing since the last flush means the request path is over
+// tickSampling is the adaptive sampling tick, at most once per reporting
+// interval of the agent's clock however often Flush runs: baggage drop
+// counters growing since the last tick means the request path is over
 // budget — back sampling rates off. A quiet interval walks them back
 // toward each query's base rate.
 func (a *Agent) tickSampling() {
+	a.mu.Lock()
+	now := a.now()
+	due := now >= a.nextTick
+	if due {
+		a.nextTick = now - (now-a.nextTick)%a.interval + a.interval
+	}
+	a.mu.Unlock()
+	if !due {
+		return
+	}
 	cur := a.live.BaggageGroupsDropped.Load() + a.live.BaggageTuplesDropped.Load() + a.live.BaggageBytesDropped.Load()
 	prev := a.pressureMark.Swap(cur)
 	a.sampler.Tick(cur > prev)

@@ -152,6 +152,32 @@ func TestMintWithoutSampledQueries(t *testing.T) {
 	})
 }
 
+// TestManualFlushDoesNotTickSampling: the adaptive controller steps once
+// per reporting interval of the agent's clock. A manual Flush right after
+// the report loop's own flush must not read as a second, idle interval
+// and double a backed-off rate straight back.
+func TestManualFlushDoesNotTickSampling(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		b := bus.New()
+		reg := tracepoint.NewRegistry()
+		reg.Define("Tp", "v")
+		a := New(env, info("h1"), reg, b, time.Second)
+		prog := sampledProgram(0.5)
+		b.Publish(ControlTopic, Install{QueryID: "Q", Programs: []*advice.Program{prog}})
+		a.NotePackStats(prog, baggage.PackStats{EvictedTuples: 1})
+
+		env.Sleep(1500 * time.Millisecond) // the report loop flushes at 1s
+		if st := a.Stats(); st.SampleRateMilli != 250 {
+			t.Fatalf("after a pressured interval SampleRateMilli = %d, want 250", st.SampleRateMilli)
+		}
+		a.Flush()
+		if st := a.Stats(); st.SampleRateMilli != 250 {
+			t.Errorf("after a manual flush SampleRateMilli = %d, want 250", st.SampleRateMilli)
+		}
+	})
+}
+
 // TestUninstallRemovesSampledQuery: uninstalling a sampled query drops
 // it from the adaptive controller, so later requests mint no decision
 // and the heartbeat rate returns to "exact" (1000 milli).

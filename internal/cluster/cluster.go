@@ -176,17 +176,6 @@ func (c *Cluster) AdoptTopology(cfg netsim.TopologyConfig) *netsim.Topology {
 	return topo
 }
 
-// StartAll launches one monitored process named procName on every listed
-// host, in order — the bulk-spawn path for scenario topologies (1000
-// DataNodes in one call).
-func (c *Cluster) StartAll(procName string, hosts []string) []*Process {
-	out := make([]*Process, len(hosts))
-	for i, h := range hosts {
-		out[i] = c.Start(h, procName)
-	}
-	return out
-}
-
 // Hosts returns every host, in no particular order; callers that need one
 // track their own lists.
 func (c *Cluster) Hosts() []*netsim.Host {

@@ -319,26 +319,6 @@ func (pt *PivotTracing) RenewLeases() {
 	pt.bus.Publish(agent.ControlTopic, agent.Renew{QueryIDs: ids})
 }
 
-// SetLease changes an installed query's lease TTL and renews it
-// immediately. A TTL <= 0 is rejected (installs, not renewals, decide
-// immortality).
-func (pt *PivotTracing) SetLease(name string, ttl time.Duration) error {
-	if ttl <= 0 {
-		return fmt.Errorf("core: lease TTL must be positive, got %v", ttl)
-	}
-	pt.mu.Lock()
-	h := pt.installed[name]
-	if h != nil {
-		h.lease = ttl
-	}
-	pt.mu.Unlock()
-	if h == nil {
-		return fmt.Errorf("core: query %q not installed", name)
-	}
-	pt.bus.Publish(agent.ControlTopic, agent.Renew{QueryIDs: []string{name}, TTL: ttl})
-	return nil
-}
-
 // onReport merges an agent's partial results into the query's global
 // accumulator and notifies listeners. Agents batch a flush interval's
 // reports into one ReportBatch frame; each constituent report is merged —

@@ -54,19 +54,3 @@ func renderSeries(title string, series map[string][]metrics.Point, unit func(flo
 	}
 	return b.String()
 }
-
-// seriesMeans returns the mean sample value per key.
-func seriesMeans(series map[string][]metrics.Point) map[string]float64 {
-	out := make(map[string]float64, len(series))
-	for k, pts := range series {
-		if len(pts) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, p := range pts {
-			sum += p.V
-		}
-		out[k] = sum / float64(len(pts))
-	}
-	return out
-}

@@ -75,16 +75,7 @@ func New(f Faults) *Injector {
 	}
 }
 
-// SetFaults replaces the fault schedule for subsequently wrapped
-// connections and future operations on existing ones. Per-connection
-// operation counts are not reset.
-func (in *Injector) SetFaults(f Faults) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.f = f
-}
-
-// faults returns the current schedule.
+// faults returns the current schedule (Dialer consumes FailDials).
 func (in *Injector) faults() Faults {
 	in.mu.Lock()
 	defer in.mu.Unlock()

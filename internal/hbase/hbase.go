@@ -184,20 +184,10 @@ func (hb *HBase) regionCount() int {
 	return hb.regions
 }
 
-// Servers returns the RegionServers in add order (fault-injection handle).
-func (hb *HBase) Servers() []*RegionServer {
-	hb.mu.Lock()
-	defer hb.mu.Unlock()
-	return append([]*RegionServer(nil), hb.servers...)
-}
-
 // SetDraining marks the server as draining (or restores it). Draining
 // servers are skipped by row routing, shifting their key ranges onto the
 // next live servers — the cascading-failover and decommission hook.
 func (rs *RegionServer) SetDraining(d bool) { rs.draining.Store(d) }
-
-// Draining reports whether the server is currently out of the routing.
-func (rs *RegionServer) Draining() bool { return rs.draining.Load() }
 
 // SetRouting overrides the row-to-server routing function with fn (row,
 // server count) -> server index; nil restores the default hash routing.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/simtime"
@@ -82,9 +81,6 @@ var ErrDataNodeOffline = fmt.Errorf("hdfs: datanode offline")
 // injection). While offline, every read and write fails immediately;
 // clients fall back to another replica.
 func (dn *DataNode) SetOffline(off bool) { dn.offline.Store(off) }
-
-// Offline reports whether the DataNode is currently refusing operations.
-func (dn *DataNode) Offline() bool { return dn.offline.Load() }
 
 // SetDiskRate changes the DataNode host's disk bandwidth (limplock fault
 // injection: the node keeps serving, slowly).
@@ -173,16 +169,4 @@ func (dn *DataNode) handleWriteBlock(ctx context.Context, req any) (any, error) 
 		}
 	}
 	return r.Length, nil
-}
-
-// Stall simulates a garbage-collection or device pause: the DataNode's
-// handler pool is exhausted for the given duration.
-func (dn *DataNode) Stall(d time.Duration) {
-	for i := 0; i < DataNodeHandlers; i++ {
-		dn.sem.Acquire()
-	}
-	dn.Proc.C.Env.Sleep(d)
-	for i := 0; i < DataNodeHandlers; i++ {
-		dn.sem.Release()
-	}
 }

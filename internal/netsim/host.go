@@ -60,9 +60,6 @@ func (h *Host) NICRate() float64 { return h.net.Rate(h.tx.Name) }
 // limplock disk serves reads and writes at a crawl without failing).
 func (h *Host) SetDiskRate(rate float64) { h.net.SetRate(h.disk.Name, rate) }
 
-// DiskBandwidth returns the disk's current capacity in bytes/second.
-func (h *Host) DiskBandwidth() float64 { return h.net.Rate(h.disk.Name) }
-
 // Rack returns the host's global rack index (0 on flat networks).
 func (h *Host) Rack() int { return h.rack }
 

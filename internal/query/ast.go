@@ -124,15 +124,6 @@ type Query struct {
 	Sample float64
 }
 
-// Aliases returns the alias names bound by the query, From first.
-func (q *Query) Aliases() []string {
-	out := []string{q.From.Alias}
-	for _, j := range q.Joins {
-		out = append(out, j.Alias)
-	}
-	return out
-}
-
 // String renders the query in the surface syntax; parsing the result
 // yields an equal AST (round-trip property).
 func (q *Query) String() string {

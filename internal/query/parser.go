@@ -46,15 +46,6 @@ func (p *parser) next() token {
 	return t
 }
 
-// acceptIdent consumes the next token if it is the given identifier.
-func (p *parser) acceptIdent(text string) bool {
-	if t := p.peek(); t.kind == tokIdent && t.text == text {
-		p.pos++
-		return true
-	}
-	return false
-}
-
 func (p *parser) expectIdentKeyword(text string) error {
 	t := p.next()
 	if t.kind != tokIdent || t.text != text {

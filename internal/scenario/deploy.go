@@ -2,14 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/hbase"
 	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/netsim"
-	"repro/internal/simtime"
 	"repro/internal/yarn"
 )
 
@@ -29,9 +27,10 @@ const (
 // topology of worker hosts, the HDFS NameNode, and an admin client on
 // the master host.
 type Deployment struct {
-	C    *cluster.Cluster
-	Topo *netsim.Topology
-	NN   *hdfs.NameNode
+	C  *cluster.Cluster
+	NN *hdfs.NameNode
+	// Workers names every topology host, in topology order.
+	Workers []string
 
 	// Admin is an unmonitored process on the master host used for
 	// namespace setup (pre-populating datasets); unmonitored so setup
@@ -40,15 +39,15 @@ type Deployment struct {
 	AdminFS *hdfs.Client
 }
 
-// deploy builds the cluster and topology for a run. interval becomes the
-// cluster's agent reporting interval (and r.Interval).
-func deploy(env *simtime.Env, r *Run, interval time.Duration) *Deployment {
+// deploy builds the cluster and topology for a run, reporting at the
+// scenario's Interval.
+func deploy(r *Run) *Deployment {
 	racks := (r.Hosts + hostsPerRack - 1) / hostsPerRack
 	if racks < 1 {
 		racks = 1
 	}
 	cfg := cluster.DefaultConfig()
-	cfg.ReportInterval = interval
+	cfg.ReportInterval = r.S.Interval
 	// Scenario reads are 64 kB+; everything below rides the closed-form
 	// small-flow path so million-request runs stay fast.
 	cfg.SmallFlowCutoff = 32e3
@@ -57,7 +56,7 @@ func deploy(env *simtime.Env, r *Run, interval time.Duration) *Deployment {
 		// rack by rack before it reaches the frontends.
 		cfg.Combiners = racks
 	}
-	c := cluster.New(env, cfg)
+	c := cluster.New(r.Env, cfg)
 	topo := c.AdoptTopology(netsim.TopologyConfig{
 		Racks:        racks,
 		HostsPerRack: hostsPerRack,
@@ -65,9 +64,8 @@ func deploy(env *simtime.Env, r *Run, interval time.Duration) *Deployment {
 		RackUplink:   rackUplink,
 		PodUplink:    podUplink,
 	})
-	r.C, r.Topo, r.Interval = c, topo, interval
 
-	d := &Deployment{C: c, Topo: topo}
+	d := &Deployment{C: c, Workers: topo.Names()}
 	nnCfg := hdfs.DefaultConfig()
 	// Replica placement keyed by file path: independent of the arrival
 	// order of concurrent Creates, a byte-identical-report requirement.
@@ -77,16 +75,6 @@ func deploy(env *simtime.Env, r *Run, interval time.Duration) *Deployment {
 	d.Admin = c.StartUnmonitored("master", "Admin")
 	d.AdminFS = hdfs.NewClient(d.Admin, d.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
 	return d
-}
-
-// WorkerNames returns the names of the first n topology hosts (all of
-// them if n <= 0 or exceeds the topology).
-func (d *Deployment) WorkerNames(n int) []string {
-	names := d.Topo.Names()
-	if n > 0 && n < len(names) {
-		names = names[:n]
-	}
-	return names
 }
 
 // StartDataNodes spawns DataNodes on the given hosts.
@@ -150,6 +138,28 @@ func (d *Deployment) StartClients(n int, hosts []string) []*cluster.Process {
 		procs[i] = d.C.StartUnmonitored(hosts[i%len(hosts)], fmt.Sprintf("Client%02d", i/len(hosts)))
 	}
 	return procs
+}
+
+// HDFSClients starts n client processes over the workers (StartClients)
+// and gives each an HDFS client with random replica selection.
+func (r *Run) HDFSClients(n int) ([]*cluster.Process, []*hdfs.Client) {
+	procs := r.StartClients(n, r.Workers)
+	fs := make([]*hdfs.Client, n)
+	for i, p := range procs {
+		fs[i] = hdfs.NewClient(p, r.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
+	}
+	return procs, fs
+}
+
+// HBaseClients starts n client processes over the workers (StartClients)
+// and gives each an HBase client of hb.
+func (r *Run) HBaseClients(n int, hb *hbase.HBase) ([]*cluster.Process, []*hbase.Client) {
+	procs := r.StartClients(n, r.Workers)
+	hbs := make([]*hbase.Client, n)
+	for i, p := range procs {
+		hbs[i] = hbase.NewClient(p, hb)
+	}
+	return procs, hbs
 }
 
 func datasetPath(i int) string {

@@ -61,13 +61,14 @@ func (h *Harness) logf(format string, args ...any) {
 }
 
 // RunScenario executes one scenario in a fresh simulation and returns
-// its result. A panic in the scenario body or in any goroutine it started
-// is captured as a failed result, not propagated; either way no goroutine
-// of the simulation outlives the call.
+// its result. The root goroutine deploys the substrate, runs the body and,
+// if the body returns nil, settles to the horizon. A panic in the scenario
+// body or in any goroutine it started is captured as a failed result, not
+// propagated; either way no goroutine of the simulation outlives the call.
 func (h *Harness) RunScenario(s *Scenario) *Result {
-	hosts := s.DefaultHosts
+	hosts := DefaultHosts
 	if h.Short {
-		hosts = s.ShortHosts
+		hosts = ShortHosts
 	}
 	if h.Hosts > 0 {
 		hosts = h.Hosts
@@ -92,15 +93,20 @@ func (h *Harness) RunScenario(s *Scenario) *Result {
 				runErr = fmt.Errorf("scenario panic: %v", p)
 			}
 		}()
-		env.Run(func() { runErr = s.Run(r) })
+		env.Run(func() {
+			r.Deployment = deploy(r)
+			if runErr = s.Run(r); runErr == nil {
+				r.SettleTo(r.horizon())
+			}
+		})
 	}()
 
 	res.VirtualMS = int64(env.Now() / time.Millisecond)
 	res.WallMS = time.Since(start).Milliseconds()
 	res.Checkpoints = r.checkpoints
 	res.Requests = r.Requests()
-	res.ClientErrors = r.ClientErrors()
-	if r.C != nil {
+	res.ClientErrors = r.clientErrs
+	if r.Deployment != nil {
 		for _, p := range r.C.Procs() {
 			res.Procs++
 			if p.Agent != nil {

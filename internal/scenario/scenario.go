@@ -26,9 +26,15 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/simtime"
 	"repro/internal/tuple"
+)
+
+// Every scenario runs on DefaultHosts topology hosts, or on ShortHosts in
+// a reduced (-short / CI -race) run; Harness.Hosts overrides both.
+const (
+	DefaultHosts = 1024
+	ShortHosts   = 64
 )
 
 // Scenario is one pre-built failure scenario.
@@ -39,10 +45,9 @@ type Scenario struct {
 	Name string
 	// Description is a one-line summary of the pathology and assertion.
 	Description string
-	// DefaultHosts and ShortHosts size the topology for full (ptbench)
-	// and reduced (-short / CI -race) runs.
-	DefaultHosts int
-	ShortHosts   int
+	// Interval is the agent reporting interval checkpoints are clocked
+	// against.
+	Interval time.Duration
 	// Horizon is the fixed virtual end time of a full run; runs settle
 	// to it so the virtual duration is deterministic. Halved (at least
 	// 4s) for short runs.
@@ -50,7 +55,8 @@ type Scenario struct {
 	// CombinerTree deploys the cluster behind a rack-granularity combiner
 	// tree (cluster.Config.Combiners) instead of flat.
 	CombinerTree bool
-	// Run executes the scenario body inside a fresh simulation.
+	// Run is the scenario body. The harness deploys the substrate before
+	// it and, when it returns nil, settles the run to its horizon.
 	Run func(r *Run) error
 }
 
@@ -77,13 +83,8 @@ type Run struct {
 	Hosts int
 	Short bool
 
-	Env  *simtime.Env
-	C    *cluster.Cluster
-	Topo *netsim.Topology
-
-	// Interval is the agent reporting interval checkpoints are clocked
-	// against.
-	Interval time.Duration
+	Env *simtime.Env
+	*Deployment
 
 	logf func(format string, args ...any)
 
@@ -106,6 +107,15 @@ func (r *Run) Rand(tag int64) *rand.Rand {
 	return rand.New(rand.NewSource(r.Seed*-0x61C8864680B583EB + tag))
 }
 
+// Size picks a scenario parameter for the run's sizing: full for a
+// full-size run, short for a reduced one.
+func (r *Run) Size(full, short int) int {
+	if r.Short {
+		return short
+	}
+	return full
+}
+
 // AddRequests counts completed simulated requests toward the run metrics.
 func (r *Run) AddRequests(n int64) {
 	r.mu.Lock()
@@ -118,13 +128,6 @@ func (r *Run) Requests() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.requests
-}
-
-// ClientErrors returns the number of failed client operations so far.
-func (r *Run) ClientErrors() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.clientErrs
 }
 
 // Query installs a Pivot Tracing query through the deployment's frontend.
@@ -200,11 +203,100 @@ func (r *Run) Await(name string, q *core.Installed, within int, check func(rows 
 	return false
 }
 
+// AwaitTotal is the exact conservation checkpoint: at the next interval
+// boundary, q's last column summed over every group must equal want.
+func (r *Run) AwaitTotal(name string, q *core.Installed, want float64) bool {
+	return r.Await(name, q, 1, func(rows []tuple.Tuple) error {
+		if got := total(rows); got != want {
+			return fmt.Errorf("total %v != %v", got, want)
+		}
+		return nil
+	})
+}
+
+// ExpectNoClientErrors records whether every client operation driven so
+// far succeeded; a failure names the first failed op.
+func (r *Run) ExpectNoClientErrors(name string) bool {
+	r.mu.Lock()
+	n, first := r.clientErrs, r.firstErr
+	r.mu.Unlock()
+	var err error
+	if n != 0 {
+		err = fmt.Errorf("%d client errors, first: %w", n, first)
+	}
+	return r.Expect(name, err)
+}
+
+// ---- row helpers ------------------------------------------------------
+
+// total sums the rows' last column: a query's grand total over its groups.
+func total(rows []tuple.Tuple) float64 {
+	var s float64
+	for _, row := range rows {
+		s += row[len(row)-1].Float()
+	}
+	return s
+}
+
+// groupVals maps each row's first column (the group key) to its last
+// column's numeric value.
+func groupVals(rows []tuple.Tuple) map[string]float64 {
+	out := make(map[string]float64, len(rows))
+	for _, row := range rows {
+		if len(row) < 2 {
+			continue
+		}
+		out[row[0].Str()] = row[len(row)-1].Float()
+	}
+	return out
+}
+
+func sumVals(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+
+// maxVal returns the largest value and its key.
+func maxVal(m map[string]float64) (string, float64) {
+	var bk string
+	var bv float64
+	first := true
+	for k, v := range m {
+		if first || v > bv || (v == bv && k < bk) {
+			bk, bv, first = k, v, false
+		}
+	}
+	return bk, bv
+}
+
+func minVal(m map[string]float64) float64 {
+	first := true
+	var mv float64
+	for _, v := range m {
+		if first || v < mv {
+			mv, first = v, false
+		}
+	}
+	return mv
+}
+
+// growth subtracts a snapshot from the current values (missing keys = 0).
+func growth(cur, snap map[string]float64) map[string]float64 {
+	out := make(map[string]float64, len(cur))
+	for k, v := range cur {
+		out[k] = v - snap[k]
+	}
+	return out
+}
+
 // sleepToNextInterval sleeps to the next absolute multiple of the
 // reporting interval (strictly in the future).
 func (r *Run) sleepToNextInterval() {
 	now := r.Env.Now()
-	next := (now/r.Interval + 1) * r.Interval
+	next := (now/r.S.Interval + 1) * r.S.Interval
 	r.Env.Sleep(next - now)
 }
 
@@ -216,18 +308,13 @@ func (r *Run) SettleTo(t time.Duration) {
 	}
 }
 
-// Drive runs a fixed-op-count closed loop over the given client
-// processes and blocks until every client finishes: each client performs
-// opsEach operations of op(client index, op index, request context, rng).
-// Clients are staggered by a few microseconds to break virtual-time
-// ties, and each gets its own seeded rng. Operation errors are counted
-// (and the first kept); they do not stop the remaining operations.
-func (r *Run) Drive(procs []*cluster.Process, opsEach int, op func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error) {
-	r.DriveAsync(procs, opsEach, op)()
-}
-
-// DriveAsync starts Drive's clients and returns a join function that
-// blocks until all of them finish.
+// DriveAsync starts a fixed-op-count closed loop over the given client
+// processes and returns a join function that blocks until every client
+// finishes: each client performs opsEach operations of op(client index,
+// op index, request context, process, rng). Clients are staggered by a
+// few microseconds to break virtual-time ties, and each gets its own
+// seeded rng. Operation errors are counted (and the first kept); they do
+// not stop the remaining operations.
 func (r *Run) DriveAsync(procs []*cluster.Process, opsEach int, op func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error) (join func()) {
 	wg := r.Env.NewWaitGroup()
 	wg.Add(len(procs))

@@ -2,13 +2,16 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/randtest"
 )
 
@@ -104,7 +107,7 @@ func TestReportDeterminismGolden(t *testing.T) {
 // goroutine) becomes a failed result, not a crashed harness.
 func TestHarnessCapturesPanic(t *testing.T) {
 	s := &Scenario{
-		ID: "boom", Name: "boom", ShortHosts: 1, Horizon: time.Second,
+		ID: "boom", Name: "boom", Interval: time.Second, Horizon: time.Second,
 		Run: func(r *Run) error { panic("kaboom") },
 	}
 	h := &Harness{Seed: 1, Short: true}
@@ -121,7 +124,7 @@ func TestHarnessCapturesPanic(t *testing.T) {
 // while the rest still record.
 func TestHarnessFailingCheckpoint(t *testing.T) {
 	s := &Scenario{
-		ID: "cp", Name: "cp", ShortHosts: 1, Horizon: time.Second,
+		ID: "cp", Name: "cp", Interval: time.Second, Horizon: time.Second,
 		Run: func(r *Run) error {
 			r.Expect("good", nil)
 			r.Expect("bad", errors.New("nope"))
@@ -141,7 +144,7 @@ func TestHarnessFailingCheckpoint(t *testing.T) {
 // count as passing (an empty Run body would otherwise go green).
 func TestNoCheckpointsIsFailure(t *testing.T) {
 	s := &Scenario{
-		ID: "empty", Name: "empty", ShortHosts: 1, Horizon: time.Second,
+		ID: "empty", Name: "empty", Interval: time.Second, Horizon: time.Second,
 		Run: func(r *Run) error { return nil },
 	}
 	if res := (&Harness{Seed: 1, Short: true}).RunScenario(s); res.Passed {
@@ -149,8 +152,56 @@ func TestNoCheckpointsIsFailure(t *testing.T) {
 	}
 }
 
+// TestHarnessSettlesToHorizon: the harness, not the body, settles a run to
+// its horizon (halved, at least 4s, when short) — but only when the body
+// returns nil; a body error ends the run where it stands.
+func TestHarnessSettlesToHorizon(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int64
+	}{{nil, 4000}, {errors.New("setup failed"), 0}} {
+		s := &Scenario{
+			ID: "settle", Name: "settle", Interval: time.Second, Horizon: time.Second,
+			Run: func(r *Run) error {
+				r.Expect("ran", nil)
+				return tc.err
+			},
+		}
+		if res := (&Harness{Seed: 1, Short: true}).RunScenario(s); res.VirtualMS != tc.want {
+			t.Errorf("body error %v: VirtualMS = %d, want %d", tc.err, res.VirtualMS, tc.want)
+		}
+	}
+}
+
+// TestExpectNoClientErrorsNamesFirstFailure: one failed op among two
+// clients fails the checkpoint, and the detail names that op.
+func TestExpectNoClientErrorsNamesFirstFailure(t *testing.T) {
+	s := &Scenario{
+		ID: "errs", Name: "errs", Interval: time.Second, Horizon: time.Second,
+		Run: func(r *Run) error {
+			clients := r.StartClients(2, r.Workers)
+			r.DriveAsync(clients, 2, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+				if i == 1 && k == 0 {
+					return errors.New("disk on fire")
+				}
+				return nil
+			})()
+			r.ExpectNoClientErrors("zero-client-errors")
+			return nil
+		},
+	}
+	res := (&Harness{Seed: 1, Short: true}).RunScenario(s)
+	if res.ClientErrors != 1 || len(res.Checkpoints) != 1 {
+		t.Fatalf("ClientErrors = %d, checkpoints = %+v", res.ClientErrors, res.Checkpoints)
+	}
+	cp := res.Checkpoints[0]
+	if cp.Name != "zero-client-errors" || cp.Passed || !strings.Contains(cp.Detail, "client 1 op 0") {
+		t.Errorf("checkpoint = %+v, want a failed zero-client-errors naming client 1 op 0", cp)
+	}
+}
+
 // TestLibraryShape pins the library's contract: unique IDs, ByID lookup,
-// and thousand-host default topologies.
+// and a declared reporting interval and horizon.
 func TestLibraryShape(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range All() {
@@ -161,11 +212,8 @@ func TestLibraryShape(t *testing.T) {
 		if ByID(s.ID) == nil {
 			t.Errorf("ByID(%q) = nil", s.ID)
 		}
-		if s.DefaultHosts < 1000 {
-			t.Errorf("%s: DefaultHosts = %d, want >= 1000", s.ID, s.DefaultHosts)
-		}
-		if s.ShortHosts <= 0 || s.ShortHosts > 64 {
-			t.Errorf("%s: ShortHosts = %d, want in (0, 64]", s.ID, s.ShortHosts)
+		if s.Interval <= 0 || s.Horizon <= 0 {
+			t.Errorf("%s: Interval = %v, Horizon = %v, want both > 0", s.ID, s.Interval, s.Horizon)
 		}
 	}
 	if len(seen) < 7 {
@@ -197,7 +245,7 @@ func TestConsoleReport(t *testing.T) {
 // next one.
 func TestHarnessCapturesPanicInManagedGoroutine(t *testing.T) {
 	boom := &Scenario{
-		ID: "boom", Name: "boom", ShortHosts: 1, Horizon: time.Second,
+		ID: "boom", Name: "boom", Interval: time.Second, Horizon: time.Second,
 		Run: func(r *Run) error {
 			r.Env.Go(func() {
 				r.Env.Sleep(time.Millisecond)
@@ -209,7 +257,7 @@ func TestHarnessCapturesPanicInManagedGoroutine(t *testing.T) {
 		},
 	}
 	fine := &Scenario{
-		ID: "fine", Name: "fine", ShortHosts: 1, Horizon: time.Second,
+		ID: "fine", Name: "fine", Interval: time.Second, Horizon: time.Second,
 		Run: func(r *Run) error {
 			r.Expect("ran", nil)
 			return nil

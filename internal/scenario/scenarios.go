@@ -11,7 +11,6 @@ import (
 	"repro/internal/baggage"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/hbase"
 	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/netsim"
@@ -46,51 +45,6 @@ func ByID(id string) *Scenario {
 	return nil
 }
 
-// ---- row helpers ------------------------------------------------------
-
-// groupVals maps each row's first column (the group key) to its last
-// column's numeric value.
-func groupVals(rows []tuple.Tuple) map[string]float64 {
-	out := make(map[string]float64, len(rows))
-	for _, row := range rows {
-		if len(row) < 2 {
-			continue
-		}
-		out[row[0].Str()] = row[len(row)-1].Float()
-	}
-	return out
-}
-
-func sumVals(m map[string]float64) float64 {
-	var s float64
-	for _, v := range m {
-		s += v
-	}
-	return s
-}
-
-// maxVal returns the largest value and its key.
-func maxVal(m map[string]float64) (string, float64) {
-	var bk string
-	var bv float64
-	first := true
-	for k, v := range m {
-		if first || v > bv || (v == bv && k < bk) {
-			bk, bv, first = k, v, false
-		}
-	}
-	return bk, bv
-}
-
-// growth subtracts a snapshot from the current values (missing keys = 0).
-func growth(cur, snap map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(cur))
-	for k, v := range cur {
-		out[k] = v - snap[k]
-	}
-	return out
-}
-
 // ---- 1. limplock ------------------------------------------------------
 
 const qDNCount = `From dnop In DN.DataTransferProtocol
@@ -113,38 +67,28 @@ Select x.host, AVERAGE(x.time - s.time)`
 // GROUP BY pins the limping host while op counts stay unremarkable.
 func Limplock() *Scenario {
 	return &Scenario{
-		ID:           "limplock",
-		Name:         "Limplock disk",
-		Description:  "one DataNode disk at 1/10 speed; disk-latency GROUP BY pins the host",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      12 * time.Second,
+		ID:          "limplock",
+		Name:        "Limplock disk",
+		Description: "one DataNode disk at 1/10 speed; disk-latency GROUP BY pins the host",
+		Interval:    500 * time.Millisecond,
+		Horizon:     12 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 500*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			dns := d.StartDataNodes(hosts)
+			hosts := r.Workers
+			dns := r.StartDataNodes(hosts)
 			const readSize = 64e3
-			files := d.Dataset(2*len(hosts), readSize)
+			files := r.Dataset(2*len(hosts), readSize)
 
 			qCount := r.Query(qDNCount)
 			qBytes := r.Query(qDNBytes)
 
-			nClients, ops := len(hosts)/4, 80
-			if r.Short {
-				nClients = 16
-			}
-			clients := d.StartClients(nClients, hosts)
-			fsClients := make([]*hdfs.Client, len(clients))
-			for i, p := range clients {
-				fsClients[i] = hdfs.NewClient(p, d.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
-			}
-			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+			clients, fs := r.HDFSClients(r.Size(len(hosts)/4, 16))
+			join := r.DriveAsync(clients, 80, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(5+rng.Intn(10)) * time.Millisecond)
-				return fsClients[i].Read(ctx, files[rng.Intn(len(files))], 0, readSize)
+				return fs[i].Read(ctx, files[rng.Intn(len(files))], 0, readSize)
 			})
 
 			r.Await("cluster-serving", qCount, 3, func(rows []tuple.Tuple) error {
-				if n := len(groupVals(rows)); n < len(hosts)/2 {
+				if n := len(rows); n < len(hosts)/2 {
 					return fmt.Errorf("only %d of %d DataNodes reporting", n, len(hosts))
 				}
 				return nil
@@ -157,7 +101,7 @@ func Limplock() *Scenario {
 			// topology each DataNode holds only a handful of replicas, so
 			// uniform random traffic cannot be relied on to exercise the
 			// limping disk before the checkpoint deadline.
-			locs, err := d.AdminFS.GetBlockLocations(d.Admin.NewRequest(), files[0], 0, readSize)
+			locs, err := r.AdminFS.GetBlockLocations(r.Admin.NewRequest(), files[0], 0, readSize)
 			if err != nil || len(locs) == 0 || len(locs[0].Replicas) == 0 {
 				return fmt.Errorf("limplock: block locations for %s: %v", files[0], err)
 			}
@@ -190,8 +134,8 @@ func Limplock() *Scenario {
 			probes := make([]*cluster.Process, 2)
 			fsProbes := make([]*hdfs.Client, len(probes))
 			for i := range probes {
-				probes[i] = d.C.StartUnmonitored(hosts[len(hosts)-1-i], fmt.Sprintf("Probe%d", i))
-				fsProbes[i] = hdfs.NewClient(probes[i], d.NN, hdfs.ClientConfig{RandomReplicaSelection: false, Seed: r.Seed})
+				probes[i] = r.C.StartUnmonitored(hosts[len(hosts)-1-i], fmt.Sprintf("Probe%d", i))
+				fsProbes[i] = hdfs.NewClient(probes[i], r.NN, hdfs.ClientConfig{RandomReplicaSelection: false, Seed: r.Seed})
 			}
 			probeJoin := r.DriveAsync(probes, 6, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				return fsProbes[i].Read(ctx, files[0], 0, readSize)
@@ -210,20 +154,9 @@ func Limplock() *Scenario {
 
 			join()
 			probeJoin()
-			total := float64(r.Requests())
-			r.Await("ops-conserved", qCount, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != total {
-					return fmt.Errorf("DN ops %v != reads issued %v", got, total)
-				}
-				return nil
-			})
-			r.Await("bytes-conserved", qBytes, 1, func(rows []tuple.Tuple) error {
-				if got, want := sumVals(groupVals(rows)), total*readSize; got != want {
-					return fmt.Errorf("bytes read %v != %v", got, want)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			reads := float64(r.Requests())
+			r.AwaitTotal("ops-conserved", qCount, reads)
+			r.AwaitTotal("bytes-conserved", qBytes, reads*readSize)
 			return nil
 		},
 	}
@@ -239,21 +172,15 @@ Select op.host, COUNT`
 // the per-host RS.ClientService GROUP BY exposes the hotspot.
 func HotRegion() *Scenario {
 	return &Scenario{
-		ID:           "hot-region",
-		Name:         "Hot HBase region",
-		Description:  "80% of gets hit one RegionServer; per-host op GROUP BY exposes it",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      10 * time.Second,
+		ID:          "hot-region",
+		Name:        "Hot HBase region",
+		Description: "80% of gets hit one RegionServer; per-host op GROUP BY exposes it",
+		Interval:    500 * time.Millisecond,
+		Horizon:     10 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 500*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			d.StartDataNodes(hosts)
-			nRS := 64
-			if r.Short {
-				nRS = 12
-			}
-			hb, servers := d.StartHBase(hosts[:nRS], 8e6, r.Seed)
+			r.StartDataNodes(r.Workers)
+			nRS := r.Size(64, 12)
+			hb, servers := r.StartHBase(r.Workers[:nRS], 8e6, r.Seed)
 			hotHost := servers[0].Proc.Info.Host
 
 			// Partition candidate rows by owner so the workload can aim.
@@ -268,22 +195,14 @@ func HotRegion() *Scenario {
 
 			q := r.Query(qRSCount)
 
-			nClients, ops := 192, 100
-			if r.Short {
-				nClients = 24
-			}
-			clients := d.StartClients(nClients, hosts)
-			hbClients := make([]*hbase.Client, len(clients))
-			for i, p := range clients {
-				hbClients[i] = hbase.NewClient(p, hb)
-			}
-			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+			clients, hbc := r.HBaseClients(r.Size(192, 24), hb)
+			join := r.DriveAsync(clients, 100, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(5+rng.Intn(10)) * time.Millisecond)
 				row := allRows[rng.Intn(len(allRows))]
 				if rng.Float64() < 0.8 {
 					row = hotRows[rng.Intn(len(hotRows))]
 				}
-				return hbClients[i].Get(ctx, row, 8e3)
+				return hbc[i].Get(ctx, row, 8e3)
 			})
 
 			// The floor is absolute, not a fraction of issued ops: the hot
@@ -302,14 +221,7 @@ func HotRegion() *Scenario {
 			})
 
 			join()
-			total := float64(r.Requests())
-			r.Await("gets-conserved", q, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != total {
-					return fmt.Errorf("served %v != issued %v", got, total)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			r.AwaitTotal("gets-conserved", q, float64(r.Requests()))
 			return nil
 		},
 	}
@@ -331,37 +243,27 @@ Select t.id, COUNT`
 // straggler hosts.
 func StragglerReducers() *Scenario {
 	return &Scenario{
-		ID:           "stragglers",
-		Name:         "Straggler reducers",
-		Description:  "2 reducers spill 6x; per-host Reduce disk SUM pins them",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      60 * time.Second,
+		ID:          "stragglers",
+		Name:        "Straggler reducers",
+		Description: "2 reducers spill 6x; per-host Reduce disk SUM pins them",
+		Interval:    time.Second,
+		Horizon:     60 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, time.Second)
-			hosts := d.WorkerNames(0)
-			d.StartDataNodes(hosts)
-			nMR := 32
-			if r.Short {
-				nMR = 8
-			}
-			rm, _ := d.StartYARN(hosts[:nMR], 8)
-			fw := d.StartMapReduce(rm, r.Seed)
+			r.StartDataNodes(r.Workers)
+			rm, _ := r.StartYARN(r.Workers[:r.Size(32, 8)], 8)
+			fw := r.StartMapReduce(rm, r.Seed)
 
-			maps, reducers, stragglers := 8, 8, 2
-			if r.Short {
-				maps, reducers, stragglers = 4, 4, 1
-			}
+			maps, reducers, stragglers := r.Size(8, 4), r.Size(8, 4), r.Size(2, 1)
 			input := "/data/mr-input"
-			ctx := d.Admin.NewRequest()
-			if err := d.AdminFS.CreateMetadataOnly(ctx, input, float64(maps)*hdfs.BlockSize); err != nil {
+			ctx := r.Admin.NewRequest()
+			if err := r.AdminFS.CreateMetadataOnly(ctx, input, float64(maps)*hdfs.BlockSize); err != nil {
 				return err
 			}
 
 			qIO := r.Query(qReduceIO)
 			qDone := r.Query(qReduceDone)
 
-			submitter := d.C.Start("master", "JobClient")
+			submitter := r.C.Start("master", "JobClient")
 			err := fw.Submit(submitter.NewRequest(), submitter, mapreduce.JobConfig{
 				Name:            "sort",
 				Input:           input,
@@ -383,27 +285,10 @@ func StragglerReducers() *Scenario {
 				}
 				return nil
 			})
-			r.Await("reducers-complete", qDone, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != float64(reducers) {
-					return fmt.Errorf("%v reduce completions != %d", got, reducers)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			r.AwaitTotal("reducers-complete", qDone, float64(reducers))
 			return nil
 		},
 	}
-}
-
-func minVal(m map[string]float64) float64 {
-	first := true
-	var mv float64
-	for _, v := range m {
-		if first || v < mv {
-			mv, first = v, false
-		}
-	}
-	return mv
 }
 
 // ---- 4. cascading failover --------------------------------------------
@@ -413,21 +298,15 @@ func minVal(m map[string]float64) float64 {
 // reappears on the next live server, with zero client errors.
 func CascadingFailover() *Scenario {
 	return &Scenario{
-		ID:           "failover",
-		Name:         "Cascading failover",
-		Description:  "two RegionServers drain back-to-back; load reroutes, zero errors",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      12 * time.Second,
+		ID:          "failover",
+		Name:        "Cascading failover",
+		Description: "two RegionServers drain back-to-back; load reroutes, zero errors",
+		Interval:    500 * time.Millisecond,
+		Horizon:     12 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 500*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			d.StartDataNodes(hosts)
-			nRS := 48
-			if r.Short {
-				nRS = 12
-			}
-			hb, servers := d.StartHBase(hosts[:nRS], 8e6, r.Seed)
+			r.StartDataNodes(r.Workers)
+			nRS := r.Size(48, 12)
+			hb, servers := r.StartHBase(r.Workers[:nRS], 8e6, r.Seed)
 
 			rows := make([]string, 4*nRS)
 			for i := range rows {
@@ -436,29 +315,21 @@ func CascadingFailover() *Scenario {
 
 			q := r.Query(qRSCount)
 
-			nClients, ops := 160, 120
-			if r.Short {
-				nClients = 24
-			}
-			clients := d.StartClients(nClients, hosts)
-			hbClients := make([]*hbase.Client, len(clients))
-			for i, p := range clients {
-				hbClients[i] = hbase.NewClient(p, hb)
-			}
-			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+			clients, hbc := r.HBaseClients(r.Size(160, 24), hb)
+			join := r.DriveAsync(clients, 120, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(10+rng.Intn(10)) * time.Millisecond)
-				return hbClients[i].Get(ctx, rows[rng.Intn(len(rows))], 8e3)
+				return hbc[i].Get(ctx, rows[rng.Intn(len(rows))], 8e3)
 			})
 
 			r.Await("pre-fault-coverage", q, 3, func(rowsT []tuple.Tuple) error {
-				if n := len(groupVals(rowsT)); n < 2*nRS/3 {
+				if n := len(rowsT); n < 2*nRS/3 {
 					return fmt.Errorf("only %d of %d RegionServers reporting", n, nRS)
 				}
 				return nil
 			})
 
 			// For each victim, a row it currently owns, to verify rerouting.
-			victims := [2]*regionVictim{
+			victims := [2]struct{ host, row string }{
 				{host: servers[0].Proc.Info.Host},
 				{host: servers[1].Proc.Info.Host},
 			}
@@ -480,8 +351,8 @@ func CascadingFailover() *Scenario {
 				r.Await(name, q, 3, func(rowsT []tuple.Tuple) error {
 					g := growth(groupVals(rowsT), snap)
 					frozen := g[vic.host]
-					if total := sumVals(g); frozen > 8 || total < 200 {
-						return fmt.Errorf("drained %s grew %v of total growth %v", vic.host, frozen, sumVals(g))
+					if grown := sumVals(g); frozen > 8 || grown < 200 {
+						return fmt.Errorf("drained %s grew %v of total growth %v", vic.host, frozen, grown)
 					}
 					return nil
 				})
@@ -496,27 +367,11 @@ func CascadingFailover() *Scenario {
 			}
 
 			join()
-			total := float64(r.Requests())
-			var errCount error
-			if n := r.ClientErrors(); n != 0 {
-				errCount = fmt.Errorf("%d client errors during failover", n)
-			}
-			r.Expect("zero-client-errors", errCount)
-			r.Await("gets-conserved", q, 1, func(rowsT []tuple.Tuple) error {
-				if got := sumVals(groupVals(rowsT)); got != total {
-					return fmt.Errorf("served %v != issued %v", got, total)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			r.ExpectNoClientErrors("zero-client-errors")
+			r.AwaitTotal("gets-conserved", q, float64(r.Requests()))
 			return nil
 		},
 	}
-}
-
-type regionVictim struct {
-	host string
-	row  string
 }
 
 // ---- 5. rebalancing storm ---------------------------------------------
@@ -526,21 +381,15 @@ type regionVictim struct {
 // the GROUP BY shows load spreading across nearly every server.
 func RebalancingStorm() *Scenario {
 	return &Scenario{
-		ID:           "rebalance",
-		Name:         "Rebalancing storm",
-		Description:  "routing rotates every 400ms under load, then settles shifted",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      10 * time.Second,
+		ID:          "rebalance",
+		Name:        "Rebalancing storm",
+		Description: "routing rotates every 400ms under load, then settles shifted",
+		Interval:    500 * time.Millisecond,
+		Horizon:     10 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 500*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			d.StartDataNodes(hosts)
-			nRS := 40
-			if r.Short {
-				nRS = 10
-			}
-			hb, _ := d.StartHBase(hosts[:nRS], 8e6, r.Seed)
+			r.StartDataNodes(r.Workers)
+			nRS := r.Size(40, 10)
+			hb, _ := r.StartHBase(r.Workers[:nRS], 8e6, r.Seed)
 
 			rows := make([]string, 4*nRS)
 			for i := range rows {
@@ -549,18 +398,10 @@ func RebalancingStorm() *Scenario {
 
 			q := r.Query(qRSCount)
 
-			nClients, ops := 128, 140
-			if r.Short {
-				nClients = 24
-			}
-			clients := d.StartClients(nClients, hosts)
-			hbClients := make([]*hbase.Client, len(clients))
-			for i, p := range clients {
-				hbClients[i] = hbase.NewClient(p, hb)
-			}
-			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+			clients, hbc := r.HBaseClients(r.Size(128, 24), hb)
+			join := r.DriveAsync(clients, 140, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(8+rng.Intn(8)) * time.Millisecond)
-				return hbClients[i].Get(ctx, rows[rng.Intn(len(rows))], 8e3)
+				return hbc[i].Get(ctx, rows[rng.Intn(len(rows))], 8e3)
 			})
 
 			probe := rows[0]
@@ -601,14 +442,7 @@ func RebalancingStorm() *Scenario {
 			r.Expect("routing-shifted", moved)
 
 			join()
-			total := float64(r.Requests())
-			r.Await("gets-conserved", q, 1, func(rowsT []tuple.Tuple) error {
-				if got := sumVals(groupVals(rowsT)); got != total {
-					return fmt.Errorf("served %v != issued %v", got, total)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			r.AwaitTotal("gets-conserved", q, float64(r.Requests()))
 			return nil
 		},
 	}
@@ -642,27 +476,20 @@ Select o.host, COUNT`
 // requests through one process, with exact op conservation at the end.
 func ThunderingHerd() *Scenario {
 	return &Scenario{
-		ID:           "herd",
-		Name:         "Thundering herd",
-		Description:  "1000+ clients hammer the NameNode; exact op conservation",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      20 * time.Second,
+		ID:          "herd",
+		Name:        "Thundering herd",
+		Description: "1000+ clients hammer the NameNode; exact op conservation",
+		Interval:    100 * time.Millisecond,
+		Horizon:     20 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 100*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			d.StartDataNodes(hosts)
-
-			nClients, ops := 1152, 880
-			if r.Short {
-				nClients, ops = 96, 120
-			}
+			r.StartDataNodes(r.Workers)
+			nClients, ops := r.Size(1152, 96), r.Size(880, 120)
 
 			// Each client owns a private file it opens and renames, so
 			// concurrent renames never invalidate another client's ops.
-			ctx := d.Admin.NewRequest()
+			ctx := r.Admin.NewRequest()
 			for i := 0; i < nClients; i++ {
-				if err := d.AdminFS.CreateMetadataOnly(ctx, fmt.Sprintf("/priv/c%04d", i), 1e3); err != nil {
+				if err := r.AdminFS.CreateMetadataOnly(ctx, fmt.Sprintf("/priv/c%04d", i), 1e3); err != nil {
 					return err
 				}
 			}
@@ -670,11 +497,7 @@ func ThunderingHerd() *Scenario {
 			qOpen := r.Query(qNNOpen)
 			qRen := r.Query(qNNRename)
 
-			clients := d.StartClients(nClients, hosts)
-			fsClients := make([]*hdfs.Client, len(clients))
-			for i, p := range clients {
-				fsClients[i] = hdfs.NewClient(p, d.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
-			}
+			clients, fs := r.HDFSClients(nClients)
 			// Every 10th op renames the private file back and forth; the
 			// rest open it under whichever name it currently has. Totals
 			// are exact functions of (nClients, ops).
@@ -688,9 +511,9 @@ func ThunderingHerd() *Scenario {
 					cur, other = b, a
 				}
 				if k%10 == 9 {
-					return fsClients[i].Rename(ctx, cur, other)
+					return fs[i].Rename(ctx, cur, other)
 				}
-				return fsClients[i].Open(ctx, cur)
+				return fs[i].Open(ctx, cur)
 			})
 
 			wantRenames := float64(nClients * (ops / 10))
@@ -701,31 +524,16 @@ func ThunderingHerd() *Scenario {
 			// how many of the million-plus ops can have completed within
 			// the first second.
 			r.Await("herd-observed", qOpen, 10, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got < wantOpens/20 {
+				if got := total(rows); got < wantOpens/20 {
 					return fmt.Errorf("only %v opens observed", got)
 				}
 				return nil
 			})
 
 			join()
-			var errCount error
-			if n := r.ClientErrors(); n != 0 {
-				errCount = fmt.Errorf("%d failed metadata ops", n)
-			}
-			r.Expect("zero-client-errors", errCount)
-			r.Await("opens-conserved", qOpen, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != wantOpens {
-					return fmt.Errorf("opens %v != %v", got, wantOpens)
-				}
-				return nil
-			})
-			r.Await("renames-conserved", qRen, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != wantRenames {
-					return fmt.Errorf("renames %v != %v", got, wantRenames)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			r.ExpectNoClientErrors("zero-client-errors")
+			r.AwaitTotal("opens-conserved", qOpen, wantOpens)
+			r.AwaitTotal("renames-conserved", qRen, wantRenames)
 			return nil
 		},
 	}
@@ -745,21 +553,15 @@ func MultiTenantStorm() *Scenario {
 		ID:           "multi-tenant-storm",
 		Name:         "Multi-tenant storm",
 		Description:  "64 tenant frontends over a combiner tree; isolation, churn, flat per-frontend load",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
+		Interval:     500 * time.Millisecond,
 		Horizon:      12 * time.Second,
 		CombinerTree: true,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 500*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			d.StartDataNodes(hosts)
+			r.StartDataNodes(r.Workers)
 			const readSize = 64e3
-			files := d.Dataset(len(hosts), readSize)
+			files := r.Dataset(len(r.Workers), readSize)
 
-			nTenants := 64
-			if r.Short {
-				nTenants = 8
-			}
+			nTenants := r.Size(64, 8)
 			// Half the tenants count DataNode ops, half sum bytes read:
 			// distinct answers per tenant make cross-tenant leakage (a
 			// report merged into the wrong frontend) break an exact
@@ -773,7 +575,7 @@ func MultiTenantStorm() *Scenario {
 			var installErr error
 			for i := range tenants {
 				tr := &tenantRun{
-					fe:    d.C.NewTenantFrontend(fmt.Sprintf("t%02d", i), nTenants),
+					fe:    r.C.NewTenantFrontend(fmt.Sprintf("t%02d", i), nTenants),
 					bytes: i%2 == 1,
 				}
 				text := qDNCount
@@ -790,22 +592,14 @@ func MultiTenantStorm() *Scenario {
 			r.Expect("tenants-installed", installErr)
 			qPrim := r.Query(qDNCount)
 
-			nClients, ops := 128, 60
-			if r.Short {
-				nClients = 16
-			}
-			clients := d.StartClients(nClients, hosts)
-			fsClients := make([]*hdfs.Client, len(clients))
-			for i, p := range clients {
-				fsClients[i] = hdfs.NewClient(p, d.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
-			}
-			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+			clients, fs := r.HDFSClients(r.Size(128, 16))
+			join := r.DriveAsync(clients, 60, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(5+rng.Intn(10)) * time.Millisecond)
-				return fsClients[i].Read(ctx, files[rng.Intn(len(files))], 0, readSize)
+				return fs[i].Read(ctx, files[rng.Intn(len(files))], 0, readSize)
 			})
 
 			r.Await("storm-observed", tenants[1].q, 4, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got <= 0 {
+				if total(rows) <= 0 {
 					return fmt.Errorf("tenant t01 has no rows yet")
 				}
 				return nil
@@ -814,25 +608,20 @@ func MultiTenantStorm() *Scenario {
 			// Churn: tenant 0's frontend is torn down mid-storm (its lease
 			// renewals stop; its handle freezes) and a replacement tenant
 			// joins, installs afresh, and starts seeing post-install load.
-			d.C.DropTenantFrontend(tenants[0].fe)
-			reFE := d.C.NewTenantFrontend("t00r", nTenants)
+			r.C.DropTenantFrontend(tenants[0].fe)
+			reFE := r.C.NewTenantFrontend("t00r", nTenants)
 			reQ, reErr := reFE.Install(qDNCount)
 			r.Expect("churned-tenant-reinstalls", reErr)
 			r.Await("churned-tenant-rejoins", reQ, 4, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got <= 0 {
+				if total(rows) <= 0 {
 					return fmt.Errorf("replacement tenant has no rows yet")
 				}
 				return nil
 			})
 
 			join()
-			total := float64(r.Requests())
-			r.Await("primary-conserved", qPrim, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != total {
-					return fmt.Errorf("primary DN ops %v != reads issued %v", got, total)
-				}
-				return nil
-			})
+			reads := float64(r.Requests())
+			r.AwaitTotal("primary-conserved", qPrim, reads)
 
 			// Exact per-tenant isolation: every surviving tenant's answer
 			// is exactly its own query over the full load — no missing
@@ -840,11 +629,11 @@ func MultiTenantStorm() *Scenario {
 			// 0 is excluded: its handle froze at teardown.
 			var isoErr error
 			for i, tr := range tenants[1:] {
-				want := total
+				want := reads
 				if tr.bytes {
-					want = total * readSize
+					want = reads * readSize
 				}
-				if got := sumVals(groupVals(tr.q.Rows())); got != want {
+				if got := total(tr.q.Rows()); got != want {
 					isoErr = fmt.Errorf("tenant t%02d: %v != %v", i+1, got, want)
 					break
 				}
@@ -872,18 +661,16 @@ func MultiTenantStorm() *Scenario {
 			r.Expect("per-frontend-load-flat", flatErr)
 			secs := r.Env.Now().Seconds()
 			r.Logf("  load: %d hosts, %d tenants, per-frontend frames in [%d, %d] over %.1fs virtual (max %.1f frames/s)",
-				len(hosts), nTenants, loF, hiF, secs, float64(hiF)/secs)
+				len(r.Workers), nTenants, loF, hiF, secs, float64(hiF)/secs)
 
 			// The primary's status view aggregates every tenant's quota
 			// usage from the agents' TenantUsage heartbeats.
-			st := d.C.PT.StatusAt(r.Env.Now())
+			st := r.C.PT.StatusAt(r.Env.Now())
 			var usageErr error
 			if len(st.Tenants) < nTenants {
 				usageErr = fmt.Errorf("status shows %d tenants, want >= %d", len(st.Tenants), nTenants)
 			}
 			r.Expect("tenant-usage-visible", usageErr)
-
-			r.SettleTo(r.horizon())
 			return nil
 		},
 	}
@@ -897,28 +684,22 @@ func MultiTenantStorm() *Scenario {
 // errors at zero.
 func RollingRestarts() *Scenario {
 	return &Scenario{
-		ID:           "rolling",
-		Name:         "Rolling restarts",
-		Description:  "workers restart one by one; fallback paths keep errors at zero",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
-		Horizon:      20 * time.Second,
+		ID:          "rolling",
+		Name:        "Rolling restarts",
+		Description: "workers restart one by one; fallback paths keep errors at zero",
+		Interval:    200 * time.Millisecond,
+		Horizon:     20 * time.Second,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 200*time.Millisecond)
-			hosts := d.WorkerNames(0)
-			dns := d.StartDataNodes(hosts)
-			nNM, nRestart := 24, 8
-			if r.Short {
-				nNM, nRestart = 8, 4
-			}
-			rm, nms := d.StartYARN(hosts[:nNM], 8)
-			fw := d.StartMapReduce(rm, r.Seed)
+			dns := r.StartDataNodes(r.Workers)
+			nNM, nRestart := r.Size(24, 8), r.Size(8, 4)
+			rm, nms := r.StartYARN(r.Workers[:nNM], 8)
+			fw := r.StartMapReduce(rm, r.Seed)
 
 			const readSize = 64e3
-			files := d.Dataset(len(hosts), readSize)
+			files := r.Dataset(len(r.Workers), readSize)
 			input := "/data/mr-input"
-			adminCtx := d.Admin.NewRequest()
-			if err := d.AdminFS.CreateMetadataOnly(adminCtx, input, 2*hdfs.BlockSize); err != nil {
+			adminCtx := r.Admin.NewRequest()
+			if err := r.AdminFS.CreateMetadataOnly(adminCtx, input, 2*hdfs.BlockSize); err != nil {
 				return err
 			}
 
@@ -927,26 +708,15 @@ func RollingRestarts() *Scenario {
 GroupBy j.id
 Select j.id, COUNT`)
 
-			nClients, ops := 96, 100
-			if r.Short {
-				nClients = 24
-			}
-			clients := d.StartClients(nClients, hosts)
-			fsClients := make([]*hdfs.Client, len(clients))
-			for i, p := range clients {
-				fsClients[i] = hdfs.NewClient(p, d.NN, hdfs.ClientConfig{RandomReplicaSelection: true, Seed: r.Seed})
-			}
-			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
+			clients, fs := r.HDFSClients(r.Size(96, 24))
+			join := r.DriveAsync(clients, 100, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(8+rng.Intn(8)) * time.Millisecond)
-				return fsClients[i].Read(ctx, files[rng.Intn(len(files))], 0, readSize)
+				return fs[i].Read(ctx, files[rng.Intn(len(files))], 0, readSize)
 			})
 
 			// Job stream in the background (sequential, small jobs).
-			jobs := 3
-			if r.Short {
-				jobs = 2
-			}
-			submitter := d.C.Start("master", "JobClient")
+			jobs := r.Size(3, 2)
+			submitter := r.C.Start("master", "JobClient")
 			var jobErr error
 			jobsDone := r.Env.NewWaitGroup()
 			jobsDone.Add(1)
@@ -969,10 +739,7 @@ Select j.id, COUNT`)
 
 			// Rolling restarts: DataNodes on a range disjoint from the NM
 			// hosts, NodeManagers from the tail of the NM range.
-			restartBase := nNM + 16
-			if r.Short {
-				restartBase = nNM + 4
-			}
+			restartBase := nNM + r.Size(16, 4)
 			for w := 0; w < nRestart; w++ {
 				dn := dns[restartBase+w]
 				nm := nms[nNM-1-(w%nNM)]
@@ -986,8 +753,8 @@ Select j.id, COUNT`)
 				if w == 0 {
 					r.Await("offline-dn-freezes", qDN, 3, func(rows []tuple.Tuple) error {
 						g := growth(groupVals(rows), snap)
-						if frozen, total := g[dnHost], sumVals(g); frozen > 2 || total < 50 {
-							return fmt.Errorf("offline %s grew %v of %v", dnHost, frozen, total)
+						if frozen, grown := g[dnHost], sumVals(g); frozen > 2 || grown < 50 {
+							return fmt.Errorf("offline %s grew %v of %v", dnHost, frozen, grown)
 						}
 						return nil
 					})
@@ -1033,19 +800,9 @@ Select j.id, COUNT`)
 
 			join()
 			jobsDone.Wait()
-			var errCount error
-			if n := r.ClientErrors(); n != 0 {
-				errCount = fmt.Errorf("%d client errors during restarts", n)
-			}
-			r.Expect("zero-client-errors", errCount)
+			r.ExpectNoClientErrors("zero-client-errors")
 			r.Expect("jobs-complete", jobErr)
-			r.Await("jobs-observed", qJob, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(groupVals(rows)); got != float64(jobs) {
-					return fmt.Errorf("%v job completions != %d", got, jobs)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			r.AwaitTotal("jobs-observed", qJob, float64(jobs))
 			return nil
 		},
 	}
@@ -1069,20 +826,6 @@ Join o In Storm.Op On o -> d
 GroupBy o.key
 Select o.key, COUNT`
 
-// countVals maps each row's group key to its COUNT column (the middle
-// column of the key, COUNT, SUM(...) selects above). For a sampled query
-// the value is the weighted Horvitz-Thompson estimate.
-func countVals(rows []tuple.Tuple) map[string]float64 {
-	out := make(map[string]float64, len(rows))
-	for _, row := range rows {
-		if len(row) < 3 {
-			continue
-		}
-		out[row[0].Str()] = row[1].Float()
-	}
-	return out
-}
-
 // SamplingStorm runs a thundering herd of monitored request generators
 // under an exact query and its Sample 0.05 twin, then squeezes the
 // baggage budget mid-run: the adaptive controllers back the effective
@@ -1096,19 +839,14 @@ func SamplingStorm() *Scenario {
 		ID:           "sampling-storm",
 		Name:         "Sampling storm",
 		Description:  "herd at rate 0.05; budget squeeze backs the rate off, release restores it",
-		DefaultHosts: 1024,
-		ShortHosts:   64,
+		Interval:     500 * time.Millisecond,
 		Horizon:      20 * time.Second,
 		CombinerTree: true,
 		Run: func(r *Run) error {
-			d := deploy(r.Env, r, 500*time.Millisecond)
-			hosts := d.WorkerNames(0)
-
-			nGen, ops1, ops2 := 384, 75, 60
-			if r.Short {
-				nGen = 32
-			}
+			hosts := r.Workers
+			nGen := r.Size(384, 32)
 			const (
+				ops1, ops2 = 75, 60 // requests per generator in phases 1 and 2
 				rate       = 0.05
 				baseMilli  = 50 // rate in thousandths, as agents gauge it
 				firesPerOp = 6  // Storm.Op crossings per request
@@ -1122,7 +860,7 @@ func SamplingStorm() *Scenario {
 			opTPs := make([]*tracepoint.Tracepoint, nGen)
 			doneTPs := make([]*tracepoint.Tracepoint, nGen)
 			for i := range gens {
-				p := d.C.Start(hosts[i%len(hosts)], fmt.Sprintf("Storm%02d", i/len(hosts)))
+				p := r.C.Start(hosts[i%len(hosts)], fmt.Sprintf("Storm%02d", i/len(hosts)))
 				gens[i] = p
 				opTPs[i] = p.Define("Storm.Op", "key", "val")
 				doneTPs[i] = p.Define("Storm.Done", "n")
@@ -1150,6 +888,22 @@ func SamplingStorm() *Scenario {
 
 			qExact := r.Query(qStormOps)
 			qSampled := r.Query(qStormOpsSampled)
+			// count sums the COUNT column of qStormOps' rows; over the
+			// sampled twin it is the weighted Horvitz-Thompson estimate.
+			count := func(rows []tuple.Tuple) (n float64) {
+				for _, row := range rows {
+					n += row[1].Float()
+				}
+				return n
+			}
+			awaitExactCount := func(name string, want float64) {
+				r.Await(name, qExact, 1, func(rows []tuple.Tuple) error {
+					if got := count(rows); got != want {
+						return fmt.Errorf("exact COUNT %v != %v fired", got, want)
+					}
+					return nil
+				})
+			}
 
 			stormOp := func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(20+rng.Intn(16)) * time.Millisecond)
@@ -1165,7 +919,7 @@ func SamplingStorm() *Scenario {
 			join := r.DriveAsync(gens, ops1, stormOp)
 			want1 := float64(nGen * ops1 * firesPerOp)
 			r.Await("storm-observed", qExact, 4, func(rows []tuple.Tuple) error {
-				if got := sumVals(countVals(rows)); got < want1/20 {
+				if got := count(rows); got < want1/20 {
 					return fmt.Errorf("only %v exact ops observed", got)
 				}
 				return nil
@@ -1173,12 +927,7 @@ func SamplingStorm() *Scenario {
 			join()
 			requests1 := float64(nGen * ops1)
 
-			r.Await("exact-conserved-p1", qExact, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(countVals(rows)); got != want1 {
-					return fmt.Errorf("exact COUNT %v != %v fired", got, want1)
-				}
-				return nil
-			})
+			awaitExactCount("exact-conserved-p1", want1)
 			// Every phase-1 request was minted at the fixed base rate, so
 			// the weighted COUNT is a Horvitz-Thompson estimate whose
 			// relative error concentrates within 5 sigma of the binomial
@@ -1187,7 +936,7 @@ func SamplingStorm() *Scenario {
 			errBound := 5 * math.Sqrt((1-rate)/(requests1*rate))
 			var est1 float64
 			r.Await("estimate-within-bound", qSampled, 1, func(rows []tuple.Tuple) error {
-				est1 = sumVals(countVals(rows))
+				est1 = count(rows)
 				relErr := math.Abs(est1-want1) / want1
 				if est1 <= 0 || relErr > errBound {
 					return fmt.Errorf("sampled estimate %v vs exact %v: relative error %.3f > bound %.3f",
@@ -1236,18 +985,13 @@ func SamplingStorm() *Scenario {
 
 			// Phase 2: the budget squeeze. More herd load runs while the
 			// squeeze query's evictions feed the pressure signal.
-			squeeze, sqErr := d.C.PT.InstallNamed("", qStormSqueeze, plan.Options{
+			squeeze, sqErr := r.C.PT.InstallNamed("", qStormSqueeze, plan.Options{
 				Optimize: true,
 				Safety:   advice.Safety{Budget: baggage.Budget{MaxTuples: 1}},
 			})
 			r.Expect("squeeze-installs", sqErr)
 			join2 := r.DriveAsync(gens, ops2, stormOp)
 
-			// Backoff detection deliberately avoids FlushAgents: a manual
-			// flush with no new drops since the report-loop flush an instant
-			// earlier reads as an idle tick and doubles the rate straight
-			// back, masking the backoff it is trying to observe. Only the
-			// agents' own report loops tick the controllers here.
 			// Requiring < baseMilli/2 demands at least two halvings, so the
 			// restore leg below exercises more than a single doubling.
 			backedOff := int64(-1)
@@ -1281,14 +1025,7 @@ func SamplingStorm() *Scenario {
 			}
 			r.Expect("rate-restores", resErr)
 
-			want2 := want1 + float64(nGen*ops2*firesPerOp)
-			r.Await("exact-conserved-final", qExact, 1, func(rows []tuple.Tuple) error {
-				if got := sumVals(countVals(rows)); got != want2 {
-					return fmt.Errorf("exact COUNT %v != %v fired", got, want2)
-				}
-				return nil
-			})
-			r.SettleTo(r.horizon())
+			awaitExactCount("exact-conserved-final", want1+float64(nGen*ops2*firesPerOp))
 			return nil
 		},
 	}

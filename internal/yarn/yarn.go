@@ -59,9 +59,6 @@ type NodeManager struct {
 // placement. The RM skips draining nodes when granting containers.
 func (nm *NodeManager) SetDraining(d bool) { nm.draining.Store(d) }
 
-// Draining reports whether the node currently refuses new containers.
-func (nm *NodeManager) Draining() bool { return nm.draining.Load() }
-
 // NewNodeManagers is the bulk-spawn path: one NodeManager per host with
 // the same capacity, in order.
 func NewNodeManagers(c *cluster.Cluster, hosts []string, rm *ResourceManager, capacity int) []*NodeManager {
