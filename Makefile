@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race allocs bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short loc
+.PHONY: check fmt vet build test race allocs bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short experiments loc
 
 check: fmt vet build race allocs fuzz-smoke sampling bench-check bench-gate
 
@@ -104,6 +104,15 @@ scenarios:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/ptbench -all -seed 1 -json "$$out"; \
 	cmp "$$out" internal/scenario/testdata/full-seed1.json
+
+# The paper's figures and tables at the scaled-down sizing (~5 s), whose
+# report must be byte-identical to the checked-in
+# internal/experiments/testdata/quick.txt. A change that means to move a
+# figure rewrites that file with the same command.
+experiments:
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/experiments -quick > "$$out"; \
+	cmp "$$out" internal/experiments/testdata/quick.txt
 
 # The differential query-correctness sweeps (TestDifferential*: plain and
 # budgeted) under the race detector. Each case runs in every topology —

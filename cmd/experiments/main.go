@@ -124,6 +124,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintln(w, res.Render())
-		fmt.Fprintf(w, "[%s completed in %v]\n\n", s.name, time.Since(start).Round(time.Millisecond))
+		// Wall time goes to stderr, so the report itself is the same bytes
+		// on every run.
+		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", s.name, time.Since(start).Round(time.Millisecond))
 	}
 }

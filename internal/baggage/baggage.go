@@ -62,9 +62,12 @@ func SetTelemetry(t *telemetry.Registry) {
 
 // nonceBase randomizes instance nonces per process so that instances
 // created in different processes never collide; the counter makes them
-// unique within a process.
+// unique within a process. Bit 63 is always set, so every nonce encodes
+// to the same ten-byte uvarint: simulated RPCs charge virtual time per
+// serialized byte, and a width that varied with the random draw would
+// make every simulated timeline depend on it.
 var (
-	nonceBase    = func() uint64 { return uint64(time.Now().UnixNano()) * 0x9E3779B97F4A7C15 }()
+	nonceBase    = func() uint64 { return uint64(time.Now().UnixNano())*0x9E3779B97F4A7C15 | 1<<63 }()
 	nonceCounter atomic.Uint64
 )
 

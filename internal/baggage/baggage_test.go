@@ -3,6 +3,7 @@ package baggage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -23,6 +24,18 @@ func TestPackUnpackRoundtrip(t *testing.T) {
 	got := b.Unpack("q1.0")
 	if len(got) != 2 || got[0][0].Str() != "HGET" || got[1][0].Str() != "HSCAN" {
 		t.Fatalf("Unpack = %v", got)
+	}
+}
+
+// TestNonceWidthIsFixed pins the encoded width of every instance nonce:
+// simulated RPCs charge virtual time per serialized byte, so a width that
+// varied with the process's random draw would change simulated timelines.
+func TestNonceWidthIsFixed(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		n := newNonce()
+		if w := len(binary.AppendUvarint(nil, n)); w != binary.MaxVarintLen64 {
+			t.Fatalf("nonce %#x encodes to %d bytes, want %d", n, w, binary.MaxVarintLen64)
+		}
 	}
 }
 

@@ -6,19 +6,18 @@
 // frontier, carried in constant-size baggage). A central evaluator
 // reconstructs the happened-before relation from the event DAG and
 // evaluates the join globally, Magpie-style (§7: "such a query ...
-// necessitates global evaluation").
+// necessitates global evaluation"), by handing the materialized trace to
+// the reference evaluator in internal/oracle.
 package baseline
 
 import (
-	"fmt"
-	"sort"
+	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"context"
-
-	"repro/internal/agg"
 	"repro/internal/baggage"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/tracepoint"
 	"repro/internal/tuple"
@@ -31,7 +30,7 @@ var frontierSpec = baggage.SetSpec{Kind: baggage.Frontier, Fields: tuple.Schema{
 
 // event is one recorded tracepoint crossing.
 type event struct {
-	id      int64
+	tp      string
 	parents []int64
 	vals    tuple.Tuple // full exported tuple
 }
@@ -39,11 +38,9 @@ type event struct {
 // Evaluator collects events for one query and evaluates it centrally.
 type Evaluator struct {
 	q   *query.Query
-	a   *query.Analysis
 	reg *tracepoint.Registry
 
 	mu     sync.Mutex
-	events map[string][]*event // per tracepoint name
 	byID   map[int64]*event
 	nextID atomic.Int64
 
@@ -55,15 +52,10 @@ type Evaluator struct {
 // queries are not supported by the baseline; the paper's comparison
 // queries do not use them).
 func New(q *query.Query, reg *tracepoint.Registry) (*Evaluator, error) {
-	a, err := query.Analyze(q, reg, nil)
-	if err != nil {
+	if _, err := query.Analyze(q, reg, nil); err != nil {
 		return nil, err
 	}
-	return &Evaluator{
-		q: q, a: a, reg: reg,
-		events: make(map[string][]*event),
-		byID:   make(map[int64]*event),
-	}, nil
+	return &Evaluator{q: q, reg: reg, byID: make(map[int64]*event)}, nil
 }
 
 // Probe is the per-tracepoint instrumentation: emit everything, centrally.
@@ -95,7 +87,7 @@ func (ev *Evaluator) Probes() map[string]*Probe {
 func (p *Probe) Invoke(ctx context.Context, vals tuple.Tuple) {
 	ev := p.ev
 	id := ev.nextID.Add(1)
-	e := &event{id: id, vals: vals.Clone()}
+	e := &event{tp: p.tp, vals: vals.Clone()}
 	bag := baggage.FromContext(ctx)
 	if bag != nil {
 		for _, t := range bag.Unpack(frontierSlot) {
@@ -106,7 +98,6 @@ func (p *Probe) Invoke(ctx context.Context, vals tuple.Tuple) {
 	}
 	ev.tuplesEmitted.Add(1)
 	ev.mu.Lock()
-	ev.events[p.tp] = append(ev.events[p.tp], e)
 	ev.byID[id] = e
 	ev.mu.Unlock()
 }
@@ -117,235 +108,37 @@ func (ev *Evaluator) Stats() (tuples int64, baggageBytes int64) {
 	return ev.tuplesEmitted.Load(), ev.baggageBytes.Load()
 }
 
-// ancestors computes the transitive causal ancestors of an event.
-func (ev *Evaluator) ancestors(e *event, memo map[int64]map[int64]bool) map[int64]bool {
-	if got, ok := memo[e.id]; ok {
-		return got
-	}
-	out := make(map[int64]bool)
-	memo[e.id] = out // break cycles defensively (DAG: none expected)
-	for _, pid := range e.parents {
-		out[pid] = true
-		if pe, ok := ev.byID[pid]; ok {
-			for a := range ev.ancestors(pe, memo) {
-				out[a] = true
-			}
-		}
-	}
-	return out
-}
-
-// Evaluate runs the query over all recorded events, returning the result
-// rows in group order — equivalent to what the optimized in-baggage plan
-// produces, but computed centrally.
+// Evaluate runs the query over all recorded events: it materializes them
+// as an oracle trace, in id order (which is firing order), with each
+// event's happened-before set closed over its parents', and evaluates the
+// query on that trace.
 func (ev *Evaluator) Evaluate() ([]tuple.Tuple, error) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-
-	memo := make(map[int64]map[int64]bool)
-
-	// alias -> tracepoint events
-	aliasEvents := func(alias string) ([]*event, error) {
-		if alias == ev.q.From.Alias {
-			var out []*event
-			for _, src := range ev.q.From.Sources {
-				out = append(out, ev.events[src.Tracepoint]...)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-			return out, nil
-		}
-		for _, j := range ev.q.Joins {
-			if j.Alias == alias {
-				return ev.events[j.Source.Tracepoint], nil
-			}
-		}
-		return nil, fmt.Errorf("baseline: unknown alias %q", alias)
+	ids := make([]int64, 0, len(ev.byID))
+	for id := range ev.byID {
+		ids = append(ids, id)
 	}
-
-	// Recursive binding of aliases in join order.
-	type binding = map[string]*event
-	bindings := []binding{}
-	fromEvents, err := aliasEvents(ev.q.From.Alias)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range fromEvents {
-		bindings = append(bindings, binding{ev.q.From.Alias: e})
-	}
-
-	// Resolve joins in declaration order; each join's Right alias is
-	// already bound (the analyzer guarantees the chain structure).
-	for _, j := range ev.q.Joins {
-		if j.Source.IsSubquery() {
-			return nil, fmt.Errorf("baseline: subquery joins unsupported")
+	slices.Sort(ids)
+	index := make(map[int64]int, len(ids))
+	tr := &oracle.Trace{Events: make([]oracle.Event, len(ids))}
+	for i, id := range ids {
+		index[id] = i
+		e := ev.byID[id]
+		vals := make(map[string]tuple.Value, len(e.vals))
+		for k, f := range ev.reg.Lookup(e.tp).Schema() {
+			vals[f] = e.vals[k]
 		}
-		candidates, err := aliasEvents(j.Alias)
-		if err != nil {
-			return nil, err
-		}
-		var next []binding
-		for _, b := range bindings {
-			right, ok := b[j.Right]
-			if !ok {
-				return nil, fmt.Errorf("baseline: join alias %q unbound", j.Right)
-			}
-			anc := ev.ancestors(right, memo)
-			var matches []*event
-			for _, c := range candidates {
-				if anc[c.id] {
-					matches = append(matches, c)
-				}
-			}
-			matches = applyTempFilter(matches, j.Source.Filter, j.Source.N)
-			for _, m := range matches {
-				nb := make(binding, len(b)+1)
-				for k, v := range b {
-					nb[k] = v
-				}
-				nb[j.Alias] = m
-				next = append(next, nb)
+		// A parent fired before its child, so its set is already closed.
+		before := make(map[int]bool)
+		for _, pid := range e.parents {
+			p := index[pid]
+			before[p] = true
+			for a := range tr.Events[p].Before {
+				before[a] = true
 			}
 		}
-		bindings = next
+		tr.Events[i] = oracle.Event{Tracepoint: e.tp, Values: vals, Before: before}
 	}
-
-	// Where, GroupBy, Select via expression evaluation.
-	resolve := func(b binding) func(query.FieldRef) tuple.Value {
-		return func(f query.FieldRef) tuple.Value {
-			e, ok := b[f.Alias]
-			if !ok {
-				return tuple.Null
-			}
-			schema := ev.a.Schemas[f.Alias]
-			idx := schema.Index(f.Field)
-			if idx < 0 || idx >= len(e.vals) {
-				return tuple.Null
-			}
-			return e.vals[idx]
-		}
-	}
-
-	kept := bindings[:0]
-	for _, b := range bindings {
-		ok := true
-		for _, w := range ev.q.Where {
-			if !w.Eval(resolve(b)).Bool() {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, b)
-		}
-	}
-
-	return ev.project(kept, resolve)
-}
-
-// project computes the Select outputs with grouping and aggregation.
-func (ev *Evaluator) project(bindings []map[string]*event, resolve func(map[string]*event) func(query.FieldRef) tuple.Value) ([]tuple.Tuple, error) {
-	hasAgg := false
-	for _, si := range ev.q.Select {
-		if si.HasAgg {
-			hasAgg = true
-		}
-	}
-	if !hasAgg && len(ev.q.GroupBy) == 0 {
-		out := make([]tuple.Tuple, 0, len(bindings))
-		for _, b := range bindings {
-			row := make(tuple.Tuple, len(ev.q.Select))
-			for i, si := range ev.q.Select {
-				row[i] = si.Expr.Eval(resolve(b))
-			}
-			out = append(out, row)
-		}
-		return out, nil
-	}
-
-	type g struct {
-		rep    map[string]*event
-		states []*agg.State
-	}
-	groups := map[string]*g{}
-	var order []string
-	for _, b := range bindings {
-		keyVals := make(tuple.Tuple, len(ev.q.GroupBy))
-		for i, gb := range ev.q.GroupBy {
-			keyVals[i] = gb.Eval(resolve(b))
-		}
-		key := keyVals.Key(identity(len(keyVals)))
-		grp, ok := groups[key]
-		if !ok {
-			grp = &g{rep: b}
-			for _, si := range ev.q.Select {
-				if si.HasAgg {
-					grp.states = append(grp.states, agg.New(si.Agg))
-				}
-			}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		k := 0
-		for _, si := range ev.q.Select {
-			if !si.HasAgg {
-				continue
-			}
-			if si.Expr != nil {
-				grp.states[k].Add(si.Expr.Eval(resolve(b)))
-			} else {
-				grp.states[k].Add(tuple.Null)
-			}
-			k++
-		}
-	}
-	out := make([]tuple.Tuple, 0, len(order))
-	for _, key := range order {
-		grp := groups[key]
-		row := make(tuple.Tuple, len(ev.q.Select))
-		k := 0
-		for i, si := range ev.q.Select {
-			if si.HasAgg {
-				row[i] = grp.states[k].Result()
-				k++
-			} else {
-				row[i] = si.Expr.Eval(resolve(grp.rep))
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// applyTempFilter keeps the first/last 1 or N candidates (candidates are
-// in event-id order, which is creation order).
-func applyTempFilter(matches []*event, f query.TempFilter, n int) []*event {
-	sort.Slice(matches, func(i, j int) bool { return matches[i].id < matches[j].id })
-	if n < 1 {
-		n = 1
-	}
-	switch f {
-	case query.FilterFirst:
-		n = 1
-		fallthrough
-	case query.FilterFirstN:
-		if len(matches) > n {
-			matches = matches[:n]
-		}
-	case query.FilterMostRecent:
-		n = 1
-		fallthrough
-	case query.FilterMostRecentN:
-		if len(matches) > n {
-			matches = matches[len(matches)-n:]
-		}
-	}
-	return matches
+	return oracle.Evaluate(ev.q, ev.reg, tr)
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/advice"
 	"repro/internal/baggage"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/tracepoint"
@@ -39,6 +41,63 @@ func weaveBaseline(t *testing.T, reg *tracepoint.Registry, text string) *Evaluat
 		}
 	}
 	return ev
+}
+
+// weavePlan installs the query's optimized in-baggage plan on the
+// registry, accumulating its output in one process-local accumulator.
+func weavePlan(t *testing.T, reg *tracepoint.Registry, text string) *advice.Accumulator {
+	t.Helper()
+	q, err := query.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Name = "q"
+	p, err := plan.Compile(q, reg, nil, plan.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := advice.NewAccumulator(p.Emit.Emit)
+	em := emitFunc(func(prog *advice.Program, w tuple.Tuple) { acc.Add(w) })
+	for _, prog := range p.Programs {
+		if err := reg.Weave(prog.Tracepoint, &advice.Advice{Prog: prog, Emitter: em}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return acc
+}
+
+// TestBaselineNestedTemporalMatchesPlan: First(B) keeps the first B whose
+// own join found an A, so the B that fired before any A contributes
+// nothing, and the global evaluation must agree with the in-baggage plan.
+func TestBaselineNestedTemporalMatchesPlan(t *testing.T) {
+	text := `From c In C
+	  Join b In First(B) On b -> c
+	  Join a In A On a -> b
+	  Select a.a, b.b, c.c`
+	var regs [2]*tracepoint.Registry
+	for i := range regs {
+		regs[i] = tracepoint.NewRegistry()
+		regs[i].Define("A", "a")
+		regs[i].Define("B", "b")
+		regs[i].Define("C", "c")
+	}
+	ev := weaveBaseline(t, regs[0], text)
+	acc := weavePlan(t, regs[1], text)
+	for _, reg := range regs {
+		ctx := newRequest("h", "p")
+		reg.Lookup("B").Here(ctx, 1)
+		reg.Lookup("A").Here(ctx, 10)
+		reg.Lookup("B").Here(ctx, 2)
+		reg.Lookup("C").Here(ctx, 100)
+	}
+	base, err := ev.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := acc.Rows()
+	if len(opt) != 1 || !bytes.Equal(oracle.Canonical(base), oracle.Canonical(opt)) {
+		t.Fatalf("baseline %v, optimized plan %v", base, opt)
+	}
 }
 
 func TestBaselineSimpleJoin(t *testing.T) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -73,48 +72,22 @@ Select cl.procName, fos.host, fos.procName, SUM(fos.length)`
 
 // RunFig1 executes the experiment.
 func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
-	env := simtime.NewEnv()
 	res := &Fig1Result{Cfg: cfg, Q1: fig1Q1, Q2: fig1Q2}
-	var runErr error
-
-	env.Run(func() {
+	err := simulate(func(env *simtime.Env) error {
 		tbCfg := workload.DefaultTestbedConfig()
 		tbCfg.Hosts = cfg.Hosts
 		tb := workload.NewTestbed(env, tbCfg)
 		if err := tb.InitHBaseStores(2e9); err != nil {
-			runErr = err
-			return
+			return err
 		}
-
-		q1, err := tb.C.PT.Install(fig1Q1)
+		qs, err := installAll(tb, fig1Q1, fig1Q2, fig1QRead, fig1QWrite)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		q2, err := tb.C.PT.Install(fig1Q2)
-		if err != nil {
-			runErr = err
-			return
-		}
-		qr, err := tb.C.PT.Install(fig1QRead)
-		if err != nil {
-			runErr = err
-			return
-		}
-		qw, err := tb.C.PT.Install(fig1QWrite)
-		if err != nil {
-			runErr = err
-			return
-		}
-
-		col1 := metrics.NewCollector(q1.Plan.Emit.Emit, time.Second)
-		q1.OnReport(col1.OnReport)
-		col2 := metrics.NewCollector(q2.Plan.Emit.Emit, time.Second)
-		q2.OnReport(col2.OnReport)
+		col1, col2 := collect(qs[0]), collect(qs[1])
 
 		// The six client applications of §2.1.
-		type mk func() (*workload.Workload, error)
-		makers := []mk{
+		makers := []func() (*workload.Workload, error){
 			func() (*workload.Workload, error) {
 				return tb.NewFSRead(workload.HostName(0), "FSREAD4M", 4e6, cfg.Files, 1)
 			},
@@ -133,8 +106,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 		for _, m := range makers {
 			w, err := m()
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			w.Start()
 		}
@@ -144,12 +116,12 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 
 		res.HostSeries = col1.Series([]int{0}, 1, true)
 		res.AppSeries = col2.Series([]int{0}, 1, true)
-
-		res.PivotRead = pivotRows(qr.Rows(), "MRSORT10G")
-		res.PivotWrite = pivotRows(qw.Rows(), "MRSORT10G")
+		res.PivotRead = pivotRows(qs[2].Rows(), "MRSORT10G")
+		res.PivotWrite = pivotRows(qs[3].Rows(), "MRSORT10G")
+		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -159,14 +131,9 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 func pivotRows(rows []tuple.Tuple, app string) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64)
 	for _, r := range rows {
-		if r[0].Str() != app {
-			continue
+		if r[0].Str() == app {
+			addCell(out, r[1].Str(), r[2].Str(), r[3].Float())
 		}
-		host, proc := r[1].Str(), r[2].Str()
-		if out[host] == nil {
-			out[host] = make(map[string]float64)
-		}
-		out[host][proc] += r[3].Float()
 	}
 	return out
 }
@@ -175,9 +142,9 @@ func pivotRows(rows []tuple.Tuple, app string) map[string]map[string]float64 {
 func (r *Fig1Result) Render() string {
 	var b strings.Builder
 	b.WriteString("=== Fig 1a: HDFS DataNode throughput per machine (Q1) ===\n")
-	b.WriteString(renderSeries("", r.HostSeries, fmtBytesRate))
+	b.WriteString(renderSeries(r.HostSeries, fmtBytesRate))
 	b.WriteString("\n=== Fig 1b: HDFS throughput by client application (Q2) ===\n")
-	b.WriteString(renderSeries("", r.AppSeries, fmtBytesRate))
+	b.WriteString(renderSeries(r.AppSeries, fmtBytesRate))
 	b.WriteString("\n=== Fig 1c: disk IO pivot table for MRSORT10G (host x source process) ===\n")
 	b.WriteString(r.renderPivot())
 	return b.String()
@@ -187,34 +154,15 @@ func (r *Fig1Result) Render() string {
 func (r *Fig1Result) renderPivot() string {
 	procSet := map[string]bool{}
 	hostSet := map[string]bool{}
-	for host, m := range r.PivotRead {
-		hostSet[host] = true
-		for p := range m {
-			procSet[p] = true
+	for _, m := range []map[string]map[string]float64{r.PivotRead, r.PivotWrite} {
+		for host, row := range m {
+			hostSet[host] = true
+			for p := range row {
+				procSet[p] = true
+			}
 		}
 	}
-	for host, m := range r.PivotWrite {
-		hostSet[host] = true
-		for p := range m {
-			procSet[p] = true
-		}
-	}
-	var hosts, procs []string
-	for h := range hostSet {
-		hosts = append(hosts, h)
-	}
-	for p := range procSet {
-		procs = append(procs, p)
-	}
-	sort.Strings(hosts)
-	sort.Strings(procs)
-
-	get := func(m map[string]map[string]float64, h, p string) float64 {
-		if row, ok := m[h]; ok {
-			return row[p]
-		}
-		return 0
-	}
+	hosts, procs := sortedKeys(hostSet), sortedKeys(procSet)
 	header := append([]string{"host"}, procs...)
 	header = append(header, "Σmachine")
 	var rows [][]string
@@ -224,8 +172,7 @@ func (r *Fig1Result) renderPivot() string {
 		row := []string{h}
 		rowTotal := 0.0
 		for j, p := range procs {
-			rd := get(r.PivotRead, h, p)
-			wr := get(r.PivotWrite, h, p)
+			rd, wr := r.PivotRead[h][p], r.PivotWrite[h][p]
 			row = append(row, fmt.Sprintf("r%.0fM w%.0fM", rd/1e6, wr/1e6))
 			colTotals[j] += rd + wr
 			rowTotal += rd + wr

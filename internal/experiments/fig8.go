@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -79,10 +80,7 @@ type Fig8Result struct {
 	// ReadCV is Fig 8d (summarized): per client host, the number of
 	// distinct files read and the coefficient of variation of per-file
 	// read counts — near-zero CV means uniform random file choice (Q4).
-	ReadCV map[string]struct {
-		Files int
-		CV    float64
-	}
+	ReadCV map[string]ReadSpread
 	// ReplicaFreq is Fig 8e: frequency each client (row) saw each
 	// DataNode (col) as a replica location (Q5).
 	ReplicaFreq map[string]map[string]float64
@@ -99,13 +97,16 @@ type Fig8Result struct {
 	Q7BaggageBytes int
 }
 
+// ReadSpread summarizes one client host's file reads (Fig 8d).
+type ReadSpread struct {
+	Files int
+	CV    float64
+}
+
 // RunFig8 executes the case study.
 func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
-	env := simtime.NewEnv()
 	res := &Fig8Result{Cfg: cfg}
-	var runErr error
-
-	env.Run(func() {
+	err := simulate(func(env *simtime.Env) error {
 		tbCfg := workload.DefaultTestbedConfig()
 		tbCfg.Hosts = cfg.Hosts
 		tbCfg.HBase = false
@@ -117,8 +118,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 
 		files, err := tb.StressDataset(cfg.Files, 128e6)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		// Declare the stress-test tracepoint in the query vocabulary
@@ -126,71 +126,31 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 		// independent of running code (§3).
 		tb.C.PT.Registry().Define("StressTest.DoNextOp", "op")
 
-		q3, err := tb.C.PT.Install(fig8Q3)
+		qs, err := installAll(tb, fig8Q3, fig8Q4, fig8Q5, fig8Q6, fig8Q7)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		col3 := metrics.NewCollector(q3.Plan.Emit.Emit, time.Second)
-		q3.OnReport(col3.OnReport)
-		q4, err := tb.C.PT.Install(fig8Q4)
-		if err != nil {
-			runErr = err
-			return
-		}
-		q5, err := tb.C.PT.Install(fig8Q5)
-		if err != nil {
-			runErr = err
-			return
-		}
-		q6, err := tb.C.PT.Install(fig8Q6)
-		if err != nil {
-			runErr = err
-			return
-		}
-		q7, err := tb.C.PT.Install(fig8Q7)
-		if err != nil {
-			runErr = err
-			return
-		}
+		col3 := collect(qs[0])
+		q4, q5, q6, q7 := qs[1], qs[2], qs[3], qs[4]
 
 		// Start the stress clients.
-		var clients []*workload.Workload
+		perHost := make(map[string][]*workload.Workload)
 		id := 0
 		for _, host := range tb.Hosts {
 			for k := 0; k < cfg.ClientsPerHost; k++ {
 				id++
 				w := tb.NewStressTest(host, k, files, cfg.Think, int64(id)*7919)
-				clients = append(clients, w)
+				perHost[host] = append(perHost[host], w)
 				w.Start()
 			}
 		}
-
-		// Sample per-host network tx throughput once per second.
-		netSamples := make(map[string][]metrics.Point)
-		env.Go(func() {
-			prev := make(map[string]float64)
-			for !env.Done() {
-				env.Sleep(time.Second)
-				for _, host := range tb.Hosts {
-					served := tb.C.Net.LinkServed(host + ".tx")
-					netSamples[host] = append(netSamples[host], metrics.Point{
-						T: env.Now(), V: served - prev[host],
-					})
-					prev[host] = served
-				}
-			}
-		})
+		res.NetworkTx = sampleNetTx(env, tb)
 
 		env.Sleep(cfg.Duration)
 		tb.C.FlushAgents()
 
 		// 8a: aggregate client throughput per host.
 		res.ClientThroughput = make(map[string][]metrics.Point)
-		perHost := make(map[string][]*workload.Workload)
-		for _, w := range clients {
-			perHost[w.Proc.Info.Host] = append(perHost[w.Proc.Info.Host], w)
-		}
 		for host, ws := range perHost {
 			agg := map[time.Duration]float64{}
 			for _, w := range ws {
@@ -208,23 +168,16 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 					metrics.Point{T: t, V: agg[t]})
 			}
 		}
-		res.NetworkTx = netSamples
 		res.DNThroughput = col3.Series([]int{0}, 1, true)
 
 		// 8d: per-client-host file-read distribution (Q4).
-		res.ReadCV = make(map[string]struct {
-			Files int
-			CV    float64
-		})
+		res.ReadCV = make(map[string]ReadSpread)
 		perClient := map[string][]float64{}
 		for _, r := range q4.Rows() {
 			perClient[r[0].Str()] = append(perClient[r[0].Str()], r[2].Float())
 		}
 		for host, counts := range perClient {
-			res.ReadCV[host] = struct {
-				Files int
-				CV    float64
-			}{Files: len(counts), CV: cv(counts)}
+			res.ReadCV[host] = ReadSpread{Files: len(counts), CV: cv(counts)}
 		}
 
 		// 8e: client x DataNode replica-location frequency (Q5).
@@ -261,8 +214,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 				if a == b {
 					continue
 				}
-				ab := cell(chosen, a, b)
-				ba := cell(chosen, b, a)
+				ab, ba := chosen[a][b], chosen[b][a]
 				if ab+ba > 0 {
 					addCell(res.PrefFreq, a, b, ab/(ab+ba))
 				}
@@ -271,9 +223,10 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 
 		// §6.3: Q7 baggage size for one representative request.
 		res.Q7BaggageBytes = measureQ7Baggage(tb, files)
+		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -313,18 +266,7 @@ func cv(vals []float64) float64 {
 	for _, v := range vals {
 		varsum += (v - mean) * (v - mean)
 	}
-	return sqrt(varsum/float64(len(vals))) / mean
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
+	return math.Sqrt(varsum/float64(len(vals))) / mean
 }
 
 func addCell(m map[string]map[string]float64, r, c string, v float64) {
@@ -334,12 +276,7 @@ func addCell(m map[string]map[string]float64, r, c string, v float64) {
 	m[r][c] += v
 }
 
-func cell(m map[string]map[string]float64, r, c string) float64 {
-	if m[r] == nil {
-		return 0
-	}
-	return m[r][c]
-}
+func fmtOpsRate(v float64) string { return fmt.Sprintf("%.0f ops/s", v) }
 
 // Render produces the seven sub-figures as terminal text.
 func (r *Fig8Result) Render() string {
@@ -350,22 +287,13 @@ func (r *Fig8Result) Render() string {
 	}
 	fmt.Fprintf(&b, "=== Fig 8 (%s) ===\n\n", mode)
 	b.WriteString("--- 8a: client request throughput per host [ops/s] ---\n")
-	b.WriteString(renderSeries("", r.ClientThroughput, func(v float64) string {
-		return fmt.Sprintf("%.0f ops/s", v)
-	}))
+	b.WriteString(renderSeries(r.ClientThroughput, fmtOpsRate))
 	b.WriteString("\n--- 8b: network transmit throughput per host ---\n")
-	b.WriteString(renderSeries("", r.NetworkTx, fmtBytesRate))
+	b.WriteString(renderSeries(r.NetworkTx, fmtBytesRate))
 	b.WriteString("\n--- 8c: DataNode request throughput (Q3) ---\n")
-	b.WriteString(renderSeries("", r.DNThroughput, func(v float64) string {
-		return fmt.Sprintf("%.0f ops/s", v)
-	}))
+	b.WriteString(renderSeries(r.DNThroughput, fmtOpsRate))
 	b.WriteString("\n--- 8d: file read distribution per client host (Q4) ---\n")
-	var hosts []string
-	for h := range r.ReadCV {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
+	for _, h := range sortedKeys(r.ReadCV) {
 		s := r.ReadCV[h]
 		fmt.Fprintf(&b, "  %-8s %4d files read, cv=%.2f (uniform random if ~small)\n", h, s.Files, s.CV)
 	}
@@ -381,6 +309,6 @@ func (r *Fig8Result) Render() string {
 
 func renderMatrix(m map[string]map[string]float64, hosts []string) string {
 	return metrics.Heatmap(hosts, hosts, func(i, j int) float64 {
-		return cell(m, hosts[i], hosts[j])
+		return m[hosts[i]][hosts[j]]
 	})
 }

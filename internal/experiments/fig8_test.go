@@ -23,7 +23,7 @@ func colShare(m map[string]map[string]float64, hosts []string) map[string]float6
 	col := map[string]float64{}
 	for _, r := range hosts {
 		for _, c := range hosts {
-			v := cell(m, r, c)
+			v := m[r][c]
 			col[c] += v
 			total += v
 		}
@@ -75,7 +75,7 @@ func TestFig8BuggySelectionIsSkewed(t *testing.T) {
 	sawExtreme := false
 	for _, a := range res.Hosts {
 		for _, b := range res.Hosts {
-			if v := cell(res.PrefFreq, a, b); v > 0.97 {
+			if v := res.PrefFreq[a][b]; v > 0.97 {
 				sawExtreme = true
 			}
 		}

@@ -63,6 +63,19 @@ GroupBy p.host
 Select p.host, AVERAGE(p.time - d.time)`
 )
 
+// fig9Spans are the Fig 9b components, each with its query and the number
+// of leading key columns its rows carry before the average.
+var fig9Spans = []struct {
+	name, text string
+	keys       int
+}{
+	{"RPC latency", fig9QRPC, 2},    // host, proc
+	{"DN transfer", fig9QDNXfer, 2}, // src, dest
+	{"DN queued", fig9QDNQueue, 1},
+	{"RS queue", fig9QRSQueue, 1},
+	{"RS process", fig9QRSProc, 1},
+}
+
 // Fig9Result holds the three sub-figures.
 type Fig9Result struct {
 	Cfg       Fig9Config
@@ -80,11 +93,8 @@ type Fig9Result struct {
 
 // RunFig9 executes the case study.
 func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
-	env := simtime.NewEnv()
 	res := &Fig9Result{Cfg: cfg}
-	var runErr error
-
-	env.Run(func() {
+	err := simulate(func(env *simtime.Env) error {
 		tbCfg := workload.DefaultTestbedConfig()
 		tbCfg.Hosts = cfg.Hosts
 		tbCfg.MapReduce = false
@@ -95,32 +105,15 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 		res.Hosts = tb.Hosts
 		res.FaultHost = tb.Hosts[cfg.FaultHost%len(tb.Hosts)]
 		if err := tb.InitHBaseStores(4e9); err != nil {
-			runErr = err
-			return
+			return err
 		}
-
-		type span struct {
-			name string
-			text string
-			col  [2]*metrics.Collector // before/after
-		}
-		spans := []*span{
-			{name: "RPC latency", text: fig9QRPC},
-			{name: "DN transfer", text: fig9QDNXfer},
-			{name: "DN queued", text: fig9QDNQueue},
-			{name: "RS queue", text: fig9QRSQueue},
-			{name: "RS process", text: fig9QRSProc},
-		}
-		installed := map[string]*metrics.Collector{}
-		for _, sp := range spans {
+		cols := make([]*metrics.Collector, len(fig9Spans))
+		for i, sp := range fig9Spans {
 			h, err := tb.C.PT.Install(sp.text)
 			if err != nil {
-				runErr = fmt.Errorf("%s: %w", sp.name, err)
-				return
+				return fmt.Errorf("%s: %w", sp.name, err)
 			}
-			col := metrics.NewCollector(h.Plan.Emit.Emit, time.Second)
-			h.OnReport(col.OnReport)
-			installed[sp.name] = col
+			cols[i] = collect(h)
 		}
 
 		// Workloads: a mix of scans (bulk, network-heavy) and gets.
@@ -133,29 +126,14 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 		for i := 0; i < cfg.Getters; i++ {
 			tb.NewHGet(tb.Hosts[(i+2)%len(tb.Hosts)], int64(200+i)).Start()
 		}
-
-		// Sample per-host network throughput.
-		netSamples := make(map[string][]metrics.Point)
-		env.Go(func() {
-			prev := make(map[string]float64)
-			for !env.Done() {
-				env.Sleep(time.Second)
-				for _, host := range tb.Hosts {
-					served := tb.C.Net.LinkServed(host + ".tx")
-					netSamples[host] = append(netSamples[host], metrics.Point{
-						T: env.Now(), V: served - prev[host],
-					})
-					prev[host] = served
-				}
-			}
-		})
+		res.NetworkTx = sampleNetTx(env, tb)
 
 		env.Sleep(cfg.FaultAt)
 		tb.C.Host(res.FaultHost).SetNICRate(netsim.HundredMbit)
 		env.Sleep(cfg.Duration - cfg.FaultAt)
 		tb.C.FlushAgents()
-		res.Before = snapshotSpans(installed, 0, cfg.FaultAt)
-		res.After = snapshotSpans(installed, cfg.FaultAt, cfg.Duration+time.Second)
+		res.Before = snapshotSpans(cols, 0, cfg.FaultAt)
+		res.After = snapshotSpans(cols, cfg.FaultAt, cfg.Duration+time.Second)
 
 		// 9a: scan latencies over time.
 		for _, w := range scans {
@@ -164,29 +142,20 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 		sort.Slice(res.Latencies, func(i, j int) bool {
 			return res.Latencies[i].T < res.Latencies[j].T
 		})
-		res.NetworkTx = netSamples
+		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // snapshotSpans reads the mean span (seconds) per component/host over the
-// time window [from, to). RPC latency rows carry (host, proc, avg); the
-// others carry (host, avg).
-func snapshotSpans(cols map[string]*metrics.Collector, from, to time.Duration) map[string]map[string]float64 {
+// time window [from, to) from each span's collector, in fig9Spans order.
+func snapshotSpans(cols []*metrics.Collector, from, to time.Duration) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64)
-	for name, col := range cols {
-		var series map[string][]metrics.Point
-		switch name {
-		case "RPC latency":
-			series = col.Series([]int{0, 1}, 2, false)
-		case "DN transfer":
-			series = col.Series([]int{0, 1}, 2, false) // keyed src/dest
-		default:
-			series = col.Series([]int{0}, 1, false)
-		}
+	for i, sp := range fig9Spans {
+		series := cols[i].Series([]int{0, 1}[:sp.keys], sp.keys, false)
 		m := make(map[string]float64)
 		for key, pts := range series {
 			sum, n := 0.0, 0
@@ -200,7 +169,7 @@ func snapshotSpans(cols map[string]*metrics.Collector, from, to time.Duration) m
 				m[key] = sum / float64(n) / float64(time.Second) // ns -> s
 			}
 		}
-		out[name] = m
+		out[sp.name] = m
 	}
 	return out
 }
@@ -218,34 +187,20 @@ func (r *Fig9Result) Render() string {
 	fmt.Fprintf(&b, "  %d requests, sparkline of latency: %s\n", len(vals), metrics.Sparkline(bin(vals, 60)))
 
 	b.WriteString("\n--- 9b: mean span per component/host, before vs after fault [s] ---\n")
-	var comps []string
-	for c := range r.After {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
+	for _, c := range sortedKeys(r.After) {
 		fmt.Fprintf(&b, "  %s:\n", c)
-		var hosts []string
-		for h := range r.After[c] {
-			hosts = append(hosts, h)
-		}
-		sort.Strings(hosts)
-		for _, h := range hosts {
-			before := 0.0
-			if r.Before[c] != nil {
-				before = r.Before[c][h]
-			}
+		for _, h := range sortedKeys(r.After[c]) {
 			marker := ""
 			if strings.HasPrefix(h, r.FaultHost) {
 				marker = "   <-- faulty host"
 			}
 			fmt.Fprintf(&b, "    %-24s %10s -> %10s%s\n", h,
-				fmtSeconds(before), fmtSeconds(r.After[c][h]), marker)
+				fmtSeconds(r.Before[c][h]), fmtSeconds(r.After[c][h]), marker)
 		}
 	}
 
 	b.WriteString("\n--- 9c: network transmit throughput per host ---\n")
-	b.WriteString(renderSeries("", r.NetworkTx, fmtBytesRate))
+	b.WriteString(renderSeries(r.NetworkTx, fmtBytesRate))
 	return b.String()
 }
 

@@ -49,29 +49,19 @@ type GCResult struct {
 
 // RunGC executes the rogue-GC replication.
 func RunGC(cfg GCConfig) (*GCResult, error) {
-	env := simtime.NewEnv()
 	res := &GCResult{Cfg: cfg, GCSpans: map[string][2]float64{}, RSLatency: map[string]float64{}}
-	var runErr error
-	env.Run(func() {
+	err := simulate(func(env *simtime.Env) error {
 		tbCfg := workload.DefaultTestbedConfig()
 		tbCfg.Hosts = cfg.Hosts
 		tbCfg.MapReduce = false
 		tb := workload.NewTestbed(env, tbCfg)
 		if err := tb.InitHBaseStores(2e9); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res.GCHost = tb.Hosts[cfg.GCHost%len(tb.Hosts)]
-
-		qGC, err := tb.C.PT.Install(replQGC)
+		qs, err := installAll(tb, replQGC, fig9QRPC)
 		if err != nil {
-			runErr = err
-			return
-		}
-		qLat, err := tb.C.PT.Install(fig9QRPC)
-		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		tb.RSs[cfg.GCHost%len(tb.RSs)].EnableRogueGC(cfg.GCInterval, cfg.GCPause)
@@ -82,21 +72,18 @@ func RunGC(cfg GCConfig) (*GCResult, error) {
 		env.Sleep(cfg.Duration)
 		tb.C.FlushAgents()
 
-		for _, r := range qGC.Rows() {
-			res.GCSpans[r[0].Str()] = [2]float64{
-				r[1].Float(),
-				r[2].Float() / float64(time.Second),
+		for _, r := range qs[0].Rows() {
+			res.GCSpans[r[0].Str()] = [2]float64{r[1].Float(), r[2].Float() / float64(time.Second)}
+		}
+		for _, r := range qs[1].Rows() {
+			if r[1].Str() == "RegionServer" {
+				res.RSLatency[r[0].Str()] = r[2].Float() / float64(time.Second)
 			}
 		}
-		for _, r := range qLat.Rows() {
-			if r[1].Str() != "RegionServer" {
-				continue
-			}
-			res.RSLatency[r[0].Str()] = r[2].Float() / float64(time.Second)
-		}
+		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -106,16 +93,17 @@ func (r *GCResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== §6.2 replication: rogue GC in a RegionServer (on %s) ===\n", r.GCHost)
 	b.WriteString("GC pauses observed (RS.GCStart -> RS.GCEnd):\n")
-	for host, v := range r.GCSpans {
+	for _, host := range sortedKeys(r.GCSpans) {
+		v := r.GCSpans[host]
 		fmt.Fprintf(&b, "  %-10s %3.0f pauses, mean %s\n", host, v[0], fmtSeconds(v[1]))
 	}
 	b.WriteString("RegionServer mean handler latency:\n")
-	for host, v := range r.RSLatency {
+	for _, host := range sortedKeys(r.RSLatency) {
 		marker := ""
 		if host == r.GCHost {
 			marker = "   <-- rogue GC host"
 		}
-		fmt.Fprintf(&b, "  %-10s %s%s\n", host, fmtSeconds(v), marker)
+		fmt.Fprintf(&b, "  %-10s %s%s\n", host, fmtSeconds(r.RSLatency[host]), marker)
 	}
 	return b.String()
 }
@@ -142,11 +130,8 @@ type NNLockResult struct {
 
 // RunNNLock executes both locking configurations.
 func RunNNLock(cfg NNLockConfig) (*NNLockResult, error) {
-	run := func(exclusive bool) (float64, error) {
-		env := simtime.NewEnv()
-		var mean float64
-		var runErr error
-		env.Run(func() {
+	run := func(exclusive bool) (mean float64, err error) {
+		err = simulate(func(env *simtime.Env) error {
 			tbCfg := workload.DefaultTestbedConfig()
 			tbCfg.Hosts = cfg.Hosts
 			tbCfg.HBase = false
@@ -159,8 +144,7 @@ func RunNNLock(cfg NNLockConfig) (*NNLockResult, error) {
 			for i := 0; i < cfg.Clients; i++ {
 				w, err := tb.NewNNBench(workload.HostName(i%cfg.Hosts), workload.OpOpen, int64(i+1))
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				ws = append(ws, w)
 				w.Start()
@@ -176,8 +160,9 @@ func RunNNLock(cfg NNLockConfig) (*NNLockResult, error) {
 			if n > 0 {
 				mean = sum / float64(n)
 			}
+			return nil
 		})
-		return mean, runErr
+		return mean, err
 	}
 	shared, err := run(false)
 	if err != nil {

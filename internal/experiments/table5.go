@@ -96,12 +96,9 @@ func padTuples(n int) []tuple.Tuple {
 }
 
 func runTable5Config(cfg Table5Config, config string) (map[string]float64, map[string]int, error) {
-	env := simtime.NewEnv()
 	lat := map[string]float64{}
 	counts := map[string]int{}
-	var runErr error
-
-	env.Run(func() {
+	err := simulate(func(env *simtime.Env) error {
 		tbCfg := workload.DefaultTestbedConfig()
 		tbCfg.Hosts = cfg.Hosts
 		tbCfg.HBase = false
@@ -110,64 +107,54 @@ func runTable5Config(cfg Table5Config, config string) (map[string]float64, map[s
 		tb := workload.NewTestbed(env, tbCfg)
 		tb.C.PT.Registry().Define("StressTest.DoNextOp", "op")
 
-		// One workload per op, spread over hosts.
-		ws := map[string]*workload.Workload{}
+		// One workload per op, spread over hosts, in Ops order.
+		ws := make([]*workload.Workload, len(Ops))
 		for i, op := range Ops {
 			w, err := tb.NewNNBench(workload.HostName(i%cfg.Hosts), op, int64(i+1))
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			w.SetThink(cfg.Think)
-			ws[op] = w
+			ws[i] = w
 		}
 
-		padSpec := baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"pad"}}
+		var err error
 		switch config {
 		case CfgUnmodified, CfgPTEnabled:
 			// PT enabled is the default state of this testbed; unmodified
 			// differs only by the (zero-cost) idle agents.
-		case CfgBaggage1:
+		case CfgBaggage1, CfgBaggage60:
 			pad := padTuples(1)
-			for _, w := range ws {
-				w.Prepare = func(ctx context.Context) {
-					baggage.FromContext(ctx).Pack("pad", padSpec, pad...)
-				}
+			if config == CfgBaggage60 {
+				pad = padTuples(60)
 			}
-		case CfgBaggage60:
-			pad := padTuples(60)
+			padSpec := baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"pad"}}
 			for _, w := range ws {
 				w.Prepare = func(ctx context.Context) {
 					baggage.FromContext(ctx).Pack("pad", padSpec, pad...)
 				}
 			}
 		case CfgQueries61:
-			for _, q := range []string{fig8Q3, fig8Q4, fig8Q5, fig8Q6, fig8Q7} {
-				if _, err := tb.C.PT.Install(q); err != nil {
-					runErr = err
-					return
-				}
-			}
+			_, err = installAll(tb, fig8Q3, fig8Q4, fig8Q5, fig8Q6, fig8Q7)
 		case CfgQueries62:
-			for _, q := range []string{fig9QRPC, fig9QDNQueue, fig9QDNXfer} {
-				if _, err := tb.C.PT.Install(q); err != nil {
-					runErr = err
-					return
-				}
-			}
+			_, err = installAll(tb, fig9QRPC, fig9QDNQueue, fig9QDNXfer)
+		}
+		if err != nil {
+			return err
 		}
 
 		for _, w := range ws {
 			w.Start()
 		}
 		env.Sleep(cfg.Duration)
-		for op, w := range ws {
-			lat[op] = w.Rec.Mean()
-			counts[op] = w.Rec.Count()
+		for i, op := range Ops {
+			lat[op] = ws[i].Rec.Mean()
+			counts[op] = ws[i].Rec.Count()
 		}
+		return nil
 	})
-	if runErr != nil {
-		return nil, nil, runErr
+	if err != nil {
+		return nil, nil, err
 	}
 	return lat, counts, nil
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/simtime"
 	"repro/internal/tuple"
@@ -58,112 +59,90 @@ Select cl.procName, SUM(incr.delta)`
 func RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	res := &TrafficResult{Cfg: cfg}
 
-	// ---- Optimized (in-baggage) run ----
-	{
-		env := simtime.NewEnv()
-		var runErr error
-		env.Run(func() {
-			tb, err := trafficTestbed(env, cfg)
-			if err != nil {
-				runErr = err
-				return
-			}
-			h, err := tb.C.PT.Install(trafficQuery)
-			if err != nil {
-				runErr = err
-				return
-			}
-			ws, err := makeWorkloads(tb, cfg)
-			if err != nil {
-				runErr = err
-				return
-			}
-			start := env.Now()
-			runWorkloads(env, ws, cfg.OpsPerReader)
-			secs := (env.Now() - start).Seconds()
-			env.Sleep(2 * time.Second) // final reporting intervals
-			tb.C.FlushAgents()
-			res.OptRows = h.Rows()
-
-			var emitted, reported int64
-			dns := 0
-			for _, dn := range tb.DNs {
-				st := dn.Proc.Agent.Stats()
-				emitted += st.TuplesEmitted
-				reported += st.RowsReported
-				dns++
-			}
-			res.OptEmittedPerDNPerSec = float64(emitted) / float64(dns) / secs
-			res.OptReportedPerDNPerSec = float64(reported) / float64(dns) / secs
-		})
-		if runErr != nil {
-			return nil, runErr
+	// Optimized (in-baggage) run: the query is installed before the
+	// readers' processes start.
+	err := simulate(func(env *simtime.Env) error {
+		tb := trafficTestbed(env, cfg)
+		h, err := tb.C.PT.Install(trafficQuery)
+		if err != nil {
+			return err
 		}
+		ws, err := trafficReaders(tb, cfg)
+		if err != nil {
+			return err
+		}
+		start := env.Now()
+		runWorkloads(env, ws, cfg.OpsPerReader)
+		secs := (env.Now() - start).Seconds()
+		env.Sleep(2 * time.Second) // final reporting intervals
+		tb.C.FlushAgents()
+		res.OptRows = h.Rows()
+
+		var emitted, reported int64
+		for _, dn := range tb.DNs {
+			st := dn.Proc.Agent.Stats()
+			emitted += st.TuplesEmitted
+			reported += st.RowsReported
+		}
+		res.OptEmittedPerDNPerSec = float64(emitted) / float64(len(tb.DNs)) / secs
+		res.OptReportedPerDNPerSec = float64(reported) / float64(len(tb.DNs)) / secs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// ---- Baseline (global evaluation) run ----
-	{
-		env := simtime.NewEnv()
-		var runErr error
-		env.Run(func() {
-			tb, err := trafficTestbed(env, cfg)
-			if err != nil {
-				runErr = err
-				return
-			}
-			q, err := query.Parse(trafficQuery)
-			if err != nil {
-				runErr = err
-				return
-			}
-			ev, err := baseline.New(q, tb.C.PT.Registry())
-			if err != nil {
-				runErr = err
-				return
-			}
-			ws, err := makeWorkloads(tb, cfg)
-			if err != nil {
-				runErr = err
-				return
-			}
-			// Weave after workload processes exist (so every process that
-			// defines the tracepoints has a probe) and before any ops run.
-			for tp, probe := range ev.Probes() {
-				tb.C.WeaveAll(tp, probe)
-			}
-			start := env.Now()
-			runWorkloads(env, ws, cfg.OpsPerReader)
-			secs := (env.Now() - start).Seconds()
-			rows, err := ev.Evaluate()
-			if err != nil {
-				runErr = err
-				return
-			}
-			res.BaseRows = rows
-			tuples, bag := ev.Stats()
-			res.BaseEmittedPerDNPerSec = float64(tuples) / float64(len(tb.DNs)) / secs
-			if tuples > 0 {
-				res.BaselineBaggageAvg = float64(bag) / float64(tuples)
-			}
-		})
-		if runErr != nil {
-			return nil, runErr
+	// Baseline (global evaluation) run.
+	err = simulate(func(env *simtime.Env) error {
+		tb := trafficTestbed(env, cfg)
+		q, err := query.Parse(trafficQuery)
+		if err != nil {
+			return err
 		}
+		ev, err := baseline.New(q, tb.C.PT.Registry())
+		if err != nil {
+			return err
+		}
+		ws, err := trafficReaders(tb, cfg)
+		if err != nil {
+			return err
+		}
+		// Weave after workload processes exist (so every process that
+		// defines the tracepoints has a probe) and before any ops run.
+		for tp, probe := range ev.Probes() {
+			tb.C.WeaveAll(tp, probe)
+		}
+		start := env.Now()
+		runWorkloads(env, ws, cfg.OpsPerReader)
+		secs := (env.Now() - start).Seconds()
+		if res.BaseRows, err = ev.Evaluate(); err != nil {
+			return err
+		}
+		tuples, bag := ev.Stats()
+		res.BaseEmittedPerDNPerSec = float64(tuples) / float64(len(tb.DNs)) / secs
+		if tuples > 0 {
+			res.BaselineBaggageAvg = float64(bag) / float64(tuples)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res.ResultsMatch = rowsEqualIgnoringOrder(res.OptRows, res.BaseRows)
+	res.ResultsMatch = bytes.Equal(oracle.Canonical(res.OptRows), oracle.Canonical(res.BaseRows))
 	return res, nil
 }
 
-func trafficTestbed(env *simtime.Env, cfg TrafficConfig) (*workload.Testbed, error) {
+func trafficTestbed(env *simtime.Env, cfg TrafficConfig) *workload.Testbed {
 	tbCfg := workload.DefaultTestbedConfig()
 	tbCfg.Hosts = cfg.Hosts
 	tbCfg.HBase = false
 	tbCfg.MapReduce = false
-	return workload.NewTestbed(env, tbCfg), nil
+	return workload.NewTestbed(env, tbCfg)
 }
 
-func makeWorkloads(tb *workload.Testbed, cfg TrafficConfig) ([]*workload.Workload, error) {
+// trafficReaders starts the reader processes and creates their datasets.
+func trafficReaders(tb *workload.Testbed, cfg TrafficConfig) ([]*workload.Workload, error) {
 	var ws []*workload.Workload
 	for i := 0; i < cfg.Readers; i++ {
 		w, err := tb.NewFSRead(workload.HostName(i%cfg.Hosts),
@@ -181,7 +160,6 @@ func makeWorkloads(tb *workload.Testbed, cfg TrafficConfig) ([]*workload.Workloa
 func runWorkloads(env *simtime.Env, ws []*workload.Workload, n int) {
 	wg := env.NewWaitGroup()
 	for _, w := range ws {
-		w := w
 		wg.Add(1)
 		env.Go(func() {
 			defer wg.Done()
@@ -193,29 +171,6 @@ func runWorkloads(env *simtime.Env, ws []*workload.Workload, n int) {
 		})
 	}
 	wg.Wait()
-}
-
-// rowsEqualIgnoringOrder compares result row multisets. The workloads are
-// seeded identically, so both strategies see the same executions.
-func rowsEqualIgnoringOrder(a, b []tuple.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(t tuple.Tuple) string { return t.String() }
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i] = key(a[i])
-		bs[i] = key(b[i])
-	}
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Render summarizes the comparison.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/advice"
 	"repro/internal/agent"
-	"repro/internal/tuple"
 )
 
 // Point is one sample of a time series.
@@ -104,17 +103,6 @@ func (c *Collector) Series(keyCols []int, valCol int, rate bool) map[string][]Po
 	return out
 }
 
-// Totals sums the value column per group key over the whole run.
-func (c *Collector) Totals(keyCols []int, valCol int) map[string]float64 {
-	out := make(map[string]float64)
-	for key, pts := range c.Series(keyCols, valCol, false) {
-		for _, p := range pts {
-			out[key] += p.V
-		}
-	}
-	return out
-}
-
 // RenderTable renders rows as an aligned ASCII table.
 func RenderTable(header []string, rows [][]string) string {
 	widths := make([]int, len(header))
@@ -150,19 +138,6 @@ func RenderTable(header []string, rows [][]string) string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// TupleRows converts query result tuples to table cells.
-func TupleRows(rows []tuple.Tuple) [][]string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		cells := make([]string, len(r))
-		for j, v := range r {
-			cells[j] = v.String()
-		}
-		out[i] = cells
-	}
-	return out
 }
 
 var sparkChars = []rune("▁▂▃▄▅▆▇█")
@@ -289,22 +264,6 @@ func (lr *LatencyRecorder) Mean() float64 {
 		sum += s.V
 	}
 	return sum / float64(len(lr.samples))
-}
-
-// Percentile returns the p-th percentile latency in seconds (0 <= p <= 100).
-func (lr *LatencyRecorder) Percentile(p float64) float64 {
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	if len(lr.samples) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(lr.samples))
-	for i, s := range lr.samples {
-		vals[i] = s.V
-	}
-	sort.Float64s(vals)
-	idx := int(p / 100 * float64(len(vals)-1))
-	return vals[idx]
 }
 
 // Throughput bins completions into a per-second ops/sec series.

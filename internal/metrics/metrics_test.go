@@ -102,17 +102,6 @@ func TestCollectorRateDividesByBin(t *testing.T) {
 	}
 }
 
-func TestCollectorTotals(t *testing.T) {
-	c := NewCollector(sumOp(), time.Second)
-	c.OnReport(report(500*time.Millisecond, "h1", "a", 1))
-	c.OnReport(report(1500*time.Millisecond, "h1", "a", 2))
-	c.OnReport(report(1500*time.Millisecond, "h1", "b", 9))
-	totals := c.Totals([]int{0}, 1)
-	if totals["a"] != 3 || totals["b"] != 9 {
-		t.Fatalf("totals = %v", totals)
-	}
-}
-
 func TestRenderTableAlignment(t *testing.T) {
 	out := RenderTable([]string{"name", "value"}, [][]string{
 		{"a", "1"},
@@ -127,13 +116,6 @@ func TestRenderTableAlignment(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "a") || !strings.Contains(lines[3], "longer-name") {
 		t.Errorf("rows missing:\n%s", out)
-	}
-}
-
-func TestTupleRows(t *testing.T) {
-	rows := TupleRows([]tuple.Tuple{{tuple.String("x"), tuple.Int(3)}})
-	if len(rows) != 1 || rows[0][0] != "x" || rows[0][1] != "3" {
-		t.Fatalf("rows = %v", rows)
 	}
 }
 
@@ -168,7 +150,7 @@ func TestHeatmapLabels(t *testing.T) {
 
 func TestLatencyRecorderStats(t *testing.T) {
 	lr := NewLatencyRecorder()
-	if lr.Mean() != 0 || lr.Percentile(50) != 0 || lr.Count() != 0 {
+	if lr.Mean() != 0 || lr.Count() != 0 {
 		t.Error("empty recorder should be zeroes")
 	}
 	for i := 1; i <= 100; i++ {
@@ -179,12 +161,6 @@ func TestLatencyRecorderStats(t *testing.T) {
 	}
 	if m := lr.Mean(); m < 0.0500 || m > 0.0510 {
 		t.Errorf("mean = %v, want ~50.5ms", m)
-	}
-	if p := lr.Percentile(50); p < 0.049 || p > 0.052 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := lr.Percentile(99); p < 0.098 || p > 0.100 {
-		t.Errorf("p99 = %v", p)
 	}
 }
 

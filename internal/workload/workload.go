@@ -125,16 +125,10 @@ func (w *Workload) Start() {
 	env := w.Proc.C.Env
 	env.Go(func() {
 		for i := 0; !env.Done(); i++ {
-			start := env.Now()
-			ctx := w.Proc.NewRequest()
-			if w.Prepare != nil {
-				w.Prepare(ctx)
-			}
-			if err := w.op(ctx, i); err != nil {
+			if err := w.RunOnce(i); err != nil {
 				w.Err = err
 				return
 			}
-			w.Rec.Record(env.Now(), env.Now()-start)
 			if w.think > 0 {
 				env.Sleep(w.think)
 			}
@@ -145,8 +139,8 @@ func (w *Workload) Start() {
 // SetThink sets the closed-loop think time between operations.
 func (w *Workload) SetThink(d time.Duration) { w.think = d }
 
-// RunOnce executes a single operation synchronously (used by overhead
-// benchmarks that measure per-op latency without a background loop).
+// RunOnce executes a single operation synchronously on a fresh request
+// and records its latency; Start's closed loop is built from it.
 func (w *Workload) RunOnce(i int) error {
 	env := w.Proc.C.Env
 	start := env.Now()

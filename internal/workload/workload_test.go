@@ -133,8 +133,10 @@ func TestFig1bCrossTierAttribution(t *testing.T) {
 		g.Start()
 		env.Sleep(5 * time.Second)
 		tb.C.FlushAgents()
-		for k, v := range col.Totals([]int{0}, 1) {
-			totals[k] = v
+		for k, pts := range col.Series([]int{0}, 1, false) {
+			for _, p := range pts {
+				totals[k] += p.V
+			}
 		}
 	})
 	for _, app := range []string{"FSREAD4M", "FSREAD64M", "HGET"} {
