@@ -105,14 +105,15 @@ scenarios:
 	$(GO) run ./cmd/ptbench -all -seed 1 -json "$$out"; \
 	cmp "$$out" internal/scenario/testdata/full-seed1.json
 
-# The paper's figures and tables at the scaled-down sizing (~5 s), whose
-# report must be byte-identical to the checked-in
-# internal/experiments/testdata/quick.txt. A change that means to move a
-# figure rewrites that file with the same command.
+# The paper's figures and tables at full size (~25 s), whose report must be
+# byte-identical to the checked-in internal/experiments/testdata/full.txt.
+# (The short sizing is pinned to quick.txt by TestPaperShort, in `test`.)
+# A change that means to move a figure rewrites that file with the same
+# ptbench command, and quick.txt with `-paper -short`.
 experiments:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	$(GO) run ./cmd/experiments -quick > "$$out"; \
-	cmp "$$out" internal/experiments/testdata/quick.txt
+	$(GO) run ./cmd/ptbench -paper > "$$out"; \
+	cmp "$$out" internal/experiments/testdata/full.txt
 
 # The differential query-correctness sweeps (TestDifferential*: plain and
 # budgeted) under the race detector. Each case runs in every topology —

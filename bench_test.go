@@ -1,26 +1,20 @@
 // Package repro's benchmark suite regenerates the paper's evaluation
 // artifacts (see DESIGN.md for the experiment index):
 //
-//	Fig 1  - BenchmarkFig1 (per-machine / per-application throughput)
-//	Fig 3  - BenchmarkFig3 (happened-before join example execution)
-//	Fig 6  - BenchmarkFig6Traffic (optimized vs global evaluation)
-//	Fig 8  - BenchmarkFig8ReplicaBug
-//	Fig 9  - BenchmarkFig9Limplock
+//	Fig 1, 3, 6, 8, 9, §6.2, Tbl 5 - BenchmarkPaper/<step ID>
 //	Fig 10 - BenchmarkFig10{Pack,Unpack,Serialize,Deserialize}
 //	Tbl 3  - BenchmarkTable3Rewrites (ablation: optimizations on/off)
-//	Tbl 5  - BenchmarkTable5Overhead
 //	§6.3   - BenchmarkWeave (dynamic weave/unweave, the class-reload analog)
 //
 // Wall-clock numbers for the simulated experiments measure the simulator,
-// not the monitored system; the *reported metrics* (tuples/s, overhead %,
-// bytes) are the reproduction targets.
+// not the monitored system; the figures' reproduction targets are what
+// `ptbench -paper` prints.
 package repro
 
 import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/advice"
 	"repro/internal/agent"
@@ -575,125 +569,19 @@ func BenchmarkPartialAggregation(b *testing.B) {
 	})
 }
 
-// BenchmarkFig3 evaluates the example-execution queries of Figure 3.
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig1 runs a scaled Fig 1 experiment and reports the
-// per-application attribution (Fig 1b's reproduction target).
-func BenchmarkFig1(b *testing.B) {
-	cfg := experiments.Fig1Config{
-		Hosts: 4, Duration: 10 * time.Second,
-		Sort10g: 512e6, Sort100g: 1e9, Files: 8,
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.AppSeries) == 0 {
-			b.Fatal("no per-application series")
-		}
-	}
-}
-
-// BenchmarkFig6Traffic runs the evaluation-strategy comparison and reports
-// the tuple traffic of both strategies.
-func BenchmarkFig6Traffic(b *testing.B) {
-	cfg := experiments.TrafficConfig{Hosts: 4, Readers: 3, OpsPerReader: 100, Files: 8}
-	var last *experiments.TrafficResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTraffic(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.ResultsMatch {
-			b.Fatal("strategies disagree")
-		}
-		last = res
-	}
-	b.ReportMetric(last.OptReportedPerDNPerSec, "opt-rows/s/dn")
-	b.ReportMetric(last.OptEmittedPerDNPerSec, "opt-emitted/s/dn")
-	b.ReportMetric(last.BaseEmittedPerDNPerSec, "base-tuples/s/dn")
-}
-
-// BenchmarkFig8ReplicaBug runs the scaled §6.1 case study and reports the
-// selection skew (max column share of Q6's matrix).
-func BenchmarkFig8ReplicaBug(b *testing.B) {
-	cfg := experiments.Fig8Config{
-		Hosts: 4, ClientsPerHost: 2, Files: 100,
-		Duration: 5 * time.Second, Think: 2 * time.Millisecond,
-	}
-	var maxShare float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig8(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total, col := 0.0, map[string]float64{}
-		for _, row := range res.SelectFreq {
-			for c, v := range row {
-				col[c] += v
-				total += v
+// BenchmarkPaper runs each step of the paper's evaluation at the short
+// sizing, the run internal/experiments' tests pin. Wall-clock numbers here
+// measure the simulator, not the monitored system.
+func BenchmarkPaper(b *testing.B) {
+	for _, s := range experiments.Paper() {
+		b.Run(s.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Run(true); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		maxShare = 0
-		for _, v := range col {
-			if s := v / total; s > maxShare {
-				maxShare = s
-			}
-		}
+		})
 	}
-	b.ReportMetric(maxShare, "max-selection-share")
-}
-
-// BenchmarkFig9Limplock runs the scaled network limplock case study and
-// reports the worst faulty-host transfer span.
-func BenchmarkFig9Limplock(b *testing.B) {
-	cfg := experiments.Fig9Config{
-		Hosts: 4, Duration: 20 * time.Second, FaultAt: 10 * time.Second,
-		FaultHost: 1, Scanners: 3, Getters: 2,
-	}
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for key, v := range res.After["DN transfer"] {
-			if v > worst && containsHost(key, res.FaultHost) {
-				worst = v
-			}
-		}
-	}
-	b.ReportMetric(worst, "faulty-xfer-sec")
-}
-
-func containsHost(key, host string) bool {
-	return len(key) >= len(host) && (key[:len(host)] == host || key[len(key)-len(host):] == host)
-}
-
-// BenchmarkTable5Overhead runs the scaled overhead experiment and reports
-// the Open-op overhead with 60 packed tuples (the paper's worst case).
-func BenchmarkTable5Overhead(b *testing.B) {
-	cfg := experiments.Table5Config{
-		Hosts: 2, Duration: 5 * time.Second,
-		RPCLatency: 20 * time.Microsecond, Think: time.Millisecond,
-	}
-	var open60 float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		open60 = res.Overhead[experiments.CfgBaggage60]["Open"]
-	}
-	b.ReportMetric(open60, "open-60tuple-overhead-pct")
 }
 
 // BenchmarkNetsimEventQueue measures raw event-queue throughput of the

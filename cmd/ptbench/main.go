@@ -1,7 +1,10 @@
 // Command ptbench runs the scenario mega-harness: pre-built failure
 // scenarios (limplock disks, hot regions, straggler reducers, cascading
 // failovers, ...) on thousand-host simulated topologies, with every
-// checkpoint asserted through real Pivot Tracing queries.
+// checkpoint asserted through real Pivot Tracing queries. With -paper it
+// instead regenerates the paper's simulated evaluation — Fig 1, 3, 6, 8
+// and 9, the §6.2 replications and Table 5 — on the paper's eight-host
+// testbed.
 //
 // Usage:
 //
@@ -10,10 +13,14 @@
 //	go run ./cmd/ptbench -all -short -seed 7 # reduced CI sizing
 //	go run ./cmd/ptbench -all -json out.json # deterministic JSON report
 //	go run ./cmd/ptbench -all -profile prof  # prof/cpu.pprof, prof/allocs.pprof
+//	go run ./cmd/ptbench -paper              # every figure and table
+//	go run ./cmd/ptbench -paper -short -run fig8-buggy,fig8-fixed
 //
 // The JSON report is byte-identical across runs with the same seed,
 // scenario set, and host count, profiled or not; exit status is nonzero if
-// any checkpoint fails.
+// any checkpoint fails. The paper's figures print to stdout, the same
+// bytes on every run at either sizing; each step's wall time goes to
+// stderr.
 package main
 
 import (
@@ -23,16 +30,20 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
+	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run the full scenario library")
-		run      = flag.String("run", "", "comma-separated scenario IDs to run")
-		list     = flag.Bool("list", false, "list scenarios and exit")
+		paper    = flag.Bool("paper", false, "print the paper's figures and tables instead (-run picks steps)")
+		run      = flag.String("run", "", "comma-separated scenario (or, with -paper, step) IDs to run")
+		list     = flag.Bool("list", false, "list scenarios and paper steps and exit")
 		seed     = flag.Int64("seed", 1, "seed for all scenario randomness")
 		hosts    = flag.Int("hosts", 0, "override topology host count (0 = per-scenario default)")
 		short    = flag.Bool("short", false, "reduced sizing (CI / -race subsets)")
@@ -45,6 +56,16 @@ func main() {
 	if *list {
 		for _, s := range scenario.All() {
 			fmt.Printf("%-12s %5d hosts  %s\n", s.ID, scenario.DefaultHosts, s.Description)
+		}
+		for _, s := range experiments.Paper() {
+			fmt.Printf("%-12s %-11s  %s\n", s.ID, "paper step", s.Name)
+		}
+		return
+	}
+	if *paper {
+		if err := runPaper(*run, *short); err != nil {
+			fmt.Fprintf(os.Stderr, "ptbench: %v\n", err)
+			os.Exit(1)
 		}
 		return
 	}
@@ -64,7 +85,7 @@ func main() {
 			set = append(set, s)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "ptbench: pass -all, -run <ids>, or -list")
+		fmt.Fprintln(os.Stderr, "ptbench: pass -all, -run <ids>, -paper, or -list")
 		os.Exit(2)
 	}
 
@@ -110,6 +131,34 @@ func main() {
 			strings.Join(ids, ","), strings.Join(ids, ","), *seed, shortFlag(*short))
 		os.Exit(1)
 	}
+}
+
+// runPaper prints the paper's figures and tables, or just the steps whose
+// IDs are listed in ids, to stdout in report order.
+func runPaper(ids string, short bool) error {
+	steps := experiments.Paper()
+	if ids != "" {
+		var picked []experiments.Step
+		for _, id := range strings.Split(ids, ",") {
+			id = strings.TrimSpace(id)
+			i := slices.IndexFunc(steps, func(s experiments.Step) bool { return s.ID == id })
+			if i < 0 {
+				return fmt.Errorf("unknown paper step %q (try -list)", id)
+			}
+			picked = append(picked, steps[i])
+		}
+		steps = picked
+	}
+	for _, s := range steps {
+		start := time.Now()
+		fig, err := s.Run(short)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.Name, err)
+		}
+		fmt.Println(fig.Render())
+		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", s.Name, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
 }
 
 // startProfile starts a CPU profile into dir/cpu.pprof; the function it

@@ -9,7 +9,6 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -22,9 +21,7 @@ func main() {
 	fmt.Println("HDFS-6268 bug active...")
 	fmt.Println()
 
-	cfg := experiments.DefaultFig8Config()
-	cfg.Duration = 15 * time.Second
-	res, err := experiments.RunFig8(cfg)
+	res, err := experiments.RunFig8(false, false)
 	if err != nil {
 		panic(err)
 	}
@@ -41,6 +38,6 @@ func main() {
 	fmt.Println("       always take the first location -> HDFS-6268.")
 	fmt.Println()
 	fmt.Println("Re-run with the fixes (NameNode shuffling + client random")
-	fmt.Println("selection): `go run ./cmd/experiments -only \"Fig 8 (fixed)\"` —")
+	fmt.Println("selection): `go run ./cmd/ptbench -paper -run fig8-fixed` —")
 	fmt.Println("selection becomes uniform and client throughput evens out.")
 }

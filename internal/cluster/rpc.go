@@ -3,28 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/baggage"
 )
-
-// rpcStats counts cluster-wide RPC activity and the bytes of baggage that
-// rode along (the paper's propagation-overhead metric).
-type rpcStats struct {
-	calls        atomic.Int64
-	baggageBytes atomic.Int64
-}
-
-var stats rpcStats
-
-// RPCCalls returns the total number of RPCs issued across all clusters in
-// this process (benchmarks use single clusters, so this is effectively
-// per-cluster).
-func RPCCalls() int64 { return stats.calls.Load() }
-
-// BaggageBytes returns the total serialized baggage bytes carried on RPCs.
-func BaggageBytes() int64 { return stats.baggageBytes.Load() }
 
 // Handle registers an RPC handler under "Service.Method".
 func (p *Process) Handle(method string, h Handler) {
@@ -60,11 +42,8 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 		return nil, fmt.Errorf("rpc: no handler %s on %s/%s",
 			method, target.Info.Host, target.Info.ProcName)
 	}
-	stats.calls.Add(1)
-
 	callerBag := baggage.FromContext(ctx)
 	wire := callerBag.Serialize()
-	stats.baggageBytes.Add(int64(len(wire)))
 	p.chargeBaggageCost(len(wire))
 
 	// Request transfer (payload + baggage on the wire).
@@ -77,7 +56,6 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 	target.rpcResp.Here(calleeCtx, h.method)
 
 	respWire := calleeCtx.bag.Serialize()
-	stats.baggageBytes.Add(int64(len(respWire)))
 	target.chargeBaggageCost(len(respWire))
 
 	// Response transfer.

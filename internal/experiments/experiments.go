@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation: every figure and
 // table has a Run function returning structured results plus a Render
-// method producing terminal output. The cmd/ tools and the repository's
-// benchmark suite are thin wrappers around this package; DESIGN.md maps
-// each experiment to its paper artifact.
+// method producing terminal output. Each runs at one of two sizings: full
+// (the default) or short (scaled down for tests and quick looks). Paper
+// lists the steps in report order; `ptbench -paper` prints them, and
+// DESIGN.md maps each to its paper artifact.
 package experiments
 
 import (
@@ -17,11 +18,57 @@ import (
 	"repro/internal/workload"
 )
 
+// Figure is one step's result, rendered as terminal text.
+type Figure interface{ Render() string }
+
+// Step is one figure or table of the paper's evaluation.
+type Step struct {
+	ID, Name string
+	Run      func(short bool) (Figure, error)
+}
+
+// Paper lists the evaluation's steps in report order.
+func Paper() []Step {
+	return []Step{
+		{"fig3", "Fig 3", func(bool) (Figure, error) { return RunFig3() }},
+		{"fig1", "Fig 1", func(short bool) (Figure, error) { return RunFig1(short) }},
+		{"fig6", "Fig 6 / tuple traffic", func(short bool) (Figure, error) { return RunTraffic(short) }},
+		{"fig8-buggy", "Fig 8 (buggy)", func(short bool) (Figure, error) { return RunFig8(short, false) }},
+		{"fig8-fixed", "Fig 8 (fixed)", func(short bool) (Figure, error) { return RunFig8(short, true) }},
+		{"fig9", "Fig 9", func(short bool) (Figure, error) { return RunFig9(short) }},
+		{"rogue-gc", "§6.2 rogue GC", func(short bool) (Figure, error) { return RunGC(short) }},
+		{"nn-lock", "§6.2 NameNode locking", func(short bool) (Figure, error) { return RunNNLock(short) }},
+		{"table5", "Table 5", func(short bool) (Figure, error) { return RunTable5(short) }},
+	}
+}
+
+// size picks a step's value at the full or the short sizing.
+func size[T any](short bool, full, quick T) T {
+	if short {
+		return quick
+	}
+	return full
+}
+
+// testbed returns the paper's testbed configuration at the given sizing:
+// eight worker hosts, or four when short.
+func testbed(short bool) workload.TestbedConfig {
+	cfg := workload.DefaultTestbedConfig()
+	cfg.Hosts = size(short, 8, 4)
+	return cfg
+}
+
 // simulate runs body as the root goroutine of a fresh virtual-time
-// simulation and returns body's error once the simulation has unwound.
-func simulate(body func(env *simtime.Env) error) error {
+// simulation and returns body's error once the simulation has unwound. A
+// panic in any of the simulation's goroutines — a closed-loop workload
+// whose op failed, say — is returned as the error.
+func simulate(body func(env *simtime.Env) error) (err error) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			err = fmt.Errorf("%v", pv)
+		}
+	}()
 	env := simtime.NewEnv()
-	var err error
 	env.Run(func() { err = body(env) })
 	return err
 }

@@ -11,33 +11,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig1Config sizes the §2.1 motivating experiment: six client applications
-// sharing the cluster while three queries apportion disk bandwidth.
-type Fig1Config struct {
-	Hosts    int
-	Duration time.Duration
-	// Sort job input sizes (the paper uses 10 GB and 100 GB; the defaults
-	// are scaled so several jobs complete within Duration).
-	Sort10g, Sort100g float64
-	// Files per FSread dataset.
-	Files int
-}
-
-// DefaultFig1Config returns a configuration that runs in a few seconds of
-// real time while preserving the figure's shape.
-func DefaultFig1Config() Fig1Config {
-	return Fig1Config{
-		Hosts:    8,
-		Duration: 2 * time.Minute,
-		Sort10g:  2e9,
-		Sort100g: 20e9,
-		Files:    16,
-	}
-}
-
 // Fig1Result holds the three sub-figures.
 type Fig1Result struct {
-	Cfg Fig1Config
 	// HostSeries is Fig 1a: per-host HDFS DataNode read throughput (Q1).
 	HostSeries map[string][]metrics.Point
 	// AppSeries is Fig 1b: HDFS read throughput grouped by top-level
@@ -70,13 +45,16 @@ GroupBy cl.procName, fos.host, fos.procName
 Select cl.procName, fos.host, fos.procName, SUM(fos.length)`
 )
 
-// RunFig1 executes the experiment.
-func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
-	res := &Fig1Result{Cfg: cfg, Q1: fig1Q1, Q2: fig1Q2}
+// RunFig1 executes the §2.1 motivating experiment: six client applications
+// share the cluster while the §2.1 queries apportion disk bandwidth. The sort
+// inputs are scaled down from the paper's 10 GB and 100 GB so that several
+// jobs complete in the window.
+func RunFig1(short bool) (*Fig1Result, error) {
+	const files = 16 // per FSread dataset
+	sort10g, sort100g := size(short, 2e9, 1e9), size(short, 20e9, 2e9)
+	res := &Fig1Result{Q1: fig1Q1, Q2: fig1Q2}
 	err := simulate(func(env *simtime.Env) error {
-		tbCfg := workload.DefaultTestbedConfig()
-		tbCfg.Hosts = cfg.Hosts
-		tb := workload.NewTestbed(env, tbCfg)
+		tb := workload.NewTestbed(env, testbed(short))
 		if err := tb.InitHBaseStores(2e9); err != nil {
 			return err
 		}
@@ -89,18 +67,18 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 		// The six client applications of §2.1.
 		makers := []func() (*workload.Workload, error){
 			func() (*workload.Workload, error) {
-				return tb.NewFSRead(workload.HostName(0), "FSREAD4M", 4e6, cfg.Files, 1)
+				return tb.NewFSRead(workload.HostName(0), "FSREAD4M", 4e6, files, 1)
 			},
 			func() (*workload.Workload, error) {
-				return tb.NewFSRead(workload.HostName(1), "FSREAD64M", 64e6, cfg.Files, 2)
+				return tb.NewFSRead(workload.HostName(1), "FSREAD64M", 64e6, files, 2)
 			},
 			func() (*workload.Workload, error) { return tb.NewHGet(workload.HostName(2), 3), nil },
 			func() (*workload.Workload, error) { return tb.NewHScan(workload.HostName(3), 4), nil },
 			func() (*workload.Workload, error) {
-				return tb.NewMRSort(workload.HostName(4), "MRSORT10G", cfg.Sort10g)
+				return tb.NewMRSort(workload.HostName(4), "MRSORT10G", sort10g)
 			},
 			func() (*workload.Workload, error) {
-				return tb.NewMRSort(workload.HostName(5), "MRSORT100G", cfg.Sort100g)
+				return tb.NewMRSort(workload.HostName(5), "MRSORT100G", sort100g)
 			},
 		}
 		for _, m := range makers {
@@ -111,7 +89,7 @@ func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
 			w.Start()
 		}
 
-		env.Sleep(cfg.Duration)
+		env.Sleep(size(short, 2*time.Minute, 20*time.Second))
 		tb.C.FlushAgents()
 
 		res.HostSeries = col1.Series([]int{0}, 1, true)

@@ -1,44 +1,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/baggage"
 	"repro/internal/metrics"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
-
-// Fig8Config sizes the §6.1 replica-selection case study. The paper runs
-// 96 stress clients against 8 DataNodes reading 8 kB from 10,000 128 MB
-// files; the defaults scale the client count and dataset so the experiment
-// completes in seconds of real time while preserving every sub-figure's
-// shape.
-type Fig8Config struct {
-	Hosts          int
-	ClientsPerHost int
-	Files          int
-	Duration       time.Duration
-	Think          time.Duration
-	// Fixed applies both HDFS-6268 fixes (NameNode shuffling and client
-	// random selection); false reproduces the bug.
-	Fixed bool
-}
-
-// DefaultFig8Config reproduces the buggy behaviour.
-func DefaultFig8Config() Fig8Config {
-	return Fig8Config{
-		Hosts:          8,
-		ClientsPerHost: 3,
-		Files:          400,
-		Duration:       30 * time.Second,
-		Think:          2 * time.Millisecond,
-	}
-}
 
 // The §6.1 queries, as printed in the paper.
 const (
@@ -67,7 +41,7 @@ Select DNop.host, getloc.replicas, COUNT`
 
 // Fig8Result holds the seven sub-figures.
 type Fig8Result struct {
-	Cfg   Fig8Config
+	Fixed bool // both HDFS-6268 fixes applied
 	Hosts []string
 
 	// ClientThroughput is Fig 8a: per-host aggregate client request
@@ -92,8 +66,8 @@ type Fig8Result struct {
 	// only).
 	PrefFreq map[string]map[string]float64
 
-	// Q7BaggageBytes records the serialized baggage size of a Q7 request
-	// (the §6.3 ~137-byte claim).
+	// Q7BaggageBytes is the serialized baggage size of one stress request
+	// with Q3–Q7 installed (the §6.3 ~137-byte claim is Q7's alone).
 	Q7BaggageBytes int
 }
 
@@ -103,20 +77,27 @@ type ReadSpread struct {
 	CV    float64
 }
 
-// RunFig8 executes the case study.
-func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
-	res := &Fig8Result{Cfg: cfg}
+// RunFig8 executes the §6.1 replica-selection case study; fixed applies
+// both HDFS-6268 fixes (NameNode shuffling and client random selection),
+// and false reproduces the bug. The paper runs 96 stress clients against 8
+// DataNodes reading 8 kB from 10,000 128 MB files; this scales the client
+// count and dataset down while preserving every sub-figure's shape.
+func RunFig8(short, fixed bool) (*Fig8Result, error) {
+	const (
+		clientsPerHost = 3
+		think          = 2 * time.Millisecond
+	)
+	res := &Fig8Result{Fixed: fixed}
 	err := simulate(func(env *simtime.Env) error {
-		tbCfg := workload.DefaultTestbedConfig()
-		tbCfg.Hosts = cfg.Hosts
+		tbCfg := testbed(short)
 		tbCfg.HBase = false
 		tbCfg.MapReduce = false
-		tbCfg.NameNode.RandomizeReplicaOrder = cfg.Fixed
-		tbCfg.HDFSClient.RandomReplicaSelection = cfg.Fixed
+		tbCfg.NameNode.RandomizeReplicaOrder = fixed
+		tbCfg.HDFSClient.RandomReplicaSelection = fixed
 		tb := workload.NewTestbed(env, tbCfg)
 		res.Hosts = tb.Hosts
 
-		files, err := tb.StressDataset(cfg.Files, 128e6)
+		files, err := tb.StressDataset(size(short, 400, 100), 128e6)
 		if err != nil {
 			return err
 		}
@@ -137,16 +118,16 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 		perHost := make(map[string][]*workload.Workload)
 		id := 0
 		for _, host := range tb.Hosts {
-			for k := 0; k < cfg.ClientsPerHost; k++ {
+			for k := 0; k < clientsPerHost; k++ {
 				id++
-				w := tb.NewStressTest(host, k, files, cfg.Think, int64(id)*7919)
+				w := tb.NewStressTest(host, k, files, think, int64(id)*7919)
 				perHost[host] = append(perHost[host], w)
 				w.Start()
 			}
 		}
 		res.NetworkTx = sampleNetTx(env, tb)
 
-		env.Sleep(cfg.Duration)
+		env.Sleep(size(short, 30*time.Second, 10*time.Second))
 		tb.C.FlushAgents()
 
 		// 8a: aggregate client throughput per host.
@@ -222,8 +203,8 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 		}
 
 		// §6.3: Q7 baggage size for one representative request.
-		res.Q7BaggageBytes = measureQ7Baggage(tb, files)
-		return nil
+		res.Q7BaggageBytes, err = measureQ7Baggage(tb, files)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -231,23 +212,18 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	return res, nil
 }
 
-// measureQ7Baggage runs one stress op and estimates the per-hop baggage
-// size from the cluster-wide RPC baggage byte counter.
-func measureQ7Baggage(tb *workload.Testbed, files []string) int {
+// measureQ7Baggage runs one stress op on a fresh request and returns the
+// serialized size of that request's baggage once the op is done: what the
+// installed queries (Q4–Q7, not Q7 alone) packed into it, whatever else
+// the cluster is doing meanwhile.
+func measureQ7Baggage(tb *workload.Testbed, files []string) (int, error) {
 	w := tb.NewStressTest(tb.Hosts[0], 99, files, 0, 4242)
-	before := cluster.BaggageBytes()
-	callsBefore := cluster.RPCCalls()
+	var ctx context.Context
+	w.Prepare = func(c context.Context) { ctx = c }
 	if err := w.RunOnce(0); err != nil {
-		return 0
+		return 0, err
 	}
-	bytes := cluster.BaggageBytes() - before
-	calls := cluster.RPCCalls() - callsBefore
-	if calls == 0 {
-		return 0
-	}
-	// Each call serializes baggage twice (request and response); report
-	// the request-side average, which is what rides one hop.
-	return int(bytes / (2 * calls))
+	return len(baggage.FromContext(ctx).Serialize()), nil
 }
 
 func cv(vals []float64) float64 {
@@ -282,7 +258,7 @@ func fmtOpsRate(v float64) string { return fmt.Sprintf("%.0f ops/s", v) }
 func (r *Fig8Result) Render() string {
 	var b strings.Builder
 	mode := "HDFS-6268 bug active"
-	if r.Cfg.Fixed {
+	if r.Fixed {
 		mode = "fixes applied"
 	}
 	fmt.Fprintf(&b, "=== Fig 8 (%s) ===\n\n", mode)

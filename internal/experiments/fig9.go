@@ -12,32 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig9Config sizes the §6.2 network limplock case study: an HBase workload
-// experiences end-to-end latency spikes after one host's NIC degrades from
-// 1 Gbit to 100 Mbit; Pivot Tracing queries decompose request latency per
-// component and identify the bottleneck host.
-type Fig9Config struct {
-	Hosts    int
-	Duration time.Duration
-	// FaultAt downgrades FaultHost's NIC at this offset.
-	FaultAt   time.Duration
-	FaultHost int // index into the worker hosts (the paper's host B = 1)
-	Scanners  int
-	Getters   int
-}
-
-// DefaultFig9Config mirrors the case study.
-func DefaultFig9Config() Fig9Config {
-	return Fig9Config{
-		Hosts:     8,
-		Duration:  60 * time.Second,
-		FaultAt:   20 * time.Second,
-		FaultHost: 1,
-		Scanners:  4,
-		Getters:   4,
-	}
-}
-
 // The latency-decomposition queries: Q8-style timestamp joins (§6.2),
 // grouped by host so the faulty component stands out.
 const (
@@ -78,9 +52,9 @@ var fig9Spans = []struct {
 
 // Fig9Result holds the three sub-figures.
 type Fig9Result struct {
-	Cfg       Fig9Config
 	Hosts     []string
 	FaultHost string
+	FaultAt   time.Duration // when FaultHost's NIC degrades
 
 	// Latencies is Fig 9a: scan request latencies over time (seconds).
 	Latencies []metrics.Point
@@ -91,19 +65,23 @@ type Fig9Result struct {
 	NetworkTx map[string][]metrics.Point
 }
 
-// RunFig9 executes the case study.
-func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
-	res := &Fig9Result{Cfg: cfg}
+// RunFig9 executes the §6.2 network limplock case study: an HBase workload
+// experiences end-to-end latency spikes after one host's NIC degrades from
+// 1 Gbit to 100 Mbit (the paper's host B); Pivot Tracing queries decompose
+// request latency per component and identify the bottleneck host.
+func RunFig9(short bool) (*Fig9Result, error) {
+	const scanners, getters = 4, 4
+	duration := size(short, 60*time.Second, 30*time.Second)
+	res := &Fig9Result{FaultAt: size(short, 20*time.Second, 10*time.Second)}
 	err := simulate(func(env *simtime.Env) error {
-		tbCfg := workload.DefaultTestbedConfig()
-		tbCfg.Hosts = cfg.Hosts
+		tbCfg := testbed(short)
 		tbCfg.MapReduce = false
 		// Two replicas per store block: most RegionServer reads cross the
 		// network, so the limping NIC is exercised from both sides.
 		tbCfg.NameNode.Replication = 2
 		tb := workload.NewTestbed(env, tbCfg)
 		res.Hosts = tb.Hosts
-		res.FaultHost = tb.Hosts[cfg.FaultHost%len(tb.Hosts)]
+		res.FaultHost = tb.Hosts[1]
 		if err := tb.InitHBaseStores(4e9); err != nil {
 			return err
 		}
@@ -118,22 +96,22 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 
 		// Workloads: a mix of scans (bulk, network-heavy) and gets.
 		var scans []*workload.Workload
-		for i := 0; i < cfg.Scanners; i++ {
+		for i := 0; i < scanners; i++ {
 			w := tb.NewHScan(tb.Hosts[i%len(tb.Hosts)], int64(100+i))
 			scans = append(scans, w)
 			w.Start()
 		}
-		for i := 0; i < cfg.Getters; i++ {
+		for i := 0; i < getters; i++ {
 			tb.NewHGet(tb.Hosts[(i+2)%len(tb.Hosts)], int64(200+i)).Start()
 		}
 		res.NetworkTx = sampleNetTx(env, tb)
 
-		env.Sleep(cfg.FaultAt)
+		env.Sleep(res.FaultAt)
 		tb.C.Host(res.FaultHost).SetNICRate(netsim.HundredMbit)
-		env.Sleep(cfg.Duration - cfg.FaultAt)
+		env.Sleep(duration - res.FaultAt)
 		tb.C.FlushAgents()
-		res.Before = snapshotSpans(cols, 0, cfg.FaultAt)
-		res.After = snapshotSpans(cols, cfg.FaultAt, cfg.Duration+time.Second)
+		res.Before = snapshotSpans(cols, 0, res.FaultAt)
+		res.After = snapshotSpans(cols, res.FaultAt, duration+time.Second)
 
 		// 9a: scan latencies over time.
 		for _, w := range scans {
@@ -177,7 +155,7 @@ func snapshotSpans(cols []*metrics.Collector, from, to time.Duration) map[string
 // Render produces the three sub-figures as terminal text.
 func (r *Fig9Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "=== Fig 9: network limplock on %s at t=%v ===\n\n", r.FaultHost, r.Cfg.FaultAt)
+	fmt.Fprintf(&b, "=== Fig 9: network limplock on %s at t=%v ===\n\n", r.FaultHost, r.FaultAt)
 
 	b.WriteString("--- 9a: scan request latencies over time ---\n")
 	vals := make([]float64, 0, len(r.Latencies))

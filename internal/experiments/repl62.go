@@ -9,28 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// GCConfig sizes the §6.2 rogue-GC replication: one RegionServer suffers
-// periodic stop-the-world pauses; latency-decomposition queries identify
-// it.
-type GCConfig struct {
-	Hosts      int
-	Duration   time.Duration
-	GCHost     int
-	GCInterval time.Duration
-	GCPause    time.Duration
-}
-
-// DefaultGCConfig mirrors the VScope scenario replicated in §6.2.
-func DefaultGCConfig() GCConfig {
-	return GCConfig{
-		Hosts:      8,
-		Duration:   30 * time.Second,
-		GCHost:     2,
-		GCInterval: 3 * time.Second,
-		GCPause:    1500 * time.Millisecond,
-	}
-}
-
 // The GC span query: pack the GC start time, unpack at GC end.
 const replQGC = `From g2 In RS.GCEnd
 Join g1 In MostRecent(RS.GCStart) On g1 -> g2
@@ -39,7 +17,6 @@ Select g2.host, COUNT, AVERAGE(g2.time - g1.time)`
 
 // GCResult identifies the rogue RegionServer.
 type GCResult struct {
-	Cfg    GCConfig
 	GCHost string
 	// GCSpans: host -> (pauses, mean pause seconds).
 	GCSpans map[string][2]float64
@@ -47,29 +24,31 @@ type GCResult struct {
 	RSLatency map[string]float64
 }
 
-// RunGC executes the rogue-GC replication.
-func RunGC(cfg GCConfig) (*GCResult, error) {
-	res := &GCResult{Cfg: cfg, GCSpans: map[string][2]float64{}, RSLatency: map[string]float64{}}
+// RunGC executes the §6.2 replication of VScope's rogue-GC scenario: one
+// RegionServer suffers a 1.5 s stop-the-world pause every 3 s, and
+// latency-decomposition queries identify it.
+func RunGC(short bool) (*GCResult, error) {
+	const gcHost = 2 // index into the worker hosts
+	res := &GCResult{GCSpans: map[string][2]float64{}, RSLatency: map[string]float64{}}
 	err := simulate(func(env *simtime.Env) error {
-		tbCfg := workload.DefaultTestbedConfig()
-		tbCfg.Hosts = cfg.Hosts
+		tbCfg := testbed(short)
 		tbCfg.MapReduce = false
 		tb := workload.NewTestbed(env, tbCfg)
 		if err := tb.InitHBaseStores(2e9); err != nil {
 			return err
 		}
-		res.GCHost = tb.Hosts[cfg.GCHost%len(tb.Hosts)]
+		res.GCHost = tb.Hosts[gcHost]
 		qs, err := installAll(tb, replQGC, fig9QRPC)
 		if err != nil {
 			return err
 		}
 
-		tb.RSs[cfg.GCHost%len(tb.RSs)].EnableRogueGC(cfg.GCInterval, cfg.GCPause)
+		tb.RSs[gcHost].EnableRogueGC(3*time.Second, 1500*time.Millisecond)
 
 		for i := 0; i < 4; i++ {
 			tb.NewHGet(tb.Hosts[i%len(tb.Hosts)], int64(i+10)).Start()
 		}
-		env.Sleep(cfg.Duration)
+		env.Sleep(size(short, 30*time.Second, 15*time.Second))
 		tb.C.FlushAgents()
 
 		for _, r := range qs[0].Rows() {
@@ -108,48 +87,37 @@ func (r *GCResult) Render() string {
 	return b.String()
 }
 
-// NNLockConfig sizes the §6.2 NameNode exclusive-locking replication.
-type NNLockConfig struct {
-	Hosts    int
-	Clients  int
-	Duration time.Duration
-	OpDelay  time.Duration
-}
-
-// DefaultNNLockConfig uses enough concurrent clients for lock contention
-// to dominate.
-func DefaultNNLockConfig() NNLockConfig {
-	return NNLockConfig{Hosts: 4, Clients: 16, Duration: 10 * time.Second, OpDelay: 200 * time.Microsecond}
-}
-
 // NNLockResult compares read-op latency under shared vs exclusive locking.
 type NNLockResult struct {
-	Cfg                  NNLockConfig
+	Clients              int
 	SharedMean, ExclMean float64 // seconds
 }
 
-// RunNNLock executes both locking configurations.
-func RunNNLock(cfg NNLockConfig) (*NNLockResult, error) {
+// RunNNLock executes the §6.2 NameNode exclusive-locking replication under
+// both locking configurations, with enough concurrent clients for lock
+// contention to dominate.
+func RunNNLock(short bool) (*NNLockResult, error) {
+	const hosts, clients = 4, 16
 	run := func(exclusive bool) (mean float64, err error) {
 		err = simulate(func(env *simtime.Env) error {
 			tbCfg := workload.DefaultTestbedConfig()
-			tbCfg.Hosts = cfg.Hosts
+			tbCfg.Hosts = hosts
 			tbCfg.HBase = false
 			tbCfg.MapReduce = false
 			tbCfg.NameNode.ExclusiveLocking = exclusive
-			tbCfg.NameNode.OpDelay = cfg.OpDelay
+			tbCfg.NameNode.OpDelay = 200 * time.Microsecond
 			tb := workload.NewTestbed(env, tbCfg)
 			tb.C.PT.Registry().Define("StressTest.DoNextOp", "op")
 			var ws []*workload.Workload
-			for i := 0; i < cfg.Clients; i++ {
-				w, err := tb.NewNNBench(workload.HostName(i%cfg.Hosts), workload.OpOpen, int64(i+1))
+			for i := 0; i < clients; i++ {
+				w, err := tb.NewNNBench(workload.HostName(i%hosts), workload.OpOpen, int64(i+1))
 				if err != nil {
 					return err
 				}
 				ws = append(ws, w)
 				w.Start()
 			}
-			env.Sleep(cfg.Duration)
+			env.Sleep(size(short, 10*time.Second, 5*time.Second))
 			sum, n := 0.0, 0
 			for _, w := range ws {
 				if w.Rec.Count() > 0 {
@@ -172,7 +140,7 @@ func RunNNLock(cfg NNLockConfig) (*NNLockResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NNLockResult{Cfg: cfg, SharedMean: shared, ExclMean: excl}, nil
+	return &NNLockResult{Clients: clients, SharedMean: shared, ExclMean: excl}, nil
 }
 
 // Render summarizes the comparison.
@@ -181,6 +149,6 @@ func (r *NNLockResult) Render() string {
 Open latency, %d concurrent clients:
   shared (RW) locking:    %s
   exclusive locking:      %s   (%.1fx slower)
-`, r.Cfg.Clients, fmtSeconds(r.SharedMean), fmtSeconds(r.ExclMean),
+`, r.Clients, fmtSeconds(r.SharedMean), fmtSeconds(r.ExclMean),
 		safeDiv(r.ExclMean, r.SharedMean))
 }

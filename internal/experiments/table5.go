@@ -13,25 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Table5Config sizes the §6.3 application-level overhead experiment: HDFS
-// stress operations (derived from NNBench) measured under six
-// instrumentation configurations.
-type Table5Config struct {
-	Hosts    int
-	Duration time.Duration
-	// RPCLatency trades absolute op latency against instrumentation cost
-	// visibility; the paper's testbed had sub-millisecond NameNode ops.
-	RPCLatency time.Duration
-	// Think bounds the closed-loop rate (latency measurements are
-	// unaffected; only the number of samples changes).
-	Think time.Duration
-}
-
-// DefaultTable5Config mirrors the paper's stress test scale.
-func DefaultTable5Config() Table5Config {
-	return Table5Config{Hosts: 8, Duration: 20 * time.Second, RPCLatency: 20 * time.Microsecond, Think: time.Millisecond}
-}
-
 // Table5 configurations, in paper row order.
 const (
 	CfgUnmodified = "Unmodified"
@@ -51,22 +32,22 @@ var Ops = []string{workload.OpRead8k, workload.OpOpen, workload.OpCreate, worklo
 // Table5Result holds mean latencies (seconds) per config per op, plus
 // derived overhead percentages relative to the unmodified configuration.
 type Table5Result struct {
-	Cfg      Table5Config
 	Latency  map[string]map[string]float64 // config -> op -> mean seconds
 	Overhead map[string]map[string]float64 // config -> op -> percent
 	OpsRun   map[string]map[string]int
 }
 
-// RunTable5 executes all configurations.
-func RunTable5(cfg Table5Config) (*Table5Result, error) {
+// RunTable5 executes the §6.3 application-level overhead experiment: HDFS
+// stress operations (derived from NNBench) measured under each of the six
+// instrumentation configurations.
+func RunTable5(short bool) (*Table5Result, error) {
 	res := &Table5Result{
-		Cfg:      cfg,
 		Latency:  map[string]map[string]float64{},
 		Overhead: map[string]map[string]float64{},
 		OpsRun:   map[string]map[string]int{},
 	}
 	for _, config := range Configs {
-		lat, counts, err := runTable5Config(cfg, config)
+		lat, counts, err := runTable5Config(short, config)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", config, err)
 		}
@@ -95,26 +76,29 @@ func padTuples(n int) []tuple.Tuple {
 	return out
 }
 
-func runTable5Config(cfg Table5Config, config string) (map[string]float64, map[string]int, error) {
+func runTable5Config(short bool, config string) (map[string]float64, map[string]int, error) {
 	lat := map[string]float64{}
 	counts := map[string]int{}
 	err := simulate(func(env *simtime.Env) error {
-		tbCfg := workload.DefaultTestbedConfig()
-		tbCfg.Hosts = cfg.Hosts
+		tbCfg := testbed(short)
 		tbCfg.HBase = false
 		tbCfg.MapReduce = false
-		tbCfg.Cluster.RPCLatency = cfg.RPCLatency
+		// A short RPC latency keeps the instrumentation cost visible; the
+		// paper's testbed had sub-millisecond NameNode ops.
+		tbCfg.Cluster.RPCLatency = 20 * time.Microsecond
 		tb := workload.NewTestbed(env, tbCfg)
 		tb.C.PT.Registry().Define("StressTest.DoNextOp", "op")
 
-		// One workload per op, spread over hosts, in Ops order.
+		// One workload per op, spread over hosts, in Ops order. The think
+		// time bounds the closed-loop rate: it changes how many latencies
+		// are sampled, not what they are.
 		ws := make([]*workload.Workload, len(Ops))
 		for i, op := range Ops {
-			w, err := tb.NewNNBench(workload.HostName(i%cfg.Hosts), op, int64(i+1))
+			w, err := tb.NewNNBench(tb.Hosts[i%len(tb.Hosts)], op, int64(i+1))
 			if err != nil {
 				return err
 			}
-			w.SetThink(cfg.Think)
+			w.SetThink(time.Millisecond)
 			ws[i] = w
 		}
 
@@ -146,7 +130,7 @@ func runTable5Config(cfg Table5Config, config string) (map[string]float64, map[s
 		for _, w := range ws {
 			w.Start()
 		}
-		env.Sleep(cfg.Duration)
+		env.Sleep(size(short, 20*time.Second, 8*time.Second))
 		for i, op := range Ops {
 			lat[op] = ws[i].Rec.Mean()
 			counts[op] = ws[i].Rec.Count()

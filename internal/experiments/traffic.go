@@ -14,25 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TrafficConfig sizes the Fig 6 comparison: the same Q2-style query
-// evaluated with Pivot Tracing's optimized in-baggage strategy versus the
-// unoptimized global-evaluation strategy.
-type TrafficConfig struct {
-	Hosts        int
-	Readers      int
-	OpsPerReader int
-	Files        int
-}
-
-// DefaultTrafficConfig runs the comparison at the paper's scale.
-func DefaultTrafficConfig() TrafficConfig {
-	return TrafficConfig{Hosts: 8, Readers: 4, OpsPerReader: 400, Files: 16}
-}
-
 // TrafficResult compares the two evaluation strategies.
 type TrafficResult struct {
-	Cfg TrafficConfig
-
 	// Optimized strategy (Fig 6b): per-DataNode tuples emitted to the
 	// process-local aggregator versus rows actually reported to the
 	// frontend (the §4 claim: ~600/s collapses to ~6/s per DataNode).
@@ -55,24 +38,27 @@ Join cl In First(ClientProtocols) On cl -> incr
 GroupBy cl.procName
 Select cl.procName, SUM(incr.delta)`
 
-// RunTraffic executes both strategies on identical workloads.
-func RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
-	res := &TrafficResult{Cfg: cfg}
+// RunTraffic executes the Fig 6 comparison on identical workloads: the same
+// Q2-style query evaluated with Pivot Tracing's optimized in-baggage
+// strategy and with the unoptimized global-evaluation strategy.
+func RunTraffic(short bool) (*TrafficResult, error) {
+	res := &TrafficResult{}
+	ops := size(short, 400, 150) // per reader
 
 	// Optimized (in-baggage) run: the query is installed before the
 	// readers' processes start.
 	err := simulate(func(env *simtime.Env) error {
-		tb := trafficTestbed(env, cfg)
+		tb := trafficTestbed(env, short)
 		h, err := tb.C.PT.Install(trafficQuery)
 		if err != nil {
 			return err
 		}
-		ws, err := trafficReaders(tb, cfg)
+		ws, err := trafficReaders(tb)
 		if err != nil {
 			return err
 		}
 		start := env.Now()
-		runWorkloads(env, ws, cfg.OpsPerReader)
+		runWorkloads(env, ws, ops)
 		secs := (env.Now() - start).Seconds()
 		env.Sleep(2 * time.Second) // final reporting intervals
 		tb.C.FlushAgents()
@@ -94,7 +80,7 @@ func RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 
 	// Baseline (global evaluation) run.
 	err = simulate(func(env *simtime.Env) error {
-		tb := trafficTestbed(env, cfg)
+		tb := trafficTestbed(env, short)
 		q, err := query.Parse(trafficQuery)
 		if err != nil {
 			return err
@@ -103,7 +89,7 @@ func RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 		if err != nil {
 			return err
 		}
-		ws, err := trafficReaders(tb, cfg)
+		ws, err := trafficReaders(tb)
 		if err != nil {
 			return err
 		}
@@ -113,7 +99,7 @@ func RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 			tb.C.WeaveAll(tp, probe)
 		}
 		start := env.Now()
-		runWorkloads(env, ws, cfg.OpsPerReader)
+		runWorkloads(env, ws, ops)
 		secs := (env.Now() - start).Seconds()
 		if res.BaseRows, err = ev.Evaluate(); err != nil {
 			return err
@@ -133,20 +119,20 @@ func RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	return res, nil
 }
 
-func trafficTestbed(env *simtime.Env, cfg TrafficConfig) *workload.Testbed {
-	tbCfg := workload.DefaultTestbedConfig()
-	tbCfg.Hosts = cfg.Hosts
+func trafficTestbed(env *simtime.Env, short bool) *workload.Testbed {
+	tbCfg := testbed(short)
 	tbCfg.HBase = false
 	tbCfg.MapReduce = false
 	return workload.NewTestbed(env, tbCfg)
 }
 
-// trafficReaders starts the reader processes and creates their datasets.
-func trafficReaders(tb *workload.Testbed, cfg TrafficConfig) ([]*workload.Workload, error) {
+// trafficReaders starts the four reader processes and creates their
+// datasets of 16 files each.
+func trafficReaders(tb *workload.Testbed) ([]*workload.Workload, error) {
 	var ws []*workload.Workload
-	for i := 0; i < cfg.Readers; i++ {
-		w, err := tb.NewFSRead(workload.HostName(i%cfg.Hosts),
-			fmt.Sprintf("FSREAD-%d", i), 4e6, cfg.Files, int64(i+1))
+	for i := 0; i < 4; i++ {
+		w, err := tb.NewFSRead(tb.Hosts[i%len(tb.Hosts)],
+			fmt.Sprintf("FSREAD-%d", i), 4e6, 16, int64(i+1))
 		if err != nil {
 			return nil, err
 		}

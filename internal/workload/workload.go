@@ -112,22 +112,20 @@ type Workload struct {
 	// tuples into the request baggage.
 	Prepare func(ctx context.Context)
 
-	// Err records the error that terminated the closed loop, if any.
-	Err error
-
 	think time.Duration
 	op    func(ctx context.Context, i int) error
 }
 
 // Start launches the closed loop: op, record latency, optional think
-// time, repeat until the simulation ends. Errors terminate the loop.
+// time, repeat until the simulation ends. An op that fails panics, naming
+// the workload and the op; simtime.Env.Run re-raises it, so the simulation
+// ends rather than carry on without this client.
 func (w *Workload) Start() {
 	env := w.Proc.C.Env
 	env.Go(func() {
 		for i := 0; !env.Done(); i++ {
 			if err := w.RunOnce(i); err != nil {
-				w.Err = err
-				return
+				panic(fmt.Sprintf("workload %s: op %d: %v", w.Name, i, err))
 			}
 			if w.think > 0 {
 				env.Sleep(w.think)

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -191,6 +194,31 @@ func TestNNBenchWorkloads(t *testing.T) {
 		if counts[op] < 50 {
 			t.Errorf("%s ops = %d, want >= 50", op, counts[op])
 		}
+	}
+}
+
+// TestFailedOpEndsTheSimulation: a closed-loop client whose op fails does
+// not vanish from the run; the failure surfaces from Env.Run, naming the
+// workload and the op.
+func TestFailedOpEndsTheSimulation(t *testing.T) {
+	env := simtime.NewEnv()
+	pv := func() (pv any) {
+		defer func() { pv = recover() }()
+		env.Run(func() {
+			tb := smallTestbed(env, 2)
+			tb.newWorkload("host-A", "FLAKY", time.Millisecond, func(ctx context.Context, i int) error {
+				if i == 2 {
+					return errors.New("disk on fire")
+				}
+				return nil
+			}).Start()
+			env.Sleep(time.Second)
+			t.Error("the simulation outlived a failed op")
+		})
+		return nil
+	}()
+	if want := "workload FLAKY: op 2: disk on fire"; fmt.Sprint(pv) != want {
+		t.Fatalf("Env.Run raised %v, want %q", pv, want)
 	}
 }
 
