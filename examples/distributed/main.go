@@ -58,8 +58,11 @@ func main() {
 		panic(err)
 	}
 
-	// Give the weave instructions a moment to propagate over TCP.
-	for i := 0; i < 200 && !tpWrite.Enabled(); i++ {
+	// Give the weave instructions time to propagate over TCP. The two
+	// workers receive the install over separate connections, so wait for
+	// both.
+	deadline := time.Now().Add(2 * time.Second)
+	for !(tpRecv.Enabled() && tpWrite.Enabled()) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	fmt.Printf("advice woven remotely: gateway=%v store=%v\n",
@@ -82,7 +85,7 @@ func main() {
 	// Workers report; results aggregate at the frontend.
 	gateway.Flush()
 	store.Flush()
-	deadline := time.Now().Add(2 * time.Second)
+	deadline = time.Now().Add(2 * time.Second)
 	for len(q.Rows()) < len(tenants) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}

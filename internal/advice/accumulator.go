@@ -11,9 +11,10 @@ import (
 type Accumulator struct {
 	Merger
 
-	// keyScratch is the reused buffer Add builds group keys in; the map
-	// lookup via string(keyScratch) does not allocate, so folding into an
-	// existing group is allocation-free. Accumulator is not safe for
+	// keyScratch is the reused buffer Add builds group keys in. Neither the
+	// map lookup via string(keyScratch) nor newGroup, which copies the key
+	// into the byte slab, lets that conversion escape, so it allocates
+	// nothing for a key of up to 32 bytes. Accumulator is not safe for
 	// concurrent use, so a single scratch suffices.
 	keyScratch []byte
 }

@@ -45,11 +45,12 @@ func wideTuples(n int) []tuple.Tuple {
 	return out
 }
 
-// TestAllocNewGroupPerRow: a row costs the tier that creates it one
-// allocation, its key; the group, its states and its Rep come out of
-// slabs, whose chunks (and the growth of the table) add a few hundred
-// allocations to 8192 rows in an accumulator that knows nothing yet, and a
-// handful in one that Reset sized from the interval before.
+// TestAllocNewGroupPerRow: a row costs the tier that creates it no object
+// of its own; the group, its states, its Rep and the bytes of its key and
+// Rep strings come out of slabs, whose chunks (and the growth of the
+// table) add a few hundred allocations to 8192 rows in an accumulator that
+// knows nothing yet, and a handful in one that Reset sized from the
+// interval before.
 func TestAllocNewGroupPerRow(t *testing.T) {
 	const rows = 8192
 	ws := wideTuples(rows)
@@ -58,13 +59,13 @@ func TestAllocNewGroupPerRow(t *testing.T) {
 			acc.Add(w)
 		}
 	}
-	if n := testing.AllocsPerRun(5, func() { fill(NewAccumulator(aggOp())) }) / rows; n > 1.1 {
-		t.Errorf("a fresh accumulator allocates %.3f objects per new group, want at most 1.1", n)
+	if n := testing.AllocsPerRun(5, func() { fill(NewAccumulator(aggOp())) }) / rows; n > 0.1 {
+		t.Errorf("a fresh accumulator allocates %.3f objects per new group, want at most 0.1", n)
 	}
 	acc := NewAccumulator(aggOp())
 	fill(acc)
-	if n := testing.AllocsPerRun(5, func() { acc.Reset(); fill(acc) }) / rows; n > 1.01 {
-		t.Errorf("an accumulator sized by Reset allocates %.3f objects per new group, want at most 1.01", n)
+	if n := testing.AllocsPerRun(5, func() { acc.Reset(); fill(acc) }) / rows; n > 0.01 {
+		t.Errorf("an accumulator sized by Reset allocates %.3f objects per new group, want at most 0.01", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/agg"
 	"repro/internal/baggage"
@@ -112,10 +113,12 @@ type Merger struct {
 	// without an Op.
 	empty []agg.State
 
-	// The groups the merger creates, their states and their Rep values.
+	// The groups the merger creates, their states, their Rep values, and
+	// the bytes of their keys and Rep strings.
 	groupSlab slab.Slab[Group]
 	stateSlab slab.Slab[agg.State]
 	valueSlab slab.Slab[tuple.Value]
+	byteSlab  slab.Slab[byte]
 
 	// seqSrc, when set, stamps each group this merger creates with a
 	// sequence shared across sibling shards (see ShardedAccumulator).
@@ -150,6 +153,7 @@ func (m *Merger) next() Merger {
 		Op: m.Op, limits: m.limits, empty: m.empty, seqSrc: m.seqSrc,
 		rawsDropped: m.rawsDropped, groupsOverflowed: m.groupsOverflowed,
 		groupSlab: m.groupSlab.Next(), stateSlab: m.stateSlab.Next(), valueSlab: m.valueSlab.Next(),
+		byteSlab: m.byteSlab.Next(),
 	}
 	n.groups = make(map[string]*Group, n.groupSlab.Want())
 	n.order = make([]*Group, 0, n.groupSlab.Want())
@@ -198,18 +202,45 @@ func (m *Merger) atGroupCap() bool {
 
 // newGroup registers a group the merger creates, stamping its creation
 // order. The group, its copy of rep and its copy of states are cut out of
-// the slabs.
+// the slabs, and so, with one Take, are its key and its Rep's strings: a
+// merger keeps no string it was handed, which may alias a decoded frame or
+// a caller's scratch buffer.
 func (m *Merger) newGroup(key string, rep tuple.Tuple, states []agg.State) *Group {
 	g := &m.groupSlab.Take(1)[0]
-	g.Key, g.Rep, g.States = key, m.valueSlab.Take(len(rep)), m.stateSlab.Take(len(states))
-	copy(g.Rep, rep)
+	b := m.byteSlab.Take(stringBytes(key, rep))
+	g.Key, b = keep(b, key)
+	g.Rep, g.States = m.valueSlab.Take(len(rep)), m.stateSlab.Take(len(states))
+	for i, v := range rep {
+		if v.Kind() == tuple.KindString {
+			var s string
+			s, b = keep(b, v.Str())
+			v = tuple.String(s)
+		}
+		g.Rep[i] = v
+	}
 	copy(g.States, states)
 	if m.seqSrc != nil {
 		g.seq = m.seqSrc.Add(1)
 	}
-	m.groups[key] = g
+	m.groups[g.Key] = g
 	m.order = append(m.order, g)
 	return g
+}
+
+// stringBytes returns how many bytes a group's key and Rep strings take.
+func stringBytes(key string, rep tuple.Tuple) int {
+	n := len(key)
+	for _, v := range rep {
+		n += len(v.Str())
+	}
+	return n
+}
+
+// keep copies s to the front of b, returning the copy, a string over b's
+// memory, and the rest of b.
+func keep(b []byte, s string) (string, []byte) {
+	n := copy(b, s)
+	return unsafe.String(unsafe.SliceData(b), n), b[n:]
 }
 
 // overflowGroup returns the overflow group, creating it from a template
@@ -282,10 +313,11 @@ func (m *Merger) checkShape(groups []*Group) error {
 
 // Merge folds one report's contents: partial groups, raw rows and eviction
 // tombstones. The report may be shared with other bus subscribers, so the
-// source is never mutated: a group is cloned the first time its key is
-// seen — into slabs sized, at the report's first new key, for all of its
-// new keys — and only the merger's own clone is ever merged into; raw rows
-// are immutable once published and are appended by reference. Groups beyond
+// source is never mutated: a group is cloned, strings and all, the first
+// time its key is seen — into slabs sized, at the report's first new key,
+// for all of its new keys — and only the merger's own clone is ever merged
+// into; raw rows are immutable once published and are appended by
+// reference. Groups beyond
 // the cap merge into the overflow group (an overflow group arriving from
 // downstream is an ordinary first sight of OverflowKey), so "overflowed"
 // stays exact end-to-end. A report with a malformed group is rejected
@@ -323,16 +355,18 @@ func (m *Merger) Merge(groups []*Group, raws []tuple.Tuple, drops []baggage.Drop
 // expect sizes the slabs for the groups among rest whose key the merger
 // does not hold yet, so cloning them costs one allocation per slab.
 func (m *Merger) expect(rest []*Group) {
-	groups, values := 0, 0
+	groups, values, bytes := 0, 0, 0
 	for _, g := range rest {
 		if _, ok := m.groups[g.Key]; !ok {
 			groups++
 			values += len(g.Rep)
+			bytes += stringBytes(g.Key, g.Rep)
 		}
 	}
 	m.groupSlab.Expect(groups)
 	m.stateSlab.Expect(groups * len(rest[0].States))
 	m.valueSlab.Expect(values)
+	m.byteSlab.Expect(bytes)
 }
 
 // Absorb moves src's contents into m without cloning: groups and raw rows

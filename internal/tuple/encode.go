@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Binary encoding: one tag byte (the Kind), then a kind-specific payload.
@@ -132,15 +133,26 @@ func (r *Reader) CountOf(size int) int {
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.bytes()) }
+
+// Borrow reads a length-prefixed string as String does, without copying
+// it: the result aliases the Reader's buffer, so it stays valid only as
+// long as nothing writes that buffer.
+func (r *Reader) Borrow() string {
+	b := r.bytes()
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// bytes reads a length-prefixed byte string, as a subslice of the buffer.
+func (r *Reader) bytes() []byte {
 	n, k := binary.Uvarint(r.buf)
 	if k <= 0 || n > uint64(len(r.buf)-k) {
 		r.Fail(ErrTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.buf[k : k+int(n)])
+	b := r.buf[k : k+int(n)]
 	r.buf = r.buf[k+int(n):]
-	return s
+	return b
 }
 
 // Strings reads a count and that many strings.
@@ -164,7 +176,13 @@ func (r *Reader) Ints() []int {
 }
 
 // Value reads one value.
-func (r *Reader) Value() Value {
+func (r *Reader) Value() Value { return r.value(false) }
+
+// BorrowValue reads one value as Value does, except that a string value
+// aliases the Reader's buffer (see Borrow).
+func (r *Reader) BorrowValue() Value { return r.value(true) }
+
+func (r *Reader) value(borrow bool) Value {
 	switch kind := Kind(r.Byte()); kind {
 	case KindNull:
 		return Null
@@ -173,6 +191,9 @@ func (r *Reader) Value() Value {
 	case KindFloat:
 		return Float(math.Float64frombits(r.Fixed64()))
 	case KindString:
+		if borrow {
+			return String(r.Borrow())
+		}
 		return String(r.String())
 	case KindBool:
 		return Bool(r.Byte() != 0)

@@ -1,12 +1,14 @@
 package tuple
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -258,6 +260,46 @@ func TestReaderFirstErrorWins(t *testing.T) {
 	cause := errors.New("foreign decoder failed")
 	if r.Resume(nil, cause); r.Err() != cause {
 		t.Errorf("Resume(nil, err): err = %v, want %v", r.Err(), cause)
+	}
+}
+
+// TestBorrowReadsLikeCopy: over every prefix of every value and tuple seed
+// — every kind, and every way to run short — BorrowValue returns the value,
+// unread bytes and error that Value does, and Borrow what String does; a
+// borrowed string lies inside the Reader's buffer.
+func TestBorrowReadsLikeCopy(t *testing.T) {
+	same := func(a, b error) bool { return a == b || a != nil && b != nil && a.Error() == b.Error() }
+	seeds := valueSeeds()
+	for name, s := range tupleSeeds() {
+		seeds["tuple-"+name] = s
+	}
+	for name, seed := range seeds {
+		for cut := 0; cut <= len(seed); cut++ {
+			buf := seed[:cut]
+			for _, off := range []int{0, 1} { // a value, and the string after its kind tag
+				if off > len(buf) {
+					continue
+				}
+				c, b := NewReader(buf[off:]), NewReader(buf[off:])
+				var cv, bv Value
+				if off == 0 {
+					cv, bv = c.Value(), b.BorrowValue()
+				} else {
+					cv, bv = String(c.String()), String(b.Borrow())
+				}
+				if cv.Kind() != bv.Kind() || !cv.Equal(bv) || !bytes.Equal(c.Rest(), b.Rest()) || !same(c.Err(), b.Err()) {
+					t.Errorf("%s[:%d] at %d: borrowed %v, rest %x, err %v; copied %v, rest %x, err %v",
+						name, cut, off, bv, b.Rest(), b.Err(), cv, c.Rest(), c.Err())
+				}
+				if s := bv.Str(); s != "" {
+					p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+					if p < lo || p+uintptr(len(s)) > lo+uintptr(len(buf)) {
+						t.Errorf("%s[:%d] at %d: borrowed %q does not alias the buffer", name, cut, off, s)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -274,44 +276,84 @@ func exprSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
-// mergeDecoded feeds a decoded report to the two kinds of merger a frame
-// can reach — a combiner tier's (no query knowledge) and a frontend's
-// (here the seed installs' GroupBy host Select host, COUNT) — and then
-// materializes rows. Whatever shape the frame smuggled in, the merger
-// either folds it or rejects it; neither path may panic.
-func mergeDecoded(r *agent.Report) {
-	tier := advice.NewMerger(nil, advice.Unbounded)
-	frontend := advice.NewMerger(&advice.EmitOp{
-		Cols:    []advice.EmitCol{{Pos: 0}, {IsAgg: true, Pos: -1, Fn: agg.Count}},
-		GroupBy: []int{0}, Schema: tuple.Schema{"host", "COUNT"},
-	}, advice.Limits{MaxGroups: 2, MaxRaws: 2})
-	for _, m := range []*advice.Merger{tier, frontend} {
+// newMergers returns the two kinds of merger a frame can reach: a combiner
+// tier's (no query knowledge) and a frontend's (here the seed installs'
+// GroupBy host Select host, COUNT).
+func newMergers() []*advice.Merger {
+	return []*advice.Merger{
+		advice.NewMerger(nil, advice.Unbounded),
+		advice.NewMerger(&advice.EmitOp{
+			Cols:    []advice.EmitCol{{Pos: 0}, {IsAgg: true, Pos: -1, Fn: agg.Count}},
+			GroupBy: []int{0}, Schema: tuple.Schema{"host", "COUNT"},
+		}, advice.Limits{MaxGroups: 2, MaxRaws: 2}),
+	}
+}
+
+// mergeDecoded feeds a decoded report to ms, twice, and then materializes
+// rows. Whatever shape the frame smuggled in, a merger either folds it or
+// rejects it; neither path may panic.
+func mergeDecoded(ms []*advice.Merger, r *agent.Report) {
+	for _, m := range ms {
 		for pass := 0; pass < 2; pass++ { // second pass takes the merge-into-existing path
 			_, _ = m.Merge(r.Groups, r.Raws, r.Drops)
 		}
+		if m.Op != nil {
+			m.Rows()
+		}
 	}
-	frontend.Rows()
+}
+
+// snapshot renders what ms hold, in a copy of its own: every group's key,
+// Rep and encoded states, every raw row, and the Rows of those that know
+// their query.
+func snapshot(ms []*advice.Merger) string {
+	var b strings.Builder
+	for _, m := range ms {
+		for _, g := range m.Groups() {
+			fmt.Fprintf(&b, "%q %v", g.Key, g.Rep)
+			for i := range g.States {
+				fmt.Fprintf(&b, " %x", g.States[i].Append(nil))
+			}
+			b.WriteByte('\n')
+		}
+		fmt.Fprintln(&b, m.Raws())
+		if m.Op != nil {
+			fmt.Fprintln(&b, m.Rows())
+		}
+	}
+	return b.String()
+}
+
+// scribble overwrites every byte of frame.
+func scribble(frame []byte) {
+	for i := range frame {
+		frame[i] = ^frame[i]
+	}
 }
 
 // FuzzUnmarshal: decoding arbitrary bytes must never panic, and any
 // successfully decoded message must re-marshal to a stable canonical
 // encoding (Marshal ∘ Unmarshal is a fixpoint). Every decoded Report and
-// ReportBatch must also survive a Merger.
+// ReportBatch must also survive a Merger, which keeps nothing of the frame
+// the report borrows: what it holds does not change when the frame is
+// overwritten.
 func FuzzUnmarshal(f *testing.F) {
 	for _, s := range messageSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Unmarshal(data)
+		frame := bytes.Clone(data) // the decoded message borrows it; scribbled below
+		msg, err := Unmarshal(frame)
 		if err != nil {
 			return
 		}
+		ms := newMergers()
 		switch m := msg.(type) {
 		case agent.Report:
-			mergeDecoded(&m)
+			mergeDecoded(ms, &m)
 		case agent.ReportBatch:
 			for i := range m.Reports {
-				mergeDecoded(&m.Reports[i])
+				mergeDecoded(ms, &m.Reports[i])
 			}
 		}
 		enc, err := Marshal(msg)
@@ -328,6 +370,10 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("%T encoding is not a fixpoint:\n%x\n%x", msg, enc, enc2)
+		}
+		before := snapshot(ms)
+		if scribble(frame); snapshot(ms) != before {
+			t.Fatalf("overwriting the frame changed what the mergers hold:\n%s\nwas\n%s", snapshot(ms), before)
 		}
 	})
 }

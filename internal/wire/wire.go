@@ -367,7 +367,9 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 // every Rep and raw-row value are cut from one slab each, sized from the
 // counts the frame gives — a count times the width of the first element
 // that carries it, which is exact unless the frame's groups are ragged —
-// and never beyond what the unread bytes could encode.
+// and never beyond what the unread bytes could encode. Group keys and Rep
+// strings borrow the frame (a Merger copies what it keeps); raw rows are
+// kept by reference wherever they are merged, so their strings are copied.
 func readReport(r *tuple.Reader) agent.Report {
 	m := agent.Report{QueryID: r.String(), Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
 	if n := r.CountOf(minGroupSize); n > 0 {
@@ -378,7 +380,7 @@ func readReport(r *tuple.Reader) agent.Report {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			g := &groups[i]
 			m.Groups[i] = g
-			g.Key, g.Rep = r.String(), readTuple(r, &values, n-i)
+			g.Key, g.Rep = r.Borrow(), readTuple(r, &values, n-i, true)
 			ns := r.CountOf(agg.MinEncodedSize)
 			states.Expect(min((n-i)*ns, len(r.Rest())/agg.MinEncodedSize))
 			g.States = states.Take(ns)
@@ -391,7 +393,7 @@ func readReport(r *tuple.Reader) agent.Report {
 		var values slab.Slab[tuple.Value]
 		m.Raws = make([]tuple.Tuple, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			m.Raws[i] = readTuple(r, &values, n-i)
+			m.Raws[i] = readTuple(r, &values, n-i, false)
 		}
 	}
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
@@ -406,13 +408,17 @@ const minGroupSize = 3
 
 // readTuple decodes one tuple into values, which expects this tuple's
 // width for each of the more tuples (this one included) the caller has yet
-// to read.
-func readTuple(r *tuple.Reader, values *slab.Slab[tuple.Value], more int) tuple.Tuple {
+// to read. With borrow, its string values alias the frame.
+func readTuple(r *tuple.Reader, values *slab.Slab[tuple.Value], more int, borrow bool) tuple.Tuple {
 	n := r.Count()
 	values.Expect(min(more*n, len(r.Rest())))
 	t := values.Take(n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		t[i] = r.Value()
+		if borrow {
+			t[i] = r.BorrowValue()
+		} else {
+			t[i] = r.Value()
+		}
 	}
 	return t
 }
@@ -523,7 +529,9 @@ func Marshal(msg any) ([]byte, error) {
 	}
 }
 
-// Unmarshal decodes a message produced by Marshal.
+// Unmarshal decodes a message produced by Marshal. A decoded report's group
+// keys and Rep strings alias buf, so the caller must not write buf while
+// the message is in use; every other field is copied out.
 func Unmarshal(buf []byte) (any, error) {
 	r := tuple.NewReader(buf)
 	msg := readMessage(&r)
@@ -616,5 +624,7 @@ type BusCodec struct{}
 // Marshal implements bus.Codec.
 func (BusCodec) Marshal(msg any) ([]byte, error) { return Marshal(msg) }
 
-// Unmarshal implements bus.Codec.
+// Unmarshal implements bus.Codec. The result aliases data, as Unmarshal's
+// does; the bus reads every frame into a payload of its own and never
+// writes it after.
 func (BusCodec) Unmarshal(data []byte) (any, error) { return Unmarshal(data) }

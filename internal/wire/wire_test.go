@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -557,6 +558,51 @@ func waitFor(cond func() bool, timeout time.Duration) bool {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return cond()
+}
+
+// TestMergerKeepsNoBorrowedString: a decoded report's keys and Rep strings
+// alias its frame, and a merger copies every string it keeps. A combiner
+// tier's merger and a frontend's merge a ReportBatch frame; overwriting
+// every byte of the frame afterwards changes none of their groups or rows.
+func TestMergerKeepsNoBorrowedString(t *testing.T) {
+	st := agg.New(agg.Count)
+	st.Add(tuple.Null)
+	report := func(q string, hosts ...string) agent.Report {
+		r := agent.Report{QueryID: q, Host: "h", ProcName: "p", Time: time.Second,
+			Raws: []tuple.Tuple{{tuple.String("raw-" + q)}}}
+		for _, h := range hosts {
+			r.Groups = append(r.Groups, &advice.Group{
+				Key: "key-" + h, Rep: tuple.Tuple{tuple.String(h), tuple.Int(7), tuple.String("x-" + h)},
+				States: []agg.State{*st},
+			})
+		}
+		return r
+	}
+	frame, err := Marshal(agent.ReportBatch{Host: "h", ProcName: "p", Time: time.Second, Reports: []agent.Report{
+		report("Q1", "host-a", "host-b", "host-c"), report("Q2", "host-b", "host-d"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := newMergers()
+	for _, r := range msg.(agent.ReportBatch).Reports {
+		for _, m := range ms {
+			if _, err := m.Merge(r.Groups, r.Raws, r.Drops); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := snapshot(ms)
+	if !strings.Contains(before, `"key-host-d" (host-d, 7, x-host-d)`) {
+		t.Fatalf("the mergers hold\n%s\nwant every decoded group", before)
+	}
+	if scribble(frame); snapshot(ms) != before {
+		t.Errorf("overwriting the frame changed what the mergers hold:\n%s\nwas\n%s", snapshot(ms), before)
+	}
 }
 
 // TestReadReportSlabs: the report decoder cuts groups, states and values

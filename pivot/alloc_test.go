@@ -83,12 +83,12 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 // TestAllocsWideRound pins what a reported row costs across the whole
 // reporting path — the round of the wide-groups workload in bench/ and of
 // BenchmarkWideReport: one crossing per key in a worker, Flush, the report
-// frame through the wire codec, the frontend's merge, Rows(). A row is
-// three objects: its key where the accumulator creates it, its key and its
-// Rep's string where the frame is decoded. Groups, states and values come
-// out of slabs at both tiers, a merge into a row the frontend holds
-// allocates nothing, and Rows() is two objects however many rows it
-// returns; frames, tables and chunks add hundredths per row.
+// frame through the wire codec, the frontend's merge, Rows(). A row is no
+// object of its own. Groups, states, values and the bytes of keys and Rep
+// strings come out of slabs where a merger creates a row; a decoded frame's
+// keys and Rep strings borrow the frame; a merge into a row the frontend
+// holds allocates nothing; and Rows() is two objects however many rows it
+// returns. Frames, tables and chunks add hundredths per row.
 func TestAllocsWideRound(t *testing.T) {
 	const rows = 8192
 	worker, front := New("worker"), New("frontend")
@@ -135,7 +135,7 @@ func TestAllocsWideRound(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.Mallocs-before.Mallocs) / (rounds * rows)
 	t.Logf("%.3f objects per reported row", per)
-	if per > 3.5 {
-		t.Errorf("a reported row costs %.3f objects from crossing to Rows(), want at most 3.5", per)
+	if per > 0.1 {
+		t.Errorf("a reported row costs %.3f objects from crossing to Rows(), want at most 0.1", per)
 	}
 }
