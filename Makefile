@@ -59,9 +59,10 @@ bench-gate:
 # test joins its suite by carrying the suite's word in its name.
 
 # Concurrency-stress suite (Stress*, Sharded*): N emitting goroutines
-# racing install/uninstall/flush with exact tuple accounting, plus the
-# sharded accumulator's exactness/ordering/drop-accounting suite — under
-# the race detector, twice, to shake out interleavings.
+# racing install/uninstall/flush with exact tuple accounting, per flush,
+# plus the accumulator's exactness/ordering/limits suite under concurrent
+# adders and drains — under the race detector, twice, to shake out
+# interleavings.
 stress:
 	$(GO) test ./internal/agent ./internal/advice -race -count=2 -run 'Stress|Sharded'
 

@@ -374,50 +374,36 @@ func benchInstall(b *testing.B, n int) (*agent.Agent, *bus.Bus, *tracepoint.Trac
 
 // BenchmarkHereParallel measures the multicore hot path end to end —
 // tracepoint fire, advice, agent EmitTuple, accumulator fold — under
-// RunParallel at the -cpu list (the bench gate pins 1, 4, and 8).
-// "sharded" is the shipped configuration (per-P accumulator stripes);
-// "unsharded" forces one shard, the Table 5-era single-mutex baseline, so
-// the scaling claim is an in-tree ablation rather than a git archaeology
-// exercise.
+// RunParallel at the -cpu list (the bench gate pins 1, 4, and 8). Every
+// goroutine folds into the query's one accumulator, behind its one lock.
 func BenchmarkHereParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{
-		{"sharded", 0},
-		{"unsharded", 1},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			bb := bus.New()
-			reg := tracepoint.NewRegistry()
-			tp := reg.Define("Bench.Tracepoint", "v")
-			a := agent.New(nil, tracepoint.ProcInfo{Host: "h", ProcName: "p"}, reg, bb, 0)
-			defer a.Close()
-			a.SetAccumulatorShards(mode.shards)
-			q, err := query.Parse(`From e In Bench.Tracepoint GroupBy e.host Select e.host, SUM(e.v)`)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q.Name = "bench"
-			p, err := plan.Compile(q, reg, nil, plan.Optimized)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.Deliver(agent.Install{QueryID: "bench", Programs: p.Programs})
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				ctx := tracepoint.WithProc(context.Background(),
-					tracepoint.ProcInfo{Host: "h", ProcName: "p"})
-				ctx = baggage.NewContext(ctx, baggage.New())
-				for pb.Next() {
-					tp.Here(ctx, 1)
-				}
-			})
-			b.StopTimer()
-			a.Flush()
-		})
+	bb := bus.New()
+	reg := tracepoint.NewRegistry()
+	tp := reg.Define("Bench.Tracepoint", "v")
+	a := agent.New(nil, tracepoint.ProcInfo{Host: "h", ProcName: "p"}, reg, bb, 0)
+	defer a.Close()
+	q, err := query.Parse(`From e In Bench.Tracepoint GroupBy e.host Select e.host, SUM(e.v)`)
+	if err != nil {
+		b.Fatal(err)
 	}
+	q.Name = "bench"
+	p, err := plan.Compile(q, reg, nil, plan.Optimized)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.Deliver(agent.Install{QueryID: "bench", Programs: p.Programs})
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		ctx := tracepoint.WithProc(context.Background(),
+			tracepoint.ProcInfo{Host: "h", ProcName: "p"})
+		ctx = baggage.NewContext(ctx, baggage.New())
+		for pb.Next() {
+			tp.Here(ctx, 1)
+		}
+	})
+	b.StopTimer()
+	a.Flush()
 }
 
 // BenchmarkReportBatch measures one flush interval of a 64-query agent:

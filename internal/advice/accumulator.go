@@ -1,21 +1,32 @@
 package advice
 
 import (
+	"sync"
+
 	"repro/internal/tuple"
 )
 
 // Accumulator aggregates emitted working tuples for one EmitOp: a Merger
 // plus the fold-in path (Add) that turns working tuples into groups and
-// raw rows. Agents hold these (striped, see ShardedAccumulator); everything
-// downstream of an agent holds a plain Merger.
+// raw rows. An agent holds one per installed query, and folds every
+// tuple the query emits in the process into it; everything downstream of
+// an agent holds a plain Merger.
+//
+// Add, Drain and the drop counters take the accumulator's lock, so
+// concurrent tracepoint fires may share it; the Merger methods it
+// inherits take none.
 type Accumulator struct {
+	mu sync.Mutex
 	Merger
+
+	// adds counts the tuples folded in since the last Drain.
+	adds int64
 
 	// keyScratch is the reused buffer Add builds group keys in. Neither the
 	// map lookup via string(keyScratch) nor newGroup, which copies the key
 	// into the byte slab, lets that conversion escape, so it allocates
-	// nothing for a key of up to 32 bytes. Accumulator is not safe for
-	// concurrent use, so a single scratch suffices.
+	// nothing for a key of up to 32 bytes. Add holds the lock, so a single
+	// scratch suffices.
 	keyScratch []byte
 }
 
@@ -23,6 +34,9 @@ type Accumulator struct {
 func NewAccumulator(op *EmitOp) *Accumulator {
 	return &Accumulator{Merger: *NewMerger(op, Limits{})}
 }
+
+// NewShardedAccumulator is NewAccumulator; it stays for bench/'s layer benchmarks.
+func NewShardedAccumulator(op *EmitOp, _ int) *Accumulator { return NewAccumulator(op) }
 
 // Add folds one emitted working tuple at unit weight.
 func (a *Accumulator) Add(w tuple.Tuple) { a.AddWeighted(w, 1) }
@@ -33,6 +47,9 @@ func (a *Accumulator) Add(w tuple.Tuple) { a.AddWeighted(w, 1) }
 // nothing to scale — while aggregate columns fold through the weighted
 // state path, marking the group's states inexact when weight != 1.
 func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.adds++
 	if a.Op.Raw {
 		row := make(tuple.Tuple, len(a.Op.Cols))
 		for i, col := range a.Op.Cols {
@@ -64,4 +81,35 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 		}
 		k++
 	}
+}
+
+// Drain hands over what was folded in since the last Drain, and how many
+// tuples that was, leaving an empty merger sized from it in its place
+// (merge-on-flush: the caller owns the result outright and may publish
+// it). With nothing folded in it returns nil and 0.
+func (a *Accumulator) Drain() (*Merger, int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.adds == 0 {
+		return nil, 0
+	}
+	m, n := a.Merger, a.adds
+	a.Merger, a.adds = m.next(), 0
+	return &m, n
+}
+
+// RawsDropped returns how many raw rows FIFO eviction has discarded,
+// cumulative across Drains.
+func (a *Accumulator) RawsDropped() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.rawsDropped
+}
+
+// GroupsOverflowed returns how many rows were folded into the overflow
+// group, cumulative across Drains.
+func (a *Accumulator) GroupsOverflowed() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.groupsOverflowed
 }

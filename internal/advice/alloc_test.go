@@ -24,15 +24,20 @@ func TestAllocAccumulatorAddSteadyStateIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestAllocShardedAddSteadyStateIsAllocationFree: the agent's path — Add
+// under the lock, into an accumulator that has been drained — allocates
+// nothing once the interval's group exists.
 func TestAllocShardedAddSteadyStateIsAllocationFree(t *testing.T) {
-	s := NewShardedAccumulator(aggOp(), 0)
+	s := NewAccumulator(aggOp())
 	w := tuple.Tuple{tuple.String("host-1"), tuple.Int(1)}
-	s.Add(w) // create this shard's group and hint (cold)
+	s.Add(w)
+	s.Drain()
+	s.Add(w) // create this interval's group (cold)
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Add(w)
 	}); n != 0 {
-		t.Errorf("steady-state ShardedAccumulator.Add allocates %.1f objects/op, "+
-			"want 0 (regression in the shard-affinity or scratch-key path)", n)
+		t.Errorf("steady-state Add after a Drain allocates %.1f objects/op, "+
+			"want 0 (regression in the locked or scratch-key path)", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package advice
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/agg"
@@ -20,16 +19,11 @@ type Group struct {
 	Key    string
 	Rep    tuple.Tuple // representative working tuple for non-agg columns
 	States []agg.State
-
-	// seq is the group's creation stamp from a shared sequence source (see
-	// ShardedAccumulator): Drain uses it to restore global first-seen order
-	// across shards. Zero when no sequence source is attached.
-	seq int64
 }
 
 // Clone deep-copies the group.
 func (g *Group) Clone() *Group {
-	return &Group{Key: g.Key, Rep: g.Rep.Clone(), States: slices.Clone(g.States), seq: g.seq}
+	return &Group{Key: g.Key, Rep: g.Rep.Clone(), States: slices.Clone(g.States)}
 }
 
 // Limits bounds a merger's memory: group-by cardinality and raw-row
@@ -43,7 +37,7 @@ type Limits struct {
 }
 
 // Unbounded disables both caps: for mergers whose inputs were already
-// capped where their tuples were folded (shard drains, combiner tiers).
+// capped where their tuples were folded (combiner tiers).
 var Unbounded = Limits{MaxGroups: -1, MaxRaws: -1}
 
 // Limit defaults.
@@ -86,16 +80,15 @@ func (l Limits) maxRaws() int {
 // ride inside agg.State), raw rows and tombstones union, so folding the
 // same tuples in-process, at any number of intermediate tiers, and once
 // more at the frontend yields identical results. Agents (through
-// Accumulator and ShardedAccumulator), combiner tiers and the frontend all
-// hold this one type.
+// Accumulator), combiner tiers and the frontend all hold this one type.
 //
-// There are two ways in — Merge for reports other bus subscribers may
-// share, Absorb for exclusively-owned drains — and one way out: Groups,
-// Raws and Drops. What comes out is published and may be aliased from then
-// on, so a merger never writes to a group, state, value or raw-row slice
-// it has handed out once Reset (or a sharded Drain) has let go of it: the
-// rows live in slabs that are dropped with the interval, not recycled. A
-// Merger is not safe for concurrent use.
+// Reports come in one way, Merge (an Accumulator also folds working tuples
+// in), and go out one way: Groups, Raws and Drops. What comes out is
+// published and may be aliased from then on, so a merger never writes to a
+// group, state, value or raw-row slice it has handed out once Reset (or an
+// Accumulator's Drain) has let go of it: the rows live in slabs that are
+// dropped with the interval, not recycled. A Merger is not safe for
+// concurrent use.
 type Merger struct {
 	// Op is the query's emit operation. It shapes new and overflow groups,
 	// validates incoming ones, and materializes Rows. A combiner tier does
@@ -120,10 +113,6 @@ type Merger struct {
 	valueSlab slab.Slab[tuple.Value]
 	byteSlab  slab.Slab[byte]
 
-	// seqSrc, when set, stamps each group this merger creates with a
-	// sequence shared across sibling shards (see ShardedAccumulator).
-	seqSrc *atomic.Int64
-
 	// Cumulative eviction accounting; survives Reset so heartbeats can
 	// report exact totals for the query's lifetime.
 	rawsDropped      int64
@@ -145,12 +134,11 @@ func NewMerger(op *EmitOp, l Limits) *Merger {
 }
 
 // next returns the empty merger that takes over from m when m's contents
-// are handed off whole: same query, limits, sequence source and running
-// eviction counts, its table and slabs sized from what m held (see
-// slab.Slab.Next).
+// are handed off whole: same query, limits and running eviction counts,
+// its table and slabs sized from what m held (see slab.Slab.Next).
 func (m *Merger) next() Merger {
 	n := Merger{
-		Op: m.Op, limits: m.limits, empty: m.empty, seqSrc: m.seqSrc,
+		Op: m.Op, limits: m.limits, empty: m.empty,
 		rawsDropped: m.rawsDropped, groupsOverflowed: m.groupsOverflowed,
 		groupSlab: m.groupSlab.Next(), stateSlab: m.stateSlab.Next(), valueSlab: m.valueSlab.Next(),
 		byteSlab: m.byteSlab.Next(),
@@ -200,11 +188,11 @@ func (m *Merger) atGroupCap() bool {
 	return n >= max
 }
 
-// newGroup registers a group the merger creates, stamping its creation
-// order. The group, its copy of rep and its copy of states are cut out of
-// the slabs, and so, with one Take, are its key and its Rep's strings: a
-// merger keeps no string it was handed, which may alias a decoded frame or
-// a caller's scratch buffer.
+// newGroup registers a group the merger creates, in first-seen order. The
+// group, its copy of rep and its copy of states are cut out of the slabs,
+// and so, with one Take, are its key and its Rep's strings: a merger keeps
+// no string it was handed, which may alias a decoded frame or a caller's
+// scratch buffer.
 func (m *Merger) newGroup(key string, rep tuple.Tuple, states []agg.State) *Group {
 	g := &m.groupSlab.Take(1)[0]
 	b := m.byteSlab.Take(stringBytes(key, rep))
@@ -219,9 +207,6 @@ func (m *Merger) newGroup(key string, rep tuple.Tuple, states []agg.State) *Grou
 		g.Rep[i] = v
 	}
 	copy(g.States, states)
-	if m.seqSrc != nil {
-		g.seq = m.seqSrc.Add(1)
-	}
 	m.groups[g.Key] = g
 	m.order = append(m.order, g)
 	return g
@@ -257,15 +242,6 @@ func (m *Merger) overflowGroup(rep tuple.Tuple) *Group {
 		}
 	}
 	return g
-}
-
-// mergeStates folds src's partial states into dst's, pairwise. The two
-// groups have the same shape: Merge checked it, Absorb's contract implies
-// it.
-func mergeStates(dst, src *Group) {
-	for i := range src.States {
-		dst.States[i].Merge(&src.States[i])
-	}
 }
 
 // checkShape validates a report's groups before any of them is merged, so
@@ -343,7 +319,9 @@ func (m *Merger) Merge(groups []*Group, raws []tuple.Tuple, drops []baggage.Drop
 			m.newGroup(g.Key, g.Rep, g.States)
 			continue
 		}
-		mergeStates(mine, g)
+		for k := range g.States { // checkShape made the two shapes equal
+			mine.States[k].Merge(&g.States[k])
+		}
 	}
 	if len(raws) > 0 {
 		m.raws = append(m.raws, raws...)
@@ -367,33 +345,6 @@ func (m *Merger) expect(rest []*Group) {
 	m.stateSlab.Expect(groups * len(rest[0].States))
 	m.valueSlab.Expect(values)
 	m.byteSlab.Expect(bytes)
-}
-
-// Absorb moves src's contents into m without cloning: groups and raw rows
-// are stolen wholesale, same-key groups merge their partial states
-// (keeping the earliest creation stamp), tombstones union, and eviction
-// counters transfer. src must be exclusively owned by the caller, built
-// for the same query, and not used afterwards. Absorbed contents were
-// capped where they were folded; m's limits are not applied again.
-func (m *Merger) Absorb(src *Merger) {
-	for _, g := range src.order {
-		mine, ok := m.groups[g.Key]
-		if !ok {
-			m.groups[g.Key] = g
-			m.order = append(m.order, g)
-			continue
-		}
-		if g.seq < mine.seq {
-			mine.seq = g.seq
-		}
-		mergeStates(mine, g)
-	}
-	m.raws = append(m.raws, src.raws...)
-	for d := range src.drops {
-		m.drops.Add(d)
-	}
-	m.rawsDropped += src.rawsDropped
-	m.groupsOverflowed += src.groupsOverflowed
 }
 
 // Groups snapshots the current partial groups, in first-seen order.

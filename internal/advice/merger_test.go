@@ -125,21 +125,12 @@ func canonicalReports(rs []report) string {
 // mergeTree folds the reports through depth intermediate tiers into a root
 // merger: at each tier the inputs are shuffled and dealt at random to 1–3
 // op-less unbounded mergers (combiner tiers), whose drains are the next
-// tier's inputs. Each input enters either by Merge, or — being exclusively
-// owned once cloned into a scratch merger — by Absorb, so both ways in are
-// exercised against each other.
+// tier's inputs.
 func mergeTree(rng *rand.Rand, inputs []report, depth int) (*Merger, error) {
 	feed := func(m *Merger, rs []report) error {
 		for _, i := range rng.Perm(len(rs)) {
-			dst := m
-			if rng.Intn(3) == 0 {
-				dst = NewMerger(m.Op, Unbounded)
-			}
-			if _, err := dst.Merge(rs[i].groups, rs[i].raws, rs[i].drops); err != nil {
+			if _, err := m.Merge(rs[i].groups, rs[i].raws, rs[i].drops); err != nil {
 				return err
-			}
-			if dst != m {
-				m.Absorb(dst)
 			}
 		}
 		return nil

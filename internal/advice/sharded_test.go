@@ -1,5 +1,9 @@
 package advice
 
+// The Accumulator under concurrent adders and drains: exactness, order,
+// and the limits, each of which binds once per accumulator. The names
+// carry "Sharded" so `make stress` selects them.
+
 import (
 	"fmt"
 	"sync"
@@ -16,14 +20,29 @@ func gkey(k string) string {
 	return tuple.Tuple{tuple.String(k)}.Key([]int{0})
 }
 
-// drainSums folds a drained merger's groups into key -> summed value.
-func drainSums(t *testing.T, into map[string]int64, acc *Merger) {
+// drainSums drains acc and folds its groups into key -> summed value.
+// Every tuple the tests add carries v = 1, so the drained SUMs must add up
+// to the number of adds Drain reports.
+func drainSums(t *testing.T, into map[string]int64, acc *Accumulator) {
 	t.Helper()
-	for _, g := range acc.Groups() {
+	m, adds := acc.Drain()
+	if m == nil {
+		if adds != 0 {
+			t.Fatalf("Drain returned no merger but %d adds", adds)
+		}
+		return
+	}
+	var total int64
+	for _, g := range m.Groups() {
 		if len(g.States) != 1 {
 			t.Fatalf("group %q has %d states", g.Key, len(g.States))
 		}
-		into[g.Key] += g.States[0].Result().Int()
+		v := g.States[0].Result().Int()
+		into[g.Key] += v
+		total += v
+	}
+	if total != adds {
+		t.Fatalf("drained SUM = %d, but Drain counted %d adds", total, adds)
 	}
 }
 
@@ -33,7 +52,7 @@ func TestShardedConcurrentAddExactness(t *testing.T) {
 		keys    = 16
 		perKey  = 500
 	)
-	s := NewShardedAccumulator(aggOp(), 0)
+	s := NewAccumulator(aggOp())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -49,7 +68,7 @@ func TestShardedConcurrentAddExactness(t *testing.T) {
 	}
 	wg.Wait()
 	got := map[string]int64{}
-	drainSums(t, got, s.Drain())
+	drainSums(t, got, s)
 	if len(got) != keys {
 		t.Fatalf("drained %d groups, want %d", len(got), keys)
 	}
@@ -68,7 +87,7 @@ func TestShardedDrainConcurrentWithAdds(t *testing.T) {
 		workers = 8
 		perW    = 2000
 	)
-	s := NewShardedAccumulator(aggOp(), 0)
+	s := NewAccumulator(aggOp())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -80,31 +99,30 @@ func TestShardedDrainConcurrentWithAdds(t *testing.T) {
 		}()
 	}
 	// Drain concurrently with the adders: every tuple must land in exactly
-	// one drain (the steal-and-merge swap moves whole shard contents).
+	// one drain, and be counted by that drain.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	got := map[string]int64{}
 	for {
 		select {
 		case <-done:
-			drainSums(t, got, s.Drain())
+			drainSums(t, got, s)
 			if got[gkey("k")] != workers*perW {
 				t.Fatalf("total = %d, want %d (tuples lost or duplicated across drains)",
 					got[gkey("k")], workers*perW)
 			}
 			return
 		default:
-			drainSums(t, got, s.Drain())
+			drainSums(t, got, s)
 		}
 	}
 }
 
 func TestShardedDrainPreservesFirstSeenOrder(t *testing.T) {
-	s := NewShardedAccumulator(aggOp(), 4)
+	s := NewAccumulator(aggOp())
 	const n = 32
-	// Adds from distinct goroutines (run to completion one at a time) can
-	// land in distinct shards; the drain must still present groups in
-	// global first-seen order.
+	// Adds from distinct goroutines (run to completion one at a time): the
+	// drain must present groups in first-seen order.
 	for i := 0; i < n; i++ {
 		done := make(chan struct{})
 		i := i
@@ -114,7 +132,8 @@ func TestShardedDrainPreservesFirstSeenOrder(t *testing.T) {
 		}()
 		<-done
 	}
-	groups := s.Drain().Groups()
+	m, _ := s.Drain()
+	groups := m.Groups()
 	if len(groups) != n {
 		t.Fatalf("drained %d groups, want %d", len(groups), n)
 	}
@@ -127,9 +146,9 @@ func TestShardedDrainPreservesFirstSeenOrder(t *testing.T) {
 }
 
 func TestShardedRawRowsAndDropAccounting(t *testing.T) {
-	s := NewShardedAccumulator(rawOp(), 0)
-	s.SetLimits(Limits{MaxRaws: 4})
-	const total = 200
+	const maxRaws, total = 4, 200
+	s := NewAccumulator(rawOp())
+	s.SetLimits(Limits{MaxRaws: maxRaws})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -141,25 +160,25 @@ func TestShardedRawRowsAndDropAccounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	kept := len(s.Drain().Raws())
-	dropped := s.RawsDropped()
-	if int64(kept)+dropped != total {
-		t.Fatalf("kept %d + dropped %d != %d offered (drop accounting leaks)",
-			kept, dropped, total)
+	m, adds := s.Drain()
+	kept, dropped := len(m.Raws()), s.RawsDropped()
+	if adds != total {
+		t.Fatalf("Drain counted %d adds, want %d", adds, total)
 	}
-	if dropped == 0 {
-		t.Fatalf("MaxRaws=4 per shard kept all %d rows; cap not applied", kept)
+	if kept != maxRaws || dropped != total-maxRaws {
+		t.Fatalf("kept %d and dropped %d of %d rows, want %d and %d (the cap binds once per accumulator)",
+			kept, dropped, total, maxRaws, total-maxRaws)
 	}
-	// Counters are cumulative: a second drain must not reset them.
+	// Counters are cumulative: a drain must not reset them.
 	if got := s.RawsDropped(); got != dropped {
 		t.Errorf("RawsDropped changed %d -> %d across reads", dropped, got)
 	}
 }
 
 func TestShardedGroupOverflowAccounting(t *testing.T) {
-	s := NewShardedAccumulator(aggOp(), 2)
-	s.SetLimits(Limits{MaxGroups: 2})
-	const distinct = 64
+	const maxGroups, distinct = 2, 64
+	s := NewAccumulator(aggOp())
+	s.SetLimits(Limits{MaxGroups: maxGroups})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -174,45 +193,44 @@ func TestShardedGroupOverflowAccounting(t *testing.T) {
 	}
 	wg.Wait()
 	got := map[string]int64{}
-	drainSums(t, got, s.Drain())
-	if s.GroupsOverflowed() == 0 {
-		t.Fatal("MaxGroups=2 never overflowed across 64 distinct keys")
+	drainSums(t, got, s)
+	folded, ok := got[OverflowKey]
+	if !ok {
+		t.Fatal("no overflow group in the drain")
 	}
-	var total int64
-	for _, v := range got {
-		total += v
+	if len(got) != maxGroups+1 {
+		t.Fatalf("drained %d groups, want %d real groups plus the overflow group", len(got), maxGroups)
 	}
-	if total != distinct {
-		t.Fatalf("SUM over drained groups (incl. overflow) = %d, want %d", total, distinct)
-	}
-	overflowKey := OverflowKey
-	if _, ok := got[overflowKey]; !ok {
-		t.Error("no overflow group in drain despite overflow count > 0")
+	if folded != distinct-maxGroups || s.GroupsOverflowed() != folded {
+		t.Fatalf("overflow group holds %d rows and GroupsOverflowed = %d, want both %d",
+			folded, s.GroupsOverflowed(), distinct-maxGroups)
 	}
 }
 
 func TestShardedEmptyHintConservative(t *testing.T) {
-	s := NewShardedAccumulator(aggOp(), 0)
+	s := NewAccumulator(aggOp())
 	if !s.Empty() {
 		t.Fatal("fresh accumulator not Empty")
 	}
+	if m, adds := s.Drain(); m != nil || adds != 0 {
+		t.Fatalf("draining a fresh accumulator returned %v, %d; want nil, 0", m, adds)
+	}
 	s.Add(tuple.Tuple{tuple.String("k"), tuple.Int(1)})
 	if s.Empty() {
-		t.Fatal("Empty() == true while holding a tuple (hint must never under-report)")
+		t.Fatal("Empty() == true while holding a tuple")
 	}
-	if got := len(s.Drain().Groups()); got != 1 {
-		t.Fatalf("drained %d groups, want 1", got)
+	if m, adds := s.Drain(); len(m.Groups()) != 1 || adds != 1 {
+		t.Fatalf("drained %d groups from %d adds, want 1 from 1", len(m.Groups()), adds)
 	}
 	if !s.Empty() {
 		t.Fatal("not Empty after drain")
 	}
 }
 
+// NewShardedAccumulator survives for bench/ only: whatever shard count it
+// is asked for, it returns the one accumulator.
 func TestShardedSingleShardAblation(t *testing.T) {
-	s := NewShardedAccumulator(aggOp(), 1)
-	if s.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", s.Shards())
-	}
+	s := NewShardedAccumulator(aggOp(), 8)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -225,8 +243,8 @@ func TestShardedSingleShardAblation(t *testing.T) {
 	}
 	wg.Wait()
 	got := map[string]int64{}
-	drainSums(t, got, s.Drain())
-	if got[gkey("k")] != 4000 {
-		t.Fatalf("single-shard sum = %d, want 4000", got[gkey("k")])
+	drainSums(t, got, s)
+	if len(got) != 1 || got[gkey("k")] != 4000 {
+		t.Fatalf("drained %v, want one group summing to 4000", got)
 	}
 }

@@ -54,10 +54,6 @@ type Agent struct {
 	// from every advice fire — resolves its query through this pointer with
 	// a single atomic load, so concurrent fires never contend on a.mu.
 	queriesView atomic.Pointer[map[string]*queryState]
-	// accShards fixes the shard count of accumulators created after the
-	// call; <= 0 means GOMAXPROCS at creation time. Benchmarks use 1 to
-	// ablate sharding.
-	accShards atomic.Int64
 	// reportTopic overrides the topic report batches are published on (a
 	// combiner tree assigns each agent its hash partition); nil selects
 	// ResultsTopic.
@@ -104,19 +100,17 @@ type Agent struct {
 type agentGauges struct {
 	queries  *telemetry.Gauge
 	buffered *telemetry.Gauge
-	shards   *telemetry.Gauge
 }
 
 // SetTelemetry attaches self-telemetry to the agent. Every snapshot of t
 // then carries each counter of Stats under its metric name (StatFields),
 // read from Stats itself, so the registry and the heartbeat cannot
-// disagree; plus the gauges "agent.queries", "agent.reports.buffered" and
-// "agent.acc.shards". Call it once per agent.
+// disagree; plus the gauges "agent.queries" and "agent.reports.buffered".
+// Call it once per agent.
 func (a *Agent) SetTelemetry(t *telemetry.Registry) {
 	a.gauges.Store(&agentGauges{
 		queries:  t.Gauge("agent.queries"),
 		buffered: t.Gauge("agent.reports.buffered"),
-		shards:   t.Gauge("agent.acc.shards"),
 	})
 	t.Source(func(snap *telemetry.Snapshot) {
 		s := a.Stats()
@@ -161,13 +155,14 @@ func (a *Agent) EnableSpans(seed uint64, capacity int) *spans.Recorder {
 
 type queryState struct {
 	programs []*advice.Program
-	// acc is created lazily on the first emitting weave or fire and then
-	// never replaced (Drain steals its contents without swapping the
-	// pointer), so hot-path readers load it once without locks.
-	acc      atomic.Pointer[advice.ShardedAccumulator]
+	// acc is the query's one accumulator, stored under a.mu before its
+	// first emitting program is woven and never replaced (Drain hands over
+	// its contents, not the accumulator). Fires load it without a.mu, and a
+	// fire of advice unwoven since may reach a reinstalled query before its
+	// accumulator exists, hence the atomic.
+	acc      atomic.Pointer[advice.Accumulator]
 	woven    []weave
 	wovenTPs map[string]bool
-	tuples   atomic.Int64 // tuples emitted since the last flush
 
 	limits advice.Limits
 	ttl    time.Duration // lease duration; 0 = immortal
@@ -289,14 +284,8 @@ func (a *Agent) rebuildViewLocked() {
 	a.samplingView.Store(&sv)
 }
 
-// SetAccumulatorShards fixes the shard count of per-query accumulators
-// created after the call; n <= 0 restores the default (GOMAXPROCS at
-// creation time). Existing accumulators keep their shard count. Benchmarks
-// use n = 1 to ablate sharding; embedders can use it to bound per-query
-// memory (each shard carries the full accumulator Limits).
-func (a *Agent) SetAccumulatorShards(n int) {
-	a.accShards.Store(int64(n))
-}
+// SetAccumulatorShards does nothing; it stays for bench/'s layer benchmarks.
+func (a *Agent) SetAccumulatorShards(int) {}
 
 // SetReportTopic redirects the agent's report batches to topic — a
 // combiner tree assigns each agent its hash-partition topic here, so no
@@ -319,24 +308,6 @@ func (a *Agent) ReportTopic() string {
 	return ResultsTopic
 }
 
-// ensureAcc returns the query's accumulator, creating and publishing it on
-// first need. The CAS makes concurrent first fires safe: the loser's empty
-// accumulator is discarded before any tuple lands in it.
-func (a *Agent) ensureAcc(qs *queryState, op *advice.EmitOp) *advice.ShardedAccumulator {
-	if acc := qs.acc.Load(); acc != nil {
-		return acc
-	}
-	acc := advice.NewShardedAccumulator(op, int(a.accShards.Load()))
-	acc.SetLimits(qs.limits)
-	if !qs.acc.CompareAndSwap(nil, acc) {
-		return qs.acc.Load()
-	}
-	if g := a.gauges.Load(); g != nil {
-		g.shards.Set(int64(acc.Shards()))
-	}
-	return acc
-}
-
 // weaveLocked weaves the query's programs into every tracepoint currently
 // defined in this process. Caller holds a.mu.
 func (a *Agent) weaveLocked(qs *queryState) {
@@ -350,8 +321,10 @@ func (a *Agent) weaveLocked(qs *queryState) {
 		if a.reg.Lookup(prog.Tracepoint) == nil {
 			continue // tracepoint not (yet) present in this process
 		}
-		if prog.Emit != nil {
-			a.ensureAcc(qs, prog.Emit)
+		if prog.Emit != nil && qs.acc.Load() == nil {
+			acc := advice.NewAccumulator(prog.Emit)
+			acc.SetLimits(qs.limits)
+			qs.acc.Store(acc)
 		}
 		adv := &advice.Advice{Prog: prog, Emitter: a}
 		if err := a.reg.Weave(prog.Tracepoint, adv); err != nil {
@@ -386,21 +359,10 @@ func (a *Agent) uninstall(queryID string) {
 
 // EmitTuple implements advice.Emitter: process-local aggregation. This is
 // the hot path — every advice fire that reaches EMIT lands here — so it
-// takes no locks: the query resolves through the copy-on-write view and
-// the tuple lands in a sharded accumulator striped across Ps.
-func (a *Agent) EmitTuple(p *advice.Program, w tuple.Tuple) {
-	a.live.TuplesEmitted.Add(1)
-	view := a.queriesView.Load()
-	if view == nil {
-		return
-	}
-	qs, ok := (*view)[p.QueryID]
-	if !ok {
-		return
-	}
-	a.ensureAcc(qs, p.Emit).Add(w)
-	qs.tuples.Add(1)
-}
+// takes no agent lock: the query resolves through the copy-on-write view,
+// and the tuple folds into the query's accumulator under that
+// accumulator's own lock.
+func (a *Agent) EmitTuple(p *advice.Program, w tuple.Tuple) { a.EmitTupleWeighted(p, w, 1) }
 
 // NoteQuarantine implements advice.QuarantineNotifier: the program's
 // circuit breaker tripped in this process. The agent unweaves just that

@@ -385,4 +385,7 @@ func TestAgentSpanCaptureShipsBatchesAndExplain(t *testing.T) {
 	if es.QueryID != "Q" || len(es.Ops) != 1 || es.Ops[0].Invocations != 6 {
 		t.Errorf("explain snapshot = %+v", es)
 	}
+	if es.FlushNS <= 0 {
+		t.Errorf("FlushNS = %d for a query that had tuples to drain, want its drain timed", es.FlushNS)
+	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // TestAllocWovenEmitPathIsAllocationFree drives the full production path —
-// tracepoint fire, advice projection, agent EmitTuple, sharded accumulator
-// fold — and requires it to be allocation-free once the group exists.
+// tracepoint fire, advice projection, agent EmitTuple, accumulator fold —
+// and requires it to be allocation-free once the group exists.
 func TestAllocWovenEmitPathIsAllocationFree(t *testing.T) {
 	b := bus.New()
 	reg := tracepoint.NewRegistry()
@@ -36,7 +36,7 @@ func TestAllocWovenEmitPathIsAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("steady-state woven Here through agent EmitTuple allocates "+
 			"%.1f objects/op, want 0 (regression in the fire-scratch, emit, "+
-			"or sharded accumulator path)", n)
+			"or accumulator path)", n)
 	}
 }
 

@@ -24,7 +24,7 @@ func (a *Agent) reportLoop() {
 // flushed is what one Flush drained from one query.
 type flushed struct {
 	id      string
-	merged  *advice.Merger // drained snapshot, exclusively owned; nil when the query never emitted
+	merged  *advice.Merger // drained snapshot, exclusively owned; nil when nothing was folded in
 	drops   []baggage.DropRecord
 	tuples  int64
 	tenant  string
@@ -68,31 +68,29 @@ func (a *Agent) Flush() {
 	}
 }
 
-// drainLocked steals every query's accumulated state and tombstones.
-// Drain steals the shard contents under short per-shard locks and merges
-// outside them; each result is exclusively ours, so everything after —
-// including bus publication — happens with no agent lock held and no
-// cloning (snapshot-then-encode). Caller holds a.mu.
+// drainLocked takes every query's accumulated state and tombstones. Drain
+// hands over the accumulator's merger under the accumulator's lock, with
+// the count of the tuples folded into it; each result is exclusively ours,
+// so everything after — including bus publication — happens with no agent
+// lock held and no cloning (snapshot-then-encode). Caller holds a.mu.
 func (a *Agent) drainLocked() []flushed {
 	var out []flushed
+	timed := a.recorder.Load() != nil // only publishExplain reads flushNS
 	for id, qs := range a.queries {
-		acc := qs.acc.Load()
-		if (acc == nil || acc.Empty()) && len(qs.drops) == 0 {
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		f := flushed{id: id, tenant: qs.tenant}
+		if acc := qs.acc.Load(); acc != nil {
+			f.merged, f.tuples = acc.Drain()
+		}
+		if f.merged == nil && len(qs.drops) == 0 {
 			continue
 		}
-		drainStart := time.Now()
-		f := flushed{id: id, tuples: qs.tuples.Swap(0), tenant: qs.tenant, drops: qs.drops.Sorted()}
-		qs.drops = nil
-		if acc != nil {
-			f.merged = acc.Drain()
-		}
-		f.flushNS = int64(time.Since(drainStart))
-		if (f.merged == nil || f.merged.Empty()) && len(f.drops) == 0 {
-			// The accumulator's emptiness hint raced with an in-flight Add
-			// and nothing actually drained; the tuples (if any) belong to
-			// the next interval.
-			qs.tuples.Add(f.tuples)
-			continue
+		f.drops, qs.drops = qs.drops.Sorted(), nil
+		if timed {
+			f.flushNS = int64(time.Since(start))
 		}
 		out = append(out, f)
 	}

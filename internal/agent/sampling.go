@@ -17,7 +17,9 @@ type samplingQuery struct {
 
 // EmitTupleWeighted implements advice.WeightedEmitter: EmitTuple for a
 // tuple from a sampled request, carrying its inverse-rate weight into
-// the accumulator so COUNT/SUM aggregate to unbiased estimates.
+// the accumulator so COUNT/SUM aggregate to unbiased estimates. A query
+// whose accumulator is missing has no emitting program woven here, so the
+// tuple came from advice unwoven since.
 func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float64) {
 	a.live.TuplesEmitted.Add(1)
 	view := a.queriesView.Load()
@@ -28,8 +30,9 @@ func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float
 	if !ok {
 		return
 	}
-	a.ensureAcc(qs, p.Emit).AddWeighted(w, weight)
-	qs.tuples.Add(1)
+	if acc := qs.acc.Load(); acc != nil {
+		acc.AddWeighted(w, weight)
+	}
 }
 
 // NoteSampledOut implements advice.SampleSink: a crossing was suppressed

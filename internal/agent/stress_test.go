@@ -2,9 +2,9 @@ package agent
 
 // Concurrency-stress tests for the agent hot path: many goroutines firing
 // tracepoints across several queries while installs, uninstalls, and
-// flushes race. Counts are asserted exactly — sharding and batching must
-// never lose or duplicate a tuple. Run via `make stress` (and CI) with
-// -race -count=2.
+// flushes race. Counts are asserted exactly — draining and batching must
+// never lose or duplicate a tuple, nor count one in the wrong flush. Run
+// via `make stress` (and CI) with -race -count=2.
 
 import (
 	"sync"
@@ -49,10 +49,12 @@ func TestStressEmitInstallUninstallFlushRace(t *testing.T) {
 
 	// Standing queries are installed before any fire and never removed, so
 	// every one of the firers*firesPer crossings must emit exactly one
-	// tuple into each.
+	// tuple into each. Each is owned by a tenant named after it, so the
+	// agent's tenant usage frames carry the tuples it counted per flush.
 	progs := make(map[string]*advice.Program, standing)
 	var reportMu sync.Mutex
 	sums := map[string]int64{}
+	counted := map[string]int64{}
 	b.Subscribe(ResultsTopic, func(msg any) {
 		reportMu.Lock()
 		defer reportMu.Unlock()
@@ -62,11 +64,30 @@ func TestStressEmitInstallUninstallFlushRace(t *testing.T) {
 			}
 		}
 	})
+	// A flush publishes its reports, then its cumulative tenant usage: at
+	// every usage frame, the tuples counted so far must equal the SUM the
+	// reports carried so far, or some flush counted a tuple its report did
+	// not carry.
+	b.Subscribe(HealthTopic, func(msg any) {
+		u, ok := msg.(TenantUsage)
+		if !ok {
+			return
+		}
+		reportMu.Lock()
+		defer reportMu.Unlock()
+		for _, q := range u.Usage {
+			counted[q.Tenant] = q.Tuples
+			if q.Tuples != sums[q.Tenant] {
+				t.Errorf("query %s: flushes counted %d tuples, their reports carried SUM = %d",
+					q.Tenant, q.Tuples, sums[q.Tenant])
+			}
+		}
+	})
 	for i := 0; i < standing; i++ {
 		id := string(rune('A' + i))
 		p := stressProgram(id)
 		progs[id] = p
-		b.Publish(ControlTopic, Install{QueryID: id, Programs: []*advice.Program{p}})
+		b.Publish(ControlTopic, Install{QueryID: id, Programs: []*advice.Program{p}, Tenant: id})
 	}
 
 	var wg sync.WaitGroup
@@ -122,6 +143,9 @@ func TestStressEmitInstallUninstallFlushRace(t *testing.T) {
 			t.Errorf("query %s reported SUM = %d, want %d (tuples lost or duplicated)",
 				id, sums[id], want)
 		}
+		if counted[id] != want {
+			t.Errorf("query %s: tenant usage counted %d tuples, want %d", id, counted[id], want)
+		}
 	}
 }
 
@@ -156,7 +180,8 @@ func TestStressFlushSlowBusLinkDoesNotStallHere(t *testing.T) {
 
 	// The flush is wedged inside the bus publish. Fires must still land:
 	// the agent encodes a drained snapshot outside its locks, and EmitTuple
-	// takes none at all.
+	// takes only the accumulator's, which a drain holds only to hand over
+	// its merger.
 	const fires = 500
 	fired := make(chan struct{})
 	go func() {

@@ -25,7 +25,7 @@ type Result struct {
 }
 
 // Baseline maps a full benchmark name (including the -cpu suffix, e.g.
-// "BenchmarkHereParallel/sharded-8") to its recorded cost. The -cpu
+// "BenchmarkHereParallel-8") to its recorded cost. The -cpu
 // suffix is part of the key on purpose: the gate pins the cpu list, so
 // keys are stable across machines even though the numbers are not.
 type Baseline map[string]Result
