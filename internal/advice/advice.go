@@ -29,10 +29,11 @@ import (
 // projection copy. The scratch is cleared before pooling so pooled slots
 // don't pin observed values across fires.
 type fireScratch struct {
-	proj    tuple.Tuple
-	working []tuple.Tuple
-	spare   []tuple.Tuple // the unpack join's other working set; the two swap per unpack
-	arena   tuple.Tuple   // the joined tuples' values, carved off back to back
+	proj     tuple.Tuple
+	working  []tuple.Tuple
+	spare    []tuple.Tuple // the unpack join's other working set; the two swap per unpack
+	arena    tuple.Tuple   // the joined tuples' values, carved off back to back
+	unpacked []tuple.Tuple // one Unpack's tuples: the baggage's own, copied into arena, never written
 }
 
 // maxPooledArena bounds the values a pooled scratch retains: one wide
@@ -424,7 +425,8 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		clear(fs.working)
 		clear(fs.spare)
 		clear(fs.arena)
-		fs.proj, fs.working, fs.spare, fs.arena = fs.proj[:0], fs.working[:0], fs.spare[:0], fs.arena[:0]
+		clear(fs.unpacked)
+		fs.proj, fs.working, fs.spare, fs.arena, fs.unpacked = fs.proj[:0], fs.working[:0], fs.spare[:0], fs.arena[:0], fs.unpacked[:0]
 		if cap(fs.arena) > maxPooledArena {
 			fs.spare, fs.arena = nil, nil
 		}
@@ -456,7 +458,8 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 			p.Cost.DroppedByJoin.Add(1)
 			return
 		}
-		unpacked := bag.Unpack(u.Slot)
+		fs.unpacked = bag.AppendUnpack(fs.unpacked[:0], u.Slot)
+		unpacked := fs.unpacked
 		if len(unpacked) == 0 {
 			p.Cost.DroppedByJoin.Add(1)
 			return

@@ -95,8 +95,25 @@ type slot struct {
 	set  *Set
 }
 
-func newInstance(stamp itc.Stamp) *instance {
-	return &instance{stamp: stamp, nonce: newNonce()}
+// head is a new active instance and the instance list it heads, in one
+// object: a first pack, a decode, a branch and a join each pay one
+// allocation for both while the list fits inline. Its builder appends the
+// rest of the list right after open; once a Baggage holds the list, nothing
+// writes it.
+type head struct {
+	in     instance
+	inline [3]*instance
+}
+
+// open makes h.in a new instance with stamp and returns a list holding it,
+// with capacity for n instances.
+func (h *head) open(stamp itc.Stamp, n int) []*instance {
+	h.in = instance{stamp: stamp, nonce: newNonce()}
+	insts := h.inline[:0]
+	if n > len(h.inline) {
+		insts = make([]*instance, 0, n)
+	}
+	return append(insts, &h.in)
 }
 
 // lookup returns the set stored under name, or nil. An instance holds a
@@ -140,7 +157,7 @@ func (in *instance) clone() *instance {
 // Baggage is not safe for concurrent use; an execution branching into
 // parallel work must call Split and give each branch its own Baggage.
 type Baggage struct {
-	raw    []byte      // the serialized form while not yet decoded, else nil; never written
+	raw    []byte      // a private copy of the wire bytes while not yet decoded, else nil; never written: decoded strings borrow it
 	insts  []*instance // the active instance, then the frozen ones newest first; never written in place
 	shared bool        // other Baggage values hold insts[0] too: copy it before writing
 }
@@ -165,7 +182,8 @@ func (b *Baggage) ensureDecoded() {
 }
 
 // Load replaces b's contents with a private copy of wire, decoded lazily
-// on first access. Empty wire leaves b empty. RPC layers load the response
+// on first access; the decoded strings borrow that copy, never wire, so the
+// caller may reuse wire at once. Empty wire leaves b empty. RPC layers load the response
 // baggage into the caller's in place, so context references to b stay
 // valid.
 func (b *Baggage) Load(wire []byte) {
@@ -181,7 +199,7 @@ func (b *Baggage) active() *instance {
 	b.ensureDecoded()
 	switch {
 	case len(b.insts) == 0:
-		b.insts = []*instance{newInstance(itc.Seed())}
+		b.insts = new(head).open(itc.Seed(), 1)
 	case b.shared:
 		b.insts = append([]*instance{b.insts[0].clone()}, b.insts[1:]...)
 		b.shared = false
@@ -211,7 +229,11 @@ func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) {
 //
 // The returned slice is the caller's; the tuples in it may be the stored
 // ones, shared with this and other baggage, and must not be written.
-func (b *Baggage) Unpack(slot string) []tuple.Tuple {
+func (b *Baggage) Unpack(slot string) []tuple.Tuple { return b.AppendUnpack(nil, slot) }
+
+// AppendUnpack appends what Unpack returns to dst and returns the extended
+// slice, so that a caller with a slice to reuse unpacks without allocating.
+func (b *Baggage) AppendUnpack(dst []tuple.Tuple, slot string) []tuple.Tuple {
 	b.ensureDecoded()
 	var src *Set // the newest contribution
 	contributions := 0
@@ -224,7 +246,7 @@ func (b *Baggage) Unpack(slot string) []tuple.Tuple {
 		}
 	}
 	if src == nil {
-		return nil
+		return dst
 	}
 	// Budget tombstones suppress evicted content from the merged view:
 	// without this, a group evicted on one branch would resurface from a
@@ -233,7 +255,7 @@ func (b *Baggage) Unpack(slot string) []tuple.Tuple {
 	if slot != DropSlot {
 		whole, keys := b.evictions(slot)
 		if whole {
-			return nil
+			return dst
 		}
 		if src.Spec.Kind == Agg {
 			evicted = keys
@@ -246,9 +268,9 @@ func (b *Baggage) Unpack(slot string) []tuple.Tuple {
 			src.removeGroup(key)
 		}
 	}
-	out := src.Unpack()
+	out := src.AppendUnpack(dst)
 	if m := meters.Load(); m != nil {
-		m.TuplesUnpacked.Add(int64(len(out)))
+		m.TuplesUnpacked.Add(int64(len(out) - len(dst)))
 	}
 	return out
 }
@@ -306,11 +328,12 @@ func (b *Baggage) TupleCount() int {
 // held and its first write copies the frozen instance, so neither branch
 // sees or serializes the difference.
 func (b *Baggage) Split() (*Baggage, *Baggage) {
-	l, r := b.split()
-	return &l, &r
+	l, r := b.split(nil)
+	return &l.b, &r.b
 }
 
-func (b *Baggage) split() (Baggage, Baggage) {
+// split returns the two branches as nodes over ctx (nil for Split).
+func (b *Baggage) split(ctx context.Context) (*branch, *branch) {
 	if m := meters.Load(); m != nil {
 		m.Splits.Inc()
 	}
@@ -320,12 +343,12 @@ func (b *Baggage) split() (Baggage, Baggage) {
 	}
 	b.shared = true
 	s1, s2 := b.insts[0].stamp.Fork()
-	branch := func(stamp itc.Stamp) Baggage {
-		insts := make([]*instance, 1, 1+len(b.insts))
-		insts[0] = newInstance(stamp)
-		return Baggage{insts: append(insts, b.insts...)}
+	fork := func(stamp itc.Stamp) *branch {
+		c := &branch{node: node{Context: ctx}}
+		c.b.insts = append(c.h.open(stamp, 1+len(b.insts)), b.insts...)
+		return c
 	}
-	return branch(s1), branch(s2)
+	return fork(s1), fork(s2)
 }
 
 // Join merges the baggage of two rejoining branches: the active instances'
@@ -336,21 +359,25 @@ func (b *Baggage) split() (Baggage, Baggage) {
 // first write copies the active instance, so the result and b never write
 // one instance.
 func Join(a, b *Baggage) *Baggage {
-	j := join(a, b)
-	return &j
+	return &join(nil, a, b).b
 }
 
-func join(a, b *Baggage) Baggage {
+// join returns the joined baggage as a node over ctx (nil for Join).
+func join(ctx context.Context, a, b *Baggage) *branch {
+	j := &branch{node: node{Context: ctx}}
 	switch {
 	case b.empty():
-		return a.share()
+		j.b = a.share()
+		return j
 	case a.empty():
-		return b.share()
+		j.b = b.share()
+		return j
 	}
 	if m := meters.Load(); m != nil {
 		m.Joins.Inc()
 	}
-	merged := newInstance(itc.Join(a.insts[0].stamp, b.insts[0].stamp))
+	insts := j.h.open(itc.Join(a.insts[0].stamp, b.insts[0].stamp), len(a.insts)+len(b.insts)-1)
+	merged := insts[0]
 	for _, src := range [2]*instance{a.insts[0], b.insts[0]} {
 		for _, sl := range src.slots {
 			if dst := merged.lookup(sl.name); dst != nil {
@@ -360,8 +387,6 @@ func join(a, b *Baggage) Baggage {
 			}
 		}
 	}
-	insts := make([]*instance, 1, len(a.insts)+len(b.insts)-1)
-	insts[0] = merged
 	for _, frozen := range [2][]*instance{a.insts[1:], b.insts[1:]} {
 	next:
 		for _, in := range frozen {
@@ -373,7 +398,8 @@ func join(a, b *Baggage) Baggage {
 			insts = append(insts, in)
 		}
 	}
-	return Baggage{insts: insts}
+	j.b.insts = insts
+	return j
 }
 
 // empty reports whether b (nil included) holds no instance, decoding it.
@@ -434,6 +460,14 @@ type node struct {
 	b Baggage
 }
 
+// branch is a node that also holds the active instance and instance list
+// its baggage was split or joined into, so that a branch or a join is one
+// object. Split and Join hand out the *Baggage inside it.
+type branch struct {
+	node
+	h head
+}
+
 func (c *node) Value(key any) any {
 	if _, ok := key.(ContextKey); ok {
 		return &c.b
@@ -456,8 +490,7 @@ func SplitContexts(ctx context.Context) (context.Context, context.Context) {
 	if b == nil {
 		return ctx, ctx
 	}
-	l, r := b.split()
-	return &node{ctx, l}, &node{ctx, r}
+	return b.split(ctx)
 }
 
 // JoinContext returns ctx carrying the Join of a's and b's baggage; ctx
@@ -467,5 +500,5 @@ func JoinContext(ctx, a, b context.Context) context.Context {
 	if ab == nil && bb == nil {
 		return ctx
 	}
-	return &node{ctx, join(ab, bb)}
+	return join(ctx, ab, bb)
 }

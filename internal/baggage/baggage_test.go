@@ -532,6 +532,49 @@ func TestLoadKeepsAPrivateCopy(t *testing.T) {
 	}
 }
 
+// hbBaggage is the baggage of the happened-before request at its process
+// boundary: one instance holding one FIRST slot with one tuple.
+func hbBaggage() *Baggage {
+	bag := New()
+	bag.Pack("q.g", SetSpec{Kind: First, Fields: tuple.Schema{"tenant"}}, tuple.Tuple{tuple.String("tenant-1")})
+	return bag
+}
+
+// TestDecodedBaggageOwnsItsBytes: decoded slot names, field names and
+// string values borrow the baggage's private copy of the wire bytes, never
+// the caller's slice, so the caller may overwrite its buffer as soon as
+// ExtractContext returns — before the lazy decode and after it alike.
+func TestDecodedBaggageOwnsItsBytes(t *testing.T) {
+	src := hbBaggage()
+	src.Pack("q.s", SetSpec{Kind: All, Fields: tuple.Schema{"host", "n"}}, tuple.Tuple{tuple.String("host-7"), tuple.Int(3)})
+	want := src.Serialize()
+	for _, decodeFirst := range []bool{false, true} {
+		wire := bytes.Clone(want)
+		ctx := ExtractContext(context.Background(), wire)
+		if decodeFirst {
+			FromContext(ctx).TupleCount()
+		}
+		for i := range wire {
+			wire[i] = 0xFF
+		}
+		l, r := SplitContexts(ctx)
+		for _, c := range []context.Context{l, r} {
+			b := FromContext(c)
+			if got := b.Unpack("q.g"); len(got) != 1 || !got[0].Equal(tuple.Tuple{tuple.String("tenant-1")}) {
+				t.Errorf("decodeFirst=%v: q.g unpacks %v after the wire was overwritten, want [(tenant-1)]", decodeFirst, got)
+			}
+			if got := b.Unpack("q.s"); len(got) != 1 || !got[0].Equal(tuple.Tuple{tuple.String("host-7"), tuple.Int(3)}) {
+				t.Errorf("decodeFirst=%v: q.s unpacks %v after the wire was overwritten, want [(host-7, 3)]", decodeFirst, got)
+			}
+		}
+		// The split decoded the received baggage; it re-encodes from what
+		// it decoded.
+		if got := FromContext(ctx).Serialize(); !bytes.Equal(got, want) {
+			t.Errorf("decodeFirst=%v: received baggage re-encodes to\n%x\nafter the wire was overwritten, want\n%x", decodeFirst, got, want)
+		}
+	}
+}
+
 // The cluster RPC layer's thread-spawn pattern: the parent keeps one
 // Baggage across the branch (contexts refer to it), assigned its half of
 // the split and then the join of itself with the finished branch.

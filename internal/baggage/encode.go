@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/itc"
+	"repro/internal/slab"
 	"repro/internal/tuple"
 )
 
@@ -53,8 +55,16 @@ func AppendSpec(buf []byte, spec SetSpec) []byte {
 // layout is rejected, so every decoded set satisfies the invariants Pack
 // would have established and Unpack never indexes out of range on hostile
 // bytes.
-func ReadSpec(r *tuple.Reader) SetSpec {
-	spec := SetSpec{Kind: SetKind(r.Byte()), N: int(r.Varint()), Fields: r.Strings(), GroupBy: r.Ints()}
+func ReadSpec(r *tuple.Reader) SetSpec { return readSpec(r, false) }
+
+// readSpec is ReadSpec; with borrow, the field names alias the Reader's
+// buffer.
+func readSpec(r *tuple.Reader, borrow bool) SetSpec {
+	fields := r.Strings
+	if borrow {
+		fields = r.BorrowStrings
+	}
+	spec := SetSpec{Kind: SetKind(r.Byte()), N: int(r.Varint()), Fields: fields(), GroupBy: r.Ints()}
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 		spec.Aggs = append(spec.Aggs, AggField{Pos: int(r.Varint()), Fn: agg.Func(r.Byte())})
 	}
@@ -93,23 +103,26 @@ func appendSet(buf []byte, s *Set) []byte {
 	return buf
 }
 
+// readSet decodes a set whose strings borrow the Reader's buffer and whose
+// tuples are cut from one slab of values.
 func readSet(r *tuple.Reader) *Set {
-	spec := ReadSpec(r)
+	spec := readSpec(r, true)
 	n := r.Count()
 	if r.Err() != nil {
 		return nil
 	}
 	s := NewSet(spec)
+	var values slab.Slab[tuple.Value]
 	if spec.Kind != Agg {
-		s.tuples = make([]tuple.Tuple, 0, n)
-		for ; n > 0 && r.Err() == nil; n-- {
-			s.tuples = append(s.tuples, r.Tuple())
+		s.tuples = slices.Grow(s.tuples, n)[:n]
+		for i := 0; i < n && r.Err() == nil; i++ {
+			s.tuples[i] = r.SlabTuple(&values, n-i, true)
 		}
 		return s
 	}
 	keyPos := identity(len(spec.GroupBy))
-	for ; n > 0 && r.Err() == nil; n-- {
-		keyVals := r.Tuple()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		keyVals := r.SlabTuple(&values, n-i, true)
 		if len(keyVals) != len(spec.GroupBy) {
 			r.Fail(fmt.Errorf("baggage: group key has %d values for %d group-by fields",
 				len(keyVals), len(spec.GroupBy)))
@@ -150,31 +163,42 @@ func encodeInstance(buf []byte, in *instance) []byte {
 	return buf
 }
 
-func readInstance(r *tuple.Reader) *instance {
+func readStamp(r *tuple.Reader) itc.Stamp {
 	stamp, rest, err := itc.DecodeStamp(r.Rest())
 	if errors.Is(err, itc.ErrTruncated) {
 		err = tuple.ErrTruncated // one sentinel for callers, whichever codec ran out of bytes
 	}
 	r.Resume(rest, err)
-	in := newInstance(stamp)
+	return stamp
+}
+
+func readInstance(r *tuple.Reader, in *instance) {
 	in.nonce = r.Uvarint()
 	n := r.Count()
 	in.slots = make([]slot, 0, n)
 	for ; n > 0 && r.Err() == nil; n-- {
-		in.slots = append(in.slots, slot{name: r.String(), set: readSet(r)})
+		in.slots = append(in.slots, slot{name: r.Borrow(), set: readSet(r)})
 	}
-	return in
 }
 
+// decodeInstances decodes baggage whose names and string values borrow
+// buf, so buf must never be written after; the first instance and the
+// list share one allocation.
 func decodeInstances(buf []byte) ([]*instance, error) {
 	if len(buf) == 0 {
 		return nil, nil
 	}
 	r := tuple.NewReader(buf)
 	n := r.Count()
-	insts := make([]*instance, 0, n)
-	for ; n > 0 && r.Err() == nil; n-- {
-		insts = append(insts, readInstance(&r))
+	var insts []*instance
+	for i := 0; i < n && r.Err() == nil; i++ {
+		stamp := readStamp(&r)
+		if i == 0 {
+			insts = new(head).open(stamp, n)
+		} else {
+			insts = append(insts, &instance{stamp: stamp})
+		}
+		readInstance(&r, insts[i])
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

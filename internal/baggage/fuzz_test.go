@@ -94,8 +94,20 @@ func FuzzDecodeBaggage(f *testing.F) {
 			t.Fatalf("baggage encoding is not a fixpoint:\n%x\n%x", enc, enc2)
 		}
 
+		// Decoded strings borrow the baggage's own copy of the bytes:
+		// overwriting the slice it was given, after the decode, changes
+		// nothing it re-encodes.
+		own := bytes.Clone(data)
+		bag := Deserialize(own)
+		bag.TupleCount()
+		for i := range own {
+			own[i] = 0xFF
+		}
+		if got := bag.Serialize(); !bytes.Equal(got, enc) {
+			t.Fatalf("decoded baggage changed with the bytes it was given:\n%x\nwant\n%x", got, enc)
+		}
+
 		// The exported read paths must tolerate whatever decoded.
-		bag := Deserialize(data)
 		for _, slot := range bag.Slots() {
 			bag.Unpack(slot)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -355,4 +356,84 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestQuickAppendUnpackExtendsPrefix: AppendUnpack(prefix, slot) is prefix
+// followed by Unpack(slot), and leaves prefix as it was, for every set
+// kind: on a slot one instance holds, on slots that a frozen instance and
+// a branch's or a join's active instance both contribute to, across wire
+// round-trips, and on an AGG slot whose groups eviction tombstones
+// suppress (its budget is small enough that a branch evicts a group that
+// a frozen instance also holds).
+func TestQuickAppendUnpackExtendsPrefix(t *testing.T) {
+	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
+	var merged, suppressed int
+	randtest.Check(t, 200, 600, func(seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		row := func() tuple.Tuple {
+			return tuple.Tuple{tuple.String(string(rune('x' + rng.Intn(3)))), tuple.Int(int64(rng.Intn(100)))}
+		}
+		pack := func(b *Baggage) {
+			for _, spec := range kinds {
+				for i := rng.Intn(4); i > 0; i-- {
+					b.PackBudgeted(spec.Kind.String()+".s", spec, Budget{MaxTuples: 2}, row())
+				}
+			}
+		}
+		wire := func(b *Baggage) *Baggage {
+			if rng.Intn(2) == 0 {
+				return Deserialize(b.Serialize())
+			}
+			return b
+		}
+		root := New()
+		pack(root)
+		l, r := root.Split()
+		pack(l)
+		pack(r)
+		l, r = wire(l), wire(r)
+		joined := Join(l, r)
+		pack(joined)
+		for _, b := range []*Baggage{wire(root), l, r, wire(joined)} {
+			if _, keys := b.evictions("AGG.s"); len(keys) > 0 {
+				suppressed++
+			}
+			for _, spec := range kinds {
+				slot := spec.Kind.String() + ".s"
+				contributions := 0
+				for _, in := range b.insts {
+					if in.lookup(slot) != nil {
+						contributions++
+					}
+				}
+				if contributions > 1 {
+					merged++
+				}
+				prefix := make([]tuple.Tuple, 1+rng.Intn(3), 4+rng.Intn(3))
+				for i := range prefix {
+					prefix[i] = row()
+				}
+				saved := slices.Clone(prefix)
+				want := append(slices.Clone(prefix), b.Unpack(slot)...)
+				got := b.AppendUnpack(prefix, slot)
+				if len(got) != len(want) {
+					return fmt.Errorf("slot %s: AppendUnpack gives %v, want %v", slot, got, want)
+				}
+				for i := range want {
+					if !got[i].Equal(want[i]) {
+						return fmt.Errorf("slot %s row %d: AppendUnpack gives %v, want %v", slot, i, got[i], want[i])
+					}
+				}
+				for i := range saved {
+					if !prefix[i].Equal(saved[i]) {
+						return fmt.Errorf("slot %s: AppendUnpack wrote prefix row %d", slot, i)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if merged == 0 || suppressed == 0 {
+		t.Errorf("%d merged reads, %d reads with suppressed AGG groups: the generator misses a case", merged, suppressed)
+	}
 }

@@ -143,7 +143,8 @@ func encSize(t tuple.Tuple) int { return tuple.SizeTuple(t) }
 // of a set (Clone, Merge, Unpack) share them.
 type Set struct {
 	Spec   SetSpec
-	tuples []tuple.Tuple     // non-AGG kinds
+	tuples []tuple.Tuple     // non-AGG kinds; starts out backed by one
+	one    [1]tuple.Tuple    // so that a set of one tuple (FIRST, RECENT) needs no list
 	groups map[string]*group // AGG kind
 	order  []string          // deterministic group iteration order
 	bytes  int               // cached content cost, maintained by Pack/Merge
@@ -207,6 +208,7 @@ func (s *Set) clear() (bytes, tuples int) {
 // NewSet returns an empty set with the given spec.
 func NewSet(spec SetSpec) *Set {
 	s := &Set{Spec: spec}
+	s.tuples = s.one[:0]
 	if spec.Kind == Agg {
 		s.groups = make(map[string]*group)
 	}
@@ -347,28 +349,30 @@ func (s *Set) Merge(o *Set) {
 	}
 }
 
-// Unpack materializes the set's contents as tuples in the packed field
-// layout. AGG sets yield one tuple per group, with group-by positions
+// AppendUnpack appends the set's contents to dst as tuples in the packed
+// field layout. AGG sets yield one tuple per group, with group-by positions
 // holding the key values and aggregated positions holding partial results;
-// positions covered by neither hold null. The slice is new; the tuples of
-// a non-AGG set are the stored ones and must not be written.
-func (s *Set) Unpack() []tuple.Tuple {
+// positions covered by neither hold null. The tuples of a non-AGG set are
+// the stored ones and must not be written; an AGG set's are new, cut from
+// one slice.
+func (s *Set) AppendUnpack(dst []tuple.Tuple) []tuple.Tuple {
 	if s.Spec.Kind != Agg {
-		return append(make([]tuple.Tuple, 0, len(s.tuples)), s.tuples...)
+		return append(dst, s.tuples...)
 	}
-	out := make([]tuple.Tuple, 0, len(s.order))
-	for _, key := range s.order {
+	w := len(s.Spec.Fields)
+	vals := make(tuple.Tuple, len(s.order)*w)
+	for k, key := range s.order {
 		g := s.groups[key]
-		t := make(tuple.Tuple, len(s.Spec.Fields))
+		t := vals[k*w : (k+1)*w : (k+1)*w]
 		for i, pos := range s.Spec.GroupBy {
 			t[pos] = g.keyVals[i]
 		}
 		for i, af := range s.Spec.Aggs {
 			t[af.Pos] = g.states[i].Result()
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of stored tuples (groups for AGG sets).
@@ -386,7 +390,7 @@ func (s *Set) Len() int {
 func (s *Set) Clone() *Set {
 	c := &Set{Spec: s.Spec, bytes: s.bytes}
 	if s.Spec.Kind != Agg {
-		c.tuples = append([]tuple.Tuple(nil), s.tuples...)
+		c.tuples = append(c.one[:0], s.tuples...)
 		return c
 	}
 	c.groups = make(map[string]*group, len(s.groups))

@@ -1,7 +1,8 @@
 // Package slab allocates report rows in bulk. A reported row is a group, a
 // few aggregate states and a few tuple values; built one object at a time
 // it costs half a dozen allocations at every tier it crosses. A Slab cuts
-// them out of a few large chunks instead.
+// them out of a few large chunks instead. Decoded baggage cuts its tuples'
+// values from one the same way.
 package slab
 
 // Slab hands out slices of T cut from chunks it allocates in bulk. A slice

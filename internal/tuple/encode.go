@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"repro/internal/slab"
 )
 
 // Binary encoding: one tag byte (the Kind), then a kind-specific payload.
@@ -133,14 +135,19 @@ func (r *Reader) CountOf(size int) int {
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.bytes()) }
+func (r *Reader) String() string { return r.str(false) }
 
 // Borrow reads a length-prefixed string as String does, without copying
 // it: the result aliases the Reader's buffer, so it stays valid only as
 // long as nothing writes that buffer.
-func (r *Reader) Borrow() string {
+func (r *Reader) Borrow() string { return r.str(true) }
+
+func (r *Reader) str(borrow bool) string {
 	b := r.bytes()
-	return unsafe.String(unsafe.SliceData(b), len(b))
+	if borrow {
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
+	return string(b)
 }
 
 // bytes reads a length-prefixed byte string, as a subslice of the buffer.
@@ -156,11 +163,17 @@ func (r *Reader) bytes() []byte {
 }
 
 // Strings reads a count and that many strings.
-func (r *Reader) Strings() []string {
+func (r *Reader) Strings() []string { return r.strings(false) }
+
+// BorrowStrings reads as Strings does, except that every string aliases
+// the Reader's buffer (see Borrow).
+func (r *Reader) BorrowStrings() []string { return r.strings(true) }
+
+func (r *Reader) strings(borrow bool) []string {
 	n := r.Count()
 	out := make([]string, 0, n)
 	for ; n > 0 && r.err == nil; n-- {
-		out = append(out, r.String())
+		out = append(out, r.str(borrow))
 	}
 	return out
 }
@@ -178,10 +191,6 @@ func (r *Reader) Ints() []int {
 // Value reads one value.
 func (r *Reader) Value() Value { return r.value(false) }
 
-// BorrowValue reads one value as Value does, except that a string value
-// aliases the Reader's buffer (see Borrow).
-func (r *Reader) BorrowValue() Value { return r.value(true) }
-
 func (r *Reader) value(borrow bool) Value {
 	switch kind := Kind(r.Byte()); kind {
 	case KindNull:
@@ -191,10 +200,7 @@ func (r *Reader) value(borrow bool) Value {
 	case KindFloat:
 		return Float(math.Float64frombits(r.Fixed64()))
 	case KindString:
-		if borrow {
-			return String(r.Borrow())
-		}
-		return String(r.String())
+		return String(r.str(borrow))
 	case KindBool:
 		return Bool(r.Byte() != 0)
 	default:
@@ -209,6 +215,22 @@ func (r *Reader) Tuple() Tuple {
 	t := make(Tuple, 0, n)
 	for ; n > 0 && r.err == nil; n-- {
 		t = append(t, r.Value())
+	}
+	return t
+}
+
+// SlabTuple reads one tuple as Tuple does, into values, which expects this
+// tuple's width for each of the more tuples (this one included) the caller
+// has yet to read: exact unless the tuples are ragged, and never beyond
+// what the unread bytes could encode. The tuple has no spare capacity, so
+// an append to it moves it out of the slab. With borrow, its string values
+// alias the Reader's buffer (see Borrow).
+func (r *Reader) SlabTuple(values *slab.Slab[Value], more int, borrow bool) Tuple {
+	n := r.Count()
+	values.Expect(min(more*n, len(r.buf)))
+	t := values.Take(n)
+	for i := 0; i < n && r.err == nil; i++ {
+		t[i] = r.value(borrow)
 	}
 	return t
 }

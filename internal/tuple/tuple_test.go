@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/slab"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -264,9 +266,9 @@ func TestReaderFirstErrorWins(t *testing.T) {
 }
 
 // TestBorrowReadsLikeCopy: over every prefix of every value and tuple seed
-// — every kind, and every way to run short — BorrowValue returns the value,
-// unread bytes and error that Value does, and Borrow what String does; a
-// borrowed string lies inside the Reader's buffer.
+// — every kind, and every way to run short — a borrowing value read returns
+// the value, unread bytes and error that Value does, and Borrow what String
+// does; a borrowed string lies inside the Reader's buffer.
 func TestBorrowReadsLikeCopy(t *testing.T) {
 	same := func(a, b error) bool { return a == b || a != nil && b != nil && a.Error() == b.Error() }
 	seeds := valueSeeds()
@@ -283,7 +285,7 @@ func TestBorrowReadsLikeCopy(t *testing.T) {
 				c, b := NewReader(buf[off:]), NewReader(buf[off:])
 				var cv, bv Value
 				if off == 0 {
-					cv, bv = c.Value(), b.BorrowValue()
+					cv, bv = c.Value(), b.value(true)
 				} else {
 					cv, bv = String(c.String()), String(b.Borrow())
 				}
@@ -297,6 +299,36 @@ func TestBorrowReadsLikeCopy(t *testing.T) {
 					if p < lo || p+uintptr(len(s)) > lo+uintptr(len(buf)) {
 						t.Errorf("%s[:%d] at %d: borrowed %q does not alias the buffer", name, cut, off, s)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlabTupleReadsLikeTuple: over every prefix of every tuple seed,
+// SlabTuple, copying or borrowing, fails where Tuple does and otherwise
+// returns the same tuple and unread bytes, with no spare capacity; a later
+// tuple taken from the same slab never overwrites it.
+func TestSlabTupleReadsLikeTuple(t *testing.T) {
+	for name, seed := range tupleSeeds() {
+		for cut := 0; cut <= len(seed); cut++ {
+			for _, borrow := range []bool{false, true} {
+				buf := append(seed[:cut:cut], seed[:cut]...) // the tuple twice, when it is whole
+				var values slab.Slab[Value]
+				c, b := NewReader(buf), NewReader(buf)
+				ct, bt := c.Tuple(), b.SlabTuple(&values, 2, borrow)
+				if (c.Err() == nil) != (b.Err() == nil) {
+					t.Errorf("%s[:%d] borrow=%v: slab err %v, copied err %v", name, cut, borrow, b.Err(), c.Err())
+				}
+				if c.Err() != nil {
+					continue
+				}
+				if !ct.Equal(bt) || cap(bt) != len(bt) || !bytes.Equal(c.Rest(), b.Rest()) {
+					t.Errorf("%s[:%d] borrow=%v: slab %v (cap %d), rest %x; copied %v, rest %x",
+						name, cut, borrow, bt, cap(bt), b.Rest(), ct, c.Rest())
+				}
+				if b.SlabTuple(&values, 1, borrow); !ct.Equal(bt) {
+					t.Errorf("%s[:%d] borrow=%v: the next tuple overwrote %v with %v", name, cut, borrow, ct, bt)
 				}
 			}
 		}

@@ -380,7 +380,7 @@ func readReport(r *tuple.Reader) agent.Report {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			g := &groups[i]
 			m.Groups[i] = g
-			g.Key, g.Rep = r.Borrow(), readTuple(r, &values, n-i, true)
+			g.Key, g.Rep = r.Borrow(), r.SlabTuple(&values, n-i, true)
 			ns := r.CountOf(agg.MinEncodedSize)
 			states.Expect(min((n-i)*ns, len(r.Rest())/agg.MinEncodedSize))
 			g.States = states.Take(ns)
@@ -393,7 +393,7 @@ func readReport(r *tuple.Reader) agent.Report {
 		var values slab.Slab[tuple.Value]
 		m.Raws = make([]tuple.Tuple, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			m.Raws[i] = readTuple(r, &values, n-i, false)
+			m.Raws[i] = r.SlabTuple(&values, n-i, false)
 		}
 	}
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
@@ -405,23 +405,6 @@ func readReport(r *tuple.Reader) agent.Report {
 // minGroupSize is the fewest bytes appendReport writes for a group: an
 // empty key, an empty Rep and no states, one length byte each.
 const minGroupSize = 3
-
-// readTuple decodes one tuple into values, which expects this tuple's
-// width for each of the more tuples (this one included) the caller has yet
-// to read. With borrow, its string values alias the frame.
-func readTuple(r *tuple.Reader, values *slab.Slab[tuple.Value], more int, borrow bool) tuple.Tuple {
-	n := r.Count()
-	values.Expect(min(more*n, len(r.Rest())))
-	t := values.Take(n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		if borrow {
-			t[i] = r.BorrowValue()
-		} else {
-			t[i] = r.Value()
-		}
-	}
-	return t
-}
 
 // Marshal encodes a bus message: any of the twelve types of
 // internal/agent/messages.go that carry a Tag constant above. Unknown

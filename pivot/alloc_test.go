@@ -19,7 +19,8 @@ import (
 // request — the nine calls of the hb-crossings workload in bench/ and of
 // BenchmarkHBRequest — call by call, so that a regression names the call
 // that caused it without running bench/. The ceilings are the measured
-// counts; lower them when a change removes an allocation.
+// counts, and a call that measures a whole object below its ceiling fails
+// too: a change that removes an allocation lowers the ceiling with it.
 func TestAllocsHBRequest(t *testing.T) {
 	pt := New("alloc")
 	recv := pt.Define("Gateway.Receive", "tenant")
@@ -43,14 +44,21 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 		call    func()
 	}{
 		{"NewRequest", 1, func() { ctx = pt.NewRequest(context.Background()) }},
-		{"Here(Gateway.Receive): pack", 6, func() { recv.Here(ctx, tenant) }},
+		// The instance with its list, the slot list, the set with its one
+		// tuple, the projected tuple.
+		{"Here(Gateway.Receive): pack", 4, func() { recv.Here(ctx, tenant) }},
 		{"Inject", 1, func() { wire = Inject(ctx) }},
 		{"Extract", 2, func() { sctx = Extract(stCtx, wire) }},
-		{"Split: decode + branch", 16, func() { l, r = Split(sctx) }},
-		{"Here(Store.Write) on the left branch: unpack + emit", 1, func() { write.Here(l, size) }},
-		{"Here(Store.Write) on the right branch: unpack + emit", 1, func() { write.Here(r, size) }},
-		{"Join", 3, func() { joined = Join(sctx, l, r) }},
-		{"Here(Store.Write) after the join: unpack + emit", 1, func() { write.Here(joined, size) }},
+		// Decode: the instance with its list, the slot list, the set with
+		// its one tuple, the field list, the tuple's values (every string
+		// borrows the extracted copy). Each branch: its node, holding the
+		// new active instance and the instance list.
+		{"Split: decode + branch", 7, func() { l, r = Split(sctx) }},
+		// Each unpack reads into the fire's pooled scratch.
+		{"Here(Store.Write) on the left branch: unpack + emit", 0, func() { write.Here(l, size) }},
+		{"Here(Store.Write) on the right branch: unpack + emit", 0, func() { write.Here(r, size) }},
+		{"Join", 1, func() { joined = Join(sctx, l, r) }},
+		{"Here(Store.Write) after the join: unpack + emit", 0, func() { write.Here(joined, size) }},
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -72,8 +80,11 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 		per := float64(got[i]) / runs
 		total += per
 		ceiling += c.ceiling
-		if per > c.ceiling+0.5 { // a GC that empties a sync.Pool mid-run adds hundredths, a regression adds whole objects
+		switch { // a GC that empties a sync.Pool mid-run adds hundredths, a change adds or removes whole objects
+		case per > c.ceiling+0.5:
 			t.Errorf("%s allocates %.2f objects/request, ceiling %.0f", c.name, per, c.ceiling)
+		case per < c.ceiling-0.5:
+			t.Errorf("%s allocates %.2f objects/request, below its ceiling %.0f: lower the ceiling", c.name, per, c.ceiling)
 		}
 		t.Logf("%-55s %6.2f", c.name, per)
 	}

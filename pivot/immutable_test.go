@@ -117,3 +117,52 @@ func TestReportImmutableOncePublished(t *testing.T) {
 		t.Errorf("replayed %d parked reports, want 2", replayed)
 	}
 }
+
+// TestAdviceNeverWritesUnpackedTuples: advice reads an Unpack's tuples —
+// the baggage's stored ones, whose strings borrow the bytes the baggage was
+// extracted from — and copies them into its fire's arena, where the Where
+// filter and the computed column work. A request's baggage therefore
+// serializes to the same bytes before and after a happened-before query
+// fires on it, on each branch of a split and after the join.
+func TestAdviceNeverWritesUnpackedTuples(t *testing.T) {
+	pt := New("svc")
+	recv := pt.Define("Gateway.Receive", "tenant", "weight")
+	write := pt.Define("Store.Write", "bytes")
+	q, err := pt.Install(`From w In Store.Write
+Join g In Gateway.Receive On g -> w
+Where w.bytes > 20 * g.weight
+Select g.tenant, w.bytes * g.weight`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := pt.NewRequest(context.Background())
+	recv.Here(ctx, "tenant-1", int64(2))
+	recv.Here(ctx, "tenant-2", int64(1))
+	recv.Here(ctx, "tenant-3", int64(3))
+	sctx := Extract(pt.Context(context.Background()), Inject(ctx))
+	l, r := Split(sctx)
+	for name, c := range map[string]context.Context{"left": l, "right": r} {
+		before := Inject(c)
+		write.Here(c, int64(10))
+		write.Here(c, int64(100))
+		if after := Inject(c); !bytes.Equal(after, before) {
+			t.Errorf("%s branch: baggage serializes to\n%x\nafter the fires, want\n%x", name, after, before)
+		}
+	}
+	joined := Join(sctx, l, r)
+	before := Inject(joined)
+	write.Here(joined, int64(1000))
+	if after := Inject(joined); !bytes.Equal(after, before) {
+		t.Errorf("joined: baggage serializes to\n%x\nafter the fire, want\n%x", after, before)
+	}
+
+	pt.Flush()
+	got := map[string]int64{}
+	for _, row := range q.Rows() {
+		got[row[0].Str()] += row[1].Int()
+	}
+	// The 10-byte writes fail the Where; the others are weighted.
+	if len(got) != 3 || got["tenant-1"] != 2*1200 || got["tenant-2"] != 1200 || got["tenant-3"] != 3*1200 {
+		t.Errorf("rows sum to %v, want tenant-1 %d, tenant-2 %d and tenant-3 %d", got, 2*1200, 1200, 3*1200)
+	}
+}
