@@ -14,6 +14,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/advice"
@@ -718,8 +720,12 @@ func hbSingle(i int) string {
 // already holds, and Rows(). allocs/op over 4×8192 is the cost of a
 // reported row (pinned per layer by pivot.TestAllocsWideRound); the gate
 // holds it to 1%. A round costs about a hundred objects, none of them per
-// row, and one round per op read one more or less between runs: four keep
-// that swing inside the 1%.
+// row. An op allocates tens of megabytes, so under the default GC
+// percentage collections land inside it at points that depend on the
+// machine, and each empties the sync.Pools it meets, which then refill.
+// So each op starts after an untimed collection and runs with the
+// collector off: the count is what the reporting path allocates, whatever
+// the collector does.
 func BenchmarkWideReport(b *testing.B) {
 	const rows = 8192
 	worker, front := pivot.New("worker"), pivot.New("frontend")
@@ -757,9 +763,14 @@ func BenchmarkWideReport(b *testing.B) {
 		}
 	}
 	round() // sizes the worker's table and fills the frontend's
+	gcPercent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPercent)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // what the last op allocated; keeps the heap at one op's worth
+		b.StartTimer()
 		for r := 0; r < 4; r++ {
 			round()
 		}

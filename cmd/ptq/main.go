@@ -28,47 +28,28 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/querygen"
 	"repro/internal/simtime"
 	"repro/internal/tracepoint"
+	"repro/internal/workload"
 )
 
-// vocabulary returns the tracepoint definitions of the simulated stack.
+// vocabulary returns the tracepoints the simulated Hadoop stack defines:
+// the master registry of a paper testbed (HDFS, HBase, YARN, MapReduce),
+// plus StressTest.DoNextOp, which a StressTest client defines when it
+// starts.
 func vocabulary() *tracepoint.Registry {
-	reg := tracepoint.NewRegistry()
-	reg.Define("ClientProtocols")
-	reg.Define("DataNodeMetrics.incrBytesRead", "delta")
-	reg.Define("DataNodeMetrics.incrBytesWritten", "delta")
-	reg.Define("DN.DataTransferProtocol", "op", "size")
-	reg.Define("DN.OpQueued", "op")
-	reg.Define("DN.OpStart", "op")
-	reg.Define("DN.TransferStart", "size", "dest")
-	reg.Define("DN.TransferEnd", "size", "dest")
-	reg.Define("NN.GetBlockLocations", "src", "replicas")
-	reg.Define("NN.Create", "src")
-	reg.Define("NN.Open", "src")
-	reg.Define("NN.Rename", "src", "dst")
-	reg.Define("NN.Complete", "src")
-	reg.Define("RS.ClientService", "op", "row", "size")
-	reg.Define("RS.Enqueue", "op")
-	reg.Define("RS.Dequeue", "op")
-	reg.Define("RS.ProcessEnd", "op")
-	reg.Define("RS.GCStart")
-	reg.Define("RS.GCEnd")
+	var reg *tracepoint.Registry
+	env := simtime.NewEnv()
+	env.Run(func() {
+		reg = workload.NewTestbed(env, workload.DefaultTestbedConfig()).C.PT.Registry()
+	})
 	reg.Define("StressTest.DoNextOp", "op")
-	reg.Define("FileInputStream.read", "length")
-	reg.Define("FileOutputStream.write", "length")
-	reg.Define("RPC.Receive", "method")
-	reg.Define("RPC.Respond", "method")
-	reg.Define("JobComplete", "id")
-	reg.Define("AM.JobStart", "id")
-	reg.Define("SendResponse")
-	reg.Define("ReceiveRequest")
 	return reg
 }
 
@@ -135,37 +116,16 @@ func main() {
 // workload through it, and returns the plan annotated with the measured
 // per-operator counters.
 func runExplainAnalyze(text string, requests int) (string, error) {
-	if requests < 1 {
-		requests = 1
-	}
-	c := querygen.DemoCase()
 	if strings.TrimSpace(text) == "" {
-		text = c.QueryText
+		text = querygen.DemoCase().QueryText
 	}
-	var out string
-	var runErr error
-	env := simtime.NewEnv()
-	env.Run(func() {
-		cfg := cluster.DefaultConfig()
-		cfg.ReportInterval = 5 * time.Millisecond
-		cfg.Spans = true // span capture also enables EXPLAIN ANALYZE shipping
-		cl := cluster.New(env, cfg)
-		x := cluster.NewScriptExec(cl, c)
-		h, err := cl.PT.Install(text)
-		if err != nil {
-			runErr = err
-			return
-		}
-		for i := 0; i < requests; i++ {
-			if err := x.Run(); err != nil {
-				runErr = err
-				return
-			}
-			env.Sleep(time.Millisecond)
-		}
-		env.Sleep(3 * cfg.ReportInterval)
-		cl.FlushAgents()
-		out = h.ExplainAnalyze()
+	var h *core.Installed
+	_, err := cluster.RunDemo(requests, func(cl *cluster.Cluster) (err error) {
+		h, err = cl.PT.Install(text)
+		return err
 	})
-	return out, runErr
+	if err != nil {
+		return "", err
+	}
+	return h.ExplainAnalyze(), nil
 }

@@ -6,11 +6,14 @@ import (
 )
 
 // TestVocabularyDefinesHadoopTracepoints spot-checks the simulated
-// stack's tracepoint vocabulary that queries resolve against.
+// stack's tracepoint vocabulary that queries resolve against, across
+// HDFS, HBase, YARN, MapReduce and the StressTest client.
 func TestVocabularyDefinesHadoopTracepoints(t *testing.T) {
 	reg := vocabulary()
 	for _, name := range []string{
 		"NN.GetBlockLocations", "DN.DataTransferProtocol", "StressTest.DoNextOp",
+		"AM.MapTaskComplete", "AM.ReduceTaskComplete", "MapOutputServlet",
+		"Master.Assign", "NM.LaunchContainer", "RM.AllocateContainer",
 	} {
 		if reg.Lookup(name) == nil {
 			t.Errorf("vocabulary missing %s", name)

@@ -29,8 +29,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/bus"
 	"repro/internal/cluster"
-	"repro/internal/querygen"
-	"repro/internal/simtime"
 	"repro/internal/spans"
 	"repro/internal/wire"
 )
@@ -66,31 +64,13 @@ func main() {
 // runDemo executes the fixed demo case on a simulated cluster with span
 // capture enabled and renders every reconstructed trace.
 func runDemo(requests int) (string, error) {
-	if requests < 1 {
-		requests = 1
+	cl, err := cluster.RunDemo(requests, nil)
+	if err != nil {
+		return "", err
 	}
-	c := querygen.DemoCase()
-	var runErr error
 	var out strings.Builder
-	env := simtime.NewEnv()
-	env.Run(func() {
-		cfg := cluster.DefaultConfig()
-		cfg.ReportInterval = 5 * time.Millisecond
-		cfg.Spans = true
-		cl := cluster.New(env, cfg)
-		x := cluster.NewScriptExec(cl, c)
-		for i := 0; i < requests; i++ {
-			if err := x.Run(); err != nil {
-				runErr = err
-				return
-			}
-			env.Sleep(time.Millisecond)
-		}
-		env.Sleep(3 * cfg.ReportInterval)
-		cl.FlushAgents()
-		writeTraces(&out, cl.PT.Traces())
-	})
-	return out.String(), runErr
+	writeTraces(&out, cl.PT.Traces())
+	return out.String(), nil
 }
 
 // collectLive joins the deployment's bus as a passive trace listener,

@@ -94,6 +94,6 @@ func main() {
 	for _, row := range q.Rows() {
 		fmt.Printf("%-10s %12s %8s\n", row[0], row[1], row[2])
 	}
-	fmt.Println("\nper-tracepoint cost at the store worker (live counters):")
-	fmt.Print(store.Agent.CostReport())
+	fmt.Println("\nlive operator counters at the store worker:")
+	fmt.Print(store.Agent.ExplainAnalyze())
 }

@@ -68,7 +68,7 @@ func main() {
 	}
 
 	// Live cost analysis (the paper's §4 "explain" with counts): what did
-	// the query actually do at each tracepoint?
+	// each operator of the query actually do?
 	fmt.Println()
-	fmt.Print(q.CostReport())
+	fmt.Println(q.ExplainAnalyze())
 }

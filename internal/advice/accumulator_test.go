@@ -141,28 +141,37 @@ func TestProgramStringAllOps(t *testing.T) {
 	}
 }
 
+// TestSamplingCounters: a crossing the request's sampling decision
+// suppressed counts one invocation and one sample and emits nothing; a
+// kept one emits, and a request with no decision is processed exactly.
 func TestSamplingCounters(t *testing.T) {
 	emitted := 0
 	a := &Advice{
 		Prog: &Program{
+			QueryID:       "Q",
 			Observe:       []int{0},
 			ObserveFields: tuple.Schema{"host"},
 			Emit:          &EmitOp{Raw: true, Cols: []EmitCol{{Pos: 0}}, Schema: tuple.Schema{"host"}},
-			SampleEvery:   4,
+			SampleRate:    0.25,
 		},
 		Emitter: emitFn(func(*Program, tuple.Tuple) { emitted++ }),
 	}
-	for i := 0; i < 16; i++ {
-		a.Invoke(context.Background(), exported("h", 0, "p"))
+	request := func(rate float64) context.Context {
+		bag := baggage.New()
+		bag.PackSampleDecision("Q", rate)
+		return baggage.NewContext(context.Background(), bag)
 	}
-	if emitted != 4 {
-		t.Errorf("emitted = %d with 1-in-4 sampling of 16, want 4", emitted)
+	a.Invoke(request(0), exported("h", 0, "p"))
+	cost := &a.Prog.Cost
+	if emitted != 0 || cost.Invocations.Load() != 1 || cost.Sampled.Load() != 1 {
+		t.Errorf("sampled-out crossing: emitted %d, invocations %d, sampled %d; want 0, 1, 1",
+			emitted, cost.Invocations.Load(), cost.Sampled.Load())
 	}
-	if got := a.Prog.Cost.Sampled.Load(); got != 12 {
-		t.Errorf("sampled = %d, want 12", got)
-	}
-	if got := a.Prog.Cost.TuplesEmitted.Load(); got != 4 {
-		t.Errorf("emitted counter = %d, want 4", got)
+	a.Invoke(request(0.25), exported("h", 0, "p"))
+	a.Invoke(context.Background(), exported("h", 0, "p"))
+	if emitted != 2 || cost.Invocations.Load() != 3 || cost.Sampled.Load() != 1 || cost.TuplesEmitted.Load() != 2 {
+		t.Errorf("kept and undecided crossings: emitted %d, invocations %d, sampled %d, emitted counter %d; want 2, 3, 1, 2",
+			emitted, cost.Invocations.Load(), cost.Sampled.Load(), cost.TuplesEmitted.Load())
 	}
 }
 

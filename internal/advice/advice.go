@@ -50,9 +50,8 @@ var firePool = sync.Pool{New: func() any { return new(fireScratch) }}
 type Cost struct {
 	// Invocations counts tracepoint crossings that reached this advice.
 	Invocations atomic.Int64
-	// Sampled counts crossings skipped by sampling: mod-N advice-level
-	// sampling (SampleEvery) and request-level rate sampling (SampleRate)
-	// both account here.
+	// Sampled counts crossings skipped because the request's sampling
+	// decision suppressed it (SampleRate).
 	Sampled atomic.Int64
 	// DroppedByJoin counts crossings discarded because an Unpack found no
 	// causally-preceding tuples (inner-join misses).
@@ -169,18 +168,12 @@ type Program struct {
 	Pack          *PackOp
 	Emit          *EmitOp
 
-	// SampleEvery, when > 1, makes the advice process only one in every
-	// SampleEvery crossings (the paper's §8 advice-level sampling).
-	// Aggregates computed from sampled advice are correspondingly scaled
-	// estimates; COUNT and SUM results must be multiplied by SampleEvery.
-	SampleEvery int64
-
 	// SampleRate, when in (0, 1], enables consistent request-level
-	// sampling: the advice honors the per-request decision minted into
-	// the reserved baggage sample slot at request creation. A suppressed
-	// request is skipped before any work; an admitted one processes
-	// normally, with emitted aggregates weighted by the inverse of the
-	// decision's effective rate. Unlike SampleEvery this never splits a
+	// sampling (the paper's §8): the advice honors the per-request
+	// decision minted into the reserved baggage sample slot at request
+	// creation. A suppressed request is skipped before any work; an
+	// admitted one processes normally, with emitted aggregates weighted by
+	// the inverse of the decision's effective rate. It never splits a
 	// request: every program of the query sees the same decision at every
 	// crossing on the request's causal path. Values outside (0, 1] must
 	// be clamped to 0 (disabled) before reaching the advice path — see
@@ -390,6 +383,7 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 	if fp := failpoint.Load(); fp != nil {
 		(*fp)(p, vals)
 	}
+	p.Cost.Invocations.Add(1)
 	// Request-level sampling: honor the decision minted into the request's
 	// baggage at creation. A suppressed request returns before the fire
 	// scratch is even acquired — the sampled-out fast path allocates
@@ -401,7 +395,6 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		bag = baggage.FromContext(ctx)
 		if r, ok := bag.SampleRate(p.QueryID); ok {
 			if r <= 0 {
-				p.Cost.Invocations.Add(1)
 				p.Cost.Sampled.Add(1)
 				if ss, ok := a.Emitter.(SampleSink); ok {
 					ss.NoteSampledOut(p)
@@ -410,14 +403,6 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 			}
 			weight = 1 / r
 		}
-	}
-	if n := p.SampleEvery; n > 1 {
-		if p.Cost.Invocations.Add(1)%n != 0 {
-			p.Cost.Sampled.Add(1)
-			return
-		}
-	} else {
-		p.Cost.Invocations.Add(1)
 	}
 	fs := firePool.Get().(*fireScratch)
 	defer func() {

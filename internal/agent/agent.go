@@ -426,11 +426,12 @@ func (a *Agent) Installed(queryID string) bool {
 	return ok
 }
 
-// CostReport renders the live per-tracepoint cost counters of every query
-// installed in this process (the distributed complement of the frontend's
-// Installed.CostReport, whose counters only cover advice woven from the
-// same process).
-func (a *Agent) CostReport() string {
+// ExplainAnalyze renders every query installed in this process as EXPLAIN
+// ANALYZE does: each program woven here, annotated with its live operator
+// counters (advice.Program.AnnotatedString). Over a TCP bus each worker
+// decodes its own Program copies, so their counters are readable only
+// here.
+func (a *Agent) ExplainAnalyze() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ids := make([]string, 0, len(a.queries))
@@ -440,18 +441,11 @@ func (a *Agent) CostReport() string {
 	sort.Strings(ids)
 	var b strings.Builder
 	for _, id := range ids {
-		fmt.Fprintf(&b, "cost of %s in %s/%s:\n", id, a.proc.Host, a.proc.ProcName)
-		fmt.Fprintf(&b, "  %-36s %12s %9s %9s %9s %9s\n",
-			"tracepoint", "invocations", "sampled", "dropped", "packed", "emitted")
+		fmt.Fprintf(&b, "EXPLAIN ANALYZE %s in %s/%s:\n", id, a.proc.Host, a.proc.ProcName)
 		for _, prog := range a.queries[id].programs {
-			if a.reg.Lookup(prog.Tracepoint) == nil {
-				continue
+			if a.reg.Lookup(prog.Tracepoint) != nil {
+				fmt.Fprintf(&b, "\nat %s:\n%s\n", prog.Tracepoint, prog.AnnotatedString())
 			}
-			c := &prog.Cost
-			fmt.Fprintf(&b, "  %-36s %12d %9d %9d %9d %9d\n",
-				prog.Tracepoint,
-				c.Invocations.Load(), c.Sampled.Load(), c.DroppedByJoin.Load(),
-				c.TuplesPacked.Load(), c.TuplesEmitted.Load())
 		}
 	}
 	return b.String()

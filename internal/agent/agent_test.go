@@ -38,13 +38,9 @@ func request(host string) context.Context {
 	return baggage.NewContext(ctx, baggage.New())
 }
 
-// resultReports flattens a ResultsTopic message — a bare Report or a
-// ReportBatch — into its constituent reports.
+// resultReports returns the reports of a ResultsTopic message.
 func resultReports(msg any) []Report {
-	switch m := msg.(type) {
-	case Report:
-		return []Report{m}
-	case ReportBatch:
+	if m, ok := msg.(ReportBatch); ok {
 		return m.Reports
 	}
 	return nil

@@ -200,12 +200,7 @@ func (a *Agent) publishBatches(reports []Report) {
 	topic := a.ReportTopic()
 	SplitBatches(reports, ReportSize, func(batch []Report) {
 		a.live.Batches.Add(1)
-		a.bus.Publish(topic, ReportBatch{
-			Host:     a.proc.Host,
-			ProcName: a.proc.ProcName,
-			Time:     a.now(),
-			Reports:  batch,
-		})
+		a.bus.Publish(topic, ReportBatch{Reports: batch})
 	})
 }
 

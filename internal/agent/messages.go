@@ -99,11 +99,6 @@ type Install struct {
 	// frontend). Agents account per-tenant tuple usage against it, and the
 	// delivering combiner tier learns the query→tenant mapping from it.
 	Tenant string
-	// Share is the fair-share divisor the installing frontend applied to
-	// its budgets (how many tenants split the agent's capacity); carried on
-	// the wire so agents and operators can audit the split. Zero or one
-	// means the full, unsplit budget.
-	Share int
 }
 
 // Uninstall instructs agents to remove a query's advice.
@@ -153,13 +148,12 @@ type Report struct {
 // ReportBatch coalesces one flush interval's Reports from one process into
 // a single bus frame, cutting frames and syscalls when many queries are
 // installed. Batches are split so each frame's approximate payload stays
-// under DefaultBatchBytes (see SplitBatches). Consumers treat a batch
-// exactly as its constituent Reports in order.
+// under DefaultBatchBytes (see SplitBatches). It is the only frame results
+// travel in (outage replay sends one-report batches); consumers treat a
+// batch exactly as its constituent Reports in order, each of which names
+// its sender.
 type ReportBatch struct {
-	Host     string
-	ProcName string
-	Time     time.Duration
-	Reports  []Report
+	Reports []Report
 }
 
 // DefaultBatchBytes is the approximate size cap of one ReportBatch or

@@ -520,9 +520,6 @@ type LinkOptions struct {
 	// traffic here.
 	OnUp func(reconnects int64)
 
-	// OnDown is called once per connection loss with the causing error.
-	OnDown func(err error)
-
 	// OnDrop is called for each locally published message on a send topic
 	// that could not be forwarded (link down, or the write failed).
 	// Callers use it to retain reports for replay.
@@ -654,7 +651,7 @@ func (l *Link) Send(topic string, msg any) error {
 	conn := l.conn
 	err = writeFrame(l.w, topic, payload)
 	if err != nil {
-		l.connDownLocked(conn, err)
+		l.connDownLocked(conn)
 		l.mu.Unlock()
 		return err
 	}
@@ -687,7 +684,7 @@ func (l *Link) recvLoop(conn net.Conn, gen int) {
 			}
 			l.mu.Lock()
 			if l.gen == gen {
-				l.connDownLocked(conn, err)
+				l.connDownLocked(conn)
 			}
 			l.mu.Unlock()
 			return
@@ -705,7 +702,7 @@ func (l *Link) recvLoop(conn net.Conn, gen int) {
 
 // connDownLocked transitions the link to disconnected (if conn is still
 // current) and starts the reconnect loop when enabled. Caller holds l.mu.
-func (l *Link) connDownLocked(conn net.Conn, err error) {
+func (l *Link) connDownLocked(conn net.Conn) {
 	if l.conn != conn || l.conn == nil {
 		return // already superseded
 	}
@@ -715,10 +712,6 @@ func (l *Link) connDownLocked(conn net.Conn, err error) {
 	l.gen++
 	if l.mConnected != nil {
 		l.mConnected.Set(0)
-	}
-	if l.opts.OnDown != nil {
-		down := l.opts.OnDown
-		go down(err)
 	}
 	if l.opts.Reconnect && !l.closed && !l.reconnecting {
 		l.reconnecting = true

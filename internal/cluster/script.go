@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baggage"
 	"repro/internal/querygen"
+	"repro/internal/simtime"
 	"repro/internal/tracepoint"
 )
 
@@ -53,6 +54,40 @@ func NewScriptExec(cl *Cluster, c *querygen.Case) *ScriptExec {
 		}
 	}
 	return x
+}
+
+// RunDemo drives the querygen demo case through a fresh simulated cluster:
+// span capture on (which also ships EXPLAIN ANALYZE counters), a 5 ms
+// reporting interval, requests runs of the script (at least one), then a
+// settle of three intervals and a flush of every agent. install, when
+// non-nil, runs on the deployed cluster before the first request; its
+// error ends the run. The returned cluster has stopped: read results off
+// its frontend. The ptq and pttrace demos share this runner.
+func RunDemo(requests int, install func(*Cluster) error) (*Cluster, error) {
+	var cl *Cluster
+	var runErr error
+	env := simtime.NewEnv()
+	env.Run(func() {
+		cfg := DefaultConfig()
+		cfg.ReportInterval = 5 * time.Millisecond
+		cfg.Spans = true
+		cl = New(env, cfg)
+		x := NewScriptExec(cl, querygen.DemoCase())
+		if install != nil {
+			if runErr = install(cl); runErr != nil {
+				return
+			}
+		}
+		for i := 0; i < max(requests, 1); i++ {
+			if runErr = x.Run(); runErr != nil {
+				return
+			}
+			env.Sleep(time.Millisecond)
+		}
+		env.Sleep(3 * cfg.ReportInterval)
+		cl.FlushAgents()
+	})
+	return cl, runErr
 }
 
 // Run interprets the script once as one fresh request (new empty baggage

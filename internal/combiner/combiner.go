@@ -1,6 +1,6 @@
 // Package combiner implements hierarchical aggregation tiers for Pivot
 // Tracing: aggregator processes that subscribe to a partition of the agent
-// report topics, merge Report/ReportBatch frames per query in virtual
+// report topics, merge ReportBatch frames per query in virtual
 // time, and forward the merged frames upstream. Tiers compose into
 // rack→pod→frontend trees, so trace export cost scales with the topology
 // rather than with cluster size — the agents' partial-aggregation argument
@@ -178,10 +178,7 @@ func (c *Combiner) onControl(msg any) {
 
 // onReport folds downstream result frames into per-query pending state.
 func (c *Combiner) onReport(msg any) {
-	switch m := msg.(type) {
-	case agent.Report:
-		c.merge(&m)
-	case agent.ReportBatch:
+	if m, ok := msg.(agent.ReportBatch); ok {
 		for i := range m.Reports {
 			c.merge(&m.Reports[i])
 		}
@@ -286,9 +283,7 @@ func (c *Combiner) Flush() {
 	for _, topic := range topics {
 		agent.SplitBatches(byTopic[topic], agent.ReportSize, func(batch []agent.Report) {
 			c.framesOut.Add(1)
-			c.b.Publish(topic, agent.ReportBatch{
-				Host: c.host, ProcName: c.proc, Time: now, Reports: batch,
-			})
+			c.b.Publish(topic, agent.ReportBatch{Reports: batch})
 		})
 	}
 

@@ -188,6 +188,11 @@ func countGroup(key string, n int64) *advice.Group {
 	return &advice.Group{Key: key, Rep: tuple.Tuple{tuple.String(key)}, States: []agg.State{*st}}
 }
 
+// batch wraps one report in the frame agents publish.
+func batch(r agent.Report) agent.ReportBatch {
+	return agent.ReportBatch{Reports: []agent.Report{r}}
+}
+
 // TestCombinerForwards: reports from two partition topics land in their
 // queries' mergers and forward upstream as one batch, key-sorted and
 // stamped with the tier's identity, with exact merged/forwarded
@@ -214,12 +219,11 @@ func TestCombinerForwards(t *testing.T) {
 	})
 	defer c.Close()
 
-	b.Publish(PartitionTopic(0, 2), agent.Report{
+	b.Publish(PartitionTopic(0, 2), batch(agent.Report{
 		QueryID: "Q1", Host: "h0", ProcName: "w",
 		Groups: []*advice.Group{countGroup("z", 1), countGroup("k", 3)},
-	})
+	}))
 	b.Publish(PartitionTopic(1, 2), agent.ReportBatch{
-		Host: "h1", ProcName: "w",
 		Reports: []agent.Report{
 			{QueryID: "Q1", Host: "h1", ProcName: "w", Groups: []*advice.Group{countGroup("k", 4)}},
 			{QueryID: "Q2", Host: "h1", ProcName: "w", Raws: []tuple.Tuple{{tuple.Int(7)}},
@@ -274,8 +278,8 @@ func TestCombinerDoesNotMutateSource(t *testing.T) {
 	defer c.Close()
 
 	src := countGroup("k", 3)
-	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "Q1", Groups: []*advice.Group{src}})
-	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 5)}})
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{src}}))
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 5)}}))
 	if src.States[0].Count() != 3 {
 		t.Fatalf("combiner mutated the published group: count %d, want 3", src.States[0].Count())
 	}
@@ -300,7 +304,7 @@ func TestCombinerBatchSplitting(t *testing.T) {
 	defer c.Close()
 	big := tuple.Tuple{tuple.String(strings.Repeat("x", agent.DefaultBatchBytes/2))}
 	for q := 0; q < 5; q++ {
-		b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: fmt.Sprintf("Q%d", q), Raws: []tuple.Tuple{big}})
+		b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: fmt.Sprintf("Q%d", q), Raws: []tuple.Tuple{big}}))
 	}
 	c.Flush()
 	if frames != 5 {
@@ -337,7 +341,7 @@ func TestCombinerTenantRouting(t *testing.T) {
 	b.Publish(agent.ControlTopic, agent.Install{QueryID: "alice.Q1", Tenant: "alice"})
 	b.Publish(agent.ControlTopic, agent.Install{QueryID: "bob.Q1", Tenant: "bob"})
 	for _, q := range []string{"alice.Q1", "bob.Q1", "Q9"} {
-		b.Publish(RootTopic, agent.Report{QueryID: q, Groups: []*advice.Group{countGroup("k", 1)}})
+		b.Publish(RootTopic, batch(agent.Report{QueryID: q, Groups: []*advice.Group{countGroup("k", 1)}}))
 	}
 	c.Flush()
 
@@ -352,7 +356,7 @@ func TestCombinerTenantRouting(t *testing.T) {
 
 	// Uninstall clears the route: alice's next frames fall back upstream.
 	b.Publish(agent.ControlTopic, agent.Uninstall{QueryID: "alice.Q1"})
-	b.Publish(RootTopic, agent.Report{QueryID: "alice.Q1", Groups: []*advice.Group{countGroup("k", 1)}})
+	b.Publish(RootTopic, batch(agent.Report{QueryID: "alice.Q1", Groups: []*advice.Group{countGroup("k", 1)}}))
 	c.Flush()
 	if got := byTopic[agent.ResultsTopic]; len(got) != 2 || got[1] != "alice.Q1" {
 		t.Fatalf("post-uninstall frames not rerouted upstream: %v", byTopic)
@@ -367,7 +371,7 @@ func TestCombinerTenantRouting(t *testing.T) {
 		t.Fatalf("mid tier holds %d subscriptions, want only its partition topic", len(mid.subs))
 	}
 	b.Publish(agent.ControlTopic, agent.Install{QueryID: "bob.Q2", Tenant: "bob"})
-	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "bob.Q2", Groups: []*advice.Group{countGroup("k", 1)}})
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "bob.Q2", Groups: []*advice.Group{countGroup("k", 1)}}))
 	mid.Flush()
 	if got := byTopic["up"]; len(got) != 1 || got[0] != "bob.Q2" {
 		t.Fatalf("mid tier did not forward bob.Q2 upstream: %v", byTopic)
@@ -425,7 +429,7 @@ func TestDrainPendingAccounting(t *testing.T) {
 	var frames int
 	b.Subscribe(agent.ResultsTopic, func(any) { frames++ })
 	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
-	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 6)}})
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 6)}}))
 	c.Close()
 
 	drained := c.DrainPending()
@@ -446,7 +450,7 @@ func TestCloseStopsIntake(t *testing.T) {
 	b := bus.New()
 	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
 	c.Close()
-	b.Publish(PartitionTopic(0, 1), agent.Report{QueryID: "Q1"})
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1"}))
 	if c.Pending() != 0 {
 		t.Fatalf("closed combiner accepted a report")
 	}

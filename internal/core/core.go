@@ -259,7 +259,6 @@ func (pt *PivotTracing) InstallNamed(name, text string, opts plan.Options) (*Ins
 		TTL:      lease,
 		Limits:   opts.Limits,
 		Tenant:   pt.tenant,
-		Share:    pt.share,
 	})
 	// Cross the tracepoint.Weave meta-tracepoint after the weave
 	// instructions are out and with no frontend locks held: woven advice
@@ -293,7 +292,6 @@ func (pt *PivotTracing) Installs() []agent.Install {
 			TTL:      h.lease,
 			Limits:   h.limits,
 			Tenant:   pt.tenant,
-			Share:    pt.share,
 		})
 	}
 	return out
@@ -326,10 +324,7 @@ func (pt *PivotTracing) RenewLeases() {
 // observe exactly the stream they would have seen unbatched.
 func (pt *PivotTracing) onReport(msg any) {
 	pt.framesIn.Add(1)
-	switch m := msg.(type) {
-	case agent.Report:
-		pt.mergeReport(m)
-	case agent.ReportBatch:
+	if m, ok := msg.(agent.ReportBatch); ok {
 		for _, r := range m.Reports {
 			pt.mergeReport(r)
 		}
@@ -484,27 +479,6 @@ func (h *Installed) Schema() tuple.Schema { return h.Plan.Schema }
 // Explain renders the compiled advice in the paper's notation.
 func (h *Installed) Explain() string { return h.Plan.Explain() }
 
-// CostReport renders the query's live execution counters — the paper's §4
-// "explain"-style cost analysis: how many tuples the query observes, packs
-// into baggage, emits, and drops at join misses, per tracepoint. Within a
-// single OS process (including the whole simulated cluster) woven advice
-// shares these counters; in a TCP-distributed deployment each worker keeps
-// its own (see agent.Agent.CostReport).
-func (h *Installed) CostReport() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cost of %s:\n", h.Name)
-	fmt.Fprintf(&b, "  %-36s %12s %9s %9s %9s %9s\n",
-		"tracepoint", "invocations", "sampled", "dropped", "packed", "emitted")
-	for _, prog := range h.Plan.Programs {
-		c := &prog.Cost
-		fmt.Fprintf(&b, "  %-36s %12d %9d %9d %9d %9d\n",
-			prog.Tracepoint,
-			c.Invocations.Load(), c.Sampled.Load(), c.DroppedByJoin.Load(),
-			c.TuplesPacked.Load(), c.TuplesEmitted.Load())
-	}
-	return b.String()
-}
-
 // ExplainAnalyze renders the compiled plan with live per-operator
 // execution counters, followed by the frontend's merge accounting and —
 // when agents ship ExplainStats (span capture enabled) — a per-process
@@ -516,7 +490,8 @@ func (h *Installed) CostReport() string {
 // shared-pointer deployment that breakdown degenerates: every process
 // reports the same global counters (only the flush timings are truly
 // per-process); over a TCP bus each worker decodes its own Program copy
-// and the rows are genuinely per-process.
+// and the rows are genuinely per-process, as each worker's own
+// agent.Agent.ExplainAnalyze is.
 func (h *Installed) ExplainAnalyze() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "EXPLAIN ANALYZE %s:\n\n", h.Name)

@@ -187,7 +187,9 @@ func TestRawQueryRowsStream(t *testing.T) {
 	})
 }
 
-func TestCostReportCountsActivity(t *testing.T) {
+// TestExplainAnalyzeCountsActivity: the query's EXPLAIN ANALYZE view
+// carries the §4 cost counters on the operators they belong to.
+func TestExplainAnalyzeCountsActivity(t *testing.T) {
 	env := simtime.NewEnv()
 	var report string
 	env.Run(func() {
@@ -205,44 +207,47 @@ func TestCostReportCountsActivity(t *testing.T) {
 		src.Here(ctx, 1)
 		final.Here(ctx)
 		final.Here(d.request())
-		report = h.CostReport()
+		report = h.ExplainAnalyze()
 	})
-	for _, want := range []string{"Src", "Final", "packed", "dropped"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("cost report missing %q:\n%s", want, report)
-		}
-	}
 	// Src packed 1 tuple; Final dropped 1 of 2 invocations.
-	if !strings.Contains(report, "1") {
-		t.Errorf("report: %s", report)
+	for _, want := range []string{"at Src:", "at Final:", "packed=1", "join-drops=1", "fires=2"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, report)
+		}
 	}
 }
 
+// TestSamplingScalesDownProcessing: a query sampled at request level
+// (Sample 0.1) processes about a tenth of 100 requests, counts the rest as
+// sampled, and reports a weighted COUNT flagged inexact.
 func TestSamplingScalesDownProcessing(t *testing.T) {
 	env := simtime.NewEnv()
 	env.Run(func() {
 		d := deploy(env)
 		tp := d.reg.Define("Tp", "v")
-		h, err := d.pt.InstallNamed("S", `From e In Tp GroupBy e.host Select e.host, COUNT`,
-			plan.Options{Optimize: true, SampleEvery: 10})
+		h, err := d.pt.InstallNamed("S", `From e In Tp GroupBy e.host Select e.host, COUNT Sample 0.1`,
+			plan.Options{Optimize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100; i++ {
-			tp.Here(d.request(), i)
+			ctx := d.request()
+			d.ag.MintSampleDecision(baggage.FromContext(ctx))
+			tp.Here(ctx, i)
 		}
 		d.ag.Flush()
-		rows := h.Rows()
-		if len(rows) != 1 {
-			t.Fatalf("rows = %v", rows)
+		cost := &h.Plan.Emit.Cost
+		kept, sampled := cost.TuplesEmitted.Load(), cost.Sampled.Load()
+		if kept+sampled != 100 || kept == 0 || sampled == 0 {
+			t.Fatalf("kept %d + sampled %d, want both > 0 and summing to 100", kept, sampled)
 		}
-		// 1-in-10 sampling: COUNT is a scaled estimate of 100/10 = 10.
-		if got := rows[0][1].Int(); got != 10 {
-			t.Errorf("sampled count = %d, want 10", got)
+		groups := h.Groups()
+		if len(groups) != 1 || groups[0].States[0].Exact() {
+			t.Fatalf("groups = %v, want one inexact COUNT", groups)
 		}
-		prog := h.Plan.Emit
-		if prog.Cost.Sampled.Load() != 90 {
-			t.Errorf("sampled = %d, want 90", prog.Cost.Sampled.Load())
+		// Each kept request weighs 1/0.1: COUNT estimates 100 from kept.
+		if got := h.Rows()[0][1].Int(); got != 10*kept {
+			t.Errorf("sampled COUNT = %d, want 10 × %d kept", got, kept)
 		}
 	})
 }

@@ -16,11 +16,12 @@ import (
 	"repro/internal/wire"
 )
 
-// overWire round-trips a report through the codec, as a TCP bus link
-// would: wire.Unmarshal accepts any well-framed group, whatever its shape.
-func overWire(t *testing.T, r agent.Report) agent.Report {
+// overWire round-trips a report through the codec in a one-report batch,
+// as a TCP bus link would: wire.Unmarshal accepts any well-framed group,
+// whatever its shape.
+func overWire(t *testing.T, r agent.Report) agent.ReportBatch {
 	t.Helper()
-	buf, err := wire.Marshal(r)
+	buf, err := wire.Marshal(agent.ReportBatch{Reports: []agent.Report{r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func overWire(t *testing.T, r agent.Report) agent.Report {
 	if err != nil {
 		t.Fatalf("the codec rejected the frame; this test needs it accepted: %v", err)
 	}
-	return msg.(agent.Report)
+	return msg.(agent.ReportBatch)
 }
 
 // TestMalformedReportRejected: a decodable report whose group has one
@@ -61,7 +62,7 @@ func TestMalformedReportRejected(t *testing.T) {
 		t.Fatalf("setup: want one valid group with two states, got %+v", valid)
 	}
 
-	withGroup := func(mutate func(g *advice.Group)) agent.Report {
+	withGroup := func(mutate func(g *advice.Group)) agent.ReportBatch {
 		r := valid
 		g := valid.Groups[0].Clone()
 		mutate(g)
@@ -74,7 +75,7 @@ func TestMalformedReportRejected(t *testing.T) {
 	rejected := pt.Telemetry().Counter("core.reports.rejected")
 	merged := pt.Telemetry().Counter("core.reports.merged")
 	b.Publish(agent.ResultsTopic, short)
-	b.Publish(agent.ResultsTopic, agent.ReportBatch{Reports: []agent.Report{wrongFn}})
+	b.Publish(agent.ResultsTopic, wrongFn)
 	if rejected.Load() != 2 || merged.Load() != 1 {
 		t.Fatalf("rejected/merged = %d/%d, want 2/1", rejected.Load(), merged.Load())
 	}
@@ -93,7 +94,7 @@ func TestMalformedReportRejected(t *testing.T) {
 	defer c.Close()
 	b.Publish("part", overWire(t, valid))
 	b.Publish("part", short)
-	b.Publish("part", agent.ReportBatch{Reports: []agent.Report{wrongFn}})
+	b.Publish("part", wrongFn)
 	c.Flush()
 	if got := c.Stats().CombinerReportsMerged; got != 1 {
 		t.Fatalf("CombinerReportsMerged = %d, want 1", got)

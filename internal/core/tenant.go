@@ -61,9 +61,8 @@ func NewWithOptions(b *bus.Bus, reg *tracepoint.Registry, o Options) *PivotTraci
 // Tenant returns the frontend's tenant ID ("" for the primary).
 func (pt *PivotTracing) Tenant() string { return pt.tenant }
 
-// FramesIn returns how many result frames (Report or ReportBatch bus
-// messages) this frontend has received, including frames for queries it
-// does not own. It is the frontend's inbound-load meter: the
+// FramesIn returns how many result frames (ReportBatch bus messages) this
+// frontend has received, including frames for queries it does not own. It is the frontend's inbound-load meter: the
 // multi-tenant-storm scenario asserts it stays flat per frontend as the
 // agent fleet grows.
 func (pt *PivotTracing) FramesIn() int64 { return pt.framesIn.Load() }

@@ -53,8 +53,8 @@ func TestFairLimitResolvesDefaults(t *testing.T) {
 }
 
 // TestTenantInstallCarriesQuotaSplit: a tenant frontend with a declared
-// share stamps its installs with the tenant, the share, and fair-shared
-// limits — visible on the wire, not re-derived per agent.
+// share stamps its installs with the tenant and fair-shared limits —
+// visible on the wire, not re-derived per agent.
 func TestTenantInstallCarriesQuotaSplit(t *testing.T) {
 	b := bus.New()
 	reg := tracepoint.NewRegistry()
@@ -79,8 +79,8 @@ func TestTenantInstallCarriesQuotaSplit(t *testing.T) {
 		t.Fatalf("installs published = %d, want 1", len(installs))
 	}
 	in := installs[0]
-	if in.Tenant != "alice" || in.Share != 4 {
-		t.Errorf("install tenant/share = %q/%d, want alice/4", in.Tenant, in.Share)
+	if in.Tenant != "alice" {
+		t.Errorf("install tenant = %q, want alice", in.Tenant)
 	}
 	if in.Limits.MaxGroups != advice.DefaultMaxGroups/4 || in.Limits.MaxRaws != advice.DefaultMaxRaws/4 {
 		t.Errorf("install limits not fair-shared: %+v", in.Limits)
@@ -92,8 +92,7 @@ func TestTenantInstallCarriesQuotaSplit(t *testing.T) {
 	}
 	// The replayed install (late-joining agents) carries the same stamps.
 	replay := pt.Installs()
-	if len(replay) != 1 || replay[0].Tenant != "alice" || replay[0].Share != 4 ||
-		replay[0].Limits != in.Limits {
+	if len(replay) != 1 || replay[0].Tenant != "alice" || replay[0].Limits != in.Limits {
 		t.Errorf("replayed install lost tenancy stamps: %+v", replay)
 	}
 }
@@ -205,7 +204,7 @@ func TestTenantFrontendSubscriptionFootprint(t *testing.T) {
 		t.Errorf("health/trace/status traffic counted as result frames")
 	}
 
-	b.Publish(agent.TenantResultsTopic("alice"), agent.Report{QueryID: "nope"})
+	b.Publish(agent.TenantResultsTopic("alice"), agent.ReportBatch{Reports: []agent.Report{{QueryID: "nope"}}})
 	b.Publish(agent.ResultsTopic, agent.ReportBatch{})
 	if got := ten.FramesIn(); got != before+2 {
 		t.Errorf("FramesIn = %d, want %d", got, before+2)

@@ -1,8 +1,8 @@
 // Package faultinject is a deterministic, seedable fault-injection layer
 // for the tracer's report plane. It wraps net.Conn / net.Listener pairs so
 // tests can drop, delay, truncate, and sever connections on a fixed
-// schedule, and (see netsim.go) drives scheduled capacity faults into the
-// netsim flow simulator. Everything is driven by explicit operation counts
+// schedule. (Simulated links fail through netsim.Network.SetRate
+// directly.) Everything is driven by explicit operation counts
 // and a seeded RNG, so a chaos test with a fixed seed replays the exact
 // same fault sequence on every run — including under -race -count=N.
 //

@@ -6,9 +6,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"repro/internal/netsim"
-	"repro/internal/simtime"
 )
 
 // pipe returns a wrapped client end and the raw server end of an
@@ -209,29 +206,5 @@ func TestWriteDelayApplies(t *testing.T) {
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("write took %v, want >= 20ms", d)
-	}
-}
-
-func TestScheduleAppliesLinkFaultsInVirtualTime(t *testing.T) {
-	env := simtime.NewEnv()
-	var beforeFault, afterFault, afterRepair float64
-	env.Run(func() {
-		n := netsim.New(env)
-		n.AddLink("nic", 1000)
-		Schedule(env, n, []LinkFault{
-			// Declared out of order; applied in At order.
-			{At: 2 * time.Second, Link: "nic", Rate: 1000},
-			{At: 1 * time.Second, Link: "nic", Rate: 10},
-		})
-		env.Sleep(500 * time.Millisecond)
-		beforeFault = n.Rate("nic")
-		env.Sleep(1 * time.Second) // t = 1.5s: limplock active
-		afterFault = n.Rate("nic")
-		env.Sleep(1 * time.Second) // t = 2.5s: repaired
-		afterRepair = n.Rate("nic")
-	})
-	if beforeFault != 1000 || afterFault != 10 || afterRepair != 1000 {
-		t.Errorf("rates = (%v, %v, %v), want (1000, 10, 1000)",
-			beforeFault, afterFault, afterRepair)
 	}
 }

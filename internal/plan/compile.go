@@ -301,9 +301,6 @@ func (qc *queryCompiler) compileFrom(target *packTarget) error {
 		if err != nil {
 			return err
 		}
-		if target == nil && qc.c.opts.SampleEvery > 1 {
-			prog.SampleEvery = qc.c.opts.SampleEvery
-		}
 		qc.p.Programs = append(qc.p.Programs, prog)
 		if target == nil && i == 0 {
 			qc.p.Emit = prog

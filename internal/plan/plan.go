@@ -33,12 +33,6 @@ type Options struct {
 	// the final tracepoint — the paper's unoptimized (but still in-baggage)
 	// evaluation strategy, kept for ablation benchmarks.
 	Optimize bool
-	// SampleEvery, when > 1, samples the query's primary (emitting)
-	// tracepoint: only one in every SampleEvery crossings is processed
-	// (§8's advice-level sampling). Joined sources still pack on every
-	// crossing so the happened-before join stays exact for the sampled
-	// observations; COUNT/SUM results are 1/SampleEvery-scaled estimates.
-	SampleEvery int64
 	// SampleRate, when in (0, 1), samples the query at request
 	// granularity: the originating agent mints one keep/suppress decision
 	// per request (carried in the reserved !pt.sample baggage slot), so a

@@ -51,7 +51,7 @@ func TestAllocUnmarshalReportBatch(t *testing.T) {
 			States: []agg.State{*sum, *count},
 		})
 	}
-	frame, err := Marshal(agent.ReportBatch{Host: "h", ProcName: "p", Time: time.Second, Reports: []agent.Report{rep}})
+	frame, err := Marshal(agent.ReportBatch{Reports: []agent.Report{rep}})
 	if err != nil {
 		t.Fatal(err)
 	}

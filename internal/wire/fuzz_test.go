@@ -95,6 +95,8 @@ func messageSeeds(t testing.TB) map[string][]byte {
 			GroupBy: []int{3}, Aggs: []baggage.AggField{{Pos: -1, Fn: agg.Count}},
 		},
 	}
+	// one wraps a report in the one frame results travel in.
+	one := func(r agent.Report) agent.ReportBatch { return agent.ReportBatch{Reports: []agent.Report{r}} }
 	hb, es := fullHeartbeat(), fullExplain()
 	hbShort, hbExtra, hbHuge := counterFrames(mustMarshal(hb), hb.Stats.Values()[:])
 	esShort, esExtra, esHuge := counterFrames(mustMarshal(es), es.Ops[0].Values()[:])
@@ -115,7 +117,7 @@ func messageSeeds(t testing.TB) map[string][]byte {
 			}},
 		}),
 		"tenant-install": mustMarshal(agent.Install{
-			QueryID: "alice.Q1", Tenant: "alice", Share: 64,
+			QueryID: "alice.Q1", Tenant: "alice",
 			Programs: []*advice.Program{{
 				QueryID: "alice.Q1", Tracepoint: "Tp",
 				Observe: []int{0}, ObserveFields: tuple.Schema{"e.host"},
@@ -167,37 +169,37 @@ func messageSeeds(t testing.TB) map[string][]byte {
 		}),
 		"status-request":  mustMarshal(agent.StatusRequest{ID: "s1"}),
 		"status-response": mustMarshal(agent.StatusResponse{ID: "s1", Text: "ok"}),
-		"report": mustMarshal(agent.Report{
+		"report": mustMarshal(one(agent.Report{
 			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{{
 				Key: "k", Rep: tuple.Tuple{tuple.String("h"), tuple.Int(1)},
 				States: []agg.State{*st},
 			}},
 			Raws: []tuple.Tuple{{tuple.Float(1.5)}},
-		}),
+		})),
 		// A weighted (sampled) report: the inexact flag and the weighted
 		// count/sum fields ride the state encoding.
-		"weighted-report": mustMarshal(agent.Report{
+		"weighted-report": mustMarshal(one(agent.Report{
 			QueryID: "QS", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{{
 				Key: "k", Rep: tuple.Tuple{tuple.String("h"), tuple.Int(1)},
 				States: []agg.State{*wst},
 			}},
-		}),
+		})),
 		// Decodable, but malformed for any query: two groups of one report
 		// disagree on state count and aggregate. The codec accepts them;
 		// the merger must reject the report (see mergeDecoded).
-		"ragged-report": mustMarshal(agent.Report{
+		"ragged-report": mustMarshal(one(agent.Report{
 			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{
 				{Key: "a", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*st, *wst}},
 				{Key: "b", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*st}},
 				{Key: "a", States: []agg.State{agg.Make(agg.Max), *wst}},
 			},
-		}),
+		})),
 		// Ragged the other way: later groups carry more states, and a wider
 		// Rep, than the first one sized the decoder's slabs for.
-		"ragged-growing-report": mustMarshal(agent.Report{
+		"ragged-growing-report": mustMarshal(one(agent.Report{
 			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Groups: []*advice.Group{
 				{Key: "a", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*st}},
@@ -206,22 +208,22 @@ func messageSeeds(t testing.TB) map[string][]byte {
 				{Key: "d", Rep: tuple.Tuple{tuple.String("h")}, States: []agg.State{*wst, *st}},
 			},
 			Raws: []tuple.Tuple{{tuple.Int(1)}, {tuple.Int(1), tuple.Int(2), tuple.Int(3)}, {}},
-		}),
-		// Report claiming 2^31 groups in a 40-byte frame.
-		"huge-groups": append([]byte{TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+		})),
+		// One-report batches whose report claims 2^31 groups in a 41-byte
+		// frame.
+		"huge-groups": append([]byte{TagReportBatch, 0x01, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
 			0x80, 0x80, 0x80, 0x80, 0x08}, make([]byte, 27)...),
-		// Report claiming 12 groups where the unread bytes could hold 11:
-		// under the old one-byte-per-element bound, over the group bound.
-		"groups-past-frame": append([]byte{TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+		// 12 groups where the unread bytes could hold 11: under the old
+		// one-byte-per-element bound, over the group bound.
+		"groups-past-frame": append([]byte{TagReportBatch, 0x01, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
 			12}, make([]byte, 35)...),
 		// One group claiming 100 states with 20 bytes — not two states — left.
-		"states-past-frame": append([]byte{TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+		"states-past-frame": append([]byte{TagReportBatch, 0x01, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
 			0x01, 0x01, 'k', 0x00, 100}, make([]byte, 20)...),
 		// No groups, and 2^21 raw rows claimed in a four-byte body.
-		"raws-past-frame": {TagReport, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
+		"raws-past-frame": {TagReportBatch, 0x01, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02,
 			0x00, 0x80, 0x80, 0x80, 0x01, 0x00, 0x00, 0x00, 0x00},
 		"report-batch": mustMarshal(agent.ReportBatch{
-			Host: "h", ProcName: "p", Time: 5 * time.Second,
 			Reports: []agent.Report{
 				{QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second,
 					Raws: []tuple.Tuple{{tuple.Int(7)}}},
@@ -251,7 +253,7 @@ func messageSeeds(t testing.TB) map[string][]byte {
 		// Install claiming 2^28 programs in a one-byte body.
 		"huge-count": {TagInstall, 0x01, 'q', 0xff, 0xff, 0xff, 0x7f, 0x00},
 		// Batch claiming 2^28 reports in a one-byte body.
-		"huge-batch": {TagReportBatch, 0x01, 'h', 0x01, 'p', 0x02, 0xff, 0xff, 0xff, 0x7f, 0x00},
+		"huge-batch": {TagReportBatch, 0xff, 0xff, 0xff, 0x7f, 0x00},
 		// SpanBatch claiming 2^28 spans in a one-byte body.
 		"huge-span-batch": {TagSpanBatch, 0x01, 'h', 0x01, 'p', 0x02, 0xff, 0xff, 0xff, 0x7f, 0x00},
 		// Span claiming 2^28 parents in a one-byte body.
@@ -333,7 +335,7 @@ func scribble(frame []byte) {
 
 // FuzzUnmarshal: decoding arbitrary bytes must never panic, and any
 // successfully decoded message must re-marshal to a stable canonical
-// encoding (Marshal ∘ Unmarshal is a fixpoint). Every decoded Report and
+// encoding (Marshal ∘ Unmarshal is a fixpoint). Every report of a decoded
 // ReportBatch must also survive a Merger, which keeps nothing of the frame
 // the report borrows: what it holds does not change when the frame is
 // overwritten.
@@ -348,10 +350,7 @@ func FuzzUnmarshal(f *testing.F) {
 			return
 		}
 		ms := newMergers()
-		switch m := msg.(type) {
-		case agent.Report:
-			mergeDecoded(ms, &m)
-		case agent.ReportBatch:
+		if m, ok := msg.(agent.ReportBatch); ok {
 			for i := range m.Reports {
 				mergeDecoded(ms, &m.Reports[i])
 			}

@@ -158,7 +158,6 @@ func AppendProgram(buf []byte, p *advice.Program) []byte {
 	buf = appendString(buf, p.Tracepoint)
 	buf = appendInts(buf, p.Observe)
 	buf = appendStrings(buf, p.ObserveFields)
-	buf = binary.AppendVarint(buf, p.SampleEvery)
 	buf = binary.AppendUvarint(buf, math.Float64bits(p.SampleRate))
 	buf = binary.AppendVarint(buf, int64(p.Safety.Budget.MaxBytes))
 	buf = binary.AppendVarint(buf, int64(p.Safety.Budget.MaxTuples))
@@ -226,7 +225,6 @@ func readProgram(r *tuple.Reader) *advice.Program {
 	p := &advice.Program{
 		QueryID: r.String(), Tracepoint: r.String(),
 		Observe: r.Ints(), ObserveFields: r.Strings(),
-		SampleEvery: r.Varint(),
 		// Hostile rates (NaN, negative, zero, > 1, absurd weights) are clamped
 		// to "unsampled" here so a corrupt frame can never inflate weights.
 		SampleRate: sampling.ClampRate(math.Float64frombits(r.Uvarint())),
@@ -262,11 +260,11 @@ func readProgram(r *tuple.Reader) *advice.Program {
 
 // --- control and results messages ---
 
-// Message type tags on the wire.
+// Message type tags on the wire. Tag 3 (a bare Report) is retired: results
+// travel only in ReportBatch frames, and a frame tagged 3 is rejected.
 const (
 	TagInstall        = 1
 	TagUninstall      = 2
-	TagReport         = 3
 	TagHeartbeat      = 4
 	TagStatusRequest  = 5
 	TagStatusResponse = 6
@@ -334,8 +332,7 @@ func readSpan(r *tuple.Reader) spans.Span {
 	return sp
 }
 
-// appendReport encodes one report body (no tag byte); shared by the
-// TagReport and TagReportBatch encodings.
+// appendReport encodes one report of a TagReportBatch frame.
 func appendReport(buf []byte, m *agent.Report) []byte {
 	buf = appendString(buf, m.QueryID)
 	buf = appendString(buf, m.Host)
@@ -362,8 +359,7 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 	return buf
 }
 
-// readReport decodes one report body (no tag byte); shared by the
-// TagReport and TagReportBatch decodings. The groups, their states and
+// readReport decodes one report of a TagReportBatch frame. The groups, their states and
 // every Rep and raw-row value are cut from one slab each, sized from the
 // counts the frame gives — a count times the width of the first element
 // that carries it, which is exact unless the frame's groups are ragged —
@@ -406,7 +402,7 @@ func readReport(r *tuple.Reader) agent.Report {
 // empty key, an empty Rep and no states, one length byte each.
 const minGroupSize = 3
 
-// Marshal encodes a bus message: any of the twelve types of
+// Marshal encodes a bus message: any of the eleven types of
 // internal/agent/messages.go that carry a Tag constant above. Unknown
 // message types return an error.
 func Marshal(msg any) ([]byte, error) {
@@ -418,7 +414,6 @@ func Marshal(msg any) ([]byte, error) {
 		buf = binary.AppendVarint(buf, int64(m.Limits.MaxGroups))
 		buf = binary.AppendVarint(buf, int64(m.Limits.MaxRaws))
 		buf = appendString(buf, m.Tenant)
-		buf = binary.AppendVarint(buf, int64(m.Share))
 		buf = binary.AppendUvarint(buf, uint64(len(m.Programs)))
 		for _, p := range m.Programs {
 			buf = AppendProgram(buf, p)
@@ -459,14 +454,8 @@ func Marshal(msg any) ([]byte, error) {
 		buf := []byte{TagStatusResponse}
 		buf = appendString(buf, m.ID)
 		return appendString(buf, m.Text), nil
-	case agent.Report:
-		buf := []byte{TagReport}
-		return appendReport(buf, &m), nil
 	case agent.ReportBatch:
 		buf := []byte{TagReportBatch}
-		buf = appendString(buf, m.Host)
-		buf = appendString(buf, m.ProcName)
-		buf = binary.AppendVarint(buf, int64(m.Time))
 		buf = binary.AppendUvarint(buf, uint64(len(m.Reports)))
 		for i := range m.Reports {
 			buf = appendReport(buf, &m.Reports[i])
@@ -530,7 +519,7 @@ func readMessage(r *tuple.Reader) any {
 		m := agent.Install{
 			QueryID: r.String(), TTL: time.Duration(r.Varint()),
 			Limits: advice.Limits{MaxGroups: int(r.Varint()), MaxRaws: int(r.Varint())},
-			Tenant: r.String(), Share: int(r.Varint()),
+			Tenant: r.String(),
 		}
 		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 			m.Programs = append(m.Programs, readProgram(r))
@@ -556,12 +545,9 @@ func readMessage(r *tuple.Reader) any {
 		return agent.StatusRequest{ID: r.String()}
 	case TagStatusResponse:
 		return agent.StatusResponse{ID: r.String(), Text: r.String()}
-	case TagReport:
-		return readReport(r)
 	case TagReportBatch:
-		m := agent.ReportBatch{Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
 		n := r.Count()
-		m.Reports = make([]agent.Report, 0, n)
+		m := agent.ReportBatch{Reports: make([]agent.Report, 0, n)}
 		for ; n > 0 && r.Err() == nil; n-- {
 			m.Reports = append(m.Reports, readReport(r))
 		}

@@ -161,27 +161,10 @@ func TestMessageCodecRoundtrip(t *testing.T) {
 		}},
 		Raws: []tuple.Tuple{{tuple.Float(1.5)}},
 	}
-	buf, err = Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr, ok := got.(agent.Report)
-	if !ok || gr.Time != 5*time.Second || len(gr.Groups) != 1 || len(gr.Raws) != 1 {
-		t.Fatalf("report roundtrip = %#v", got)
-	}
-	if gr.Groups[0].States[0].Result().Int() != 42 {
-		t.Fatalf("state roundtrip = %v", gr.Groups[0].States[0].Result())
-	}
-
 	// ReportBatch: reports coalesced into one frame survive intact and in
-	// order.
+	// order, each naming its sender.
 	batch := agent.ReportBatch{
-		Host: "h", ProcName: "p", Time: 6 * time.Second,
-		Reports: []agent.Report{rep, {QueryID: "Q2", Host: "h", ProcName: "p", Time: 6 * time.Second}},
+		Reports: []agent.Report{rep, {QueryID: "Q2", Host: "h2", ProcName: "p", Time: 6 * time.Second}},
 	}
 	buf, err = Marshal(batch)
 	if err != nil {
@@ -192,22 +175,32 @@ func TestMessageCodecRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	gb, ok := got.(agent.ReportBatch)
-	if !ok || gb.Host != "h" || gb.Time != 6*time.Second || len(gb.Reports) != 2 {
+	if !ok || len(gb.Reports) != 2 {
 		t.Fatalf("batch roundtrip = %#v", got)
 	}
-	if gb.Reports[0].QueryID != "Q1" || gb.Reports[1].QueryID != "Q2" {
-		t.Fatalf("batch order lost: %q, %q", gb.Reports[0].QueryID, gb.Reports[1].QueryID)
+	gr := gb.Reports[0]
+	if gr.QueryID != "Q1" || gr.Host != "h" || gr.Time != 5*time.Second || len(gr.Groups) != 1 || len(gr.Raws) != 1 {
+		t.Fatalf("report roundtrip = %#v", gr)
 	}
-	if gb.Reports[0].Groups[0].States[0].Result().Int() != 42 {
-		t.Fatalf("batched state roundtrip = %v", gb.Reports[0].Groups[0].States[0].Result())
+	if gr.Groups[0].States[0].Result().Int() != 42 {
+		t.Fatalf("state roundtrip = %v", gr.Groups[0].States[0].Result())
+	}
+	if r := gb.Reports[1]; r.QueryID != "Q2" || r.Host != "h2" || r.Time != 6*time.Second {
+		t.Fatalf("second report = %#v", r)
 	}
 
-	// Unknown type.
+	// Unknown type, and unknown tags: 3, which once framed a bare Report,
+	// is one of them.
 	if _, err := Marshal(struct{}{}); err == nil {
 		t.Error("unknown type should fail to marshal")
 	}
-	if _, err := Unmarshal([]byte{99}); err == nil {
-		t.Error("bad tag should fail to unmarshal")
+	if _, err := Marshal(rep); err == nil {
+		t.Error("a bare Report should fail to marshal; reports travel in a ReportBatch")
+	}
+	for _, frame := range [][]byte{{99}, {3, 0x01, 'q', 0x01, 'h', 0x01, 'p', 0x02, 0x00, 0x00, 0x00}} {
+		if _, err := Unmarshal(frame); err == nil || !strings.Contains(err.Error(), "bad message tag") {
+			t.Errorf("Unmarshal(%x) error = %v, want bad message tag", frame, err)
+		}
 	}
 }
 
@@ -277,7 +270,7 @@ func TestGovernanceCodecRoundtrip(t *testing.T) {
 			{Slot: "Q1.b"}, // whole-slot tombstone
 		},
 	}
-	grep := roundtrip(rep).(agent.Report)
+	grep := roundtrip(agent.ReportBatch{Reports: []agent.Report{rep}}).(agent.ReportBatch).Reports[0]
 	if len(grep.Drops) != 2 || grep.Drops[0] != rep.Drops[0] || grep.Drops[1] != rep.Drops[1] {
 		t.Fatalf("report drops roundtrip = %+v", grep.Drops)
 	}
@@ -578,7 +571,7 @@ func TestMergerKeepsNoBorrowedString(t *testing.T) {
 		}
 		return r
 	}
-	frame, err := Marshal(agent.ReportBatch{Host: "h", ProcName: "p", Time: time.Second, Reports: []agent.Report{
+	frame, err := Marshal(agent.ReportBatch{Reports: []agent.Report{
 		report("Q1", "host-a", "host-b", "host-c"), report("Q2", "host-b", "host-d"),
 	}})
 	if err != nil {
@@ -617,7 +610,7 @@ func TestReadReportSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := msg.(agent.Report)
+	rep := msg.(agent.ReportBatch).Reports[0]
 	var shape []int
 	for _, g := range rep.Groups {
 		shape = append(shape, len(g.Rep), len(g.States))
@@ -635,7 +628,7 @@ func TestReadReportSlabs(t *testing.T) {
 	if len(rep.Raws) != 3 || len(rep.Raws[1]) != 3 || rep.Raws[1][2].Int() != 3 || len(rep.Raws[2]) != 0 {
 		t.Errorf("raw rows decoded as %v", rep.Raws)
 	}
-	if enc, err := Marshal(rep); err != nil || !bytes.Equal(enc, seeds["ragged-growing-report"]) {
+	if enc, err := Marshal(msg); err != nil || !bytes.Equal(enc, seeds["ragged-growing-report"]) {
 		t.Errorf("re-encoding the decoded report: err=%v, bytes differ=%v", err, !bytes.Equal(enc, seeds["ragged-growing-report"]))
 	}
 	for _, name := range []string{"huge-groups", "groups-past-frame", "states-past-frame", "raws-past-frame"} {

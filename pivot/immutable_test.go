@@ -62,7 +62,7 @@ func TestReportImmutableOncePublished(t *testing.T) {
 	frame := marshal(batch)
 	var parked [][]byte
 	for _, r := range batch.Reports {
-		parked = append(parked, marshal(r))
+		parked = append(parked, marshal(agent.ReportBatch{Reports: []agent.Report{r}}))
 		pt.Agent.Retain(r)
 	}
 
@@ -107,7 +107,7 @@ func TestReportImmutableOncePublished(t *testing.T) {
 	}
 
 	replayed := pt.Agent.ReplayRetained(func(r agent.Report) error {
-		if got := marshal(r); !bytes.Equal(got, parked[0]) {
+		if got := marshal(agent.ReportBatch{Reports: []agent.Report{r}}); !bytes.Equal(got, parked[0]) {
 			t.Errorf("report of %s parked in the outage ring changed its encoding before replay", r.QueryID)
 		}
 		parked = parked[1:]

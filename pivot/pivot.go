@@ -258,12 +258,6 @@ func (pt *PT) StartReporting(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// NewRequest attaches fresh, empty baggage to ctx: call at the entry point
-// of each request.
-func NewRequest(ctx context.Context) context.Context {
-	return baggage.ExtractContext(ctx, nil)
-}
-
 // Inject serializes the request's baggage for transport in an RPC header.
 // Empty baggage serializes to zero bytes.
 func Inject(ctx context.Context) []byte {
@@ -408,21 +402,16 @@ func (pt *PT) ConnectBusWith(busAddr string, opts BusOptions) (disconnect func()
 		// heartbeats are liveness beacons and not worth replaying. A
 		// dropped batch retains its constituent reports individually, so
 		// replay granularity (and ring accounting) stays per-report.
-		if topic == reportTopic {
-			switch m := msg.(type) {
-			case agent.Report:
-				pt.Agent.Retain(m)
-			case agent.ReportBatch:
-				for _, r := range m.Reports {
-					pt.Agent.Retain(r)
-				}
+		if m, ok := msg.(agent.ReportBatch); ok && topic == reportTopic {
+			for _, r := range m.Reports {
+				pt.Agent.Retain(r)
 			}
 		}
 	}
 	lopts.OnUp = func(int64) {
 		pt.Agent.NoteReconnect()
 		pt.Agent.ReplayRetained(func(r agent.Report) error {
-			return link.Send(reportTopic, r)
+			return link.Send(reportTopic, agent.ReportBatch{Reports: []agent.Report{r}})
 		})
 	}
 	// TraceTopic is outbound but deliberately absent from OnDrop below:

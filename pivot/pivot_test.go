@@ -209,7 +209,7 @@ func TestUninstallFromFacade(t *testing.T) {
 }
 
 func TestInjectEmptyBaggageIsZeroBytes(t *testing.T) {
-	ctx := NewRequest(context.Background())
+	ctx := New("p").NewRequest(context.Background())
 	if wire := Inject(ctx); len(wire) != 0 {
 		t.Fatalf("empty baggage = %d bytes, want 0", len(wire))
 	}
