@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/itc"
 	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
@@ -76,15 +75,15 @@ func newNonce() uint64 { return nonceBase ^ nonceCounter.Add(1) }
 // instance is one versioned baggage instance (§5). A Baggage holds one
 // active instance — the only one its branch ever writes — and the frozen
 // instances inherited from before branch points. The nonce is the
-// instance's globally unique identity: a frozen instance reached down both
-// sides of a branch deduplicates by it at the rejoin, while distinct
-// instances — even with the same interval tree ID and contents — never do.
+// instance's globally unique identity, and its only version: a frozen
+// instance reached down both sides of a branch deduplicates by it at the
+// rejoin, while distinct instances — even with the same contents — never
+// do.
 //
 // A frozen instance, its sets and every stored tuple are immutable and
 // shared by all the Baggage values that inherited them, possibly on
 // different goroutines; nothing may write through them.
 type instance struct {
-	stamp itc.Stamp
 	nonce uint64
 	slots []slot // in creation order, which is the serialized order
 }
@@ -105,10 +104,10 @@ type head struct {
 	inline [3]*instance
 }
 
-// open makes h.in a new instance with stamp and returns a list holding it,
-// with capacity for n instances.
-func (h *head) open(stamp itc.Stamp, n int) []*instance {
-	h.in = instance{stamp: stamp, nonce: newNonce()}
+// open makes h.in a new instance with a fresh nonce and returns a list
+// holding it, with capacity for n instances.
+func (h *head) open(n int) []*instance {
+	h.in = instance{nonce: newNonce()}
 	insts := h.inline[:0]
 	if n > len(h.inline) {
 		insts = make([]*instance, 0, n)
@@ -141,7 +140,7 @@ func (in *instance) set(name string, spec SetSpec) *Set {
 
 // clone copies an active instance; writes to the copy do not reach in.
 func (in *instance) clone() *instance {
-	c := &instance{stamp: in.stamp, nonce: in.nonce, slots: make([]slot, len(in.slots))}
+	c := &instance{nonce: in.nonce, slots: make([]slot, len(in.slots))}
 	for i, sl := range in.slots {
 		c.slots[i] = slot{sl.name, sl.set.Clone()}
 	}
@@ -193,13 +192,13 @@ func (b *Baggage) Load(wire []byte) {
 	}
 }
 
-// active returns the active instance for writing: created (with a fresh
-// seed stamp) if the baggage is empty, copied first if it is shared.
+// active returns the active instance for writing: created if the baggage
+// is empty, copied first if it is shared.
 func (b *Baggage) active() *instance {
 	b.ensureDecoded()
 	switch {
 	case len(b.insts) == 0:
-		b.insts = new(head).open(itc.Seed(), 1)
+		b.insts = new(head).open(1)
 	case b.shared:
 		b.insts = append([]*instance{b.insts[0].clone()}, b.insts[1:]...)
 		b.shared = false
@@ -322,11 +321,12 @@ func (b *Baggage) TupleCount() int {
 
 // Split divides the baggage for a branching execution. The receiver's
 // active instance is frozen and shared by both sides; each side gets a new
-// empty active instance tagged with half of the divided interval tree ID,
-// so tuples packed by one branch are invisible to the other until Join.
-// The receiver should not be used after Split; if it is, it reads what it
-// held and its first write copies the frozen instance, so neither branch
-// sees or serializes the difference.
+// empty active instance of its own, so tuples packed by one branch are
+// invisible to the other until Join. Empty baggage splits into two empty
+// baggages: there is nothing to freeze, and a branch's first Pack opens its
+// instance. The receiver should not be used after Split; if it is, it
+// reads what it held and its first write copies the frozen instance, so
+// neither branch sees or serializes the difference.
 func (b *Baggage) Split() (*Baggage, *Baggage) {
 	l, r := b.split(nil)
 	return &l.b, &r.b
@@ -338,26 +338,23 @@ func (b *Baggage) split(ctx context.Context) (*branch, *branch) {
 		m.Splits.Inc()
 	}
 	b.ensureDecoded()
-	if len(b.insts) == 0 {
-		b.active()
-	}
-	b.shared = true
-	s1, s2 := b.insts[0].stamp.Fork()
-	fork := func(stamp itc.Stamp) *branch {
+	b.shared = len(b.insts) > 0
+	fork := func() *branch {
 		c := &branch{node: node{Context: ctx}}
-		c.b.insts = append(c.h.open(stamp, 1+len(b.insts)), b.insts...)
+		if len(b.insts) > 0 {
+			c.b.insts = append(c.h.open(1+len(b.insts)), b.insts...)
+		}
 		return c
 	}
-	return fork(s1), fork(s2)
+	return fork(), fork()
 }
 
 // Join merges the baggage of two rejoining branches: the active instances'
-// contents merge into a new active instance whose ID joins the two halves,
-// and frozen instances from both sides are kept, the first of each nonce,
-// in a list of its own. Neither argument is written. A nil argument is
-// empty baggage, and joining empty baggage to b gives a copy of b whose
-// first write copies the active instance, so the result and b never write
-// one instance.
+// contents merge into a new active instance, and frozen instances from
+// both sides are kept, the first of each nonce, in a list of its own.
+// Neither argument is written. A nil argument is empty baggage, and
+// joining empty baggage to b gives a copy of b whose first write copies
+// the active instance, so the result and b never write one instance.
 func Join(a, b *Baggage) *Baggage {
 	return &join(nil, a, b).b
 }
@@ -376,7 +373,7 @@ func join(ctx context.Context, a, b *Baggage) *branch {
 	if m := meters.Load(); m != nil {
 		m.Joins.Inc()
 	}
-	insts := j.h.open(itc.Join(a.insts[0].stamp, b.insts[0].stamp), len(a.insts)+len(b.insts)-1)
+	insts := j.h.open(len(a.insts) + len(b.insts) - 1)
 	merged := insts[0]
 	for _, src := range [2]*instance{a.insts[0], b.insts[0]} {
 		for _, sl := range src.slots {

@@ -2,12 +2,10 @@ package baggage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/agg"
-	"repro/internal/itc"
 	"repro/internal/slab"
 	"repro/internal/tuple"
 )
@@ -15,7 +13,7 @@ import (
 // Wire format (all integers are varints unless noted):
 //
 //	baggage  := count:uvarint instance*
-//	instance := stamp:itc count:uvarint slot*
+//	instance := nonce:uvarint count:uvarint slot*
 //	slot     := name:str spec content
 //	spec     := kind:byte n:varint fields:[uvarint str*]
 //	            groupby:[uvarint varint*] aggs:[uvarint (varint byte)*]
@@ -153,7 +151,6 @@ func identity(n int) []int {
 }
 
 func encodeInstance(buf []byte, in *instance) []byte {
-	buf = itc.AppendStamp(buf, in.stamp)
 	buf = binary.AppendUvarint(buf, in.nonce)
 	buf = binary.AppendUvarint(buf, uint64(len(in.slots)))
 	for _, sl := range in.slots {
@@ -161,15 +158,6 @@ func encodeInstance(buf []byte, in *instance) []byte {
 		buf = appendSet(buf, sl.set)
 	}
 	return buf
-}
-
-func readStamp(r *tuple.Reader) itc.Stamp {
-	stamp, rest, err := itc.DecodeStamp(r.Rest())
-	if errors.Is(err, itc.ErrTruncated) {
-		err = tuple.ErrTruncated // one sentinel for callers, whichever codec ran out of bytes
-	}
-	r.Resume(rest, err)
-	return stamp
 }
 
 func readInstance(r *tuple.Reader, in *instance) {
@@ -192,11 +180,10 @@ func decodeInstances(buf []byte) ([]*instance, error) {
 	n := r.Count()
 	var insts []*instance
 	for i := 0; i < n && r.Err() == nil; i++ {
-		stamp := readStamp(&r)
 		if i == 0 {
-			insts = new(head).open(stamp, n)
+			insts = new(head).open(n)
 		} else {
-			insts = append(insts, &instance{stamp: stamp})
+			insts = append(insts, new(instance))
 		}
 		readInstance(&r, insts[i])
 	}

@@ -52,8 +52,8 @@ func baggageSeeds(t testing.TB) map[string][]byte {
 		"tombstone": evicted.Serialize(),
 		"empty":     {},
 		"bad-tag":   {0x7f},
-		// One instance claiming 2^28 slots in a one-byte body.
-		"huge-count": {0x01, 0x01, 0x00, 0xff, 0xff, 0xff, 0x7f},
+		// One instance (nonce 1) claiming 2^28-1 slots in a one-byte body.
+		"huge-count": {0x01, 0x01, 0xff, 0xff, 0xff, 0x7f, 0x00},
 		"truncated":  allKinds.Serialize()[:9],
 	}
 }

@@ -209,7 +209,7 @@ func deepCopy(b *Baggage) *Baggage {
 		return &Baggage{raw: append([]byte(nil), b.raw...)}
 	}
 	deep := func(in *instance) *instance {
-		c := &instance{stamp: in.stamp, nonce: in.nonce}
+		c := &instance{nonce: in.nonce}
 		for _, sl := range in.slots {
 			s := NewSet(sl.set.Spec)
 			s.bytes = sl.set.bytes

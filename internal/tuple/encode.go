@@ -52,17 +52,6 @@ func (r *Reader) Fail(err error) {
 	r.buf = nil
 }
 
-// Resume continues after a decoder with the (buf) → (x, rest, err) shape
-// (internal/itc) ran over Rest: it fails with err or moves on to rest.
-func (r *Reader) Resume(rest []byte, err error) {
-	switch {
-	case err != nil:
-		r.Fail(err)
-	case r.err == nil:
-		r.buf = rest
-	}
-}
-
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	v, k := binary.Uvarint(r.buf)

@@ -244,24 +244,13 @@ func TestReaderFirstErrorWins(t *testing.T) {
 		t.Error("composite reads after a failure returned non-zero values")
 	}
 	r.Fail(errors.New("later"))
-	r.Resume([]byte{1}, nil)
 	if r.Err() != first || r.Rest() != nil {
-		t.Errorf("after later failures: err = %v, rest = %v; want the first cause and no bytes", r.Err(), r.Rest())
+		t.Errorf("after a later failure: err = %v, rest = %v; want the first cause and no bytes", r.Err(), r.Rest())
 	}
 
 	r = NewReader([]byte{3, 1, 2})
 	if n := r.Count(); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
 		t.Errorf("Count of 3 with 2 bytes left = %d, err %v; want ErrTruncated", n, r.Err())
-	}
-
-	r = NewReader([]byte{9, 9})
-	r.Resume([]byte{5}, nil)
-	if b := r.Byte(); b != 5 || r.Err() != nil || len(r.Rest()) != 0 {
-		t.Errorf("Resume(rest, nil) then Byte() = %d, err %v, %d bytes left", b, r.Err(), len(r.Rest()))
-	}
-	cause := errors.New("foreign decoder failed")
-	if r.Resume(nil, cause); r.Err() != cause {
-		t.Errorf("Resume(nil, err): err = %v, want %v", r.Err(), cause)
 	}
 }
 
