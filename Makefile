@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race allocs bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short experiments loc
+.PHONY: check fmt vet build test race allocs bench bench-check bench-gate stress fuzz-smoke coverage differential combiner safety sampling scenarios scenarios-short experiments goldens loc
 
 check: fmt vet build race allocs fuzz-smoke sampling bench-check bench-gate
 
@@ -115,6 +115,14 @@ experiments:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/ptbench -paper > "$$out"; \
 	cmp "$$out" internal/experiments/testdata/full.txt
+
+# All four report goldens, each cmp-identical to its checked-in file: the
+# short scenario report (short-seed1.json) and the short paper report
+# (quick.txt), both tier-1 tests, then `scenarios` (full-seed1.json) and
+# `experiments` (full.txt). The "same bytes" check for a refactor. ~45 s.
+goldens: scenarios experiments
+	$(GO) test ./internal/scenario -run '^TestReportDeterminismGolden$$'
+	$(GO) test ./internal/experiments -run '^TestPaperShort$$'
 
 # The differential query-correctness sweeps (TestDifferential*: plain and
 # budgeted) under the race detector. Each case runs in every topology —

@@ -47,7 +47,10 @@ func vocabulary() *tracepoint.Registry {
 	var reg *tracepoint.Registry
 	env := simtime.NewEnv()
 	env.Run(func() {
-		reg = workload.NewTestbed(env, workload.DefaultTestbedConfig()).C.PT.Registry()
+		tb := workload.NewTestbed(env, workload.DefaultTestbedConfig())
+		tb.StartHBase(tb.Workers, 0)
+		tb.StartMapReduce(tb.Workers, 0)
+		reg = tb.C.PT.Registry()
 	})
 	reg.Define("StressTest.DoNextOp", "op")
 	return reg

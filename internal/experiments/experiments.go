@@ -74,7 +74,7 @@ func simulate(body func(env *simtime.Env) error) (err error) {
 }
 
 // installAll installs the queries on the testbed's frontend, in order.
-func installAll(tb *workload.Testbed, texts ...string) ([]*core.Installed, error) {
+func installAll(tb *workload.Deployment, texts ...string) ([]*core.Installed, error) {
 	hs := make([]*core.Installed, len(texts))
 	for i, text := range texts {
 		h, err := tb.C.PT.Install(text)
@@ -97,13 +97,13 @@ func collect(q *core.Installed) *metrics.Collector {
 // sampleNetTx samples every worker host's network transmit throughput
 // once per virtual second until the simulation ends; the returned series
 // fill in as it runs.
-func sampleNetTx(env *simtime.Env, tb *workload.Testbed) map[string][]metrics.Point {
+func sampleNetTx(env *simtime.Env, tb *workload.Deployment) map[string][]metrics.Point {
 	samples := make(map[string][]metrics.Point)
 	env.Go(func() {
 		prev := make(map[string]float64)
 		for !env.Done() {
 			env.Sleep(time.Second)
-			for _, host := range tb.Hosts {
+			for _, host := range tb.Workers {
 				served := tb.C.Net.LinkServed(host + ".tx")
 				samples[host] = append(samples[host], metrics.Point{T: env.Now(), V: served - prev[host]})
 				prev[host] = served

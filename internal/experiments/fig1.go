@@ -55,6 +55,8 @@ func RunFig1(short bool) (*Fig1Result, error) {
 	res := &Fig1Result{Q1: fig1Q1, Q2: fig1Q2}
 	err := simulate(func(env *simtime.Env) error {
 		tb := workload.NewTestbed(env, testbed(short))
+		tb.StartHBase(tb.Workers, 4*len(tb.Workers))
+		tb.StartMapReduce(tb.Workers, 0)
 		if err := tb.InitHBaseStores(2e9); err != nil {
 			return err
 		}

@@ -90,17 +90,12 @@ func RunFig8(short, fixed bool) (*Fig8Result, error) {
 	res := &Fig8Result{Fixed: fixed}
 	err := simulate(func(env *simtime.Env) error {
 		tbCfg := testbed(short)
-		tbCfg.HBase = false
-		tbCfg.MapReduce = false
 		tbCfg.NameNode.RandomizeReplicaOrder = fixed
 		tbCfg.HDFSClient.RandomReplicaSelection = fixed
 		tb := workload.NewTestbed(env, tbCfg)
-		res.Hosts = tb.Hosts
+		res.Hosts = tb.Workers
 
-		files, err := tb.StressDataset(size(short, 400, 100), 128e6)
-		if err != nil {
-			return err
-		}
+		files := tb.Dataset("/stress/f%05d", size(short, 400, 100), 128e6)
 
 		// Declare the stress-test tracepoint in the query vocabulary
 		// before any client process exists — tracepoint definitions are
@@ -117,7 +112,7 @@ func RunFig8(short, fixed bool) (*Fig8Result, error) {
 		// Start the stress clients.
 		perHost := make(map[string][]*workload.Workload)
 		id := 0
-		for _, host := range tb.Hosts {
+		for _, host := range tb.Workers {
 			for k := 0; k < clientsPerHost; k++ {
 				id++
 				w := tb.NewStressTest(host, k, files, think, int64(id)*7919)
@@ -190,8 +185,8 @@ func RunFig8(short, fixed bool) (*Fig8Result, error) {
 		}
 		// Normalize to P(row chosen | row and col both replicas).
 		res.PrefFreq = make(map[string]map[string]float64)
-		for _, a := range tb.Hosts {
-			for _, b := range tb.Hosts {
+		for _, a := range tb.Workers {
+			for _, b := range tb.Workers {
 				if a == b {
 					continue
 				}
@@ -216,8 +211,8 @@ func RunFig8(short, fixed bool) (*Fig8Result, error) {
 // serialized size of that request's baggage once the op is done: what the
 // installed queries (Q4–Q7, not Q7 alone) packed into it, whatever else
 // the cluster is doing meanwhile.
-func measureQ7Baggage(tb *workload.Testbed, files []string) (int, error) {
-	w := tb.NewStressTest(tb.Hosts[0], 99, files, 0, 4242)
+func measureQ7Baggage(tb *workload.Deployment, files []string) (int, error) {
+	w := tb.NewStressTest(tb.Workers[0], 99, files, 0, 4242)
 	var ctx context.Context
 	w.Prepare = func(c context.Context) { ctx = c }
 	if err := w.RunOnce(0); err != nil {

@@ -75,13 +75,13 @@ func RunFig9(short bool) (*Fig9Result, error) {
 	res := &Fig9Result{FaultAt: size(short, 20*time.Second, 10*time.Second)}
 	err := simulate(func(env *simtime.Env) error {
 		tbCfg := testbed(short)
-		tbCfg.MapReduce = false
 		// Two replicas per store block: most RegionServer reads cross the
 		// network, so the limping NIC is exercised from both sides.
 		tbCfg.NameNode.Replication = 2
 		tb := workload.NewTestbed(env, tbCfg)
-		res.Hosts = tb.Hosts
-		res.FaultHost = tb.Hosts[1]
+		tb.StartHBase(tb.Workers, 4*len(tb.Workers))
+		res.Hosts = tb.Workers
+		res.FaultHost = tb.Workers[1]
 		if err := tb.InitHBaseStores(4e9); err != nil {
 			return err
 		}
@@ -97,12 +97,12 @@ func RunFig9(short bool) (*Fig9Result, error) {
 		// Workloads: a mix of scans (bulk, network-heavy) and gets.
 		var scans []*workload.Workload
 		for i := 0; i < scanners; i++ {
-			w := tb.NewHScan(tb.Hosts[i%len(tb.Hosts)], int64(100+i))
+			w := tb.NewHScan(tb.Workers[i%len(tb.Workers)], int64(100+i))
 			scans = append(scans, w)
 			w.Start()
 		}
 		for i := 0; i < getters; i++ {
-			tb.NewHGet(tb.Hosts[(i+2)%len(tb.Hosts)], int64(200+i)).Start()
+			tb.NewHGet(tb.Workers[(i+2)%len(tb.Workers)], int64(200+i)).Start()
 		}
 		res.NetworkTx = sampleNetTx(env, tb)
 

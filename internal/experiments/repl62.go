@@ -31,22 +31,21 @@ func RunGC(short bool) (*GCResult, error) {
 	const gcHost = 2 // index into the worker hosts
 	res := &GCResult{GCSpans: map[string][2]float64{}, RSLatency: map[string]float64{}}
 	err := simulate(func(env *simtime.Env) error {
-		tbCfg := testbed(short)
-		tbCfg.MapReduce = false
-		tb := workload.NewTestbed(env, tbCfg)
+		tb := workload.NewTestbed(env, testbed(short))
+		servers := tb.StartHBase(tb.Workers, 4*len(tb.Workers))
 		if err := tb.InitHBaseStores(2e9); err != nil {
 			return err
 		}
-		res.GCHost = tb.Hosts[gcHost]
+		res.GCHost = tb.Workers[gcHost]
 		qs, err := installAll(tb, replQGC, fig9QRPC)
 		if err != nil {
 			return err
 		}
 
-		tb.RSs[gcHost].EnableRogueGC(3*time.Second, 1500*time.Millisecond)
+		servers[gcHost].EnableRogueGC(3*time.Second, 1500*time.Millisecond)
 
 		for i := 0; i < 4; i++ {
-			tb.NewHGet(tb.Hosts[i%len(tb.Hosts)], int64(i+10)).Start()
+			tb.NewHGet(tb.Workers[i%len(tb.Workers)], int64(i+10)).Start()
 		}
 		env.Sleep(size(short, 30*time.Second, 15*time.Second))
 		tb.C.FlushAgents()
@@ -102,8 +101,6 @@ func RunNNLock(short bool) (*NNLockResult, error) {
 		err = simulate(func(env *simtime.Env) error {
 			tbCfg := workload.DefaultTestbedConfig()
 			tbCfg.Hosts = hosts
-			tbCfg.HBase = false
-			tbCfg.MapReduce = false
 			tbCfg.NameNode.ExclusiveLocking = exclusive
 			tbCfg.NameNode.OpDelay = 200 * time.Microsecond
 			tb := workload.NewTestbed(env, tbCfg)

@@ -81,8 +81,6 @@ func runTable5Config(short bool, config string) (map[string]float64, map[string]
 	counts := map[string]int{}
 	err := simulate(func(env *simtime.Env) error {
 		tbCfg := testbed(short)
-		tbCfg.HBase = false
-		tbCfg.MapReduce = false
 		// A short RPC latency keeps the instrumentation cost visible; the
 		// paper's testbed had sub-millisecond NameNode ops.
 		tbCfg.Cluster.RPCLatency = 20 * time.Microsecond
@@ -94,7 +92,7 @@ func runTable5Config(short bool, config string) (map[string]float64, map[string]
 		// are sampled, not what they are.
 		ws := make([]*workload.Workload, len(Ops))
 		for i, op := range Ops {
-			w, err := tb.NewNNBench(tb.Hosts[i%len(tb.Hosts)], op, int64(i+1))
+			w, err := tb.NewNNBench(tb.Workers[i%len(tb.Workers)], op, int64(i+1))
 			if err != nil {
 				return err
 			}

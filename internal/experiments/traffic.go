@@ -48,7 +48,7 @@ func RunTraffic(short bool) (*TrafficResult, error) {
 	// Optimized (in-baggage) run: the query is installed before the
 	// readers' processes start.
 	err := simulate(func(env *simtime.Env) error {
-		tb := trafficTestbed(env, short)
+		tb := workload.NewTestbed(env, testbed(short))
 		h, err := tb.C.PT.Install(trafficQuery)
 		if err != nil {
 			return err
@@ -80,7 +80,7 @@ func RunTraffic(short bool) (*TrafficResult, error) {
 
 	// Baseline (global evaluation) run.
 	err = simulate(func(env *simtime.Env) error {
-		tb := trafficTestbed(env, short)
+		tb := workload.NewTestbed(env, testbed(short))
 		q, err := query.Parse(trafficQuery)
 		if err != nil {
 			return err
@@ -119,19 +119,12 @@ func RunTraffic(short bool) (*TrafficResult, error) {
 	return res, nil
 }
 
-func trafficTestbed(env *simtime.Env, short bool) *workload.Testbed {
-	tbCfg := testbed(short)
-	tbCfg.HBase = false
-	tbCfg.MapReduce = false
-	return workload.NewTestbed(env, tbCfg)
-}
-
 // trafficReaders starts the four reader processes and creates their
 // datasets of 16 files each.
-func trafficReaders(tb *workload.Testbed) ([]*workload.Workload, error) {
+func trafficReaders(tb *workload.Deployment) ([]*workload.Workload, error) {
 	var ws []*workload.Workload
 	for i := 0; i < 4; i++ {
-		w, err := tb.NewFSRead(tb.Hosts[i%len(tb.Hosts)],
+		w, err := tb.NewFSRead(tb.Workers[i%len(tb.Workers)],
 			fmt.Sprintf("FSREAD-%d", i), 4e6, 16, int64(i+1))
 		if err != nil {
 			return nil, err

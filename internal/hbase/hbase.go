@@ -225,16 +225,6 @@ func (hb *HBase) serverFor(row string) *RegionServer {
 	return nil
 }
 
-// AddRegionServers is the bulk-spawn path: one RegionServer per host, in
-// order, all reading through the same NameNode.
-func (hb *HBase) AddRegionServers(c *cluster.Cluster, hosts []string, nn *hdfs.NameNode, fsCfg hdfs.ClientConfig) []*RegionServer {
-	out := make([]*RegionServer, len(hosts))
-	for i, h := range hosts {
-		out[i] = hb.AddRegionServer(c, h, nn, fsCfg)
-	}
-	return out
-}
-
 // HostFor returns the host currently serving row (after routing overrides
 // and draining probes), or "" with no live servers. Scenario assertions
 // use it to predict where load lands.

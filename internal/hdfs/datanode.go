@@ -63,16 +63,6 @@ func NewDataNode(c *cluster.Cluster, host string, nn *NameNode) *DataNode {
 	return dn
 }
 
-// NewDataNodes is the bulk-spawn path: one DataNode per host, in order.
-// Scenario topologies stand up 1000+ DataNodes through this call.
-func NewDataNodes(c *cluster.Cluster, hosts []string, nn *NameNode) []*DataNode {
-	out := make([]*DataNode, len(hosts))
-	for i, h := range hosts {
-		out[i] = NewDataNode(c, h, nn)
-	}
-	return out
-}
-
 // ErrDataNodeOffline is returned (wrapped) for operations against an
 // offline DataNode.
 var ErrDataNodeOffline = fmt.Errorf("hdfs: datanode offline")

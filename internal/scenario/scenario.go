@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/simtime"
 	"repro/internal/tuple"
+	"repro/internal/workload"
 )
 
 // Every scenario runs on DefaultHosts topology hosts, or on ShortHosts in
@@ -84,7 +85,7 @@ type Run struct {
 	Short bool
 
 	Env *simtime.Env
-	*Deployment
+	*workload.Deployment
 
 	logf func(format string, args ...any)
 

@@ -74,9 +74,9 @@ func Limplock() *Scenario {
 		Horizon:     12 * time.Second,
 		Run: func(r *Run) error {
 			hosts := r.Workers
-			dns := r.StartDataNodes(hosts)
+			r.StartDataNodes()
 			const readSize = 64e3
-			files := r.Dataset(2*len(hosts), readSize)
+			files := r.Dataset("/data/f%06d", 2*len(hosts), readSize)
 
 			qCount := r.Query(qDNCount)
 			qBytes := r.Query(qDNBytes)
@@ -107,7 +107,7 @@ func Limplock() *Scenario {
 			}
 			limpHost := locs[0].Replicas[0]
 			var limp *hdfs.DataNode
-			for _, dn := range dns {
+			for _, dn := range r.DNs {
 				if dn.Proc.Info.Host == limpHost {
 					limp = dn
 				}
@@ -178,9 +178,12 @@ func HotRegion() *Scenario {
 		Interval:    500 * time.Millisecond,
 		Horizon:     10 * time.Second,
 		Run: func(r *Run) error {
-			r.StartDataNodes(r.Workers)
+			r.StartDataNodes()
 			nRS := r.Size(64, 12)
-			hb, servers := r.StartHBase(r.Workers[:nRS], 8e6, r.Seed)
+			servers := r.StartHBase(r.Workers[:nRS], 0)
+			if err := r.InitHBaseStores(8e6); err != nil {
+				return err
+			}
 			hotHost := servers[0].Proc.Info.Host
 
 			// Partition candidate rows by owner so the workload can aim.
@@ -188,14 +191,14 @@ func HotRegion() *Scenario {
 			for i := 0; len(hotRows) < 48 || len(allRows) < 4*nRS; i++ {
 				row := fmt.Sprintf("row-%05d", i)
 				allRows = append(allRows, row)
-				if hb.HostFor(row) == hotHost {
+				if r.HB.HostFor(row) == hotHost {
 					hotRows = append(hotRows, row)
 				}
 			}
 
 			q := r.Query(qRSCount)
 
-			clients, hbc := r.HBaseClients(r.Size(192, 24), hb)
+			clients, hbc := r.HBaseClients(r.Size(192, 24))
 			join := r.DriveAsync(clients, 100, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(5+rng.Intn(10)) * time.Millisecond)
 				row := allRows[rng.Intn(len(allRows))]
@@ -249,9 +252,8 @@ func StragglerReducers() *Scenario {
 		Interval:    time.Second,
 		Horizon:     60 * time.Second,
 		Run: func(r *Run) error {
-			r.StartDataNodes(r.Workers)
-			rm, _ := r.StartYARN(r.Workers[:r.Size(32, 8)], 8)
-			fw := r.StartMapReduce(rm, r.Seed)
+			r.StartDataNodes()
+			r.StartMapReduce(r.Workers[:r.Size(32, 8)], 8)
 
 			maps, reducers, stragglers := r.Size(8, 4), r.Size(8, 4), r.Size(2, 1)
 			input := "/data/mr-input"
@@ -264,7 +266,7 @@ func StragglerReducers() *Scenario {
 			qDone := r.Query(qReduceDone)
 
 			submitter := r.C.Start("master", "JobClient")
-			err := fw.Submit(submitter.NewRequest(), submitter, mapreduce.JobConfig{
+			err := r.MR.Submit(submitter.NewRequest(), submitter, mapreduce.JobConfig{
 				Name:            "sort",
 				Input:           input,
 				Reducers:        reducers,
@@ -304,9 +306,12 @@ func CascadingFailover() *Scenario {
 		Interval:    500 * time.Millisecond,
 		Horizon:     12 * time.Second,
 		Run: func(r *Run) error {
-			r.StartDataNodes(r.Workers)
+			r.StartDataNodes()
 			nRS := r.Size(48, 12)
-			hb, servers := r.StartHBase(r.Workers[:nRS], 8e6, r.Seed)
+			servers := r.StartHBase(r.Workers[:nRS], 0)
+			if err := r.InitHBaseStores(8e6); err != nil {
+				return err
+			}
 
 			rows := make([]string, 4*nRS)
 			for i := range rows {
@@ -315,7 +320,7 @@ func CascadingFailover() *Scenario {
 
 			q := r.Query(qRSCount)
 
-			clients, hbc := r.HBaseClients(r.Size(160, 24), hb)
+			clients, hbc := r.HBaseClients(r.Size(160, 24))
 			join := r.DriveAsync(clients, 120, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(10+rng.Intn(10)) * time.Millisecond)
 				return hbc[i].Get(ctx, rows[rng.Intn(len(rows))], 8e3)
@@ -335,7 +340,7 @@ func CascadingFailover() *Scenario {
 			}
 			for _, row := range rows {
 				for v := range victims {
-					if victims[v].row == "" && hb.HostFor(row) == victims[v].host {
+					if victims[v].row == "" && r.HB.HostFor(row) == victims[v].host {
 						victims[v].row = row
 					}
 				}
@@ -357,7 +362,7 @@ func CascadingFailover() *Scenario {
 					return nil
 				})
 				if vic.row != "" {
-					now := hb.HostFor(vic.row)
+					now := r.HB.HostFor(vic.row)
 					var err error
 					if now == vic.host || now == "" {
 						err = fmt.Errorf("row %s still routed to drained %s", vic.row, now)
@@ -387,9 +392,12 @@ func RebalancingStorm() *Scenario {
 		Interval:    500 * time.Millisecond,
 		Horizon:     10 * time.Second,
 		Run: func(r *Run) error {
-			r.StartDataNodes(r.Workers)
+			r.StartDataNodes()
 			nRS := r.Size(40, 10)
-			hb, _ := r.StartHBase(r.Workers[:nRS], 8e6, r.Seed)
+			r.StartHBase(r.Workers[:nRS], 0)
+			if err := r.InitHBaseStores(8e6); err != nil {
+				return err
+			}
 
 			rows := make([]string, 4*nRS)
 			for i := range rows {
@@ -398,14 +406,14 @@ func RebalancingStorm() *Scenario {
 
 			q := r.Query(qRSCount)
 
-			clients, hbc := r.HBaseClients(r.Size(128, 24), hb)
+			clients, hbc := r.HBaseClients(r.Size(128, 24))
 			join := r.DriveAsync(clients, 140, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(8+rng.Intn(8)) * time.Millisecond)
 				return hbc[i].Get(ctx, rows[rng.Intn(len(rows))], 8e3)
 			})
 
 			probe := rows[0]
-			preHost := hb.HostFor(probe)
+			preHost := r.HB.HostFor(probe)
 			r.SettleTo(800 * time.Millisecond)
 			r.C.FlushAgents()
 			snap := groupVals(q.Rows())
@@ -414,7 +422,7 @@ func RebalancingStorm() *Scenario {
 			// ending on a fixed shifted assignment.
 			for k := 1; k <= 4; k++ {
 				shift := k * 7
-				hb.SetRouting(func(row string, n int) int {
+				r.HB.SetRouting(func(row string, n int) int {
 					return (defaultRouteHash(row) + shift) % n
 				})
 				r.Logf("  rebalance: shift=%d at t=%s", shift, r.Env.Now())
@@ -436,7 +444,7 @@ func RebalancingStorm() *Scenario {
 			})
 
 			var moved error
-			if now := hb.HostFor(probe); now == "" || now == preHost {
+			if now := r.HB.HostFor(probe); now == "" || now == preHost {
 				moved = fmt.Errorf("probe row %s still on %s", probe, preHost)
 			}
 			r.Expect("routing-shifted", moved)
@@ -482,7 +490,7 @@ func ThunderingHerd() *Scenario {
 		Interval:    100 * time.Millisecond,
 		Horizon:     20 * time.Second,
 		Run: func(r *Run) error {
-			r.StartDataNodes(r.Workers)
+			r.StartDataNodes()
 			nClients, ops := r.Size(1152, 96), r.Size(880, 120)
 
 			// Each client owns a private file it opens and renames, so
@@ -557,9 +565,9 @@ func MultiTenantStorm() *Scenario {
 		Horizon:      12 * time.Second,
 		CombinerTree: true,
 		Run: func(r *Run) error {
-			r.StartDataNodes(r.Workers)
+			r.StartDataNodes()
 			const readSize = 64e3
-			files := r.Dataset(len(r.Workers), readSize)
+			files := r.Dataset("/data/f%06d", len(r.Workers), readSize)
 
 			nTenants := r.Size(64, 8)
 			// Half the tenants count DataNode ops, half sum bytes read:
@@ -690,13 +698,12 @@ func RollingRestarts() *Scenario {
 		Interval:    200 * time.Millisecond,
 		Horizon:     20 * time.Second,
 		Run: func(r *Run) error {
-			dns := r.StartDataNodes(r.Workers)
+			r.StartDataNodes()
 			nNM, nRestart := r.Size(24, 8), r.Size(8, 4)
-			rm, nms := r.StartYARN(r.Workers[:nNM], 8)
-			fw := r.StartMapReduce(rm, r.Seed)
+			nms := r.StartMapReduce(r.Workers[:nNM], 8)
 
 			const readSize = 64e3
-			files := r.Dataset(len(r.Workers), readSize)
+			files := r.Dataset("/data/f%06d", len(r.Workers), readSize)
 			input := "/data/mr-input"
 			adminCtx := r.Admin.NewRequest()
 			if err := r.AdminFS.CreateMetadataOnly(adminCtx, input, 2*hdfs.BlockSize); err != nil {
@@ -723,7 +730,7 @@ Select j.id, COUNT`)
 			r.Env.Go(func() {
 				defer jobsDone.Done()
 				for j := 0; j < jobs; j++ {
-					err := fw.Submit(submitter.NewRequest(), submitter, mapreduce.JobConfig{
+					err := r.MR.Submit(submitter.NewRequest(), submitter, mapreduce.JobConfig{
 						Name:            fmt.Sprintf("etl%d", j),
 						Input:           input,
 						Reducers:        2,
@@ -741,7 +748,7 @@ Select j.id, COUNT`)
 			// hosts, NodeManagers from the tail of the NM range.
 			restartBase := nNM + r.Size(16, 4)
 			for w := 0; w < nRestart; w++ {
-				dn := dns[restartBase+w]
+				dn := r.DNs[restartBase+w]
 				nm := nms[nNM-1-(w%nNM)]
 				dnHost := dn.Proc.Info.Host
 				r.C.FlushAgents()
@@ -760,7 +767,7 @@ Select j.id, COUNT`)
 					})
 					// The RM must place around the draining node even when
 					// it is the preferred host.
-					cont, err := yarn.Allocate(submitter.NewRequest(), submitter, rm, "probe", nm.Proc.Info.Host)
+					cont, err := yarn.Allocate(submitter.NewRequest(), submitter, r.RM, "probe", nm.Proc.Info.Host)
 					if err == nil && cont.Host == nm.Proc.Info.Host {
 						err = fmt.Errorf("container granted on draining %s", cont.Host)
 					}
@@ -779,7 +786,7 @@ Select j.id, COUNT`)
 			// Recovery probe: the first restarted DataNode serves again.
 			r.C.FlushAgents()
 			snap := groupVals(qDN.Rows())
-			probeDN := dns[restartBase]
+			probeDN := r.DNs[restartBase]
 			probeHost := probeDN.Proc.Info.Host
 			probeCtx := clients[0].NewRequest()
 			for i := 0; i < 5; i++ {

@@ -1,5 +1,6 @@
 // Package workload implements the paper's testbed and client applications:
-// the eight-machine Hadoop stack deployment (§2, §6) and the closed-loop
+// the Hadoop stack deployment that the eight-machine testbed (§2, §6) and
+// the rack/pod scenarios run on, and the closed-loop
 // workloads FSread4m, FSread64m, Hget, Hscan, MRsort10g/100g, the §6.1
 // StressTest clients, and the NNBench-derived Read8k/Open/Create/Rename
 // stress operations of Table 5.
@@ -20,85 +21,123 @@ import (
 	"repro/internal/yarn"
 )
 
-// TestbedConfig sizes a deployment.
+// Deployment is the simulated Hadoop stack on one cluster: the HDFS
+// NameNode and an admin client on the "master" host, and whichever other
+// daemons the caller starts on the worker hosts. The paper's testbed
+// (NewTestbed) and every rack/pod scenario are built from it.
+type Deployment struct {
+	C  *cluster.Cluster
+	NN *hdfs.NameNode
+	// Workers names the worker hosts, in the order daemons start on them.
+	Workers []string
+	DNs     []*hdfs.DataNode
+	// FS configures every HDFS client the deployment builds: the admin's,
+	// the RegionServers', the MapReduce tasks' and the workloads'.
+	FS hdfs.ClientConfig
+
+	// Admin is an unmonitored process on the master host used for
+	// namespace setup (pre-populating datasets); unmonitored so setup
+	// does not perturb query results.
+	Admin   *cluster.Process
+	AdminFS *hdfs.Client
+
+	HB *hbase.HBase
+	RM *yarn.ResourceManager
+	MR *mapreduce.Framework
+}
+
+// Deploy starts the NameNode and the admin on the master host of c. The
+// other daemons start on demand, in the order the caller asks for them:
+// process start order seeds each HDFS client's replica rng, so it is part
+// of every report's bytes.
+func Deploy(c *cluster.Cluster, workers []string, nnCfg hdfs.Config, fsCfg hdfs.ClientConfig) *Deployment {
+	d := &Deployment{C: c, Workers: workers, FS: fsCfg}
+	d.NN = hdfs.NewNameNode(c, "master", nnCfg)
+	d.Admin = c.StartUnmonitored("master", "admin")
+	d.AdminFS = hdfs.NewClient(d.Admin, d.NN, fsCfg)
+	return d
+}
+
+// StartDataNodes starts a DataNode on every worker host.
+func (d *Deployment) StartDataNodes() {
+	for _, host := range d.Workers {
+		d.DNs = append(d.DNs, hdfs.NewDataNode(d.C, host, d.NN))
+	}
+}
+
+// StartHBase starts the HBase master on the master host and a
+// RegionServer on each of hosts, over regions key ranges (0: one per
+// RegionServer), and returns the RegionServers.
+func (d *Deployment) StartHBase(hosts []string, regions int) []*hbase.RegionServer {
+	d.HB = hbase.New(d.C, "master", hbase.Config{Regions: regions})
+	servers := make([]*hbase.RegionServer, len(hosts))
+	for i, host := range hosts {
+		servers[i] = d.HB.AddRegionServer(d.C, host, d.NN, d.FS)
+	}
+	return servers
+}
+
+// InitHBaseStores registers the HBase region store files.
+func (d *Deployment) InitHBaseStores(storeSize float64) error {
+	return d.HB.InitStoreFiles(d.Admin.NewRequest(), d.AdminFS, storeSize)
+}
+
+// StartMapReduce starts the YARN ResourceManager on the master host and a
+// NodeManager with the given container capacity (0: the default) on each
+// of hosts, wires the MapReduce framework over them, and returns the
+// NodeManagers.
+func (d *Deployment) StartMapReduce(hosts []string, containers int) []*yarn.NodeManager {
+	d.RM = yarn.NewResourceManager(d.C, "master")
+	nms := make([]*yarn.NodeManager, len(hosts))
+	for i, host := range hosts {
+		nms[i] = yarn.NewNodeManager(d.C, host, d.RM, containers)
+	}
+	d.MR = mapreduce.New(d.C, d.RM, d.NN, d.FS)
+	return nms
+}
+
+// Dataset registers count HDFS files of the given size (metadata only:
+// instant), named by format and index, and returns their paths.
+func (d *Deployment) Dataset(format string, count int, size float64) []string {
+	ctx := d.Admin.NewRequest()
+	paths := make([]string, count)
+	for i := range paths {
+		paths[i] = fmt.Sprintf(format, i)
+		if err := d.AdminFS.CreateMetadataOnly(ctx, paths[i], size); err != nil {
+			panic("workload: dataset: " + err.Error())
+		}
+	}
+	return paths
+}
+
+// TestbedConfig sizes the paper's testbed.
 type TestbedConfig struct {
-	Hosts      int // worker hosts (default 8)
+	Hosts      int // worker hosts
 	Cluster    cluster.Config
 	NameNode   hdfs.Config
 	HDFSClient hdfs.ClientConfig
-	HBase      bool
-	MapReduce  bool
 }
 
 // DefaultTestbedConfig mirrors the paper's cluster: 8 worker machines with
 // 1 Gbit NICs, plus a master host.
 func DefaultTestbedConfig() TestbedConfig {
-	return TestbedConfig{
-		Hosts:     8,
-		Cluster:   cluster.DefaultConfig(),
-		NameNode:  hdfs.DefaultConfig(),
-		HBase:     true,
-		MapReduce: true,
-	}
-}
-
-// Testbed is an assembled deployment.
-type Testbed struct {
-	C     *cluster.Cluster
-	Cfg   TestbedConfig
-	Hosts []string // worker host names, "host-A".."host-H"
-
-	NN  *hdfs.NameNode
-	DNs []*hdfs.DataNode
-	HB  *hbase.HBase
-	RSs []*hbase.RegionServer
-	RM  *yarn.ResourceManager
-	NMs []*yarn.NodeManager
-	MR  *mapreduce.Framework
-
-	adminProc *cluster.Process
-	AdminFS   *hdfs.Client
+	return TestbedConfig{Hosts: 8, Cluster: cluster.DefaultConfig(), NameNode: hdfs.DefaultConfig()}
 }
 
 // HostName returns the i-th worker host name ("host-A" for 0).
 func HostName(i int) string { return fmt.Sprintf("host-%c", 'A'+i) }
 
-// NewTestbed assembles the deployment on a fresh cluster.
-func NewTestbed(env *simtime.Env, cfg TestbedConfig) *Testbed {
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 8
+// NewTestbed deploys the paper's testbed on a fresh cluster: flat worker
+// hosts "host-A", "host-B", ..., each running a DataNode. HBase and
+// MapReduce start on demand.
+func NewTestbed(env *simtime.Env, cfg TestbedConfig) *Deployment {
+	workers := make([]string, cfg.Hosts)
+	for i := range workers {
+		workers[i] = HostName(i)
 	}
-	c := cluster.New(env, cfg.Cluster)
-	tb := &Testbed{C: c, Cfg: cfg}
-
-	tb.NN = hdfs.NewNameNode(c, "master", cfg.NameNode)
-	for i := 0; i < cfg.Hosts; i++ {
-		host := HostName(i)
-		tb.Hosts = append(tb.Hosts, host)
-		tb.DNs = append(tb.DNs, hdfs.NewDataNode(c, host, tb.NN))
-	}
-	tb.adminProc = c.Start("master", "admin")
-	tb.AdminFS = hdfs.NewClient(tb.adminProc, tb.NN, cfg.HDFSClient)
-
-	if cfg.HBase {
-		tb.HB = hbase.New(c, "master", hbase.Config{Regions: 4 * cfg.Hosts})
-		for _, host := range tb.Hosts {
-			tb.RSs = append(tb.RSs, tb.HB.AddRegionServer(c, host, tb.NN, cfg.HDFSClient))
-		}
-	}
-	if cfg.MapReduce {
-		tb.RM = yarn.NewResourceManager(c, "master")
-		for _, host := range tb.Hosts {
-			tb.NMs = append(tb.NMs, yarn.NewNodeManager(c, host, tb.RM, 0))
-		}
-		tb.MR = mapreduce.New(c, tb.RM, tb.NN, cfg.HDFSClient)
-	}
-	return tb
-}
-
-// InitHBaseStores registers the HBase region store files.
-func (tb *Testbed) InitHBaseStores(storeSize float64) error {
-	return tb.HB.InitStoreFiles(tb.adminProc.NewRequest(), tb.AdminFS, storeSize)
+	d := Deploy(cluster.New(env, cfg.Cluster), workers, cfg.NameNode, cfg.HDFSClient)
+	d.StartDataNodes()
+	return d
 }
 
 // Workload is one closed-loop client application.
@@ -153,10 +192,10 @@ func (w *Workload) RunOnce(i int) error {
 	return nil
 }
 
-func (tb *Testbed) newWorkload(host, name string, think time.Duration, op func(ctx context.Context, i int) error) *Workload {
+func (d *Deployment) newWorkload(host, name string, think time.Duration, op func(ctx context.Context, i int) error) *Workload {
 	return &Workload{
 		Name:  name,
-		Proc:  tb.C.Start(host, name),
+		Proc:  d.C.Start(host, name),
 		Rec:   metrics.NewLatencyRecorder(),
 		think: think,
 		op:    op,
@@ -165,9 +204,9 @@ func (tb *Testbed) newWorkload(host, name string, think time.Duration, op func(c
 
 // NewFSRead builds the FSread4m / FSread64m workloads: closed-loop random
 // reads of readSize from a private dataset of fileCount files.
-func (tb *Testbed) NewFSRead(host, name string, readSize float64, fileCount int, seed int64) (*Workload, error) {
-	w := tb.newWorkload(host, name, 0, nil)
-	fs := hdfs.NewClient(w.Proc, tb.NN, tb.Cfg.HDFSClient)
+func (d *Deployment) NewFSRead(host, name string, readSize float64, fileCount int, seed int64) (*Workload, error) {
+	w := d.newWorkload(host, name, 0, nil)
+	fs := hdfs.NewClient(w.Proc, d.NN, d.FS)
 	rng := rand.New(rand.NewSource(seed))
 	files := make([]string, fileCount)
 	ctx := w.Proc.NewRequest()
@@ -184,9 +223,9 @@ func (tb *Testbed) NewFSRead(host, name string, readSize float64, fileCount int,
 }
 
 // NewHGet builds the Hget workload: closed-loop 10 kB row lookups.
-func (tb *Testbed) NewHGet(host string, seed int64) *Workload {
-	w := tb.newWorkload(host, "HGET", 0, nil)
-	hc := hbase.NewClient(w.Proc, tb.HB)
+func (d *Deployment) NewHGet(host string, seed int64) *Workload {
+	w := d.newWorkload(host, "HGET", 0, nil)
+	hc := hbase.NewClient(w.Proc, d.HB)
 	rng := rand.New(rand.NewSource(seed))
 	w.op = func(ctx context.Context, i int) error {
 		return hc.Get(ctx, fmt.Sprintf("row-%08d", rng.Intn(1<<20)), 10e3)
@@ -195,9 +234,9 @@ func (tb *Testbed) NewHGet(host string, seed int64) *Workload {
 }
 
 // NewHScan builds the Hscan workload: closed-loop 4 MB table scans.
-func (tb *Testbed) NewHScan(host string, seed int64) *Workload {
-	w := tb.newWorkload(host, "HSCAN", 0, nil)
-	hc := hbase.NewClient(w.Proc, tb.HB)
+func (d *Deployment) NewHScan(host string, seed int64) *Workload {
+	w := d.newWorkload(host, "HSCAN", 0, nil)
+	hc := hbase.NewClient(w.Proc, d.HB)
 	rng := rand.New(rand.NewSource(seed))
 	w.op = func(ctx context.Context, i int) error {
 		return hc.Scan(ctx, fmt.Sprintf("row-%08d", rng.Intn(1<<20)), 4e6)
@@ -206,42 +245,28 @@ func (tb *Testbed) NewHScan(host string, seed int64) *Workload {
 }
 
 // NewMRSort builds the MRsort workloads: repeatedly sort inputGB of data.
-func (tb *Testbed) NewMRSort(host, name string, inputBytes float64) (*Workload, error) {
-	w := tb.newWorkload(host, name, 0, nil)
+func (d *Deployment) NewMRSort(host, name string, inputBytes float64) (*Workload, error) {
+	w := d.newWorkload(host, name, 0, nil)
 	input := "/data/" + name + "/input"
-	if err := tb.AdminFS.CreateMetadataOnly(tb.adminProc.NewRequest(), input, inputBytes); err != nil {
+	if err := d.AdminFS.CreateMetadataOnly(d.Admin.NewRequest(), input, inputBytes); err != nil {
 		return nil, err
 	}
 	w.op = func(ctx context.Context, i int) error {
-		return tb.MR.Submit(ctx, w.Proc, mapreduce.JobConfig{Name: name, Input: input})
+		return d.MR.Submit(ctx, w.Proc, mapreduce.JobConfig{Name: name, Input: input})
 	}
 	return w, nil
-}
-
-// StressDataset pre-creates the §6.1 shared dataset: fileCount files of
-// fileSize bytes with the configured replication.
-func (tb *Testbed) StressDataset(fileCount int, fileSize float64) ([]string, error) {
-	files := make([]string, fileCount)
-	ctx := tb.adminProc.NewRequest()
-	for i := range files {
-		files[i] = fmt.Sprintf("/stress/f%05d", i)
-		if err := tb.AdminFS.CreateMetadataOnly(ctx, files[i], fileSize); err != nil {
-			return nil, err
-		}
-	}
-	return files, nil
 }
 
 // NewStressTest builds one §6.1 StressTest client on a host: closed-loop
 // random 8 kB reads from the shared dataset, crossing the
 // StressTest.DoNextOp tracepoint.
-func (tb *Testbed) NewStressTest(host string, id int, files []string, think time.Duration, seed int64) *Workload {
+func (d *Deployment) NewStressTest(host string, id int, files []string, think time.Duration, seed int64) *Workload {
 	name := "StressTest"
 	if id > 0 {
 		name = fmt.Sprintf("StressTest-%d", id)
 	}
-	w := tb.newWorkload(host, name, think, nil)
-	fs := hdfs.NewClient(w.Proc, tb.NN, tb.Cfg.HDFSClient)
+	w := d.newWorkload(host, name, think, nil)
+	fs := hdfs.NewClient(w.Proc, d.NN, d.FS)
 	tpNext := w.Proc.Define("StressTest.DoNextOp", "op")
 	rng := rand.New(rand.NewSource(seed))
 	w.op = func(ctx context.Context, i int) error {
@@ -263,9 +288,9 @@ const (
 
 // NewNNBench builds one Table 5 stress workload performing the named
 // operation in a closed loop.
-func (tb *Testbed) NewNNBench(host, op string, seed int64) (*Workload, error) {
-	w := tb.newWorkload(host, fmt.Sprintf("NNBench-%s-%d", op, seed), 0, nil)
-	fs := hdfs.NewClient(w.Proc, tb.NN, tb.Cfg.HDFSClient)
+func (d *Deployment) NewNNBench(host, op string, seed int64) (*Workload, error) {
+	w := d.newWorkload(host, fmt.Sprintf("NNBench-%s-%d", op, seed), 0, nil)
+	fs := hdfs.NewClient(w.Proc, d.NN, d.FS)
 	// §6.3 derives these stress clients from NNBench; like the §6.1
 	// stress test they cross DoNextOp, so the §6.1 queries observe them.
 	tpNext := w.Proc.Define("StressTest.DoNextOp", "op")

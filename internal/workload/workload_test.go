@@ -11,26 +11,15 @@ import (
 	"repro/internal/simtime"
 )
 
-func smallTestbed(env *simtime.Env, hosts int) *Testbed {
+// smallTestbed deploys the paper's testbed on hosts worker hosts, with
+// HBase and MapReduce started.
+func smallTestbed(env *simtime.Env, hosts int) *Deployment {
 	cfg := DefaultTestbedConfig()
 	cfg.Hosts = hosts
-	return NewTestbed(env, cfg)
-}
-
-func TestTestbedAssembles(t *testing.T) {
-	env := simtime.NewEnv()
-	env.Run(func() {
-		tb := smallTestbed(env, 4)
-		if len(tb.DNs) != 4 || len(tb.RSs) != 4 || len(tb.NMs) != 4 {
-			t.Errorf("testbed sizes: DNs=%d RSs=%d NMs=%d", len(tb.DNs), len(tb.RSs), len(tb.NMs))
-		}
-		if tb.C.Proc("host-A", "DataNode") == nil {
-			t.Error("DataNode process missing on host-A")
-		}
-		if tb.C.Proc("master", "NameNode") == nil {
-			t.Error("NameNode missing on master")
-		}
-	})
+	d := NewTestbed(env, cfg)
+	d.StartHBase(d.Workers, 4*hosts)
+	d.StartMapReduce(d.Workers, 0)
+	return d
 }
 
 func TestFSReadWorkloadProducesThroughput(t *testing.T) {
@@ -158,11 +147,7 @@ func TestStressTestWorkload(t *testing.T) {
 	var ops int
 	env.Run(func() {
 		tb := smallTestbed(env, 4)
-		files, err := tb.StressDataset(50, 128e6)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		files := tb.Dataset("/stress/f%05d", 50, 128e6)
 		w := tb.NewStressTest("host-A", 0, files, time.Millisecond, 7)
 		w.Start()
 		env.Sleep(2 * time.Second)

@@ -59,16 +59,6 @@ type NodeManager struct {
 // placement. The RM skips draining nodes when granting containers.
 func (nm *NodeManager) SetDraining(d bool) { nm.draining.Store(d) }
 
-// NewNodeManagers is the bulk-spawn path: one NodeManager per host with
-// the same capacity, in order.
-func NewNodeManagers(c *cluster.Cluster, hosts []string, rm *ResourceManager, capacity int) []*NodeManager {
-	out := make([]*NodeManager, len(hosts))
-	for i, h := range hosts {
-		out[i] = NewNodeManager(c, h, rm, capacity)
-	}
-	return out
-}
-
 // NewNodeManager starts a NodeManager with the given container capacity on
 // a host and registers it with the ResourceManager.
 func NewNodeManager(c *cluster.Cluster, host string, rm *ResourceManager, capacity int) *NodeManager {
