@@ -144,11 +144,13 @@ combiner:
 # differential sweep against the statistical oracle, rate-1.0
 # byte-identity with the exact path, the error-vs-rate estimator sweep,
 # the happened-before join decision-atomicity property tests, and the
-# rate-clamp/AIMD controller units — all under the race detector. Failures print the
-# seed; replay with go test ./pivot -run <Test> -seed=<N>.
+# agent's per-query rate record (minting, backoff and restore, the
+# heartbeat gauge) with advice's rate clamp — all under the race
+# detector. Failures print the seed; replay with go test ./pivot -run
+# <Test> -seed=<N>.
 sampling:
 	$(GO) test ./pivot -race -run 'Sampl'
-	$(GO) test ./internal/sampling -race
+	$(GO) test ./internal/agent ./internal/advice -race -run 'Sampl|ClampRate'
 
 # The safety-valve chaos suite (TestSafety*): advice quarantine,
 # frontend-kill lease expiry, budget exhaustion accounting, and the

@@ -173,7 +173,7 @@ func BenchmarkBudgetPressure(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bag := baggage.New()
 			for _, t := range rows {
-				bag.PackBudgeted("q.a", spec, baggage.Budget{}, t)
+				bag.PackBudgeted("q", "q.a", spec, baggage.Budget{}, t)
 			}
 		}
 	})
@@ -183,7 +183,7 @@ func BenchmarkBudgetPressure(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bag := baggage.New()
 			for _, t := range rows {
-				bag.PackBudgeted("q.a", spec, budget, t)
+				bag.PackBudgeted("q", "q.a", spec, budget, t)
 			}
 		}
 	})

@@ -13,9 +13,11 @@ package advice
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/agg"
 	"repro/internal/baggage"
@@ -42,40 +44,56 @@ const maxPooledArena = 1 << 12
 
 var firePool = sync.Pool{New: func() any { return new(fireScratch) }}
 
-// Cost counts what a program's advice actually does at runtime — the
-// paper's §4 "explain"-style live cost analysis (count tuples rather than
-// aggregate them). Counters are cheap atomics shared by every woven copy
-// of the program, so installed queries can be profiled without a separate
-// counting run.
-type Cost struct {
+// Costs declares a program's operator counters, once — the paper's §4
+// "explain"-style live cost analysis (count tuples rather than aggregate
+// them). T is atomic.Int64 in Program.Cost, cheap atomics shared by every
+// woven copy of the program, so installed queries can be profiled without
+// a separate counting run; it is int64 in the snapshot an agent ships
+// (agent.OpStats). Field order is the ExplainStats wire order, append
+// only (see agent.Counters).
+type Costs[T any] struct {
 	// Invocations counts tracepoint crossings that reached this advice.
-	Invocations atomic.Int64
+	Invocations T
 	// Sampled counts crossings skipped because the request's sampling
 	// decision suppressed it (SampleRate).
-	Sampled atomic.Int64
+	Sampled T
 	// DroppedByJoin counts crossings discarded because an Unpack found no
 	// causally-preceding tuples (inner-join misses).
-	DroppedByJoin atomic.Int64
+	DroppedByJoin T
 	// TuplesFiltered counts working tuples discarded by FILTER predicates.
-	TuplesFiltered atomic.Int64
+	TuplesFiltered T
 	// TuplesPacked counts tuples stored into baggage.
-	TuplesPacked atomic.Int64
+	TuplesPacked T
 	// PackedBytes counts the encoded content bytes of tuples offered to
 	// PACK — the query's in-band baggage footprint before retention folding.
-	PackedBytes atomic.Int64
+	PackedBytes T
 	// PackRefused counts tuples refused by PACK because their slot or group
 	// carried an eviction tombstone.
-	PackRefused atomic.Int64
+	PackRefused T
 	// PackEvictedGroups, PackEvictedTuples and PackEvictedBytes count budget
 	// evictions triggered by this program's packs (see baggage.PackStats).
-	PackEvictedGroups atomic.Int64
-	PackEvictedTuples atomic.Int64
-	PackEvictedBytes  atomic.Int64
+	PackEvictedGroups T
+	PackEvictedTuples T
+	PackEvictedBytes  T
 	// TuplesEmitted counts tuples sent to the process-local aggregator.
-	TuplesEmitted atomic.Int64
+	TuplesEmitted T
 	// Panics counts panics recovered from this advice at the tracepoint
 	// boundary.
-	Panics atomic.Int64
+	Panics T
+}
+
+// NumCosts is the number of operator counters.
+const NumCosts = int(unsafe.Sizeof(Costs[int64]{}) / unsafe.Sizeof(int64(0)))
+
+// The live form must lay out exactly like the snapshot for Values to index
+// both (a constant index out of range fails the build otherwise).
+var _ = [1]struct{}{}[unsafe.Sizeof(Costs[atomic.Int64]{})-unsafe.Sizeof(Costs[int64]{})]
+
+// Values views the counters as an array in declaration (= wire) order.
+// Sound because every field has type T, so the struct is NumCosts Ts with
+// no padding.
+func (c *Costs[T]) Values() *[NumCosts]T {
+	return (*[NumCosts]T)(unsafe.Pointer(c))
 }
 
 // UnpackOp retrieves tuples packed under Slot by advice earlier in the
@@ -177,7 +195,7 @@ type Program struct {
 	// request: every program of the query sees the same decision at every
 	// crossing on the request's causal path. Values outside (0, 1] must
 	// be clamped to 0 (disabled) before reaching the advice path — see
-	// sampling.ClampRate.
+	// ClampRate.
 	SampleRate float64
 
 	// Safety bounds the program's runtime behavior (see Safety). The
@@ -185,7 +203,7 @@ type Program struct {
 	Safety Safety
 
 	// Cost holds the program's live execution counters.
-	Cost Cost
+	Cost Costs[atomic.Int64]
 
 	// Circuit-breaker state, shared by every woven copy of the program
 	// (like Cost), so a fault seen at any tracepoint of a process
@@ -194,6 +212,21 @@ type Program struct {
 	quarantined      atomic.Bool
 	notified         atomic.Bool
 	quarantineReason atomic.Pointer[string]
+}
+
+// ClampRate validates a sampling rate from an untrusted source (wire
+// decode, user options, query text) — the only gate through which such a
+// rate reaches SampleRate. A rate is usable iff it is a real number in
+// (0, 1] whose inverse — the tuple weight — is still a finite float64;
+// anything else — zero, negative, above one, NaN, ±Inf, or a subnormal so
+// small that 1/r overflows to +Inf — returns 0, which means "sampling
+// disabled" (the exact path). NaN fails the r > 0 comparison, so no
+// special case is needed.
+func ClampRate(r float64) float64 {
+	if r > 0 && r <= 1 && !math.IsInf(1/r, 1) {
+		return r
+	}
+	return 0
 }
 
 // WorkingSchema returns the field names of the working tuple: observed
@@ -502,7 +535,7 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		for _, w := range working {
 			proj := w.Project(p.Pack.Source)
 			packedBytes += int64(tuple.SizeTuple(proj))
-			st.Add(bag.PackBudgeted(p.Pack.Slot, p.Pack.Spec, p.Safety.Budget, proj))
+			st.Add(bag.PackBudgeted(p.QueryID, p.Pack.Slot, p.Pack.Spec, p.Safety.Budget, proj))
 		}
 		p.Cost.TuplesPacked.Add(st.Packed)
 		p.Cost.PackedBytes.Add(packedBytes)

@@ -2,6 +2,7 @@ package advice
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -270,5 +271,31 @@ func TestWorkingSchema(t *testing.T) {
 	want := tuple.Schema{"a", "b", "c", "d"}
 	if !p.WorkingSchema().Equal(want) {
 		t.Fatalf("WorkingSchema = %v, want %v", p.WorkingSchema(), want)
+	}
+}
+
+func TestClampRate(t *testing.T) {
+	cases := []struct {
+		in, want float64
+	}{
+		{0.5, 0.5},
+		{1, 1},
+		{0.001, 0.001},
+		{0, 0},
+		{-0.5, 0},
+		{1.5, 0},
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{math.MaxFloat64, 0},
+		// Subnormal: in (0, 1] but 1/r overflows to +Inf — the weight
+		// would poison every aggregate it touches.
+		{5e-324, 0},
+		{1e-300, 1e-300}, // tiny but usable: the weight 1e300 is finite
+	}
+	for _, c := range cases {
+		if got := ClampRate(c.in); got != c.want {
+			t.Errorf("ClampRate(%v) = %v, want %v", c.in, got, c.want)
+		}
 	}
 }

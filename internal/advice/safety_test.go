@@ -293,8 +293,8 @@ func TestAdviceDeliversDropRecordsBeforeJoin(t *testing.T) {
 	// Two groups under a one-tuple budget: the older is evicted with a
 	// tombstone; the join below still sees the survivor.
 	budget := baggage.Budget{MaxTuples: 1}
-	bag.PackBudgeted("q.a", spec, budget, kvRow("k1", 1))
-	bag.PackBudgeted("q.a", spec, budget, kvRow("k2", 2))
+	bag.PackBudgeted("q", "q.a", spec, budget, kvRow("k1", 1))
+	bag.PackBudgeted("q", "q.a", spec, budget, kvRow("k2", 2))
 	ctx := baggage.NewContext(context.Background(), bag)
 
 	a := &Advice{

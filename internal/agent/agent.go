@@ -15,12 +15,14 @@
 //	             publish), the batch splitter, trace and health frames
 //	leases.go    install leases: renew, expiry
 //	retention.go the outage ring buffer: retain, replay
-//	sampling.go  request-level sampling: decision minting, adaptive tick
+//	sampling.go  request-level sampling: the per-query rate record,
+//	             decision minting, adaptive tick
 package agent
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -31,7 +33,6 @@ import (
 	"repro/internal/advice"
 	"repro/internal/baggage"
 	"repro/internal/bus"
-	"repro/internal/sampling"
 	"repro/internal/simtime"
 	"repro/internal/spans"
 	"repro/internal/telemetry"
@@ -64,9 +65,9 @@ type Agent struct {
 
 	// live holds what the agent itself counts, one atomic per fact; Stats
 	// adds what other components count (installed accumulators, the span
-	// recorder, the sampler). RawsDropped and GroupsOverflowed hold the
-	// share of uninstalled queries, folded in at uninstall so Stats stays
-	// cumulative across a query's whole lifetime.
+	// recorder) and the sampling records' lowest rate. RawsDropped and
+	// GroupsOverflowed hold the share of uninstalled queries, folded in at
+	// uninstall so Stats stays cumulative across a query's whole lifetime.
 	live Counters[atomic.Int64]
 
 	retainMu  sync.Mutex
@@ -75,15 +76,15 @@ type Agent struct {
 
 	recorder atomic.Pointer[spans.Recorder]
 
-	// Request-level sampling state. sampler holds per-query adaptive
-	// effective rates; samplingView is a copy-on-write, id-sorted list of
-	// the queries installed with a sampling rate, so MintSampleDecision
-	// iterates (and consumes randomness) in a deterministic order.
-	// pressureMark remembers the baggage-drop counter total at the last
-	// tick: any growth is budget pressure and backs the rates off.
-	// nextTick (under mu) is the agent-clock time the next tick is due.
-	sampler      *sampling.Controller
-	samplingView atomic.Pointer[[]samplingQuery]
+	// Request-level sampling state. samplingView is a copy-on-write,
+	// id-sorted list of the sampled queries' records, so
+	// MintSampleDecision iterates (and consumes randomness) in a
+	// deterministic order; rngMu guards sampleRng and the records'
+	// effective rates. pressureMark remembers the baggage-drop counter
+	// total at the last tick: any growth is budget pressure and backs the
+	// rates off. nextTick (under mu) is the agent-clock time the next tick
+	// is due.
+	samplingView atomic.Pointer[[]*sampled]
 	pressureMark atomic.Int64
 	nextTick     time.Duration
 	rngMu        sync.Mutex
@@ -169,9 +170,7 @@ type queryState struct {
 	expiry time.Duration // agent-clock deadline; 0 = immortal
 	tenant string        // owning tenant frontend; "" = primary
 	drops  baggage.DropSet
-	// sampleRate is the query's installed request-sampling rate (0 =
-	// exact), read from its programs at install time.
-	sampleRate float64
+	sample *sampled // nil = exact
 }
 
 type weave struct {
@@ -191,7 +190,6 @@ func New(env *simtime.Env, proc tracepoint.ProcInfo, reg *tracepoint.Registry, b
 	a := &Agent{
 		env: env, proc: proc, reg: reg, bus: b, interval: interval,
 		queries: make(map[string]*queryState),
-		sampler: sampling.NewController(),
 	}
 	a.nextTick = a.now() + interval
 	a.rebuildViewLocked()
@@ -250,13 +248,10 @@ func (a *Agent) install(m Install) {
 		qs.expiry = a.now() + m.TTL
 	}
 	for _, prog := range m.Programs {
-		if r := sampling.ClampRate(prog.SampleRate); r > 0 {
-			qs.sampleRate = r
+		if r := advice.ClampRate(prog.SampleRate); r > 0 {
+			qs.sample = &sampled{id: m.QueryID, base: r, eff: r}
 			break
 		}
-	}
-	if qs.sampleRate > 0 {
-		a.sampler.SetBase(m.QueryID, qs.sampleRate)
 	}
 	a.queries[m.QueryID] = qs
 	a.weaveLocked(qs)
@@ -272,11 +267,11 @@ func (a *Agent) install(m Install) {
 // sorted by query id so decision minting is deterministic.
 func (a *Agent) rebuildViewLocked() {
 	view := make(map[string]*queryState, len(a.queries))
-	var sv []samplingQuery
+	var sv []*sampled
 	for id, qs := range a.queries {
 		view[id] = qs
-		if qs.sampleRate > 0 {
-			sv = append(sv, samplingQuery{id: id, rate: qs.sampleRate})
+		if qs.sample != nil {
+			sv = append(sv, qs.sample)
 		}
 	}
 	sort.Slice(sv, func(i, j int) bool { return sv[i].id < sv[j].id })
@@ -349,7 +344,6 @@ func (a *Agent) uninstall(queryID string) {
 		a.live.RawsDropped.Add(acc.RawsDropped())
 		a.live.GroupsOverflowed.Add(acc.GroupsOverflowed())
 	}
-	a.sampler.Remove(queryID)
 	delete(a.queries, queryID)
 	a.rebuildViewLocked()
 	if g := a.gauges.Load(); g != nil {
@@ -466,7 +460,13 @@ func (a *Agent) Stats() Stats {
 		}
 	}
 	a.mu.Unlock()
-	s.SampleRateMilli = a.sampler.MinEffectiveMilli()
+	lowest := 1.0
+	a.rngMu.Lock()
+	for _, sq := range *a.samplingView.Load() {
+		lowest = math.Min(lowest, sq.eff)
+	}
+	a.rngMu.Unlock()
+	s.SampleRateMilli = int64(math.Round(lowest * 1000))
 	if rec := a.recorder.Load(); rec != nil {
 		s.SpansCaptured = rec.Captured()
 		s.SpansDropped = rec.Dropped()

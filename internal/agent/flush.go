@@ -286,20 +286,10 @@ func (a *Agent) publishExplain(out []flushed, now time.Duration) {
 
 // opStats snapshots one program's live operator counters.
 func opStats(prog *advice.Program) OpStats {
-	c := &prog.Cost
-	return OpStats{
-		Tracepoint:     prog.Tracepoint,
-		Invocations:    c.Invocations.Load(),
-		Sampled:        c.Sampled.Load(),
-		DroppedByJoin:  c.DroppedByJoin.Load(),
-		TuplesFiltered: c.TuplesFiltered.Load(),
-		TuplesPacked:   c.TuplesPacked.Load(),
-		PackedBytes:    c.PackedBytes.Load(),
-		PackRefused:    c.PackRefused.Load(),
-		EvictedGroups:  c.PackEvictedGroups.Load(),
-		EvictedTuples:  c.PackEvictedTuples.Load(),
-		EvictedBytes:   c.PackEvictedBytes.Load(),
-		TuplesEmitted:  c.TuplesEmitted.Load(),
-		Panics:         c.Panics.Load(),
+	op := OpStats{Tracepoint: prog.Tracepoint}
+	live, vals := prog.Cost.Values(), op.Values()
+	for i := range live {
+		vals[i] = live[i].Load()
 	}
+	return op
 }

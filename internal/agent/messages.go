@@ -173,19 +173,8 @@ type SpanBatch struct {
 // OpStats is one advice program's live operator counters, snapshot at
 // flush time for EXPLAIN ANALYZE. Values are cumulative since install.
 type OpStats struct {
-	Tracepoint     string
-	Invocations    int64
-	Sampled        int64
-	DroppedByJoin  int64
-	TuplesFiltered int64
-	TuplesPacked   int64
-	PackedBytes    int64
-	PackRefused    int64
-	EvictedGroups  int64
-	EvictedTuples  int64
-	EvictedBytes   int64
-	TuplesEmitted  int64
-	Panics         int64
+	Tracepoint string
+	advice.Costs[int64]
 }
 
 // ExplainStats carries one query's per-operator counters from one process,

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/advice"
@@ -8,12 +9,19 @@ import (
 	"repro/internal/tuple"
 )
 
-// samplingQuery is one entry of the agent's sampling view: a query
-// installed with SampleRate > 0 and that installed (base) rate.
-type samplingQuery struct {
+// sampled is the sampling record of a query installed with a SampleRate:
+// the installed (base) rate and the adaptive effective rate decisions are
+// minted against. eff is guarded by Agent.rngMu.
+type sampled struct {
 	id   string
-	rate float64
+	base float64
+	eff  float64
 }
+
+// backoffFloor divides the base rate to give the lowest effective rate
+// adaptive control may reach: pressure can shed up to ~98% of a query's
+// sampled requests, but never silences the query entirely.
+const backoffFloor = 64
 
 // EmitTupleWeighted implements advice.WeightedEmitter: EmitTuple for a
 // tuple from a sampled request, carrying its inverse-rate weight into
@@ -53,7 +61,7 @@ func (a *Agent) NoteSampledOut(p *advice.Program) {
 // atomic load.
 func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
 	view := a.samplingView.Load()
-	if view == nil || len(*view) == 0 || bag == nil {
+	if len(*view) == 0 || bag == nil {
 		return
 	}
 	a.rngMu.Lock()
@@ -64,15 +72,11 @@ func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
 		a.sampleRng = rand.New(rand.NewSource(a.proc.ProcID*0x9E3779B9 + 1))
 	}
 	for _, sq := range *view {
-		eff := a.sampler.Effective(sq.id)
-		if eff <= 0 {
-			eff = sq.rate
-		}
 		switch {
-		case eff >= 1:
+		case sq.eff >= 1:
 			bag.PackSampleDecision(sq.id, 1)
-		case a.sampleRng.Float64() < eff:
-			bag.PackSampleDecision(sq.id, eff)
+		case a.sampleRng.Float64() < sq.eff:
+			bag.PackSampleDecision(sq.id, sq.eff)
 		default:
 			bag.PackSampleDecision(sq.id, 0)
 		}
@@ -82,8 +86,8 @@ func (a *Agent) MintSampleDecision(bag *baggage.Baggage) {
 // tickSampling is the adaptive sampling tick, at most once per reporting
 // interval of the agent's clock however often Flush runs: baggage drop
 // counters growing since the last tick means the request path is over
-// budget — back sampling rates off. A quiet interval walks them back
-// toward each query's base rate.
+// budget — halve every effective rate, floored at base/backoffFloor. A
+// quiet interval doubles them back toward each query's base rate.
 func (a *Agent) tickSampling() {
 	a.mu.Lock()
 	now := a.now()
@@ -97,5 +101,13 @@ func (a *Agent) tickSampling() {
 	}
 	cur := a.live.BaggageGroupsDropped.Load() + a.live.BaggageTuplesDropped.Load() + a.live.BaggageBytesDropped.Load()
 	prev := a.pressureMark.Swap(cur)
-	a.sampler.Tick(cur > prev)
+	a.rngMu.Lock()
+	defer a.rngMu.Unlock()
+	for _, sq := range *a.samplingView.Load() {
+		if cur > prev {
+			sq.eff = math.Max(sq.base/backoffFloor, sq.eff/2)
+		} else {
+			sq.eff = math.Min(sq.base, sq.eff*2)
+		}
+	}
 }

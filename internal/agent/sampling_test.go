@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -178,21 +179,136 @@ func TestManualFlushDoesNotTickSampling(t *testing.T) {
 	})
 }
 
-// TestUninstallRemovesSampledQuery: uninstalling a sampled query drops
-// it from the adaptive controller, so later requests mint no decision
-// and the heartbeat rate returns to "exact" (1000 milli).
+// samplingAgent starts an agent on env with a 1s report loop and sleeps
+// half an interval, so each tickSampling below spans exactly one of the
+// loop's adaptive steps.
+func samplingAgent(env *simtime.Env) *Agent {
+	reg := tracepoint.NewRegistry()
+	reg.Define("Tp", "v")
+	a := New(env, info("h1"), reg, bus.New(), time.Second)
+	env.Sleep(500 * time.Millisecond)
+	return a
+}
+
+func installSampled(a *Agent, id string, rate float64) {
+	a.Deliver(Install{QueryID: id, Programs: []*advice.Program{sampledProgram(rate)}})
+}
+
+// tickSampling lets one reporting interval pass, with baggage-budget
+// pressure (a pack-side eviction) or without.
+func tickSampling(env *simtime.Env, a *Agent, pressure bool) {
+	if pressure {
+		a.NotePackStats(nil, baggage.PackStats{EvictedTuples: 1})
+	}
+	env.Sleep(time.Second)
+}
+
+// effective is the query's current effective sampling rate; 0 when it is
+// not installed or not sampled.
+func effective(a *Agent, id string) float64 {
+	a.mu.Lock()
+	qs := a.queries[id]
+	a.mu.Unlock()
+	if qs == nil || qs.sample == nil {
+		return 0
+	}
+	a.rngMu.Lock()
+	defer a.rngMu.Unlock()
+	return qs.sample.eff
+}
+
+// TestSamplingBackoffAndRestore: every pressured interval halves each
+// sampled query's effective rate, floored at base/64; every quiet one
+// doubles it back toward the base, never past it.
+func TestSamplingBackoffAndRestore(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		a := samplingAgent(env)
+		installSampled(a, "Q", 0.5)
+		if got := effective(a, "Q"); got != 0.5 {
+			t.Fatalf("effective after install = %v, want 0.5", got)
+		}
+		for i := 0; i < 20; i++ {
+			tickSampling(env, a, true)
+		}
+		if got, floor := effective(a, "Q"), 0.5/64; got != floor {
+			t.Fatalf("effective after sustained pressure = %v, want floor %v", got, floor)
+		}
+		installSampled(a, "Q2", 0.8)
+		tickSampling(env, a, true)
+		if got := effective(a, "Q2"); got != 0.4 {
+			t.Fatalf("one pressure tick: effective = %v, want 0.4", got)
+		}
+		for i := 0; i < 20; i++ {
+			tickSampling(env, a, false)
+		}
+		if got := effective(a, "Q"); got != 0.5 {
+			t.Fatalf("effective after recovery = %v, want base 0.5", got)
+		}
+		if got := effective(a, "Q2"); got != 0.8 {
+			t.Fatalf("Q2 effective after recovery = %v, want base 0.8", got)
+		}
+	})
+}
+
+// TestSamplingRateMilliIsMinimum: the heartbeat's SampleRateMilli is 1000
+// with no sampled query installed, and otherwise the lowest effective rate
+// in thousandths.
+func TestSamplingRateMilliIsMinimum(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		a := samplingAgent(env)
+		a.Deliver(Install{QueryID: "U", Programs: []*advice.Program{q1Program()}})
+		if got := a.Stats().SampleRateMilli; got != 1000 {
+			t.Fatalf("no sampled query: SampleRateMilli = %d, want 1000", got)
+		}
+		installSampled(a, "A", 1)
+		installSampled(a, "B", 0.05)
+		if got := a.Stats().SampleRateMilli; got != 50 {
+			t.Fatalf("SampleRateMilli = %d, want 50", got)
+		}
+		tickSampling(env, a, true)
+		if got := a.Stats().SampleRateMilli; got != 25 {
+			t.Fatalf("SampleRateMilli after pressure = %d, want 25", got)
+		}
+	})
+}
+
+// TestSamplingRateValidatedAtInstall: a rate outside (0, 1] installs the
+// query unsampled, and installing an installed query again keeps the
+// backoff in progress.
+func TestSamplingRateValidatedAtInstall(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		a := samplingAgent(env)
+		installSampled(a, "bad", math.NaN())
+		bag := baggage.New()
+		a.MintSampleDecision(bag)
+		if r, ok := bag.SampleRate("bad"); ok || effective(a, "bad") != 0 || !a.Installed("bad") {
+			t.Fatalf("NaN rate: decision (%v, %v), effective %v; want an installed, unsampled query", r, ok, effective(a, "bad"))
+		}
+		installSampled(a, "Q", 0.25)
+		tickSampling(env, a, true)
+		installSampled(a, "Q", 0.25)
+		if got := effective(a, "Q"); got != 0.125 {
+			t.Fatalf("re-install reset backoff: effective = %v, want 0.125", got)
+		}
+	})
+}
+
+// TestUninstallRemovesSampledQuery: uninstalling a sampled query forgets
+// its rate, so later requests mint no decision and the heartbeat rate
+// returns to "exact" (1000 milli).
 func TestUninstallRemovesSampledQuery(t *testing.T) {
 	env := simtime.NewEnv()
 	env.Run(func() {
-		b := bus.New()
-		reg := tracepoint.NewRegistry()
-		reg.Define("Tp", "v")
-		a := New(env, info("h1"), reg, b, time.Second)
-		b.Publish(ControlTopic, Install{QueryID: "Q", Programs: []*advice.Program{sampledProgram(0.25)}})
-		if st := a.Stats(); st.SampleRateMilli != 250 {
-			t.Fatalf("SampleRateMilli = %d, want 250 while installed", st.SampleRateMilli)
+		a := samplingAgent(env)
+		installSampled(a, "Q", 0.25)
+		tickSampling(env, a, true)
+		if st := a.Stats(); st.SampleRateMilli != 125 {
+			t.Fatalf("SampleRateMilli = %d, want 125 while installed and backed off", st.SampleRateMilli)
 		}
-		b.Publish(ControlTopic, Uninstall{QueryID: "Q"})
+		a.Deliver(Uninstall{QueryID: "Q"})
 		bag := baggage.New()
 		a.MintSampleDecision(bag)
 		if _, ok := bag.SampleRate("Q"); ok {
@@ -200,6 +316,25 @@ func TestUninstallRemovesSampledQuery(t *testing.T) {
 		}
 		if st := a.Stats(); st.SampleRateMilli != 1000 {
 			t.Errorf("SampleRateMilli = %d, want 1000 after uninstall", st.SampleRateMilli)
+		}
+	})
+}
+
+// TestSamplingRateForgottenAtUninstall: uninstalling a backed-off query
+// drops its effective rate, so a reinstall starts again at its base.
+func TestSamplingRateForgottenAtUninstall(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		a := samplingAgent(env)
+		installSampled(a, "Q", 0.25)
+		tickSampling(env, a, true)
+		a.Deliver(Uninstall{QueryID: "Q"})
+		if got := effective(a, "Q"); got != 0 {
+			t.Fatalf("effective after uninstall = %v, want 0", got)
+		}
+		installSampled(a, "Q", 0.25)
+		if got := effective(a, "Q"); got != 0.25 {
+			t.Fatalf("reinstall effective = %v, want base 0.25", got)
 		}
 	})
 }

@@ -117,13 +117,3 @@ var StatFields = func() (fs [NumStats]StatField) {
 	}
 	return fs
 }()
-
-// Values views the operator counters (every field after Tracepoint) as an
-// array in declaration order, which is their wire order; the append-only
-// rule of Counters applies.
-func (o *OpStats) Values() *[NumOpStats]int64 {
-	return (*[NumOpStats]int64)(unsafe.Add(unsafe.Pointer(o), unsafe.Offsetof(o.Invocations)))
-}
-
-// NumOpStats is the number of counters one OpStats carries.
-const NumOpStats = int((unsafe.Sizeof(OpStats{}) - unsafe.Offsetof(OpStats{}.Invocations)) / unsafe.Sizeof(int64(0)))

@@ -14,8 +14,9 @@ import (
 // heartbeat counters, so what wire, core and telemetry derive from it must
 // be well-formed — every field an int64 with a telemetry name no other
 // field has and a ptstat column that is empty or no other field's — and
-// Values must index the fields in declaration order, for Stats and OpStats
-// alike (reflection is the independent witness here).
+// Values must index the fields in declaration order, for Stats and the
+// operator counters OpStats carries, advice.Costs, alike (reflection is
+// the independent witness here).
 func TestStatFieldsDeclareEachCounterOnce(t *testing.T) {
 	var s Stats
 	for i := range s.Values() {
@@ -41,17 +42,17 @@ func TestStatFieldsDeclareEachCounterOnce(t *testing.T) {
 		columns[f.Column] = f.Name
 	}
 
-	op := OpStats{Tracepoint: "Tp"}
-	for i := range op.Values() {
-		op.Values()[i] = int64(i + 1)
+	var c advice.Costs[int64]
+	for i := range c.Values() {
+		c.Values()[i] = int64(i + 1)
 	}
-	ov := reflect.ValueOf(op)
-	if ov.NumField() != 1+NumOpStats || op.Tracepoint != "Tp" {
-		t.Fatalf("OpStats has %d fields after Tracepoint (%q), NumOpStats = %d", ov.NumField()-1, op.Tracepoint, NumOpStats)
+	cv := reflect.ValueOf(c)
+	if cv.NumField() != advice.NumCosts {
+		t.Fatalf("advice.Costs has %d fields, NumCosts = %d", cv.NumField(), advice.NumCosts)
 	}
-	for i := 0; i < NumOpStats; i++ {
-		if f := ov.Field(1 + i); f.Kind() != reflect.Int64 || f.Int() != int64(i+1) {
-			t.Errorf("OpStats.%s = %v, want int64 %d", ov.Type().Field(1+i).Name, f, i+1)
+	for i := 0; i < advice.NumCosts; i++ {
+		if f := cv.Field(i); f.Kind() != reflect.Int64 || f.Int() != int64(i+1) {
+			t.Errorf("advice.Costs.%s = %v, want int64 %d", cv.Type().Field(i).Name, f, i+1)
 		}
 	}
 }
@@ -59,7 +60,7 @@ func TestStatFieldsDeclareEachCounterOnce(t *testing.T) {
 // TestTelemetryCarriesStats: after SetTelemetry a registry snapshot holds
 // every Stats counter under its metric name with the value Stats reports —
 // those the agent counts itself and those it reads from a component (here
-// the sampler's rate) alike.
+// the sampling rate) alike.
 func TestTelemetryCarriesStats(t *testing.T) {
 	b := bus.New()
 	reg := tracepoint.NewRegistry()

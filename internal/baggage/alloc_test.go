@@ -19,9 +19,9 @@ func TestAllocSteadyStatePackBudgetedIsAllocationFree(t *testing.T) {
 	spec := aggSpec()
 	bag := New()
 	row := tuple.Tuple{tuple.String("host-1"), tuple.Int(1)}
-	bag.PackBudgeted("q.a", spec, Budget{}, row) // create the group (cold)
+	bag.PackBudgeted("q", "q.a", spec, Budget{}, row) // create the group (cold)
 	if n := testing.AllocsPerRun(1000, func() {
-		bag.PackBudgeted("q.a", spec, Budget{}, row)
+		bag.PackBudgeted("q", "q.a", spec, Budget{}, row)
 	}); n != 0 {
 		t.Errorf("steady-state PackBudgeted into an existing AGG group allocates "+
 			"%.1f objects/op, want 0 (regression in the pooled pack path)", n)

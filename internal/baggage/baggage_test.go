@@ -500,7 +500,7 @@ func TestUseAfterSplitNeverReachesTheBranches(t *testing.T) {
 
 	b.Pack("x.all", allSpec("v"), tuple.Tuple{tuple.Int(2)})
 	b.Pack("q.agg", aggSpec(), kv("a", 10))
-	b.PackBudgeted("q.agg", aggSpec(), Budget{MaxTuples: 1}, kv("b", 1)) // evicts, writes a tombstone
+	b.PackBudgeted("q", "q.agg", aggSpec(), Budget{MaxTuples: 1}, kv("b", 1)) // evicts, writes a tombstone
 	if got := b.Unpack("x.all"); len(got) != 2 {
 		t.Errorf("receiver unpacks %v after its own pack, want both rows", got)
 	}
@@ -647,7 +647,7 @@ func TestBranchesUseSharedFrozenInstancesConcurrently(t *testing.T) {
 	root.Pack("q.first", SetSpec{Kind: First, Fields: tuple.Schema{"v"}}, tuple.Tuple{tuple.Int(1)})
 	root.Pack("q.recent", SetSpec{Kind: Recent, Fields: tuple.Schema{"v"}}, tuple.Tuple{tuple.Int(1)})
 	for i := 0; i < 4; i++ {
-		root.PackBudgeted("q.agg", aggSpec(), Budget{MaxTuples: 8}, kv(string(rune('a'+i)), 1))
+		root.PackBudgeted("q", "q.agg", aggSpec(), Budget{MaxTuples: 8}, kv(string(rune('a'+i)), 1))
 	}
 	const workers = 4
 	branches := []*Baggage{root}
@@ -664,7 +664,7 @@ func TestBranchesUseSharedFrozenInstancesConcurrently(t *testing.T) {
 				br.Unpack("q.first")
 				br.Unpack("q.agg")
 				br.Pack("q.recent", SetSpec{Kind: Recent, Fields: tuple.Schema{"v"}}, tuple.Tuple{tuple.Int(int64(i))})
-				br.PackBudgeted("q.agg", aggSpec(), Budget{MaxTuples: 8}, kv(string(rune('a'+(w+i)%12)), 1))
+				br.PackBudgeted("q", "q.agg", aggSpec(), Budget{MaxTuples: 8}, kv(string(rune('a'+(w+i)%12)), 1))
 				br.Serialize()
 				br.DropRecords("q")
 				l, r := br.Split()

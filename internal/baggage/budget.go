@@ -187,13 +187,13 @@ func (s *PackStats) Add(o PackStats) {
 	s.EvictedBytes += o.EvictedBytes
 }
 
-// PackBudgeted packs tuples like Pack but enforces the budget over the
-// slot's query (all slots sharing the slot-name prefix up to the first
-// '.'): tombstoned slots/groups refuse the pack, and after packing, whole
-// lowest-priority groups are evicted — largest slot first, oldest group
+// PackBudgeted packs tuples into slot like Pack but enforces the budget
+// over the slots of query, the slot's owner (see owns): tombstoned
+// slots/groups refuse the pack, and after packing, whole lowest-priority
+// groups of that query are evicted — largest slot first, oldest group
 // first — until the query is back under budget. All outcomes are counted
 // in the returned PackStats.
-func (b *Baggage) PackBudgeted(slot string, spec SetSpec, budget Budget, tuples ...tuple.Tuple) PackStats {
+func (b *Baggage) PackBudgeted(query, slot string, spec SetSpec, budget Budget, tuples ...tuple.Tuple) PackStats {
 	var st PackStats
 	set := b.active().set(slot, spec)
 	whole, keys := b.evictions(slot)
@@ -222,7 +222,7 @@ func (b *Baggage) PackBudgeted(slot string, spec SetSpec, budget Budget, tuples 
 	if ks != nil {
 		putScratch(ks)
 	}
-	st.EvictedGroups, st.EvictedTuples, st.EvictedBytes = b.enforce(budget, queryPrefix(slot))
+	st.EvictedGroups, st.EvictedTuples, st.EvictedBytes = b.enforce(budget, query)
 	if m := meters.Load(); m != nil {
 		m.TuplesPacked.Add(st.Packed)
 		m.PackRefused.Add(st.RefusedTuples)
@@ -237,17 +237,17 @@ func (b *Baggage) PackBudgeted(slot string, spec SetSpec, budget Budget, tuples 
 // usage fits the budget or no evictable content remains (frozen instances
 // are read-only; their contribution can only be suppressed by tombstones
 // already written on this branch).
-func (b *Baggage) enforce(budget Budget, prefix string) (groups, tuples, bytes int64) {
+func (b *Baggage) enforce(budget Budget, query string) (groups, tuples, bytes int64) {
 	maxB, maxT := budget.maxBytes(), budget.maxTuples()
 	if maxB < 0 && maxT < 0 {
 		return
 	}
 	for {
-		ub, ut := b.usage(prefix)
+		ub, ut := b.usage(query)
 		if (maxB < 0 || ub <= maxB) && (maxT < 0 || ut <= maxT) {
 			return
 		}
-		slot, victim := b.victim(prefix)
+		slot, victim := b.victim(query)
 		if victim == nil {
 			return
 		}
@@ -270,12 +270,11 @@ func (b *Baggage) enforce(budget Budget, prefix string) (groups, tuples, bytes i
 
 // usage sums the query's content cost and stored-tuple count across every
 // instance (active and frozen) — the same contents a serialize would ship.
-// System slots are excluded (see isSystemSlot).
-func (b *Baggage) usage(prefix string) (bytes, tuples int) {
+func (b *Baggage) usage(query string) (bytes, tuples int) {
 	b.ensureDecoded()
 	for _, in := range b.insts {
 		for _, sl := range in.slots {
-			if isSystemSlot(sl.name) || queryPrefix(sl.name) != prefix {
+			if !owns(query, sl.name) {
 				continue
 			}
 			bytes += sl.set.CostBytes()
@@ -289,11 +288,11 @@ func (b *Baggage) usage(prefix string) (bytes, tuples int) {
 // query with the largest content cost (ties go to the earliest-created
 // slot). Only the active instance is eligible — frozen instances are
 // shared with sibling branches and must stay immutable.
-func (b *Baggage) victim(prefix string) (string, *Set) {
+func (b *Baggage) victim(query string) (string, *Set) {
 	var bestSlot string
 	var best *Set
 	for _, sl := range b.active().slots {
-		if isSystemSlot(sl.name) || queryPrefix(sl.name) != prefix || sl.set.Len() == 0 {
+		if !owns(query, sl.name) || sl.set.Len() == 0 {
 			continue
 		}
 		if best == nil || sl.set.CostBytes() > best.CostBytes() {
@@ -349,11 +348,11 @@ func (b *Baggage) HasDrops() bool {
 	return false
 }
 
-// DropRecords returns the deduplicated eviction tombstones for the given
-// query prefix ("" for all queries), in first-recorded order. Advice reads
+// DropRecords returns the deduplicated eviction tombstones of the given
+// query's slots ("" for all queries), in first-recorded order. Advice reads
 // these at the final tracepoint of a request so agents and the frontend
 // can reconcile reported groups + dropped groups against the true total.
-func (b *Baggage) DropRecords(prefix string) []DropRecord {
+func (b *Baggage) DropRecords(query string) []DropRecord {
 	if b == nil {
 		return nil
 	}
@@ -370,7 +369,7 @@ func (b *Baggage) DropRecords(prefix string) []DropRecord {
 				continue
 			}
 			rec := DropRecord{Slot: t[0].Str(), Key: t[1].Str()}
-			if prefix != "" && queryPrefix(rec.Slot) != prefix {
+			if query != "" && !owns(query, rec.Slot) {
 				continue
 			}
 			for _, have := range out {
@@ -394,12 +393,12 @@ func isSystemSlot(slot string) bool {
 	return strings.HasPrefix(slot, "!")
 }
 
-// queryPrefix is the query-scoping portion of a slot name: the text before
-// the first '.'. Compiled plans name slots "<queryID>.<alias>", so slots
-// of one query share a prefix and budgets never cross queries.
-func queryPrefix(slot string) string {
-	if i := strings.IndexByte(slot, '.'); i >= 0 {
-		return slot[:i]
-	}
-	return slot
+// owns reports whether slot belongs to query. Compiled plans name every
+// slot of a query "<queryID>.<…>" (a join source's slots nest further),
+// and the owner's ID comes from the advice that packs or reads, never
+// from the slot name: tenant queries are named "<tenant>.Q<n>", so the
+// text before a slot's first '.' would lump all of a tenant's queries
+// into one budget. System slots belong to no query.
+func owns(query, slot string) bool {
+	return !isSystemSlot(slot) && len(slot) > len(query) && slot[len(query)] == '.' && strings.HasPrefix(slot, query)
 }

@@ -43,7 +43,7 @@ func TestPackBudgetedNoEvictionUnderBudget(t *testing.T) {
 	b := New()
 	var st PackStats
 	for i := 0; i < 8; i++ {
-		st.Add(b.PackBudgeted("q1.a", aggSpec(), Budget{}, kv(fmt.Sprintf("k%d", i), 1)))
+		st.Add(b.PackBudgeted("q1", "q1.a", aggSpec(), Budget{}, kv(fmt.Sprintf("k%d", i), 1)))
 	}
 	if st.Packed != 8 || st.RefusedTuples != 0 || st.EvictedGroups != 0 {
 		t.Fatalf("under-budget stats = %+v", st)
@@ -62,7 +62,7 @@ func TestTupleCapEvictsOldestGroupsAndAccounts(t *testing.T) {
 	const total = 10
 	var st PackStats
 	for i := 0; i < total; i++ {
-		st.Add(b.PackBudgeted("q1.a", aggSpec(), budget, kv(fmt.Sprintf("k%d", i), int64(i))))
+		st.Add(b.PackBudgeted("q1", "q1.a", aggSpec(), budget, kv(fmt.Sprintf("k%d", i), int64(i))))
 	}
 	got := b.Unpack("q1.a")
 	drops := b.DropRecords("q1")
@@ -90,9 +90,9 @@ func TestTupleCapEvictsOldestGroupsAndAccounts(t *testing.T) {
 func TestTombstonedGroupRefusesRepack(t *testing.T) {
 	b := New()
 	budget := Budget{MaxBytes: -1, MaxTuples: 1}
-	b.PackBudgeted("q1.a", aggSpec(), budget, kv("old", 1))
-	b.PackBudgeted("q1.a", aggSpec(), budget, kv("new", 1)) // evicts "old"
-	st := b.PackBudgeted("q1.a", aggSpec(), budget, kv("old", 99))
+	b.PackBudgeted("q1", "q1.a", aggSpec(), budget, kv("old", 1))
+	b.PackBudgeted("q1", "q1.a", aggSpec(), budget, kv("new", 1)) // evicts "old"
+	st := b.PackBudgeted("q1", "q1.a", aggSpec(), budget, kv("old", 99))
 	if st.Packed != 0 || st.RefusedTuples != 1 {
 		t.Fatalf("re-pack of evicted group: stats=%+v, want refusal", st)
 	}
@@ -111,7 +111,7 @@ func TestByteCapWholeSlotEvictionNonAgg(t *testing.T) {
 	budget := Budget{MaxBytes: 32, MaxTuples: -1}
 	var st PackStats
 	for i := 0; i < 16; i++ {
-		st.Add(b.PackBudgeted("q1.a", spec, budget, tuple.Tuple{tuple.String("0123456789")}))
+		st.Add(b.PackBudgeted("q1", "q1.a", spec, budget, tuple.Tuple{tuple.String("0123456789")}))
 	}
 	// The slot exceeds 32 bytes quickly; a non-AGG victim is cleared whole.
 	if st.EvictedGroups == 0 || st.EvictedTuples == 0 || st.EvictedBytes == 0 {
@@ -121,7 +121,7 @@ func TestByteCapWholeSlotEvictionNonAgg(t *testing.T) {
 		t.Fatalf("tombstoned slot must unpack empty, got %v", got)
 	}
 	// Whole-slot tombstone refuses all future packs.
-	st = b.PackBudgeted("q1.a", spec, budget, tuple.Tuple{tuple.String("x")})
+	st = b.PackBudgeted("q1", "q1.a", spec, budget, tuple.Tuple{tuple.String("x")})
 	if st.Packed != 0 || st.RefusedTuples != 1 {
 		t.Fatalf("pack into tombstoned slot: stats=%+v", st)
 	}
@@ -134,9 +134,9 @@ func TestByteCapWholeSlotEvictionNonAgg(t *testing.T) {
 func TestBudgetScopedPerQuery(t *testing.T) {
 	b := New()
 	tight := Budget{MaxBytes: -1, MaxTuples: 1}
-	b.PackBudgeted("q2.a", aggSpec(), unlimited, kv("other", 1))
-	b.PackBudgeted("q1.a", aggSpec(), tight, kv("k1", 1))
-	b.PackBudgeted("q1.a", aggSpec(), tight, kv("k2", 1)) // evicts k1 from q1 only
+	b.PackBudgeted("q2", "q2.a", aggSpec(), unlimited, kv("other", 1))
+	b.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv("k1", 1))
+	b.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv("k2", 1)) // evicts k1 from q1 only
 	if got := b.Unpack("q2.a"); len(got) != 1 {
 		t.Fatalf("q2 must be untouched by q1's budget, got %v", got)
 	}
@@ -154,15 +154,15 @@ func TestEvictionSurvivesSplitJoin(t *testing.T) {
 	// suppress the frozen copy after the join — otherwise the group is
 	// both reported and counted dropped.
 	b := New()
-	b.PackBudgeted("q1.a", aggSpec(), unlimited, kv("pre", 1))
+	b.PackBudgeted("q1", "q1.a", aggSpec(), unlimited, kv("pre", 1))
 	left, right := b.Split()
 	tight := Budget{MaxBytes: -1, MaxTuples: 1}
 	// Left branch: packing two more groups under a 1-group cap evicts
 	// until only one group remains in the active instance; "pre" (frozen)
 	// still counts toward usage, so tombstones accumulate.
-	left.PackBudgeted("q1.a", aggSpec(), tight, kv("l1", 1))
-	left.PackBudgeted("q1.a", aggSpec(), tight, kv("l2", 1))
-	right.PackBudgeted("q1.a", aggSpec(), unlimited, kv("r1", 1))
+	left.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv("l1", 1))
+	left.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv("l2", 1))
+	right.PackBudgeted("q1", "q1.a", aggSpec(), unlimited, kv("r1", 1))
 	joined := Join(left, right)
 	got := joined.Unpack("q1.a")
 	drops := joined.DropRecords("q1")
@@ -192,15 +192,15 @@ func TestBudgetDecisionsSurviveSerialization(t *testing.T) {
 	mk := func() *Baggage {
 		b := New()
 		for i := 0; i < 6; i++ {
-			b.PackBudgeted("q1.a", aggSpec(), unlimited, kv(fmt.Sprintf("k%d", i), int64(i)))
+			b.PackBudgeted("q1", "q1.a", aggSpec(), unlimited, kv(fmt.Sprintf("k%d", i), int64(i)))
 		}
 		return b
 	}
 	direct := mk()
 	wire := Deserialize(mk().Serialize())
 	budget := Budget{MaxBytes: -1, MaxTuples: 3}
-	s1 := direct.PackBudgeted("q1.a", aggSpec(), budget, kv("k9", 9))
-	s2 := wire.PackBudgeted("q1.a", aggSpec(), budget, kv("k9", 9))
+	s1 := direct.PackBudgeted("q1", "q1.a", aggSpec(), budget, kv("k9", 9))
+	s2 := wire.PackBudgeted("q1", "q1.a", aggSpec(), budget, kv("k9", 9))
 	if s1 != s2 {
 		t.Fatalf("budget decisions diverge across serialization: %+v vs %+v", s1, s2)
 	}
@@ -221,7 +221,7 @@ func TestDropSlotExcludedFromUsageAndEviction(t *testing.T) {
 	// itself must never be chosen as a victim (that would loop forever)
 	// and must not count toward usage.
 	for i := 0; i < 8; i++ {
-		b.PackBudgeted("q1.a", aggSpec(), tight, kv(fmt.Sprintf("k%d", i), 1))
+		b.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv(fmt.Sprintf("k%d", i), 1))
 	}
 	if !b.HasDrops() {
 		t.Fatalf("expected drops")
@@ -239,13 +239,13 @@ func TestTraceSlotNeverEvictedNorDoubleCounted(t *testing.T) {
 	// be unaffected by the trace slot's presence.
 	b := New()
 	frontier := func(bag *Baggage, trace, span int64) {
-		bag.PackBudgeted(TraceSlot, TraceSpec, Budget{}, tuple.Tuple{tuple.Int(trace), tuple.Int(span), tuple.Int(span * 10)})
+		bag.PackBudgeted("", TraceSlot, TraceSpec, Budget{}, tuple.Tuple{tuple.Int(trace), tuple.Int(span), tuple.Int(span * 10)})
 	}
 	frontier(b, 7, 1)
 	tight := Budget{MaxBytes: -1, MaxTuples: 3}
 	const total = 9
 	for i := 0; i < total; i++ {
-		b.PackBudgeted("q1.a", aggSpec(), tight, kv(fmt.Sprintf("k%d", i), int64(i)))
+		b.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv(fmt.Sprintf("k%d", i), int64(i)))
 		frontier(b, 7, int64(i+2)) // interleave span packs with query packs
 	}
 	// The trace slot survives with exactly one (FRONTIER) pair.
@@ -270,7 +270,7 @@ func TestTraceSlotNeverEvictedNorDoubleCounted(t *testing.T) {
 	}
 	// Even a pack scoped to the trace slot's own prefix finds no victim
 	// there: enforce must return without evicting or looping.
-	st := b.PackBudgeted(TraceSlot, TraceSpec, Budget{MaxBytes: 1, MaxTuples: 1}, tuple.Tuple{tuple.Int(7), tuple.Int(99), tuple.Int(990)})
+	st := b.PackBudgeted("", TraceSlot, TraceSpec, Budget{MaxBytes: 1, MaxTuples: 1}, tuple.Tuple{tuple.Int(7), tuple.Int(99), tuple.Int(990)})
 	if st.EvictedGroups != 0 || st.RefusedTuples != 0 || st.Packed != 1 {
 		t.Fatalf("trace-slot pack under a tiny budget must not evict: %+v", st)
 	}

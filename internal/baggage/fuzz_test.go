@@ -43,7 +43,7 @@ func baggageSeeds(t testing.TB) map[string][]byte {
 
 	evicted := New()
 	for i := 0; i < 8; i++ {
-		evicted.PackBudgeted("q.a", aggSpec(), Budget{MaxTuples: 2}, kv(string(rune('a'+i)), int64(i)))
+		evicted.PackBudgeted("q", "q.a", aggSpec(), Budget{MaxTuples: 2}, kv(string(rune('a'+i)), int64(i)))
 	}
 
 	return map[string][]byte{

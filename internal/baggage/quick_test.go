@@ -287,7 +287,7 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 				row := tuple.Tuple{tuple.String(string(rune('x' + rng.Intn(4)))), tuple.Int(int64(rng.Intn(100)))}
 				for _, b := range []*Baggage{live[k], shadow[k]} {
 					if op == 0 {
-						b.PackBudgeted("q."+spec.Kind.String(), spec, Budget{MaxTuples: 6}, row)
+						b.PackBudgeted("q", "q."+spec.Kind.String(), spec, Budget{MaxTuples: 6}, row)
 					} else {
 						b.Pack("q."+spec.Kind.String(), spec, row)
 					}
@@ -376,7 +376,7 @@ func TestQuickAppendUnpackExtendsPrefix(t *testing.T) {
 		pack := func(b *Baggage) {
 			for _, spec := range kinds {
 				for i := rng.Intn(4); i > 0; i-- {
-					b.PackBudgeted(spec.Kind.String()+".s", spec, Budget{MaxTuples: 2}, row())
+					b.PackBudgeted(spec.Kind.String(), spec.Kind.String()+".s", spec, Budget{MaxTuples: 2}, row())
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func TestSampleSlotExcludedFromBudget(t *testing.T) {
 	spec := SetSpec{Kind: All, Fields: tuple.Schema{"v"}}
 	// A budget of one tuple: the query's own data must be what gets
 	// evicted/capped, never the sample decision.
-	st := b.PackBudgeted("q.a", spec, Budget{MaxTuples: 1},
+	st := b.PackBudgeted("q", "q.a", spec, Budget{MaxTuples: 1},
 		tuple.Tuple{tuple.Int(1)}, tuple.Tuple{tuple.Int(2)})
 	if st.Packed != 2 {
 		t.Fatalf("packed %d, want 2", st.Packed)

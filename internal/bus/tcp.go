@@ -555,7 +555,6 @@ type Link struct {
 
 	reconnects atomic.Int64
 	drops      atomic.Int64
-	errs       chan error
 
 	mReconnects *telemetry.Counter
 	mDrops      *telemetry.Counter
@@ -594,7 +593,6 @@ func ConnectOptions(b *Bus, addr string, codec Codec, send, recv []string, opts 
 		recvSet: make(map[string]bool, len(recv)),
 		conn:    conn,
 		w:       bufio.NewWriter(conn),
-		errs:    make(chan error, 1),
 	}
 	for _, t := range recv {
 		l.recvSet[t] = true
@@ -678,10 +676,6 @@ func (l *Link) recvLoop(conn net.Conn, gen int) {
 	for {
 		topic, payload, err := readFrame(r)
 		if err != nil {
-			select {
-			case l.errs <- err:
-			default:
-			}
 			l.mu.Lock()
 			if l.gen == gen {
 				l.connDownLocked(conn)
@@ -808,18 +802,5 @@ func (l *Link) Close() {
 	}
 	if l.mConnected != nil {
 		l.mConnected.Set(0)
-	}
-}
-
-// Err reports the first receive-loop error, if any (nil while healthy).
-func (l *Link) Err() error {
-	select {
-	case err := <-l.errs:
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return err
-	default:
-		return nil
 	}
 }

@@ -30,12 +30,6 @@ type Config struct {
 	ReportInterval time.Duration
 	// RPCLatency is the fixed one-way message latency.
 	RPCLatency time.Duration
-	// BaggageFixedCost and BaggageByteCost model the CPU cost of
-	// serializing/deserializing non-empty baggage at each process
-	// boundary crossing (the overheads Table 5 measures). Empty baggage
-	// costs nothing — the paper's zero-byte default.
-	BaggageFixedCost time.Duration
-	BaggageByteCost  time.Duration
 	// SmallFlowCutoff, when > 0, routes network transfers of at most
 	// that many bytes through netsim's closed-form small-flow path
 	// (see netsim.Network.SetSmallFlowCutoff). Large scenario runs set
@@ -58,12 +52,10 @@ type Config struct {
 // one-second agent reports.
 func DefaultConfig() Config {
 	return Config{
-		NICRate:          netsim.Gbit,
-		DiskRate:         netsim.DiskRate,
-		ReportInterval:   agent.DefaultInterval,
-		RPCLatency:       200 * time.Microsecond,
-		BaggageFixedCost: 500 * time.Nanosecond,
-		BaggageByteCost:  2 * time.Nanosecond,
+		NICRate:        netsim.Gbit,
+		DiskRate:       netsim.DiskRate,
+		ReportInterval: agent.DefaultInterval,
+		RPCLatency:     200 * time.Microsecond,
 	}
 }
 

@@ -68,17 +68,22 @@ func (p *Process) Call(ctx context.Context, target *Process, method string, req 
 	return resp, err
 }
 
+// baggageFixedCost and baggageByteCost model the CPU cost of
+// serializing/deserializing non-empty baggage at each process boundary
+// crossing (the overheads Table 5 measures). Empty baggage costs nothing —
+// the paper's zero-byte default.
+const (
+	baggageFixedCost = 500 * time.Nanosecond
+	baggageByteCost  = 2 * time.Nanosecond
+)
+
 // chargeBaggageCost burns virtual CPU time for serializing non-empty
 // baggage at a process boundary (the Table 5 overhead model).
 func (p *Process) chargeBaggageCost(wireBytes int) {
 	if wireBytes == 0 {
 		return
 	}
-	cfg := p.C.cfg
-	cost := cfg.BaggageFixedCost + time.Duration(wireBytes)*cfg.BaggageByteCost
-	if cost > 0 {
-		p.C.Env.Sleep(cost)
-	}
+	p.C.Env.Sleep(baggageFixedCost + time.Duration(wireBytes)*baggageByteCost)
 }
 
 // Go runs fn as a new thread of this process with its own branch of the

@@ -210,3 +210,50 @@ func TestTenantFrontendSubscriptionFootprint(t *testing.T) {
 		t.Errorf("FramesIn = %d, want %d", got, before+2)
 	}
 }
+
+// TestTenantBudgetsScopedPerQuery: a tenant's queries are named
+// "<tenant>.Q<n>", and each keeps a baggage budget of its own. Two
+// happened-before joins of one tenant pack into the same requests under a
+// 4-tuple budget: the narrow one (3 groups) loses nothing to its sibling's
+// packs, and the wide one (6 groups) reports 4 and accounts the 2 it lost
+// as dropped, flagged partial.
+func TestTenantBudgetsScopedPerQuery(t *testing.T) {
+	b := bus.New()
+	reg := tracepoint.NewRegistry()
+	src := reg.Define("Src", "key", "val")
+	sink := reg.Define("Sink")
+	proc := tracepoint.ProcInfo{Host: "h1", ProcName: "svc", ProcID: 1}
+	ag := agent.New(nil, proc, reg, b, time.Second)
+	defer ag.Close()
+
+	acme := NewWithOptions(b, reg, Options{Tenant: "acme"})
+	opts := plan.Options{Optimize: true, Safety: advice.Safety{Budget: baggage.Budget{MaxTuples: 4}}}
+	install := func(text string) *Installed {
+		h, err := acme.InstallNamed("", text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	narrow := install(`From b In Sink Join a In Src On a -> b Where a.val < 3 GroupBy a.key Select a.key, SUM(a.val)`)
+	wide := install(`From b In Sink Join a In Src On a -> b GroupBy a.key Select a.key, SUM(a.val)`)
+	if !strings.HasPrefix(narrow.Name, "acme.") || !strings.HasPrefix(wide.Name, "acme.") {
+		t.Fatalf("names %q, %q: want tenant-prefixed", narrow.Name, wide.Name)
+	}
+
+	ctx := baggage.NewContext(tracepoint.WithProc(context.Background(), proc), baggage.New())
+	for i := 0; i < 6; i++ {
+		src.Here(ctx, string(rune('a'+i)), i)
+	}
+	sink.Here(ctx)
+	ag.Flush()
+
+	if rows, dropped := len(narrow.Rows()), narrow.DroppedGroups(); rows != 3 || dropped != 0 || narrow.Partial() {
+		t.Errorf("%s: %d rows, %d dropped, partial %v; want 3 rows, none dropped, exact",
+			narrow.Name, rows, dropped, narrow.Partial())
+	}
+	if rows, dropped := len(wide.Rows()), wide.DroppedGroups(); rows != 4 || dropped != 2 || !wide.Partial() {
+		t.Errorf("%s: %d rows, %d dropped, partial %v; want 4 rows, 2 dropped, partial",
+			wide.Name, rows, dropped, wide.Partial())
+	}
+}

@@ -26,11 +26,6 @@ type Config struct {
 	// Regions is the number of key-range regions (default: one per
 	// RegionServer).
 	Regions int
-	// GCInterval and GCPause enable rogue garbage collection on selected
-	// RegionServers: every GCInterval the server stops the world for
-	// GCPause.
-	GCInterval time.Duration
-	GCPause    time.Duration
 }
 
 // HBase is one deployment: a Master plus RegionServers.

@@ -7,9 +7,7 @@ const (
 	Gbit        = 1e9 / 8 // 1 Gbit/s NIC in bytes/s
 	HundredMbit = 1e8 / 8 // a limping 100 Mbit/s NIC
 	DiskRate    = 150e6   // a commodity HDD: 150 MB/s sequential
-	SSDRate     = 500e6   // an SSD: 500 MB/s
 	MB          = 1e6     // one megabyte
-	KB          = 1e3     // one kilobyte
 	GB          = 1e9     // one gigabyte
 )
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/advice"
 	"repro/internal/agg"
 	"repro/internal/query"
-	"repro/internal/sampling"
 	"repro/internal/tracepoint"
 	"repro/internal/tuple"
 )
@@ -120,9 +119,9 @@ func Compile(q *query.Query, reg *tracepoint.Registry, named map[string]*query.Q
 	// Request-level sampling applies to every program of the query — joined
 	// sources included — so the per-request decision suppresses or keeps
 	// the whole causal slice atomically.
-	rate := sampling.ClampRate(opts.SampleRate)
+	rate := advice.ClampRate(opts.SampleRate)
 	if rate == 0 {
-		rate = sampling.ClampRate(q.Sample)
+		rate = advice.ClampRate(q.Sample)
 	}
 	if rate > 0 {
 		for _, prog := range p.Programs {

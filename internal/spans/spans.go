@@ -124,7 +124,7 @@ func (r *Recorder) TracepointCrossed(ctx context.Context, tpName string) {
 	// pack goes through the budget machinery for uniformity, but the trace
 	// slot is excluded from budget accounting so it can never evict (or be
 	// evicted by) query data.
-	bag.PackBudgeted(baggage.TraceSlot, baggage.TraceSpec, baggage.Budget{},
+	bag.PackBudgeted("", baggage.TraceSlot, baggage.TraceSpec, baggage.Budget{},
 		tuple.Tuple{tuple.Int(int64(traceID)), tuple.Int(int64(id)), tuple.Int(int64(now))})
 
 	info := tracepoint.ProcFromContext(ctx)

@@ -242,12 +242,12 @@ func messageSeeds(t testing.TB) map[string][]byte {
 		}),
 		"explain-stats": mustMarshal(agent.ExplainStats{
 			QueryID: "Q1", Host: "h", ProcName: "p", Time: 5 * time.Second, FlushNS: 1234,
-			Ops: []agent.OpStats{{
-				Tracepoint: "Tp", Invocations: 10, Sampled: 1, DroppedByJoin: 2,
+			Ops: []agent.OpStats{{Tracepoint: "Tp", Costs: advice.Costs[int64]{
+				Invocations: 10, Sampled: 1, DroppedByJoin: 2,
 				TuplesFiltered: 3, TuplesPacked: 4, PackedBytes: 500, PackRefused: 1,
-				EvictedGroups: 1, EvictedTuples: 2, EvictedBytes: 64,
+				PackEvictedGroups: 1, PackEvictedTuples: 2, PackEvictedBytes: 64,
 				TuplesEmitted: 5, Panics: 0,
-			}},
+			}}},
 		}),
 		"bad-tag": {0x7f},
 		// Install claiming 2^28 programs in a one-byte body.

@@ -23,7 +23,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/baggage"
 	"repro/internal/query"
-	"repro/internal/sampling"
 	"repro/internal/slab"
 	"repro/internal/spans"
 	"repro/internal/tuple"
@@ -227,7 +226,7 @@ func readProgram(r *tuple.Reader) *advice.Program {
 		Observe: r.Ints(), ObserveFields: r.Strings(),
 		// Hostile rates (NaN, negative, zero, > 1, absurd weights) are clamped
 		// to "unsampled" here so a corrupt frame can never inflate weights.
-		SampleRate: sampling.ClampRate(math.Float64frombits(r.Uvarint())),
+		SampleRate: advice.ClampRate(math.Float64frombits(r.Uvarint())),
 		Safety: advice.Safety{
 			Budget:     baggage.Budget{MaxBytes: int(r.Varint()), MaxTuples: int(r.Varint())},
 			FaultLimit: r.Varint(), CostCeiling: r.Varint(),
@@ -276,9 +275,9 @@ const (
 	TagTenantUsage    = 12
 )
 
-// appendCounters encodes a struct's counters (agent.Stats, agent.OpStats:
-// declared in internal/agent, which fixes their order) as a count and that
-// many varints.
+// appendCounters encodes a struct's counters (agent.Stats, declared in
+// internal/agent, and advice.Costs, which fix their order) as a count and
+// that many varints.
 func appendCounters(buf []byte, vs []int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(vs)))
 	for _, v := range vs {
