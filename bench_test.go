@@ -206,25 +206,36 @@ func BenchmarkTracepoint(b *testing.B) {
 			tp.Here(ctx, v)
 		}
 	})
-	b.Run("woven-q1-style", func(b *testing.B) {
-		q, _ := query.Parse(`From e In Bench.Tracepoint GroupBy e.host Select e.host, SUM(e.v)`)
-		q.Name = "bench"
-		p, err := plan.Compile(q, reg, nil, plan.Optimized)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc := advice.NewAccumulator(p.Emit.Emit)
-		adv := &advice.Advice{Prog: p.Programs[0], Emitter: emitterFunc(func(prog *advice.Program, w tuple.Tuple) {
-			acc.Add(w)
-		})}
-		reg.Weave("Bench.Tracepoint", adv)
-		defer reg.Unweave("Bench.Tracepoint", adv)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tp.Here(ctx, v)
-		}
-	})
+	// woven weaves one query's advice, folding into an accumulator, for
+	// the length of a sub-benchmark.
+	woven := func(name, text string) {
+		b.Run(name, func(b *testing.B) {
+			q, err := query.Parse(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q.Name = "bench"
+			p, err := plan.Compile(q, reg, nil, plan.Optimized)
+			if err != nil {
+				b.Fatal(err)
+			}
+			acc := advice.NewAccumulator(p.Emit.Emit)
+			adv := &advice.Advice{Prog: p.Programs[0], Emitter: emitterFunc(func(prog *advice.Program, w tuple.Tuple) {
+				acc.Add(w)
+			})}
+			reg.Weave("Bench.Tracepoint", adv)
+			defer reg.Unweave("Bench.Tracepoint", adv)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tp.Here(ctx, v)
+			}
+		})
+	}
+	woven("woven-q1-style", `From e In Bench.Tracepoint GroupBy e.host Select e.host, SUM(e.v)`)
+	// A Where and a computed aggregate: the expressions are bound at
+	// compile time, so this crossing allocates no more than q1's.
+	woven("woven-filtered", `From e In Bench.Tracepoint Where e.v >= 1000 GroupBy e.host Select e.host, SUM(e.v * 2)`)
 }
 
 // BenchmarkTracepointTelemetry bounds the self-telemetry tax on the

@@ -90,13 +90,13 @@ func TestFilterEvalMissingBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &FilterOp{Expr: q.Where[0], Bindings: nil}
-	if f.Eval(tuple.Tuple{}) {
+	f := BindExpr(q.Where[0], nil)
+	if f.Eval(tuple.Tuple{}).Bool() {
 		t.Error("unbound comparison should be false")
 	}
 	q2, _ := query.Parse(`From e In Tp Where true Select COUNT`)
-	f2 := &FilterOp{Expr: q2.Where[0], Bindings: nil}
-	if !f2.Eval(tuple.Tuple{}) {
+	f2 := BindExpr(q2.Where[0], nil)
+	if !f2.Eval(tuple.Tuple{}).Bool() {
 		t.Error("constant-true filter failed")
 	}
 }

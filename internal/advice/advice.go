@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/baggage"
-	"repro/internal/query"
 	"repro/internal/tuple"
 )
 
@@ -103,50 +103,12 @@ type UnpackOp struct {
 	Fields tuple.Schema // names of the unpacked fields, for explain output
 }
 
-// FilterOp discards working tuples that do not satisfy the predicate.
-type FilterOp struct {
-	Expr query.Expr
-	// Bindings resolves the expression's field references to positions in
-	// the working tuple.
-	Bindings map[query.FieldRef]int
-}
-
-// Eval evaluates the filter against one working tuple.
-func (f *FilterOp) Eval(w tuple.Tuple) bool {
-	return f.Expr.Eval(func(ref query.FieldRef) tuple.Value {
-		pos, ok := f.Bindings[ref]
-		if !ok || pos >= len(w) {
-			return tuple.Null
-		}
-		return w[pos]
-	}).Bool()
-}
-
 // PackOp stores a projection of each working tuple into the baggage for
 // advice at later tracepoints.
 type PackOp struct {
 	Slot   string
 	Spec   baggage.SetSpec
 	Source []int // positions of the working tuple to pack, in Spec.Fields order
-}
-
-// ComputeOp evaluates an expression over the working tuple and appends the
-// result as a new column — used for computed outputs such as
-// response.time - request.time.
-type ComputeOp struct {
-	Expr     query.Expr
-	Bindings map[query.FieldRef]int
-}
-
-// Eval computes the derived value for one working tuple.
-func (c *ComputeOp) Eval(w tuple.Tuple) tuple.Value {
-	return c.Expr.Eval(func(ref query.FieldRef) tuple.Value {
-		pos, ok := c.Bindings[ref]
-		if !ok || pos >= len(w) {
-			return tuple.Null
-		}
-		return w[pos]
-	})
 }
 
 // EmitCol is one output column of an Emit, in Select order.
@@ -181,8 +143,8 @@ type Program struct {
 	Observe       []int
 	ObserveFields tuple.Schema
 	Unpacks       []UnpackOp
-	Filters       []FilterOp
-	Computes      []ComputeOp
+	Filters       []Expr
+	Computes      []Expr
 	Pack          *PackOp
 	Emit          *EmitOp
 
@@ -251,10 +213,10 @@ func (p *Program) String() string {
 		fmt.Fprintf(&b, "\nUNPACK %s", join(u.Fields))
 	}
 	for _, f := range p.Filters {
-		fmt.Fprintf(&b, "\nFILTER %s", f.Expr)
+		fmt.Fprintf(&b, "\nFILTER %s", f.Source())
 	}
 	for _, c := range p.Computes {
-		fmt.Fprintf(&b, "\nCOMPUTE %s", c.Expr)
+		fmt.Fprintf(&b, "\nCOMPUTE %s", c.Source())
 	}
 	if p.Pack != nil {
 		fmt.Fprintf(&b, "\nPACK%s %s", packKind(p.Pack.Spec), describePack(p.Pack.Spec))
@@ -286,13 +248,13 @@ func (p *Program) AnnotatedString() string {
 	}
 	filtered := p.Cost.TuplesFiltered.Load()
 	for i, f := range p.Filters {
-		fmt.Fprintf(&b, "\nFILTER %s", f.Expr)
+		fmt.Fprintf(&b, "\nFILTER %s", f.Source())
 		if i == 0 {
 			annotate(&b, counter{"filtered", filtered})
 		}
 	}
 	for _, c := range p.Computes {
-		fmt.Fprintf(&b, "\nCOMPUTE %s", c.Expr)
+		fmt.Fprintf(&b, "\nCOMPUTE %s", c.Source())
 	}
 	if p.Pack != nil {
 		fmt.Fprintf(&b, "\nPACK%s %s", packKind(p.Pack.Spec), describePack(p.Pack.Spec))
@@ -439,7 +401,7 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 	}
 	fs := firePool.Get().(*fireScratch)
 	defer func() {
-		clear(fs.proj)
+		clear(fs.proj[:cap(fs.proj)]) // COMPUTE fills the room past its length
 		clear(fs.working)
 		clear(fs.spare)
 		clear(fs.arena)
@@ -450,7 +412,9 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		}
 		firePool.Put(fs)
 	}()
-	fs.proj = vals.AppendProject(fs.proj[:0], p.Observe)
+	// Every working tuple has room for the program's computed columns, so
+	// COMPUTE appends them in place.
+	fs.proj = slices.Grow(vals.AppendProject(fs.proj[:0], p.Observe), len(p.Computes))
 	working := append(fs.working[:0], fs.proj)
 	fs.working = working
 
@@ -489,25 +453,29 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 				len(working), len(unpacked), ceiling, u.Slot))
 			return
 		}
-		// Each joined tuple is carved off the arena with no spare capacity,
-		// so a later append (COMPUTE) moves it out instead of overwriting
-		// its neighbour; arena growth leaves earlier tuples where they were.
+		// Each joined tuple is carved off the arena with room for the
+		// computed columns and no more, so COMPUTE fills that room and
+		// never its neighbour; arena growth leaves earlier tuples where
+		// they were.
 		next := fs.spare[:0]
 		for _, w := range working {
 			for _, t := range unpacked {
 				at := len(fs.arena)
 				fs.arena = append(append(fs.arena, w...), t...)
-				next = append(next, fs.arena[at:len(fs.arena):len(fs.arena)])
+				end := len(fs.arena)
+				fs.arena = append(fs.arena, make(tuple.Tuple, len(p.Computes))...)
+				next = append(next, fs.arena[at:end:len(fs.arena)])
 			}
 		}
 		fs.spare, fs.working, working = working, next, next
 	}
 
 	// FILTER
-	for _, f := range p.Filters {
+	for i := range p.Filters {
+		f := &p.Filters[i]
 		kept := working[:0]
 		for _, w := range working {
-			if f.Eval(w) {
+			if f.Eval(w).Bool() {
 				kept = append(kept, w)
 			}
 		}
@@ -520,10 +488,11 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		}
 	}
 
-	// COMPUTE: append derived columns.
-	for _, cop := range p.Computes {
-		for i, w := range working {
-			working[i] = append(w, cop.Eval(w))
+	// COMPUTE: append derived columns, into the room each tuple reserved.
+	for i := range p.Computes {
+		c := &p.Computes[i]
+		for j, w := range working {
+			working[j] = append(w, c.Eval(w))
 		}
 	}
 

@@ -153,13 +153,10 @@ func TestFilterDropsNonMatching(t *testing.T) {
 			Observe:       []int{0},
 			ObserveFields: tuple.Schema{"host"},
 			Unpacks:       []UnpackOp{{Slot: "st", Fields: tuple.Schema{"host"}}},
-			Filters: []FilterOp{{
-				Expr: pred.Where[0],
-				Bindings: map[query.FieldRef]int{
-					{Alias: "DNop", Field: "host"}: 0,
-					{Alias: "st", Field: "host"}:   1,
-				},
-			}},
+			Filters: []Expr{BindExpr(pred.Where[0], map[query.FieldRef]int{
+				{Alias: "DNop", Field: "host"}: 0,
+				{Alias: "st", Field: "host"}:   1,
+			})},
 			Emit: &EmitOp{Cols: []EmitCol{{Pos: 0}}, GroupBy: []int{0}, Schema: tuple.Schema{"host"}},
 		},
 		Emitter: em,

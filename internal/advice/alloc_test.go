@@ -7,8 +7,12 @@ package advice
 // assertions for reasons unrelated to the code under test.
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/agg"
+	"repro/internal/baggage"
+	"repro/internal/query"
 	"repro/internal/tuple"
 )
 
@@ -119,5 +123,63 @@ func TestAllocRawsAtCapAmortized(t *testing.T) {
 	}
 	if got := m.RawsDropped(); got != 2*adds { // AllocsPerRun runs its function once to warm up
 		t.Errorf("RawsDropped = %d, want %d", got, 2*adds)
+	}
+}
+
+// accEmitter folds every emitted tuple into one accumulator, as the agent
+// does.
+type accEmitter struct{ acc *Accumulator }
+
+func (e accEmitter) EmitTuple(_ *Program, w tuple.Tuple) { e.acc.Add(w) }
+
+// TestAllocFilteredComputedFire: a fire whose program filters and then
+// folds a computed column into a group that exists allocates nothing. The
+// expressions were bound to positions when the program was built, and
+// each working tuple has room for the computed column, whether it is the
+// observe projection or a joined tuple carved from the fire's arena.
+func TestAllocFilteredComputedFire(t *testing.T) {
+	q, err := query.Parse(`From e In Tp Join s In Src On s -> e Where e.v > 10 && s.host != e.host Select e.host, SUM(e.v * 2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindings := map[query.FieldRef]int{
+		{Alias: "e", Field: "host"}: 0, {Alias: "e", Field: "v"}: 1, {Alias: "s", Field: "host"}: 2,
+	}
+	bag := baggage.New()
+	bag.Pack("q.s", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"s.host"}}, tuple.Tuple{tuple.String("src")})
+	ctx := baggage.NewContext(context.Background(), bag)
+	vals := exported("h1", 0, "p", tuple.Int(50))
+	// Without the join, s.host lies past the working tuple and reads null,
+	// which differs from e.host as "src" does.
+	for _, tc := range []struct {
+		name    string
+		unpacks []UnpackOp
+		sumPos  int // where the computed column lands: after the joined fields
+	}{
+		{"observed", nil, 2},
+		{"joined", []UnpackOp{{Slot: "q.s", Fields: tuple.Schema{"s.host"}}}, 3},
+	} {
+		emit := &EmitOp{
+			Cols:    []EmitCol{{Pos: 0}, {IsAgg: true, Pos: tc.sumPos, Fn: agg.Sum}},
+			GroupBy: []int{0},
+			Schema:  tuple.Schema{"e.host", "SUM((e.v * 2))"},
+		}
+		acc := NewAccumulator(emit)
+		prog := &Program{
+			QueryID: "q", Tracepoint: "Tp",
+			Observe: []int{0, 5}, ObserveFields: tuple.Schema{"e.host", "e.v"},
+			Unpacks:  tc.unpacks,
+			Filters:  []Expr{BindExpr(q.Where[0], bindings)},
+			Computes: []Expr{BindExpr(q.Select[1].Expr, bindings)},
+			Emit:     emit,
+		}
+		a := &Advice{Prog: prog, Emitter: accEmitter{acc}}
+		a.Invoke(ctx, vals) // create the group (cold)
+		if n := testing.AllocsPerRun(1000, func() { a.Invoke(ctx, vals) }); n != 0 {
+			t.Errorf("%s: a filtered, computed fire allocates %.1f objects, want 0", tc.name, n)
+		}
+		if g := acc.Groups(); len(g) != 1 || g[0].States[0].Result().Int() != 100*1002 {
+			t.Errorf("%s: groups = %v, want one with SUM %d", tc.name, g, 100*1002)
+		}
 	}
 }

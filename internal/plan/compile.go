@@ -182,7 +182,7 @@ func (qc *queryCompiler) newProgram(node *aliasNode, tpName string, l *layout) (
 		prog.Unpacks = append(prog.Unpacks, advice.UnpackOp{Slot: u.slot, Fields: fields})
 	}
 	for _, w := range qc.filtersAt[node.name] {
-		prog.Filters = append(prog.Filters, advice.FilterOp{Expr: w, Bindings: l.bindings})
+		prog.Filters = append(prog.Filters, advice.BindExpr(w, l.bindings))
 	}
 	return prog, nil
 }
@@ -238,7 +238,7 @@ func (qc *queryCompiler) compileFrom(target *packTarget) error {
 
 	// Column positions per Select item; computed expressions append
 	// columns to the working tuple.
-	var computes []advice.ComputeOp
+	var computes []advice.Expr
 	colPos := make([]int, len(qc.q.Select))
 	for i, si := range qc.q.Select {
 		switch {
@@ -252,7 +252,7 @@ func (qc *queryCompiler) compileFrom(target *packTarget) error {
 				continue
 			}
 			colPos[i] = len(l.schema) + len(computes)
-			computes = append(computes, advice.ComputeOp{Expr: si.Expr, Bindings: l.bindings})
+			computes = append(computes, advice.BindExpr(si.Expr, l.bindings))
 		}
 	}
 

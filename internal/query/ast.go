@@ -247,12 +247,19 @@ func (b Binary) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
 }
 
-// Eval implements Expr. Numeric operators promote to float when either
-// operand is a float; comparisons use tuple.Value.Compare.
+// Eval implements Expr.
 func (b Binary) Eval(resolve func(FieldRef) tuple.Value) tuple.Value {
-	l := b.L.Eval(resolve)
-	r := b.R.Eval(resolve)
-	switch b.Op {
+	return b.Op.Apply(b.L.Eval(resolve), b.R.Eval(resolve))
+}
+
+// Apply applies the operator to its operands: the one definition of the
+// binary operators, which Binary.Eval and advice's bound expressions
+// share. Numeric operators promote to float when either operand is a
+// float, and an inexact integer division promotes too; division by zero
+// is null. Comparisons use tuple.Value.Compare. An unknown operator
+// yields null.
+func (op BinOp) Apply(l, r tuple.Value) tuple.Value {
+	switch op {
 	case OpEq:
 		return tuple.Bool(l.Equal(r))
 	case OpNe:
@@ -270,7 +277,7 @@ func (b Binary) Eval(resolve func(FieldRef) tuple.Value) tuple.Value {
 	case OpOr:
 		return tuple.Bool(l.Bool() || r.Bool())
 	case OpAdd, OpSub, OpMul, OpDiv:
-		return arith(b.Op, l, r)
+		return arith(op, l, r)
 	default:
 		return tuple.Null
 	}
@@ -323,8 +330,14 @@ func (u Unary) String() string { return fmt.Sprintf("%c%s", u.Op, u.X) }
 
 // Eval implements Expr.
 func (u Unary) Eval(resolve func(FieldRef) tuple.Value) tuple.Value {
-	v := u.X.Eval(resolve)
-	switch u.Op {
+	return ApplyUnary(u.Op, u.X.Eval(resolve))
+}
+
+// ApplyUnary applies a unary operator, '!' or '-', to its operand: the
+// one definition of the unary operators, shared like BinOp.Apply. Any
+// other op byte yields null.
+func ApplyUnary(op byte, v tuple.Value) tuple.Value {
+	switch op {
 	case '!':
 		return tuple.Bool(!v.Bool())
 	case '-':

@@ -399,7 +399,46 @@ func FuzzDecodeExpr(f *testing.F) {
 		if enc2 := AppendExpr(nil, e2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("expr encoding is not a fixpoint:\n%x\n%x", enc, enc2)
 		}
+		checkBoundExpr(t, e)
 	})
+}
+
+// exprTuple is the working tuple FuzzDecodeExpr evaluates decoded
+// expressions on: one value of every kind.
+var exprTuple = tuple.Tuple{tuple.Int(7), tuple.Float(2.5), tuple.String("a"), tuple.Bool(true), tuple.Null, tuple.Int(0)}
+
+// checkBoundExpr binds e as an agent binds a decoded filter or compute and
+// evaluates it on exprTuple: the result must encode as the one query's
+// resolver gives. Its field references are bound round-robin to the
+// tuple's positions and one past them, and every fourth is left unbound.
+// An expression with a nil operand has no reference result (query's Eval
+// panics on it); bound, it must still evaluate.
+func checkBoundExpr(t *testing.T, e query.Expr) {
+	bindings := map[query.FieldRef]int{}
+	for i, ref := range query.FieldRefs(e) {
+		if i%4 != 3 {
+			bindings[ref] = i % (len(exprTuple) + 1)
+		}
+	}
+	bound := advice.BindExpr(e, bindings)
+	got := tuple.AppendValue(nil, bound.Eval(exprTuple))
+	want, ok := func() (v []byte, ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		return tuple.AppendValue(nil, e.Eval(func(ref query.FieldRef) tuple.Value {
+			pos, ok := bindings[ref]
+			if !ok || pos >= len(exprTuple) {
+				return tuple.Null
+			}
+			return exprTuple[pos]
+		})), true
+	}()
+	if ok && !bytes.Equal(got, want) {
+		t.Fatalf("%s bound evaluates to %x, the reference to %x", e, got, want)
+	}
 }
 
 func TestRegenWireFuzzCorpus(t *testing.T) {

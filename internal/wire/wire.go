@@ -144,9 +144,52 @@ func readBindings(r *tuple.Reader) map[query.FieldRef]int {
 	m := make(map[query.FieldRef]int, n)
 	for ; n > 0 && r.Err() == nil; n-- {
 		ref := query.FieldRef{Alias: r.String(), Field: r.String()}
-		m[ref] = int(r.Varint())
+		m[ref] = readPos(r, 0)
 	}
 	return m
+}
+
+// appendBound encodes a program's filters or computes: each one's
+// expression tree and bindings.
+func appendBound(buf []byte, xs []advice.Expr) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(xs)))
+	for _, x := range xs {
+		buf = AppendExpr(buf, x.Source())
+		buf = appendBindings(buf, x.Bindings())
+	}
+	return buf
+}
+
+// readBound decodes what appendBound wrote and binds each expression.
+func readBound(r *tuple.Reader) []advice.Expr {
+	var xs []advice.Expr
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		xs = append(xs, advice.BindExpr(readExpr(r, 0), readBindings(r)))
+	}
+	return xs
+}
+
+// readPos reads one working-tuple position, which may not lie below
+// least. One that did would index out of range on every fire, panic into
+// the advice's recover boundary and get the program quarantined, so the
+// decode fails instead.
+func readPos(r *tuple.Reader, least int) int {
+	pos := r.Varint()
+	if pos < int64(least) {
+		r.Fail(fmt.Errorf("wire: position %d below %d", pos, least))
+		return 0
+	}
+	return int(pos)
+}
+
+// readPositions reads a list of working-tuple positions.
+func readPositions(r *tuple.Reader) []int {
+	n := r.Count()
+	xs := make([]int, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		xs = append(xs, readPos(r, 0))
+	}
+	return xs
 }
 
 // --- advice programs ---
@@ -168,16 +211,8 @@ func AppendProgram(buf []byte, p *advice.Program) []byte {
 		buf = appendString(buf, u.Slot)
 		buf = appendStrings(buf, u.Fields)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Filters)))
-	for _, f := range p.Filters {
-		buf = AppendExpr(buf, f.Expr)
-		buf = appendBindings(buf, f.Bindings)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Computes)))
-	for _, c := range p.Computes {
-		buf = AppendExpr(buf, c.Expr)
-		buf = appendBindings(buf, c.Bindings)
-	}
+	buf = appendBound(buf, p.Filters)
+	buf = appendBound(buf, p.Computes)
 	if p.Pack != nil {
 		buf = append(buf, 1)
 		buf = appendString(buf, p.Pack.Slot)
@@ -223,7 +258,7 @@ func DecodeProgram(buf []byte) (*advice.Program, []byte, error) {
 func readProgram(r *tuple.Reader) *advice.Program {
 	p := &advice.Program{
 		QueryID: r.String(), Tracepoint: r.String(),
-		Observe: r.Ints(), ObserveFields: r.Strings(),
+		Observe: readPositions(r), ObserveFields: r.Strings(),
 		// Hostile rates (NaN, negative, zero, > 1, absurd weights) are clamped
 		// to "unsampled" here so a corrupt frame can never inflate weights.
 		SampleRate: advice.ClampRate(math.Float64frombits(r.Uvarint())),
@@ -235,23 +270,18 @@ func readProgram(r *tuple.Reader) *advice.Program {
 	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 		p.Unpacks = append(p.Unpacks, advice.UnpackOp{Slot: r.String(), Fields: r.Strings()})
 	}
-	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-		p.Filters = append(p.Filters, advice.FilterOp{Expr: readExpr(r, 0), Bindings: readBindings(r)})
-	}
-	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-		p.Computes = append(p.Computes, advice.ComputeOp{Expr: readExpr(r, 0), Bindings: readBindings(r)})
-	}
+	p.Filters, p.Computes = readBound(r), readBound(r)
 	if r.Byte() == 1 {
 		// ReadSpec validates the spec's positions against its fields, as it
 		// does for specs arriving in baggage.
-		p.Pack = &advice.PackOp{Slot: r.String(), Spec: baggage.ReadSpec(r), Source: r.Ints()}
+		p.Pack = &advice.PackOp{Slot: r.String(), Spec: baggage.ReadSpec(r), Source: readPositions(r)}
 	}
 	if r.Byte() == 1 {
 		em := &advice.EmitOp{}
 		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
-			em.Cols = append(em.Cols, advice.EmitCol{IsAgg: r.Byte() == 1, Fn: agg.Func(r.Byte()), Pos: int(r.Varint())})
+			em.Cols = append(em.Cols, advice.EmitCol{IsAgg: r.Byte() == 1, Fn: agg.Func(r.Byte()), Pos: readPos(r, -1)})
 		}
-		em.GroupBy, em.Raw, em.Schema = r.Ints(), r.Byte() == 1, r.Strings()
+		em.GroupBy, em.Raw, em.Schema = readPositions(r), r.Byte() == 1, r.Strings()
 		p.Emit = em
 	}
 	return p

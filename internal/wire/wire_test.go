@@ -92,7 +92,7 @@ func TestProgramCodecRoundtripsPaperPlans(t *testing.T) {
 				t.Errorf("q%d: filters differ", i)
 			}
 			for fi := range got.Filters {
-				if len(got.Filters[fi].Bindings) != len(prog.Filters[fi].Bindings) {
+				if len(got.Filters[fi].Bindings()) != len(prog.Filters[fi].Bindings()) {
 					t.Errorf("q%d: filter bindings differ", i)
 				}
 			}
@@ -331,6 +331,48 @@ func TestInstallRejectsSpecOutsideFields(t *testing.T) {
 	}
 	if _, err := Unmarshal(messageSeeds(t)["bad-spec-install"]); err == nil {
 		t.Error("the bad-spec-install fuzz seed decodes, want an error")
+	}
+}
+
+// TestInstallRejectsNegativePositions: every working-tuple position an
+// install carries indexes a tuple on every fire, so one below zero (below
+// -1 for an emit column, where -1 is a bare COUNT) would panic each fire
+// into the recover boundary until the program is quarantined. Unmarshal
+// rejects it instead, one case per kind of position.
+func TestInstallRejectsNegativePositions(t *testing.T) {
+	where := query.Binary{Op: query.OpGt, L: query.FieldRef{Alias: "e", Field: "v"}, R: query.Literal{Value: tuple.Int(0)}}
+	install := func(mutate func(p *advice.Program, bindings map[query.FieldRef]int)) []byte {
+		bindings := map[query.FieldRef]int{{Alias: "e", Field: "v"}: 1}
+		p := &advice.Program{
+			QueryID: "Q1", Tracepoint: "Tp", Observe: []int{0, 5}, ObserveFields: tuple.Schema{"e.host", "e.v"},
+			Pack: &advice.PackOp{Slot: "Q1.e", Spec: baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"e.host"}}, Source: []int{0}},
+			Emit: &advice.EmitOp{
+				Cols:    []advice.EmitCol{{Pos: 0}, {IsAgg: true, Pos: -1, Fn: agg.Count}, {IsAgg: true, Pos: 2, Fn: agg.Sum}},
+				GroupBy: []int{0}, Schema: tuple.Schema{"host", "COUNT", "SUM"},
+			},
+		}
+		mutate(p, bindings)
+		p.Filters = []advice.Expr{advice.BindExpr(where, bindings)}
+		p.Computes = []advice.Expr{advice.BindExpr(where.L, bindings)}
+		buf, err := Marshal(agent.Install{QueryID: "Q1", Programs: []*advice.Program{p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	if _, err := Unmarshal(install(func(*advice.Program, map[query.FieldRef]int) {})); err != nil {
+		t.Fatalf("install with every position in range: %v", err)
+	}
+	for name, mutate := range map[string]func(p *advice.Program, bindings map[query.FieldRef]int){
+		"negative observe":     func(p *advice.Program, _ map[query.FieldRef]int) { p.Observe[1] = -3 },
+		"negative pack source": func(p *advice.Program, _ map[query.FieldRef]int) { p.Pack.Source[0] = -1 },
+		"negative group-by":    func(p *advice.Program, _ map[query.FieldRef]int) { p.Emit.GroupBy[0] = -1 },
+		"negative binding":     func(_ *advice.Program, b map[query.FieldRef]int) { b[query.FieldRef{Alias: "e", Field: "v"}] = -1 },
+		"emit column below -1": func(p *advice.Program, _ map[query.FieldRef]int) { p.Emit.Cols[2].Pos = -2 },
+	} {
+		if msg, err := Unmarshal(install(mutate)); err == nil {
+			t.Errorf("%s: install decoded to %+v, want an error", name, msg)
+		}
 	}
 }
 
