@@ -86,7 +86,9 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 // Drain hands over what was folded in since the last Drain, and how many
 // tuples that was, leaving an empty merger sized from it in its place
 // (merge-on-flush: the caller owns the result outright and may publish
-// it). With nothing folded in it returns nil and 0.
+// it). The result is for reading only: its group table went to its
+// successor, so it takes no more input. With nothing folded in it returns
+// nil and 0.
 func (a *Accumulator) Drain() (*Merger, int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -1,7 +1,9 @@
 package advice
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -178,3 +180,44 @@ func TestSamplingCounters(t *testing.T) {
 type emitFn func(*Program, tuple.Tuple)
 
 func (f emitFn) EmitTuple(p *Program, w tuple.Tuple) { f(p, w) }
+
+// appendGroups encodes groups' keys, representatives and states, so two
+// readings of the same groups can be compared byte for byte.
+func appendGroups(buf []byte, groups []*Group) []byte {
+	for _, g := range groups {
+		buf = append(buf, g.Key...)
+		buf = tuple.AppendTuple(buf, g.Rep)
+		for i := range g.States {
+			buf = g.States[i].Append(buf)
+		}
+	}
+	return buf
+}
+
+// TestDrainedGroupsSurviveNextInterval: the group table passes from a
+// drained merger to its successor, but the groups do not. A second
+// interval over the same keys, with other values, leaves what the first
+// Drain handed out byte-identical.
+func TestDrainedGroupsSurviveNextInterval(t *testing.T) {
+	const rows = 512
+	acc := NewAccumulator(aggOp())
+	for i := 0; i < rows; i++ {
+		acc.Add(kvRow(fmt.Sprintf("k%d", i), int64(i)))
+	}
+	first, _ := acc.Drain()
+	groups := first.Groups()
+	before := appendGroups(nil, groups)
+	for i := 0; i < rows; i++ {
+		acc.Add(kvRow(fmt.Sprintf("k%d", i), int64(-7*i-1)))
+	}
+	second, _ := acc.Drain()
+	if after := appendGroups(nil, groups); !bytes.Equal(before, after) {
+		t.Fatal("folding in the second interval rewrote groups the first Drain handed out")
+	}
+	if n := first.Len(); n != rows {
+		t.Errorf("the drained merger holds %d groups, want %d", n, rows)
+	}
+	if got := second.Groups(); len(got) != rows || got[1].States[0].Result().Int() != -8 {
+		t.Errorf("the second interval's groups are not its own: %d groups, k1 = %v", len(got), got[1].States[0].Result())
+	}
+}

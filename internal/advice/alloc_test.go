@@ -183,3 +183,27 @@ func TestAllocFilteredComputedFire(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocDrainPassesTableOn: an interval over the keys of the one
+// before allocates no group table, because Drain hands the drained one on,
+// cleared. What is left is one chunk per slab (groups, states, Rep values,
+// key bytes), each sized by the interval before, and Drain's own two: the
+// drained merger it returns and its successor's first-seen order.
+func TestAllocDrainPassesTableOn(t *testing.T) {
+	const rows = 8192
+	ws := wideTuples(rows)
+	acc := NewAccumulator(aggOp())
+	interval := func() {
+		for _, w := range ws {
+			acc.Add(w)
+		}
+		if m, _ := acc.Drain(); m.Len() != rows {
+			t.Fatalf("drained %d groups, want %d", m.Len(), rows)
+		}
+	}
+	interval()
+	const want = 4 + 2
+	if n := testing.AllocsPerRun(5, interval); n != want {
+		t.Errorf("an interval over the same %d keys allocates %.1f objects, want %d", rows, n, want)
+	}
+}

@@ -135,7 +135,11 @@ func NewMerger(op *EmitOp, l Limits) *Merger {
 
 // next returns the empty merger that takes over from m when m's contents
 // are handed off whole: same query, limits and running eviction counts,
-// its table and slabs sized from what m held (see slab.Slab.Next).
+// its slabs sized from what m held (see slab.Slab.Next), and m's group
+// table, cleared. The table is a private index that no one outside the
+// merger ever sees, and MaxGroups bounds it, so it passes on instead of
+// being rebuilt each interval. m keeps order, raws and drops — all that
+// Groups, Raws, Drops, Len, Rows and Empty read — and takes no more input.
 func (m *Merger) next() Merger {
 	n := Merger{
 		Op: m.Op, limits: m.limits, empty: m.empty,
@@ -143,7 +147,8 @@ func (m *Merger) next() Merger {
 		groupSlab: m.groupSlab.Next(), stateSlab: m.stateSlab.Next(), valueSlab: m.valueSlab.Next(),
 		byteSlab: m.byteSlab.Next(),
 	}
-	n.groups = make(map[string]*Group, n.groupSlab.Want())
+	clear(m.groups)
+	n.groups, m.groups = m.groups, nil
 	n.order = make([]*Group, 0, n.groupSlab.Want())
 	return n
 }
@@ -396,5 +401,6 @@ func (m *Merger) Empty() bool {
 }
 
 // Reset lets go of the merger's contents — whoever took them with Groups
-// and Raws keeps them — and starts the next reporting interval empty.
+// and Raws keeps them — and starts the next reporting interval empty, on
+// the same group table.
 func (m *Merger) Reset() { *m = m.next() }

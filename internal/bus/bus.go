@@ -9,6 +9,7 @@
 package bus
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -23,11 +24,21 @@ type Subscription struct {
 	id    int
 }
 
+// subscriber is one subscription's handler.
+type subscriber struct {
+	id int
+	h  Handler
+}
+
 // Bus is a topic-based publish/subscribe hub.
 type Bus struct {
 	mu     sync.Mutex
 	nextID int
-	topics map[string]map[int]Handler
+	// topics holds each topic's subscribers in subscription order.
+	// Subscribe and Unsubscribe replace a topic's slice and never write
+	// one in place, so Publish delivers from the slice it read under the
+	// lock without copying it.
+	topics map[string][]subscriber
 
 	published int64
 
@@ -48,15 +59,15 @@ func (b *Bus) SetTelemetry(t *telemetry.Registry) {
 	b.subs = t.Gauge("bus.subscribers")
 	b.topicMsgs = make(map[string]*telemetry.Counter)
 	n := 0
-	for _, m := range b.topics {
-		n += len(m)
+	for _, subs := range b.topics {
+		n += len(subs)
 	}
 	b.subs.Set(int64(n))
 }
 
 // New returns an empty bus.
 func New() *Bus {
-	return &Bus{topics: make(map[string]map[int]Handler)}
+	return &Bus{topics: make(map[string][]subscriber)}
 }
 
 // Subscribe registers a handler for a topic and returns its subscription.
@@ -64,12 +75,8 @@ func (b *Bus) Subscribe(topic string, h Handler) Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
-	m, ok := b.topics[topic]
-	if !ok {
-		m = make(map[int]Handler)
-		b.topics[topic] = m
-	}
-	m[b.nextID] = h
+	subs := b.topics[topic]
+	b.topics[topic] = append(subs[:len(subs):len(subs)], subscriber{b.nextID, h})
 	if b.subs != nil {
 		b.subs.Add(1)
 	}
@@ -80,16 +87,25 @@ func (b *Bus) Subscribe(topic string, h Handler) Subscription {
 func (b *Bus) Unsubscribe(s Subscription) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if m, ok := b.topics[s.topic]; ok {
-		if _, had := m[s.id]; had && b.subs != nil {
-			b.subs.Add(-1)
-		}
-		delete(m, s.id)
+	subs := b.topics[s.topic]
+	i := slices.IndexFunc(subs, func(sub subscriber) bool { return sub.id == s.id })
+	if i < 0 {
+		return
+	}
+	if len(subs) == 1 {
+		delete(b.topics, s.topic)
+	} else {
+		b.topics[s.topic] = slices.Concat(subs[:i], subs[i+1:])
+	}
+	if b.subs != nil {
+		b.subs.Add(-1)
 	}
 }
 
 // Publish delivers msg to every subscriber of the topic, synchronously, in
-// subscription order.
+// subscription order. The subscribers are those of the moment Publish
+// starts: a handler that subscribes or unsubscribes during delivery
+// changes the next publish, not this one.
 func (b *Bus) Publish(topic string, msg any) {
 	b.mu.Lock()
 	b.published++
@@ -102,25 +118,9 @@ func (b *Bus) Publish(topic string, msg any) {
 		}
 		c.Inc()
 	}
-	m := b.topics[topic]
-	hs := make([]struct {
-		id int
-		h  Handler
-	}, 0, len(m))
-	for id, h := range m {
-		hs = append(hs, struct {
-			id int
-			h  Handler
-		}{id, h})
-	}
+	subs := b.topics[topic]
 	b.mu.Unlock()
-	// Deliver in subscription order for determinism.
-	for i := 1; i < len(hs); i++ {
-		for k := i; k > 0 && hs[k].id < hs[k-1].id; k-- {
-			hs[k], hs[k-1] = hs[k-1], hs[k]
-		}
-	}
-	for _, s := range hs {
+	for _, s := range subs {
 		s.h(msg)
 	}
 }

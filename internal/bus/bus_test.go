@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -85,5 +86,53 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 	if count != 800 {
 		t.Fatalf("count = %d", count)
+	}
+}
+
+// TestDeliveryOrderAfterUnsubscribeAndResubscribe: removing a subscriber
+// keeps the others in subscription order, and subscribing again puts the
+// handler last, as a new subscription.
+func TestDeliveryOrderAfterUnsubscribeAndResubscribe(t *testing.T) {
+	b := New()
+	var order []int
+	subs := make([]Subscription, 5)
+	for i := range subs {
+		i := i
+		subs[i] = b.Subscribe("t", func(any) { order = append(order, i) })
+	}
+	b.Unsubscribe(subs[2])
+	b.Subscribe("t", func(any) { order = append(order, 2) })
+	b.Unsubscribe(subs[0])
+	b.Publish("t", nil)
+	if want := []int{1, 3, 4, 2}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestSubscriptionChangeDuringDeliveryWaitsForNextPublish: a handler that
+// unsubscribes a later subscriber, and subscribes a new one, leaves the
+// delivery in progress as it was; the next publish sees the change.
+func TestSubscriptionChangeDuringDeliveryWaitsForNextPublish(t *testing.T) {
+	b := New()
+	var got []string
+	var later Subscription
+	first := true
+	b.Subscribe("t", func(any) {
+		got = append(got, "first")
+		if first {
+			first = false
+			b.Unsubscribe(later)
+			b.Subscribe("t", func(any) { got = append(got, "new") })
+		}
+	})
+	later = b.Subscribe("t", func(any) { got = append(got, "later") })
+	b.Publish("t", nil)
+	if want := []string{"first", "later"}; !slices.Equal(got, want) {
+		t.Fatalf("first delivery = %v, want %v", got, want)
+	}
+	got = nil
+	b.Publish("t", nil)
+	if want := []string{"first", "new"}; !slices.Equal(got, want) {
+		t.Fatalf("second delivery = %v, want %v", got, want)
 	}
 }

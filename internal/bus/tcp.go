@@ -26,8 +26,14 @@ import (
 // loop.
 
 // Codec translates between in-memory bus messages and wire payloads.
+//
+// Append appends msg's payload to dst and returns the extended slice, as
+// encoding.BinaryAppender does; it retains neither dst nor msg, so a Link
+// encodes every message into one buffer it reuses. An error means msg is
+// not a message the codec carries. Unmarshal decodes one payload; the
+// result may alias data, which the bus never writes after.
 type Codec interface {
-	Marshal(msg any) ([]byte, error)
+	Append(dst []byte, msg any) ([]byte, error)
 	Unmarshal(data []byte) (any, error)
 }
 
@@ -46,16 +52,15 @@ func writeFrame(w *bufio.Writer, topic string, payload []byte) error {
 	if len(topic) == 0 {
 		return errEmptyTopic
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(topic)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	// The length headers are appended to the writer's own free space, so
+	// a frame costs no allocation.
+	if _, err := w.Write(binary.AppendUvarint(w.AvailableBuffer(), uint64(len(topic)))); err != nil {
 		return err
 	}
 	if _, err := w.WriteString(topic); err != nil {
 		return err
 	}
-	n = binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	if _, err := w.Write(binary.AppendUvarint(w.AvailableBuffer(), uint64(len(payload)))); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -549,7 +554,8 @@ type Link struct {
 	mu           sync.Mutex
 	conn         net.Conn
 	w            *bufio.Writer
-	gen          int // connection generation; stale recv loops no-op
+	buf          []byte // Send's encode buffer, reused for every frame
+	gen          int    // connection generation; stale recv loops no-op
 	closed       bool
 	reconnecting bool
 
@@ -636,24 +642,26 @@ var errUnmarshalable = errors.New("bus: message not marshalable")
 // bypassing the local bus. It returns ErrLinkDown (or the write error) if
 // the message did not reach the socket; callers replaying buffered
 // traffic use the error to re-buffer. Send does not invoke OnDrop.
+//
+// The payload is encoded into the link's own buffer under the lock that
+// serializes frame writes, so concurrent sends take turns and a steady
+// stream of frames allocates nothing once the buffer has grown to the
+// largest of them.
 func (l *Link) Send(topic string, msg any) error {
-	payload, err := l.codec.Marshal(msg)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	payload, err := l.codec.Append(l.buf[:0], msg)
 	if err != nil {
 		return errUnmarshalable
 	}
-	l.mu.Lock()
+	l.buf = payload
 	if l.closed || l.conn == nil {
-		l.mu.Unlock()
 		return ErrLinkDown
 	}
-	conn := l.conn
-	err = writeFrame(l.w, topic, payload)
-	if err != nil {
-		l.connDownLocked(conn)
-		l.mu.Unlock()
+	if err := writeFrame(l.w, topic, payload); err != nil {
+		l.connDownLocked(l.conn)
 		return err
 	}
-	l.mu.Unlock()
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package bus
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -10,9 +12,9 @@ import (
 // relay without dragging the real wire codec into this package.
 type stringCodec struct{}
 
-func (stringCodec) Marshal(msg any) ([]byte, error) {
+func (stringCodec) Append(dst []byte, msg any) ([]byte, error) {
 	s, _ := msg.(string)
-	return []byte(s), nil
+	return append(dst, s...), nil
 }
 
 func (stringCodec) Unmarshal(data []byte) (any, error) {
@@ -117,5 +119,65 @@ func TestFetchServerStatus(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("status missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestConcurrentSendsArriveIntact: goroutines sending on one link share
+// its encode buffer; each frame must still reach the receiver whole, with
+// no bytes of another. Payloads span the bufio buffer's size, so some are
+// copied into it and some written past it.
+func TestConcurrentSendsArriveIntact(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	recvBus := New()
+	var got collector
+	recvBus.Subscribe("tp", got.add)
+	recvLink, err := Connect(recvBus, srv.Addr(), stringCodec{}, nil, []string{"tp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recvLink.Close()
+	sendLink, err := Connect(New(), srv.Addr(), stringCodec{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sendLink.Close()
+
+	const senders, each = 8, 25
+	payload := func(g, k int) string {
+		return fmt.Sprintf("%d/%d:", g, k) + strings.Repeat(string(rune('a'+g)), (g*each+k)*97)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				if err := sendLink.Send("tp", payload(g, k)); err != nil {
+					t.Errorf("send %d/%d: %v", g, k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	waitFor(t, "every frame", func() bool { return got.len() == senders*each })
+	want := make(map[string]bool, senders*each)
+	for g := 0; g < senders; g++ {
+		for k := 0; k < each; k++ {
+			want[payload(g, k)] = true
+		}
+	}
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	for _, m := range got.msgs {
+		if !want[m] {
+			t.Fatalf("received a frame no goroutine sent (%d bytes, starts %.20q)", len(m), m)
+		}
+		delete(want, m)
 	}
 }

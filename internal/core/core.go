@@ -36,7 +36,7 @@ type PivotTracing struct {
 	installed map[string]*Installed
 	named     map[string]*query.Query
 	nextID    int
-	agents    map[string]*agentHealth
+	agents    map[[2]string]*agentHealth
 
 	// tenant/share configure multi-tenant operation (see tenant.go);
 	// framesIn counts inbound result frames — the per-frontend load meter.
@@ -90,7 +90,7 @@ func newFrontend(b *bus.Bus, reg *tracepoint.Registry) *PivotTracing {
 		reg:           reg,
 		installed:     make(map[string]*Installed),
 		named:         make(map[string]*query.Query),
-		agents:        make(map[string]*agentHealth),
+		agents:        make(map[[2]string]*agentHealth),
 		tel:           tel,
 		reportsMerged: tel.Counter("core.reports.merged"),
 		reportsReject: tel.Counter("core.reports.rejected"),

@@ -22,7 +22,8 @@ import (
 // agent unhealthy.
 const StaleAfterIntervals = 3
 
-// agentHealth is the frontend's record of one agent, keyed by host/proc.
+// agentHealth is the frontend's record of one agent, keyed by
+// [2]string{host, proc}.
 type agentHealth struct {
 	hb    agent.Heartbeat
 	usage []agent.TenantQuota // latest per-tenant quota usage, if any
@@ -77,7 +78,7 @@ func (pt *PivotTracing) onHeartbeat(msg any) {
 }
 
 func (pt *PivotTracing) agentRecLocked(host, proc string) *agentHealth {
-	key := host + "/" + proc
+	key := [2]string{host, proc}
 	rec, ok := pt.agents[key]
 	if !ok {
 		rec = &agentHealth{}

@@ -54,6 +54,33 @@ func TestStatusHeartbeatStaleness(t *testing.T) {
 	}
 }
 
+// TestStatusKeepsAgentsWhoseJoinedNamesCollide: host "a/b" with proc "c"
+// and host "a" with proc "b/c" join to the same "a/b/c"; both agents
+// still appear in Status, each with its own heartbeat.
+func TestStatusKeepsAgentsWhoseJoinedNamesCollide(t *testing.T) {
+	b := bus.New()
+	pt := New(b, tracepoint.NewRegistry())
+	defer pt.Close()
+
+	b.Publish(agent.HealthTopic, heartbeat("a/b", "c", time.Second, time.Second))
+	b.Publish(agent.HealthTopic, heartbeat("a", "b/c", 2*time.Second, time.Second))
+
+	s := pt.StatusAt(2 * time.Second)
+	if len(s.Agents) != 2 {
+		t.Fatalf("agents = %+v, want both a/b:c and a:b/c", s.Agents)
+	}
+	want := []struct {
+		host, proc string
+		age        time.Duration
+	}{{"a", "b/c", 0}, {"a/b", "c", time.Second}}
+	for i, a := range s.Agents {
+		if a.Host != want[i].host || a.ProcName != want[i].proc || a.Age != want[i].age {
+			t.Errorf("agent[%d] = %s:%s age %v, want %s:%s age %v",
+				i, a.Host, a.ProcName, a.Age, want[i].host, want[i].proc, want[i].age)
+		}
+	}
+}
+
 func TestStatusSortsAgentsAndRendersHealth(t *testing.T) {
 	b := bus.New()
 	pt := New(b, tracepoint.NewRegistry())

@@ -7,12 +7,14 @@ package wire
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/advice"
 	"repro/internal/agent"
 	"repro/internal/agg"
+	"repro/internal/bus"
 	"repro/internal/tuple"
 )
 
@@ -30,6 +32,23 @@ func TestAllocMarshalHeartbeat(t *testing.T) {
 	}
 }
 
+// reportBatch returns a batch of one report of the given number of groups
+// of GroupBy host Select host, SUM, COUNT.
+func reportBatch(groups int) agent.ReportBatch {
+	rep := agent.Report{QueryID: "Q1", Host: "h", ProcName: "p", Time: time.Second}
+	for i := 0; i < groups; i++ {
+		sum, count := agg.New(agg.Sum), agg.New(agg.Count)
+		sum.Add(tuple.Int(int64(100 * i)))
+		count.Add(tuple.Null)
+		host := fmt.Sprintf("host-%d", i)
+		rep.Groups = append(rep.Groups, &advice.Group{
+			Key: host, Rep: tuple.Tuple{tuple.String(host), tuple.Null, tuple.Null},
+			States: []agg.State{*sum, *count},
+		})
+	}
+	return agent.ReportBatch{Reports: []agent.Report{rep}}
+}
+
 // TestAllocUnmarshalReportBatch pins the decode of a small report frame — a
 // batch of one report with 8 groups of GroupBy host Select host, SUM, COUNT
 // — at seven allocations, none of them per group: the group list and one
@@ -40,18 +59,7 @@ func TestAllocMarshalHeartbeat(t *testing.T) {
 // Reader that starts escaping to the heap fails here before it reaches the
 // benchmark.
 func TestAllocUnmarshalReportBatch(t *testing.T) {
-	rep := agent.Report{QueryID: "Q1", Host: "h", ProcName: "p", Time: time.Second}
-	for i := 0; i < 8; i++ {
-		sum, count := agg.New(agg.Sum), agg.New(agg.Count)
-		sum.Add(tuple.Int(int64(100 * i)))
-		count.Add(tuple.Null)
-		host := fmt.Sprintf("host-%d", i)
-		rep.Groups = append(rep.Groups, &advice.Group{
-			Key: host, Rep: tuple.Tuple{tuple.String(host), tuple.Null, tuple.Null},
-			States: []agg.State{*sum, *count},
-		})
-	}
-	frame, err := Marshal(agent.ReportBatch{Reports: []agent.Report{rep}})
+	frame, err := Marshal(reportBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,5 +70,49 @@ func TestAllocUnmarshalReportBatch(t *testing.T) {
 		}
 	}); n > want {
 		t.Errorf("Unmarshal(ReportBatch of 8 groups) allocates %.1f objects/op, want at most %d", n, want)
+	}
+}
+
+// TestAllocLinkSend: a link encodes each message into a buffer of its own
+// that it reuses, so once the first send has grown that buffer, sending an
+// 8192-row report or a heartbeat allocates nothing. The peer is one end of
+// a pipe, drained into a fixed buffer, so the count is the sender's alone.
+func TestAllocLinkSend(t *testing.T) {
+	drained := make(chan struct{})
+	dial := func(string) (net.Conn, error) {
+		near, far := net.Pipe()
+		go func() {
+			defer close(drained)
+			buf := make([]byte, 64<<10)
+			for {
+				if _, err := far.Read(buf); err != nil {
+					return
+				}
+			}
+		}()
+		return near, nil
+	}
+	link, err := bus.ConnectOptions(bus.New(), "pipe", BusCodec{}, nil, nil, bus.LinkOptions{Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { link.Close(); <-drained }()
+	for _, tc := range []struct {
+		name string
+		msg  any // boxed once, as the bus hands it over
+	}{
+		{"ReportBatch of 8192 rows", reportBatch(8192)},
+		{"Heartbeat", fullHeartbeat()},
+	} {
+		if err := link.Send("t", tc.msg); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := link.Send("t", tc.msg); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Link.Send(%s) allocates %.1f objects/op after the first, want 0", tc.name, n)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/advice"
@@ -431,13 +432,18 @@ func readReport(r *tuple.Reader) agent.Report {
 // empty key, an empty Rep and no states, one length byte each.
 const minGroupSize = 3
 
-// Marshal encodes a bus message: any of the eleven types of
-// internal/agent/messages.go that carry a Tag constant above. Unknown
-// message types return an error.
-func Marshal(msg any) ([]byte, error) {
+// Marshal encodes a bus message into a new slice: Append(nil, msg).
+func Marshal(msg any) ([]byte, error) { return Append(nil, msg) }
+
+// Append appends the encoding of a bus message to buf and returns the
+// extended slice: any of the eleven types of internal/agent/messages.go
+// that carry a Tag constant above. Unknown message types return an error
+// and buf unchanged. Append retains neither buf nor msg, so a caller may
+// encode every message into one reused buffer.
+func Append(buf []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case agent.Install:
-		buf := []byte{TagInstall}
+		buf = append(buf, TagInstall)
 		buf = appendString(buf, m.QueryID)
 		buf = binary.AppendVarint(buf, int64(m.TTL))
 		buf = binary.AppendVarint(buf, int64(m.Limits.MaxGroups))
@@ -447,51 +453,48 @@ func Marshal(msg any) ([]byte, error) {
 		for _, p := range m.Programs {
 			buf = AppendProgram(buf, p)
 		}
-		return buf, nil
 	case agent.Renew:
-		buf := []byte{TagRenew}
+		buf = append(buf, TagRenew)
 		buf = binary.AppendVarint(buf, int64(m.TTL))
 		buf = appendStrings(buf, m.QueryIDs)
-		return buf, nil
 	case agent.Quarantine:
-		buf := []byte{TagQuarantine}
+		buf = append(buf, TagQuarantine)
 		buf = appendString(buf, m.QueryID)
 		buf = appendString(buf, m.Tracepoint)
 		buf = appendString(buf, m.Host)
 		buf = appendString(buf, m.ProcName)
 		buf = appendString(buf, m.Reason)
 		buf = binary.AppendVarint(buf, int64(m.Time))
-		return buf, nil
 	case agent.Uninstall:
-		buf := []byte{TagUninstall}
-		return appendString(buf, m.QueryID), nil
+		buf = append(buf, TagUninstall)
+		buf = appendString(buf, m.QueryID)
 	case agent.Heartbeat:
-		// One allocation for the common frame: full-width Time, Interval
-		// and Queries, counters below 2^20; append grows a busier one.
-		buf := make([]byte, 0, 4+len(m.Host)+len(m.ProcName)+3*binary.MaxVarintLen64+3*agent.NumStats)
+		// One allocation for the common frame into a nil or short buf:
+		// full-width Time, Interval and Queries, counters below 2^20;
+		// append grows a busier one.
+		buf = slices.Grow(buf, 4+len(m.Host)+len(m.ProcName)+3*binary.MaxVarintLen64+3*agent.NumStats)
 		buf = append(buf, TagHeartbeat)
 		buf = appendString(buf, m.Host)
 		buf = appendString(buf, m.ProcName)
 		buf = binary.AppendVarint(buf, int64(m.Time))
 		buf = binary.AppendVarint(buf, int64(m.Interval))
 		buf = binary.AppendVarint(buf, int64(m.Queries))
-		return appendCounters(buf, m.Stats.Values()[:]), nil
+		buf = appendCounters(buf, m.Stats.Values()[:])
 	case agent.StatusRequest:
-		buf := []byte{TagStatusRequest}
-		return appendString(buf, m.ID), nil
-	case agent.StatusResponse:
-		buf := []byte{TagStatusResponse}
+		buf = append(buf, TagStatusRequest)
 		buf = appendString(buf, m.ID)
-		return appendString(buf, m.Text), nil
+	case agent.StatusResponse:
+		buf = append(buf, TagStatusResponse)
+		buf = appendString(buf, m.ID)
+		buf = appendString(buf, m.Text)
 	case agent.ReportBatch:
-		buf := []byte{TagReportBatch}
+		buf = append(buf, TagReportBatch)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Reports)))
 		for i := range m.Reports {
 			buf = appendReport(buf, &m.Reports[i])
 		}
-		return buf, nil
 	case agent.SpanBatch:
-		buf := []byte{TagSpanBatch}
+		buf = append(buf, TagSpanBatch)
 		buf = appendString(buf, m.Host)
 		buf = appendString(buf, m.ProcName)
 		buf = binary.AppendVarint(buf, int64(m.Time))
@@ -499,9 +502,8 @@ func Marshal(msg any) ([]byte, error) {
 		for i := range m.Spans {
 			buf = appendSpan(buf, &m.Spans[i])
 		}
-		return buf, nil
 	case agent.TenantUsage:
-		buf := []byte{TagTenantUsage}
+		buf = append(buf, TagTenantUsage)
 		buf = appendString(buf, m.Host)
 		buf = appendString(buf, m.ProcName)
 		buf = binary.AppendVarint(buf, int64(m.Time))
@@ -511,9 +513,8 @@ func Marshal(msg any) ([]byte, error) {
 			buf = binary.AppendVarint(buf, u.Queries)
 			buf = binary.AppendVarint(buf, u.Tuples)
 		}
-		return buf, nil
 	case agent.ExplainStats:
-		buf := []byte{TagExplainStats}
+		buf = append(buf, TagExplainStats)
 		buf = appendString(buf, m.QueryID)
 		buf = appendString(buf, m.Host)
 		buf = appendString(buf, m.ProcName)
@@ -524,10 +525,10 @@ func Marshal(msg any) ([]byte, error) {
 			buf = appendString(buf, m.Ops[i].Tracepoint)
 			buf = appendCounters(buf, m.Ops[i].Values()[:])
 		}
-		return buf, nil
 	default:
-		return nil, fmt.Errorf("wire: cannot marshal %T", msg)
+		return buf, fmt.Errorf("wire: cannot marshal %T", msg)
 	}
+	return buf, nil
 }
 
 // Unmarshal decodes a message produced by Marshal. A decoded report's group
@@ -619,8 +620,8 @@ func readMessage(r *tuple.Reader) any {
 // BusCodec adapts this package to the bus.Codec interface.
 type BusCodec struct{}
 
-// Marshal implements bus.Codec.
-func (BusCodec) Marshal(msg any) ([]byte, error) { return Marshal(msg) }
+// Append implements bus.Codec.
+func (BusCodec) Append(dst []byte, msg any) ([]byte, error) { return Append(dst, msg) }
 
 // Unmarshal implements bus.Codec. The result aliases data, as Unmarshal's
 // does; the bus reads every frame into a payload of its own and never
