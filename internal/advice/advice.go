@@ -27,15 +27,16 @@ import (
 
 // fireScratch recycles the per-fire working set. Safe because nothing
 // downstream of Invoke retains the working tuples: the accumulator clones
-// group representatives and raw rows, and baggage packs through a
-// projection copy. The scratch is cleared before pooling so pooled slots
-// don't pin observed values across fires.
+// group representatives and raw rows, and baggage packs their encoding
+// (or, into a materialized slot, a projection copy). The scratch is
+// cleared before pooling so pooled slots don't pin observed values across
+// fires.
 type fireScratch struct {
 	proj     tuple.Tuple
 	working  []tuple.Tuple
 	spare    []tuple.Tuple // the unpack join's other working set; the two swap per unpack
-	arena    tuple.Tuple   // the joined tuples' values, carved off back to back
-	unpacked []tuple.Tuple // one Unpack's tuples: the baggage's own, copied into arena, never written
+	arena    tuple.Tuple   // decoded unpacked values and the joined tuples' values, carved off back to back
+	unpacked []tuple.Tuple // one Unpack's tuples: the baggage's own or decoded into arena, copied into arena, never written
 }
 
 // maxPooledArena bounds the values a pooled scratch retains: one wide
@@ -428,7 +429,7 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 	// slot makes the join below drop this fire entirely, and the drop
 	// accounting must survive exactly that case.
 	if bag != nil && len(p.Unpacks) > 0 {
-		if ds, ok := a.Emitter.(DropSink); ok && bag.HasDrops() {
+		if ds, ok := a.Emitter.(DropSink); ok {
 			if recs := bag.DropRecords(p.QueryID); len(recs) > 0 {
 				ds.NoteBaggageDrops(p, recs)
 			}
@@ -440,8 +441,18 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 			p.Cost.DroppedByJoin.Add(1)
 			return
 		}
-		fs.unpacked = bag.AppendUnpack(fs.unpacked[:0], u.Slot)
+		// The slot's encoded tuples decode into the arena: joined tuples
+		// copy their values, so growing it past them moves nothing.
+		fs.unpacked, fs.arena = bag.AppendUnpack(fs.unpacked[:0], fs.arena, u.Slot)
 		unpacked := fs.unpacked
+		// A slot of another width than the program's is hostile or stale:
+		// joining it would misalign every later position.
+		for _, t := range unpacked {
+			if len(t) != len(u.Fields) {
+				unpacked = nil
+				break
+			}
+		}
 		if len(unpacked) == 0 {
 			p.Cost.DroppedByJoin.Add(1)
 			return
@@ -502,9 +513,8 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		var st baggage.PackStats
 		var packedBytes int64
 		for _, w := range working {
-			proj := w.Project(p.Pack.Source)
-			packedBytes += int64(tuple.SizeTuple(proj))
-			st.Add(bag.PackBudgeted(p.QueryID, p.Pack.Slot, p.Pack.Spec, p.Safety.Budget, proj))
+			packedBytes += int64(tuple.SizeProjected(w, p.Pack.Source))
+			st.Add(bag.PackFrom(p.QueryID, p.Pack.Slot, p.Pack.Spec, p.Safety.Budget, w, p.Pack.Source))
 		}
 		p.Cost.TuplesPacked.Add(st.Packed)
 		p.Cost.PackedBytes.Add(packedBytes)

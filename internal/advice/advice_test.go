@@ -117,6 +117,26 @@ func TestUnpackEmptyDropsObservation(t *testing.T) {
 	}
 }
 
+// TestUnpackOfAnotherWidthDropsObservation: a slot whose tuples are not
+// as wide as the unpack's fields — stale, or from a hostile peer — is
+// treated as empty, since joining it would misalign every later position.
+func TestUnpackOfAnotherWidthDropsObservation(t *testing.T) {
+	bag := baggage.New()
+	bag.Pack("s", baggage.SetSpec{Kind: baggage.First, Fields: tuple.Schema{"r"}}, tuple.Tuple{})
+	em := &collectEmitter{}
+	p := &Program{
+		Observe:       []int{0},
+		ObserveFields: tuple.Schema{"host"},
+		Unpacks:       []UnpackOp{{Slot: "s", Fields: tuple.Schema{"r"}}},
+		Emit:          &EmitOp{Cols: []EmitCol{{Pos: 0}, {Pos: 1}}, GroupBy: []int{0, 1}, Schema: tuple.Schema{"host", "r"}},
+	}
+	a := &Advice{Prog: p, Emitter: em}
+	a.Invoke(baggage.NewContext(context.Background(), bag), exported("h", 0, "p"))
+	if len(em.tuples) != 0 || p.Cost.DroppedByJoin.Load() != 1 {
+		t.Fatalf("emitted %v with %d dropped by the join, want nothing emitted and 1 dropped", em.tuples, p.Cost.DroppedByJoin.Load())
+	}
+}
+
 func TestUnpackCartesianProduct(t *testing.T) {
 	bag := baggage.New()
 	spec := baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"r"}}

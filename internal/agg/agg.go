@@ -293,6 +293,9 @@ const MinEncodedSize = 13
 // meaningless.
 func Read(r *tuple.Reader) State {
 	fn, flags := Func(r.Byte()), r.Byte()
+	if flags&^7 != 0 {
+		r.Fail(tuple.ErrNonCanonical)
+	}
 	s := State{fn: fn, anyFloat: flags&1 != 0, seen: flags&2 != 0, inexact: flags&4 != 0}
 	s.count = r.Varint()
 	s.sumI = r.Varint()

@@ -80,25 +80,89 @@ func newNonce() uint64 { return nonceBase ^ nonceCounter.Add(1) }
 // rejoin, while distinct instances — even with the same contents — never
 // do.
 //
-// A frozen instance, its sets and every stored tuple are immutable and
-// shared by all the Baggage values that inherited them, possibly on
-// different goroutines; nothing may write through them.
+// A frozen instance, its slots' bytes and sets and every stored tuple are
+// immutable and shared by all the Baggage values that inherited them,
+// possibly on different goroutines; nothing may write through them.
 type instance struct {
 	nonce uint64
 	slots []slot // in creation order, which is the serialized order
 }
 
-// slot is one named tuple set of an instance.
+// slot is one named tuple set of an instance. It is its encoding — spec,
+// then content, as on the wire — until a write that needs the set's
+// decoded form (an AGG fold, RECENTN, an eviction, a merge at a join, a
+// Pack of tuples the caller hands over) materializes it; then set holds
+// the contents and spec, n and body are unused.
 type slot struct {
 	name string
+	spec []byte // the spec's encoding
+	n    int    // the tuples (AGG groups) body holds
+	body []byte // their encodings back to back; never written in place, since decoded strings borrow it
 	set  *Set
 }
 
+// kind returns the slot's set kind.
+func (sl *slot) kind() SetKind {
+	if sl.set != nil {
+		return sl.set.Spec.Kind
+	}
+	return SetKind(sl.spec[0])
+}
+
+// len returns the stored tuples (groups for AGG sets).
+func (sl *slot) len() int {
+	if sl.set != nil {
+		return sl.set.Len()
+	}
+	return sl.n
+}
+
+// cost returns the content cost in encoded bytes (see Set.CostBytes).
+func (sl *slot) cost() int {
+	if sl.set != nil {
+		return sl.set.CostBytes()
+	}
+	return len(sl.body)
+}
+
+// materialize decodes an encoded slot into its set, for a write.
+func (sl *slot) materialize() *Set {
+	if sl.set == nil {
+		sl.set = sl.decoded()
+		sl.spec, sl.n, sl.body = nil, 0, nil
+	}
+	return sl.set
+}
+
+// clear empties the slot, returning the evicted content cost and tuple
+// count.
+func (sl *slot) clear() (bytes, tuples int) {
+	if sl.set != nil {
+		return sl.set.clear()
+	}
+	bytes, tuples = len(sl.body), sl.n
+	sl.n, sl.body = 0, nil
+	return bytes, tuples
+}
+
+// copy returns the slot for an instance of its own: writes to either
+// never reach the other.
+func (sl slot) copy() slot {
+	if sl.set != nil {
+		sl.set = sl.set.Clone()
+	}
+	sl.body = sl.body[:len(sl.body):len(sl.body)]
+	return sl
+}
+
+// encodes reports whether a pack of kind keeps the tuple it is given as it
+// is, so that an encoded slot takes the tuple's encoding.
+func encodes(kind SetKind) bool { return kind <= Union && kind != RecentN && kind != Agg }
+
 // head is a new active instance and the instance list it heads, in one
-// object: a first pack, a decode, a branch and a join each pay one
-// allocation for both while the list fits inline. Its builder appends the
-// rest of the list right after open; once a Baggage holds the list, nothing
-// writes it.
+// object: a branch and a join each pay one allocation for both while the
+// list fits inline. Its builder appends the rest of the list right after
+// open; once a Baggage holds the list, nothing writes it.
 type head struct {
 	in     instance
 	inline [3]*instance
@@ -115,26 +179,45 @@ func (h *head) open(n int) []*instance {
 	return append(insts, &h.in)
 }
 
-// lookup returns the set stored under name, or nil. An instance holds a
-// handful of slots: a scan beats a map and its allocations.
-func (in *instance) lookup(name string) *Set {
+// slotted is a head with room for its instance's first two slots: a first
+// pack and a decode pay one allocation for the instance, the list and the
+// slot index.
+type slotted struct {
+	head
+	room [2]slot
+}
+
+// openSlotted opens a slotted head (see head.open).
+func openSlotted(n int) []*instance {
+	h := new(slotted)
+	insts := h.open(n)
+	h.in.slots = h.room[:0]
+	return insts
+}
+
+// lookup returns the slot stored under name, or nil. An instance holds a
+// handful of slots: a scan beats a map and its allocations. The pointer is
+// valid until the next slot is added.
+func (in *instance) lookup(name string) *slot {
 	for i := range in.slots {
 		if in.slots[i].name == name {
-			return in.slots[i].set
+			return &in.slots[i]
 		}
 	}
 	return nil
 }
 
+// set returns the set stored under name, materialized for a write.
 func (in *instance) set(name string, spec SetSpec) *Set {
-	if s := in.lookup(name); s != nil {
+	if sl := in.lookup(name); sl != nil {
+		s := sl.materialize()
 		if !s.Spec.Equal(spec) {
 			panic("baggage: conflicting specs for slot " + name)
 		}
 		return s
 	}
 	s := NewSet(spec)
-	in.slots = append(in.slots, slot{name, s})
+	in.slots = append(in.slots, slot{name: name, set: s})
 	return s
 }
 
@@ -142,7 +225,7 @@ func (in *instance) set(name string, spec SetSpec) *Set {
 func (in *instance) clone() *instance {
 	c := &instance{nonce: in.nonce, slots: make([]slot, len(in.slots))}
 	for i, sl := range in.slots {
-		c.slots[i] = slot{sl.name, sl.set.Clone()}
+		c.slots[i] = sl.copy()
 	}
 	return c
 }
@@ -198,7 +281,7 @@ func (b *Baggage) active() *instance {
 	b.ensureDecoded()
 	switch {
 	case len(b.insts) == 0:
-		b.insts = new(head).open(1)
+		b.insts = openSlotted(1)
 	case b.shared:
 		b.insts = append([]*instance{b.insts[0].clone()}, b.insts[1:]...)
 		b.shared = false
@@ -228,66 +311,75 @@ func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) {
 //
 // The returned slice is the caller's; the tuples in it may be the stored
 // ones, shared with this and other baggage, and must not be written.
-func (b *Baggage) Unpack(slot string) []tuple.Tuple { return b.AppendUnpack(nil, slot) }
+func (b *Baggage) Unpack(name string) []tuple.Tuple {
+	out, _ := b.AppendUnpack(nil, nil, name)
+	return out
+}
 
 // AppendUnpack appends what Unpack returns to dst and returns the extended
-// slice, so that a caller with a slice to reuse unpacks without allocating.
-func (b *Baggage) AppendUnpack(dst []tuple.Tuple, slot string) []tuple.Tuple {
+// slice. Tuples it decodes — an encoded slot's, an AGG set's — have their
+// values appended to vals, which it returns extended too, so that a caller
+// with slices to reuse unpacks without allocating. A decoded string value
+// borrows the baggage's bytes.
+func (b *Baggage) AppendUnpack(dst []tuple.Tuple, vals tuple.Tuple, name string) ([]tuple.Tuple, tuple.Tuple) {
 	b.ensureDecoded()
-	var src *Set // the newest contribution
+	var src *slot // the newest contribution
 	contributions := 0
 	for _, in := range b.insts {
-		if s := in.lookup(slot); s != nil {
+		if sl := in.lookup(name); sl != nil {
 			if src == nil {
-				src = s
+				src = sl
 			}
 			contributions++
 		}
 	}
 	if src == nil {
-		return dst
+		return dst, vals
 	}
 	// Budget tombstones suppress evicted content from the merged view:
 	// without this, a group evicted on one branch would resurface from a
 	// pre-split frozen copy and be double-counted against its tombstone.
 	var evicted map[string]bool
-	if slot != DropSlot {
-		whole, keys := b.evictions(slot)
+	if name != DropSlot {
+		whole, keys := b.evictions(name)
 		if whole {
-			return dst
+			return dst, vals
 		}
-		if src.Spec.Kind == Agg {
+		if src.kind() == Agg {
 			evicted = keys
 		}
 	}
 	// One contribution with nothing to suppress is read where it is.
 	if contributions > 1 || len(evicted) > 0 {
-		src = b.merged(slot, src.Spec.Kind == First || src.Spec.Kind == FirstN)
+		kind := src.kind()
+		src = &slot{set: b.merged(name, kind == First || kind == FirstN)}
 		for key := range evicted {
-			src.removeGroup(key)
+			src.set.removeGroup(key)
 		}
 	}
-	out := src.AppendUnpack(dst)
+	out, vals := src.appendTuples(dst, vals)
 	if m := meters.Load(); m != nil {
 		m.TuplesUnpacked.Add(int64(len(out) - len(dst)))
 	}
-	return out
+	return out, vals
 }
 
 // merged folds every instance's contribution to slot into a set of its
 // own, newest first or oldest first.
-func (b *Baggage) merged(slot string, oldestFirst bool) *Set {
+func (b *Baggage) merged(name string, oldestFirst bool) *Set {
 	var acc *Set
 	for i := range b.insts {
 		if oldestFirst {
 			i = len(b.insts) - 1 - i
 		}
-		switch s := b.insts[i].lookup(slot); {
-		case s == nil:
+		switch sl := b.insts[i].lookup(name); {
+		case sl == nil:
+		case acc == nil && sl.set != nil:
+			acc = sl.set.Clone()
 		case acc == nil:
-			acc = s.Clone()
+			acc = sl.decoded()
 		default:
-			acc.Merge(s)
+			acc.Merge(sl.decoded())
 		}
 	}
 	return acc
@@ -312,8 +404,8 @@ func (b *Baggage) TupleCount() int {
 	b.ensureDecoded()
 	total := 0
 	for _, in := range b.insts {
-		for _, sl := range in.slots {
-			total += sl.set.Len()
+		for i := range in.slots {
+			total += in.slots[i].len()
 		}
 	}
 	return total
@@ -339,14 +431,14 @@ func (b *Baggage) split(ctx context.Context) (*branch, *branch) {
 	}
 	b.ensureDecoded()
 	b.shared = len(b.insts) > 0
-	fork := func() *branch {
-		c := &branch{node: node{Context: ctx}}
+	fork := new([2]branch) // both branches are one object
+	for i := range fork {
+		fork[i].Context = ctx
 		if len(b.insts) > 0 {
-			c.b.insts = append(c.h.open(1+len(b.insts)), b.insts...)
+			fork[i].b.insts = append(fork[i].h.open(1+len(b.insts)), b.insts...)
 		}
-		return c
 	}
-	return fork(), fork()
+	return &fork[0], &fork[1]
 }
 
 // Join merges the baggage of two rejoining branches: the active instances'
@@ -376,11 +468,12 @@ func join(ctx context.Context, a, b *Baggage) *branch {
 	insts := j.h.open(len(a.insts) + len(b.insts) - 1)
 	merged := insts[0]
 	for _, src := range [2]*instance{a.insts[0], b.insts[0]} {
-		for _, sl := range src.slots {
+		for i := range src.slots {
+			sl := &src.slots[i]
 			if dst := merged.lookup(sl.name); dst != nil {
-				dst.Merge(sl.set)
+				dst.materialize().Merge(sl.decoded())
 			} else {
-				merged.slots = append(merged.slots, slot{sl.name, sl.set.Clone()})
+				merged.slots = append(merged.slots, sl.copy())
 			}
 		}
 	}
@@ -458,8 +551,9 @@ type node struct {
 }
 
 // branch is a node that also holds the active instance and instance list
-// its baggage was split or joined into, so that a branch or a join is one
-// object. Split and Join hand out the *Baggage inside it.
+// its baggage was split or joined into, so that a join is one object, and
+// a split's two branches are one more. Split and Join hand out the
+// *Baggage inside it.
 type branch struct {
 	node
 	h head

@@ -511,7 +511,7 @@ func TestUseAfterSplitNeverReachesTheBranches(t *testing.T) {
 		if got := br.Unpack("q.agg"); len(got) != 1 || got[0][1].Int() != 1 {
 			t.Errorf("%s branch unpacks %v after the receiver was written, want a=1", name, got)
 		}
-		if br.HasDrops() {
+		if len(br.DropRecords("")) > 0 {
 			t.Errorf("%s branch sees the receiver's eviction tombstone", name)
 		}
 	}
@@ -681,5 +681,34 @@ func TestBranchesUseSharedFrozenInstancesConcurrently(t *testing.T) {
 	}
 	if got := all.Unpack("q.first"); len(got) != 1 || got[0][0].Int() != 1 {
 		t.Fatalf("FIRST after rejoining = %v, want the pre-split row", got)
+	}
+}
+
+// TestDecodeAcceptsOnlyTheCanonicalEncoding: a received slot is forwarded
+// as the bytes it arrived as, so the decoder accepts only the bytes that
+// encoding its contents writes; and it refuses a tuple whose width is not
+// its spec's field count, which advice would index out of range.
+func TestDecodeAcceptsOnlyTheCanonicalEncoding(t *testing.T) {
+	good := hbBaggage().Serialize()
+	if _, err := decodeInstances(good); err != nil {
+		t.Fatalf("canonical baggage refused: %v", err)
+	}
+	narrow := New()
+	narrow.Pack("q.g", SetSpec{Kind: First, Fields: tuple.Schema{"tenant"}}, tuple.Tuple{})
+	flag := New()
+	flag.Pack("q.b", allSpec("ok"), tuple.Tuple{tuple.Bool(true)})
+	twice := New()
+	twice.Pack("q.a", aggSpec(), tuple.Tuple{tuple.String("a"), tuple.Int(1)}, tuple.Tuple{tuple.String("b"), tuple.Int(1)})
+	key := func(k string) []byte { return tuple.AppendTuple(nil, tuple.Tuple{tuple.String(k)}) }
+	for name, data := range map[string][]byte{
+		"no instances":    {0},
+		"padded varint":   append([]byte{0x81, 0x00}, good[1:]...),
+		"bool byte 2":     bytes.Replace(flag.Serialize(), tuple.AppendValue(nil, tuple.Bool(true)), []byte{byte(tuple.KindBool), 2}, 1),
+		"narrow tuple":    narrow.Serialize(),
+		"group key twice": bytes.Replace(twice.Serialize(), key("b"), key("a"), 1),
+	} {
+		if _, err := decodeInstances(data); err == nil {
+			t.Errorf("%s: %x decodes", name, data)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package baggage
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -222,7 +223,61 @@ func (b *Baggage) PackBudgeted(query, slot string, spec SetSpec, budget Budget, 
 	if ks != nil {
 		putScratch(ks)
 	}
-	st.EvictedGroups, st.EvictedTuples, st.EvictedBytes = b.enforce(budget, query)
+	return b.enforce(budget, query, st)
+}
+
+// PackFrom packs the projection of w onto src into slot as PackBudgeted
+// packs w.Project(src), without building that projection or keeping w:
+// advice packs its pooled working tuples with it. A slot whose kind keeps
+// what it is given as it is (see encodes) takes the projection's
+// encoding; a materialized, tombstoned or aggregating slot takes a
+// projected copy, through PackBudgeted.
+func (b *Baggage) PackFrom(query, name string, spec SetSpec, budget Budget, w tuple.Tuple, src []int) PackStats {
+	in := b.active()
+	sl := in.lookup(name)
+	if whole, _ := b.evictions(name); whole || !encodes(spec.Kind) || sl != nil && sl.set != nil {
+		return b.PackBudgeted(query, name, spec, budget, w.Project(src))
+	}
+	if sl == nil {
+		in.slots = append(in.slots, newSlot(name, spec, tuple.SizeProjected(w, src)))
+		sl = &in.slots[len(in.slots)-1]
+	} else if !sl.specIs(spec) {
+		panic("baggage: conflicting specs for slot " + name)
+	}
+	sl.add(spec, w, src)
+	return b.enforce(budget, query, PackStats{Packed: 1})
+}
+
+// enforce evicts whole groups from the active instance until the query's
+// usage fits the budget or no evictable content remains (frozen instances
+// are read-only; their contribution can only be suppressed by tombstones
+// already written on this branch), adds the evictions to a pack's st, and
+// meters the pack.
+func (b *Baggage) enforce(budget Budget, query string, st PackStats) PackStats {
+	maxB, maxT := budget.maxBytes(), budget.maxTuples()
+	for maxB >= 0 || maxT >= 0 {
+		ub, ut := b.usage(query)
+		if (maxB < 0 || ub <= maxB) && (maxT < 0 || ut <= maxT) {
+			break
+		}
+		victim := b.victim(query)
+		if victim == nil {
+			break
+		}
+		// Evict before recordDrop adds a slot, which may move victim.
+		name, key, tuples, bytes := victim.name, "", 1, 0
+		if victim.kind() == Agg {
+			set := victim.materialize()
+			key = set.order[0] // oldest group first
+			bytes = set.removeGroup(key)
+		} else {
+			bytes, tuples = victim.clear()
+		}
+		b.recordDrop(name, key)
+		st.EvictedGroups++
+		st.EvictedTuples += int64(tuples)
+		st.EvictedBytes += int64(bytes)
+	}
 	if m := meters.Load(); m != nil {
 		m.TuplesPacked.Add(st.Packed)
 		m.PackRefused.Add(st.RefusedTuples)
@@ -233,52 +288,16 @@ func (b *Baggage) PackBudgeted(query, slot string, spec SetSpec, budget Budget, 
 	return st
 }
 
-// enforce evicts whole groups from the active instance until the query's
-// usage fits the budget or no evictable content remains (frozen instances
-// are read-only; their contribution can only be suppressed by tombstones
-// already written on this branch).
-func (b *Baggage) enforce(budget Budget, query string) (groups, tuples, bytes int64) {
-	maxB, maxT := budget.maxBytes(), budget.maxTuples()
-	if maxB < 0 && maxT < 0 {
-		return
-	}
-	for {
-		ub, ut := b.usage(query)
-		if (maxB < 0 || ub <= maxB) && (maxT < 0 || ut <= maxT) {
-			return
-		}
-		slot, victim := b.victim(query)
-		if victim == nil {
-			return
-		}
-		if victim.Spec.Kind == Agg {
-			key := victim.order[0] // oldest group first
-			cost := victim.removeGroup(key)
-			b.recordDrop(slot, key)
-			groups++
-			tuples++
-			bytes += int64(cost)
-		} else {
-			by, tu := victim.clear()
-			b.recordDrop(slot, "")
-			groups++
-			tuples += int64(tu)
-			bytes += int64(by)
-		}
-	}
-}
-
 // usage sums the query's content cost and stored-tuple count across every
 // instance (active and frozen) — the same contents a serialize would ship.
 func (b *Baggage) usage(query string) (bytes, tuples int) {
 	b.ensureDecoded()
 	for _, in := range b.insts {
-		for _, sl := range in.slots {
-			if !owns(query, sl.name) {
-				continue
+		for i := range in.slots {
+			if sl := &in.slots[i]; owns(query, sl.name) {
+				bytes += sl.cost()
+				tuples += sl.len()
 			}
-			bytes += sl.set.CostBytes()
-			tuples += sl.set.Len()
 		}
 	}
 	return
@@ -288,18 +307,19 @@ func (b *Baggage) usage(query string) (bytes, tuples int) {
 // query with the largest content cost (ties go to the earliest-created
 // slot). Only the active instance is eligible — frozen instances are
 // shared with sibling branches and must stay immutable.
-func (b *Baggage) victim(query string) (string, *Set) {
-	var bestSlot string
-	var best *Set
-	for _, sl := range b.active().slots {
-		if !owns(query, sl.name) || sl.set.Len() == 0 {
+func (b *Baggage) victim(query string) *slot {
+	var best *slot
+	in := b.active()
+	for i := range in.slots {
+		sl := &in.slots[i]
+		if !owns(query, sl.name) || sl.len() == 0 {
 			continue
 		}
-		if best == nil || sl.set.CostBytes() > best.CostBytes() {
-			best, bestSlot = sl.set, sl.name
+		if best == nil || sl.cost() > best.cost() {
+			best = sl
 		}
 	}
-	return bestSlot, best
+	return best
 }
 
 // recordDrop writes one tombstone into the active instance's drop slot.
@@ -307,45 +327,61 @@ func (b *Baggage) recordDrop(slot, key string) {
 	b.active().set(DropSlot, dropSpec).Pack(tuple.Tuple{tuple.String(slot), tuple.String(key)})
 }
 
-// evictions collects the tombstones targeting slot across every instance:
-// whether the whole slot is tombstoned, and the set of tombstoned group
-// keys.
-func (b *Baggage) evictions(slot string) (whole bool, keys map[string]bool) {
-	b.ensureDecoded()
-	for _, in := range b.insts {
-		ds := in.lookup(DropSlot)
-		if ds == nil {
-			continue
-		}
-		for _, t := range ds.tuples {
-			if len(t) != 2 || t[0].Str() != slot {
-				continue
-			}
-			k := t[1].Str()
-			if k == "" {
-				return true, nil
-			}
-			if keys == nil {
-				keys = make(map[string]bool)
-			}
-			keys[k] = true
-		}
-	}
-	return false, keys
-}
-
-// HasDrops reports whether any eviction tombstones are present.
-func (b *Baggage) HasDrops() bool {
+// findPair calls f with the values of every two-value tuple stored under
+// name, instance by instance, newest first, until f returns true, and
+// reports whether one did. It allocates nothing: the tracer's own slots
+// are read on every fire.
+func (b *Baggage) findPair(name string, f func(x, y tuple.Value) bool) bool {
 	if b == nil {
 		return false
 	}
 	b.ensureDecoded()
 	for _, in := range b.insts {
-		if s := in.lookup(DropSlot); s != nil && s.Len() > 0 {
-			return true
+		switch sl := in.lookup(name); {
+		case sl == nil || sl.kind() == Agg:
+		case sl.set != nil:
+			for _, t := range sl.set.tuples {
+				if len(t) == 2 && f(t[0], t[1]) {
+					return true
+				}
+			}
+		default:
+			r := tuple.NewReader(sl.body)
+			for i := 0; i < sl.n; i++ {
+				k := r.Count()
+				if k == 2 && f(r.BorrowValue(), r.BorrowValue()) {
+					return true
+				}
+				for ; k > 0 && k != 2; k-- {
+					r.BorrowValue()
+				}
+			}
 		}
 	}
 	return false
+}
+
+// evictions collects the tombstones targeting slot across every instance:
+// whether the whole slot is tombstoned, and the set of tombstoned group
+// keys.
+func (b *Baggage) evictions(slot string) (whole bool, keys map[string]bool) {
+	whole = b.findPair(DropSlot, func(s, k tuple.Value) bool {
+		if s.Str() != slot {
+			return false
+		}
+		if k.Str() == "" {
+			return true
+		}
+		if keys == nil {
+			keys = make(map[string]bool)
+		}
+		keys[k.Str()] = true
+		return false
+	})
+	if whole {
+		return true, nil
+	}
+	return false, keys
 }
 
 // DropRecords returns the deduplicated eviction tombstones of the given
@@ -353,33 +389,14 @@ func (b *Baggage) HasDrops() bool {
 // these at the final tracepoint of a request so agents and the frontend
 // can reconcile reported groups + dropped groups against the true total.
 func (b *Baggage) DropRecords(query string) []DropRecord {
-	if b == nil {
-		return nil
-	}
-	b.ensureDecoded()
 	var out []DropRecord
-	for _, in := range b.insts {
-		s := in.lookup(DropSlot)
-		if s == nil {
-			continue
-		}
-	next:
-		for _, t := range s.tuples {
-			if len(t) != 2 {
-				continue
-			}
-			rec := DropRecord{Slot: t[0].Str(), Key: t[1].Str()}
-			if query != "" && !owns(query, rec.Slot) {
-				continue
-			}
-			for _, have := range out {
-				if have == rec {
-					continue next
-				}
-			}
+	b.findPair(DropSlot, func(s, k tuple.Value) bool {
+		rec := DropRecord{Slot: s.Str(), Key: k.Str()}
+		if (query == "" || owns(query, rec.Slot)) && !slices.Contains(out, rec) {
 			out = append(out, rec)
 		}
-	}
+		return false
+	})
 	return out
 }
 

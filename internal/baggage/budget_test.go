@@ -48,7 +48,7 @@ func TestPackBudgetedNoEvictionUnderBudget(t *testing.T) {
 	if st.Packed != 8 || st.RefusedTuples != 0 || st.EvictedGroups != 0 {
 		t.Fatalf("under-budget stats = %+v", st)
 	}
-	if b.HasDrops() {
+	if len(b.DropRecords("")) > 0 {
 		t.Fatalf("no drops expected under budget")
 	}
 	if got := b.Unpack("q1.a"); len(got) != 8 {
@@ -223,7 +223,7 @@ func TestDropSlotExcludedFromUsageAndEviction(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.PackBudgeted("q1", "q1.a", aggSpec(), tight, kv(fmt.Sprintf("k%d", i), 1))
 	}
-	if !b.HasDrops() {
+	if len(b.DropRecords("")) == 0 {
 		t.Fatalf("expected drops")
 	}
 	bytes, tuples := b.usage("q1")

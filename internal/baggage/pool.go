@@ -3,8 +3,9 @@ package baggage
 import "sync"
 
 // scratch is a pooled byte buffer for transient encodings on the pack and
-// serialize hot paths: group-key building in Set.Pack / PackBudgeted and
-// the staging buffer in Serialize / ByteSize. Pooling the buffer (and
+// serialize hot paths: group-key building in Set.Pack / PackBudgeted, the
+// spec a PackFrom encodes or compares, and the staging buffer in
+// Serialize / ByteSize. Pooling the buffer (and
 // returning the same *scratch object to the pool, never a fresh header)
 // makes steady-state packing allocation-free.
 type scratch struct{ buf []byte }

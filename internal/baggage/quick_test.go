@@ -202,8 +202,8 @@ func TestQuickMergeCommutesWithWireRoundtrip(t *testing.T) {
 
 // deepCopy is the oracle for TestQuickSharingMatchesDeepCopies: the
 // baggage rebuilt so that it shares no instance, set, tuple or
-// aggregation state with b or with anything else — how Split and Clone
-// copied before frozen instances were shared.
+// aggregation state or encoded bytes with b or with anything else — how
+// Split and Clone copied before frozen instances were shared.
 func deepCopy(b *Baggage) *Baggage {
 	if b.raw != nil {
 		return &Baggage{raw: append([]byte(nil), b.raw...)}
@@ -211,6 +211,10 @@ func deepCopy(b *Baggage) *Baggage {
 	deep := func(in *instance) *instance {
 		c := &instance{nonce: in.nonce}
 		for _, sl := range in.slots {
+			if sl.set == nil {
+				c.slots = append(c.slots, slot{name: sl.name, spec: bytes.Clone(sl.spec), n: sl.n, body: bytes.Clone(sl.body)})
+				continue
+			}
 			s := NewSet(sl.set.Spec)
 			s.bytes = sl.set.bytes
 			for _, t := range sl.set.tuples {
@@ -225,7 +229,7 @@ func deepCopy(b *Baggage) *Baggage {
 				s.groups[key] = ng
 				s.order = append(s.order, key)
 			}
-			c.slots = append(c.slots, slot{sl.name, s})
+			c.slots = append(c.slots, slot{name: sl.name, set: s})
 		}
 		return c
 	}
@@ -358,8 +362,9 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 	})
 }
 
-// TestQuickAppendUnpackExtendsPrefix: AppendUnpack(prefix, slot) is prefix
-// followed by Unpack(slot), and leaves prefix as it was, for every set
+// TestQuickAppendUnpackExtendsPrefix: AppendUnpack(prefix, vals, slot) is
+// prefix followed by Unpack(slot), and leaves prefix and the values in
+// vals as they were, for every set
 // kind: on a slot one instance holds, on slots that a frozen instance and
 // a branch's or a join's active instance both contribute to, across wire
 // round-trips, and on an AGG slot whose groups eviction tombstones
@@ -414,8 +419,13 @@ func TestQuickAppendUnpackExtendsPrefix(t *testing.T) {
 					prefix[i] = row()
 				}
 				saved := slices.Clone(prefix)
+				vals := slices.Grow(slices.Concat(prefix...), rng.Intn(8))
+				savedVals := slices.Clone(vals)
 				want := append(slices.Clone(prefix), b.Unpack(slot)...)
-				got := b.AppendUnpack(prefix, slot)
+				got, _ := b.AppendUnpack(prefix, vals, slot)
+				if !vals.Equal(savedVals) {
+					return fmt.Errorf("slot %s: AppendUnpack wrote the values it was given", slot)
+				}
 				if len(got) != len(want) {
 					return fmt.Errorf("slot %s: AppendUnpack gives %v, want %v", slot, got, want)
 				}
@@ -436,4 +446,93 @@ func TestQuickAppendUnpackExtendsPrefix(t *testing.T) {
 	if merged == 0 || suppressed == 0 {
 		t.Errorf("%d merged reads, %d reads with suppressed AGG groups: the generator misses a case", merged, suppressed)
 	}
+}
+
+// TestQuickPackFromMatchesPackBudgeted: advice's pack, which encodes the
+// projection of its working tuple into the slot, leaves baggage that
+// unpacks, accounts and serializes (nonces aside) exactly as packing the
+// projected copy does — for every kind, under budgets small enough to
+// evict, into slots that splits, joins, clones and wire round-trips left
+// encoded or materialized.
+func TestQuickPackFromMatchesPackBudgeted(t *testing.T) {
+	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
+	src := []int{2, 1}
+	randtest.Check(t, 300, 400, func(seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		from, copied := New(), New()
+		kind := func() SetSpec { return kinds[rng.Intn(len(kinds))] }
+		pack := func(spec SetSpec) error {
+			w := tuple.Tuple{tuple.Int(7), tuple.Int(int64(rng.Intn(4))), tuple.String(string(rune('x' + rng.Intn(3))))}
+			budget := Budget{MaxTuples: 1 + rng.Intn(8)}
+			slot := "q." + spec.Kind.String()
+			got := from.PackFrom("q", slot, spec, budget, w, src)
+			want := copied.PackBudgeted("q", slot, spec, budget, w.Project(src))
+			if got != want {
+				return fmt.Errorf("PackFrom into %s: %+v, PackBudgeted %+v", slot, got, want)
+			}
+			return nil
+		}
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(7) {
+			case 0, 1, 2:
+				if err := pack(kind()); err != nil {
+					return err
+				}
+			case 3: // wire round-trip: the slots come back encoded
+				from, copied = Deserialize(from.Serialize()), Deserialize(copied.Serialize())
+			case 4, 5: // split, pack a branch, join
+				fl, fr := from.Split()
+				cl, cr := copied.Split()
+				if rng.Intn(2) == 0 {
+					fl, fr, cl, cr = fr, fl, cr, cl
+				}
+				from, copied = fl, cl
+				if err := pack(kind()); err != nil {
+					return err
+				}
+				from, copied = Join(from, fr), Join(copied, cr)
+			case 6: // Clone, then write the clone and the original: neither write reaches the other
+				spec := kinds[rng.Intn(2)] // UNION or ALL: slots with room to append in place
+				for i := 0; i < 4; i++ {
+					if err := pack(spec); err != nil {
+						return err
+					}
+				}
+				fo, co := from, copied
+				fc, cc := from.Clone(), copied.Clone()
+				from, copied = fc, cc
+				if err := pack(spec); err != nil {
+					return err
+				}
+				from, copied = fo, co
+				if err := pack(spec); err != nil {
+					return err
+				}
+				from, copied = fc, cc
+			}
+			for _, spec := range kinds {
+				slot := "q." + spec.Kind.String()
+				if g, w := from.Unpack(slot), copied.Unpack(slot); fmt.Sprint(g) != fmt.Sprint(w) {
+					return fmt.Errorf("step %d: %s unpacks %v, want %v", step, slot, g, w)
+				}
+			}
+			if g, w := fmt.Sprint(from.TupleCount(), from.DropRecords("")), fmt.Sprint(copied.TupleCount(), copied.DropRecords("")); g != w {
+				return fmt.Errorf("step %d: counts and drops %s, want %s", step, g, w)
+			}
+			if g, w := nonceFree(from), nonceFree(copied); !bytes.Equal(g, w) {
+				return fmt.Errorf("step %d: serializes to\n%x, want\n%x", step, g, w)
+			}
+		}
+		return nil
+	})
+}
+
+// nonceFree returns b's encoding with every instance's nonce zeroed.
+func nonceFree(b *Baggage) []byte {
+	c := Deserialize(b.Serialize())
+	c.ensureDecoded()
+	for _, in := range c.insts {
+		in.nonce = 0
+	}
+	return c.Serialize()
 }

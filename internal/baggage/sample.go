@@ -37,17 +37,13 @@ func (b *Baggage) SampleRate(queryID string) (float64, bool) {
 	if b == nil {
 		return 0, false
 	}
-	b.ensureDecoded()
-	for _, in := range b.insts {
-		s := in.lookup(SampleSlot)
-		if s == nil {
-			continue
-		}
-		for _, t := range s.tuples {
-			if len(t) == 2 && t[0].Str() == queryID {
-				return t[1].Float(), true
-			}
-		}
+	var rate float64
+	found := b.findPair(SampleSlot, func(q, r tuple.Value) bool {
+		rate = r.Float()
+		return q.Str() == queryID
+	})
+	if !found {
+		return 0, false
 	}
-	return 0, false
+	return rate, true
 }

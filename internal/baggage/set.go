@@ -13,6 +13,7 @@ package baggage
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/tuple"
@@ -218,22 +219,6 @@ func NewSet(spec SetSpec) *Set {
 // Pack folds one tuple into the set according to its retention semantics.
 func (s *Set) Pack(t tuple.Tuple) {
 	switch s.Spec.Kind {
-	case All:
-		s.tuples = append(s.tuples, t)
-		s.bytes += encSize(t)
-	case First:
-		if len(s.tuples) == 0 {
-			s.tuples = append(s.tuples, t)
-			s.bytes += encSize(t)
-		}
-	case FirstN:
-		if len(s.tuples) < s.Spec.N {
-			s.tuples = append(s.tuples, t)
-			s.bytes += encSize(t)
-		}
-	case Recent, Frontier:
-		s.tuples = append(s.tuples[:0], t)
-		s.bytes = encSize(t)
 	case RecentN:
 		s.tuples = append(s.tuples, t)
 		if excess := len(s.tuples) - s.Spec.N; excess > 0 {
@@ -242,8 +227,7 @@ func (s *Set) Pack(t tuple.Tuple) {
 		} else {
 			s.bytes += encSize(t)
 		}
-	case Union:
-		s.addDistinct(t)
+		return
 	case Agg:
 		// Build the group key in a pooled scratch buffer; the map lookup
 		// via string(ks.buf) does not allocate, so folding into an
@@ -268,18 +252,36 @@ func (s *Set) Pack(t tuple.Tuple) {
 		old := g.cost
 		g.recomputeCost()
 		s.bytes += g.cost - old
+		return
+	}
+	store, replace := admits(s.Spec, len(s.tuples), func() bool { return slices.ContainsFunc(s.tuples, t.Equal) })
+	if replace {
+		s.tuples, s.bytes = s.tuples[:0], 0
+	}
+	if store {
+		s.tuples = append(s.tuples, t)
+		s.bytes += encSize(t)
 	}
 }
 
-// addDistinct stores t unless an equal tuple is already stored.
-func (s *Set) addDistinct(t tuple.Tuple) {
-	for _, mine := range s.tuples {
-		if mine.Equal(t) {
-			return
-		}
+// admits decides a pack into a non-AGG set of n tuples, of a kind that
+// keeps the tuples it stores as they are (see encodes): whether it stores
+// the tuple, given whether an equal one is held, and whether the tuple
+// replaces the n first. Every other kind stores nothing here.
+func admits(spec SetSpec, n int, held func() bool) (store, replace bool) {
+	switch spec.Kind {
+	case All:
+		return true, false
+	case First:
+		return n == 0, false
+	case FirstN:
+		return n < spec.N, false
+	case Recent, Frontier:
+		return true, true
+	case Union:
+		return !held(), false
 	}
-	s.tuples = append(s.tuples, t)
-	s.bytes += encSize(t)
+	return false, false
 }
 
 // Merge folds another set with the same spec into s. Used when rejoining
@@ -296,34 +298,19 @@ func (s *Set) Merge(o *Set) {
 		return
 	}
 	switch s.Spec.Kind {
-	case All:
-		s.tuples = append(s.tuples, o.tuples...)
-		s.bytes += o.bytes
 	case First, Recent:
 		// The receiver wins if it has a tuple: for FIRST it is the older
 		// side, for RECENT the left branch — a deterministic tie-break.
 		if len(s.tuples) == 0 && len(o.tuples) > 0 {
-			s.tuples = append(s.tuples, o.tuples[0])
-			s.bytes += encSize(o.tuples[0])
+			s.Pack(o.tuples[0])
 		}
-	case FirstN:
-		for _, t := range o.tuples {
-			if len(s.tuples) >= s.Spec.N {
-				break
-			}
-			s.tuples = append(s.tuples, t)
-			s.bytes += encSize(t)
-		}
-	case RecentN:
-		s.tuples = append(s.tuples, o.tuples...)
-		if excess := len(s.tuples) - s.Spec.N; excess > 0 {
-			s.tuples = append(s.tuples[:0:0], s.tuples[excess:]...)
-		}
-		s.recomputeBytes()
-	case Frontier, Union:
+	case Frontier:
 		// Union the branch contributions, dropping exact duplicates.
 		for _, t := range o.tuples {
-			s.addDistinct(t)
+			if !slices.ContainsFunc(s.tuples, t.Equal) {
+				s.tuples = append(s.tuples, t)
+				s.bytes += encSize(t)
+			}
 		}
 	case Agg:
 		for _, key := range o.order {
@@ -346,24 +333,30 @@ func (s *Set) Merge(o *Set) {
 			g.recomputeCost()
 			s.bytes += g.cost - old
 		}
+	default:
+		for _, t := range o.tuples {
+			s.Pack(t)
+		}
 	}
 }
 
-// AppendUnpack appends the set's contents to dst as tuples in the packed
+// appendUnpack appends the set's contents to dst as tuples in the packed
 // field layout. AGG sets yield one tuple per group, with group-by positions
 // holding the key values and aggregated positions holding partial results;
 // positions covered by neither hold null. The tuples of a non-AGG set are
-// the stored ones and must not be written; an AGG set's are new, cut from
-// one slice.
-func (s *Set) AppendUnpack(dst []tuple.Tuple) []tuple.Tuple {
+// the stored ones and must not be written; an AGG set's are new, their
+// values appended to vals, which is returned extended.
+func (s *Set) appendUnpack(dst []tuple.Tuple, vals tuple.Tuple) ([]tuple.Tuple, tuple.Tuple) {
 	if s.Spec.Kind != Agg {
-		return append(dst, s.tuples...)
+		return append(dst, s.tuples...), vals
 	}
 	w := len(s.Spec.Fields)
-	vals := make(tuple.Tuple, len(s.order)*w)
-	for k, key := range s.order {
+	vals = slices.Grow(vals, len(s.order)*w)
+	for _, key := range s.order {
 		g := s.groups[key]
-		t := vals[k*w : (k+1)*w : (k+1)*w]
+		at := len(vals)
+		vals = append(vals, make(tuple.Tuple, w)...)
+		t := vals[at : at+w : at+w]
 		for i, pos := range s.Spec.GroupBy {
 			t[pos] = g.keyVals[i]
 		}
@@ -372,7 +365,7 @@ func (s *Set) AppendUnpack(dst []tuple.Tuple) []tuple.Tuple {
 		}
 		dst = append(dst, t)
 	}
-	return dst
+	return dst, vals
 }
 
 // Len returns the number of stored tuples (groups for AGG sets).

@@ -19,10 +19,19 @@ import (
 // bytes could not hold. Every decoder built on Reader fails with it.
 var ErrTruncated = errors.New("tuple: truncated encoding")
 
+// ErrNonCanonical reports bytes that decode, but are not what encoding
+// the decoded value writes: an over-long varint, a bool byte other than 0
+// or 1, or (in the decoders built on Reader) any other form their
+// encoders never write.
+var ErrNonCanonical = errors.New("tuple: non-canonical encoding")
+
 // Reader consumes a varint-framed byte string a peer wrote. It is where
 // the repo's decoders (tuple, agg, baggage, wire) decide how untrusted
 // bytes are handled: every read checks the bytes left; Count refuses a
-// list length the unread bytes could not hold; and the first failure
+// list length the unread bytes could not hold; only the canonical
+// encoding is accepted — the bytes the Append functions write, shortest
+// varints and 0 or 1 for a bool — so what decodes re-encodes to the bytes
+// it came from; and the first failure
 // sticks — every later read returns a zero value and Err keeps the first
 // cause. A decoder is therefore the list of its fields and one Err check.
 // Reads are method calls, which Go evaluates in lexical order, so a
@@ -55,8 +64,7 @@ func (r *Reader) Fail(err error) {
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	v, k := binary.Uvarint(r.buf)
-	if k <= 0 {
-		r.Fail(ErrTruncated)
+	if !r.canonical(k, UvarintLen(v)) {
 		return 0
 	}
 	r.buf = r.buf[k:]
@@ -66,12 +74,25 @@ func (r *Reader) Uvarint() uint64 {
 // Varint reads a zig-zag varint.
 func (r *Reader) Varint() int64 {
 	v, k := binary.Varint(r.buf)
-	if k <= 0 {
-		r.Fail(ErrTruncated)
+	if !r.canonical(k, VarintLen(v)) {
 		return 0
 	}
 	r.buf = r.buf[k:]
 	return v
+}
+
+// canonical checks that a varint read k bytes, and the shortest number
+// for its value, want; it fails r otherwise.
+func (r *Reader) canonical(k, want int) bool {
+	switch {
+	case k <= 0:
+		r.Fail(ErrTruncated)
+	case k != want:
+		r.Fail(ErrNonCanonical)
+	default:
+		return true
+	}
+	return false
 }
 
 // Byte reads one byte.
@@ -103,7 +124,10 @@ func (r *Reader) Fixed64() uint64 {
 // through int.)
 func (r *Reader) Count() int {
 	n, k := binary.Uvarint(r.buf)
-	if k <= 0 || n > uint64(len(r.buf)-k) {
+	if !r.canonical(k, UvarintLen(n)) {
+		return 0
+	}
+	if n > uint64(len(r.buf)-k) {
 		r.Fail(ErrTruncated)
 		return 0
 	}
@@ -141,13 +165,12 @@ func (r *Reader) str(borrow bool) string {
 
 // bytes reads a length-prefixed byte string, as a subslice of the buffer.
 func (r *Reader) bytes() []byte {
-	n, k := binary.Uvarint(r.buf)
-	if k <= 0 || n > uint64(len(r.buf)-k) {
-		r.Fail(ErrTruncated)
+	n := r.Count()
+	if r.err != nil {
 		return nil
 	}
-	b := r.buf[k : k+int(n)]
-	r.buf = r.buf[k+int(n):]
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
 	return b
 }
 
@@ -180,6 +203,10 @@ func (r *Reader) Ints() []int {
 // Value reads one value.
 func (r *Reader) Value() Value { return r.value(false) }
 
+// BorrowValue reads one value as Value does, except that a string value
+// aliases the Reader's buffer (see Borrow).
+func (r *Reader) BorrowValue() Value { return r.value(true) }
+
 func (r *Reader) value(borrow bool) Value {
 	switch kind := Kind(r.Byte()); kind {
 	case KindNull:
@@ -191,7 +218,11 @@ func (r *Reader) value(borrow bool) Value {
 	case KindString:
 		return String(r.str(borrow))
 	case KindBool:
-		return Bool(r.Byte() != 0)
+		b := r.Byte()
+		if b > 1 {
+			r.Fail(ErrNonCanonical)
+		}
+		return Bool(b == 1)
 	default:
 		r.Fail(fmt.Errorf("tuple: bad kind tag %d", kind))
 		return Null
@@ -263,6 +294,16 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 	return buf
 }
 
+// AppendProjected appends the encoding of t.Project(idx) to buf without
+// building the projection.
+func AppendProjected(buf []byte, t Tuple, idx []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(idx)))
+	for _, j := range idx {
+		buf = AppendValue(buf, t[j])
+	}
+	return buf
+}
+
 // DecodeTuple decodes one tuple from the front of buf.
 func DecodeTuple(buf []byte) (Tuple, []byte, error) {
 	r := NewReader(buf)
@@ -312,6 +353,15 @@ func SizeTuple(t Tuple) int {
 	n := UvarintLen(uint64(len(t)))
 	for _, v := range t {
 		n += EncodedSize(v)
+	}
+	return n
+}
+
+// SizeProjected returns the number of bytes AppendProjected would write.
+func SizeProjected(t Tuple, idx []int) int {
+	n := UvarintLen(uint64(len(idx)))
+	for _, j := range idx {
+		n += EncodedSize(t[j])
 	}
 	return n
 }

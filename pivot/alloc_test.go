@@ -44,17 +44,18 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 		call    func()
 	}{
 		{"NewRequest", 1, func() { ctx = pt.NewRequest(context.Background()) }},
-		// The instance with its list, the slot list, the set with its one
-		// tuple, the projected tuple.
-		{"Here(Gateway.Receive): pack", 4, func() { recv.Here(ctx, tenant) }},
+		// The instance with its list and slot index, and the slot's bytes:
+		// its spec and the tenant's encoding, written from the fire's
+		// working tuple.
+		{"Here(Gateway.Receive): pack", 2, func() { recv.Here(ctx, tenant) }},
 		{"Inject", 1, func() { wire = Inject(ctx) }},
 		{"Extract", 2, func() { sctx = Extract(stCtx, wire) }},
-		// Decode: the instance with its list, the slot list, the set with
-		// its one tuple, the field list, the tuple's values (every string
-		// borrows the extracted copy). Each branch: its node, holding the
-		// new active instance and the instance list.
-		{"Split: decode + branch", 7, func() { l, r = Split(sctx) }},
-		// Each unpack reads into the fire's pooled scratch.
+		// Index: the instance with its list and slot index, whose name,
+		// spec and tuple are views of the extracted copy. The branches: one
+		// object for both nodes, each holding its new active instance and
+		// instance list.
+		{"Split: index + branches", 2, func() { l, r = Split(sctx) }},
+		// Each unpack decodes the tenant into the fire's pooled arena.
 		{"Here(Store.Write) on the left branch: unpack + emit", 0, func() { write.Here(l, size) }},
 		{"Here(Store.Write) on the right branch: unpack + emit", 0, func() { write.Here(r, size) }},
 		{"Join", 1, func() { joined = Join(sctx, l, r) }},
@@ -89,6 +90,46 @@ Select g.tenant, SUM(w.bytes), COUNT`); err != nil {
 		t.Logf("%-55s %6.2f", c.name, per)
 	}
 	t.Logf("%-55s %6.2f (ceiling %.0f)", "request", total, ceiling)
+}
+
+// TestAllocsTreePack pins what a request of the tree-fanin workload in
+// bench/ pays to pack: one Front.Recv crossing under its hb-first (FIRST)
+// and hb-all (ALL) queries opens the request's instance and packs a slot
+// for each.
+func TestAllocsTreePack(t *testing.T) {
+	pt := New("alloc")
+	front := pt.Define("Front.Recv", "tenant", "key")
+	pt.Define("Back.Exec", "key", "bytes")
+	for _, text := range []string{
+		`From b In Back.Exec Join f In First(Front.Recv) On f -> b GroupBy f.tenant Select f.tenant, SUM(b.bytes), COUNT`,
+		`From b In Back.Exec Join f In Front.Recv On f -> b GroupBy f.tenant Select f.tenant, COUNT`,
+	} {
+		if _, err := pt.Install(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tenant, key any = "tenant-1", "key-00001"
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 200
+	var got uint64
+	var before, after runtime.MemStats
+	for n := 0; n <= runs; n++ {
+		ctx := pt.NewRequest(context.Background())
+		runtime.ReadMemStats(&before)
+		front.Here(ctx, tenant, key)
+		runtime.ReadMemStats(&after)
+		if n > 0 { // the first crossing warms the pools
+			got += after.Mallocs - before.Mallocs
+		}
+	}
+	// The instance with its list and its two-slot index, and each slot's
+	// bytes.
+	per := float64(got) / runs
+	t.Logf("Front.Recv pack: %.2f objects/request", per)
+	if per > 3.5 {
+		t.Errorf("a Front.Recv crossing packing two slots allocates %.2f objects/request, want 3", per)
+	}
 }
 
 // TestAllocsWideRound pins what a reported row costs across the whole

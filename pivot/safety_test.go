@@ -340,3 +340,44 @@ func TestSafetyLeaseRenewalKeepsInProcessQueryAlive(t *testing.T) {
 		t.Fatal("uninstall did not remove the query")
 	}
 }
+
+// TestSafetyHostileBaggageCannotQuarantineAQuery: baggage whose FIRST slot
+// holds a tuple of the wrong width — here none, for a one-field spec — is
+// refused by the decoder, and an unpack that found a slot of another
+// width would treat it as empty. Either way the advice joining it never
+// panics: after more such requests than the fault limit, the query is
+// neither quarantined nor deaf to the next good request.
+func TestSafetyHostileBaggageCannotQuarantineAQuery(t *testing.T) {
+	pt := New("app")
+	recv := pt.Define("Gateway.Receive", "tenant")
+	write := pt.Define("Store.Write", "bytes")
+	q, err := pt.Install(`From w In Store.Write
+Join g In First(Gateway.Receive) On g -> w
+GroupBy g.tenant
+Select g.tenant, SUM(w.bytes), COUNT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stCtx := pt.Context(context.Background())
+	hostile := baggage.New()
+	hostile.Pack("Q1.g", baggage.SetSpec{Kind: baggage.First, Fields: tuple.Schema{"tenant"}}, tuple.Tuple{})
+	wire := hostile.Serialize()
+	for i := 0; i < advice.DefaultFaultLimit; i++ {
+		write.Here(Extract(stCtx, wire), int64(1))
+	}
+	ctx := pt.NewRequest(context.Background())
+	recv.Here(ctx, "tenant-1")
+	write.Here(Extract(stCtx, Inject(ctx)), int64(512))
+	pt.Flush()
+
+	if n := write.Panics(); n != 0 {
+		t.Errorf("advice panicked %d times on hostile baggage", n)
+	}
+	if n := q.Quarantines(); len(n) != 0 {
+		t.Errorf("hostile baggage quarantined the query: %+v", n)
+	}
+	rows := q.Rows()
+	if len(rows) != 1 || rows[0][0].Str() != "tenant-1" || rows[0][1].Int() != 512 || rows[0][2].Int() != 1 {
+		t.Errorf("rows = %v, want the good request's [tenant-1 512 1]", rows)
+	}
+}
