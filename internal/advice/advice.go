@@ -171,7 +171,7 @@ type Program struct {
 	// Circuit-breaker state, shared by every woven copy of the program
 	// (like Cost), so a fault seen at any tracepoint of a process
 	// quarantines the program everywhere it is woven in that process.
-	faults           atomic.Int64
+	// Faults are counted once, in Cost.Panics.
 	quarantined      atomic.Bool
 	notified         atomic.Bool
 	quarantineReason atomic.Pointer[string]

@@ -107,15 +107,14 @@ func (p *Program) QuarantineReason() string {
 }
 
 // Faults returns how many panics the program's advice has survived.
-func (p *Program) Faults() int64 { return p.faults.Load() }
+func (p *Program) Faults() int64 { return p.Cost.Panics.Load() }
 
 // AdvicePanicked implements tracepoint.PanicSink: the Here boundary calls
 // it after recovering a panic from this advice. Once the fault count
 // reaches the program's limit the breaker trips.
 func (a *Advice) AdvicePanicked(tpName string, recovered any) {
 	p := a.Prog
-	p.Cost.Panics.Add(1)
-	n := p.faults.Add(1)
+	n := p.Cost.Panics.Add(1)
 	if limit := p.Safety.faultLimit(); limit >= 0 && n >= limit {
 		a.quarantine(fmt.Sprintf("%d advice panics at %s (last: %v)", n, tpName, recovered))
 	}

@@ -90,34 +90,25 @@ type Agent struct {
 	rngMu        sync.Mutex
 	sampleRng    *rand.Rand
 
-	gauges atomic.Pointer[agentGauges]
-	meta   atomic.Pointer[metaPoint]
+	meta atomic.Pointer[metaPoint]
 
 	controlSub bus.Subscription
-}
-
-// agentGauges are the agent's instantaneous self-telemetry values; its
-// counters need no instruments of their own (see SetTelemetry).
-type agentGauges struct {
-	queries  *telemetry.Gauge
-	buffered *telemetry.Gauge
 }
 
 // SetTelemetry attaches self-telemetry to the agent. Every snapshot of t
 // then carries each counter of Stats under its metric name (StatFields),
 // read from Stats itself, so the registry and the heartbeat cannot
-// disagree; plus the gauges "agent.queries" and "agent.reports.buffered".
-// Call it once per agent.
+// disagree; plus the gauges "agent.queries" and "agent.reports.buffered",
+// read from the installed queries and the outage buffer. Call it once per
+// agent.
 func (a *Agent) SetTelemetry(t *telemetry.Registry) {
-	a.gauges.Store(&agentGauges{
-		queries:  t.Gauge("agent.queries"),
-		buffered: t.Gauge("agent.reports.buffered"),
-	})
 	t.Source(func(snap *telemetry.Snapshot) {
 		s := a.Stats()
 		for i, f := range StatFields {
 			snap.Counters[f.Metric] = s.Values()[i]
 		}
+		snap.Gauges["agent.queries"] = int64(len(*a.queriesView.Load()))
+		snap.Gauges["agent.reports.buffered"] = int64(a.Buffered())
 	})
 }
 
@@ -256,9 +247,6 @@ func (a *Agent) install(m Install) {
 	a.queries[m.QueryID] = qs
 	a.weaveLocked(qs)
 	a.rebuildViewLocked()
-	if g := a.gauges.Load(); g != nil {
-		g.queries.Set(int64(len(a.queries)))
-	}
 }
 
 // rebuildViewLocked republishes the copy-on-write query snapshot after a
@@ -346,9 +334,6 @@ func (a *Agent) uninstall(queryID string) {
 	}
 	delete(a.queries, queryID)
 	a.rebuildViewLocked()
-	if g := a.gauges.Load(); g != nil {
-		g.queries.Set(int64(len(a.queries)))
-	}
 }
 
 // EmitTuple implements advice.Emitter: process-local aggregation. This is
@@ -447,12 +432,8 @@ func (a *Agent) ExplainAnalyze() string {
 
 // Stats returns the agent's activity counters.
 func (a *Agent) Stats() Stats {
-	var s Stats
-	live, vals := a.live.Values(), s.Values()
 	a.mu.Lock()
-	for i := range live {
-		vals[i] = live[i].Load()
-	}
+	s := Load(&a.live)
 	for _, qs := range a.queries {
 		if acc := qs.acc.Load(); acc != nil {
 			s.RawsDropped += acc.RawsDropped()

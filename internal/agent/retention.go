@@ -28,14 +28,10 @@ func (a *Agent) Retain(r Report) {
 		evicted++
 	}
 	a.retained = append(a.retained, r)
-	buffered := len(a.retained)
 	a.retainMu.Unlock()
 
 	a.live.ReportsRetained.Add(1)
 	a.live.ReportsDropped.Add(int64(evicted))
-	if g := a.gauges.Load(); g != nil {
-		g.buffered.Set(int64(buffered))
-	}
 }
 
 // ReplayRetained drains the outage buffer in FIFO order through send,
@@ -52,7 +48,6 @@ func (a *Agent) ReplayRetained(send func(Report) error) int {
 		}
 		r := a.retained[0]
 		a.retained = a.retained[1:]
-		buffered := len(a.retained)
 		a.retainMu.Unlock()
 
 		if err := send(r); err != nil {
@@ -65,9 +60,6 @@ func (a *Agent) ReplayRetained(send func(Report) error) int {
 		}
 		replayed++
 		a.live.ReportsReplayed.Add(1)
-		if g := a.gauges.Load(); g != nil {
-			g.buffered.Set(int64(buffered))
-		}
 	}
 	return replayed
 }

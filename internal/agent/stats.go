@@ -98,6 +98,17 @@ func (c *Counters[T]) Values() *[NumStats]T {
 	return (*[NumStats]T)(unsafe.Pointer(c))
 }
 
+// Load snapshots live counters: an agent's own, or a combiner tier's,
+// which counts in the heartbeat's declaration too.
+func Load(live *Counters[atomic.Int64]) Stats {
+	var s Stats
+	src, dst := live.Values(), s.Values()
+	for i := range src {
+		dst[i] = src[i].Load()
+	}
+	return s
+}
+
 // StatField describes one counter of Stats.
 type StatField struct {
 	Name   string // Go field name

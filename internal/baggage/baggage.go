@@ -16,7 +16,8 @@ import (
 // SetTelemetry. Baggage values are context-scoped and have no registry of
 // their own, so the meters are process-global and gated behind one atomic
 // pointer load; while unattached (the default) every hook is a single
-// predictable branch.
+// predictable branch. Budget evictions are not metered here: PackStats
+// carries them to the agent, which counts them as agent.baggage.dropped.*.
 type Meters struct {
 	Serializations  *telemetry.Counter   // Serialize calls
 	SerializedBytes *telemetry.Counter   // total bytes produced by Serialize
@@ -26,9 +27,6 @@ type Meters struct {
 	Joins           *telemetry.Counter   // Joins that actually merged two sides
 	Bytes           *telemetry.Histogram // per-Serialize size distribution
 	PackRefused     *telemetry.Counter   // tuples refused by tombstones (PackBudgeted)
-	EvictedGroups   *telemetry.Counter   // budget evictions (tombstones written)
-	EvictedTuples   *telemetry.Counter   // stored tuples removed by budget evictions
-	EvictedBytes    *telemetry.Counter   // content bytes removed by budget evictions
 	MergeConflicts  *telemetry.Counter   // same-slot merges dropped for mismatched specs
 	PoolReuses      *telemetry.Counter   // pack/serialize scratch buffers served from the pool
 }
@@ -51,9 +49,6 @@ func SetTelemetry(t *telemetry.Registry) {
 		Joins:           t.Counter("baggage.joins"),
 		Bytes:           t.Histogram("baggage.bytes"),
 		PackRefused:     t.Counter("baggage.budget.refused"),
-		EvictedGroups:   t.Counter("baggage.budget.evicted.groups"),
-		EvictedTuples:   t.Counter("baggage.budget.evicted.tuples"),
-		EvictedBytes:    t.Counter("baggage.budget.evicted.bytes"),
 		MergeConflicts:  t.Counter("baggage.merge.conflicts"),
 		PoolReuses:      t.Counter("baggage.pool.reuses"),
 	})

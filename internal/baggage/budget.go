@@ -281,9 +281,6 @@ func (b *Baggage) enforce(budget Budget, query string, st PackStats) PackStats {
 	if m := meters.Load(); m != nil {
 		m.TuplesPacked.Add(st.Packed)
 		m.PackRefused.Add(st.RefusedTuples)
-		m.EvictedGroups.Add(st.EvictedGroups)
-		m.EvictedTuples.Add(st.EvictedTuples)
-		m.EvictedBytes.Add(st.EvictedBytes)
 	}
 	return st
 }

@@ -40,34 +40,32 @@ type Bus struct {
 	// lock without copying it.
 	topics map[string][]subscriber
 
-	published int64
-
-	tel       *telemetry.Registry
-	msgs      *telemetry.Counter
-	subs      *telemetry.Gauge
-	topicMsgs map[string]*telemetry.Counter
+	published int64            // messages published, all topics
+	perTopic  map[string]int64 // messages published, per topic
 }
 
-// SetTelemetry attaches self-telemetry to the bus: "bus.published" and
-// per-topic "bus.published.<topic>" counters, and a "bus.subscribers"
-// gauge.
+// SetTelemetry attaches self-telemetry to the bus: every snapshot of t
+// carries the bus's own "bus.published" and per-topic
+// "bus.published.<topic>" counts, and a "bus.subscribers" gauge.
 func (b *Bus) SetTelemetry(t *telemetry.Registry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tel = t
-	b.msgs = t.Counter("bus.published")
-	b.subs = t.Gauge("bus.subscribers")
-	b.topicMsgs = make(map[string]*telemetry.Counter)
-	n := 0
-	for _, subs := range b.topics {
-		n += len(subs)
-	}
-	b.subs.Set(int64(n))
+	t.Source(func(s *telemetry.Snapshot) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		s.Counters["bus.published"] = b.published
+		for topic, n := range b.perTopic {
+			s.Counters["bus.published."+topic] = n
+		}
+		n := 0
+		for _, subs := range b.topics {
+			n += len(subs)
+		}
+		s.Gauges["bus.subscribers"] = int64(n)
+	})
 }
 
 // New returns an empty bus.
 func New() *Bus {
-	return &Bus{topics: make(map[string][]subscriber)}
+	return &Bus{topics: make(map[string][]subscriber), perTopic: make(map[string]int64)}
 }
 
 // Subscribe registers a handler for a topic and returns its subscription.
@@ -77,9 +75,6 @@ func (b *Bus) Subscribe(topic string, h Handler) Subscription {
 	b.nextID++
 	subs := b.topics[topic]
 	b.topics[topic] = append(subs[:len(subs):len(subs)], subscriber{b.nextID, h})
-	if b.subs != nil {
-		b.subs.Add(1)
-	}
 	return Subscription{topic: topic, id: b.nextID}
 }
 
@@ -97,9 +92,6 @@ func (b *Bus) Unsubscribe(s Subscription) {
 	} else {
 		b.topics[s.topic] = slices.Concat(subs[:i], subs[i+1:])
 	}
-	if b.subs != nil {
-		b.subs.Add(-1)
-	}
 }
 
 // Publish delivers msg to every subscriber of the topic, synchronously, in
@@ -109,15 +101,7 @@ func (b *Bus) Unsubscribe(s Subscription) {
 func (b *Bus) Publish(topic string, msg any) {
 	b.mu.Lock()
 	b.published++
-	if b.tel != nil {
-		b.msgs.Inc()
-		c, ok := b.topicMsgs[topic]
-		if !ok {
-			c = b.tel.Counter("bus.published." + topic)
-			b.topicMsgs[topic] = c
-		}
-		c.Inc()
-	}
+	b.perTopic[topic]++
 	subs := b.topics[topic]
 	b.mu.Unlock()
 	for _, s := range subs {

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestPublishReachesSubscribers(t *testing.T) {
@@ -86,6 +88,32 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 	if count != 800 {
 		t.Fatalf("count = %d", count)
+	}
+}
+
+// TestTelemetryReadsTheBusCounts: snapshots taken while publishers run
+// read the bus's own counts, including what was published before attach.
+func TestTelemetryReadsTheBusCounts(t *testing.T) {
+	b := New()
+	b.Subscribe("t", func(any) {})
+	b.Publish("t", 0)
+	tel := telemetry.NewRegistry()
+	b.SetTelemetry(tel)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				b.Publish("t", k)
+				tel.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	s := tel.Snapshot()
+	if s.Counters["bus.published"] != 401 || s.Counters["bus.published.t"] != 401 || s.Gauges["bus.subscribers"] != 1 {
+		t.Fatalf("snapshot = %v %v, want 401 published on t, 1 subscriber", s.Counters, s.Gauges)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -530,8 +529,9 @@ type LinkOptions struct {
 	// Callers use it to retain reports for replay.
 	OnDrop func(topic string, msg any)
 
-	// Telemetry, when set, records "bus.link.reconnects" and
-	// "bus.link.drops" counters and a "bus.link.connected" gauge.
+	// Telemetry, when set, is where the link counts: into its
+	// "bus.link.reconnects" and "bus.link.drops" counters, and every
+	// snapshot carries a "bus.link.connected" gauge read from Connected.
 	Telemetry *telemetry.Registry
 }
 
@@ -559,12 +559,10 @@ type Link struct {
 	closed       bool
 	reconnecting bool
 
-	reconnects atomic.Int64
-	drops      atomic.Int64
-
-	mReconnects *telemetry.Counter
-	mDrops      *telemetry.Counter
-	mConnected  *telemetry.Gauge
+	// reconnects and drops point at the registry's counters when
+	// LinkOptions.Telemetry is set, and at the link's own otherwise.
+	reconnects, drops       *telemetry.Counter
+	ownReconnects, ownDrops telemetry.Counter
 }
 
 // Connect dials the server and starts bridging with fail-fast semantics
@@ -607,11 +605,17 @@ func ConnectOptions(b *Bus, addr string, codec Codec, send, recv []string, opts 
 		conn.Close()
 		return nil, err
 	}
+	l.reconnects, l.drops = &l.ownReconnects, &l.ownDrops
 	if tel := opts.Telemetry; tel != nil {
-		l.mReconnects = tel.Counter("bus.link.reconnects")
-		l.mDrops = tel.Counter("bus.link.drops")
-		l.mConnected = tel.Gauge("bus.link.connected")
-		l.mConnected.Set(1)
+		l.reconnects, l.drops = tel.Counter("bus.link.reconnects"), tel.Counter("bus.link.drops")
+		tel.Source(func(s *telemetry.Snapshot) {
+			// Links sharing a registry share the gauge: 1 while any is up.
+			up := s.Gauges["bus.link.connected"]
+			if l.Connected() {
+				up = 1
+			}
+			s.Gauges["bus.link.connected"] = up
+		})
 	}
 
 	for _, topic := range send {
@@ -667,10 +671,7 @@ func (l *Link) Send(topic string, msg any) error {
 
 // noteDrop records one undeliverable send-topic message.
 func (l *Link) noteDrop(topic string, msg any) {
-	l.drops.Add(1)
-	if l.mDrops != nil {
-		l.mDrops.Inc()
-	}
+	l.drops.Inc()
 	if l.opts.OnDrop != nil {
 		l.opts.OnDrop(topic, msg)
 	}
@@ -712,9 +713,6 @@ func (l *Link) connDownLocked(conn net.Conn) {
 	l.conn = nil
 	l.w = nil
 	l.gen++
-	if l.mConnected != nil {
-		l.mConnected.Set(0)
-	}
 	if l.opts.Reconnect && !l.closed && !l.reconnecting {
 		l.reconnecting = true
 		go l.reconnectLoop()
@@ -766,13 +764,7 @@ func (l *Link) reconnectLoop() {
 		l.reconnecting = false
 		l.mu.Unlock()
 
-		l.reconnects.Add(1)
-		if l.mReconnects != nil {
-			l.mReconnects.Inc()
-		}
-		if l.mConnected != nil {
-			l.mConnected.Set(1)
-		}
+		l.reconnects.Inc()
 		go l.recvLoop(conn, gen)
 		if l.opts.OnUp != nil {
 			l.opts.OnUp(l.reconnects.Load())
@@ -788,10 +780,13 @@ func (l *Link) Connected() bool {
 	return l.conn != nil && !l.closed
 }
 
-// Reconnects returns how many times the link has reconnected.
+// Reconnects returns how many times the link has reconnected. A link
+// counting into a registry (LinkOptions.Telemetry) reads the registry's
+// count, which every link sharing that registry adds to.
 func (l *Link) Reconnects() int64 { return l.reconnects.Load() }
 
-// Drops returns how many send-topic messages were lost to outages.
+// Drops returns how many send-topic messages were lost to outages. A link
+// counting into a registry reads the registry's count, as Reconnects does.
 func (l *Link) Drops() int64 { return l.drops.Load() }
 
 // Close stops bridging, disables reconnection, and closes the connection.
@@ -807,8 +802,5 @@ func (l *Link) Close() {
 	l.mu.Unlock()
 	if conn != nil {
 		conn.Close()
-	}
-	if l.mConnected != nil {
-		l.mConnected.Set(0)
 	}
 }

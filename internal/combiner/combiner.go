@@ -95,11 +95,10 @@ type Combiner struct {
 	routes  map[string]route          // queryID → owning tenant (delivering tier only)
 	closed  bool
 
-	reportsMerged   atomic.Int64 // downstream reports folded in
-	reportsRejected atomic.Int64 // downstream reports the merger refused as malformed
-	reportsOut      atomic.Int64 // merged reports forwarded
-	framesOut       atomic.Int64 // upstream ReportBatch frames published
-	rowsOut         atomic.Int64 // group+raw rows forwarded
+	// live counts in the heartbeat's own declaration: reports merged in
+	// and rejected, reports and rows forwarded, and upstream frames
+	// (CombinerFramesOut, which Stats also reports as Batches).
+	live agent.Counters[atomic.Int64]
 
 	subs []bus.Subscription
 }
@@ -196,13 +195,13 @@ func (c *Combiner) merge(r *agent.Report) {
 		m = advice.NewMerger(nil, advice.Unbounded)
 	}
 	if _, err := m.Merge(r.Groups, r.Raws, r.Drops); err != nil {
-		c.reportsRejected.Add(1)
+		c.live.ReportsRejected.Add(1)
 		return // malformed: skipped whole, and a first report leaves no pending entry
 	}
 	if !held {
 		c.pending[r.QueryID] = m
 	}
-	c.reportsMerged.Add(1)
+	c.live.CombinerReportsMerged.Add(1)
 }
 
 // now returns the combiner's report timestamp (virtual under simulation).
@@ -271,8 +270,8 @@ func (c *Combiner) Flush() {
 			topics = append(topics, t)
 		}
 		byTopic[t] = append(byTopic[t], r)
-		c.reportsOut.Add(1)
-		c.rowsOut.Add(int64(len(r.Groups) + len(r.Raws)))
+		c.live.Reports.Add(1)
+		c.live.RowsReported.Add(int64(len(r.Groups) + len(r.Raws)))
 	}
 	for id, r := range c.routes {
 		if r.expiry > 0 && now >= r.expiry {
@@ -282,7 +281,7 @@ func (c *Combiner) Flush() {
 	c.mu.Unlock()
 	for _, topic := range topics {
 		agent.SplitBatches(byTopic[topic], agent.ReportSize, func(batch []agent.Report) {
-			c.framesOut.Add(1)
+			c.live.CombinerFramesOut.Add(1)
 			c.b.Publish(topic, agent.ReportBatch{Reports: batch})
 		})
 	}
@@ -302,14 +301,9 @@ func (c *Combiner) Flush() {
 // counters. Everything merged in is either forwarded or still pending —
 // Pending() closes the ledger.
 func (c *Combiner) Stats() agent.Stats {
-	return agent.Stats{
-		RowsReported:          c.rowsOut.Load(),
-		Reports:               c.reportsOut.Load(),
-		Batches:               c.framesOut.Load(),
-		CombinerReportsMerged: c.reportsMerged.Load(),
-		CombinerFramesOut:     c.framesOut.Load(),
-		ReportsRejected:       c.reportsRejected.Load(),
-	}
+	s := agent.Load(&c.live)
+	s.Batches = s.CombinerFramesOut
+	return s
 }
 
 // Pending returns how many queries currently hold merged-but-unforwarded

@@ -8,8 +8,8 @@
 // are allocation-free: counters and gauges are single atomics, histograms
 // are lock-striped arrays of atomic buckets with fixed log-scale (power of
 // two) boundaries. A Registry names the metrics of one runtime and exports
-// point-in-time Snapshots that subtract (Delta) and render as aligned
-// text tables — the data behind core.PivotTracing.Status and cmd/ptstat.
+// point-in-time Snapshots that render as aligned text tables — the data
+// behind core.PivotTracing.Status and cmd/ptstat.
 package telemetry
 
 import (
@@ -156,15 +156,6 @@ func (v HistValue) Max() int64 {
 	return 0
 }
 
-// Sub returns the histogram delta v - prev (observations since prev).
-func (v HistValue) Sub(prev HistValue) HistValue {
-	out := HistValue{Count: v.Count - prev.Count, Sum: v.Sum - prev.Sum}
-	for i := range v.Buckets {
-		out.Buckets[i] = v.Buckets[i] - prev.Buckets[i]
-	}
-	return out
-}
-
 // Registry names the metrics of one tracer runtime. Metric constructors
 // are get-or-create, so independent instrumentation sites naming the same
 // metric share it; call sites cache the returned pointer and pay no lookup
@@ -293,27 +284,6 @@ func (r *Registry) Snapshot() Snapshot {
 		fn(&s)
 	}
 	return s
-}
-
-// Delta returns the change since prev: counters and histograms subtract,
-// gauges keep their current (instantaneous) value. Metrics absent from
-// prev are treated as starting at zero.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Counters: make(map[string]int64, len(s.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)),
-		Hists:    make(map[string]HistValue, len(s.Hists)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, v := range s.Hists {
-		out.Hists[name] = v.Sub(prev.Hists[name])
-	}
-	return out
 }
 
 // Empty reports whether the snapshot holds no metrics at all.

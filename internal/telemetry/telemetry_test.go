@@ -139,43 +139,6 @@ func TestSourceWritesIntoEverySnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ops")
-	g := r.Gauge("depth")
-	h := r.Histogram("lat")
-
-	c.Add(10)
-	g.Set(3)
-	h.Observe(5)
-	prev := r.Snapshot()
-
-	c.Add(7)
-	g.Set(9)
-	h.Observe(6)
-	h.Observe(7)
-	cur := r.Snapshot()
-
-	d := cur.Delta(prev)
-	if d.Counters["ops"] != 7 {
-		t.Errorf("counter delta = %d, want 7", d.Counters["ops"])
-	}
-	if d.Gauges["depth"] != 9 { // gauges are instantaneous
-		t.Errorf("gauge delta = %d, want 9", d.Gauges["depth"])
-	}
-	hv := d.Hists["lat"]
-	if hv.Count != 2 || hv.Sum != 13 {
-		t.Errorf("hist delta count=%d sum=%d, want 2/13", hv.Count, hv.Sum)
-	}
-
-	// Metric born after prev: treated as starting from zero.
-	r.Counter("new").Add(4)
-	d2 := r.Snapshot().Delta(prev)
-	if d2.Counters["new"] != 4 {
-		t.Errorf("new counter delta = %d, want 4", d2.Counters["new"])
-	}
-}
-
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8

@@ -70,12 +70,12 @@ type Tracepoint struct {
 	// instrumented call site passes them to Here.
 	Exports tuple.Schema
 
-	schema      tuple.Schema // DefaultExports + Exports
-	woven       atomic.Pointer[[]Advice]
-	invocations atomic.Int64
-	panics      atomic.Int64
-	meters      atomic.Pointer[Meters]
-	spanSink    atomic.Pointer[SpanSink]
+	schema   tuple.Schema // DefaultExports + Exports
+	woven    atomic.Pointer[[]Advice]
+	weaves   atomic.Int64                      // advice installations at this tracepoint
+	panics   atomic.Int64                      // advice panics recovered at the Here boundary
+	hits     atomic.Pointer[telemetry.Counter] // Here crossings, while telemetry is attached
+	spanSink atomic.Pointer[SpanSink]
 
 	// pool recycles the schema-width tuple Here materializes per enabled
 	// fire, so steady-state enabled crossings allocate nothing for it.
@@ -87,15 +87,6 @@ type Tracepoint struct {
 // stable pointer instead of allocating a fresh slice header per Put.
 type pooledTuple struct{ t tuple.Tuple }
 
-// Meters are a tracepoint's self-telemetry instruments, attached by
-// Registry.SetTelemetry. While unattached (the default), the disabled
-// Here fast path stays a single atomic load; attached, it costs one more.
-type Meters struct {
-	Hits   *telemetry.Counter // Here crossings, whether or not advice ran
-	Weaves *telemetry.Counter // advice installations at this tracepoint
-	Panics *telemetry.Counter // advice panics recovered at the Here boundary
-}
-
 // Schema returns the full exported schema: default exports then declared.
 func (tp *Tracepoint) Schema() tuple.Schema { return tp.schema }
 
@@ -105,34 +96,25 @@ func (tp *Tracepoint) Enabled() bool {
 	return list != nil && len(*list) > 0
 }
 
-// Invocations returns how many times Here has executed advice.
-func (tp *Tracepoint) Invocations() int64 { return tp.invocations.Load() }
-
 // Panics returns how many advice panics this tracepoint has recovered.
 func (tp *Tracepoint) Panics() int64 { return tp.panics.Load() }
 
 // Here is the hook the instrumented system calls when execution reaches the
 // tracepoint. vals are the declared exports, in Exports order; missing
-// trailing values are null. When no advice is woven the call returns
-// immediately after one atomic load, without materializing a tuple.
+// trailing values are null. When no advice is woven the call returns after
+// three atomic loads (advice, hit counter, span sink), without
+// materializing a tuple; hits are counted only while telemetry is attached.
 func (tp *Tracepoint) Here(ctx context.Context, vals ...any) {
 	list := tp.woven.Load()
-	if list == nil || len(*list) == 0 {
-		if m := tp.meters.Load(); m != nil {
-			m.Hits.Inc()
-		}
-		if s := tp.spanSink.Load(); s != nil {
-			(*s).TracepointCrossed(ctx, tp.Name)
-		}
-		return
-	}
-	if m := tp.meters.Load(); m != nil {
-		m.Hits.Inc()
+	if h := tp.hits.Load(); h != nil {
+		h.Inc()
 	}
 	if s := tp.spanSink.Load(); s != nil {
 		(*s).TracepointCrossed(ctx, tp.Name)
 	}
-	tp.invocations.Add(1)
+	if list == nil || len(*list) == 0 {
+		return
+	}
 	p, _ := tp.pool.Get().(*pooledTuple)
 	if p == nil || len(p.t) != len(tp.schema) {
 		p = &pooledTuple{t: make(tuple.Tuple, len(tp.schema))}
@@ -171,9 +153,6 @@ func (tp *Tracepoint) invoke(ctx context.Context, a Advice, full tuple.Tuple) {
 			return
 		}
 		tp.panics.Add(1)
-		if m := tp.meters.Load(); m != nil {
-			m.Panics.Inc()
-		}
 		if s, ok := a.(PanicSink); ok {
 			s.AdvicePanicked(tp.Name, r)
 		}
@@ -214,29 +193,27 @@ func (r *Registry) SetSpanSink(s SpanSink) {
 }
 
 // SetTelemetry attaches self-telemetry to the registry: every tracepoint,
-// existing and future, gets hit/weave counters ("tracepoint.hits.<name>",
-// "tracepoint.weaves.<name>"), and weave latency is recorded in the
+// existing and future, counts its Here crossings from now on in
+// "tracepoint.hits.<name>"; every snapshot of t carries each tracepoint's
+// own weave and panic counts as "tracepoint.weaves.<name>" and
+// "tracepoint.panics.<name>"; and weave latency is recorded in the
 // "tracepoint.weave.ns" histogram.
 func (r *Registry) SetTelemetry(t *telemetry.Registry) {
 	r.mu.Lock()
 	r.tel = t
-	existing := make([]*Tracepoint, 0, len(r.tps))
-	for _, tp := range r.tps {
-		existing = append(existing, tp)
+	for name, tp := range r.tps {
+		tp.hits.Store(t.Counter("tracepoint.hits." + name))
 	}
 	r.mu.Unlock()
 	r.weaveNS.Store(t.Histogram("tracepoint.weave.ns"))
-	for _, tp := range existing {
-		tp.meters.Store(metersFor(t, tp.Name))
-	}
-}
-
-func metersFor(t *telemetry.Registry, name string) *Meters {
-	return &Meters{
-		Hits:   t.Counter("tracepoint.hits." + name),
-		Weaves: t.Counter("tracepoint.weaves." + name),
-		Panics: t.Counter("tracepoint.panics." + name),
-	}
+	t.Source(func(s *telemetry.Snapshot) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for name, tp := range r.tps {
+			s.Counters["tracepoint.weaves."+name] = tp.weaves.Load()
+			s.Counters["tracepoint.panics."+name] = tp.panics.Load()
+		}
+	})
 }
 
 // OnDefine registers a callback invoked whenever a new tracepoint is
@@ -285,7 +262,7 @@ func (r *Registry) Define(name string, exports ...string) *Tracepoint {
 		schema:  DefaultExports.Concat(tuple.Schema(exports)),
 	}
 	if r.tel != nil {
-		tp.meters.Store(metersFor(r.tel, name))
+		tp.hits.Store(r.tel.Counter("tracepoint.hits." + name))
 	}
 	if r.spanSink != nil {
 		tp.spanSink.Store(r.spanSink)
@@ -336,9 +313,7 @@ func (r *Registry) Weave(name string, a Advice) error {
 	if h != nil {
 		h.Observe(int64(time.Since(start)))
 	}
-	if m := tp.meters.Load(); m != nil {
-		m.Weaves.Inc()
-	}
+	tp.weaves.Add(1)
 	return nil
 }
 

@@ -60,9 +60,6 @@ func TestHereIsNoOpWithoutAdvice(t *testing.T) {
 	reg := NewRegistry()
 	tp := reg.Define("tp", "v")
 	tp.Here(context.Background(), 42)
-	if tp.Invocations() != 0 {
-		t.Fatal("disabled tracepoint should not count invocations")
-	}
 	if tp.Enabled() {
 		t.Fatal("tracepoint with no advice should be disabled")
 	}

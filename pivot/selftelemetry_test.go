@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advice"
+	"repro/internal/baggage"
 	"repro/internal/bus"
+	"repro/internal/plan"
+	"repro/internal/tuple"
 )
 
 // TestMetaTracepointQuery is the acceptance test for self-telemetry: a
@@ -142,5 +146,87 @@ func TestBusServerStatusEndpoint(t *testing.T) {
 			t.Fatal("frontend never saw the worker heartbeat")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSelfTelemetryCountsEachFactOnce: every figure in a snapshot is the
+// count its component keeps, since that component was created — not a
+// second copy that starts at attach — so the snapshot, the component's own
+// accessors, and the heartbeat agree.
+func TestSelfTelemetryCountsEachFactOnce(t *testing.T) {
+	pt := New("once")
+	work := pt.Define("Work.Do", "n")
+	q, err := pt.Frontend.InstallNamed("QOnce",
+		`From w In Work.Do GroupBy w.host Select w.host, COUNT`,
+		plan.Options{Optimize: true, Safety: advice.Safety{FaultLimit: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := pt.EnableSelfTelemetry()
+
+	snap := tel.Snapshot()
+	if got := snap.Gauges["agent.queries"]; got != 1 {
+		t.Errorf("agent.queries = %d, want 1 (installed before attach)", got)
+	}
+	if got, want := snap.Counters["bus.published"], pt.Bus.Published(); got != want || want == 0 {
+		t.Errorf("bus.published = %d, Bus.Published() = %d", got, want)
+	}
+
+	// Panics: the tracepoint's count, its snapshot name and the program's
+	// breaker all read one count each of the same recoveries.
+	advice.SetFailpoint(func(p *advice.Program, _ tuple.Tuple) {
+		if p.QueryID == "QOnce" {
+			panic("injected")
+		}
+	})
+	for i := 0; i < 4; i++ {
+		work.Here(pt.NewRequest(context.Background()), int64(i))
+	}
+	advice.SetFailpoint(nil)
+	snap = tel.Snapshot()
+	if got := snap.Counters["tracepoint.panics.Work.Do"]; got != 4 || work.Panics() != 4 || q.Plan.Emit.Faults() != 4 {
+		t.Errorf("panics: snapshot %d, tracepoint %d, program %d; want 4 each",
+			got, work.Panics(), q.Plan.Emit.Faults())
+	}
+
+	// Budget evictions: counted by the programs that packed and by the
+	// agent, and named once in the snapshot (agent.baggage.dropped.*).
+	handle := pt.Define("Server.Handle", "route")
+	reply := pt.Define("Server.Reply", "status")
+	bq, err := pt.Frontend.InstallNamed("QBudget",
+		`From r In Server.Reply Join h In Server.Handle On h -> r
+		GroupBy h.route Select h.route, COUNT`,
+		plan.Options{Optimize: true, Safety: advice.Safety{Budget: baggage.Budget{MaxTuples: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		ctx := pt.NewRequest(context.Background())
+		handle.Here(ctx, "a")
+		handle.Here(ctx, "b")
+		reply.Here(ctx, 200)
+	}
+	pt.Flush()
+	var groups, tuples, bytes int64
+	for _, prog := range bq.Plan.Programs {
+		groups += prog.Cost.PackEvictedGroups.Load()
+		tuples += prog.Cost.PackEvictedTuples.Load()
+		bytes += prog.Cost.PackEvictedBytes.Load()
+	}
+	if groups == 0 {
+		t.Fatal("budgeted join evicted nothing")
+	}
+	snap = tel.Snapshot()
+	if snap.Counters["agent.baggage.dropped.groups"] != groups ||
+		snap.Counters["agent.baggage.dropped.tuples"] != tuples ||
+		snap.Counters["agent.baggage.dropped.bytes"] != bytes {
+		t.Errorf("agent.baggage.dropped.{groups,tuples,bytes} = %d/%d/%d, programs evicted %d/%d/%d",
+			snap.Counters["agent.baggage.dropped.groups"], snap.Counters["agent.baggage.dropped.tuples"],
+			snap.Counters["agent.baggage.dropped.bytes"], groups, tuples, bytes)
+	}
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "baggage.budget.evicted.") {
+			t.Errorf("eviction counted twice: snapshot carries %s", name)
+		}
 	}
 }
