@@ -70,7 +70,7 @@ stress:
 # packages that decode untrusted bytes a short live burst. The targets are
 # read off `go test -list`, so a new one joins by existing. FUZZTIME=2m
 # fuzz-smoke for a deeper local run.
-FUZZ_PKGS = ./internal/tuple ./internal/wire ./internal/baggage
+FUZZ_PKGS = ./internal/tuple ./internal/wire ./internal/baggage ./internal/bus
 
 fuzz-smoke:
 	$(GO) test $(FUZZ_PKGS) -run '^Fuzz'

@@ -727,8 +727,8 @@ func hbSingle(i int) string {
 // BenchmarkWideReport measures the reporting path, one op being four
 // rounds of bench/'s wide-groups workload on one worker. A round is 8192
 // crossings that each create a group, Flush, the report frame through
-// wire.Marshal and wire.Unmarshal, the frontend's merge into rows it
-// already holds, and Rows(). allocs/op over 4×8192 is the cost of a
+// wire.Marshal and one wire.Decoder kept across rounds, as a link keeps
+// its own, the frontend's merge into rows it already holds, and Rows(). allocs/op over 4×8192 is the cost of a
 // reported row (pinned per layer by pivot.TestAllocsWideRound); the gate
 // holds it to 1%. A round costs about a hundred objects, none of them per
 // row. An op allocates tens of megabytes, so under the default GC
@@ -743,12 +743,13 @@ func BenchmarkWideReport(b *testing.B) {
 	tp := worker.Define("Svc.Handle", "key", "v")
 	front.Define("Svc.Handle", "key", "v")
 	front.Bus.Subscribe(agent.ControlTopic, func(msg any) { worker.Bus.Publish(agent.ControlTopic, msg) })
+	var dec wire.Decoder // kept across rounds, as a link keeps its own
 	worker.Bus.Subscribe(agent.ResultsTopic, func(msg any) {
 		frame, err := wire.Marshal(msg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		decoded, err := wire.Unmarshal(frame)
+		decoded, err := dec.Decode(frame)
 		if err != nil {
 			b.Fatal(err)
 		}

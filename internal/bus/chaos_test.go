@@ -2,8 +2,10 @@ package bus
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -218,6 +220,53 @@ func TestServerToleratesMalformedFramesOnUnrelatedConn(t *testing.T) {
 	// The healthy pair keeps relaying.
 	sendBus.Publish("tp", "two")
 	waitFor(t, "relay after garbage", func() bool { return got.len() == 2 })
+}
+
+// TestServerOversizedTopicKillsOnlyItsConn: a header that claims a topic
+// longer than maxTopic is refused before anything is sized from it or read
+// after it. The server drops that one connection, without waiting for the
+// bytes it promised, and counts one bad frame; the relay between the
+// links goes on.
+func TestServerOversizedTopicKillsOnlyItsConn(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	recvBus := New()
+	var got collector
+	recvBus.Subscribe("tp", got.add)
+	recvLink, err := Connect(recvBus, srv.Addr(), stringCodec{}, nil, []string{"tp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recvLink.Close()
+	sendBus := New()
+	sendLink, err := Connect(sendBus, srv.Addr(), stringCodec{}, []string{"tp"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sendLink.Close()
+
+	rogue, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rogue.Close()
+	if _, err := rogue.Write(binary.AppendUvarint(nil, maxTopic+1)); err != nil {
+		t.Fatal(err)
+	}
+	rogue.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if n, err := rogue.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the server kept the connection that sent an oversized topic (read %d bytes, err %v)", n, err)
+	}
+	tel := srv.Telemetry()
+	waitFor(t, "rogue conn dropped", func() bool { return tel.Snapshot().Gauges["bus.server.conns"] == 2 })
+	if bad := tel.Snapshot().Counters["bus.server.badframes"]; bad != 1 {
+		t.Errorf("bus.server.badframes = %d, want 1", bad)
+	}
+	sendBus.Publish("tp", "after")
+	waitFor(t, "relay after the oversized topic", func() bool { return got.len() == 1 })
 }
 
 func TestServerToleratesTruncatedFrameFromInjectedCut(t *testing.T) {

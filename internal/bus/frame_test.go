@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestReadFrameErrorPaths(t *testing.T) {
 		{"empty input", nil, io.EOF},
 		{"truncated header varint", []byte{0x80}, nil},
 		{"zero-length topic", uvarint(0), errEmptyTopic},
-		{"oversized topic", uvarint(maxFrame + 1), errOversizedTopic},
+		{"oversized topic", uvarint(maxTopic + 1), errOversizedTopic},
 		{"topic cut mid-way", full[:3], io.ErrUnexpectedEOF},
 		{"missing payload length", frame("topic", nil)[:6], io.EOF},
 		{"oversized payload", append(append([]byte{}, uvarint(1)...), append([]byte("t"), uvarint(maxFrame+1)...)...), errOversizedPayload},
@@ -44,7 +45,7 @@ func TestReadFrameErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.input)))
+			_, _, err := readFrame(bufio.NewReader(bytes.NewReader(tc.input)), nil)
 			if err == nil {
 				t.Fatalf("readFrame(%v) succeeded, want error", tc.input)
 			}
@@ -82,14 +83,59 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	r := bufio.NewReader(&b)
+	var frame []byte
 	for _, tc := range cases {
-		topic, payload, err := readFrame(r)
-		if err != nil {
+		var tlen int
+		var err error
+		if frame, tlen, err = readFrame(r, frame); err != nil {
 			t.Fatal(err)
 		}
+		topic, payload := string(frame[:tlen]), frame[tlen:]
 		if topic != tc.topic || !bytes.Equal(payload, tc.payload) {
 			t.Errorf("round trip = (%q, %d bytes), want (%q, %d bytes)",
 				topic, len(payload), tc.topic, len(tc.payload))
 		}
 	}
+}
+
+// FuzzReadFrame: on any byte stream, reading frame after frame into one
+// reused buffer yields the topics, payloads and errors that reading each
+// into memory of its own does, and never panics. The seeds are whole
+// streams of frames, long and short, and the malformed headers of
+// TestReadFrameErrorPaths.
+func FuzzReadFrame(f *testing.F) {
+	var stream bytes.Buffer
+	w := bufio.NewWriter(&stream)
+	for _, fr := range []struct {
+		topic   string
+		payload []byte
+	}{
+		{"pt.results", bytes.Repeat([]byte{0xAB}, 5000)},
+		{"t", nil},
+		{strings.Repeat("k", maxTopic), []byte("short")},
+		{"pt.health", []byte("p")},
+	} {
+		if err := writeFrame(w, fr.topic, fr.payload); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream.Bytes())
+	f.Add(binary.AppendUvarint(nil, maxTopic+1))
+	f.Add([]byte{0x01, 't', 0x0A, 'p', 'a', 'r'})
+	f.Add([]byte{0x00})
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fresh, reused := bufio.NewReader(bytes.NewReader(stream)), bufio.NewReader(bytes.NewReader(stream))
+		var buf []byte
+		for {
+			want, wantLen, wantErr := readFrame(fresh, nil)
+			got, gotLen, err := readFrame(reused, buf)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || gotLen != wantLen || !bytes.Equal(got, want) {
+				t.Fatalf("reused buffer read (%q, %v); a fresh one read (%q, %v)", got, err, want, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			buf = got
+		}
+	})
 }

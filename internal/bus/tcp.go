@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -29,11 +30,16 @@ import (
 // Append appends msg's payload to dst and returns the extended slice, as
 // encoding.BinaryAppender does; it retains neither dst nor msg, so a Link
 // encodes every message into one buffer it reuses. An error means msg is
-// not a message the codec carries. Unmarshal decodes one payload; the
-// result may alias data, which the bus never writes after.
+// not a message the codec carries.
+//
+// Decoder returns a new decoding function. A Link takes one for each
+// connection and calls it only from that connection's receive loop, with
+// payloads read into one buffer the loop reuses. The message it returns
+// may borrow the payload and memory the function reuses at its next call:
+// it is lent to the bus's handlers for one delivery (see Link).
 type Codec interface {
 	Append(dst []byte, msg any) ([]byte, error)
-	Unmarshal(data []byte) (any, error)
+	Decoder() func(payload []byte) (any, error)
 }
 
 // Frame protocol errors. A frame error poisons only the connection it
@@ -68,35 +74,55 @@ func writeFrame(w *bufio.Writer, topic string, payload []byte) error {
 	return w.Flush()
 }
 
-const maxFrame = 64 << 20
+// maxFrame bounds a payload and maxTopic a topic; the topics in use are at
+// most a few hundred bytes. Both are checked before anything is sized from
+// a header.
+const (
+	maxFrame = 64 << 20
+	maxTopic = 1 << 10
+)
 
-func readFrame(r *bufio.Reader) (topic string, payload []byte, err error) {
-	tlen, err := binary.ReadUvarint(r)
+// readFrame reads one frame into buf's storage, grown as needed, and
+// returns it: the topic is frame[:tlen] and the payload frame[tlen:]. A
+// caller that passes back the frame it got reads every frame into the same
+// memory; a nil buf reads each into memory of its own.
+func readFrame(r *bufio.Reader, buf []byte) (frame []byte, tlen int, err error) {
+	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return "", nil, err
+		return nil, 0, err
 	}
-	if tlen == 0 {
-		return "", nil, errEmptyTopic
+	if n == 0 {
+		return nil, 0, errEmptyTopic
 	}
-	if tlen > maxFrame {
-		return "", nil, errOversizedTopic
+	if n > maxTopic {
+		return nil, 0, errOversizedTopic
 	}
-	tbuf := make([]byte, tlen)
-	if _, err := io.ReadFull(r, tbuf); err != nil {
-		return "", nil, err
+	tlen = int(n)
+	buf = slices.Grow(buf[:0], tlen)[:tlen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, 0, err
 	}
 	plen, err := binary.ReadUvarint(r)
 	if err != nil {
-		return "", nil, err
+		return nil, 0, err
 	}
 	if plen > maxFrame {
-		return "", nil, errOversizedPayload
+		return nil, 0, errOversizedPayload
 	}
-	pbuf := make([]byte, plen)
-	if _, err := io.ReadFull(r, pbuf); err != nil {
-		return "", nil, err
+	// Past its first MiB a payload's memory grows with the bytes that
+	// arrive, so a header that claims a large payload costs only what
+	// follows it. A buffer that already holds the frame is read in one go.
+	for total := tlen + int(plen); len(buf) < total; {
+		buf = slices.Grow(buf, min(total-len(buf), max(len(buf), 1<<20)))
+		k, err := io.ReadFull(r, buf[len(buf):min(total, cap(buf))])
+		if buf = buf[:len(buf)+k]; err == io.EOF && len(buf) > tlen {
+			err = io.ErrUnexpectedEOF // the frame's payload began
+		}
+		if err != nil {
+			return nil, 0, err
+		}
 	}
-	return string(tbuf), pbuf, nil
+	return buf, tlen, nil
 }
 
 // StatusTopic is reserved on the server: a frame sent to it is answered —
@@ -337,7 +363,9 @@ func (s *Server) serveConn(sc *serverConn) {
 	}()
 	r := bufio.NewReader(conn)
 	for {
-		topic, payload, err := readFrame(r)
+		// Each frame is read into memory of its own: a relayed or parked
+		// payload outlives the read.
+		frame, tlen, err := readFrame(r, nil)
 		if err != nil {
 			// A clean EOF is an orderly disconnect; anything else is a
 			// malformed or truncated frame. Either way only this
@@ -347,6 +375,7 @@ func (s *Server) serveConn(sc *serverConn) {
 			}
 			return
 		}
+		topic, payload := string(frame[:tlen]), frame[tlen:]
 		s.frames.Inc()
 		s.bytes.Add(int64(len(payload)))
 		if topic == StatusTopic {
@@ -478,12 +507,12 @@ func FetchServerStatus(addr string, timeout time.Duration) (string, error) {
 	}
 	r := bufio.NewReader(conn)
 	for {
-		topic, payload, err := readFrame(r)
+		frame, tlen, err := readFrame(r, nil)
 		if err != nil {
 			return "", err
 		}
-		if topic == StatusTopic {
-			return string(payload), nil
+		if string(frame[:tlen]) == StatusTopic {
+			return string(frame[tlen:]), nil
 		}
 	}
 }
@@ -537,18 +566,27 @@ type LinkOptions struct {
 
 // Link bridges a process's local Bus to a remote pub/sub server: messages
 // published locally on the send topics are marshaled and forwarded;
-// frames received for the recv topics are unmarshaled and published
+// frames received for the recv topics are decoded and published
 // locally. With LinkOptions.Reconnect the link survives server outages:
 // it redials with exponential backoff + jitter, resumes bridging, and
 // reports messages lost meanwhile via OnDrop. Close the link to
 // disconnect.
+//
+// A received message is lent to the bus's handlers for one delivery: the
+// link reads every frame of a connection into one buffer and decodes it
+// with one Codec decoder, and reuses both for the next frame once Publish
+// has returned. A handler that keeps any part of a received message past
+// its return must copy it; an advice.Merger copies what it keeps. OnDrop
+// sees only messages published on the send topics, so it never sees a
+// lent one while no link on the bus sends a topic that a link on it
+// receives, which bridging each topic one way per process rules out.
 type Link struct {
 	addr    string
 	codec   Codec
 	bus     *Bus
 	opts    LinkOptions
-	recv    []string // announced to the server on every (re)connect
-	recvSet map[string]bool
+	recv    []string          // announced to the server on every (re)connect
+	recvSet map[string]string // topic -> itself: a frame's bytes find the string to publish under
 	subs    []Subscription
 
 	mu           sync.Mutex
@@ -594,12 +632,12 @@ func ConnectOptions(b *Bus, addr string, codec Codec, send, recv []string, opts 
 		bus:     b,
 		opts:    opts,
 		recv:    append([]string(nil), recv...),
-		recvSet: make(map[string]bool, len(recv)),
+		recvSet: make(map[string]string, len(recv)),
 		conn:    conn,
 		w:       bufio.NewWriter(conn),
 	}
 	for _, t := range recv {
-		l.recvSet[t] = true
+		l.recvSet[t] = t
 	}
 	if err := l.announce(l.w); err != nil {
 		conn.Close()
@@ -679,11 +717,16 @@ func (l *Link) noteDrop(topic string, msg any) {
 
 // recvLoop reads frames from one connection until it fails, then triggers
 // reconnection. gen identifies the connection so a stale loop cannot tear
-// down its successor.
+// down its successor. The loop's frame buffer and decoder are its own, so
+// a successor never reuses them while this loop is still delivering.
 func (l *Link) recvLoop(conn net.Conn, gen int) {
 	r := bufio.NewReader(conn)
+	decode := l.codec.Decoder()
+	var frame []byte
 	for {
-		topic, payload, err := readFrame(r)
+		var tlen int
+		var err error
+		frame, tlen, err = readFrame(r, frame)
 		if err != nil {
 			l.mu.Lock()
 			if l.gen == gen {
@@ -692,10 +735,11 @@ func (l *Link) recvLoop(conn net.Conn, gen int) {
 			l.mu.Unlock()
 			return
 		}
-		if !l.recvSet[topic] {
+		topic, ok := l.recvSet[string(frame[:tlen])]
+		if !ok {
 			continue
 		}
-		msg, err := l.codec.Unmarshal(payload)
+		msg, err := decode(frame[tlen:])
 		if err != nil {
 			continue
 		}

@@ -17,8 +17,8 @@ func (stringCodec) Append(dst []byte, msg any) ([]byte, error) {
 	return append(dst, s...), nil
 }
 
-func (stringCodec) Unmarshal(data []byte) (any, error) {
-	return string(data), nil
+func (stringCodec) Decoder() func([]byte) (any, error) {
+	return func(data []byte) (any, error) { return string(data), nil }
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

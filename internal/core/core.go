@@ -429,7 +429,10 @@ func (h *Installed) Partial() bool {
 }
 
 // OnReport registers a callback invoked for every per-interval report the
-// query receives — the streaming interface.
+// query receives — the streaming interface. A report that arrived over a
+// bus link is lent for the call (see bus.Link): its groups, and their keys
+// and Rep strings, are reused for the link's next frame, so a listener
+// copies what it keeps, as an advice.Merger does.
 func (h *Installed) OnReport(fn func(agent.Report)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -82,3 +82,42 @@ func TestChunkSizing(t *testing.T) {
 		t.Errorf("the slab settled on %d, want the narrow interval's 8", narrow.Want())
 	}
 }
+
+// TestRewindReusesTheNewestChunk: after Rewind a slab hands its memory out
+// again, zeroed, from the start of its newest chunk; a frame larger than
+// that chunk costs chunks once, and Rewind then sizes one chunk for all
+// of it, so the next frame of that size allocates nothing.
+func TestRewindReusesTheNewestChunk(t *testing.T) {
+	var s Slab[int]
+	frame := func(sizes ...int) (chunks int) {
+		s.Rewind()
+		for _, n := range sizes {
+			if n > len(s.free) {
+				chunks++
+			}
+			for i, v := range s.Take(n) {
+				if v != 0 {
+					t.Fatalf("Take(%d) after Rewind handed out %d at %d, want zeroed", n, v, i)
+				}
+			}
+		}
+		for i := range s.chunk[:len(s.chunk)-len(s.free)] {
+			s.chunk[i] = 7 // what a decoder writes into its rows
+		}
+		return chunks
+	}
+	frame(10, 20)
+	if chunks := frame(10, 20); chunks != 0 {
+		t.Errorf("a frame as large as the last cost %d chunks, want 0", chunks)
+	}
+	first := &s.chunk[0]
+	if chunks := frame(5); chunks != 0 || &s.chunk[0] != first {
+		t.Errorf("a smaller frame cost %d chunks, or was cut from another chunk", chunks)
+	}
+	if chunks := frame(40, 40); chunks == 0 {
+		t.Errorf("a frame larger than the newest chunk cost no chunk")
+	}
+	if chunks := frame(40, 40); chunks != 0 {
+		t.Errorf("after Rewind, a frame as large as the last cost %d chunks, want 0", chunks)
+	}
+}

@@ -338,14 +338,25 @@ func scribble(frame []byte) {
 // encoding (Marshal ∘ Unmarshal is a fixpoint). Every report of a decoded
 // ReportBatch must also survive a Merger, which keeps nothing of the frame
 // the report borrows: what it holds does not change when the frame is
-// overwritten.
+// overwritten. A Decoder that has decoded another report frame before —
+// a link's, reusing that frame's memory — must decode the same message, or
+// fail with the same error.
 func FuzzUnmarshal(f *testing.F) {
 	for _, s := range messageSeeds(f) {
 		f.Add(s)
 	}
+	primer, _ := reuseFrames(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var d Decoder
+		if _, err := d.Decode(primer); err != nil {
+			t.Fatal(err)
+		}
+		lent, lentErr := d.Decode(bytes.Clone(data))
 		frame := bytes.Clone(data) // the decoded message borrows it; scribbled below
 		msg, err := Unmarshal(frame)
+		if fmt.Sprint(lentErr) != fmt.Sprint(err) {
+			t.Fatalf("a reused Decoder failed with %v, Unmarshal with %v", lentErr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -358,6 +369,9 @@ func FuzzUnmarshal(f *testing.F) {
 		enc, err := Marshal(msg)
 		if err != nil {
 			t.Fatalf("re-marshal of decoded %T: %v", msg, err)
+		}
+		if lentEnc, err := Marshal(lent); err != nil || !bytes.Equal(lentEnc, enc) {
+			t.Fatalf("a reused Decoder decoded %x, Unmarshal %x", lentEnc, enc)
 		}
 		msg2, err := Unmarshal(enc)
 		if err != nil {

@@ -389,27 +389,28 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 	return buf
 }
 
-// readReport decodes one report of a TagReportBatch frame. The groups, their states and
-// every Rep and raw-row value are cut from one slab each, sized from the
-// counts the frame gives — a count times the width of the first element
+// readReport decodes one report of a TagReportBatch frame. The group list,
+// the groups, their states and every Rep value are cut from the decoder's
+// slabs, sized from the counts the frame gives — a count times the width of the first element
 // that carries it, which is exact unless the frame's groups are ragged —
 // and never beyond what the unread bytes could encode. Group keys and Rep
 // strings borrow the frame (a Merger copies what it keeps); raw rows are
-// kept by reference wherever they are merged, so their strings are copied.
-func readReport(r *tuple.Reader) agent.Report {
-	m := agent.Report{QueryID: r.String(), Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
+// kept by reference wherever they are merged, so they and their strings
+// are fresh.
+func (d *Decoder) readReport(r *tuple.Reader, prev *agent.Report) agent.Report {
+	m := agent.Report{QueryID: name(r, prev.QueryID), Host: name(r, prev.Host), ProcName: name(r, prev.ProcName), Time: time.Duration(r.Varint())}
 	if n := r.CountOf(minGroupSize); n > 0 {
-		var states slab.Slab[agg.State]
-		var values slab.Slab[tuple.Value]
-		groups := make([]advice.Group, n)
-		m.Groups = make([]*advice.Group, n)
+		d.groups.Expect(n)
+		d.lists.Expect(n)
+		groups := d.groups.Take(n)
+		m.Groups = d.lists.Take(n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			g := &groups[i]
 			m.Groups[i] = g
-			g.Key, g.Rep = r.Borrow(), r.SlabTuple(&values, n-i, true)
+			g.Key, g.Rep = r.Borrow(), r.SlabTuple(&d.values, n-i, true)
 			ns := r.CountOf(agg.MinEncodedSize)
-			states.Expect(min((n-i)*ns, len(r.Rest())/agg.MinEncodedSize))
-			g.States = states.Take(ns)
+			d.states.Expect(min((n-i)*ns, len(r.Rest())/agg.MinEncodedSize))
+			g.States = d.states.Take(ns)
 			for k := 0; k < ns && r.Err() == nil; k++ {
 				g.States[k] = agg.Read(r)
 			}
@@ -426,6 +427,19 @@ func readReport(r *tuple.Reader) agent.Report {
 		m.Drops = append(m.Drops, baggage.DropRecord{Slot: r.String(), Key: r.String()})
 	}
 	return m
+}
+
+// name reads a report's query id, host or process name into a string of
+// its own: a combiner keys its pending table by query id. prev is the
+// string the decoder read at the same place of an earlier frame; a link's
+// steady stream of reports repeats it, so it is handed out again instead
+// of copied.
+func name(r *tuple.Reader, prev string) string {
+	if peek := *r; peek.Borrow() == prev {
+		*r = peek
+		return prev
+	}
+	return r.String()
 }
 
 // minGroupSize is the fewest bytes appendReport writes for a group: an
@@ -533,17 +547,40 @@ func Append(buf []byte, msg any) ([]byte, error) {
 
 // Unmarshal decodes a message produced by Marshal. A decoded report's group
 // keys and Rep strings alias buf, so the caller must not write buf while
-// the message is in use; every other field is copied out.
-func Unmarshal(buf []byte) (any, error) {
+// the message is in use; every other field is its own.
+func Unmarshal(buf []byte) (any, error) { return new(Decoder).Decode(buf) }
+
+// Decoder decodes messages as Unmarshal does, into memory it reuses: a
+// ReportBatch's report list is the decoder's own, its group lists, groups,
+// states and Rep values are cut from slabs that the next Decode rewinds,
+// and its keys and Rep strings alias the frame, so the batch is lent until
+// then. Raw rows,
+// drop records and every other message are fresh. A Decoder serves one
+// goroutine; its zero value is ready to use.
+type Decoder struct {
+	reports []agent.Report
+	lists   slab.Slab[*advice.Group]
+	groups  slab.Slab[advice.Group]
+	states  slab.Slab[agg.State]
+	values  slab.Slab[tuple.Value]
+}
+
+// Decode decodes one frame. Whatever the decoder lent for the previous
+// frame, and that frame's bytes, must no longer be in use.
+func (d *Decoder) Decode(buf []byte) (any, error) {
+	d.lists.Rewind()
+	d.groups.Rewind()
+	d.states.Rewind()
+	d.values.Rewind()
 	r := tuple.NewReader(buf)
-	msg := readMessage(&r)
+	msg := d.readMessage(&r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return msg, nil
 }
 
-func readMessage(r *tuple.Reader) any {
+func (d *Decoder) readMessage(r *tuple.Reader) any {
 	switch tag := r.Byte(); tag {
 	case TagInstall:
 		m := agent.Install{
@@ -576,12 +613,14 @@ func readMessage(r *tuple.Reader) any {
 	case TagStatusResponse:
 		return agent.StatusResponse{ID: r.String(), Text: r.String()}
 	case TagReportBatch:
+		// A report's place still holds the one an earlier frame put there,
+		// whose header strings readReport hands out again where they repeat.
 		n := r.Count()
-		m := agent.ReportBatch{Reports: make([]agent.Report, 0, n)}
-		for ; n > 0 && r.Err() == nil; n-- {
-			m.Reports = append(m.Reports, readReport(r))
+		d.reports = slices.Grow(d.reports[:0], n)[:n]
+		for i := 0; i < n && r.Err() == nil; i++ {
+			d.reports[i] = d.readReport(r, &d.reports[i])
 		}
-		return m
+		return agent.ReportBatch{Reports: d.reports}
 	case TagSpanBatch:
 		m := agent.SpanBatch{Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
 		n := r.Count()
@@ -623,7 +662,6 @@ type BusCodec struct{}
 // Append implements bus.Codec.
 func (BusCodec) Append(dst []byte, msg any) ([]byte, error) { return Append(dst, msg) }
 
-// Unmarshal implements bus.Codec. The result aliases data, as Unmarshal's
-// does; the bus reads every frame into a payload of its own and never
-// writes it after.
-func (BusCodec) Unmarshal(data []byte) (any, error) { return Unmarshal(data) }
+// Decoder implements bus.Codec with a Decoder of its own, so what it
+// decodes is lent until its next call.
+func (BusCodec) Decoder() func([]byte) (any, error) { return new(Decoder).Decode }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -637,6 +638,100 @@ func TestMergerKeepsNoBorrowedString(t *testing.T) {
 	}
 	if scribble(frame); snapshot(ms) != before {
 		t.Errorf("overwriting the frame changed what the mergers hold:\n%s\nwas\n%s", snapshot(ms), before)
+	}
+}
+
+// reuseFrames returns two ReportBatch frames of one query, GroupBy rep
+// Select rep, MIN, MAX, COUNT over strings, with raw rows and drop records:
+// A, with three groups, and B, with one of A's keys and one new. Their
+// strings differ, so a merger that kept anything of A's frame, or of the
+// memory A was decoded into, would show it once B has been decoded.
+func reuseFrames(t testing.TB) (a, b []byte) {
+	frame := func(tag string, keys ...string) []byte {
+		rep := agent.Report{QueryID: "Q-" + tag, Host: "host-" + tag, ProcName: "proc", Time: time.Second,
+			Raws:  []tuple.Tuple{{tuple.String("raw-" + tag), tuple.Int(1)}},
+			Drops: []baggage.DropRecord{{Slot: "slot", Key: "dropped-" + tag}},
+		}
+		for _, k := range keys {
+			minimum, maximum, count := agg.New(agg.Min), agg.New(agg.Max), agg.New(agg.Count)
+			minimum.Add(tuple.String("min-" + k + "-" + tag))
+			maximum.Add(tuple.String("max-" + k + "-" + tag))
+			count.Add(tuple.Null)
+			rep.Groups = append(rep.Groups, &advice.Group{
+				Key: "key-" + k, Rep: tuple.Tuple{tuple.String("rep-" + k + "-" + tag), tuple.String("x-" + tag)},
+				States: []agg.State{*minimum, *maximum, *count},
+			})
+		}
+		buf, err := Marshal(agent.ReportBatch{Reports: []agent.Report{rep}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	return frame("a", "k1", "k2", "k3"), frame("b", "k2", "k4")
+}
+
+// TestDecoderReuseLeavesMergedRowsIntact: a link reads every frame into
+// one buffer and decodes it with one Decoder, which cuts each frame's rows
+// from the memory of the last. A frontend's merger and a combiner tier's
+// fold frame A, then frame B, decoded that way; they must hold exactly
+// what they hold when each frame is decoded fresh by Unmarshal, and still
+// after the buffer is overwritten.
+func TestDecoderReuseLeavesMergedRowsIntact(t *testing.T) {
+	a, b := reuseFrames(t)
+	op := &advice.EmitOp{
+		Cols: []advice.EmitCol{{Pos: 0}, {IsAgg: true, Fn: agg.Min, Pos: 0}, {IsAgg: true, Fn: agg.Max, Pos: 0},
+			{IsAgg: true, Fn: agg.Count, Pos: -1}},
+		GroupBy: []int{0}, Schema: tuple.Schema{"rep", "MIN", "MAX", "COUNT"},
+	}
+	mergers := func() []*advice.Merger {
+		return []*advice.Merger{advice.NewMerger(op, advice.Unbounded), advice.NewMerger(nil, advice.Unbounded)}
+	}
+	var headers []string // a combiner keys its pending table by query id
+	merge := func(ms []*advice.Merger, decode func([]byte) (any, error), frame []byte) {
+		t.Helper()
+		msg, err := decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range msg.(agent.ReportBatch).Reports {
+			headers = append(headers, r.QueryID, r.Host, r.ProcName)
+			for _, m := range ms {
+				if _, err := m.Merge(r.Groups, r.Raws, r.Drops); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	state := func(ms []*advice.Merger) string {
+		var b strings.Builder
+		for _, m := range ms {
+			fmt.Fprintln(&b, m.Drops())
+		}
+		return snapshot(ms) + b.String()
+	}
+	fresh, reused := mergers(), mergers()
+	var d Decoder
+	buf := make([]byte, 0, max(len(a), len(b)))
+	for _, frame := range [][]byte{a, b} {
+		merge(fresh, Unmarshal, bytes.Clone(frame))
+		buf = append(buf[:0], frame...)
+		merge(reused, d.Decode, buf)
+	}
+	want := state(fresh)
+	for _, s := range []string{"rep-k1-a", "rep-k4-b", "max-k2-b", "raw-a", "dropped-b"} {
+		if !strings.Contains(want, s) {
+			t.Fatalf("the mergers hold\n%s\nwant every decoded row, raw and drop", want)
+		}
+	}
+	if got := state(reused); got != want {
+		t.Errorf("after a reusing decoder moved on to frame B, the mergers hold\n%s\nwant\n%s", got, want)
+	}
+	if scribble(buf); state(reused) != want {
+		t.Errorf("overwriting the reused buffer changed what the mergers hold:\n%s\nwant\n%s", state(reused), want)
+	}
+	if want := strings.Repeat("Q-a host-a proc ", 2) + strings.Repeat("Q-b host-b proc ", 2); strings.Join(headers, " ")+" " != want {
+		t.Errorf("report headers read %q after the buffer was overwritten, want %q", headers, want)
 	}
 }
 

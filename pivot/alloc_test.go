@@ -137,9 +137,11 @@ func TestAllocsTreePack(t *testing.T) {
 // BenchmarkWideReport: one crossing per key in a worker, Flush, the report
 // frame through the wire codec, the frontend's merge, Rows(). A row is no
 // object of its own. Groups, states, values and the bytes of keys and Rep
-// strings come out of slabs where a merger creates a row; a decoded frame's
-// keys and Rep strings borrow the frame; a merge into a row the frontend
-// holds allocates nothing; and Rows() is two objects however many rows it
+// strings come out of slabs where a merger creates a row; the frame is
+// decoded, as a link decodes it, by one wire.Decoder that cuts its groups,
+// states and values from the memory of the last frame, and its keys and
+// Rep strings borrow the frame; a merge into a row the frontend holds
+// allocates nothing; and Rows() is two objects however many rows it
 // returns. Frames, tables and chunks add hundredths per row.
 func TestAllocsWideRound(t *testing.T) {
 	const rows = 8192
@@ -147,12 +149,13 @@ func TestAllocsWideRound(t *testing.T) {
 	tp := worker.Define("Svc.Handle", "key", "v")
 	front.Define("Svc.Handle", "key", "v")
 	front.Bus.Subscribe(agent.ControlTopic, func(msg any) { worker.Bus.Publish(agent.ControlTopic, msg) })
+	var dec wire.Decoder // kept across rounds, as a link keeps its own
 	worker.Bus.Subscribe(agent.ResultsTopic, func(msg any) {
 		frame, err := wire.Marshal(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := wire.Unmarshal(frame)
+		decoded, err := dec.Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
