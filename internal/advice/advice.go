@@ -207,26 +207,7 @@ func (p *Program) WorkingSchema() tuple.Schema {
 //	A2: OBSERVE delta
 //	    UNPACK procName
 //	    EMIT procName, SUM(delta)
-func (p *Program) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "OBSERVE %s", join(p.ObserveFields))
-	for _, u := range p.Unpacks {
-		fmt.Fprintf(&b, "\nUNPACK %s", join(u.Fields))
-	}
-	for _, f := range p.Filters {
-		fmt.Fprintf(&b, "\nFILTER %s", f.Source())
-	}
-	for _, c := range p.Computes {
-		fmt.Fprintf(&b, "\nCOMPUTE %s", c.Source())
-	}
-	if p.Pack != nil {
-		fmt.Fprintf(&b, "\nPACK%s %s", packKind(p.Pack.Spec), describePack(p.Pack.Spec))
-	}
-	if p.Emit != nil {
-		fmt.Fprintf(&b, "\nEMIT %s", join(p.Emit.Schema))
-	}
-	return b.String()
-}
+func (p *Program) String() string { return p.render(nil) }
 
 // AnnotatedString renders the program like String but with live execution
 // counters attached to each operator line — the EXPLAIN ANALYZE view of the
@@ -235,40 +216,59 @@ func (p *Program) String() string {
 // summed across UNPACKs. Reading the atomics is racy-but-monotonic; callers
 // typically render after a flush quiesces the workload.
 func (p *Program) AnnotatedString() string {
+	c := p.CostSnapshot()
+	return p.render(&c)
+}
+
+// CostSnapshot loads the program's live counters.
+func (p *Program) CostSnapshot() Costs[int64] {
+	var c Costs[int64]
+	live, vals := p.Cost.Values(), c.Values()
+	for i := range live {
+		vals[i] = live[i].Load()
+	}
+	return c
+}
+
+// render writes the program one operator per line, each line followed by
+// its counters from c unless c is nil.
+func (p *Program) render(c *Costs[int64]) string {
 	var b strings.Builder
-	inv := p.Cost.Invocations.Load()
-	sampled := p.Cost.Sampled.Load()
-	fmt.Fprintf(&b, "OBSERVE %s", join(p.ObserveFields))
-	annotate(&b, counter{"fires", inv}, counter{"sampled", sampled})
-	joinDrops := p.Cost.DroppedByJoin.Load()
-	for i, u := range p.Unpacks {
-		fmt.Fprintf(&b, "\nUNPACK %s", join(u.Fields))
-		if i == 0 {
-			annotate(&b, counter{"join-drops", joinDrops})
+	var n Costs[int64]
+	if c != nil {
+		n = *c
+	}
+	op := func(text string, cs ...counter) {
+		if b.Len() > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(text)
+		if c != nil && len(cs) > 0 {
+			annotate(&b, cs...)
 		}
 	}
-	filtered := p.Cost.TuplesFiltered.Load()
-	for i, f := range p.Filters {
-		fmt.Fprintf(&b, "\nFILTER %s", f.Source())
-		if i == 0 {
-			annotate(&b, counter{"filtered", filtered})
-		}
+	op("OBSERVE "+join(p.ObserveFields), counter{"fires", n.Invocations}, counter{"sampled", n.Sampled})
+	// A stage's counters annotate its first line only.
+	stage := []counter{{"join-drops", n.DroppedByJoin}}
+	for _, u := range p.Unpacks {
+		op("UNPACK "+join(u.Fields), stage...)
+		stage = nil
 	}
-	for _, c := range p.Computes {
-		fmt.Fprintf(&b, "\nCOMPUTE %s", c.Source())
+	stage = []counter{{"filtered", n.TuplesFiltered}}
+	for _, f := range p.Filters {
+		op("FILTER "+f.Source().String(), stage...)
+		stage = nil
+	}
+	for _, e := range p.Computes {
+		op("COMPUTE " + e.Source().String())
 	}
 	if p.Pack != nil {
-		fmt.Fprintf(&b, "\nPACK%s %s", packKind(p.Pack.Spec), describePack(p.Pack.Spec))
-		annotate(&b,
-			counter{"packed", p.Cost.TuplesPacked.Load()},
-			counter{"bytes", p.Cost.PackedBytes.Load()},
-			counter{"refused", p.Cost.PackRefused.Load()},
-			counter{"evicted", p.Cost.PackEvictedTuples.Load()},
-		)
+		op("PACK"+packKind(p.Pack.Spec)+" "+describePack(p.Pack.Spec),
+			counter{"packed", n.TuplesPacked}, counter{"bytes", n.PackedBytes},
+			counter{"refused", n.PackRefused}, counter{"evicted", n.PackEvictedTuples})
 	}
 	if p.Emit != nil {
-		fmt.Fprintf(&b, "\nEMIT %s", join(p.Emit.Schema))
-		annotate(&b, counter{"emitted", p.Cost.TuplesEmitted.Load()})
+		op("EMIT "+join(p.Emit.Schema), counter{"emitted", n.TuplesEmitted})
 	}
 	return b.String()
 }
@@ -346,21 +346,28 @@ type Emitter interface {
 	EmitTuple(p *Program, w tuple.Tuple)
 }
 
-// WeightedEmitter is an optional Emitter extension for request-level
-// sampling: tuples from a sampled request are delivered with their
-// inverse-rate weight so COUNT/SUM aggregate to unbiased estimates.
-// Emitters without it receive the tuples unweighted (and the results
-// silently under-count — agents always implement this).
-type WeightedEmitter interface {
-	// EmitTupleWeighted is EmitTuple with a sampling weight (> 1).
+// Host is an Emitter that also hears everything else advice reports; the
+// agent implements it. An Emitter that is not a Host gets sampled tuples
+// unweighted (its results under-count) and none of the notes.
+type Host interface {
+	Emitter
+	// EmitTupleWeighted is EmitTuple with a sampling weight (> 1): tuples
+	// of a sampled request carry their inverse-rate weight so COUNT/SUM
+	// aggregate to unbiased estimates.
 	EmitTupleWeighted(p *Program, w tuple.Tuple, weight float64)
-}
-
-// SampleSink is an optional Emitter extension notified when advice
-// suppresses a crossing because the request's sampling decision said
-// "not sampled" — the agent's drop accounting for sampled-out work.
-type SampleSink interface {
+	// NoteSampledOut: a crossing was suppressed because the request's
+	// sampling decision said "not sampled".
 	NoteSampledOut(p *Program)
+	// NoteBaggageDrops hands over the eviction tombstones advice found in
+	// the baggage, so truncated results are flagged partial end-to-end.
+	NoteBaggageDrops(p *Program, recs []baggage.DropRecord)
+	// NotePackStats reports the budget evictions of one of this
+	// process's packs. Each eviction is reported at exactly one pack
+	// site, so per-process sums are exact.
+	NotePackStats(p *Program, st baggage.PackStats)
+	// NoteQuarantine: the program tripped its circuit breaker. It fires
+	// exactly once per program.
+	NoteQuarantine(p *Program, reason string)
 }
 
 // Advice is a woven instance of a program bound to an emitter. It
@@ -392,8 +399,8 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		if r, ok := bag.SampleRate(p.QueryID); ok {
 			if r <= 0 {
 				p.Cost.Sampled.Add(1)
-				if ss, ok := a.Emitter.(SampleSink); ok {
-					ss.NoteSampledOut(p)
+				if h, ok := a.Emitter.(Host); ok {
+					h.NoteSampledOut(p)
 				}
 				return
 			}
@@ -429,9 +436,9 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 	// slot makes the join below drop this fire entirely, and the drop
 	// accounting must survive exactly that case.
 	if bag != nil && len(p.Unpacks) > 0 {
-		if ds, ok := a.Emitter.(DropSink); ok {
+		if h, ok := a.Emitter.(Host); ok {
 			if recs := bag.DropRecords(p.QueryID); len(recs) > 0 {
-				ds.NoteBaggageDrops(p, recs)
+				h.NoteBaggageDrops(p, recs)
 			}
 		}
 	}
@@ -525,17 +532,17 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 			p.Cost.PackEvictedGroups.Add(st.EvictedGroups)
 			p.Cost.PackEvictedTuples.Add(st.EvictedTuples)
 			p.Cost.PackEvictedBytes.Add(st.EvictedBytes)
-			if ps, ok := a.Emitter.(PackStatsSink); ok {
-				ps.NotePackStats(p, st)
+			if h, ok := a.Emitter.(Host); ok {
+				h.NotePackStats(p, st)
 			}
 		}
 	}
 
 	// EMIT
 	if p.Emit != nil && a.Emitter != nil {
-		if we, ok := a.Emitter.(WeightedEmitter); ok && weight != 1 {
+		if h, ok := a.Emitter.(Host); ok && weight != 1 {
 			for _, w := range working {
-				we.EmitTupleWeighted(p, w, weight)
+				h.EmitTupleWeighted(p, w, weight)
 			}
 		} else {
 			for _, w := range working {

@@ -1,6 +1,7 @@
 package advice
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -51,27 +52,9 @@ const (
 // key space (keys are encoded tuple values, which never start with NUL).
 const OverflowKey = "\x00overflow"
 
-func (l Limits) maxGroups() int {
-	switch {
-	case l.MaxGroups < 0:
-		return -1
-	case l.MaxGroups == 0:
-		return DefaultMaxGroups
-	default:
-		return l.MaxGroups
-	}
-}
+func (l Limits) maxGroups() int { return cmp.Or(l.MaxGroups, DefaultMaxGroups) }
 
-func (l Limits) maxRaws() int {
-	switch {
-	case l.MaxRaws < 0:
-		return -1
-	case l.MaxRaws == 0:
-		return DefaultMaxRaws
-	default:
-		return l.MaxRaws
-	}
-}
+func (l Limits) maxRaws() int { return cmp.Or(l.MaxRaws, DefaultMaxRaws) }
 
 // Merger is the report-merge algebra, written once: partial groups in
 // first-seen order, raw rows, a set of baggage eviction tombstones, and

@@ -1,6 +1,7 @@
 package advice
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -34,49 +35,9 @@ const (
 	DefaultCostCeiling = 1 << 16
 )
 
-func (s Safety) faultLimit() int64 {
-	switch {
-	case s.FaultLimit < 0:
-		return -1
-	case s.FaultLimit == 0:
-		return DefaultFaultLimit
-	default:
-		return s.FaultLimit
-	}
-}
+func (s Safety) faultLimit() int64 { return cmp.Or(s.FaultLimit, DefaultFaultLimit) }
 
-func (s Safety) costCeiling() int64 {
-	switch {
-	case s.CostCeiling < 0:
-		return -1
-	case s.CostCeiling == 0:
-		return DefaultCostCeiling
-	default:
-		return s.CostCeiling
-	}
-}
-
-// QuarantineNotifier is optionally implemented by an Emitter that wants to
-// hear when a program trips its circuit breaker; the agent implements it
-// to unweave the advice and publish a pt.quarantine notice. The notifier
-// fires exactly once per program.
-type QuarantineNotifier interface {
-	NoteQuarantine(p *Program, reason string)
-}
-
-// DropSink is optionally implemented by an Emitter that wants the baggage
-// eviction tombstones observed by advice, so truncated results can be
-// flagged partial end-to-end; the agent implements it.
-type DropSink interface {
-	NoteBaggageDrops(p *Program, recs []baggage.DropRecord)
-}
-
-// PackStatsSink is optionally implemented by an Emitter that wants the
-// budget-eviction statistics of this process's pack sites. Each eviction
-// is reported at exactly one pack site, so per-process sums are exact.
-type PackStatsSink interface {
-	NotePackStats(p *Program, st baggage.PackStats)
-}
+func (s Safety) costCeiling() int64 { return cmp.Or(s.CostCeiling, DefaultCostCeiling) }
 
 // failpoint, when set, runs at the top of every non-quarantined advice
 // invocation. The declarative pipeline cannot naturally panic or run
@@ -128,7 +89,7 @@ func (a *Advice) quarantine(reason string) {
 		return
 	}
 	p.quarantineReason.Store(&reason)
-	if qn, ok := a.Emitter.(QuarantineNotifier); ok {
-		qn.NoteQuarantine(p, reason)
+	if h, ok := a.Emitter.(Host); ok {
+		h.NoteQuarantine(p, reason)
 	}
 }

@@ -10,13 +10,20 @@ import (
 	"repro/internal/tuple"
 )
 
-// safetyEmitter records emissions plus the optional governance callbacks.
+// safetyEmitter is a Host that records emissions plus the governance
+// callbacks.
 type safetyEmitter struct {
 	collectEmitter
 	quarantined []string
 	drops       []baggage.DropRecord
 	packStats   baggage.PackStats
 }
+
+func (s *safetyEmitter) EmitTupleWeighted(p *Program, w tuple.Tuple, _ float64) {
+	s.EmitTuple(p, w)
+}
+
+func (s *safetyEmitter) NoteSampledOut(p *Program) {}
 
 func (s *safetyEmitter) NoteQuarantine(p *Program, reason string) {
 	s.quarantined = append(s.quarantined, reason)
@@ -201,6 +208,26 @@ func TestAccumulatorDefaultLimitsAreOn(t *testing.T) {
 	l = Limits{MaxGroups: -1, MaxRaws: -1}
 	if l.maxGroups() != -1 || l.maxRaws() != -1 {
 		t.Fatal("negative limits should disable the caps")
+	}
+	// Any negative value disables a cap, not just -1.
+	l = Limits{MaxGroups: -7, MaxRaws: -7}
+	groups, raws := NewAccumulator(aggOp()), NewAccumulator(rawOp())
+	groups.SetLimits(l)
+	raws.SetLimits(l)
+	for i, k := range []string{"a", "b", "c"} {
+		groups.Add(kvRow(k, int64(i)))
+		raws.Add(kvRow(k, int64(i)))
+	}
+	for _, g := range groups.Groups() {
+		if g.Key == OverflowKey {
+			t.Fatal("MaxGroups -7 made an overflow group")
+		}
+	}
+	if groups.GroupsOverflowed() != 0 || len(groups.Groups()) != 3 {
+		t.Fatalf("MaxGroups -7: %d groups, %d overflowed", len(groups.Groups()), groups.GroupsOverflowed())
+	}
+	if raws.RawsDropped() != 0 || len(raws.Raws()) != 3 {
+		t.Fatalf("MaxRaws -7: %d raws, %d dropped", len(raws.Raws()), raws.RawsDropped())
 	}
 }
 

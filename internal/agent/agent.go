@@ -132,9 +132,11 @@ type metaPoint struct {
 // EnableSpans turns on causal span capture in this process: a bounded
 // ring Recorder (see internal/spans) is attached to the registry as the
 // span sink, and every Flush drains it into SpanBatch frames on
-// TraceTopic — plus per-query ExplainStats snapshots. seed must be unique
-// per process (the pivot layer uses procID<<32) so minted span ids never
-// collide; capacity bounds the ring (<= 0 selects DefaultSpanBuffer).
+// TraceTopic — plus per-query ExplainStats snapshots. seed's high 32 bits
+// must be unique per recorder and its low 32 zero, since the recorder
+// counts span ids up from it: the pivot layer draws them at random, a
+// simulated cluster uses procID<<32. capacity bounds the ring (<= 0
+// selects DefaultSpanBuffer).
 func (a *Agent) EnableSpans(seed uint64, capacity int) *spans.Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanBuffer
@@ -157,9 +159,8 @@ type queryState struct {
 	wovenTPs map[string]bool
 
 	limits advice.Limits
-	ttl    time.Duration // lease duration; 0 = immortal
-	expiry time.Duration // agent-clock deadline; 0 = immortal
-	tenant string        // owning tenant frontend; "" = primary
+	lease  Lease
+	tenant string // owning tenant frontend; "" = primary
 	drops  baggage.DropSet
 	sample *sampled // nil = exact
 }
@@ -180,7 +181,7 @@ func New(env *simtime.Env, proc tracepoint.ProcInfo, reg *tracepoint.Registry, b
 	}
 	a := &Agent{
 		env: env, proc: proc, reg: reg, bus: b, interval: interval,
-		queries: make(map[string]*queryState),
+		queries: make(map[string]*queryState), retainCap: DefaultRetention,
 	}
 	a.nextTick = a.now() + interval
 	a.rebuildViewLocked()
@@ -234,10 +235,8 @@ func (a *Agent) install(m Install) {
 	if _, ok := a.queries[m.QueryID]; ok {
 		return // already installed
 	}
-	qs := &queryState{programs: m.Programs, wovenTPs: make(map[string]bool), limits: m.Limits, ttl: m.TTL, tenant: m.Tenant}
-	if m.TTL > 0 {
-		qs.expiry = a.now() + m.TTL
-	}
+	qs := &queryState{programs: m.Programs, wovenTPs: make(map[string]bool), limits: m.Limits, tenant: m.Tenant}
+	qs.lease.Renew(m.TTL, a.now(), 1)
 	for _, prog := range m.Programs {
 		if r := advice.ClampRate(prog.SampleRate); r > 0 {
 			qs.sample = &sampled{id: m.QueryID, base: r, eff: r}
@@ -336,6 +335,9 @@ func (a *Agent) uninstall(queryID string) {
 	a.rebuildViewLocked()
 }
 
+// The agent is the advice host: every note advice makes reaches it.
+var _ advice.Host = (*Agent)(nil)
+
 // EmitTuple implements advice.Emitter: process-local aggregation. This is
 // the hot path — every advice fire that reaches EMIT lands here — so it
 // takes no agent lock: the query resolves through the copy-on-write view,
@@ -343,7 +345,7 @@ func (a *Agent) uninstall(queryID string) {
 // accumulator's own lock.
 func (a *Agent) EmitTuple(p *advice.Program, w tuple.Tuple) { a.EmitTupleWeighted(p, w, 1) }
 
-// NoteQuarantine implements advice.QuarantineNotifier: the program's
+// NoteQuarantine implements advice.Host: the program's
 // circuit breaker tripped in this process. The agent unweaves just that
 // program (the query's advice at other tracepoints keeps running),
 // records the event, and publishes a pt.quarantine notice — all outside
@@ -374,7 +376,7 @@ func (a *Agent) NoteQuarantine(p *advice.Program, reason string) {
 	})
 }
 
-// NoteBaggageDrops implements advice.DropSink: advice observed baggage
+// NoteBaggageDrops implements advice.Host: advice observed baggage
 // eviction tombstones for its query. Tombstones are globally unique per
 // evicted group, so a dedup set per query makes the next report's Drops
 // exact even when many fires see the same tombstones.
@@ -388,7 +390,7 @@ func (a *Agent) NoteBaggageDrops(p *advice.Program, recs []baggage.DropRecord) {
 	qs.drops.Add(recs...)
 }
 
-// NotePackStats implements advice.PackStatsSink: budget evictions
+// NotePackStats implements advice.Host: budget evictions
 // performed at this process's pack sites. Each eviction happens at
 // exactly one pack site, so summing across agents is exact.
 func (a *Agent) NotePackStats(p *advice.Program, st baggage.PackStats) {

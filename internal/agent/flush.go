@@ -286,10 +286,5 @@ func (a *Agent) publishExplain(out []flushed, now time.Duration) {
 
 // opStats snapshots one program's live operator counters.
 func opStats(prog *advice.Program) OpStats {
-	op := OpStats{Tracepoint: prog.Tracepoint}
-	live, vals := prog.Cost.Values(), op.Values()
-	for i := range live {
-		vals[i] = live[i].Load()
-	}
-	return op
+	return OpStats{Tracepoint: prog.Tracepoint, Costs: prog.CostSnapshot()}
 }

@@ -5,6 +5,27 @@ import (
 	"time"
 )
 
+// Lease is a query's lease on one process's clock: the agent holds one per
+// installed query, a delivering combiner one per tenant route.
+type Lease struct {
+	TTL    time.Duration // lease duration; 0 = immortal
+	Expiry time.Duration // deadline; 0 = never
+}
+
+// Renew restarts the lease from now for grace durations. A ttl <= 0 keeps
+// the current duration, so a lease without one stays immortal.
+func (l *Lease) Renew(ttl, now time.Duration, grace int) {
+	if ttl > 0 {
+		l.TTL = ttl
+	}
+	if l.TTL > 0 {
+		l.Expiry = now + time.Duration(grace)*l.TTL
+	}
+}
+
+// Lapsed reports whether the lease has a deadline and now has reached it.
+func (l Lease) Lapsed(now time.Duration) bool { return l.Expiry > 0 && now >= l.Expiry }
+
 // renew extends the lease of the listed queries from the agent's own
 // clock. TTL == 0 keeps each query's current lease duration; a query
 // installed without a lease stays immortal unless the renewal carries an
@@ -14,19 +35,9 @@ func (a *Agent) renew(m Renew) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, id := range m.QueryIDs {
-		qs, ok := a.queries[id]
-		if !ok {
-			continue
+		if qs, ok := a.queries[id]; ok {
+			qs.lease.Renew(m.TTL, now, 1)
 		}
-		ttl := m.TTL
-		if ttl <= 0 {
-			ttl = qs.ttl
-		}
-		if ttl <= 0 {
-			continue
-		}
-		qs.ttl = ttl
-		qs.expiry = now + ttl
 	}
 }
 
@@ -38,7 +49,7 @@ func (a *Agent) expireLeases() {
 	a.mu.Lock()
 	var expired []string
 	for id, qs := range a.queries {
-		if qs.expiry > 0 && now >= qs.expiry {
+		if qs.lease.Lapsed(now) {
 			expired = append(expired, id)
 		}
 	}
@@ -56,7 +67,7 @@ func (a *Agent) LeaseDeadline(queryID string) time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if qs, ok := a.queries[queryID]; ok {
-		return qs.expiry
+		return qs.lease.Expiry
 	}
 	return 0
 }

@@ -18,12 +18,8 @@ func (a *Agent) SetRetention(capacity int) {
 // ReportsDropped — if the ring is full.
 func (a *Agent) Retain(r Report) {
 	a.retainMu.Lock()
-	limit := a.retainCap
-	if limit <= 0 {
-		limit = DefaultRetention
-	}
 	evicted := 0
-	for len(a.retained) >= limit {
+	for len(a.retained) >= a.retainCap {
 		a.retained = append(a.retained[:0], a.retained[1:]...)
 		evicted++
 	}

@@ -23,7 +23,7 @@ type sampled struct {
 // sampled requests, but never silences the query entirely.
 const backoffFloor = 64
 
-// EmitTupleWeighted implements advice.WeightedEmitter: EmitTuple for a
+// EmitTupleWeighted implements advice.Host: EmitTuple for a
 // tuple from a sampled request, carrying its inverse-rate weight into
 // the accumulator so COUNT/SUM aggregate to unbiased estimates. A query
 // whose accumulator is missing has no emitting program woven here, so the
@@ -43,7 +43,7 @@ func (a *Agent) EmitTupleWeighted(p *advice.Program, w tuple.Tuple, weight float
 	}
 }
 
-// NoteSampledOut implements advice.SampleSink: a crossing was suppressed
+// NoteSampledOut implements advice.Host: a crossing was suppressed
 // by the request's sampling decision.
 func (a *Agent) NoteSampledOut(p *advice.Program) {
 	a.live.SampledOut.Add(1)

@@ -1,6 +1,7 @@
 package baggage
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -72,29 +73,11 @@ type Budget struct {
 	MaxTuples int
 }
 
-// maxBytes resolves the byte cap: -1 means unlimited.
-func (b Budget) maxBytes() int {
-	switch {
-	case b.MaxBytes < 0:
-		return -1
-	case b.MaxBytes == 0:
-		return DefaultMaxBytes
-	default:
-		return b.MaxBytes
-	}
-}
+// maxBytes resolves the byte cap: negative means unlimited.
+func (b Budget) maxBytes() int { return cmp.Or(b.MaxBytes, DefaultMaxBytes) }
 
-// maxTuples resolves the tuple cap: -1 means unlimited.
-func (b Budget) maxTuples() int {
-	switch {
-	case b.MaxTuples < 0:
-		return -1
-	case b.MaxTuples == 0:
-		return DefaultMaxTuples
-	default:
-		return b.MaxTuples
-	}
-}
+// maxTuples resolves the tuple cap: negative means unlimited.
+func (b Budget) maxTuples() int { return cmp.Or(b.MaxTuples, DefaultMaxTuples) }
 
 // DropRecord is one eviction tombstone: the slot it applies to and the
 // evicted group key ("" for a whole-slot eviction of a non-AGG set). Keys

@@ -37,6 +37,15 @@ func TestBudgetDefaultsAndResolution(t *testing.T) {
 	if b.maxBytes() != 10 || b.maxTuples() != 3 {
 		t.Fatalf("explicit budget not honored")
 	}
+	// Any negative value disables a cap, not just -1.
+	bag := New()
+	var st PackStats
+	for i := 0; i < 8; i++ {
+		st.Add(bag.PackBudgeted("q1", "q1.a", aggSpec(), Budget{MaxBytes: -7, MaxTuples: -7}, kv(fmt.Sprintf("k%d", i), 1)))
+	}
+	if st.Packed != 8 || st.EvictedGroups != 0 || len(bag.DropRecords("")) > 0 {
+		t.Fatalf("budget -7 evicted: stats %+v", st)
+	}
 }
 
 func TestPackBudgetedNoEvictionUnderBudget(t *testing.T) {

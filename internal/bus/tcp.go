@@ -200,10 +200,9 @@ func (sc *serverConn) enqueue(f frame) bool {
 }
 
 // Server is the central pub/sub relay: every frame received from one
-// connection is forwarded to all other connections, asynchronously via
-// per-connection outbound queues. Subscription filtering happens
-// client-side (the deployments are small; the paper's pub/sub server is
-// likewise a simple hub).
+// connection is forwarded to the other connections that announced its
+// topic (see SubscribeTopic), asynchronously via per-connection outbound
+// queues; a frame no connection wants is parked for the next subscriber.
 type Server struct {
 	ln net.Listener
 

@@ -55,12 +55,11 @@ type Config struct {
 }
 
 // route is what the delivering tier remembers of one tenant-owned query.
-// It is leased like the query itself (agent/leases.go) so a tenant that
-// dies without uninstalling does not stay in the table forever.
+// It holds the query's agent.Lease, on the combiner's clock, so a tenant
+// that dies without uninstalling does not stay in the table forever.
 type route struct {
 	tenant string
-	ttl    time.Duration // the install's lease; 0 = immortal
-	expiry time.Duration // on the combiner's clock; 0 = never
+	lease  agent.Lease
 }
 
 // routeGrace is how many lease durations a route outlives its last
@@ -68,13 +67,6 @@ type route struct {
 // flight below this tier one more later, so no tail frame of a dead
 // tenant is misdelivered onto the shared results topic.
 const routeGrace = 2
-
-// arm restarts the route's lease from now.
-func (r *route) arm(now time.Duration) {
-	if r.ttl > 0 {
-		r.expiry = now + routeGrace*r.ttl
-	}
-}
 
 // Combiner is one aggregation-tier process. It merges every Report and
 // ReportBatch arriving on its subscribed topics into per-query state and
@@ -154,21 +146,16 @@ func (c *Combiner) onControl(msg any) {
 	switch m := msg.(type) {
 	case agent.Install:
 		if m.Tenant != "" {
-			r := route{tenant: m.Tenant, ttl: m.TTL}
-			r.arm(now)
+			r := route{tenant: m.Tenant}
+			r.lease.Renew(m.TTL, now, routeGrace)
 			c.routes[m.QueryID] = r
 		}
 	case agent.Renew:
 		for _, id := range m.QueryIDs {
-			r, ok := c.routes[id]
-			if !ok {
-				continue
+			if r, ok := c.routes[id]; ok {
+				r.lease.Renew(m.TTL, now, routeGrace)
+				c.routes[id] = r
 			}
-			if m.TTL > 0 {
-				r.ttl = m.TTL
-			}
-			r.arm(now)
-			c.routes[id] = r
 		}
 	case agent.Uninstall:
 		delete(c.routes, m.QueryID)
@@ -274,7 +261,7 @@ func (c *Combiner) Flush() {
 		c.live.RowsReported.Add(int64(len(r.Groups) + len(r.Raws)))
 	}
 	for id, r := range c.routes {
-		if r.expiry > 0 && now >= r.expiry {
+		if r.lease.Lapsed(now) {
 			delete(c.routes, id)
 		}
 	}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -231,12 +232,7 @@ func (pt *PivotTracing) InstallNamed(name, text string, opts plan.Options) (*Ins
 	}
 	// Leases default on: a frontend that dies stops renewing, and agents
 	// shed its queries. Negative opts.Lease opts out (TTL 0 = immortal).
-	lease := opts.Lease
-	if lease == 0 {
-		lease = agent.DefaultLease
-	} else if lease < 0 {
-		lease = 0
-	}
+	lease := max(cmp.Or(opts.Lease, agent.DefaultLease), 0)
 	h := &Installed{
 		pt:          pt,
 		Name:        name,

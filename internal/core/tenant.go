@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"repro/internal/advice"
 	"repro/internal/agent"
 	"repro/internal/baggage"
@@ -81,18 +82,6 @@ func FairShare(total, share int) int {
 	return 1
 }
 
-// fairLimit resolves a limit field (0 = def, negative = unlimited) and
-// then fair-shares it.
-func fairLimit(v, def, share int) int {
-	if v < 0 {
-		return v
-	}
-	if v == 0 {
-		v = def
-	}
-	return FairShare(v, share)
-}
-
 // applyFairShare scales an install's accumulator limits and baggage
 // budget to this frontend's tenant slice. Explicit negative (unlimited)
 // settings are respected; zero (default) fields are resolved to their
@@ -102,10 +91,10 @@ func (pt *PivotTracing) applyFairShare(limits *advice.Limits, budget *baggage.Bu
 	if pt.share <= 1 {
 		return
 	}
-	limits.MaxGroups = fairLimit(limits.MaxGroups, advice.DefaultMaxGroups, pt.share)
-	limits.MaxRaws = fairLimit(limits.MaxRaws, advice.DefaultMaxRaws, pt.share)
-	budget.MaxBytes = fairLimit(budget.MaxBytes, baggage.DefaultMaxBytes, pt.share)
-	budget.MaxTuples = fairLimit(budget.MaxTuples, baggage.DefaultMaxTuples, pt.share)
+	limits.MaxGroups = FairShare(cmp.Or(limits.MaxGroups, advice.DefaultMaxGroups), pt.share)
+	limits.MaxRaws = FairShare(cmp.Or(limits.MaxRaws, advice.DefaultMaxRaws), pt.share)
+	budget.MaxBytes = FairShare(cmp.Or(budget.MaxBytes, baggage.DefaultMaxBytes), pt.share)
+	budget.MaxTuples = FairShare(cmp.Or(budget.MaxTuples, baggage.DefaultMaxTuples), pt.share)
 }
 
 // TenantStatus is one tenant's fleet-wide quota usage, aggregated from

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"strings"
 	"testing"
@@ -36,6 +37,9 @@ func TestFairShare(t *testing.T) {
 	}
 }
 
+// TestFairLimitResolvesDefaults: applyFairShare resolves a zero limit to
+// its default before splitting it. A single tenant leaves the field as it
+// is, for the agent to resolve the same way (zero selects def).
 func TestFairLimitResolvesDefaults(t *testing.T) {
 	cases := []struct {
 		v, def, share, want int
@@ -46,8 +50,11 @@ func TestFairLimitResolvesDefaults(t *testing.T) {
 		{0, 16384, 1, 16384},
 	}
 	for _, c := range cases {
-		if got := fairLimit(c.v, c.def, c.share); got != c.want {
-			t.Errorf("fairLimit(%d, %d, %d) = %d, want %d", c.v, c.def, c.share, got, c.want)
+		pt := &PivotTracing{share: c.share}
+		limits := advice.Limits{MaxGroups: c.v}
+		pt.applyFairShare(&limits, &baggage.Budget{})
+		if got := cmp.Or(limits.MaxGroups, c.def); got != c.want {
+			t.Errorf("applyFairShare(MaxGroups %d, share %d) resolves to %d, want %d", c.v, c.share, got, c.want)
 		}
 	}
 }

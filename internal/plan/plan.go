@@ -73,29 +73,23 @@ type Plan struct {
 
 // Explain renders the plan in the paper's advice notation: one block per
 // woven tracepoint, upstream advice first.
-func (p *Plan) Explain() string {
-	var b strings.Builder
-	for i, prog := range p.Programs {
-		if i > 0 {
-			b.WriteString("\n\n")
-		}
-		fmt.Fprintf(&b, "A%d at %s:\n%s", i+1, prog.Tracepoint, prog.String())
-	}
-	return b.String()
-}
+func (p *Plan) Explain() string { return p.explain((*advice.Program).String) }
 
 // ExplainAnalyze renders the compiled advice like Explain, but with each
 // operator annotated by its live execution counters (advice.Cost) — the
 // per-operator half of EXPLAIN ANALYZE. Counters are shared by every woven
 // copy of a program within this OS process; in a TCP-distributed deployment
 // the agent-shipped ExplainStats carry each worker's counters instead.
-func (p *Plan) ExplainAnalyze() string {
+func (p *Plan) ExplainAnalyze() string { return p.explain((*advice.Program).AnnotatedString) }
+
+// explain writes one block per program, each rendered by render.
+func (p *Plan) explain(render func(*advice.Program) string) string {
 	var b strings.Builder
 	for i, prog := range p.Programs {
 		if i > 0 {
 			b.WriteString("\n\n")
 		}
-		fmt.Fprintf(&b, "A%d at %s:\n%s", i+1, prog.Tracepoint, prog.AnnotatedString())
+		fmt.Fprintf(&b, "A%d at %s:\n%s", i+1, prog.Tracepoint, render(prog))
 	}
 	return b.String()
 }

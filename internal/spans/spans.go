@@ -13,8 +13,10 @@
 //
 // Span ids are minted locally (no coordination): a splitmix64 finalizer over
 // a per-recorder seed plus a counter. The finalizer is a bijection on
-// uint64, so recorders with disjoint (seed + counter) ranges — the agent
-// seeds each recorder with procID<<32 — can never collide.
+// uint64, so recorders with disjoint (seed + counter) ranges never collide:
+// each seed owns the high 32 bits and the counter counts in the low 32 —
+// random high bits per runtime in the pivot layer, procID<<32 in a
+// simulated cluster.
 package spans
 
 import (
@@ -73,11 +75,8 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder minting ids from seed with a ring of the
-// given capacity (minimum 1).
+// given capacity, which must be positive.
 func NewRecorder(seed uint64, capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Recorder{seed: seed, ring: make([]Span, 0, capacity)}
 }
 

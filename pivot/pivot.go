@@ -29,6 +29,8 @@ package pivot
 
 import (
 	"context"
+	"math"
+	"math/rand/v2"
 	"net"
 	"os"
 	"sync"
@@ -197,10 +199,6 @@ func (pt *PT) EnableSelfTelemetry() *telemetry.Registry {
 	return tel
 }
 
-// spanSeedSeq disambiguates span-ID seeds when several runtimes share one
-// OS process (tests, simulated clusters): same PID, distinct streams.
-var spanSeedSeq atomic.Uint64
-
 // EnableSpans turns on causal span capture for this runtime: every
 // tracepoint crossing on a baggage-carrying context records a span (in a
 // bounded ring of the given capacity; <= 0 selects the default), batches
@@ -210,8 +208,10 @@ var spanSeedSeq atomic.Uint64
 // Query.ExplainAnalyze). The disabled path costs nothing: until this is
 // called, crossings never touch the span machinery.
 func (pt *PT) EnableSpans(capacity int) *spans.Builder {
-	seed := uint64(pt.info.ProcID)<<32 | spanSeedSeq.Add(1)
-	pt.Agent.EnableSpans(seed, capacity)
+	// Random high bits keep the span ids of runtimes sharing one OS
+	// process (tests, embedded tenants) apart; the recorder's counter
+	// takes the low 32.
+	pt.Agent.EnableSpans(rand.Uint64()&^math.MaxUint32, capacity)
 	return pt.Frontend.EnableTraceCollection()
 }
 

@@ -8,6 +8,7 @@ package pivot
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -188,4 +189,30 @@ func TestExplainAnalyzeReconcilesWithOracle(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSpanIDsOfTwoRuntimesNeverCollide: runtimes sharing one OS process
+// share its PID, so their span-id streams must still be disjoint, or a
+// builder that sees both merges unrelated requests into one trace.
+func TestSpanIDsOfTwoRuntimesNeverCollide(t *testing.T) {
+	seen := map[uint64]string{}
+	for _, name := range []string{"a", "b"} {
+		pt := New(name)
+		tp := pt.Define("Span.Root")
+		builder := pt.EnableSpans(16)
+		for i := 0; i < 4; i++ {
+			tp.Here(pt.NewRequest(pt.Context(context.Background())))
+		}
+		pt.Flush()
+		ids := builder.TraceIDs()
+		if len(ids) != 4 {
+			t.Fatalf("runtime %s: %d traces, want 4", name, len(ids))
+		}
+		for _, id := range ids {
+			if other, ok := seen[id]; ok {
+				t.Fatalf("trace id %#x minted by runtimes %s and %s", id, other, name)
+			}
+			seen[id] = name
+		}
+	}
 }
