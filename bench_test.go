@@ -12,6 +12,7 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/baggage"
 	"repro/internal/bus"
 	"repro/internal/cluster"
+	"repro/internal/combiner"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/plan"
@@ -285,7 +287,7 @@ func BenchmarkHereWithSpans(b *testing.B) {
 		{"spans-on", true, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			a, _, tp := benchInstall(b, 1)
+			a, _, tp := benchInstall(b, 1, "")
 			defer a.Close()
 			if mode.spans {
 				a.EnableSpans(1<<32, 0)
@@ -363,8 +365,9 @@ type emitterFunc func(*advice.Program, tuple.Tuple)
 func (f emitterFunc) EmitTuple(p *advice.Program, w tuple.Tuple) { f(p, w) }
 
 // benchInstall stands up a real agent with n woven Q1-style queries on one
-// tracepoint and returns the pieces the hot-path benchmarks drive.
-func benchInstall(b *testing.B, n int) (*agent.Agent, *bus.Bus, *tracepoint.Tracepoint) {
+// tracepoint, owned by tenant ("" for none), and returns the pieces the
+// hot-path benchmarks drive.
+func benchInstall(b *testing.B, n int, tenant string) (*agent.Agent, *bus.Bus, *tracepoint.Tracepoint) {
 	b.Helper()
 	bb := bus.New()
 	reg := tracepoint.NewRegistry()
@@ -380,7 +383,7 @@ func benchInstall(b *testing.B, n int) (*agent.Agent, *bus.Bus, *tracepoint.Trac
 		if err != nil {
 			b.Fatal(err)
 		}
-		a.Deliver(agent.Install{QueryID: q.Name, Programs: p.Programs})
+		a.Deliver(agent.Install{QueryID: q.Name, Programs: p.Programs, Tenant: tenant})
 	}
 	return a, bb, tp
 }
@@ -425,7 +428,7 @@ func BenchmarkHereParallel(b *testing.B) {
 func BenchmarkReportBatch(b *testing.B) {
 	const queries = 64
 	b.Run("batched", func(b *testing.B) {
-		a, bb, tp := benchInstall(b, queries)
+		a, bb, tp := benchInstall(b, queries, "")
 		defer a.Close()
 		frames := 0
 		bb.Subscribe(agent.ResultsTopic, func(any) { frames++ })
@@ -440,6 +443,61 @@ func BenchmarkReportBatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(frames)/float64(b.N), "frames/flush")
 	})
+}
+
+// BenchmarkAgentFlush measures a quiet reporting interval of an agent
+// holding 0, 1 or 8 installed queries, untenanted or owned by one tenant
+// that has emitted here before: nothing was folded in since the last
+// flush, so an interval should cost its heartbeat, the tenant's usage
+// frame, and nothing per query.
+func BenchmarkAgentFlush(b *testing.B) {
+	for _, queries := range []int{0, 1, 8} {
+		for _, tenant := range []string{"", "t1"} {
+			b.Run(fmt.Sprintf("queries=%d/tenant=%s", queries, cmp.Or(tenant, "none")), func(b *testing.B) {
+				a, _, tp := benchInstall(b, queries, tenant)
+				defer a.Close()
+				ctx := tracepoint.WithProc(context.Background(),
+					tracepoint.ProcInfo{Host: "h", ProcName: "p"})
+				tp.Here(baggage.NewContext(ctx, baggage.New()), 1)
+				a.Flush() // the tenant's usage is on record from here on
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a.Flush()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCombinerFlush measures one steady interval of a mid-tier
+// combiner: a frame of 8 queries × 1024 groups over the keys of the
+// interval before is merged in, then flushed upstream.
+func BenchmarkCombinerFlush(b *testing.B) {
+	const queries, keys = 8, 1024
+	reports := make([]agent.Report, queries)
+	for q := range reports {
+		groups := make([]*advice.Group, keys)
+		for k := range groups {
+			key := fmt.Sprintf("key-%04d", k)
+			groups[k] = &advice.Group{Key: key, Rep: tuple.Tuple{tuple.String(key)}, States: []agg.State{*agg.New(agg.Count)}}
+		}
+		reports[q] = agent.Report{QueryID: fmt.Sprintf("q%d", q), Host: "h", ProcName: "w", Groups: groups}
+	}
+	var frame any = agent.ReportBatch{Reports: reports} // boxed once
+	bb := bus.New()
+	c := combiner.New(nil, "rack0", "combiner", bb, combiner.Config{Subscribe: []string{"part"}, Upstream: combiner.RootTopic})
+	defer c.Close()
+	interval := func() {
+		bb.Publish("part", frame)
+		c.Flush()
+	}
+	interval() // the first interval sizes the tables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		interval()
+	}
 }
 
 // BenchmarkWeave measures dynamic weave + unweave of a compiled query —

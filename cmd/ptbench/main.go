@@ -20,7 +20,8 @@
 // scenario set, and host count, profiled or not; exit status is nonzero if
 // any checkpoint fails. The paper's figures print to stdout, the same
 // bytes on every run at either sizing; each step's wall time goes to
-// stderr.
+// stderr. With -v or -profile, the run's allocated bytes and objects and
+// its GC cycle count go to stderr too.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -98,10 +100,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ptbench: %v\n", err)
 		os.Exit(1)
 	}
+	before := allocTotals()
 	results := h.RunAll(set)
+	after := allocTotals()
 	if err := stopProfile(); err != nil {
 		fmt.Fprintf(os.Stderr, "ptbench: %v\n", err)
 		os.Exit(1)
+	}
+	if *verbose || *profile != "" {
+		fmt.Fprintf(os.Stderr, "ptbench: allocated %.1f MB in %d objects, %d GC cycles\n",
+			float64(after[0].Value.Uint64()-before[0].Value.Uint64())/1e6,
+			after[1].Value.Uint64()-before[1].Value.Uint64(),
+			after[2].Value.Uint64()-before[2].Value.Uint64())
 	}
 	rep := scenario.NewReport(*seed, *short, results)
 	rep.Console(os.Stdout)
@@ -195,6 +205,14 @@ func startProfile(dir string) (stop func() error, err error) {
 		}
 		return allocs.Close()
 	}, nil
+}
+
+// allocTotals reads the process's cumulative heap allocation bytes and
+// objects and its completed GC cycles.
+func allocTotals() []metrics.Sample {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs:objects"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return s
 }
 
 func shortFlag(short bool) string {

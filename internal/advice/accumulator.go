@@ -86,18 +86,16 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 // Drain hands over what was folded in since the last Drain, and how many
 // tuples that was, leaving an empty merger sized from it in its place
 // (merge-on-flush: the caller owns the result outright and may publish
-// it). The result is for reading only: its group table went to its
-// successor, so it takes no more input. With nothing folded in it returns
-// nil and 0.
-func (a *Accumulator) Drain() (*Merger, int64) {
+// it). The result is a drained merger, for reading only (see Handoff).
+// With nothing folded in it returns the zero Merger, which holds nothing,
+// and 0.
+func (a *Accumulator) Drain() (m Merger, n int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.adds == 0 {
-		return nil, 0
+	if a.adds > 0 {
+		m, n, a.adds = a.Handoff(), a.adds, 0
 	}
-	m, n := a.Merger, a.adds
-	a.Merger, a.adds = m.next(), 0
-	return &m, n
+	return m, n
 }
 
 // RawsDropped returns how many raw rows FIFO eviction has discarded,

@@ -187,8 +187,8 @@ func TestAllocFilteredComputedFire(t *testing.T) {
 // TestAllocDrainPassesTableOn: an interval over the keys of the one
 // before allocates no group table, because Drain hands the drained one on,
 // cleared. What is left is one chunk per slab (groups, states, Rep values,
-// key bytes), each sized by the interval before, and Drain's own two: the
-// drained merger it returns and its successor's first-seen order.
+// key bytes), each sized by the interval before, and Drain's own one: its
+// successor's first-seen order. The drained merger is returned by value.
 func TestAllocDrainPassesTableOn(t *testing.T) {
 	const rows = 8192
 	ws := wideTuples(rows)
@@ -202,7 +202,7 @@ func TestAllocDrainPassesTableOn(t *testing.T) {
 		}
 	}
 	interval()
-	const want = 4 + 2
+	const want = 4 + 1
 	if n := testing.AllocsPerRun(5, interval); n != want {
 		t.Errorf("an interval over the same %d keys allocates %.1f objects, want %d", rows, n, want)
 	}

@@ -68,10 +68,9 @@ func (l Limits) maxRaws() int { return cmp.Or(l.MaxRaws, DefaultMaxRaws) }
 // Reports come in one way, Merge (an Accumulator also folds working tuples
 // in), and go out one way: Groups, Raws and Drops. What comes out is
 // published and may be aliased from then on, so a merger never writes to a
-// group, state, value or raw-row slice it has handed out once Reset (or an
-// Accumulator's Drain) has let go of it: the rows live in slabs that are
-// dropped with the interval, not recycled. A Merger is not safe for
-// concurrent use.
+// group, state, value or raw-row slice it has handed out once Handoff has
+// let go of it: the rows live in slabs that are dropped with the interval,
+// not recycled. A Merger is not safe for concurrent use.
 type Merger struct {
 	// Op is the query's emit operation. It shapes new and overflow groups,
 	// validates incoming ones, and materializes Rows. A combiner tier does
@@ -96,7 +95,7 @@ type Merger struct {
 	valueSlab slab.Slab[tuple.Value]
 	byteSlab  slab.Slab[byte]
 
-	// Cumulative eviction accounting; survives Reset so heartbeats can
+	// Cumulative eviction accounting; survives Handoff so heartbeats can
 	// report exact totals for the query's lifetime.
 	rawsDropped      int64
 	groupsOverflowed int64
@@ -116,24 +115,27 @@ func NewMerger(op *EmitOp, l Limits) *Merger {
 	return m
 }
 
-// next returns the empty merger that takes over from m when m's contents
-// are handed off whole: same query, limits and running eviction counts,
-// its slabs sized from what m held (see slab.Slab.Next), and m's group
+// Handoff hands the merger's contents over whole, as a drained merger,
+// and carries on empty: same query, limits and running eviction counts,
+// its slabs sized from what it held (see slab.Slab.Next), and its group
 // table, cleared. The table is a private index that no one outside the
-// merger ever sees, and MaxGroups bounds it, so it passes on instead of
-// being rebuilt each interval. m keeps order, raws and drops — all that
-// Groups, Raws, Drops, Len, Rows and Empty read — and takes no more input.
-func (m *Merger) next() Merger {
-	n := Merger{
-		Op: m.Op, limits: m.limits, empty: m.empty,
-		rawsDropped: m.rawsDropped, groupsOverflowed: m.groupsOverflowed,
-		groupSlab: m.groupSlab.Next(), stateSlab: m.stateSlab.Next(), valueSlab: m.valueSlab.Next(),
-		byteSlab: m.byteSlab.Next(),
+// merger ever sees, and MaxGroups bounds it, so it stays instead of being
+// rebuilt each interval. The drained merger keeps order, raws and drops —
+// all that Groups, Raws, Drops, Len, Rows and Empty read — and is for
+// reading only: it has no table, so it takes no more input, and Groups
+// returns its order in place.
+func (m *Merger) Handoff() Merger {
+	d := *m
+	*m = Merger{
+		Op: d.Op, limits: d.limits, groups: d.groups, empty: d.empty,
+		rawsDropped: d.rawsDropped, groupsOverflowed: d.groupsOverflowed,
+		groupSlab: d.groupSlab.Next(), stateSlab: d.stateSlab.Next(), valueSlab: d.valueSlab.Next(),
+		byteSlab: d.byteSlab.Next(),
 	}
 	clear(m.groups)
-	n.groups, m.groups = m.groups, nil
-	n.order = make([]*Group, 0, n.groupSlab.Want())
-	return n
+	m.order = make([]*Group, 0, m.groupSlab.Want())
+	d.groups = nil
+	return d
 }
 
 // SetLimits replaces the merger's limits (zero value = defaults).
@@ -335,8 +337,12 @@ func (m *Merger) expect(rest []*Group) {
 	m.byteSlab.Expect(bytes)
 }
 
-// Groups snapshots the current partial groups, in first-seen order.
+// Groups returns the partial groups in first-seen order: a snapshot, or
+// a drained merger's own order, which nothing appends to any more.
 func (m *Merger) Groups() []*Group {
+	if m.groups == nil {
+		return m.order[:len(m.order):len(m.order)]
+	}
 	return append(make([]*Group, 0, len(m.order)), m.order...)
 }
 
@@ -385,5 +391,5 @@ func (m *Merger) Empty() bool {
 
 // Reset lets go of the merger's contents — whoever took them with Groups
 // and Raws keeps them — and starts the next reporting interval empty, on
-// the same group table.
-func (m *Merger) Reset() { *m = m.next() }
+// the same group table (see Handoff).
+func (m *Merger) Reset() { m.Handoff() }

@@ -61,7 +61,11 @@ type Agent struct {
 	reportTopic atomic.Pointer[string]
 	// tenantTuples is the cumulative per-tenant tuple usage accounted at
 	// flush time (cold path, under mu — the hot emit path stays untouched).
+	// usage is its last published snapshot, stale once a total or the
+	// installed query set has changed since.
 	tenantTuples map[string]int64
+	usage        []TenantQuota
+	usageStale   bool
 
 	// live holds what the agent itself counts, one atomic per fact; Stats
 	// adds what other components count (installed accumulators, the span
@@ -251,8 +255,10 @@ func (a *Agent) install(m Install) {
 // rebuildViewLocked republishes the copy-on-write query snapshot after a
 // membership change. Caller holds a.mu (New calls it before the agent is
 // shared, which is equivalent). The sampling view is rebuilt alongside,
-// sorted by query id so decision minting is deterministic.
+// sorted by query id so decision minting is deterministic, and the tenant
+// usage snapshot, whose query counts may have moved, goes stale.
 func (a *Agent) rebuildViewLocked() {
+	a.usageStale = true
 	view := make(map[string]*queryState, len(a.queries))
 	var sv []*sampled
 	for id, qs := range a.queries {

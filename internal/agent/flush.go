@@ -24,7 +24,8 @@ func (a *Agent) reportLoop() {
 // flushed is what one Flush drained from one query.
 type flushed struct {
 	id      string
-	merged  *advice.Merger // drained snapshot, exclusively owned; nil when nothing was folded in
+	groups  []*advice.Group // drained, exclusively owned; nil when nothing was folded in
+	raws    []tuple.Tuple
 	drops   []baggage.DropRecord
 	tuples  int64
 	tenant  string
@@ -83,10 +84,14 @@ func (a *Agent) drainLocked() []flushed {
 		}
 		f := flushed{id: id, tenant: qs.tenant}
 		if acc := qs.acc.Load(); acc != nil {
-			f.merged, f.tuples = acc.Drain()
+			m, n := acc.Drain()
+			f.groups, f.raws, f.tuples = m.Groups(), m.Raws(), n
 		}
-		if f.merged == nil && len(qs.drops) == 0 {
+		if f.tuples == 0 && len(qs.drops) == 0 {
 			continue
+		}
+		if out == nil {
+			out = make([]flushed, 0, len(a.queries))
 		}
 		f.drops, qs.drops = qs.drops.Sorted(), nil
 		if timed {
@@ -100,7 +105,10 @@ func (a *Agent) drainLocked() []flushed {
 // tenantUsageLocked does the per-tenant quota accounting, here on the cold
 // path so EmitTuple never sees any of it: fold the tuples this flush
 // drained into each owning tenant's cumulative total, then snapshot live
-// query counts per tenant. Caller holds a.mu.
+// query counts per tenant. The snapshot is rebuilt only when a total or
+// the installed query set changed since the last one; otherwise the last
+// one is returned again. A snapshot is published, so it is never written
+// after it is returned. Caller holds a.mu.
 func (a *Agent) tenantUsageLocked(out []flushed) []TenantQuota {
 	for _, f := range out {
 		if f.tenant == "" || f.tuples == 0 {
@@ -110,10 +118,12 @@ func (a *Agent) tenantUsageLocked(out []flushed) []TenantQuota {
 			a.tenantTuples = make(map[string]int64)
 		}
 		a.tenantTuples[f.tenant] += f.tuples
+		a.usageStale = true
 	}
-	if len(a.tenantTuples) == 0 {
-		return nil
+	if !a.usageStale || len(a.tenantTuples) == 0 {
+		return a.usage
 	}
+	a.usageStale = false
 	queriesBy := make(map[string]int64)
 	for _, qs := range a.queries {
 		if qs.tenant != "" {
@@ -125,6 +135,7 @@ func (a *Agent) tenantUsageLocked(out []flushed) []TenantQuota {
 		usage = append(usage, TenantQuota{Tenant: tenant, Queries: queriesBy[tenant], Tuples: tuples})
 	}
 	sort.Slice(usage, func(i, j int) bool { return usage[i].Tenant < usage[j].Tenant })
+	a.usage = usage
 	return usage
 }
 
@@ -138,11 +149,9 @@ func (a *Agent) buildReports(out []flushed, now time.Duration) []Report {
 			Host:     a.proc.Host,
 			ProcName: a.proc.ProcName,
 			Time:     now,
+			Groups:   f.groups,
+			Raws:     f.raws,
 			Drops:    f.drops,
-		}
-		if f.merged != nil {
-			r.Groups = f.merged.Groups()
-			r.Raws = f.merged.Raws()
 		}
 		a.live.RowsReported.Add(int64(len(r.Groups) + len(r.Raws)))
 		a.live.Reports.Add(1)

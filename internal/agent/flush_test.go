@@ -74,3 +74,47 @@ func TestAgentSplitsOversizedInterval(t *testing.T) {
 		t.Fatalf("Stats.Batches = %d, want 3", got)
 	}
 }
+
+// TestTenantUsageRebuiltOnlyOnChange: a quiet flush republishes the last
+// tenant usage snapshot, the same slice with the same values; a flush after
+// a tenant's tuples or the installed query set changed publishes a new one
+// and leaves every snapshot already published as it was.
+func TestTenantUsageRebuiltOnlyOnChange(t *testing.T) {
+	b := bus.New()
+	reg := tracepoint.NewRegistry()
+	tp := reg.Define("Tp", "v")
+	a := New(nil, info("h1"), reg, b, 0)
+	defer a.Close()
+	var frames [][]TenantQuota
+	b.Subscribe(HealthTopic, func(msg any) {
+		if u, ok := msg.(TenantUsage); ok {
+			frames = append(frames, u.Usage)
+		}
+	})
+	install := func(id string) {
+		b.Publish(ControlTopic, Install{QueryID: id, Programs: []*advice.Program{stressProgram(id)}, Tenant: "t"})
+	}
+	install("A")
+	tp.Here(request("h1"), 1)
+	a.Flush()
+	a.Flush() // quiet
+	install("B")
+	a.Flush()
+	tp.Here(request("h1"), 1) // one tuple into each of A and B
+	a.Flush()
+	want := [][]TenantQuota{
+		{{Tenant: "t", Queries: 1, Tuples: 1}},
+		{{Tenant: "t", Queries: 1, Tuples: 1}},
+		{{Tenant: "t", Queries: 2, Tuples: 1}},
+		{{Tenant: "t", Queries: 2, Tuples: 3}},
+	}
+	if !reflect.DeepEqual(frames, want) {
+		t.Fatalf("usage frames = %v, want %v", frames, want)
+	}
+	if &frames[0][0] != &frames[1][0] {
+		t.Error("a quiet flush rebuilt the usage snapshot")
+	}
+	if &frames[1][0] == &frames[2][0] || &frames[2][0] == &frames[3][0] {
+		t.Error("a changed usage was written into a published snapshot")
+	}
+}

@@ -5,7 +5,10 @@ package bus
 // Excluded under -race: the race detector's instrumentation adds
 // bookkeeping allocations unrelated to the code under test.
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestAllocPublishThreeSubscribers: Publish delivers from the topic's
 // subscriber slice as it stands, with no snapshot copy and no sort.
@@ -21,5 +24,22 @@ func TestAllocPublishThreeSubscribers(t *testing.T) {
 	}
 	if n != 3*1001 {
 		t.Errorf("%d deliveries, want %d", n, 3*1001)
+	}
+}
+
+// TestAllocSubscribeIsLinear: a topic's subscribers grow in place, so the
+// 1024 agents of a simulated cluster subscribing to one control topic cost
+// the slice that holds them, not one copy of it per subscription.
+func TestAllocSubscribeIsLinear(t *testing.T) {
+	b := New()
+	h := func(any) {}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1024; i++ {
+		b.Subscribe("t", h)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("1024 subscriptions to one topic allocate %d bytes, want at most %d", n, 64<<10)
 	}
 }

@@ -35,9 +35,11 @@ type Bus struct {
 	mu     sync.Mutex
 	nextID int
 	// topics holds each topic's subscribers in subscription order.
-	// Subscribe and Unsubscribe replace a topic's slice and never write
-	// one in place, so Publish delivers from the slice it read under the
-	// lock without copying it.
+	// Subscribe appends in place, past the length of every slice a
+	// Publish may have read; Unsubscribe replaces the slice and never
+	// writes one in place. So Publish delivers from the slice it read
+	// under the lock without copying it, and reads no element written
+	// after that.
 	topics map[string][]subscriber
 
 	published int64            // messages published, all topics
@@ -73,8 +75,7 @@ func (b *Bus) Subscribe(topic string, h Handler) Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
-	subs := b.topics[topic]
-	b.topics[topic] = append(subs[:len(subs):len(subs)], subscriber{b.nextID, h})
+	b.topics[topic] = append(b.topics[topic], subscriber{b.nextID, h})
 	return Subscription{topic: topic, id: b.nextID}
 }
 

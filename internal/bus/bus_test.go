@@ -164,3 +164,31 @@ func TestSubscriptionChangeDuringDeliveryWaitsForNextPublish(t *testing.T) {
 		t.Fatalf("second delivery = %v, want %v", got, want)
 	}
 }
+
+// TestSubscribeDuringDeliveryGrowsInPlace: a handler subscribed during a
+// delivery, into the spare capacity of the topic's slice, is not called by
+// that same publish, only by the next.
+func TestSubscribeDuringDeliveryGrowsInPlace(t *testing.T) {
+	b := New()
+	var got []string
+	first := true
+	b.Subscribe("t", func(any) {
+		got = append(got, "first")
+		if first {
+			first = false
+			b.Subscribe("t", func(any) { got = append(got, "new") })
+		}
+	})
+	for i := 0; i < 2; i++ { // three subscribers in a slice with room for four
+		b.Subscribe("t", func(any) { got = append(got, "other") })
+	}
+	b.Publish("t", nil)
+	if want := []string{"first", "other", "other"}; !slices.Equal(got, want) {
+		t.Fatalf("first delivery = %v, want %v", got, want)
+	}
+	got = nil
+	b.Publish("t", nil)
+	if want := []string{"first", "other", "other", "new"}; !slices.Equal(got, want) {
+		t.Fatalf("second delivery = %v, want %v", got, want)
+	}
+}

@@ -20,6 +20,7 @@
 package combiner
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -199,29 +200,34 @@ func (c *Combiner) now() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
-// drainLocked steals the pending state and renders it as reports stamped
-// with the combiner's identity, sorted by query then group key. Caller
-// holds c.mu.
+// drainLocked hands off the pending state and renders it as reports
+// stamped with the combiner's identity, sorted by query then group key.
+// Each query keeps its merger, and so its group table, for the next
+// interval; a merger that took nothing since the last drain is deleted,
+// so a query that went quiet leaves nothing behind. Caller holds c.mu.
 func (c *Combiner) drainLocked(now time.Duration) []agent.Report {
-	if len(c.pending) == 0 {
-		return nil
-	}
 	ids := make([]string, 0, len(c.pending))
-	for id := range c.pending {
-		ids = append(ids, id)
+	for id, m := range c.pending {
+		if m.Empty() {
+			delete(c.pending, id)
+		} else {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		return nil
 	}
 	sort.Strings(ids)
 	out := make([]agent.Report, 0, len(ids))
 	for _, id := range ids {
-		m := c.pending[id]
-		groups := m.Groups()
+		m := c.pending[id].Handoff()
+		groups := m.Groups() // the drained merger's own order, ours to sort
 		slices.SortFunc(groups, func(a, b *advice.Group) int { return strings.Compare(a.Key, b.Key) })
 		out = append(out, agent.Report{
 			QueryID: id, Host: c.host, ProcName: c.proc, Time: now,
 			Groups: groups, Raws: m.Raws(), Drops: m.Drops(),
 		})
 	}
-	c.pending = make(map[string]*advice.Merger)
 	return out
 }
 
@@ -237,6 +243,13 @@ func (c *Combiner) topicLocked(queryID string) string {
 	return agent.ResultsTopic
 }
 
+// run is one tenant's share of a flush: the next n reports go out on its
+// topic.
+type run struct {
+	tenant, topic string
+	n             int
+}
+
 // Flush forwards the merged pending state upstream as size-capped
 // ReportBatch frames — one batch run per topic, so the delivering tier
 // emits each tenant's queries on that tenant's own topic — forgets the
@@ -246,19 +259,28 @@ func (c *Combiner) Flush() {
 	now := c.now()
 	c.mu.Lock()
 	reports := c.drainLocked(now)
+	queries := len(reports)
 
-	// Partition the (query-sorted) reports into per-topic runs, preserving
-	// order within each topic.
-	topics := make([]string, 0, 1)
-	byTopic := make(map[string][]agent.Report)
+	// Cut the (query-sorted) reports into one run per topic, in the order
+	// the topics first appear, queries in order within each run. A topic
+	// is its tenant's: above the delivering tier, routes is nil and every
+	// query's tenant is "".
+	var runs []run
+	runOf := func(queryID string) int {
+		tenant := c.routes[queryID].tenant
+		return slices.IndexFunc(runs, func(x run) bool { return x.tenant == tenant })
+	}
 	for _, r := range reports {
-		t := c.topicLocked(r.QueryID)
-		if _, ok := byTopic[t]; !ok {
-			topics = append(topics, t)
+		if i := runOf(r.QueryID); i >= 0 {
+			runs[i].n++
+		} else {
+			runs = append(runs, run{c.routes[r.QueryID].tenant, c.topicLocked(r.QueryID), 1})
 		}
-		byTopic[t] = append(byTopic[t], r)
 		c.live.Reports.Add(1)
 		c.live.RowsReported.Add(int64(len(r.Groups) + len(r.Raws)))
+	}
+	if len(runs) > 1 {
+		slices.SortStableFunc(reports, func(a, b agent.Report) int { return cmp.Compare(runOf(a.QueryID), runOf(b.QueryID)) })
 	}
 	for id, r := range c.routes {
 		if r.lease.Lapsed(now) {
@@ -266,11 +288,12 @@ func (c *Combiner) Flush() {
 		}
 	}
 	c.mu.Unlock()
-	for _, topic := range topics {
-		agent.SplitBatches(byTopic[topic], agent.ReportSize, func(batch []agent.Report) {
+	for _, r := range runs {
+		agent.SplitBatches(reports[:r.n], agent.ReportSize, func(batch []agent.Report) {
 			c.live.CombinerFramesOut.Add(1)
-			c.b.Publish(topic, agent.ReportBatch{Reports: batch})
+			c.b.Publish(r.topic, agent.ReportBatch{Reports: batch})
 		})
+		reports = reports[r.n:]
 	}
 
 	c.b.Publish(agent.HealthTopic, agent.Heartbeat{
@@ -278,7 +301,7 @@ func (c *Combiner) Flush() {
 		ProcName: c.proc,
 		Time:     c.now(),
 		Interval: c.cfg.Interval,
-		Queries:  len(reports),
+		Queries:  queries,
 		Stats:    c.Stats(),
 	})
 }
@@ -298,7 +321,13 @@ func (c *Combiner) Stats() agent.Stats {
 func (c *Combiner) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	n := 0
+	for _, m := range c.pending {
+		if !m.Empty() {
+			n++
+		}
+	}
+	return n
 }
 
 // DrainPending removes and returns the merged-but-unforwarded state as

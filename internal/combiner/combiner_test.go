@@ -456,3 +456,121 @@ func TestCloseStopsIntake(t *testing.T) {
 	}
 	c.Close() // idempotent
 }
+
+// flushedReports flushes c and returns the reports it forwarded on the
+// shared results topic.
+func flushedReports(b *bus.Bus, c *Combiner) []agent.Report {
+	var got []agent.Report
+	sub := b.Subscribe(agent.ResultsTopic, func(msg any) {
+		if rb, ok := msg.(agent.ReportBatch); ok {
+			got = append(got, rb.Reports...)
+		}
+	})
+	defer b.Unsubscribe(sub)
+	c.Flush()
+	return got
+}
+
+// TestCombinerQuietQueryLeavesAfterOneFlush: a query's merger, and its
+// group table, stay across a flush for the next interval, but a query that
+// sent nothing since (uninstalled, or a one-round probe) is gone after one
+// quiet flush.
+func TestCombinerQuietQueryLeavesAfterOneFlush(t *testing.T) {
+	b := bus.New()
+	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
+	defer c.Close()
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 2)}}))
+	if got := flushedReports(b, c); len(got) != 1 {
+		t.Fatalf("first flush forwarded %d reports, want 1", len(got))
+	}
+	if c.Pending() != 0 || len(c.pending) != 1 {
+		t.Fatalf("after a flush Pending() = %d with %d mergers held, want 0 with 1", c.Pending(), len(c.pending))
+	}
+	if got := flushedReports(b, c); len(got) != 0 {
+		t.Fatalf("a quiet flush forwarded %d reports, want 0", len(got))
+	}
+	if len(c.pending) != 0 {
+		t.Fatalf("%d mergers held after a quiet flush, want 0", len(c.pending))
+	}
+}
+
+// TestCombinerRejectsMalformedFirstReportOfLaterInterval: a kept merger
+// that was handed off holds nothing, so a malformed report that is the
+// first of an interval leaves nothing pending, as it does for a query the
+// combiner has never seen, and is counted.
+func TestCombinerRejectsMalformedFirstReportOfLaterInterval(t *testing.T) {
+	b := bus.New()
+	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
+	defer c.Close()
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 2)}}))
+	c.Flush()
+	bad := countGroup("j", 1)
+	bad.States = append(bad.States, *agg.New(agg.Sum))
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 1), bad}}))
+	if c.Pending() != 0 {
+		t.Fatalf("Pending() = %d after a malformed report, want 0", c.Pending())
+	}
+	if st := c.Stats(); st.ReportsRejected != 1 || st.CombinerReportsMerged != 1 {
+		t.Fatalf("rejected/merged = %d/%d, want 1/1", st.ReportsRejected, st.CombinerReportsMerged)
+	}
+	if got := flushedReports(b, c); len(got) != 0 {
+		t.Fatalf("flush after a malformed report forwarded %d reports, want 0", len(got))
+	}
+}
+
+// TestCombinerRelearnsGroupShapeEachInterval: a combiner merger knows no
+// query, so it takes its group shape from the first group it sees. A
+// merger kept across a flush learns it again each interval, as a fresh
+// one would.
+func TestCombinerRelearnsGroupShapeEachInterval(t *testing.T) {
+	b := bus.New()
+	c := New(nil, "r", "c", b, Config{Subscribe: []string{PartitionTopic(0, 1)}})
+	defer c.Close()
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 2)}}))
+	c.Flush()
+	wide := countGroup("k", 3)
+	wide.States = append(wide.States, *agg.New(agg.Sum))
+	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{wide}}))
+	got := flushedReports(b, c)
+	if len(got) != 1 || len(got[0].Groups) != 1 || len(got[0].Groups[0].States) != 2 || got[0].Groups[0].States[0].Count() != 3 {
+		t.Fatalf("second interval forwarded %+v, want one group k with two states, count 3", got)
+	}
+	if st := c.Stats(); st.ReportsRejected != 0 {
+		t.Fatalf("ReportsRejected = %d, want 0", st.ReportsRejected)
+	}
+}
+
+// TestCombinerTenantRunsKeepOrder: the delivering tier sends one run per
+// topic, topics in the order their first query sorts, each run's queries in
+// query order, however the tenants interleave.
+func TestCombinerTenantRunsKeepOrder(t *testing.T) {
+	b := bus.New()
+	var frames []string // "topic: query ids" per frame, in publish order
+	for _, topic := range []string{agent.ResultsTopic, agent.TenantResultsTopic("alice"), agent.TenantResultsTopic("bob")} {
+		b.Subscribe(topic, func(msg any) {
+			var ids []string
+			for _, r := range msg.(agent.ReportBatch).Reports {
+				ids = append(ids, r.QueryID)
+			}
+			frames = append(frames, topic+": "+strings.Join(ids, " "))
+		})
+	}
+	c := New(nil, "root", "combiner-root", b, Config{Subscribe: []string{RootTopic}})
+	defer c.Close()
+	owners := map[string]string{"a1": "bob", "a2": "", "a3": "alice", "a4": "bob", "a5": "", "a6": "alice"}
+	for q, tenant := range owners {
+		if tenant != "" {
+			b.Publish(agent.ControlTopic, agent.Install{QueryID: q, Tenant: tenant})
+		}
+		b.Publish(RootTopic, batch(agent.Report{QueryID: q, Groups: []*advice.Group{countGroup("k", 1)}}))
+	}
+	c.Flush()
+	want := []string{
+		agent.TenantResultsTopic("bob") + ": a1 a4",
+		agent.ResultsTopic + ": a2 a5",
+		agent.TenantResultsTopic("alice") + ": a3 a6",
+	}
+	if !reflect.DeepEqual(frames, want) {
+		t.Fatalf("frames:\n got %q\nwant %q", frames, want)
+	}
+}

@@ -73,6 +73,9 @@ type NameNode struct {
 	staticOrder map[string]int // the HDFS-6268 static priority of each host
 	nextBlock   int64
 	rng         *rand.Rand
+	// placeRng (under mu) is reseeded for each placement under
+	// DeterministicPlacement, instead of building a source per block.
+	placeRng *rand.Rand
 
 	tpGetLoc, tpCreate, tpOpen, tpRename, tpComplete *tracepoint.Tracepoint
 }
@@ -94,6 +97,7 @@ func NewNameNode(c *cluster.Cluster, host string, cfg Config) *NameNode {
 		blocks:      make(map[string][]string),
 		staticOrder: make(map[string]int),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		placeRng:    rand.New(rand.NewSource(0)),
 	}
 	nn.tpGetLoc = proc.Define("NN.GetBlockLocations", "src", "replicas")
 	nn.tpCreate = proc.Define("NN.Create", "src")
@@ -259,20 +263,20 @@ func (nn *NameNode) createLocked(src string, size float64) []BlockLocation {
 // placeReplicas picks Replication distinct DataNodes uniformly at random.
 // Under DeterministicPlacement the choice is a pure function of (src,
 // block index, seed); otherwise it consumes the shared placement rng.
+// Caller holds nn.mu, which guards placeRng.
 func (nn *NameNode) placeReplicas(src string, idx int) []string {
 	n := nn.cfg.Replication
 	if n > len(nn.dataNodes) {
 		n = len(nn.dataNodes)
 	}
-	var rng *rand.Rand
+	rng := nn.rng
 	if nn.cfg.DeterministicPlacement {
 		h := int64(1469598103934665603)
 		for _, c := range src {
 			h = (h ^ int64(c)) * 1099511628211
 		}
-		rng = rand.New(rand.NewSource(nn.cfg.Seed ^ h ^ int64(idx)*-0x61C8864680B583EB))
-	} else {
-		rng = nn.rng
+		rng = nn.placeRng
+		rng.Seed(nn.cfg.Seed ^ h ^ int64(idx)*-0x61C8864680B583EB)
 	}
 	// Rejection-sample n distinct datanodes: O(n) for the thousand-host
 	// pools the scenario harness builds, where a full Perm is O(hosts)
