@@ -12,9 +12,14 @@
 package repro
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -497,6 +502,56 @@ func BenchmarkCombinerFlush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		interval()
+	}
+}
+
+// BenchmarkServerRelay measures the TCP bus server relaying 64 KiB frames
+// from one raw connection to another that subscribed to their topic, 8
+// frames per op, each sent once the one before has arrived. At steady
+// state the server reads every frame into a buffer it reuses.
+func BenchmarkServerRelay(b *testing.B) {
+	srv, err := bus.Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	frame := func(topic string, payload []byte) []byte {
+		f := binary.AppendUvarint(nil, uint64(len(topic)))
+		f = append(f, topic...)
+		f = binary.AppendUvarint(f, uint64(len(payload)))
+		return append(f, payload...)
+	}
+	dial := func(topics string) net.Conn {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Write(frame(bus.SubscribeTopic, []byte(topics))); err != nil {
+			b.Fatal(err)
+		}
+		return conn
+	}
+	sub, pub := dial("tp"), dial("")
+	defer sub.Close()
+	defer pub.Close()
+	msg, r := frame("tp", make([]byte, 64<<10)), bufio.NewReader(sub)
+	buf := make([]byte, len(msg))
+	relay := func() {
+		for i := 0; i < 8; i++ {
+			if _, err := pub.Write(msg); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.ReadFull(r, buf); err != nil || !bytes.Equal(buf, msg) {
+				b.Fatalf("relayed frame differs from the one sent (%v)", err)
+			}
+		}
+	}
+	relay() // sizes the server's buffers, queue and scratch
+	b.SetBytes(int64(8 * len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relay()
 	}
 }
 

@@ -83,19 +83,20 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 	}
 }
 
-// Drain hands over what was folded in since the last Drain, and how many
-// tuples that was, leaving an empty merger sized from it in its place
-// (merge-on-flush: the caller owns the result outright and may publish
-// it). The result is a drained merger, for reading only (see Handoff).
-// With nothing folded in it returns the zero Merger, which holds nothing,
-// and 0.
-func (a *Accumulator) Drain() (m Merger, n int64) {
+// Drain hands over the groups and raw rows folded in since the last
+// Drain, and how many tuples that was, leaving an empty merger sized from
+// them in its place (merge-on-flush: the caller owns the result outright
+// and may publish it, and the accumulator never writes to it again; see
+// Handoff). With nothing folded in it returns nil, nil and 0, and copies
+// no merger.
+func (a *Accumulator) Drain() (groups []*Group, raws []tuple.Tuple, n int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.adds > 0 {
-		m, n, a.adds = a.Handoff(), a.adds, 0
+		m := a.Handoff()
+		groups, raws, n, a.adds = m.Groups(), m.Raws(), a.adds, 0
 	}
-	return m, n
+	return groups, raws, n
 }
 
 // RawsDropped returns how many raw rows FIFO eviction has discarded,

@@ -204,20 +204,19 @@ func TestDrainedGroupsSurviveNextInterval(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		acc.Add(kvRow(fmt.Sprintf("k%d", i), int64(i)))
 	}
-	first, _ := acc.Drain()
-	groups := first.Groups()
+	groups, _, _ := acc.Drain()
 	before := appendGroups(nil, groups)
 	for i := 0; i < rows; i++ {
 		acc.Add(kvRow(fmt.Sprintf("k%d", i), int64(-7*i-1)))
 	}
-	second, _ := acc.Drain()
+	second, _, _ := acc.Drain()
 	if after := appendGroups(nil, groups); !bytes.Equal(before, after) {
 		t.Fatal("folding in the second interval rewrote groups the first Drain handed out")
 	}
-	if n := first.Len(); n != rows {
-		t.Errorf("the drained merger holds %d groups, want %d", n, rows)
+	if n := len(groups); n != rows {
+		t.Errorf("the first Drain handed out %d groups, want %d", n, rows)
 	}
-	if got := second.Groups(); len(got) != rows || got[1].States[0].Result().Int() != -8 {
-		t.Errorf("the second interval's groups are not its own: %d groups, k1 = %v", len(got), got[1].States[0].Result())
+	if len(second) != rows || second[1].States[0].Result().Int() != -8 {
+		t.Errorf("the second interval's groups are not its own: %d groups, k1 = %v", len(second), second[1].States[0].Result())
 	}
 }

@@ -188,7 +188,7 @@ func TestAllocFilteredComputedFire(t *testing.T) {
 // before allocates no group table, because Drain hands the drained one on,
 // cleared. What is left is one chunk per slab (groups, states, Rep values,
 // key bytes), each sized by the interval before, and Drain's own one: its
-// successor's first-seen order. The drained merger is returned by value.
+// successor's first-seen order.
 func TestAllocDrainPassesTableOn(t *testing.T) {
 	const rows = 8192
 	ws := wideTuples(rows)
@@ -197,8 +197,8 @@ func TestAllocDrainPassesTableOn(t *testing.T) {
 		for _, w := range ws {
 			acc.Add(w)
 		}
-		if m, _ := acc.Drain(); m.Len() != rows {
-			t.Fatalf("drained %d groups, want %d", m.Len(), rows)
+		if groups, _, _ := acc.Drain(); len(groups) != rows {
+			t.Fatalf("drained %d groups, want %d", len(groups), rows)
 		}
 	}
 	interval()

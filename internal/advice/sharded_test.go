@@ -25,15 +25,15 @@ func gkey(k string) string {
 // to the number of adds Drain reports.
 func drainSums(t *testing.T, into map[string]int64, acc *Accumulator) {
 	t.Helper()
-	m, adds := acc.Drain()
+	groups, raws, adds := acc.Drain()
 	if adds == 0 {
-		if !m.Empty() {
-			t.Fatalf("Drain counted no adds but returned %d rows", m.Len())
+		if len(groups)+len(raws) != 0 {
+			t.Fatalf("Drain counted no adds but returned %d rows", len(groups)+len(raws))
 		}
 		return
 	}
 	var total int64
-	for _, g := range m.Groups() {
+	for _, g := range groups {
 		if len(g.States) != 1 {
 			t.Fatalf("group %q has %d states", g.Key, len(g.States))
 		}
@@ -132,8 +132,7 @@ func TestShardedDrainPreservesFirstSeenOrder(t *testing.T) {
 		}()
 		<-done
 	}
-	m, _ := s.Drain()
-	groups := m.Groups()
+	groups, _, _ := s.Drain()
 	if len(groups) != n {
 		t.Fatalf("drained %d groups, want %d", len(groups), n)
 	}
@@ -160,8 +159,8 @@ func TestShardedRawRowsAndDropAccounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	m, adds := s.Drain()
-	kept, dropped := len(m.Raws()), s.RawsDropped()
+	_, raws, adds := s.Drain()
+	kept, dropped := len(raws), s.RawsDropped()
 	if adds != total {
 		t.Fatalf("Drain counted %d adds, want %d", adds, total)
 	}
@@ -212,15 +211,15 @@ func TestShardedEmptyHintConservative(t *testing.T) {
 	if !s.Empty() {
 		t.Fatal("fresh accumulator not Empty")
 	}
-	if m, adds := s.Drain(); !m.Empty() || adds != 0 {
-		t.Fatalf("draining a fresh accumulator returned %d rows from %d adds; want 0 from 0", m.Len(), adds)
+	if groups, raws, adds := s.Drain(); groups != nil || raws != nil || adds != 0 {
+		t.Fatalf("draining a fresh accumulator returned %d rows from %d adds; want none from 0", len(groups)+len(raws), adds)
 	}
 	s.Add(tuple.Tuple{tuple.String("k"), tuple.Int(1)})
 	if s.Empty() {
 		t.Fatal("Empty() == true while holding a tuple")
 	}
-	if m, adds := s.Drain(); len(m.Groups()) != 1 || adds != 1 {
-		t.Fatalf("drained %d groups from %d adds, want 1 from 1", len(m.Groups()), adds)
+	if groups, _, adds := s.Drain(); len(groups) != 1 || adds != 1 {
+		t.Fatalf("drained %d groups from %d adds, want 1 from 1", len(groups), adds)
 	}
 	if !s.Empty() {
 		t.Fatal("not Empty after drain")

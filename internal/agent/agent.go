@@ -50,6 +50,9 @@ type Agent struct {
 
 	mu      sync.Mutex
 	queries map[string]*queryState
+	// nextLapse is the earliest lease deadline among the installed
+	// queries, 0 while none has one: a flush before it expires nothing.
+	nextLapse time.Duration
 	// queriesView is a copy-on-write snapshot of a.queries, rebuilt under
 	// a.mu on every install/uninstall. EmitTuple — the hot path, invoked
 	// from every advice fire — resolves its query through this pointer with
@@ -255,10 +258,12 @@ func (a *Agent) install(m Install) {
 // rebuildViewLocked republishes the copy-on-write query snapshot after a
 // membership change. Caller holds a.mu (New calls it before the agent is
 // shared, which is equivalent). The sampling view is rebuilt alongside,
-// sorted by query id so decision minting is deterministic, and the tenant
-// usage snapshot, whose query counts may have moved, goes stale.
+// sorted by query id so decision minting is deterministic, the tenant
+// usage snapshot, whose query counts may have moved, goes stale, and the
+// earliest lease deadline is found again.
 func (a *Agent) rebuildViewLocked() {
 	a.usageStale = true
+	a.leasesChangedLocked()
 	view := make(map[string]*queryState, len(a.queries))
 	var sv []*sampled
 	for id, qs := range a.queries {

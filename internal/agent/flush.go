@@ -84,8 +84,7 @@ func (a *Agent) drainLocked() []flushed {
 		}
 		f := flushed{id: id, tenant: qs.tenant}
 		if acc := qs.acc.Load(); acc != nil {
-			m, n := acc.Drain()
-			f.groups, f.raws, f.tuples = m.Groups(), m.Raws(), n
+			f.groups, f.raws, f.tuples = acc.Drain()
 		}
 		if f.tuples == 0 && len(qs.drops) == 0 {
 			continue

@@ -39,14 +39,31 @@ func (a *Agent) renew(m Renew) {
 			qs.lease.Renew(m.TTL, now, 1)
 		}
 	}
+	a.leasesChangedLocked()
+}
+
+// leasesChangedLocked recomputes nextLapse after a lease was granted,
+// renewed or given up. Caller holds a.mu.
+func (a *Agent) leasesChangedLocked() {
+	a.nextLapse = 0
+	for _, qs := range a.queries {
+		if e := qs.lease.Expiry; e > 0 && (a.nextLapse == 0 || e < a.nextLapse) {
+			a.nextLapse = e
+		}
+	}
 }
 
 // expireLeases uninstalls every query whose lease has lapsed. Called from
 // Flush, so orphaned queries disappear within one reporting interval of
-// their deadline.
+// their deadline; it looks at the queries only once the earliest deadline
+// has come.
 func (a *Agent) expireLeases() {
 	now := a.now()
 	a.mu.Lock()
+	if a.nextLapse == 0 || now < a.nextLapse {
+		a.mu.Unlock()
+		return
+	}
 	var expired []string
 	for id, qs := range a.queries {
 		if qs.lease.Lapsed(now) {

@@ -100,6 +100,46 @@ func TestRenewWithExplicitTTLRetimes(t *testing.T) {
 	})
 }
 
+// TestRenewPastEarliestDeadlineExpiresTheNext: a flush looks at the
+// leases only once the earliest deadline has come, so a renewal that moves
+// the earliest deadline later hands that role to the next one. A (2 s)
+// is renewed at 1.5 s for 4 s more; B (3 s) must still lapse at the 3 s
+// flush, and A at the first flush after 5.5 s, not before.
+func TestRenewPastEarliestDeadlineExpiresTheNext(t *testing.T) {
+	env := simtime.NewEnv()
+	env.Run(func() {
+		b := bus.New()
+		reg := tracepoint.NewRegistry()
+		reg.Define("Tp", "v")
+		a := New(env, info("h1"), reg, b, time.Second)
+		for id, ttl := range map[string]time.Duration{"A": 2 * time.Second, "B": 3 * time.Second} {
+			prog := q1Program()
+			prog.QueryID = id
+			b.Publish(ControlTopic, Install{QueryID: id, Programs: []*advice.Program{prog}, TTL: ttl})
+		}
+		env.Sleep(1500 * time.Millisecond)
+		b.Publish(ControlTopic, Renew{QueryIDs: []string{"A"}, TTL: 4 * time.Second})
+		for _, step := range []struct {
+			at   time.Duration
+			a, b bool
+		}{
+			{2500 * time.Millisecond, true, true},
+			{3500 * time.Millisecond, true, false},
+			{5500 * time.Millisecond, true, false},
+			{6500 * time.Millisecond, false, false},
+		} {
+			env.Sleep(step.at - env.Now())
+			if a.Installed("A") != step.a || a.Installed("B") != step.b {
+				t.Fatalf("at %v: A installed %v, B installed %v; want %v, %v",
+					step.at, a.Installed("A"), a.Installed("B"), step.a, step.b)
+			}
+		}
+		if got := a.Stats().LeasesExpired; got != 2 {
+			t.Fatalf("LeasesExpired = %d, want 2", got)
+		}
+	})
+}
+
 func TestImmortalInstallNeverExpires(t *testing.T) {
 	env := simtime.NewEnv()
 	env.Run(func() {

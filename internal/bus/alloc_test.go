@@ -43,3 +43,34 @@ func TestAllocSubscribeIsLinear(t *testing.T) {
 		t.Errorf("1024 subscriptions to one topic allocate %d bytes, want at most %d", n, 64<<10)
 	}
 }
+
+// TestAllocServerRelay: the server reads each frame into a buffer from
+// its connection's free list, finds the topic's name in its topic table,
+// lists the frame's destinations in scratch of its own, and swaps its
+// outbound queue with the batch it writes. So at steady state a 64 KiB
+// frame relayed from one connection to another allocates nothing.
+func TestAllocServerRelay(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sub, pub := dialRaw(t, srv, "tp"), dialRaw(t, srv)
+	serverConnOf(t, srv, sub)
+	serverConnOf(t, srv, pub)
+	payload := make([]byte, 64<<10)
+	relay := func() {
+		if err := pub.send("tp", payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := sub.recv(); err != nil || len(got) != len(payload) {
+			t.Fatalf("received %d bytes (%v), want %d", len(got), err, len(payload))
+		}
+	}
+	for i := 0; i < 16; i++ {
+		relay() // sizes the buffers, the queue and the scratch
+	}
+	if n := testing.AllocsPerRun(200, relay); n != 0 {
+		t.Errorf("relaying a 64 KiB frame allocates %.1f objects, want 0", n)
+	}
+}

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -146,22 +148,75 @@ const SubscribeTopic = "pt.bus.sub"
 // counts it in bus.server.retained.dropped.
 const retainPerTopic = 64
 
-// maxQueuedBytes is the per-connection outbound queue limit; a subscriber
-// lagging further than this is disconnected rather than allowed to stall
-// the whole relay (slow-consumer cutoff).
+// maxQueuedBytes is the per-connection outbound queue limit, in bytes of
+// memory its queued frames hold (see frame.size); a subscriber lagging
+// further than this is disconnected rather than allowed to stall the
+// whole relay (slow-consumer cutoff).
 const maxQueuedBytes = 64 << 20
 
-// frame is one queued outbound message. depth is the per-topic depth
-// gauge the frame was counted into, decremented when the frame drains.
+// A connection's reader keeps up to relayFree frame buffers for reuse,
+// none larger than relayKeep bytes. Eight is what a burst needs: a worker
+// flushing eight standing queries has eight reports in flight at once,
+// where a single query's link has at most two.
+const relayFree, relayKeep = 8, 1 << 20
+
+// relayBuf is the memory one received frame was read into, shared by
+// every queue and parking spot that holds the frame. refs counts the
+// holders; the last release hands the buffer back to free, its reader's
+// free list, unless the list is full or the buffer too large to keep.
+type relayBuf struct {
+	b    []byte
+	refs atomic.Int32
+	free chan *relayBuf
+}
+
+// hold adds a holder. A frame the server made itself has no buffer, and
+// holding or releasing it does nothing.
+func (rb *relayBuf) hold() {
+	if rb != nil {
+		rb.refs.Add(1)
+	}
+}
+
+func (rb *relayBuf) release() {
+	if rb != nil && rb.refs.Add(-1) == 0 && cap(rb.b) <= relayKeep {
+		select {
+		case rb.free <- rb:
+		default:
+		}
+	}
+}
+
+// frame is one queued or parked message. depth is the per-topic depth
+// gauge a queued frame was counted into, decremented when the frame
+// drains; buf is the memory payload lives in.
 type frame struct {
 	topic   string
 	payload []byte
 	depth   *telemetry.Gauge
+	buf     *relayBuf
+}
+
+// size is the memory a queued frame holds, and what the slow-consumer
+// cutoff charges for it: its whole buffer, or the payload of a frame the
+// server made itself.
+func (f frame) size() int64 {
+	if f.buf != nil {
+		return int64(cap(f.buf.b))
+	}
+	return int64(len(f.payload))
+}
+
+// topicGauge is a relayed topic's name, which a frame's topic bytes find
+// without allocating, and its queued-frame gauge.
+type topicGauge struct {
+	name  string
+	depth *telemetry.Gauge
 }
 
 // serverConn is one relay connection: frames relayed to it are queued and
 // drained by a dedicated writer goroutine, so one slow subscriber delays
-// only itself. queuedBytes is the connection's lag in bytes.
+// only itself. queuedBytes is the memory its queued frames hold.
 type serverConn struct {
 	conn net.Conn
 
@@ -170,6 +225,12 @@ type serverConn struct {
 	// Guarded by the Server's mu, not the connection's.
 	subs map[string]bool
 
+	// free and targets belong to the connection's reader: the buffers its
+	// frames are read into once no one holds them, and the scratch it
+	// lists a frame's destinations in.
+	free    chan *relayBuf
+	targets []*serverConn
+
 	mu          sync.Mutex
 	cond        *sync.Cond
 	queue       []frame
@@ -177,23 +238,34 @@ type serverConn struct {
 	closed      bool
 }
 
+// shut marks the connection closed, wakes its writer and closes the socket.
+func (sc *serverConn) shut() {
+	sc.mu.Lock()
+	sc.closed = true
+	sc.cond.Signal()
+	sc.mu.Unlock()
+	sc.conn.Close()
+}
+
 // enqueue appends a frame, disconnecting the consumer if its lag exceeds
-// maxQueuedBytes. Reports whether the frame was accepted.
+// maxQueuedBytes. Reports whether the frame was accepted; an accepted
+// frame holds its buffer until dequeued releases it.
 func (sc *serverConn) enqueue(f frame) bool {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
 		return false
 	}
-	if sc.queuedBytes+int64(len(f.payload)) > maxQueuedBytes {
+	if sc.queuedBytes+f.size() > maxQueuedBytes {
 		sc.closed = true
 		sc.cond.Signal()
 		sc.mu.Unlock()
 		sc.conn.Close()
 		return false
 	}
+	f.buf.hold()
 	sc.queue = append(sc.queue, f)
-	sc.queuedBytes += int64(len(f.payload))
+	sc.queuedBytes += f.size()
 	sc.cond.Signal()
 	sc.mu.Unlock()
 	return true
@@ -208,15 +280,15 @@ type Server struct {
 
 	mu       sync.Mutex
 	conns    map[net.Conn]*serverConn
-	depths   map[string]*telemetry.Gauge // per-topic queued-frame gauges
-	retained map[string][][]byte         // parked frames awaiting a subscriber
+	depths   map[string]topicGauge // per relayed topic
+	retained map[string][]frame    // parked frames awaiting a subscriber
 	done     bool
 
 	tel         *telemetry.Registry
 	frames      *telemetry.Counter // frames received
 	bytes       *telemetry.Counter // payload bytes received
 	queued      *telemetry.Gauge   // outbound frames queued across all conns
-	lag         *telemetry.Gauge   // outbound bytes queued across all conns
+	lag         *telemetry.Gauge   // memory queued frames hold across all conns
 	connsG      *telemetry.Gauge   // live connections
 	dropped     *telemetry.Counter // slow-consumer disconnects
 	badFrames   *telemetry.Counter // malformed/truncated inbound frames
@@ -235,8 +307,8 @@ func Serve(addr string) (*Server, error) {
 	s := &Server{
 		ln:          ln,
 		conns:       make(map[net.Conn]*serverConn),
-		depths:      make(map[string]*telemetry.Gauge),
-		retained:    make(map[string][][]byte),
+		depths:      make(map[string]topicGauge),
+		retained:    make(map[string][]frame),
 		tel:         tel,
 		frames:      tel.Counter("bus.server.frames"),
 		bytes:       tel.Counter("bus.server.bytes"),
@@ -263,25 +335,13 @@ func (s *Server) StatusText() string {
 	return fmt.Sprintf("bus server %s\n\n%s", s.Addr(), s.tel.Snapshot().Render())
 }
 
-// topicDepth returns the queued-frame gauge for a topic.
-func (s *Server) topicDepth(topic string) *telemetry.Gauge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.depths[topic]
-	if !ok {
-		g = s.tel.Gauge("bus.server.depth." + topic)
-		s.depths[topic] = g
-	}
-	return g
-}
-
 func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
-		sc := &serverConn{conn: conn}
+		sc := &serverConn{conn: conn, free: make(chan *relayBuf, relayFree)}
 		sc.cond = sync.NewCond(&sc.mu)
 		s.mu.Lock()
 		if s.done {
@@ -297,9 +357,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// writeLoop drains one connection's outbound queue.
+// writeLoop drains one connection's outbound queue. The queue and the
+// batch being written swap places, so neither is regrown per batch.
 func (s *Server) writeLoop(sc *serverConn) {
 	w := bufio.NewWriter(sc.conn)
+	var spare []frame
 	for {
 		sc.mu.Lock()
 		for len(sc.queue) == 0 && !sc.closed {
@@ -310,43 +372,57 @@ func (s *Server) writeLoop(sc *serverConn) {
 			return
 		}
 		batch := sc.queue
-		sc.queue = nil
+		sc.queue = spare
 		sc.mu.Unlock()
 		for i, f := range batch {
 			err := writeFrame(w, f.topic, f.payload)
 			s.dequeued(sc, batch[i:i+1])
 			if err != nil {
+				sc.shut()
 				sc.mu.Lock()
-				sc.closed = true
 				rest := sc.queue
 				sc.queue = nil
 				sc.mu.Unlock()
-				sc.conn.Close()
 				s.dequeued(sc, batch[i+1:])
 				s.dequeued(sc, rest)
 				return
 			}
 		}
+		clear(batch) // let go of the payloads
+		spare = batch[:0]
 	}
 }
 
-// dequeued retires frames from a connection's queue accounting.
+// dequeued retires frames from a connection's queue accounting, written or
+// dropped, and releases their buffers.
 func (s *Server) dequeued(sc *serverConn, frames []frame) {
-	if len(frames) == 0 {
-		return
-	}
-	var bytes int64
+	var held int64
 	for _, f := range frames {
-		bytes += int64(len(f.payload))
-		f.depth.Add(-1)
+		held += f.size()
+		s.account(f, -1)
+		f.buf.release()
 	}
 	sc.mu.Lock()
-	sc.queuedBytes -= bytes
+	sc.queuedBytes -= held
 	sc.mu.Unlock()
-	s.queued.Add(-int64(len(frames)))
-	s.lag.Add(-bytes)
 }
 
+// account counts k copies of a frame into, or with k < 0 out of, the
+// queued-frame gauges.
+func (s *Server) account(f frame, k int64) {
+	f.depth.Add(k)
+	s.queued.Add(k)
+	s.lag.Add(k * f.size())
+}
+
+// serveConn reads and routes one connection's frames. Each frame is read
+// into a buffer from the connection's free list, or a new one when the
+// list is empty, and the buffer counts its holders: the reader while it
+// routes the frame, each queue that accepts it, and its parking spot if
+// no one subscribes. The last to let go returns it to the list, so a
+// steady stream of frames is relayed in memory the connection reuses. A
+// frame much smaller than the buffer it landed in is copied out instead,
+// so no queued frame pins much more memory than its own bytes.
 func (s *Server) serveConn(sc *serverConn) {
 	conn := sc.conn
 	defer func() {
@@ -354,17 +430,21 @@ func (s *Server) serveConn(sc *serverConn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		s.connsG.Add(-1)
-		sc.mu.Lock()
-		sc.closed = true
-		sc.cond.Signal()
-		sc.mu.Unlock()
-		conn.Close()
+		sc.shut()
 	}()
 	r := bufio.NewReader(conn)
 	for {
-		// Each frame is read into memory of its own: a relayed or parked
-		// payload outlives the read.
-		frame, tlen, err := readFrame(r, nil)
+		// A frame takes its buffer once its first byte is in, so a
+		// connection waiting for one holds none; an error here is
+		// readFrame's to report.
+		r.Peek(1)
+		var rb *relayBuf
+		select {
+		case rb = <-sc.free:
+		default:
+			rb = &relayBuf{free: sc.free}
+		}
+		buf, tlen, err := readFrame(r, rb.b)
 		if err != nil {
 			// A clean EOF is an orderly disconnect; anything else is a
 			// malformed or truncated frame. Either way only this
@@ -374,48 +454,78 @@ func (s *Server) serveConn(sc *serverConn) {
 			}
 			return
 		}
-		topic, payload := string(frame[:tlen]), frame[tlen:]
-		s.frames.Inc()
-		s.bytes.Add(int64(len(payload)))
-		if topic == StatusTopic {
-			s.relay(topic, []byte(s.StatusText()), []*serverConn{sc})
-			continue
-		}
-		if topic == SubscribeTopic {
-			s.subscribe(sc, payload)
-			continue
-		}
-		s.mu.Lock()
-		targets := make([]*serverConn, 0, len(s.conns))
-		for other, osc := range s.conns {
-			if other == conn {
-				continue
+		if cap(buf) > 2*max(len(buf), 64) {
+			// A reused buffer over twice the frame's size goes back for a
+			// larger frame, and this one is copied out to memory its own
+			// size, so no frame holds much more memory than it has bytes.
+			select {
+			case sc.free <- rb:
+			default:
 			}
-			if osc.subs != nil && !osc.subs[topic] {
-				continue
-			}
-			targets = append(targets, osc)
+			rb, buf = &relayBuf{free: sc.free}, bytes.Clone(buf)
 		}
-		if len(targets) == 0 {
-			s.retainLocked(topic, payload)
-			s.mu.Unlock()
-			continue
-		}
-		s.mu.Unlock()
-		s.relay(topic, payload, targets)
+		rb.b = buf
+		rb.refs.Store(1)
+		s.route(sc, buf[:tlen], frame{payload: buf[tlen:], buf: rb})
+		rb.release()
 	}
 }
 
+// route relays one frame received from sc to the connections that want
+// its topic, or parks it. A topic relayed before brings its interned name
+// and its depth gauge, so a known topic costs no string and no second
+// lookup.
+func (s *Server) route(sc *serverConn, topic []byte, f frame) {
+	s.frames.Inc()
+	s.bytes.Add(int64(len(f.payload)))
+	switch string(topic) {
+	case StatusTopic:
+		s.relay(frame{topic: StatusTopic, payload: []byte(s.StatusText())}, []*serverConn{sc})
+		return
+	case SubscribeTopic:
+		s.subscribe(sc, f.payload)
+		return
+	}
+	s.mu.Lock()
+	tg, known := s.depths[string(topic)]
+	f.topic, f.depth = tg.name, tg.depth
+	if !known {
+		f.topic = string(topic)
+	}
+	targets := sc.targets[:0]
+	for other, osc := range s.conns {
+		if other == sc.conn {
+			continue
+		}
+		if osc.subs != nil && !osc.subs[f.topic] {
+			continue
+		}
+		targets = append(targets, osc)
+	}
+	sc.targets = targets
+	if len(targets) == 0 {
+		s.retainLocked(f)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	s.relay(f, targets)
+	clear(targets)
+}
+
 // retainLocked parks a frame that currently has no subscriber, evicting
-// the oldest parked frame when the per-topic cap is hit. Caller holds mu.
-func (s *Server) retainLocked(topic string, payload []byte) {
-	q := s.retained[topic]
+// the oldest parked frame when the per-topic cap is hit. A parked frame
+// holds its buffer until it is evicted or flushed. Caller holds mu.
+func (s *Server) retainLocked(f frame) {
+	q := s.retained[f.topic]
 	if len(q) >= retainPerTopic {
-		q = append(q[:0:0], q[1:]...)
+		q[0].buf.release()
+		q = append(q[:0], q[1:]...)
 		s.retainDrops.Inc()
 		s.retainedG.Add(-1)
 	}
-	s.retained[topic] = append(q, payload)
+	f.buf.hold()
+	s.retained[f.topic] = append(q, f)
 	s.retainedG.Add(1)
 }
 
@@ -428,41 +538,42 @@ func (s *Server) subscribe(sc *serverConn, payload []byte) {
 			subs[t] = true
 		}
 	}
-	type parked struct {
-		topic    string
-		payloads [][]byte
-	}
-	var backlog []parked
+	var backlog [][]frame
 	s.mu.Lock()
 	sc.subs = subs
 	for t := range subs {
 		if q := s.retained[t]; len(q) > 0 {
 			delete(s.retained, t)
-			backlog = append(backlog, parked{topic: t, payloads: q})
+			backlog = append(backlog, q)
 		}
 	}
 	s.mu.Unlock()
-	for _, p := range backlog {
-		s.retainedG.Add(-int64(len(p.payloads)))
-		for _, pl := range p.payloads {
-			s.relay(p.topic, pl, []*serverConn{sc})
+	for _, q := range backlog {
+		s.retainedG.Add(-int64(len(q)))
+		for _, f := range q {
+			s.relay(f, []*serverConn{sc})
+			f.buf.release()
 		}
 	}
 }
 
 // relay enqueues one frame onto each target connection, maintaining queue
 // depth and lag accounting.
-func (s *Server) relay(topic string, payload []byte, targets []*serverConn) {
-	depth := s.topicDepth(topic)
-	f := frame{topic: topic, payload: payload, depth: depth}
+func (s *Server) relay(f frame, targets []*serverConn) {
+	if f.depth == nil { // a topic not relayed before, or a frame the server made
+		s.mu.Lock()
+		tg, ok := s.depths[f.topic]
+		if !ok {
+			tg = topicGauge{f.topic, s.tel.Gauge("bus.server.depth." + f.topic)}
+			s.depths[f.topic] = tg
+		}
+		s.mu.Unlock()
+		f.depth = tg.depth
+	}
 	for _, sc := range targets {
-		depth.Add(1)
-		s.queued.Add(1)
-		s.lag.Add(int64(len(payload)))
+		s.account(f, 1)
 		if !sc.enqueue(f) {
-			depth.Add(-1)
-			s.queued.Add(-1)
-			s.lag.Add(-int64(len(payload)))
+			s.account(f, -1)
 			s.dropped.Inc()
 		}
 	}
@@ -472,19 +583,11 @@ func (s *Server) relay(topic string, payload []byte, targets []*serverConn) {
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.done = true
-	conns := make([]*serverConn, 0, len(s.conns))
 	for _, sc := range s.conns {
-		conns = append(conns, sc)
+		sc.shut()
 	}
 	s.mu.Unlock()
 	s.ln.Close()
-	for _, sc := range conns {
-		sc.mu.Lock()
-		sc.closed = true
-		sc.cond.Signal()
-		sc.mu.Unlock()
-		sc.conn.Close()
-	}
 }
 
 // FetchServerStatus dials a pub/sub server, requests its status text, and

@@ -67,6 +67,10 @@ type NameNode struct {
 	lock *simtime.RWLock // namespace lock (held across simulated CPU work)
 	mu   sync.Mutex      // protects the maps below (never held across blocking)
 
+	// unlockRead and unlockWrite are lock's unlock methods, bound once so
+	// that readLock hands one out without allocating.
+	unlockRead, unlockWrite func()
+
 	files       map[string]*fileInfo
 	blocks      map[string][]string // block -> replica DataNode hosts
 	dataNodes   []string
@@ -99,6 +103,7 @@ func NewNameNode(c *cluster.Cluster, host string, cfg Config) *NameNode {
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		placeRng:    rand.New(rand.NewSource(0)),
 	}
+	nn.unlockRead, nn.unlockWrite = nn.lock.RUnlock, nn.lock.Unlock
 	nn.tpGetLoc = proc.Define("NN.GetBlockLocations", "src", "replicas")
 	nn.tpCreate = proc.Define("NN.Create", "src")
 	nn.tpOpen = proc.Define("NN.Open", "src")
@@ -130,10 +135,10 @@ func (nn *NameNode) RegisterDataNode(host string) {
 func (nn *NameNode) readLock() func() {
 	if nn.cfg.ExclusiveLocking {
 		nn.lock.Lock()
-		return nn.lock.Unlock
+		return nn.unlockWrite
 	}
 	nn.lock.RLock()
-	return nn.lock.RUnlock
+	return nn.unlockRead
 }
 
 // GetBlockLocationsReq asks for the replica locations of a byte range.
@@ -305,7 +310,7 @@ func (nn *NameNode) handleOpen(ctx context.Context, req any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdfs: no such file %q", src)
 	}
-	nn.tpOpen.Here(ctx, src)
+	nn.tpOpen.Here(ctx, req) // src, boxed once already
 	return true, nil
 }
 
