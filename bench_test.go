@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -898,6 +899,76 @@ func BenchmarkWideReport(b *testing.B) {
 		b.StartTimer()
 		for r := 0; r < 4; r++ {
 			round()
+		}
+	}
+}
+
+// wideRound runs one round of bench/'s wide-groups workload on one worker:
+// 8192 keys crossed once each, in a seed-drawn order, then a Flush whose
+// report frame goes through wire.Marshal and wire.Unmarshal to a
+// frontend. It returns the frontend's query, which has first seen the
+// groups in that order, and the frame.
+func wideRound(b *testing.B) (*pivot.Query, []byte) {
+	const rows = 8192
+	worker, front := pivot.New("worker"), pivot.New("frontend")
+	tp := worker.Define("Svc.Handle", "key", "v")
+	front.Define("Svc.Handle", "key", "v")
+	front.Bus.Subscribe(agent.ControlTopic, func(msg any) { worker.Bus.Publish(agent.ControlTopic, msg) })
+	var frame []byte
+	worker.Bus.Subscribe(agent.ResultsTopic, func(msg any) {
+		var err error
+		if frame, err = wire.Marshal(msg); err != nil {
+			b.Fatal(err)
+		}
+		decoded, err := wire.Unmarshal(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		front.Bus.Publish(agent.ResultsTopic, decoded)
+	})
+	q, err := front.Install(`From e In Svc.Handle GroupBy e.key Select e.key, COUNT, SUM(e.v)`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := worker.NewRequest(context.Background())
+	for _, k := range rand.New(rand.NewSource(1)).Perm(rows) {
+		tp.Here(ctx, fmt.Sprintf("key-%05d", k), int64(k))
+	}
+	worker.Flush()
+	if got := len(q.Rows()); got != rows {
+		b.Fatalf("%d rows visible, want %d", got, rows)
+	}
+	return q, frame
+}
+
+// BenchmarkRowsWide measures a steady read of the standing result of 8192
+// groups, first seen in a seed-drawn order: what wide-groups pays for
+// Rows() each round once no group is new. An op is the rows, materialized
+// in the order the last read left, and the pass that finds them sorted.
+func BenchmarkRowsWide(b *testing.B) {
+	q, _ := wideRound(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Rows()
+	}
+}
+
+// BenchmarkDecodeWideReport measures a link's decode of wide-groups'
+// 8192-row report frame with the one wire.Decoder it keeps across frames,
+// which cuts each frame's groups and states from the memory of the last.
+func BenchmarkDecodeWideReport(b *testing.B) {
+	_, frame := wideRound(b)
+	var dec wire.Decoder
+	if _, err := dec.Decode(frame); err != nil { // sizes the decoder's slabs
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(frame); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -346,6 +346,11 @@ func (m *Merger) Groups() []*Group {
 	return append(make([]*Group, 0, len(m.order)), m.order...)
 }
 
+// GroupsSince returns, uncopied and for reading only, the groups first
+// seen after the first n. Merge only appends to the order, so until a
+// Handoff a caller that has read n groups reads just the new ones here.
+func (m *Merger) GroupsSince(n int) []*Group { return m.order[n:len(m.order):len(m.order)] }
+
 // Raws returns the accumulated raw rows.
 func (m *Merger) Raws() []tuple.Tuple { return m.raws }
 
@@ -365,13 +370,19 @@ func (m *Merger) Rows() []tuple.Tuple {
 	if m.Op.Raw {
 		return slices.Clone(m.raws)
 	}
-	n := len(m.Op.Cols)
-	out := make([]tuple.Tuple, len(m.order))
-	values := make([]tuple.Value, len(m.order)*n)
-	for r, g := range m.order {
+	return m.Op.Rows(m.order)
+}
+
+// Rows materializes one result row per group, in the groups' order and
+// Select-column order, into two new slices the caller owns.
+func (op *EmitOp) Rows(groups []*Group) []tuple.Tuple {
+	n := len(op.Cols)
+	out := make([]tuple.Tuple, len(groups))
+	values := make([]tuple.Value, len(groups)*n)
+	for r, g := range groups {
 		row := values[r*n : (r+1)*n : (r+1)*n]
 		k := 0
-		for i, col := range m.Op.Cols {
+		for i, col := range op.Cols {
 			if col.IsAgg {
 				row[i] = g.States[k].Result()
 				k++

@@ -279,24 +279,26 @@ func (s *State) EncodedSize() int {
 // Decode deserializes one state from the front of buf.
 func Decode(buf []byte) (*State, []byte, error) {
 	r := tuple.NewReader(buf)
-	s := Read(&r)
+	s := new(State)
+	s.Read(&r)
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	return &s, r.Rest(), nil
+	return s, r.Rest(), nil
 }
 
 // MinEncodedSize is the fewest bytes Append writes for a state.
 const MinEncodedSize = 13
 
-// Read decodes one state from r; what it returns after r has failed is
-// meaningless.
-func Read(r *tuple.Reader) State {
+// Read decodes one state from r into s, in place: it writes every field,
+// so s may hold an earlier state (a decoder's reused slab) and keeps
+// nothing of it. What s holds after r has failed is meaningless.
+func (s *State) Read(r *tuple.Reader) {
 	fn, flags := Func(r.Byte()), r.Byte()
 	if flags&^7 != 0 {
 		r.Fail(tuple.ErrNonCanonical)
 	}
-	s := State{fn: fn, anyFloat: flags&1 != 0, seen: flags&2 != 0, inexact: flags&4 != 0}
+	s.fn, s.anyFloat, s.seen, s.inexact = fn, flags&1 != 0, flags&2 != 0, flags&4 != 0
 	s.count = r.Varint()
 	s.sumI = r.Varint()
 	s.sumF = floatFromBits(r.Fixed64())
@@ -310,7 +312,6 @@ func Read(r *tuple.Reader) State {
 		s.wcount = float64(s.count)
 		s.wsum = s.sumF
 	}
-	return s
 }
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -196,3 +196,24 @@ func TestDecodeTruncated(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOverwritesEveryField: Read decodes in place, so a state read
+// over one that held something else — a weighted MAX of a string read
+// over by an exact SUM, and the reverse — must equal the state read into
+// zeroed memory.
+func TestReadOverwritesEveryField(t *testing.T) {
+	weighted, exact := New(Max), New(Sum)
+	weighted.AddWeighted(tuple.String("z"), 4)
+	exact.Add(tuple.Int(3))
+	for _, pair := range [][2]*State{{weighted, exact}, {exact, weighted}} {
+		before, want := pair[0].Append(nil), pair[1].Append(nil)
+		var s State
+		r := tuple.NewReader(before)
+		s.Read(&r)
+		r = tuple.NewReader(want)
+		s.Read(&r)
+		if fresh, _, err := Decode(want); err != nil || s != *fresh {
+			t.Errorf("read over %+v: got %+v, want %+v (%v)", *pair[0], s, *fresh, err)
+		}
+	}
+}

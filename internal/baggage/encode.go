@@ -141,6 +141,7 @@ func readSlot(r *tuple.Reader) slot {
 	sl.n = r.Count()
 	from = r.Rest()
 	var seen map[string]bool // AGG group keys
+	var st agg.State         // each AGG state, read to be checked
 	if kind == Agg {
 		width = keys
 		if sl.n > 1 {
@@ -166,7 +167,7 @@ func readSlot(r *tuple.Reader) slot {
 			seen[k] = true
 		}
 		for j := 0; j < aggs && r.Err() == nil; j++ {
-			agg.Read(r)
+			st.Read(r)
 		}
 	}
 	sl.body = consumed(from, r)
@@ -204,8 +205,9 @@ func (sl *slot) decoded() *Set {
 		g := &group{keyVals: r.SlabTuple(&values, sl.n-i, true), states: make([]*agg.State, 0, len(s.Spec.Aggs))}
 		key := groupKey(consumed(from, &r))
 		for range s.Spec.Aggs {
-			st := agg.Read(&r)
-			g.states = append(g.states, &st)
+			st := new(agg.State)
+			st.Read(&r)
+			g.states = append(g.states, st)
 		}
 		s.groups[key] = g
 		s.order = append(s.order, key)

@@ -174,6 +174,7 @@ type Installed struct {
 
 	mu          sync.Mutex
 	global      *advice.Merger // groups + raws + eviction tombstones, merged
+	kept        keptOrder      // global's groups in the order Rows last returned them
 	listeners   []func(agent.Report)
 	installedAt time.Time
 	firstResult time.Duration // install→first-report latency; -1 until set
@@ -436,15 +437,42 @@ func (h *Installed) OnReport(fn func(agent.Report)) {
 }
 
 // Rows returns the globally aggregated results accumulated so far, sorted
-// by group key for stable output.
+// by their values for stable output: in Select-column order, so by group
+// key unless an aggregate leads. The rows are new, and the caller owns
+// them. A grouped query keeps its groups in the order it last returned
+// them, appends the groups first seen since, and sorts again only when
+// the rows it materializes in that order are out of order: when new
+// groups arrived or an aggregate-led order moved. A raw query's rows come
+// in arrival order.
 func (h *Installed) Rows() []tuple.Tuple {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rows := h.global.Rows()
-	if !h.global.Op.Raw {
-		slices.SortFunc(rows, compareRows)
+	if h.global.Op.Raw {
+		return h.global.Rows()
+	}
+	h.kept.groups = append(h.kept.groups, h.global.GroupsSince(len(h.kept.groups))...)
+	rows := h.global.Op.Rows(h.kept.groups)
+	if !slices.IsSortedFunc(rows, compareRows) {
+		h.kept.rows = rows
+		sort.Sort(&h.kept)
+		h.kept.rows = nil
 	}
 	return rows
+}
+
+// keptOrder is a query's groups in result order: Rows sorts it, pairing
+// each group with its row for the length of the sort only, so it holds no
+// row the caller was handed.
+type keptOrder struct {
+	groups []*advice.Group
+	rows   []tuple.Tuple
+}
+
+func (k *keptOrder) Len() int           { return len(k.rows) }
+func (k *keptOrder) Less(i, j int) bool { return compareRows(k.rows[i], k.rows[j]) < 0 }
+func (k *keptOrder) Swap(i, j int) {
+	k.rows[i], k.rows[j] = k.rows[j], k.rows[i]
+	k.groups[i], k.groups[j] = k.groups[j], k.groups[i]
 }
 
 func compareRows(a, b tuple.Tuple) int {

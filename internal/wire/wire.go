@@ -390,10 +390,11 @@ func appendReport(buf []byte, m *agent.Report) []byte {
 }
 
 // readReport decodes one report of a TagReportBatch frame. The group list,
-// the groups, their states and every Rep value are cut from the decoder's
-// slabs, sized from the counts the frame gives — a count times the width of the first element
-// that carries it, which is exact unless the frame's groups are ragged —
-// and never beyond what the unread bytes could encode. Group keys and Rep
+// the groups, their states (each read in place) and every Rep value are
+// cut from the decoder's slabs, sized from the counts the frame gives — a
+// count times the width of the first element that carries it, which is
+// exact unless the frame's groups are ragged — and never beyond what the
+// unread bytes could encode. Group keys and Rep
 // strings borrow the frame (a Merger copies what it keeps); raw rows are
 // kept by reference wherever they are merged, so they and their strings
 // are fresh.
@@ -412,7 +413,7 @@ func (d *Decoder) readReport(r *tuple.Reader, prev *agent.Report) agent.Report {
 			d.states.Expect(min((n-i)*ns, len(r.Rest())/agg.MinEncodedSize))
 			g.States = d.states.Take(ns)
 			for k := 0; k < ns && r.Err() == nil; k++ {
-				g.States[k] = agg.Read(r)
+				g.States[k].Read(r)
 			}
 		}
 	}
@@ -551,14 +552,15 @@ func Append(buf []byte, msg any) ([]byte, error) {
 func Unmarshal(buf []byte) (any, error) { return new(Decoder).Decode(buf) }
 
 // Decoder decodes messages as Unmarshal does, into memory it reuses: a
-// ReportBatch's report list is the decoder's own, its group lists, groups,
-// states and Rep values are cut from slabs that the next Decode rewinds,
-// and its keys and Rep strings alias the frame, so the batch is lent until
-// then. Raw rows,
-// drop records and every other message are fresh. A Decoder serves one
-// goroutine; its zero value is ready to use.
+// ReportBatch, boxed, and its report list are the decoder's own, its group
+// lists, groups, states and Rep values are cut from slabs that the next
+// Decode rewinds (each state is decoded in place, over whatever the slab
+// held), and its keys and Rep strings alias the frame, so the batch is lent
+// until then. Raw rows, drop records and every other message are fresh. A
+// Decoder serves one goroutine; its zero value is ready to use.
 type Decoder struct {
 	reports []agent.Report
+	batch   any // agent.ReportBatch over reports, boxed
 	lists   slab.Slab[*advice.Group]
 	groups  slab.Slab[advice.Group]
 	states  slab.Slab[agg.State]
@@ -620,7 +622,13 @@ func (d *Decoder) readMessage(r *tuple.Reader) any {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			d.reports[i] = d.readReport(r, &d.reports[i])
 		}
-		return agent.ReportBatch{Reports: d.reports}
+		// The list moves to new memory only as it grows, which changes its
+		// capacity, so a batch boxed with the same length and capacity is
+		// this one, and is handed out again.
+		if b, ok := d.batch.(agent.ReportBatch); !ok || len(b.Reports) != n || cap(b.Reports) != cap(d.reports) {
+			d.batch = agent.ReportBatch{Reports: d.reports}
+		}
+		return d.batch
 	case TagSpanBatch:
 		m := agent.SpanBatch{Host: r.String(), ProcName: r.String(), Time: time.Duration(r.Varint())}
 		n := r.Count()

@@ -735,6 +735,63 @@ func TestDecoderReuseLeavesMergedRowsIntact(t *testing.T) {
 	}
 }
 
+// TestDecoderReuseMatchesFreshDecode: a link's Decoder decodes each
+// report state in place, into slab memory an earlier frame's states took.
+// A sequence of frames that turns inexact states exact, MIN/MAX strings
+// into ints and seen states into unseen ones, and changes how many states
+// a group has, must decode through one reused Decoder to exactly what a
+// fresh Decoder decodes from each frame: no weighted sum, extremum or flag
+// of an earlier frame may survive, whether or not the slab clears what it
+// takes back.
+func TestDecoderReuseMatchesFreshDecode(t *testing.T) {
+	type state struct {
+		fn     agg.Func
+		v      tuple.Value
+		weight float64 // 0 leaves the state unseen
+	}
+	frame := func(groups int, states ...state) []byte {
+		rep := agent.Report{QueryID: "Q", Host: "h", ProcName: "p", Time: time.Second}
+		for i := range groups {
+			g := &advice.Group{Key: fmt.Sprintf("key-%d", i), Rep: tuple.Tuple{tuple.Int(int64(i))}}
+			for _, st := range states {
+				s := agg.Make(st.fn)
+				if st.weight != 0 {
+					s.AddWeighted(st.v, st.weight)
+				}
+				g.States = append(g.States, s)
+			}
+			rep.Groups = append(rep.Groups, g)
+		}
+		buf, err := Marshal(agent.ReportBatch{Reports: []agent.Report{rep}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	frames := [][]byte{
+		frame(4, state{agg.Count, tuple.Null, 4}, state{agg.Sum, tuple.Float(2.5), 4}, state{agg.Min, tuple.String("a"), 1}, state{agg.Max, tuple.String("z"), 4}),
+		frame(6, state{agg.Count, tuple.Null, 1}, state{agg.Sum, tuple.Int(3), 1}, state{agg.Min, tuple.Int(7), 1}, state{agg.Max, tuple.Int(9), 1}),
+		frame(5, state{agg.Average, tuple.Int(5), 1}, state{agg.Min, tuple.Null, 0}),
+		frame(3, state{agg.Max, tuple.String("m"), 2}, state{agg.Average, tuple.Float(1.5), 0}, state{agg.Sum, tuple.Int(1), 3}),
+		frame(8, state{agg.Sum, tuple.Int(2), 1}),
+		frame(2, state{agg.Max, tuple.Null, 0}, state{agg.Min, tuple.Null, 0}, state{agg.Count, tuple.Null, 0}, state{agg.Sum, tuple.Null, 0}, state{agg.Average, tuple.Null, 0}),
+	}
+	var reused Decoder
+	for i, f := range frames {
+		got, err := reused.Decode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := new(Decoder).Decode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d: a reused Decoder decoded\n%+v\nwant\n%+v", i, got, want)
+		}
+	}
+}
+
 // TestReadReportSlabs: the report decoder cuts groups, states and values
 // out of shared slabs sized from the first group. A frame whose later
 // groups are wider than the first decodes to what was encoded, no decoded
