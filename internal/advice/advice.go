@@ -172,9 +172,8 @@ type Program struct {
 	// (like Cost), so a fault seen at any tracepoint of a process
 	// quarantines the program everywhere it is woven in that process.
 	// Faults are counted once, in Cost.Panics.
-	quarantined      atomic.Bool
-	notified         atomic.Bool
-	quarantineReason atomic.Pointer[string]
+	quarantined atomic.Bool
+	notified    atomic.Bool
 }
 
 // ClampRate validates a sampling rate from an untrusted source (wire
@@ -190,16 +189,6 @@ func ClampRate(r float64) float64 {
 		return r
 	}
 	return 0
-}
-
-// WorkingSchema returns the field names of the working tuple: observed
-// fields then each unpack's fields.
-func (p *Program) WorkingSchema() tuple.Schema {
-	s := p.ObserveFields
-	for _, u := range p.Unpacks {
-		s = s.Concat(u.Fields)
-	}
-	return s
 }
 
 // String renders the program in the paper's advice notation, e.g.

@@ -277,17 +277,29 @@ func TestProgramStringMatchesPaperNotation(t *testing.T) {
 	}
 }
 
+// TestWorkingSchema: the working tuple an advice emits holds its observed
+// fields, then each unpack's fields in unpack order.
 func TestWorkingSchema(t *testing.T) {
-	p := &Program{
-		ObserveFields: tuple.Schema{"a"},
-		Unpacks: []UnpackOp{
-			{Fields: tuple.Schema{"b"}},
-			{Fields: tuple.Schema{"c", "d"}},
+	bag := baggage.New()
+	bag.Pack("sb", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"b"}}, tuple.Tuple{tuple.String("B")})
+	bag.Pack("scd", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"c", "d"}}, tuple.Tuple{tuple.String("C"), tuple.String("D")})
+	em := &collectEmitter{}
+	a := &Advice{
+		Prog: &Program{
+			Observe:       []int{0},
+			ObserveFields: tuple.Schema{"a"},
+			Unpacks: []UnpackOp{
+				{Slot: "sb", Fields: tuple.Schema{"b"}},
+				{Slot: "scd", Fields: tuple.Schema{"c", "d"}},
+			},
+			Emit: &EmitOp{Raw: true, Cols: []EmitCol{{Pos: 0}}, Schema: tuple.Schema{"a"}},
 		},
+		Emitter: em,
 	}
-	want := tuple.Schema{"a", "b", "c", "d"}
-	if !p.WorkingSchema().Equal(want) {
-		t.Fatalf("WorkingSchema = %v, want %v", p.WorkingSchema(), want)
+	a.Invoke(baggage.NewContext(context.Background(), bag), exported("A", 0, "p"))
+	want := tuple.Tuple{tuple.String("A"), tuple.String("B"), tuple.String("C"), tuple.String("D")}
+	if len(em.tuples) != 1 || !em.tuples[0].Equal(want) {
+		t.Fatalf("working tuples = %v, want %v", em.tuples, want)
 	}
 }
 

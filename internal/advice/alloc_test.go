@@ -121,7 +121,7 @@ func TestAllocRawsAtCapAmortized(t *testing.T) {
 	}) / adds; n > 0.05 {
 		t.Errorf("adding a raw row at the cap allocates %.3f objects, want at most 0.05", n)
 	}
-	if got := m.RawsDropped(); got != 2*adds { // AllocsPerRun runs its function once to warm up
+	if got := m.rawsDropped; got != 2*adds { // AllocsPerRun runs its function once to warm up
 		t.Errorf("RawsDropped = %d, want %d", got, 2*adds)
 	}
 }

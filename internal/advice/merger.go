@@ -141,13 +141,6 @@ func (m *Merger) Handoff() Merger {
 // SetLimits replaces the merger's limits (zero value = defaults).
 func (m *Merger) SetLimits(l Limits) { m.limits = l }
 
-// RawsDropped returns how many raw rows FIFO eviction has discarded.
-func (m *Merger) RawsDropped() int64 { return m.rawsDropped }
-
-// GroupsOverflowed returns how many rows were folded into the overflow
-// group instead of their own group.
-func (m *Merger) GroupsOverflowed() int64 { return m.groupsOverflowed }
-
 // capRaws FIFO-evicts the oldest raw rows beyond the cap, counting each.
 // Eviction moves the front of the slice and writes nothing — Raws hands
 // the slice out — and the append that follows copies the kept rows to a

@@ -59,17 +59,6 @@ func SetFailpoint(fn func(p *Program, vals tuple.Tuple)) {
 // until the program is unwoven.
 func (p *Program) Quarantined() bool { return p.quarantined.Load() }
 
-// QuarantineReason returns why the breaker tripped ("" if it has not).
-func (p *Program) QuarantineReason() string {
-	if r := p.quarantineReason.Load(); r != nil {
-		return *r
-	}
-	return ""
-}
-
-// Faults returns how many panics the program's advice has survived.
-func (p *Program) Faults() int64 { return p.Cost.Panics.Load() }
-
 // AdvicePanicked implements tracepoint.PanicSink: the Here boundary calls
 // it after recovering a panic from this advice. Once the fault count
 // reaches the program's limit the breaker trips.
@@ -88,7 +77,6 @@ func (a *Advice) quarantine(reason string) {
 	if !p.notified.CompareAndSwap(false, true) {
 		return
 	}
-	p.quarantineReason.Store(&reason)
 	if h, ok := a.Emitter.(Host); ok {
 		h.NoteQuarantine(p, reason)
 	}

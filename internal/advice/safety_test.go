@@ -91,8 +91,8 @@ func TestMergeRawsCapped(t *testing.T) {
 	mustMerge(t, m, nil, []tuple.Tuple{kvRow("k", 0)}, nil)
 	mustMerge(t, m, nil, []tuple.Tuple{kvRow("k", 1), kvRow("k", 2), kvRow("k", 3)}, nil)
 	raws := m.Raws()
-	if len(raws) != 2 || m.RawsDropped() != 2 {
-		t.Fatalf("raws=%d dropped=%d, want 2/2", len(raws), m.RawsDropped())
+	if len(raws) != 2 || m.rawsDropped != 2 {
+		t.Fatalf("raws=%d dropped=%d, want 2/2", len(raws), m.rawsDropped)
 	}
 	if raws[0][1].Int() != 2 || raws[1][1].Int() != 3 {
 		t.Fatalf("FIFO eviction kept %v, want the newest two", raws)
@@ -118,8 +118,8 @@ func TestMergeRawsCapNeverWritesPublishedRows(t *testing.T) {
 	for next < 4*max {
 		add()
 		raws := m.Raws()
-		if len(raws) != max || m.RawsDropped() != next-max {
-			t.Fatalf("after %d adds: %d rows held, %d dropped, want %d/%d", next, len(raws), m.RawsDropped(), max, next-max)
+		if len(raws) != max || m.rawsDropped != next-max {
+			t.Fatalf("after %d adds: %d rows held, %d dropped, want %d/%d", next, len(raws), m.rawsDropped, max, next-max)
 		}
 		if first, last := raws[0][1].Int(), raws[max-1][1].Int(); first != next-max || last != next-1 {
 			t.Fatalf("after %d adds the merger holds rows %d..%d, want the newest %d", next, first, last, max)
@@ -195,8 +195,8 @@ func TestMergeRoutesOverflow(t *testing.T) {
 	if got := overflow.States[0].Result().Int(); got != 3 {
 		t.Fatalf("merged overflow SUM = %d, want 1+2=3", got)
 	}
-	if local.GroupsOverflowed() != 1 {
-		t.Fatalf("local GroupsOverflowed = %d, want 1", local.GroupsOverflowed())
+	if local.groupsOverflowed != 1 {
+		t.Fatalf("local groups overflowed = %d, want 1", local.groupsOverflowed)
 	}
 }
 
@@ -247,14 +247,14 @@ func TestFaultLimitTripsBreakerOnce(t *testing.T) {
 	if !p.Quarantined() {
 		t.Fatal("breaker did not trip")
 	}
-	if p.Faults() != 5 {
-		t.Fatalf("Faults = %d, want 5", p.Faults())
+	if n := p.Cost.Panics.Load(); n != 5 {
+		t.Fatalf("Cost.Panics = %d, want 5", n)
 	}
 	if len(em.quarantined) != 1 {
 		t.Fatalf("notifier fired %d times, want exactly once", len(em.quarantined))
 	}
-	if !strings.Contains(p.QuarantineReason(), "3 advice panics") {
-		t.Fatalf("reason = %q", p.QuarantineReason())
+	if !strings.Contains(em.quarantined[0], "3 advice panics") {
+		t.Fatalf("reason = %q", em.quarantined[0])
 	}
 }
 

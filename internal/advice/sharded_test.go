@@ -17,7 +17,7 @@ import (
 
 // gkey is the encoded group key of a one-string group-by tuple.
 func gkey(k string) string {
-	return tuple.Tuple{tuple.String(k)}.Key([]int{0})
+	return string(tuple.Tuple{tuple.String(k)}.AppendKey(nil, []int{0}))
 }
 
 // drainSums drains acc and folds its groups into key -> summed value.
@@ -137,7 +137,7 @@ func TestShardedDrainPreservesFirstSeenOrder(t *testing.T) {
 		t.Fatalf("drained %d groups, want %d", len(groups), n)
 	}
 	for i, g := range groups {
-		want := tuple.Tuple{tuple.String(fmt.Sprintf("k%02d", i))}.Key([]int{0})
+		want := gkey(fmt.Sprintf("k%02d", i))
 		if g.Key != want {
 			t.Fatalf("group[%d].Key = %q, want %q (first-seen order lost)", i, g.Key, want)
 		}

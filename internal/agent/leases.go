@@ -77,14 +77,3 @@ func (a *Agent) expireLeases() {
 		a.live.LeasesExpired.Add(1)
 	}
 }
-
-// LeaseDeadline returns the query's lease expiry on the agent's clock, or
-// 0 if the query is not installed or has no lease.
-func (a *Agent) LeaseDeadline(queryID string) time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if qs, ok := a.queries[queryID]; ok {
-		return qs.lease.Expiry
-	}
-	return 0
-}

@@ -26,8 +26,8 @@ func TestLeaseExpiresWithoutRenewal(t *testing.T) {
 		if !a.Installed("Q") || !tp.Enabled() {
 			t.Fatal("query not installed")
 		}
-		if dl := a.LeaseDeadline("Q"); dl != 3*time.Second {
-			t.Fatalf("LeaseDeadline = %v, want 3s", dl)
+		if dl := leaseExpiry(a, "Q"); dl != 3*time.Second {
+			t.Fatalf("lease expiry = %v, want 3s", dl)
 		}
 		// The report loop flushes each second; the third flush lands at
 		// the lease deadline and sheds the query.
@@ -66,8 +66,8 @@ func TestRenewKeepsLeaseAlive(t *testing.T) {
 			t.Fatal("renewed query expired")
 		}
 		// Expected deadline: last renewal at t=8s + the installed 3s TTL.
-		if dl := a.LeaseDeadline("Q"); dl != 11*time.Second {
-			t.Fatalf("LeaseDeadline = %v, want 11s", dl)
+		if dl := leaseExpiry(a, "Q"); dl != 11*time.Second {
+			t.Fatalf("lease expiry = %v, want 11s", dl)
 		}
 		// Stop renewing; the lease lapses.
 		env.Sleep(4 * time.Second)
@@ -88,12 +88,12 @@ func TestRenewWithExplicitTTLRetimes(t *testing.T) {
 		// Installed immortal: no expiry until a renewal assigns a TTL.
 		b.Publish(ControlTopic, Install{QueryID: "Q", Programs: []*advice.Program{q1Program()}})
 		b.Publish(ControlTopic, Renew{QueryIDs: []string{"Q"}})
-		if dl := a.LeaseDeadline("Q"); dl != 0 {
+		if dl := leaseExpiry(a, "Q"); dl != 0 {
 			t.Fatalf("immortal query gained a deadline: %v", dl)
 		}
 		b.Publish(ControlTopic, Renew{QueryIDs: []string{"Q"}, TTL: 5 * time.Second})
-		if dl := a.LeaseDeadline("Q"); dl != 5*time.Second {
-			t.Fatalf("LeaseDeadline = %v, want 5s", dl)
+		if dl := leaseExpiry(a, "Q"); dl != 5*time.Second {
+			t.Fatalf("lease expiry = %v, want 5s", dl)
 		}
 		// Unknown query IDs in a renewal are ignored.
 		b.Publish(ControlTopic, Renew{QueryIDs: []string{"nope"}, TTL: time.Second})
@@ -235,4 +235,15 @@ func TestReportCarriesDedupedDropRecords(t *testing.T) {
 	if len(drops) != 2 || drops[0].Key != "k1" || drops[1].Key != "k2" {
 		t.Fatalf("drops = %v, want deduped sorted [k1 k2]", drops)
 	}
+}
+
+// leaseExpiry reads the query's lease expiry on the agent's clock: 0 when
+// the query is not installed or has no lease.
+func leaseExpiry(a *Agent, queryID string) time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if qs, ok := a.queries[queryID]; ok {
+		return qs.lease.Expiry
+	}
+	return 0
 }

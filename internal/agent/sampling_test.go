@@ -1,16 +1,19 @@
 package agent
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/advice"
+	"repro/internal/agg"
 	"repro/internal/baggage"
 	"repro/internal/bus"
 	"repro/internal/simtime"
 	"repro/internal/tracepoint"
+	"repro/internal/tuple"
 )
 
 // sampledProgram is q1Program with request-level sampling enabled.
@@ -84,8 +87,12 @@ func TestMintedDecisionSuppressesOrWeighs(t *testing.T) {
 			t.Error("weighted partial claims exact")
 		}
 		want := float64(kept) / rate // each kept crossing: one v=1 tuple at weight 1/rate
-		if wc, ws := s.Weighted(); wc != want || ws != want {
-			t.Errorf("Weighted() = (%v, %v), want (%v, %v)", wc, ws, want, want)
+		folded := agg.New(agg.Sum)
+		for range kept {
+			folded.AddWeighted(tuple.Int(1), 1/rate)
+		}
+		if got, exp := s.Append(nil), folded.Append(nil); !bytes.Equal(got, exp) {
+			t.Errorf("reported state encodes as %x, want %x (%d crossings at weight %v)", got, exp, kept, 1/rate)
 		}
 		if got := s.Result().Float(); got != want {
 			t.Errorf("weighted SUM = %v, want %v", got, want)

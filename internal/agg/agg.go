@@ -212,18 +212,10 @@ func (s *State) Result() tuple.Value {
 	}
 }
 
-// Count returns the raw number of values folded into the state,
-// regardless of weights.
-func (s *State) Count() int64 { return s.count }
-
 // Exact reports whether the state saw only unit-weight contributions:
 // false means some input was sampled and Result is an estimate (for
 // MIN/MAX: an extremum over the sampled subset only).
 func (s *State) Exact() bool { return !s.inexact }
-
-// Weighted returns the weighted count and weighted sum accumulated so
-// far (for exact states these equal the raw count and sum).
-func (s *State) Weighted() (count, sum float64) { return s.wcount, s.wsum }
 
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
@@ -274,17 +266,6 @@ func (s *State) EncodedSize() int {
 		n += 16 // wcount + wsum fixed64s
 	}
 	return n
-}
-
-// Decode deserializes one state from the front of buf.
-func Decode(buf []byte) (*State, []byte, error) {
-	r := tuple.NewReader(buf)
-	s := new(State)
-	s.Read(&r)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return s, r.Rest(), nil
 }
 
 // MinEncodedSize is the fewest bytes Append writes for a state.

@@ -81,10 +81,10 @@ func TestEmptyStates(t *testing.T) {
 	if !New(Sum).Result().Equal(tuple.Int(0)) {
 		t.Error("empty SUM should be 0")
 	}
-	if !New(Average).Result().IsNull() {
+	if New(Average).Result().Kind() != tuple.KindNull {
 		t.Error("empty AVG should be null")
 	}
-	if !New(Min).Result().IsNull() || !New(Max).Result().IsNull() {
+	if New(Min).Result().Kind() != tuple.KindNull || New(Max).Result().Kind() != tuple.KindNull {
 		t.Error("empty MIN/MAX should be null")
 	}
 }
@@ -175,11 +175,11 @@ func TestQuickCodecRoundtrip(t *testing.T) {
 			s.Add(tuple.Int(int64(rng.Intn(100))))
 		}
 		buf := s.Append(nil)
-		got, rest, err := Decode(buf)
+		got, rest, err := decode(buf)
 		if err != nil || len(rest) != 0 {
 			return false
 		}
-		return got.Result().Equal(s.Result()) && got.Count() == s.Count() && got.Fn() == s.Fn()
+		return got.Result().Equal(s.Result()) && got.count == s.count && got.Fn() == s.Fn()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -191,8 +191,8 @@ func TestDecodeTruncated(t *testing.T) {
 	s.Add(tuple.Int(5))
 	buf := s.Append(nil)
 	for i := 0; i < len(buf); i++ {
-		if _, _, err := Decode(buf[:i]); err == nil {
-			t.Fatalf("Decode of %d-byte prefix should fail", i)
+		if _, _, err := decode(buf[:i]); err == nil {
+			t.Fatalf("Read of %d-byte prefix should fail", i)
 		}
 	}
 }
@@ -212,8 +212,19 @@ func TestReadOverwritesEveryField(t *testing.T) {
 		s.Read(&r)
 		r = tuple.NewReader(want)
 		s.Read(&r)
-		if fresh, _, err := Decode(want); err != nil || s != *fresh {
+		if fresh, _, err := decode(want); err != nil || s != *fresh {
 			t.Errorf("read over %+v: got %+v, want %+v (%v)", *pair[0], s, *fresh, err)
 		}
 	}
+}
+
+// decode reads one state from the front of buf into a fresh State, as
+// every production decoder does: through State.Read on a tuple.Reader.
+func decode(buf []byte) (*State, []byte, error) {
+	r := tuple.NewReader(buf)
+	s := new(State)
+	if s.Read(&r); r.Err() != nil {
+		return nil, nil, r.Err()
+	}
+	return s, r.Rest(), nil
 }

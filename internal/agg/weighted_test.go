@@ -17,8 +17,8 @@ func TestWeightedCountSum(t *testing.T) {
 	if got := c.Result(); got.Float() != 40 {
 		t.Fatalf("weighted COUNT = %v, want 40", got)
 	}
-	if c.Count() != 2 {
-		t.Fatalf("raw count = %d, want 2", c.Count())
+	if c.count != 2 {
+		t.Fatalf("raw count = %d, want 2", c.count)
 	}
 
 	s := New(Sum)
@@ -44,15 +44,15 @@ func TestWeightedCountSum(t *testing.T) {
 		t.Fatalf("sampled MAX = %v, want 7 (value unscaled)", got)
 	}
 
-	if wc, ws := s.Weighted(); wc != 20 || ws != 80 {
-		t.Fatalf("Weighted() = (%v, %v), want (20, 80)", wc, ws)
+	if s.wcount != 20 || s.wsum != 80 {
+		t.Fatalf("weighted count, sum = (%v, %v), want (20, 80)", s.wcount, s.wsum)
 	}
-	// For an exact state the weighted accessors mirror the raw fold.
+	// For an exact state the weighted fields mirror the raw fold.
 	e := New(Sum)
 	e.Add(tuple.Int(3))
 	e.Add(tuple.Int(4))
-	if wc, ws := e.Weighted(); wc != 2 || ws != 7 {
-		t.Fatalf("exact Weighted() = (%v, %v), want (2, 7)", wc, ws)
+	if e.wcount != 2 || e.wsum != 7 {
+		t.Fatalf("exact weighted count, sum = (%v, %v), want (2, 7)", e.wcount, e.wsum)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestInexactSurvivesMergeAndWire(t *testing.T) {
 		if len(buf) != s.EncodedSize() {
 			t.Fatalf("EncodedSize %d != appended %d", s.EncodedSize(), len(buf))
 		}
-		d, rest, err := Decode(buf)
+		d, rest, err := decode(buf)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("decode: err=%v rest=%d", err, len(rest))
 		}
@@ -136,7 +136,7 @@ func TestDecodeTruncatedWeighted(t *testing.T) {
 	s.AddWeighted(tuple.Null, 2)
 	buf := s.Append(nil)
 	for i := range buf {
-		if _, _, err := Decode(buf[:i]); err == nil {
+		if _, _, err := decode(buf[:i]); err == nil {
 			t.Fatalf("truncated decode at %d bytes succeeded", i)
 		}
 	}

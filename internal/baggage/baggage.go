@@ -3,8 +3,6 @@ package baggage
 import (
 	"bytes"
 	"context"
-	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -27,7 +25,7 @@ type Meters struct {
 	Joins           *telemetry.Counter   // Joins that actually merged two sides
 	Bytes           *telemetry.Histogram // per-Serialize size distribution
 	PackRefused     *telemetry.Counter   // tuples refused by tombstones (PackBudgeted)
-	MergeConflicts  *telemetry.Counter   // same-slot merges dropped for mismatched specs
+	MergeConflicts  *telemetry.Counter   // slot contents dropped for a mismatched spec, at a merge or a pack
 	PoolReuses      *telemetry.Counter   // pack/serialize scratch buffers served from the pool
 }
 
@@ -202,18 +200,32 @@ func (in *instance) lookup(name string) *slot {
 	return nil
 }
 
-// set returns the set stored under name, materialized for a write.
+// set returns the set stored under name, materialized for a write. A slot
+// that arrived under another spec is emptied into one of spec (see
+// conflict).
 func (in *instance) set(name string, spec SetSpec) *Set {
 	if sl := in.lookup(name); sl != nil {
-		s := sl.materialize()
-		if !s.Spec.Equal(spec) {
-			panic("baggage: conflicting specs for slot " + name)
+		if s := sl.materialize(); s.Spec.Equal(spec) {
+			return s
 		}
-		return s
+		conflict()
+		sl.set = NewSet(spec)
+		return sl.set
 	}
 	s := NewSet(spec)
 	in.slots = append(in.slots, slot{name: name, set: s})
 	return s
+}
+
+// conflict counts a slot whose spec disagreed with the side it met: a
+// merge drops the other side, and a pack replaces what a peer stored
+// under its own name. Baggage arrives from peer processes, and bytes from
+// a corrupt or hostile one must never panic the traced application; the
+// packer's spec is the one its query reads the slot with.
+func conflict() {
+	if m := meters.Load(); m != nil {
+		m.MergeConflicts.Inc()
+	}
 }
 
 // clone copies an active instance; writes to the copy do not reach in.
@@ -380,19 +392,6 @@ func (b *Baggage) merged(name string, oldestFirst bool) *Set {
 	return acc
 }
 
-// Slots returns the slot names present in any instance, sorted.
-func (b *Baggage) Slots() []string {
-	b.ensureDecoded()
-	var out []string
-	for _, in := range b.insts {
-		for _, sl := range in.slots {
-			out = append(out, sl.name)
-		}
-	}
-	sort.Strings(out)
-	return slices.Compact(out)
-}
-
 // TupleCount returns the total number of stored tuples (groups for AGG
 // sets) across all instances — the paper's cost metric for propagation.
 func (b *Baggage) TupleCount() int {
@@ -505,20 +504,6 @@ func (b *Baggage) share() Baggage {
 	c := *b
 	c.shared = len(c.insts) > 0
 	return c
-}
-
-// Clone returns baggage with b's contents that is written independently of
-// b: the active instance is copied (at once, or when first written if it
-// is shared already), the raw bytes and frozen instances are shared.
-func (b *Baggage) Clone() *Baggage {
-	if b == nil {
-		return nil
-	}
-	c := *b
-	if len(c.insts) > 0 && !c.shared {
-		c.insts = append([]*instance{c.insts[0].clone()}, c.insts[1:]...)
-	}
-	return &c
 }
 
 // ContextKey is the context key of the request's *Baggage, exported so that

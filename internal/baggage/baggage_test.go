@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -113,15 +114,41 @@ func TestAggPackAggregatesInPlace(t *testing.T) {
 	}
 }
 
-func TestConflictingSpecPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestConflictingSpecReplacesSlot: a slot stored under another spec than
+// the packer's — bytes a peer wrote — is replaced by what the packer packs,
+// whichever pack path meets it, and each replacement is counted as a merge
+// conflict. Nothing panics.
+func TestConflictingSpecReplacesSlot(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	SetTelemetry(reg)
+	defer SetTelemetry(nil)
+	foreign := New()
+	foreign.Pack("s", allSpec("x", "y"), tuple.Tuple{tuple.Int(7), tuple.Int(8)})
+	wire := foreign.Serialize()
+	first := SetSpec{Kind: First, Fields: tuple.Schema{"a"}}
+	for name, pack := range map[string]func(b *Baggage){
+		"Pack": func(b *Baggage) {
+			b.Pack("s", first, tuple.Tuple{tuple.Int(2)})
+		},
+		"PackBudgeted": func(b *Baggage) {
+			b.PackBudgeted("q", "s", first, Budget{}, tuple.Tuple{tuple.Int(2)})
+		},
+		"PackFrom": func(b *Baggage) {
+			b.PackFrom("q", "s", allSpec("a"), Budget{}, tuple.Tuple{tuple.Int(0), tuple.Int(2)}, []int{1})
+		},
+	} {
+		before := reg.Snapshot().Counters["baggage.merge.conflicts"]
+		b := Deserialize(wire)
+		pack(b)
+		for _, got := range [][]tuple.Tuple{b.Unpack("s"), Deserialize(b.Serialize()).Unpack("s")} {
+			if len(got) != 1 || !got[0].Equal(tuple.Tuple{tuple.Int(2)}) {
+				t.Errorf("%s: slot unpacks %v, want only the packer's (2)", name, got)
+			}
 		}
-	}()
-	b := New()
-	b.Pack("s", allSpec("a"), tuple.Tuple{tuple.Int(1)})
-	b.Pack("s", SetSpec{Kind: First, Fields: tuple.Schema{"a"}}, tuple.Tuple{tuple.Int(2)})
+		if n := reg.Snapshot().Counters["baggage.merge.conflicts"] - before; n != 1 {
+			t.Errorf("%s: %d conflicts counted, want 1", name, n)
+		}
+	}
 }
 
 func TestSerializeEmptyIsZeroBytes(t *testing.T) {
@@ -385,26 +412,19 @@ func TestContextPropagation(t *testing.T) {
 	}
 }
 
-func TestSlotsSorted(t *testing.T) {
-	b := New()
-	b.Pack("zz", allSpec("v"), tuple.Tuple{tuple.Int(1)})
-	b.Pack("aa", allSpec("v"), tuple.Tuple{tuple.Int(2)})
-	got := b.Slots()
-	if len(got) != 2 || got[0] != "aa" || got[1] != "zz" {
-		t.Fatalf("Slots = %v", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
+// TestJoinWithNothingCopiesIndependently: a join with empty baggage — the
+// degenerate copy a JoinContext with one side unbaggaged makes — keeps what
+// it copied, and a write through it never reaches the baggage it copied.
+func TestJoinWithNothingCopiesIndependently(t *testing.T) {
 	b := New()
 	b.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
-	c := b.Clone()
+	c := Join(b, nil)
 	c.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(2)})
 	if len(b.Unpack("s")) != 1 {
-		t.Fatal("Clone aliases receiver")
+		t.Fatal("the copy aliases the original")
 	}
 	if len(c.Unpack("s")) != 2 {
-		t.Fatal("Clone lost tuples")
+		t.Fatal("the copy lost tuples")
 	}
 }
 
@@ -528,7 +548,7 @@ func TestUseAfterSplitNeverReachesTheBranches(t *testing.T) {
 
 // Join must build its instance list in a slice of its own: appending to an
 // argument's list would write into a backing array that another Baggage
-// (a Clone, say) shares.
+// (a degenerate join's copy, say) shares.
 func TestJoinNeverAppendsToItsArguments(t *testing.T) {
 	root := New()
 	root.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})

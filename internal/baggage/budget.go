@@ -221,11 +221,13 @@ func (b *Baggage) PackFrom(query, name string, spec SetSpec, budget Budget, w tu
 	if whole, _ := b.evictions(name); whole || !encodes(spec.Kind) || sl != nil && sl.set != nil {
 		return b.PackBudgeted(query, name, spec, budget, w.Project(src))
 	}
-	if sl == nil {
+	switch {
+	case sl == nil:
 		in.slots = append(in.slots, newSlot(name, spec, tuple.SizeProjected(w, src)))
 		sl = &in.slots[len(in.slots)-1]
-	} else if !sl.specIs(spec) {
-		panic("baggage: conflicting specs for slot " + name)
+	case !sl.specIs(spec): // stored by a peer under another spec (see conflict)
+		conflict()
+		*sl = newSlot(name, spec, tuple.SizeProjected(w, src))
 	}
 	sl.add(spec, w, src)
 	return b.enforce(budget, query, PackStats{Packed: 1})

@@ -185,7 +185,7 @@ func TestEvictionSurvivesSplitJoin(t *testing.T) {
 	}
 	// Every key is exclusively reported or tombstoned.
 	for _, row := range got {
-		key := tuple.Tuple{row[0]}.Key([]int{0})
+		key := string(tuple.Tuple{row[0]}.AppendKey(nil, []int{0}))
 		if dropped[key] {
 			t.Fatalf("group %q both reported and dropped", row[0].Str())
 		}

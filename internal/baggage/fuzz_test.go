@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/randtest"
 	"repro/internal/tuple"
 )
@@ -100,17 +101,59 @@ func FuzzDecodeBaggage(f *testing.F) {
 		if views[0] != views[1] {
 			t.Fatalf("indexed baggage reads\n%s\nmaterialized baggage reads\n%s", views[0], views[1])
 		}
+		for i, b := range []*Baggage{indexed, forced} {
+			packInto(b)
+			if _, err := decodeInstances(b.Serialize()); err != nil {
+				t.Fatalf("way %d: packing into accepted baggage made bytes that do not decode: %v", i, err)
+			}
+		}
 	})
+}
+
+// fuzzSpec and fuzzAggSpec are the fuzzer's own specs: a received slot of
+// the same name under any other spec is a peer's, which a pack replaces.
+var (
+	fuzzSpec    = SetSpec{Kind: All, Fields: tuple.Schema{"fuzz"}}
+	fuzzAggSpec = SetSpec{Kind: Agg, Fields: tuple.Schema{"fuzz", "n"}, GroupBy: []int{0}, Aggs: []AggField{{Pos: 1, Fn: agg.Count}}}
+)
+
+// packInto writes received baggage as a tracer does: into every slot name
+// it arrived with, through PackFrom (an encoded slot's path) and
+// PackBudgeted (a materialized set's), then the span frontier's pack, then
+// a pack over budget whose eviction writes a tombstone.
+func packInto(b *Baggage) {
+	var names []string
+	for _, in := range b.insts {
+		for _, sl := range in.slots {
+			names = append(names, sl.name)
+		}
+	}
+	w := tuple.Tuple{tuple.String("w"), tuple.Int(1)}
+	for _, name := range names {
+		query, _, _ := strings.Cut(name, ".")
+		b.PackFrom(query, name, fuzzSpec, Budget{}, w, []int{0})
+		b.PackBudgeted(query, name, fuzzAggSpec, Budget{}, w)
+	}
+	b.PackBudgeted("", TraceSlot, TraceSpec, Budget{}, tuple.Tuple{tuple.Int(1), tuple.Int(2), tuple.Int(3)})
+	b.PackBudgeted("fuzz", "fuzz.evict", fuzzSpec, Budget{MaxTuples: 1}, w[:1], w[1:])
 }
 
 // view renders what b's read paths return, and its bytes after a split
 // and a join (the join's new instance's nonce zeroed).
 func view(b *Baggage) string {
 	var sb strings.Builder
-	for _, slot := range b.Slots() {
-		query, _, _ := strings.Cut(slot, ".")
-		rate, sampled := b.SampleRate(query)
-		fmt.Fprintln(&sb, slot, b.Unpack(slot), rate, sampled, b.DropRecords(query))
+	b.ensureDecoded()
+	seen := map[string]bool{}
+	for _, in := range b.insts {
+		for _, sl := range in.slots {
+			if seen[sl.name] {
+				continue
+			}
+			seen[sl.name] = true
+			query, _, _ := strings.Cut(sl.name, ".")
+			rate, sampled := b.SampleRate(query)
+			fmt.Fprintln(&sb, sl.name, b.Unpack(sl.name), rate, sampled, b.DropRecords(query))
+		}
 	}
 	fmt.Fprintln(&sb, b.TupleCount(), b.DropRecords(""))
 	j := Join(b.Split())

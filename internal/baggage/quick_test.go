@@ -203,7 +203,7 @@ func TestQuickMergeCommutesWithWireRoundtrip(t *testing.T) {
 // deepCopy is the oracle for TestQuickSharingMatchesDeepCopies: the
 // baggage rebuilt so that it shares no instance, set, tuple or
 // aggregation state or encoded bytes with b or with anything else — how
-// Split and Clone copied before frozen instances were shared.
+// Split copied before frozen instances were shared.
 func deepCopy(b *Baggage) *Baggage {
 	if b.raw != nil {
 		return &Baggage{raw: append([]byte(nil), b.raw...)}
@@ -246,14 +246,17 @@ func sameView(got, want *Baggage) error {
 	if g, w := got.Serialize(), want.Serialize(); !bytes.Equal(g, w) {
 		return fmt.Errorf("serializes to\n%x, the deep-copied shadow to\n%x", g, w)
 	}
-	for _, slot := range want.Slots() {
-		g, w := got.Unpack(slot), want.Unpack(slot)
-		if len(g) != len(w) {
-			return fmt.Errorf("slot %s unpacks %v, the deep-copied shadow %v", slot, g, w)
-		}
-		for i := range w {
-			if !g[i].Equal(w[i]) {
-				return fmt.Errorf("slot %s row %d unpacks %v, the deep-copied shadow %v", slot, i, g[i], w[i])
+	want.ensureDecoded()
+	for _, in := range want.insts {
+		for _, sl := range in.slots {
+			g, w := got.Unpack(sl.name), want.Unpack(sl.name)
+			if len(g) != len(w) {
+				return fmt.Errorf("slot %s unpacks %v, the deep-copied shadow %v", sl.name, g, w)
+			}
+			for i := range w {
+				if !g[i].Equal(w[i]) {
+					return fmt.Errorf("slot %s row %d unpacks %v, the deep-copied shadow %v", sl.name, i, g[i], w[i])
+				}
 			}
 		}
 	}
@@ -261,7 +264,7 @@ func sameView(got, want *Baggage) error {
 }
 
 // TestQuickSharingMatchesDeepCopies drives random pack / budgeted pack
-// with eviction / split / join / wire round-trip / Clone sequences over a
+// with eviction / split / join / wire round-trip sequences over a
 // set of branches twice: on baggage that shares its frozen instances, sets
 // and tuples, and on a shadow in which every baggage is deep-copied after
 // every step, so that nothing in it is shared. After every step each live
@@ -270,9 +273,9 @@ func sameView(got, want *Baggage) error {
 // that writing one branch never changes a sibling. Split, join and the
 // wire round-trip also run in their context forms (the live baggage held
 // by value in a context node), and a join with nothing is the degenerate
-// copy. Receivers of Split and originals of Clone stay in play as stale
-// handles that are written and read but never joined (their interval tree
-// IDs overlap their branches').
+// copy. Receivers of Split stay in play as stale handles that are written
+// and read but never joined (their interval tree IDs overlap their
+// branches').
 func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
 	bg := context.Background()
@@ -333,12 +336,13 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 					live[k] = Deserialize(live[k].Serialize())
 				}
 				shadow[k] = Deserialize(shadow[k].Serialize())
-			case 11: // join with nothing: the result shares the active instance
-				live[k] = FromContext(JoinContext(bg, NewContext(bg, live[k]), bg))
+			case 6, 11: // join with nothing: the result shares the active instance
+				if op == 11 {
+					live[k] = FromContext(JoinContext(bg, NewContext(bg, live[k]), bg))
+				} else {
+					live[k] = Join(live[k], nil)
+				}
 				shadow[k] = Join(shadow[k], nil)
-			case 6: // Clone: the original becomes a stale handle
-				live, shadow = append(live, live[k]), append(shadow, shadow[k])
-				live[k], shadow[k] = live[k].Clone(), shadow[k].Clone()
 			case 7: // read only
 			}
 			for i := range shadow {
@@ -452,7 +456,7 @@ func TestQuickAppendUnpackExtendsPrefix(t *testing.T) {
 // projection of its working tuple into the slot, leaves baggage that
 // unpacks, accounts and serializes (nonces aside) exactly as packing the
 // projected copy does — for every kind, under budgets small enough to
-// evict, into slots that splits, joins, clones and wire round-trips left
+// evict, into slots that splits, joins, copies and wire round-trips left
 // encoded or materialized.
 func TestQuickPackFromMatchesPackBudgeted(t *testing.T) {
 	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
@@ -491,7 +495,7 @@ func TestQuickPackFromMatchesPackBudgeted(t *testing.T) {
 					return err
 				}
 				from, copied = Join(from, fr), Join(copied, cr)
-			case 6: // Clone, then write the clone and the original: neither write reaches the other
+			case 6: // copy by a join with nothing, then write the copy and the original, in that order: neither write reaches the other
 				spec := kinds[rng.Intn(2)] // UNION or ALL: slots with room to append in place
 				for i := 0; i < 4; i++ {
 					if err := pack(spec); err != nil {
@@ -499,7 +503,7 @@ func TestQuickPackFromMatchesPackBudgeted(t *testing.T) {
 					}
 				}
 				fo, co := from, copied
-				fc, cc := from.Clone(), copied.Clone()
+				fc, cc := Join(from, nil), Join(copied, nil)
 				from, copied = fc, cc
 				if err := pack(spec); err != nil {
 					return err

@@ -286,15 +286,10 @@ func admits(spec SetSpec, n int, held func() bool) (store, replace bool) {
 
 // Merge folds another set with the same spec into s. Used when rejoining
 // branched baggage and when combining instances at unpack. A spec
-// mismatch drops o rather than panicking: merge sites are where
-// independently-produced baggage payloads meet, and bytes from a corrupt
-// or hostile peer must never panic the traced application. Dropped
-// merges are counted in the MergeConflicts meter.
+// mismatch drops o rather than panicking (see conflict).
 func (s *Set) Merge(o *Set) {
 	if !s.Spec.Equal(o.Spec) {
-		if m := meters.Load(); m != nil {
-			m.MergeConflicts.Inc()
-		}
+		conflict()
 		return
 	}
 	switch s.Spec.Kind {

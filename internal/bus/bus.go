@@ -109,10 +109,3 @@ func (b *Bus) Publish(topic string, msg any) {
 		s.h(msg)
 	}
 }
-
-// Published returns the total number of messages published.
-func (b *Bus) Published() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.published
-}

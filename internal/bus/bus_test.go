@@ -17,8 +17,8 @@ func TestPublishReachesSubscribers(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("got = %v", got)
 	}
-	if b.Published() != 2 {
-		t.Fatalf("published = %d", b.Published())
+	if b.published != 2 {
+		t.Fatalf("published = %d", b.published)
 	}
 }
 

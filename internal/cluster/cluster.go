@@ -168,18 +168,6 @@ func (c *Cluster) AdoptTopology(cfg netsim.TopologyConfig) *netsim.Topology {
 	return topo
 }
 
-// Hosts returns every host, in no particular order; callers that need one
-// track their own lists.
-func (c *Cluster) Hosts() []*netsim.Host {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*netsim.Host, 0, len(c.hosts))
-	for _, h := range c.hosts {
-		out = append(out, h)
-	}
-	return out
-}
-
 // Process is one simulated OS process: an identity, a host, a private
 // tracepoint registry, a Pivot Tracing agent, and a set of RPC handlers.
 type Process struct {

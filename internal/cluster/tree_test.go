@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/agent"
@@ -139,23 +140,27 @@ func TestTenantFrontendOverTree(t *testing.T) {
 
 // TestTreeRebalanceOwnership: the partition topics of a tree's members
 // cover the topic set disjointly (sanity of the cluster wiring against the
-// combiner package's rendezvous assignment).
+// combiner package's rendezvous assignment): a report published on any
+// partition topic is taken in by exactly one mid.
 func TestTreeRebalanceOwnership(t *testing.T) {
 	env := simtime.NewEnv()
 	env.Run(func() {
 		c := tieredCluster(env, 3)
-		owned := map[string]int{}
-		for _, m := range c.combiners[:3] {
-			for _, topic := range m.Topics() {
-				owned[topic]++
+		mids := c.combiners[:3]
+		for i, topic := range combiner.PartitionTopics(c.partitions) {
+			before := make([]int, len(mids))
+			for m, mid := range mids {
+				before[m] = mid.Pending()
 			}
-		}
-		if len(owned) != c.partitions {
-			t.Fatalf("mids own %d topics, want %d", len(owned), c.partitions)
-		}
-		for _, topic := range combiner.PartitionTopics(c.partitions) {
-			if owned[topic] != 1 {
-				t.Errorf("topic %q owned by %d mids, want exactly 1", topic, owned[topic])
+			c.Bus.Publish(topic, agent.ReportBatch{Reports: []agent.Report{
+				{QueryID: fmt.Sprintf("Q%d", i), Raws: []tuple.Tuple{{tuple.Int(1)}}},
+			}})
+			owners := 0
+			for m, mid := range mids {
+				owners += mid.Pending() - before[m]
+			}
+			if owners != 1 {
+				t.Errorf("topic %q taken in by %d mids, want exactly 1", topic, owners)
 			}
 		}
 	})

@@ -122,9 +122,6 @@ func New(env *simtime.Env, host, proc string, b *bus.Bus, cfg Config) *Combiner 
 	return c
 }
 
-// Topics returns the combiner's subscribed downstream topics.
-func (c *Combiner) Topics() []string { return append([]string(nil), c.cfg.Subscribe...) }
-
 func (c *Combiner) flushLoop() {
 	for !c.env.Done() {
 		c.env.Sleep(c.cfg.Interval)

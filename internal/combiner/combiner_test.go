@@ -245,7 +245,7 @@ func TestCombinerForwards(t *testing.T) {
 	if rs[0].Host != "rack0" || rs[0].ProcName != "combiner-0" {
 		t.Fatalf("forwarded report not stamped with combiner identity: %+v", rs[0])
 	}
-	if g := rs[0].Groups; len(g) != 2 || g[0].Key != "k" || g[1].Key != "z" || g[0].States[0].Count() != 7 {
+	if g := rs[0].Groups; len(g) != 2 || g[0].Key != "k" || g[1].Key != "z" || g[0].States[0].Result().Int() != 7 {
 		t.Fatalf("Q1 did not drain as k=7, z in key order: %+v", g)
 	}
 	if len(rs[1].Raws) != 1 || len(rs[1].Drops) != 1 || rs[1].Drops[0].Key != "h1.w.1" {
@@ -280,12 +280,12 @@ func TestCombinerDoesNotMutateSource(t *testing.T) {
 	src := countGroup("k", 3)
 	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{src}}))
 	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{countGroup("k", 5)}}))
-	if src.States[0].Count() != 3 {
-		t.Fatalf("combiner mutated the published group: count %d, want 3", src.States[0].Count())
+	if src.States[0].Result().Int() != 3 {
+		t.Fatalf("combiner mutated the published group: count %d, want 3", src.States[0].Result().Int())
 	}
 	c.Flush()
-	if src.States[0].Count() != 3 {
-		t.Fatalf("flush mutated the published group: count %d, want 3", src.States[0].Count())
+	if src.States[0].Result().Int() != 3 {
+		t.Fatalf("flush mutated the published group: count %d, want 3", src.States[0].Result().Int())
 	}
 }
 
@@ -433,7 +433,7 @@ func TestDrainPendingAccounting(t *testing.T) {
 	c.Close()
 
 	drained := c.DrainPending()
-	if len(drained) != 1 || drained[0].Groups[0].States[0].Count() != 6 {
+	if len(drained) != 1 || drained[0].Groups[0].States[0].Result().Int() != 6 {
 		t.Fatalf("DrainPending = %+v, want one Q1 report with count 6", drained)
 	}
 	if again := c.DrainPending(); len(again) != 0 {
@@ -532,7 +532,7 @@ func TestCombinerRelearnsGroupShapeEachInterval(t *testing.T) {
 	wide.States = append(wide.States, *agg.New(agg.Sum))
 	b.Publish(PartitionTopic(0, 1), batch(agent.Report{QueryID: "Q1", Groups: []*advice.Group{wide}}))
 	got := flushedReports(b, c)
-	if len(got) != 1 || len(got[0].Groups) != 1 || len(got[0].Groups[0].States) != 2 || got[0].Groups[0].States[0].Count() != 3 {
+	if len(got) != 1 || len(got[0].Groups) != 1 || len(got[0].Groups[0].States) != 2 || got[0].Groups[0].States[0].Result().Int() != 3 {
 		t.Fatalf("second interval forwarded %+v, want one group k with two states, count 3", got)
 	}
 	if st := c.Stats(); st.ReportsRejected != 0 {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/advice"
 	"repro/internal/agent"
-	"repro/internal/baggage"
 	"repro/internal/bus"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -399,13 +398,6 @@ func (h *Installed) DroppedGroups() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.global.DroppedGroups()
-}
-
-// Drops returns the query's baggage eviction tombstones, sorted.
-func (h *Installed) Drops() []baggage.DropRecord {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.global.Drops()
 }
 
 // Quarantines returns the circuit-breaker notices received for this

@@ -136,7 +136,7 @@ func TestRowsKeptOrderMatchesFreshSort(t *testing.T) {
 				return err
 			}
 		}
-		if hs[3].global.GroupsOverflowed() == 0 {
+		if !slices.ContainsFunc(hs[3].global.Groups(), func(g *advice.Group) bool { return g.Key == advice.OverflowKey }) {
 			return fmt.Errorf("the capped query never overflowed")
 		}
 		return nil

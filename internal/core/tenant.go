@@ -59,9 +59,6 @@ func NewWithOptions(b *bus.Bus, reg *tracepoint.Registry, o Options) *PivotTraci
 	return pt
 }
 
-// Tenant returns the frontend's tenant ID ("" for the primary).
-func (pt *PivotTracing) Tenant() string { return pt.tenant }
-
 // FramesIn returns how many result frames (ReportBatch bus messages) this
 // frontend has received, including frames for queries it does not own. It is the frontend's inbound-load meter: the
 // multi-tenant-storm scenario asserts it stays flat per frontend as the

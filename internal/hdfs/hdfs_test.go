@@ -34,8 +34,11 @@ func TestCreateAndReadRoundtrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if size, ok := nn.FileSize("/f1"); !ok || size != 64e6 {
-			t.Errorf("file size = %v, %v", size, ok)
+		nn.mu.Lock()
+		fi, ok := nn.files["/f1"]
+		nn.mu.Unlock()
+		if !ok || fi.size != 64e6 {
+			t.Errorf("file /f1: %+v, %v; want 64e6 bytes", fi, ok)
 		}
 		if err := cl.Read(ctx, "/f1", 0, 64e6); err != nil {
 			t.Error(err)

@@ -344,14 +344,3 @@ func (nn *NameNode) handleComplete(ctx context.Context, req any) (any, error) {
 	nn.tpComplete.Here(ctx, src)
 	return true, nil
 }
-
-// FileSize returns the size of a file, for tests.
-func (nn *NameNode) FileSize(src string) (float64, bool) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	fi, ok := nn.files[src]
-	if !ok {
-		return 0, false
-	}
-	return fi.size, true
-}

@@ -51,18 +51,9 @@ func (h *Host) SetNICRate(rate float64) {
 	h.net.SetRate(h.rx.Name, rate)
 }
 
-// NICRate returns the current transmit capacity of the host's NIC.
-func (h *Host) NICRate() float64 { return h.net.Rate(h.tx.Name) }
-
 // SetDiskRate changes the host disk's capacity (fault injection: a
 // limplock disk serves reads and writes at a crawl without failing).
 func (h *Host) SetDiskRate(rate float64) { h.net.SetRate(h.disk.Name, rate) }
-
-// Rack returns the host's global rack index (0 on flat networks).
-func (h *Host) Rack() int { return h.rack }
-
-// Pod returns the host's pod index (0 on flat networks).
-func (h *Host) Pod() int { return h.pod }
 
 // Send transfers size bytes from h to dst, blocking until delivered.
 // Loopback transfers (h == dst) skip the network. The transfer contends

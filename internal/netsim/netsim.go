@@ -99,13 +99,6 @@ func (n *Network) AddLink(name string, rate float64) *Link {
 	return l
 }
 
-// Link returns the named link, or nil.
-func (n *Network) Link(name string) *Link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.links[name]
-}
-
 // SetRate changes a link's capacity at runtime (fault injection). Active
 // flows immediately see the new fair-share rates.
 func (n *Network) SetRate(name string, rate float64) {
@@ -123,16 +116,6 @@ func (n *Network) SetRate(name string, rate float64) {
 	n.reshareLocked()
 	n.mu.Unlock()
 	n.wake.Signal()
-}
-
-// Rate returns a link's current capacity in bytes/second.
-func (n *Network) Rate(name string) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if l, ok := n.links[name]; ok {
-		return l.rate
-	}
-	return 0
 }
 
 // LinkServed returns the cumulative bytes served through the named link

@@ -91,8 +91,7 @@ func TestSetRateMidFlow(t *testing.T) {
 	var elapsed time.Duration
 	env.Run(func() {
 		n := New(env)
-		n.AddLink("l", 100)
-		l := n.Link("l")
+		l := n.AddLink("l", 100)
 		wg := env.NewWaitGroup()
 		wg.Add(1)
 		env.Go(func() { defer wg.Done(); s := env.Now(); n.Flow(200, l); elapsed = env.Now() - s })

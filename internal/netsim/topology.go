@@ -121,24 +121,12 @@ func BuildTopology(n *Network, cfg TopologyConfig) *Topology {
 	return t
 }
 
-// Size returns the number of hosts.
-func (t *Topology) Size() int { return len(t.hosts) }
-
 // Host returns the i-th host in build order.
 func (t *Topology) Host(i int) *Host { return t.hosts[i] }
 
 // Hosts returns all hosts in build order (shared slice; do not mutate).
 func (t *Topology) Hosts() []*Host { return t.hosts }
 
-// Name returns the i-th host's interned name.
-func (t *Topology) Name(i int) string { return t.names[i] }
-
 // Names returns all host names in build order (shared slice; do not
 // mutate).
 func (t *Topology) Names() []string { return t.names }
-
-// RackOf returns the global rack index of the i-th host.
-func (t *Topology) RackOf(i int) int { return t.hosts[i].rack }
-
-// PodOf returns the pod index of the i-th host.
-func (t *Topology) PodOf(i int) int { return t.hosts[i].pod }

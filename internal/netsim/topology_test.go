@@ -70,25 +70,21 @@ func TestTopologyNamesAndPlacement(t *testing.T) {
 			Racks: 4, HostsPerRack: 3, RacksPerPod: 2,
 			RackUplink: Gbit, PodUplink: 4 * Gbit,
 		})
-		if topo.Size() != 12 {
-			t.Fatalf("Size = %d, want 12", topo.Size())
+		if len(topo.Hosts()) != 12 {
+			t.Fatalf("%d hosts, want 12", len(topo.Hosts()))
 		}
-		if got := topo.Name(0); got != "hr000n000" {
-			t.Fatalf("Name(0) = %q", got)
+		if got := topo.Names()[0]; got != "hr000n000" {
+			t.Fatalf("Names()[0] = %q", got)
 		}
-		if got := topo.Name(11); got != "hr003n002" {
-			t.Fatalf("Name(11) = %q", got)
+		if got := topo.Names()[11]; got != "hr003n002" {
+			t.Fatalf("Names()[11] = %q", got)
 		}
 		if len(topo.Names()) != 12 || topo.Names()[5] != topo.Host(5).Name {
 			t.Fatalf("Names() inconsistent with Host()")
 		}
 		// Host 7 is rack 2 (hosts 6..8), pod 1 (racks 2..3).
-		if topo.RackOf(7) != 2 || topo.PodOf(7) != 1 {
-			t.Fatalf("host 7 placed at rack %d pod %d, want rack 2 pod 1",
-				topo.RackOf(7), topo.PodOf(7))
-		}
-		if topo.Host(7).Rack() != 2 || topo.Host(7).Pod() != 1 {
-			t.Fatalf("Host accessors disagree with topology placement")
+		if h := topo.Host(7); h.rack != 2 || h.pod != 1 {
+			t.Fatalf("host 7 placed at rack %d pod %d, want rack 2 pod 1", h.rack, h.pod)
 		}
 	})
 }

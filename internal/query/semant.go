@@ -206,12 +206,3 @@ func (a *Analysis) checkRef(f FieldRef) error {
 	}
 	return nil
 }
-
-// ResolveRef maps a field reference to its position within the alias's
-// schema; bare subquery references resolve to column 0.
-func (a *Analysis) ResolveRef(f FieldRef) int {
-	if f.Field == "" {
-		return 0
-	}
-	return a.Schemas[f.Alias].Index(f.Field)
-}

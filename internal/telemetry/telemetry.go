@@ -37,9 +37,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Gauge is an instantaneous atomic value (queue depth, connection count).
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the gauge by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 

@@ -176,7 +176,7 @@ func TestConcurrentIncrements(t *testing.T) {
 func TestRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("bus.published").Add(42)
-	r.Gauge("bus.conns").Set(3)
+	r.Gauge("bus.conns").Add(3)
 	r.Histogram("weave.ns").Observe(1500)
 	out := r.Snapshot().Render()
 	for _, want := range []string{"metric", "bus.published", "42", "bus.conns", "3", "histogram", "weave.ns", "p99"} {

@@ -145,7 +145,7 @@ func TestMissingTrailingExportsAreNull(t *testing.T) {
 	reg.Weave("tp", rec)
 	tp.Here(context.Background(), 1)
 	got := rec.calls[0]
-	if !got[6].IsNull() {
+	if got[6].Kind() != tuple.KindNull {
 		t.Fatalf("missing export = %v, want null", got[6])
 	}
 }

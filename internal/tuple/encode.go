@@ -229,22 +229,13 @@ func (r *Reader) value(borrow bool) Value {
 	}
 }
 
-// Tuple reads one tuple.
-func (r *Reader) Tuple() Tuple {
-	n := r.Count()
-	t := make(Tuple, 0, n)
-	for ; n > 0 && r.err == nil; n-- {
-		t = append(t, r.Value())
-	}
-	return t
-}
-
-// SlabTuple reads one tuple as Tuple does, into values, which expects this
-// tuple's width for each of the more tuples (this one included) the caller
-// has yet to read: exact unless the tuples are ragged, and never beyond
-// what the unread bytes could encode. The tuple has no spare capacity, so
-// an append to it moves it out of the slab. With borrow, its string values
-// alias the Reader's buffer (see Borrow).
+// SlabTuple reads one tuple — a count, then that many values — into
+// values, which expects this tuple's width for each of the more tuples
+// (this one included) the caller has yet to read: exact unless the tuples
+// are ragged, and never beyond what the unread bytes could encode. The
+// tuple has no spare capacity, so an append to it moves it out of the
+// slab. With borrow, its string values alias the Reader's buffer (see
+// Borrow).
 func (r *Reader) SlabTuple(values *slab.Slab[Value], more int, borrow bool) Tuple {
 	n := r.Count()
 	values.Expect(min(more*n, len(r.buf)))
@@ -275,16 +266,6 @@ func AppendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
-// DecodeValue decodes one value from the front of buf.
-func DecodeValue(buf []byte) (Value, []byte, error) {
-	r := NewReader(buf)
-	v := r.Value()
-	if err := r.Err(); err != nil {
-		return Null, nil, err
-	}
-	return v, r.Rest(), nil
-}
-
 // AppendTuple appends the binary encoding of t to buf.
 func AppendTuple(buf []byte, t Tuple) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t)))
@@ -302,16 +283,6 @@ func AppendProjected(buf []byte, t Tuple, idx []int) []byte {
 		buf = AppendValue(buf, t[j])
 	}
 	return buf
-}
-
-// DecodeTuple decodes one tuple from the front of buf.
-func DecodeTuple(buf []byte) (Tuple, []byte, error) {
-	r := NewReader(buf)
-	t := r.Tuple()
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return t, r.Rest(), nil
 }
 
 // UvarintLen returns the number of bytes binary.AppendUvarint writes for x.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/randtest"
+	"repro/internal/slab"
 )
 
 // valueSeeds covers every kind tag plus malformed shapes: a huge string
@@ -35,24 +36,32 @@ func tupleSeeds() map[string][]byte {
 	}
 }
 
-// FuzzDecodeValue: decoding arbitrary bytes must never panic, and any
-// successfully decoded value must re-encode to a stable canonical form.
+// FuzzDecodeValue: a Reader, the decoder every production codec is built
+// on, must never panic on arbitrary bytes, and a value it decodes must
+// re-encode to a stable canonical form. A borrowed read decodes the same
+// value as a copying one.
 func FuzzDecodeValue(f *testing.F) {
 	for _, s := range valueSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, rest, err := DecodeValue(data)
-		if err != nil {
+		r := NewReader(data)
+		v := r.Value()
+		if r.Err() != nil {
 			return
 		}
-		if len(rest) > len(data) {
+		if len(r.Rest()) > len(data) {
 			t.Fatalf("decode returned more bytes than it was given")
 		}
 		enc := AppendValue(nil, v)
-		v2, tail, err := DecodeValue(enc)
-		if err != nil || len(tail) != 0 {
-			t.Fatalf("re-decode of re-encoded value: err=%v trailing=%d", err, len(tail))
+		b := NewReader(data)
+		if bv := b.BorrowValue(); b.Err() != nil || !bytes.Equal(AppendValue(nil, bv), enc) {
+			t.Fatalf("borrowed read gave %v (err %v), copying read %v", bv, b.Err(), v)
+		}
+		r2 := NewReader(enc)
+		v2 := r2.Value()
+		if r2.Err() != nil || len(r2.Rest()) != 0 {
+			t.Fatalf("re-decode of re-encoded value: err=%v trailing=%d", r2.Err(), len(r2.Rest()))
 		}
 		if v2.Kind() != v.Kind() || !v2.Equal(v) {
 			t.Fatalf("re-decode changed the value: %v (%v) != %v (%v)", v2, v2.Kind(), v, v.Kind())
@@ -63,23 +72,34 @@ func FuzzDecodeValue(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTuple: same contract at the tuple level.
+// FuzzDecodeTuple: same contract at the tuple level, for SlabTuple, the
+// tuple read of the wire and baggage decoders, borrowing as they do; it
+// decodes what the reference readTuple decodes.
 func FuzzDecodeTuple(f *testing.F) {
 	for _, s := range tupleSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tup, rest, err := DecodeTuple(data)
-		if err != nil {
+		var values slab.Slab[Value]
+		r, c := NewReader(data), NewReader(data)
+		tup, ref := r.SlabTuple(&values, 1, true), readTuple(&c)
+		if (r.Err() == nil) != (c.Err() == nil) {
+			t.Fatalf("SlabTuple err %v, reference err %v", r.Err(), c.Err())
+		}
+		if r.Err() != nil {
 			return
 		}
-		if len(rest) > len(data) {
+		if len(r.Rest()) > len(data) {
 			t.Fatalf("decode returned more bytes than it was given")
 		}
 		enc := AppendTuple(nil, tup)
-		tup2, tail, err := DecodeTuple(enc)
-		if err != nil || len(tail) != 0 {
-			t.Fatalf("re-decode of re-encoded tuple: err=%v trailing=%d", err, len(tail))
+		if !bytes.Equal(enc, AppendTuple(nil, ref)) {
+			t.Fatalf("SlabTuple read %v, the reference %v", tup, ref)
+		}
+		r2 := NewReader(enc)
+		tup2 := r2.SlabTuple(&values, 1, false)
+		if r2.Err() != nil || len(r2.Rest()) != 0 {
+			t.Fatalf("re-decode of re-encoded tuple: err=%v trailing=%d", r2.Err(), len(r2.Rest()))
 		}
 		if !tup2.Equal(tup) {
 			t.Fatalf("re-decode changed the tuple: %v != %v", tup2, tup)
@@ -114,9 +134,10 @@ func FuzzValueRoundTrip(f *testing.F) {
 			v = Bool(b)
 		}
 		enc := AppendValue(nil, v)
-		got, rest, err := DecodeValue(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("round-trip decode of %v: err=%v trailing=%d", v, err, len(rest))
+		r := NewReader(enc)
+		got := r.Value()
+		if r.Err() != nil || len(r.Rest()) != 0 {
+			t.Fatalf("round-trip decode of %v: err=%v trailing=%d", v, r.Err(), len(r.Rest()))
 		}
 		if got.Kind() != v.Kind() || !got.Equal(v) {
 			t.Fatalf("round-trip changed %v (%v) into %v (%v)", v, v.Kind(), got, got.Kind())

@@ -103,9 +103,6 @@ func Of(v any) Value {
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // Int returns the integer payload (0 for non-integers, truncating floats).
 func (v Value) Int() int64 {
 	switch v.kind {
@@ -307,14 +304,9 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Key builds a group-by key from the values at the given positions. The
-// encoding is injective so distinct groups never collide.
-func (t Tuple) Key(idx []int) string {
-	return string(t.AppendKey(nil, idx))
-}
-
-// AppendKey appends the group-by key encoding (see Key) to buf and returns
-// the extended buffer. Callers that look groups up by key can build the key
+// AppendKey appends to buf the group-by key of the values at the given
+// positions and returns the extended buffer. The encoding is injective, so
+// distinct groups never collide. Callers that look groups up by key can build the key
 // in a reused scratch buffer and index their map with string(buf) — the Go
 // compiler elides that conversion's allocation for map access — so the
 // steady-state lookup path allocates nothing.

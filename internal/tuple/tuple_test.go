@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -57,7 +56,7 @@ func TestOfConvertsNativeTypes(t *testing.T) {
 	if Of("x").Str() != "x" || !Of(true).Bool() {
 		t.Error("Of string/bool")
 	}
-	if !Of(nil).IsNull() {
+	if Of(nil).Kind() != KindNull {
 		t.Error("Of nil")
 	}
 	if Of(struct{ X int }{3}).Kind() != KindString {
@@ -121,10 +120,10 @@ func TestGroupKeyInjective(t *testing.T) {
 	// Pathological pairs that naive string-concat keys would collide on.
 	a := Tuple{String("ab"), String("c")}
 	b := Tuple{String("a"), String("bc")}
-	if a.Key([]int{0, 1}) == b.Key([]int{0, 1}) {
+	if string(a.AppendKey(nil, []int{0, 1})) == string(b.AppendKey(nil, []int{0, 1})) {
 		t.Error("group keys collide for (ab,c) vs (a,bc)")
 	}
-	if !reflect.DeepEqual(a.Key([]int{0}), Tuple{String("ab")}.Key([]int{0})) {
+	if !bytes.Equal(a.AppendKey(nil, []int{0}), Tuple{String("ab")}.AppendKey(nil, []int{0})) {
 		t.Error("same values must share a key")
 	}
 }
@@ -152,8 +151,8 @@ func TestQuickValueCodecRoundtrip(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			v := randomValue(rng)
 			buf := AppendValue(nil, v)
-			got, rest, err := DecodeValue(buf)
-			if err != nil || len(rest) != 0 || !got.Equal(v) {
+			r := NewReader(buf)
+			if got := r.Value(); r.Err() != nil || len(r.Rest()) != 0 || !got.Equal(v) {
 				return false
 			}
 			if len(buf) != EncodedSize(v) {
@@ -175,11 +174,10 @@ func TestQuickTupleCodecRoundtrip(t *testing.T) {
 			tup[i] = randomValue(rng)
 		}
 		buf := AppendTuple(nil, tup)
-		got, rest, err := DecodeTuple(buf)
-		if err != nil || len(rest) != 0 {
-			return false
-		}
-		return got.Equal(tup)
+		var values slab.Slab[Value]
+		r := NewReader(buf)
+		got := r.SlabTuple(&values, 1, false)
+		return r.Err() == nil && len(r.Rest()) == 0 && got.Equal(tup)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -192,7 +190,7 @@ func TestQuickKeyConsistentWithEquality(t *testing.T) {
 		a := Tuple{randomValue(rng), randomValue(rng)}
 		b := Tuple{randomValue(rng), randomValue(rng)}
 		idx := []int{0, 1}
-		if a.Equal(b) != (a.Key(idx) == b.Key(idx)) {
+		if a.Equal(b) != bytes.Equal(a.AppendKey(nil, idx), b.AppendKey(nil, idx)) {
 			// NaN breaks Equal reflexivity; skip those.
 			if a[0].Kind() == KindFloat && math.IsNaN(a[0].Float()) {
 				return true
@@ -207,19 +205,20 @@ func TestQuickKeyConsistentWithEquality(t *testing.T) {
 }
 
 func TestDecodeErrorPaths(t *testing.T) {
-	if _, _, err := DecodeValue(nil); err == nil {
-		t.Error("empty buffer should fail")
+	for name, buf := range map[string][]byte{
+		"empty buffer": nil,
+		"short float":  {byte(KindFloat), 1, 2},
+		"short string": {byte(KindString), 10, 'a'},
+		"bad tag":      {200},
+	} {
+		r := NewReader(buf)
+		if r.Value(); r.Err() == nil {
+			t.Errorf("%s should fail", name)
+		}
 	}
-	if _, _, err := DecodeValue([]byte{byte(KindFloat), 1, 2}); err == nil {
-		t.Error("short float should fail")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KindString), 10, 'a'}); err == nil {
-		t.Error("short string should fail")
-	}
-	if _, _, err := DecodeValue([]byte{200}); err == nil {
-		t.Error("bad tag should fail")
-	}
-	if _, _, err := DecodeTuple([]byte{2, byte(KindNull)}); err == nil {
+	var values slab.Slab[Value]
+	r := NewReader([]byte{2, byte(KindNull)})
+	if r.SlabTuple(&values, 1, false); r.Err() == nil {
 		t.Error("truncated tuple should fail")
 	}
 }
@@ -240,7 +239,8 @@ func TestReaderFirstErrorWins(t *testing.T) {
 	if u, v, b, s, n := r.Uvarint(), r.Varint(), r.Byte(), r.String(), r.Count(); u != 0 || v != 0 || b != 0 || s != "" || n != 0 {
 		t.Errorf("reads after a failure returned %d %d %d %q %d, want zero values", u, v, b, s, n)
 	}
-	if !r.Value().IsNull() || len(r.Tuple()) != 0 || len(r.Strings()) != 0 || len(r.Ints()) != 0 || r.Fixed64() != 0 {
+	var values slab.Slab[Value]
+	if r.Value().Kind() != KindNull || len(r.SlabTuple(&values, 1, false)) != 0 || len(r.Strings()) != 0 || len(r.Ints()) != 0 || r.Fixed64() != 0 {
 		t.Error("composite reads after a failure returned non-zero values")
 	}
 	r.Fail(errors.New("later"))
@@ -294,8 +294,19 @@ func TestBorrowReadsLikeCopy(t *testing.T) {
 	}
 }
 
+// readTuple is the reference tuple decoder SlabTuple is held to: a count,
+// then that many values, each read by Value into a tuple of its own.
+func readTuple(r *Reader) Tuple {
+	n := r.Count()
+	t := make(Tuple, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		t = append(t, r.Value())
+	}
+	return t
+}
+
 // TestSlabTupleReadsLikeTuple: over every prefix of every tuple seed,
-// SlabTuple, copying or borrowing, fails where Tuple does and otherwise
+// SlabTuple, copying or borrowing, fails where readTuple does and otherwise
 // returns the same tuple and unread bytes, with no spare capacity; a later
 // tuple taken from the same slab never overwrites it.
 func TestSlabTupleReadsLikeTuple(t *testing.T) {
@@ -305,7 +316,7 @@ func TestSlabTupleReadsLikeTuple(t *testing.T) {
 				buf := append(seed[:cut:cut], seed[:cut]...) // the tuple twice, when it is whole
 				var values slab.Slab[Value]
 				c, b := NewReader(buf), NewReader(buf)
-				ct, bt := c.Tuple(), b.SlabTuple(&values, 2, borrow)
+				ct, bt := readTuple(&c), b.SlabTuple(&values, 2, borrow)
 				if (c.Err() == nil) != (b.Err() == nil) {
 					t.Errorf("%s[:%d] borrow=%v: slab err %v, copied err %v", name, cut, borrow, b.Err(), c.Err())
 				}

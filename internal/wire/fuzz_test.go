@@ -391,14 +391,14 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzDecodeExpr: same contract for the expression codec used inside
-// advice programs.
+// FuzzDecodeExpr: same contract for readExpr, the expression decoder an
+// Install frame's filters and computed columns go through.
 func FuzzDecodeExpr(f *testing.F) {
 	for _, s := range exprSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, rest, err := DecodeExpr(data)
+		e, rest, err := read(data, readTopExpr)
 		if err != nil {
 			return
 		}
@@ -406,7 +406,7 @@ func FuzzDecodeExpr(f *testing.F) {
 			t.Fatalf("decode returned more bytes than it was given")
 		}
 		enc := AppendExpr(nil, e)
-		e2, tail, err := DecodeExpr(enc)
+		e2, tail, err := read(enc, readTopExpr)
 		if err != nil || len(tail) != 0 {
 			t.Fatalf("re-decode of re-encoded expr %s: err=%v trailing=%d", e, err, len(tail))
 		}

@@ -97,16 +97,6 @@ const maxExprDepth = 256
 
 var errExprDepth = fmt.Errorf("wire: expression nested deeper than %d levels", maxExprDepth)
 
-// DecodeExpr decodes one expression tree.
-func DecodeExpr(buf []byte) (query.Expr, []byte, error) {
-	r := tuple.NewReader(buf)
-	e := readExpr(&r, 0)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return e, r.Rest(), nil
-}
-
 func readExpr(r *tuple.Reader, depth int) query.Expr {
 	if depth > maxExprDepth {
 		r.Fail(errExprDepth)
@@ -244,16 +234,6 @@ func AppendProgram(buf []byte, p *advice.Program) []byte {
 		buf = append(buf, 0)
 	}
 	return buf
-}
-
-// DecodeProgram decodes one advice program.
-func DecodeProgram(buf []byte) (*advice.Program, []byte, error) {
-	r := tuple.NewReader(buf)
-	p := readProgram(&r)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return p, r.Rest(), nil
 }
 
 func readProgram(r *tuple.Reader) *advice.Program {

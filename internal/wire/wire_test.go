@@ -67,7 +67,7 @@ func TestProgramCodecRoundtripsPaperPlans(t *testing.T) {
 		}
 		for _, prog := range p.Programs {
 			buf := AppendProgram(nil, prog)
-			got, rest, err := DecodeProgram(buf)
+			got, rest, err := read(buf, readProgram)
 			if err != nil {
 				t.Fatalf("q%d %s: %v", i, prog.Tracepoint, err)
 			}
@@ -108,7 +108,7 @@ func TestExprCodecRoundtrip(t *testing.T) {
 	}
 	expr := q.Where[0]
 	buf := AppendExpr(nil, expr)
-	got, rest, err := DecodeExpr(buf)
+	got, rest, err := read(buf, readTopExpr)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v (%d trailing)", err, len(rest))
 	}
@@ -377,18 +377,35 @@ func TestInstallRejectsNegativePositions(t *testing.T) {
 	}
 }
 
+// read runs one of this package's readers over the front of buf, as
+// Decoder.Decode runs readMessage, and returns what it read, the unread
+// bytes and the first failure.
+func read[T any](buf []byte, readT func(*tuple.Reader) T) (T, []byte, error) {
+	r := tuple.NewReader(buf)
+	v := readT(&r)
+	if err := r.Err(); err != nil {
+		var zero T
+		return zero, nil, err
+	}
+	return v, r.Rest(), nil
+}
+
+// readTopExpr reads one whole expression tree, as readProgram reads each
+// filter and computed column of an Install.
+func readTopExpr(r *tuple.Reader) query.Expr { return readExpr(r, 0) }
+
 // TestDecodeExprDepthCap: nesting beyond maxExprDepth fails the decode with
 // an ordinary error. Without the cap this input — 24 MiB of nested NOT
 // operators, well under the bus's frame limit — ends the process with a
 // stack overflow.
 func TestDecodeExprDepthCap(t *testing.T) {
 	deep := bytes.Repeat([]byte{exprUnary, '!'}, 12<<20)
-	if _, _, err := DecodeExpr(deep); err != errExprDepth {
-		t.Errorf("DecodeExpr of 12 Mi nested unaries: err = %v, want %v", err, errExprDepth)
+	if _, _, err := read(deep, readTopExpr); err != errExprDepth {
+		t.Errorf("readExpr of 12 Mi nested unaries: err = %v, want %v", err, errExprDepth)
 	}
 	atCap := append(bytes.Repeat([]byte{exprUnary, '!'}, maxExprDepth), exprNil)
-	if _, rest, err := DecodeExpr(atCap); err != nil || len(rest) != 0 {
-		t.Errorf("DecodeExpr of %d nested unaries: err = %v, %d bytes left", maxExprDepth, err, len(rest))
+	if _, rest, err := read(atCap, readTopExpr); err != nil || len(rest) != 0 {
+		t.Errorf("readExpr of %d nested unaries: err = %v, %d bytes left", maxExprDepth, err, len(rest))
 	}
 }
 
@@ -407,11 +424,11 @@ func TestEveryPrefixIsTruncated(t *testing.T) {
 		}
 	}
 	for name, frame := range exprSeeds(t) {
-		if _, rest, err := DecodeExpr(frame); err != nil || len(rest) != 0 {
+		if _, rest, err := read(frame, readTopExpr); err != nil || len(rest) != 0 {
 			continue
 		}
 		for cut := 0; cut < len(frame); cut++ {
-			if e, _, err := DecodeExpr(frame[:cut]); !errors.Is(err, tuple.ErrTruncated) {
+			if e, _, err := read(frame[:cut], readTopExpr); !errors.Is(err, tuple.ErrTruncated) {
 				t.Errorf("expr %s cut at %d of %d: got %v, err %v, want tuple.ErrTruncated", name, cut, len(frame), e, err)
 			}
 		}

@@ -264,7 +264,7 @@ func TestCombinerKillRehomesAndConservesTuples(t *testing.T) {
 	var lost int64
 	for i := range victim {
 		for _, g := range victim[i].Groups {
-			lost += g.States[0].Count()
+			lost += g.States[0].Result().Int()
 		}
 	}
 	if lost != 4 {

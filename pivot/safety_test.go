@@ -66,7 +66,7 @@ func TestSafetyPanickingAdviceIsQuarantined(t *testing.T) {
 	}
 	// Quarantined within FaultLimit fires: the breaker tripped at the
 	// third panic and every later crossing found the advice inert.
-	if f := q.Plan.Emit.Faults(); f != 3 {
+	if f := q.Plan.Emit.Cost.Panics.Load(); f != 3 {
 		t.Fatalf("program faults = %d, want exactly FaultLimit=3", f)
 	}
 
@@ -379,5 +379,73 @@ Select g.tenant, SUM(w.bytes), COUNT`)
 	rows := q.Rows()
 	if len(rows) != 1 || rows[0][0].Str() != "tenant-1" || rows[0][1].Int() != 512 || rows[0][2].Int() != 1 {
 		t.Errorf("rows = %v, want the good request's [tenant-1 512 1]", rows)
+	}
+}
+
+// TestSafetyForeignSlotSpecIsReplacedAtPack: baggage from a peer that holds
+// the query's slot under another spec — ALL(x, y) where the plan packs
+// FIRST(tenant) — is not panicked on where the query packs: the packer's
+// spec wins and replaces what the peer stored. After more such requests
+// than the fault limit the query is neither quarantined nor deaf, and each
+// of those requests joins its own pack.
+func TestSafetyForeignSlotSpecIsReplacedAtPack(t *testing.T) {
+	pt := New("app")
+	recv := pt.Define("Gateway.Receive", "tenant")
+	write := pt.Define("Store.Write", "bytes")
+	q, err := pt.Install(`From w In Store.Write
+Join g In First(Gateway.Receive) On g -> w
+GroupBy g.tenant
+Select g.tenant, SUM(w.bytes), COUNT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := baggage.New()
+	foreign.Pack(q.Name+".g", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"x", "y"}}, tuple.Tuple{tuple.Int(1), tuple.Int(2)})
+	wire := foreign.Serialize()
+	stCtx := pt.Context(context.Background())
+	for i := 0; i < advice.DefaultFaultLimit; i++ {
+		ctx := Extract(pt.NewRequest(context.Background()), wire)
+		recv.Here(ctx, "tenant-f")
+		write.Here(Extract(stCtx, Inject(ctx)), int64(1))
+	}
+	ctx := pt.NewRequest(context.Background())
+	recv.Here(ctx, "tenant-1")
+	write.Here(Extract(stCtx, Inject(ctx)), int64(512))
+	pt.Flush()
+
+	if n := recv.Panics() + write.Panics(); n != 0 {
+		t.Errorf("advice panicked %d times on a foreign slot spec", n)
+	}
+	if n := q.Quarantines(); len(n) != 0 {
+		t.Errorf("a foreign slot spec quarantined the query: %+v", n)
+	}
+	rows := q.Rows()
+	if len(rows) != 2 || fmt.Sprint(rows[0]) != fmt.Sprint(tuple.Tuple{tuple.String("tenant-1"), tuple.Int(512), tuple.Int(1)}) ||
+		fmt.Sprint(rows[1]) != fmt.Sprint(tuple.Tuple{tuple.String("tenant-f"), tuple.Int(advice.DefaultFaultLimit), tuple.Int(advice.DefaultFaultLimit)}) {
+		t.Errorf("rows = %v, want [tenant-1 512 1] and [tenant-f %d %d]", rows, advice.DefaultFaultLimit, advice.DefaultFaultLimit)
+	}
+}
+
+// TestSafetyForeignTraceSlotSpecIsReplaced: span capture runs at the Here
+// boundary, outside the recover that guards advice, so a panic in its pack
+// would reach the application. Baggage whose span-frontier slot a peer
+// filled under another spec is replaced by the frontier of the crossing
+// that meets it: the crossings record their spans, in one trace.
+func TestSafetyForeignTraceSlotSpecIsReplaced(t *testing.T) {
+	pt := New("app")
+	traces := pt.EnableSpans(0)
+	tp := pt.Define("Work.Do", "n")
+	foreign := baggage.New()
+	foreign.Pack(baggage.TraceSlot, baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"x"}}, tuple.Tuple{tuple.Int(1)})
+	ctx := Extract(pt.Context(context.Background()), foreign.Serialize())
+	tp.Here(ctx, 1)
+	tp.Here(ctx, 2)
+	pt.Flush()
+	ids := traces.TraceIDs()
+	if len(ids) != 1 {
+		t.Fatalf("%d traces, want one", len(ids))
+	}
+	if tr := traces.Trace(ids[0]); len(tr.Nodes) != 2 || tr.Synthetic || tr.Root != tr.Nodes[0] {
+		t.Errorf("trace holds %d spans (synthetic root %v), want both crossings', the first the root", len(tr.Nodes), tr.Synthetic)
 	}
 }
