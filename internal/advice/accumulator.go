@@ -99,18 +99,9 @@ func (a *Accumulator) Drain() (groups []*Group, raws []tuple.Tuple, n int64) {
 	return groups, raws, n
 }
 
-// RawsDropped returns how many raw rows FIFO eviction has discarded,
-// cumulative across Drains.
-func (a *Accumulator) RawsDropped() int64 {
+// CapCounts is Merger.CapCounts, under the accumulator's lock.
+func (a *Accumulator) CapCounts() (rawsDropped, groupsOverflowed int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.rawsDropped
-}
-
-// GroupsOverflowed returns how many rows were folded into the overflow
-// group, cumulative across Drains.
-func (a *Accumulator) GroupsOverflowed() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.groupsOverflowed
+	return a.Merger.CapCounts()
 }

@@ -350,9 +350,10 @@ type Host interface {
 	// NoteBaggageDrops hands over the eviction tombstones advice found in
 	// the baggage, so truncated results are flagged partial end-to-end.
 	NoteBaggageDrops(p *Program, recs []baggage.DropRecord)
-	// NotePackStats reports the budget evictions of one of this
-	// process's packs. Each eviction is reported at exactly one pack
-	// site, so per-process sums are exact.
+	// NotePackStats reports the budget evictions and spec conflicts of
+	// one of this process's packs, or the conflicts of one of its
+	// unpacks (Conflicts alone). Each is reported at exactly one site, so
+	// per-process sums are exact.
 	NotePackStats(p *Program, st baggage.PackStats)
 	// NoteQuarantine: the program tripped its circuit breaker. It fires
 	// exactly once per program.
@@ -371,9 +372,6 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 	p := a.Prog
 	if p.Quarantined() {
 		return
-	}
-	if fp := failpoint.Load(); fp != nil {
-		(*fp)(p, vals)
 	}
 	p.Cost.Invocations.Add(1)
 	// Request-level sampling: honor the decision minted into the request's
@@ -439,7 +437,11 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 		}
 		// The slot's encoded tuples decode into the arena: joined tuples
 		// copy their values, so growing it past them moves nothing.
-		fs.unpacked, fs.arena = bag.AppendUnpack(fs.unpacked[:0], fs.arena, u.Slot)
+		var conflicts int64
+		fs.unpacked, fs.arena, conflicts = bag.AppendUnpack(fs.unpacked[:0], fs.arena, u.Slot)
+		if conflicts > 0 {
+			a.notePackStats(baggage.PackStats{Conflicts: conflicts})
+		}
 		unpacked := fs.unpacked
 		// A slot of another width than the program's is hostile or stale:
 		// joining it would misalign every later position.
@@ -521,9 +523,9 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 			p.Cost.PackEvictedGroups.Add(st.EvictedGroups)
 			p.Cost.PackEvictedTuples.Add(st.EvictedTuples)
 			p.Cost.PackEvictedBytes.Add(st.EvictedBytes)
-			if h, ok := a.Emitter.(Host); ok {
-				h.NotePackStats(p, st)
-			}
+		}
+		if st.EvictedGroups > 0 || st.Conflicts > 0 {
+			a.notePackStats(st)
 		}
 	}
 
@@ -539,5 +541,12 @@ func (a *Advice) Invoke(ctx context.Context, vals tuple.Tuple) {
 			}
 		}
 		p.Cost.TuplesEmitted.Add(int64(len(working)))
+	}
+}
+
+// notePackStats hands st to the emitter, if it is a Host.
+func (a *Advice) notePackStats(st baggage.PackStats) {
+	if h, ok := a.Emitter.(Host); ok {
+		h.NotePackStats(a.Prog, st)
 	}
 }

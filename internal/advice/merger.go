@@ -138,6 +138,13 @@ func (m *Merger) Handoff() Merger {
 	return d
 }
 
+// CapCounts returns how many raw rows the raw cap has evicted and how many
+// rows the group cap has folded into the overflow group, over the
+// merger's lifetime.
+func (m *Merger) CapCounts() (rawsDropped, groupsOverflowed int64) {
+	return m.rawsDropped, m.groupsOverflowed
+}
+
 // SetLimits replaces the merger's limits (zero value = defaults).
 func (m *Merger) SetLimits(l Limits) { m.limits = l }
 

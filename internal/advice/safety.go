@@ -3,10 +3,8 @@ package advice
 import (
 	"cmp"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/baggage"
-	"repro/internal/tuple"
 )
 
 // Safety bounds one program's runtime behavior — the enforcement half of
@@ -39,25 +37,15 @@ func (s Safety) faultLimit() int64 { return cmp.Or(s.FaultLimit, DefaultFaultLim
 
 func (s Safety) costCeiling() int64 { return cmp.Or(s.CostCeiling, DefaultCostCeiling) }
 
-// failpoint, when set, runs at the top of every non-quarantined advice
-// invocation. The declarative pipeline cannot naturally panic or run
-// away, so chaos tests use this hook to inject exactly those faults.
-var failpoint atomic.Pointer[func(p *Program, vals tuple.Tuple)]
-
-// SetFailpoint installs a test-only hook run at the top of every advice
-// invocation; pass nil to clear. Not for production use.
-func SetFailpoint(fn func(p *Program, vals tuple.Tuple)) {
-	if fn == nil {
-		failpoint.Store(nil)
-		return
-	}
-	failpoint.Store(&fn)
-}
-
 // Quarantined reports whether the circuit breaker has tripped. A
 // quarantined program's advice is inert: every Invoke returns immediately
 // until the program is unwoven.
 func (p *Program) Quarantined() bool { return p.quarantined.Load() }
+
+// Quarantined reports whether the advice's program is quarantined; the
+// tracepoint's fault-injection hook skips such advice (see
+// tracepoint.Registry.SetFailpoint).
+func (a *Advice) Quarantined() bool { return a.Prog.Quarantined() }
 
 // AdvicePanicked implements tracepoint.PanicSink: the Here boundary calls
 // it after recovering a panic from this advice. Once the fault count

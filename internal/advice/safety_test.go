@@ -75,14 +75,14 @@ func TestAccumulatorRawsCapFIFOEvicts(t *testing.T) {
 			t.Fatalf("raws[%d] = %v, want v=%d", i, raws[i], want)
 		}
 	}
-	if acc.RawsDropped() != 2 {
-		t.Fatalf("RawsDropped = %d, want 2", acc.RawsDropped())
+	if rawsDropped(acc) != 2 {
+		t.Fatalf("RawsDropped = %d, want 2", rawsDropped(acc))
 	}
 	// Accounting is cumulative across Reset (the per-interval drain).
 	acc.Reset()
 	acc.Add(kvRow("k", 9))
-	if acc.RawsDropped() != 2 || len(acc.Raws()) != 1 {
-		t.Fatalf("after Reset: dropped=%d raws=%d", acc.RawsDropped(), len(acc.Raws()))
+	if rawsDropped(acc) != 2 || len(acc.Raws()) != 1 {
+		t.Fatalf("after Reset: dropped=%d raws=%d", rawsDropped(acc), len(acc.Raws()))
 	}
 }
 
@@ -142,8 +142,8 @@ func TestAccumulatorGroupCapOverflows(t *testing.T) {
 	if len(groups) != 3 { // a, b, and the overflow catch-all
 		t.Fatalf("groups = %d, want 3", len(groups))
 	}
-	if acc.GroupsOverflowed() != 3 { // c, d, c
-		t.Fatalf("GroupsOverflowed = %d, want 3", acc.GroupsOverflowed())
+	if groupsOverflowed(acc) != 3 { // c, d, c
+		t.Fatalf("GroupsOverflowed = %d, want 3", groupsOverflowed(acc))
 	}
 	var overflow *Group
 	for _, g := range groups {
@@ -223,11 +223,11 @@ func TestAccumulatorDefaultLimitsAreOn(t *testing.T) {
 			t.Fatal("MaxGroups -7 made an overflow group")
 		}
 	}
-	if groups.GroupsOverflowed() != 0 || len(groups.Groups()) != 3 {
-		t.Fatalf("MaxGroups -7: %d groups, %d overflowed", len(groups.Groups()), groups.GroupsOverflowed())
+	if groupsOverflowed(groups) != 0 || len(groups.Groups()) != 3 {
+		t.Fatalf("MaxGroups -7: %d groups, %d overflowed", len(groups.Groups()), groupsOverflowed(groups))
 	}
-	if raws.RawsDropped() != 0 || len(raws.Raws()) != 3 {
-		t.Fatalf("MaxRaws -7: %d raws, %d dropped", len(raws.Raws()), raws.RawsDropped())
+	if rawsDropped(raws) != 0 || len(raws.Raws()) != 3 {
+		t.Fatalf("MaxRaws -7: %d raws, %d dropped", len(raws.Raws()), rawsDropped(raws))
 	}
 }
 
@@ -374,3 +374,33 @@ func TestPackStatsReportedOnEviction(t *testing.T) {
 		t.Fatalf("TuplesPacked = %d, want 5", got)
 	}
 }
+
+// TestUnpackConflictsReachTheHost: a slot whose frozen and active
+// contributions disagree on their spec loses one side when the unpack
+// merges them, and the unpacking program hands that conflict to its host.
+func TestUnpackConflictsReachTheHost(t *testing.T) {
+	em := &safetyEmitter{}
+	root := baggage.New()
+	root.Pack("q.a", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"k", "v"}}, kvRow("k1", 1))
+	branch, _ := root.Split()
+	branch.Pack("q.a", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"k"}}, tuple.Tuple{tuple.String("k2")})
+	a := &Advice{
+		Prog: &Program{
+			QueryID: "q", Tracepoint: "Tp",
+			Observe:       []int{0},
+			ObserveFields: tuple.Schema{"b.host"},
+			Unpacks:       []UnpackOp{{Slot: "q.a", Fields: tuple.Schema{"k", "v"}}},
+			Emit:          rawOp(),
+		},
+		Emitter: em,
+	}
+	a.Invoke(baggage.NewContext(context.Background(), branch), exported("h1", 0, "p"))
+	if em.packStats.Conflicts != 1 {
+		t.Fatalf("conflicts noted = %d, want 1", em.packStats.Conflicts)
+	}
+}
+
+// rawsDropped and groupsOverflowed read one of an accumulator's cap counts.
+func rawsDropped(a *Accumulator) int64 { n, _ := a.CapCounts(); return n }
+
+func groupsOverflowed(a *Accumulator) int64 { _, n := a.CapCounts(); return n }

@@ -160,7 +160,7 @@ func TestShardedRawRowsAndDropAccounting(t *testing.T) {
 	}
 	wg.Wait()
 	_, raws, adds := s.Drain()
-	kept, dropped := len(raws), s.RawsDropped()
+	kept, dropped := len(raws), rawsDropped(s)
 	if adds != total {
 		t.Fatalf("Drain counted %d adds, want %d", adds, total)
 	}
@@ -169,7 +169,7 @@ func TestShardedRawRowsAndDropAccounting(t *testing.T) {
 			kept, dropped, total, maxRaws, total-maxRaws)
 	}
 	// Counters are cumulative: a drain must not reset them.
-	if got := s.RawsDropped(); got != dropped {
+	if got := rawsDropped(s); got != dropped {
 		t.Errorf("RawsDropped changed %d -> %d across reads", dropped, got)
 	}
 }
@@ -200,9 +200,9 @@ func TestShardedGroupOverflowAccounting(t *testing.T) {
 	if len(got) != maxGroups+1 {
 		t.Fatalf("drained %d groups, want %d real groups plus the overflow group", len(got), maxGroups)
 	}
-	if folded != distinct-maxGroups || s.GroupsOverflowed() != folded {
+	if folded != distinct-maxGroups || groupsOverflowed(s) != folded {
 		t.Fatalf("overflow group holds %d rows and GroupsOverflowed = %d, want both %d",
-			folded, s.GroupsOverflowed(), distinct-maxGroups)
+			folded, groupsOverflowed(s), distinct-maxGroups)
 	}
 }
 

@@ -99,6 +99,11 @@ type Agent struct {
 
 	meta atomic.Pointer[metaPoint]
 
+	// conflicts counts the baggage slot contents this process's advice
+	// dropped for a mismatched spec, at pack or unpack, while telemetry
+	// is attached.
+	conflicts atomic.Pointer[telemetry.Counter]
+
 	controlSub bus.Subscription
 }
 
@@ -106,9 +111,10 @@ type Agent struct {
 // then carries each counter of Stats under its metric name (StatFields),
 // read from Stats itself, so the registry and the heartbeat cannot
 // disagree; plus the gauges "agent.queries" and "agent.reports.buffered",
-// read from the installed queries and the outage buffer. Call it once per
-// agent.
+// read from the installed queries and the outage buffer; and the counter
+// "baggage.merge.conflicts" (see NotePackStats). Call it once per agent.
 func (a *Agent) SetTelemetry(t *telemetry.Registry) {
+	a.conflicts.Store(t.Counter("baggage.merge.conflicts"))
 	t.Source(func(snap *telemetry.Snapshot) {
 		s := a.Stats()
 		for i, f := range StatFields {
@@ -339,8 +345,9 @@ func (a *Agent) uninstall(queryID string) {
 		a.reg.Unweave(w.tp, w.a)
 	}
 	if acc := qs.acc.Load(); acc != nil {
-		a.live.RawsDropped.Add(acc.RawsDropped())
-		a.live.GroupsOverflowed.Add(acc.GroupsOverflowed())
+		raws, overflowed := acc.CapCounts()
+		a.live.RawsDropped.Add(raws)
+		a.live.GroupsOverflowed.Add(overflowed)
 	}
 	delete(a.queries, queryID)
 	a.rebuildViewLocked()
@@ -401,13 +408,17 @@ func (a *Agent) NoteBaggageDrops(p *advice.Program, recs []baggage.DropRecord) {
 	qs.drops.Add(recs...)
 }
 
-// NotePackStats implements advice.Host: budget evictions
-// performed at this process's pack sites. Each eviction happens at
-// exactly one pack site, so summing across agents is exact.
+// NotePackStats implements advice.Host: budget evictions performed at
+// this process's pack sites, and spec conflicts met at its packs and
+// unpacks. Each happens at exactly one site, so summing across agents is
+// exact.
 func (a *Agent) NotePackStats(p *advice.Program, st baggage.PackStats) {
 	a.live.BaggageGroupsDropped.Add(st.EvictedGroups)
 	a.live.BaggageTuplesDropped.Add(st.EvictedTuples)
 	a.live.BaggageBytesDropped.Add(st.EvictedBytes)
+	if c := a.conflicts.Load(); c != nil && st.Conflicts > 0 {
+		c.Add(st.Conflicts)
+	}
 }
 
 // Installed reports whether the query is currently installed.
@@ -449,8 +460,9 @@ func (a *Agent) Stats() Stats {
 	s := Load(&a.live)
 	for _, qs := range a.queries {
 		if acc := qs.acc.Load(); acc != nil {
-			s.RawsDropped += acc.RawsDropped()
-			s.GroupsOverflowed += acc.GroupsOverflowed()
+			raws, overflowed := acc.CapCounts()
+			s.RawsDropped += raws
+			s.GroupsOverflowed += overflowed
 		}
 	}
 	a.mu.Unlock()

@@ -172,12 +172,11 @@ func TestQuarantinePublishesNoticeAndUnweaves(t *testing.T) {
 		b.Publish(ControlTopic, Install{QueryID: "Q", Programs: []*advice.Program{prog}})
 
 		// Make every fire of this program panic, as a buggy advice would.
-		advice.SetFailpoint(func(p *advice.Program, _ tuple.Tuple) {
-			if p == prog {
+		reg.SetFailpoint(func(a tracepoint.Advice, _ tuple.Tuple) {
+			if a.(*advice.Advice).Prog == prog {
 				panic("injected advice bug")
 			}
 		})
-		defer advice.SetFailpoint(nil)
 
 		for i := 0; i < 5; i++ {
 			tp.Here(request("h1"), 1) // must not panic the caller

@@ -3,67 +3,17 @@ package baggage
 import (
 	"bytes"
 	"context"
-	"sync/atomic"
-	"time"
+	"math/rand/v2"
 
-	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
-// Meters are the package's self-telemetry instruments, attached with
-// SetTelemetry. Baggage values are context-scoped and have no registry of
-// their own, so the meters are process-global and gated behind one atomic
-// pointer load; while unattached (the default) every hook is a single
-// predictable branch. Budget evictions are not metered here: PackStats
-// carries them to the agent, which counts them as agent.baggage.dropped.*.
-type Meters struct {
-	Serializations  *telemetry.Counter   // Serialize calls
-	SerializedBytes *telemetry.Counter   // total bytes produced by Serialize
-	TuplesPacked    *telemetry.Counter   // tuples stored via Pack
-	TuplesUnpacked  *telemetry.Counter   // tuples returned by Unpack
-	Splits          *telemetry.Counter   // Split calls
-	Joins           *telemetry.Counter   // Joins that actually merged two sides
-	Bytes           *telemetry.Histogram // per-Serialize size distribution
-	PackRefused     *telemetry.Counter   // tuples refused by tombstones (PackBudgeted)
-	MergeConflicts  *telemetry.Counter   // slot contents dropped for a mismatched spec, at a merge or a pack
-	PoolReuses      *telemetry.Counter   // pack/serialize scratch buffers served from the pool
-}
-
-var meters atomic.Pointer[Meters]
-
-// SetTelemetry attaches process-wide baggage telemetry under "baggage.*"
-// names. Pass nil to detach.
-func SetTelemetry(t *telemetry.Registry) {
-	if t == nil {
-		meters.Store(nil)
-		return
-	}
-	meters.Store(&Meters{
-		Serializations:  t.Counter("baggage.serializations"),
-		SerializedBytes: t.Counter("baggage.serialized.bytes"),
-		TuplesPacked:    t.Counter("baggage.tuples.packed"),
-		TuplesUnpacked:  t.Counter("baggage.tuples.unpacked"),
-		Splits:          t.Counter("baggage.splits"),
-		Joins:           t.Counter("baggage.joins"),
-		Bytes:           t.Histogram("baggage.bytes"),
-		PackRefused:     t.Counter("baggage.budget.refused"),
-		MergeConflicts:  t.Counter("baggage.merge.conflicts"),
-		PoolReuses:      t.Counter("baggage.pool.reuses"),
-	})
-}
-
-// nonceBase randomizes instance nonces per process so that instances
-// created in different processes never collide; the counter makes them
-// unique within a process. Bit 63 is always set, so every nonce encodes
-// to the same ten-byte uvarint: simulated RPCs charge virtual time per
+// newNonce draws an instance nonce: random, so that instances created
+// anywhere never collide, with bit 63 set, so that every nonce encodes to
+// the same ten-byte uvarint. Simulated RPCs charge virtual time per
 // serialized byte, and a width that varied with the random draw would
 // make every simulated timeline depend on it.
-var (
-	nonceBase    = func() uint64 { return uint64(time.Now().UnixNano())*0x9E3779B97F4A7C15 | 1<<63 }()
-	nonceCounter atomic.Uint64
-)
-
-func newNonce() uint64 { return nonceBase ^ nonceCounter.Add(1) }
+func newNonce() uint64 { return rand.Uint64() | 1<<63 }
 
 // instance is one versioned baggage instance (§5). A Baggage holds one
 // active instance — the only one its branch ever writes — and the frozen
@@ -200,32 +150,20 @@ func (in *instance) lookup(name string) *slot {
 	return nil
 }
 
-// set returns the set stored under name, materialized for a write. A slot
-// that arrived under another spec is emptied into one of spec (see
-// conflict).
-func (in *instance) set(name string, spec SetSpec) *Set {
+// set returns the set stored under name, materialized for a write, and
+// the conflicts it met: a slot that arrived under another spec is emptied
+// into one of spec, and counts one (see PackStats.Conflicts).
+func (in *instance) set(name string, spec SetSpec) (*Set, int64) {
 	if sl := in.lookup(name); sl != nil {
 		if s := sl.materialize(); s.Spec.Equal(spec) {
-			return s
+			return s, 0
 		}
-		conflict()
 		sl.set = NewSet(spec)
-		return sl.set
+		return sl.set, 1
 	}
 	s := NewSet(spec)
 	in.slots = append(in.slots, slot{name: name, set: s})
-	return s
-}
-
-// conflict counts a slot whose spec disagreed with the side it met: a
-// merge drops the other side, and a pack replaces what a peer stored
-// under its own name. Baggage arrives from peer processes, and bytes from
-// a corrupt or hostile one must never panic the traced application; the
-// packer's spec is the one its query reads the slot with.
-func conflict() {
-	if m := meters.Load(); m != nil {
-		m.MergeConflicts.Inc()
-	}
+	return s, 0
 }
 
 // clone copies an active instance; writes to the copy do not reach in.
@@ -297,16 +235,15 @@ func (b *Baggage) active() *instance {
 }
 
 // Pack stores tuples into the active instance under the given slot,
-// applying the spec's retention/aggregation semantics. The tuples are
-// retained, not copied: the caller must not write to them afterwards.
-func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) {
-	set := b.active().set(slot, spec)
+// applying the spec's retention/aggregation semantics, and returns what it
+// packed and the conflicts it met. The tuples are retained, not copied:
+// the caller must not write to them afterwards.
+func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) PackStats {
+	set, conflicts := b.active().set(slot, spec)
 	for _, t := range tuples {
 		set.Pack(t)
 	}
-	if m := meters.Load(); m != nil {
-		m.TuplesPacked.Add(int64(len(tuples)))
-	}
+	return PackStats{Packed: int64(len(tuples)), Conflicts: conflicts}
 }
 
 // Unpack retrieves the tuples packed under slot, merging contributions from
@@ -319,7 +256,7 @@ func (b *Baggage) Pack(slot string, spec SetSpec, tuples ...tuple.Tuple) {
 // The returned slice is the caller's; the tuples in it may be the stored
 // ones, shared with this and other baggage, and must not be written.
 func (b *Baggage) Unpack(name string) []tuple.Tuple {
-	out, _ := b.AppendUnpack(nil, nil, name)
+	out, _, _ := b.AppendUnpack(nil, nil, name)
 	return out
 }
 
@@ -327,8 +264,9 @@ func (b *Baggage) Unpack(name string) []tuple.Tuple {
 // slice. Tuples it decodes — an encoded slot's, an AGG set's — have their
 // values appended to vals, which it returns extended too, so that a caller
 // with slices to reuse unpacks without allocating. A decoded string value
-// borrows the baggage's bytes.
-func (b *Baggage) AppendUnpack(dst []tuple.Tuple, vals tuple.Tuple, name string) ([]tuple.Tuple, tuple.Tuple) {
+// borrows the baggage's bytes. It also returns the conflicts the merge of
+// the instances' contributions met (see PackStats.Conflicts).
+func (b *Baggage) AppendUnpack(dst []tuple.Tuple, vals tuple.Tuple, name string) (_ []tuple.Tuple, _ tuple.Tuple, conflicts int64) {
 	b.ensureDecoded()
 	var src *slot // the newest contribution
 	contributions := 0
@@ -341,7 +279,7 @@ func (b *Baggage) AppendUnpack(dst []tuple.Tuple, vals tuple.Tuple, name string)
 		}
 	}
 	if src == nil {
-		return dst, vals
+		return dst, vals, 0
 	}
 	// Budget tombstones suppress evicted content from the merged view:
 	// without this, a group evicted on one branch would resurface from a
@@ -350,7 +288,7 @@ func (b *Baggage) AppendUnpack(dst []tuple.Tuple, vals tuple.Tuple, name string)
 	if name != DropSlot {
 		whole, keys := b.evictions(name)
 		if whole {
-			return dst, vals
+			return dst, vals, 0
 		}
 		if src.kind() == Agg {
 			evicted = keys
@@ -359,22 +297,20 @@ func (b *Baggage) AppendUnpack(dst []tuple.Tuple, vals tuple.Tuple, name string)
 	// One contribution with nothing to suppress is read where it is.
 	if contributions > 1 || len(evicted) > 0 {
 		kind := src.kind()
-		src = &slot{set: b.merged(name, kind == First || kind == FirstN)}
+		var set *Set
+		set, conflicts = b.merged(name, kind == First || kind == FirstN)
 		for key := range evicted {
-			src.set.removeGroup(key)
+			set.removeGroup(key)
 		}
+		src = &slot{set: set}
 	}
-	out, vals := src.appendTuples(dst, vals)
-	if m := meters.Load(); m != nil {
-		m.TuplesUnpacked.Add(int64(len(out) - len(dst)))
-	}
-	return out, vals
+	dst, vals = src.appendTuples(dst, vals)
+	return dst, vals, conflicts
 }
 
 // merged folds every instance's contribution to slot into a set of its
-// own, newest first or oldest first.
-func (b *Baggage) merged(name string, oldestFirst bool) *Set {
-	var acc *Set
+// own, newest first or oldest first, and returns the conflicts it met.
+func (b *Baggage) merged(name string, oldestFirst bool) (acc *Set, conflicts int64) {
 	for i := range b.insts {
 		if oldestFirst {
 			i = len(b.insts) - 1 - i
@@ -386,10 +322,10 @@ func (b *Baggage) merged(name string, oldestFirst bool) *Set {
 		case acc == nil:
 			acc = sl.decoded()
 		default:
-			acc.Merge(sl.decoded())
+			conflicts += acc.Merge(sl.decoded())
 		}
 	}
-	return acc
+	return acc, conflicts
 }
 
 // TupleCount returns the total number of stored tuples (groups for AGG
@@ -420,9 +356,6 @@ func (b *Baggage) Split() (*Baggage, *Baggage) {
 
 // split returns the two branches as nodes over ctx (nil for Split).
 func (b *Baggage) split(ctx context.Context) (*branch, *branch) {
-	if m := meters.Load(); m != nil {
-		m.Splits.Inc()
-	}
 	b.ensureDecoded()
 	b.shared = len(b.insts) > 0
 	fork := new([2]branch) // both branches are one object
@@ -438,26 +371,25 @@ func (b *Baggage) split(ctx context.Context) (*branch, *branch) {
 // Join merges the baggage of two rejoining branches: the active instances'
 // contents merge into a new active instance, and frozen instances from
 // both sides are kept, the first of each nonce, in a list of its own.
-// Neither argument is written. A nil argument is empty baggage, and
-// joining empty baggage to b gives a copy of b whose first write copies
-// the active instance, so the result and b never write one instance.
+// Neither argument's contents are written. A nil argument is empty
+// baggage, and joining empty baggage to b gives a copy of b that shares
+// b's active instance: whichever of the two writes first copies it.
 func Join(a, b *Baggage) *Baggage {
-	return &join(nil, a, b).b
+	j, _ := join(nil, a, b)
+	return &j.b
 }
 
-// join returns the joined baggage as a node over ctx (nil for Join).
-func join(ctx context.Context, a, b *Baggage) *branch {
-	j := &branch{node: node{Context: ctx}}
+// join returns the joined baggage as a node over ctx (nil for Join), and
+// the conflicts the merge of the active instances met.
+func join(ctx context.Context, a, b *Baggage) (j *branch, conflicts int64) {
+	j = &branch{node: node{Context: ctx}}
 	switch {
 	case b.empty():
 		j.b = a.share()
-		return j
+		return j, 0
 	case a.empty():
 		j.b = b.share()
-		return j
-	}
-	if m := meters.Load(); m != nil {
-		m.Joins.Inc()
+		return j, 0
 	}
 	insts := j.h.open(len(a.insts) + len(b.insts) - 1)
 	merged := insts[0]
@@ -465,7 +397,7 @@ func join(ctx context.Context, a, b *Baggage) *branch {
 		for i := range src.slots {
 			sl := &src.slots[i]
 			if dst := merged.lookup(sl.name); dst != nil {
-				dst.materialize().Merge(sl.decoded())
+				conflicts += dst.materialize().Merge(sl.decoded())
 			} else {
 				merged.slots = append(merged.slots, sl.copy())
 			}
@@ -483,7 +415,7 @@ func join(ctx context.Context, a, b *Baggage) *branch {
 		}
 	}
 	j.b.insts = insts
-	return j
+	return j, conflicts
 }
 
 // empty reports whether b (nil included) holds no instance, decoding it.
@@ -495,15 +427,14 @@ func (b *Baggage) empty() bool {
 	return len(b.insts) == 0
 }
 
-// share returns a copy of b (nil is empty) that copies the active instance
-// before its first write.
+// share returns a copy of b (nil is empty), and marks both b and the copy
+// shared, so that each copies the active instance before its first write.
 func (b *Baggage) share() Baggage {
 	if b == nil {
 		return Baggage{}
 	}
-	c := *b
-	c.shared = len(c.insts) > 0
-	return c
+	b.shared = len(b.insts) > 0
+	return *b
 }
 
 // ContextKey is the context key of the request's *Baggage, exported so that
@@ -565,11 +496,12 @@ func SplitContexts(ctx context.Context) (context.Context, context.Context) {
 }
 
 // JoinContext returns ctx carrying the Join of a's and b's baggage; ctx
-// itself when neither carries any.
-func JoinContext(ctx, a, b context.Context) context.Context {
+// itself when neither carries any. It also returns the conflicts the
+// merge met (see PackStats.Conflicts).
+func JoinContext(ctx, a, b context.Context) (context.Context, int64) {
 	ab, bb := FromContext(a), FromContext(b)
 	if ab == nil && bb == nil {
-		return ctx
+		return ctx, 0
 	}
 	return join(ctx, ab, bb)
 }

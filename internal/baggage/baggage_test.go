@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/agg"
-	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -116,38 +115,59 @@ func TestAggPackAggregatesInPlace(t *testing.T) {
 
 // TestConflictingSpecReplacesSlot: a slot stored under another spec than
 // the packer's — bytes a peer wrote — is replaced by what the packer packs,
-// whichever pack path meets it, and each replacement is counted as a merge
-// conflict. Nothing panics.
+// whichever pack path meets it, and each replacement is one conflict in
+// the PackStats the packer gets back. Nothing panics.
 func TestConflictingSpecReplacesSlot(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	SetTelemetry(reg)
-	defer SetTelemetry(nil)
 	foreign := New()
 	foreign.Pack("s", allSpec("x", "y"), tuple.Tuple{tuple.Int(7), tuple.Int(8)})
 	wire := foreign.Serialize()
 	first := SetSpec{Kind: First, Fields: tuple.Schema{"a"}}
-	for name, pack := range map[string]func(b *Baggage){
-		"Pack": func(b *Baggage) {
-			b.Pack("s", first, tuple.Tuple{tuple.Int(2)})
+	for name, pack := range map[string]func(b *Baggage) PackStats{
+		"Pack": func(b *Baggage) PackStats {
+			return b.Pack("s", first, tuple.Tuple{tuple.Int(2)})
 		},
-		"PackBudgeted": func(b *Baggage) {
-			b.PackBudgeted("q", "s", first, Budget{}, tuple.Tuple{tuple.Int(2)})
+		"PackBudgeted": func(b *Baggage) PackStats {
+			return b.PackBudgeted("q", "s", first, Budget{}, tuple.Tuple{tuple.Int(2)})
 		},
-		"PackFrom": func(b *Baggage) {
-			b.PackFrom("q", "s", allSpec("a"), Budget{}, tuple.Tuple{tuple.Int(0), tuple.Int(2)}, []int{1})
+		"PackFrom": func(b *Baggage) PackStats {
+			return b.PackFrom("q", "s", allSpec("a"), Budget{}, tuple.Tuple{tuple.Int(0), tuple.Int(2)}, []int{1})
 		},
 	} {
-		before := reg.Snapshot().Counters["baggage.merge.conflicts"]
 		b := Deserialize(wire)
-		pack(b)
+		st := pack(b)
 		for _, got := range [][]tuple.Tuple{b.Unpack("s"), Deserialize(b.Serialize()).Unpack("s")} {
 			if len(got) != 1 || !got[0].Equal(tuple.Tuple{tuple.Int(2)}) {
 				t.Errorf("%s: slot unpacks %v, want only the packer's (2)", name, got)
 			}
 		}
-		if n := reg.Snapshot().Counters["baggage.merge.conflicts"] - before; n != 1 {
-			t.Errorf("%s: %d conflicts counted, want 1", name, n)
+		if st.Conflicts != 1 {
+			t.Errorf("%s: %d conflicts counted, want 1", name, st.Conflicts)
 		}
+		if st = pack(b); st.Conflicts != 0 {
+			t.Errorf("%s: a second pack under the packer's own spec counts %d conflicts, want 0", name, st.Conflicts)
+		}
+	}
+}
+
+// TestMergeConflictsAreReturned: two contributions to one slot under
+// different specs merge into one, dropping the other, and the join or the
+// unpack that merged them returns the one conflict.
+func TestMergeConflictsAreReturned(t *testing.T) {
+	a, b := New().Split()
+	a.Pack("s", allSpec("x"), tuple.Tuple{tuple.Int(1)})
+	b.Pack("s", allSpec("x", "y"), tuple.Tuple{tuple.Int(2), tuple.Int(3)})
+	l, r := NewContext(context.Background(), a), NewContext(context.Background(), b)
+	j, conflicts := JoinContext(context.Background(), l, r)
+	if got := FromContext(j).Unpack("s"); conflicts != 1 || len(got) != 1 || !got[0].Equal(tuple.Tuple{tuple.Int(1)}) {
+		t.Errorf("join: %d conflicts, unpacks %v; want 1 and [(1)]", conflicts, got)
+	}
+	// A frozen instance and the active one disagree: the unpack merges.
+	root := New()
+	root.Pack("s", allSpec("x"), tuple.Tuple{tuple.Int(1)})
+	branch, _ := root.Split()
+	branch.Pack("s", allSpec("x", "y"), tuple.Tuple{tuple.Int(2), tuple.Int(3)})
+	if got, _, conflicts := branch.AppendUnpack(nil, nil, "s"); conflicts != 1 || len(got) != 1 {
+		t.Errorf("unpack: %d conflicts, unpacks %v; want 1 and one row", conflicts, got)
 	}
 }
 
@@ -404,10 +424,11 @@ func TestContextPropagation(t *testing.T) {
 	if l, r := SplitContexts(ctx); l != ctx || r != ctx {
 		t.Fatal("splitting a context without baggage should return it")
 	}
-	if JoinContext(ctx, ctx, ctx) != ctx {
+	if j, _ := JoinContext(ctx, ctx, ctx); j != ctx {
 		t.Fatal("joining contexts without baggage should return ctx")
 	}
-	if got := FromContext(JoinContext(ctx, l, r)).Unpack("s"); len(got) != 1 {
+	j, _ := JoinContext(ctx, l, r)
+	if got := FromContext(j).Unpack("s"); len(got) != 1 {
 		t.Fatalf("JoinContext unpacks %v, want the pre-split row", got)
 	}
 }
@@ -425,6 +446,22 @@ func TestJoinWithNothingCopiesIndependently(t *testing.T) {
 	}
 	if len(c.Unpack("s")) != 2 {
 		t.Fatal("the copy lost tuples")
+	}
+}
+
+// TestJoinWithNothingIsNotWrittenThroughItsSource: after j := Join(b,
+// nil), a pack through b copies the active instance the two share, so j
+// keeps what it was joined with.
+func TestJoinWithNothingIsNotWrittenThroughItsSource(t *testing.T) {
+	b := New()
+	b.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(1)})
+	j := Join(b, nil)
+	b.Pack("s", allSpec("v"), tuple.Tuple{tuple.Int(2)})
+	if got := j.Unpack("s"); len(got) != 1 || !got[0].Equal(tuple.Tuple{tuple.Int(1)}) {
+		t.Fatalf("the join unpacks %v, want [(1)]: the source wrote into it", got)
+	}
+	if got := b.Unpack("s"); len(got) != 2 {
+		t.Fatalf("the source unpacks %v, want both rows", got)
 	}
 }
 

@@ -151,15 +151,22 @@ func (s DropSet) Groups() int {
 	return n
 }
 
-// PackStats accounts one PackBudgeted call. Every tuple offered is either
-// packed or refused; every eviction is counted in groups, tuples, and
-// bytes. Nothing is dropped silently.
+// PackStats accounts one pack. Every tuple offered is either packed or
+// refused; every eviction is counted in groups, tuples, and bytes. Nothing
+// is dropped silently.
 type PackStats struct {
 	Packed        int64 // tuples stored
 	RefusedTuples int64 // tuples refused because their slot/group is tombstoned
 	EvictedGroups int64 // tombstones written (whole slots count as one)
 	EvictedTuples int64 // stored tuples removed by eviction
 	EvictedBytes  int64 // content bytes removed by eviction
+	// Conflicts counts slot contents dropped because their spec disagreed
+	// with the side they met: a pack replaces what a peer stored under its
+	// own name, and a merge — at a join or an unpack — drops the other
+	// side. Baggage arrives from peer processes, and bytes from a corrupt
+	// or hostile one must never panic the traced application; the
+	// packer's spec is the one its query reads the slot with.
+	Conflicts int64
 }
 
 // Add accumulates o into s.
@@ -169,6 +176,7 @@ func (s *PackStats) Add(o PackStats) {
 	s.EvictedGroups += o.EvictedGroups
 	s.EvictedTuples += o.EvictedTuples
 	s.EvictedBytes += o.EvictedBytes
+	s.Conflicts += o.Conflicts
 }
 
 // PackBudgeted packs tuples into slot like Pack but enforces the budget
@@ -178,8 +186,8 @@ func (s *PackStats) Add(o PackStats) {
 // first — until the query is back under budget. All outcomes are counted
 // in the returned PackStats.
 func (b *Baggage) PackBudgeted(query, slot string, spec SetSpec, budget Budget, tuples ...tuple.Tuple) PackStats {
-	var st PackStats
-	set := b.active().set(slot, spec)
+	set, conflicts := b.active().set(slot, spec)
+	st := PackStats{Conflicts: conflicts}
 	whole, keys := b.evictions(slot)
 	// Group keys are only needed to honor per-group tombstones; the common
 	// case — no eviction has ever hit this slot — skips key construction
@@ -221,23 +229,23 @@ func (b *Baggage) PackFrom(query, name string, spec SetSpec, budget Budget, w tu
 	if whole, _ := b.evictions(name); whole || !encodes(spec.Kind) || sl != nil && sl.set != nil {
 		return b.PackBudgeted(query, name, spec, budget, w.Project(src))
 	}
+	st := PackStats{Packed: 1}
 	switch {
 	case sl == nil:
 		in.slots = append(in.slots, newSlot(name, spec, tuple.SizeProjected(w, src)))
 		sl = &in.slots[len(in.slots)-1]
-	case !sl.specIs(spec): // stored by a peer under another spec (see conflict)
-		conflict()
+	case !sl.specIs(spec): // stored by a peer under another spec
 		*sl = newSlot(name, spec, tuple.SizeProjected(w, src))
+		st.Conflicts++
 	}
 	sl.add(spec, w, src)
-	return b.enforce(budget, query, PackStats{Packed: 1})
+	return b.enforce(budget, query, st)
 }
 
 // enforce evicts whole groups from the active instance until the query's
 // usage fits the budget or no evictable content remains (frozen instances
 // are read-only; their contribution can only be suppressed by tombstones
-// already written on this branch), adds the evictions to a pack's st, and
-// meters the pack.
+// already written on this branch), and adds the evictions to a pack's st.
 func (b *Baggage) enforce(budget Budget, query string, st PackStats) PackStats {
 	maxB, maxT := budget.maxBytes(), budget.maxTuples()
 	for maxB >= 0 || maxT >= 0 {
@@ -258,14 +266,10 @@ func (b *Baggage) enforce(budget Budget, query string, st PackStats) PackStats {
 		} else {
 			bytes, tuples = victim.clear()
 		}
-		b.recordDrop(name, key)
+		st.Conflicts += b.recordDrop(name, key)
 		st.EvictedGroups++
 		st.EvictedTuples += int64(tuples)
 		st.EvictedBytes += int64(bytes)
-	}
-	if m := meters.Load(); m != nil {
-		m.TuplesPacked.Add(st.Packed)
-		m.PackRefused.Add(st.RefusedTuples)
 	}
 	return st
 }
@@ -304,9 +308,12 @@ func (b *Baggage) victim(query string) *slot {
 	return best
 }
 
-// recordDrop writes one tombstone into the active instance's drop slot.
-func (b *Baggage) recordDrop(slot, key string) {
-	b.active().set(DropSlot, dropSpec).Pack(tuple.Tuple{tuple.String(slot), tuple.String(key)})
+// recordDrop writes one tombstone into the active instance's drop slot
+// and returns the conflicts it met.
+func (b *Baggage) recordDrop(slot, key string) int64 {
+	drops, conflicts := b.active().set(DropSlot, dropSpec)
+	drops.Pack(tuple.Tuple{tuple.String(slot), tuple.String(key)})
+	return conflicts
 }
 
 // findPair calls f with the values of every two-value tuple stored under

@@ -377,31 +377,21 @@ func (b *Baggage) appendInstances(buf []byte) []byte {
 // (zero bytes). Baggage that was deserialized and never modified returns
 // the original bytes without re-encoding (lazy round-trip).
 func (b *Baggage) Serialize() []byte {
-	if b == nil {
+	switch {
+	case b == nil:
+		return nil
+	case b.raw != nil:
+		return bytes.Clone(b.raw)
+	case len(b.insts) == 0:
 		return nil
 	}
-	var out []byte
-	switch {
-	case b.raw != nil:
-		out = make([]byte, len(b.raw))
-		copy(out, b.raw)
-	case len(b.insts) == 0:
-	default:
-		// Encode into a pooled staging buffer, then copy to an exact-size
-		// result: one allocation per call (the escaping result itself)
-		// instead of the log-many growth reallocations of a cold append.
-		s := getScratch()
-		buf := b.appendInstances(s.buf[:0])
-		out = make([]byte, len(buf))
-		copy(out, buf)
-		s.buf = buf
-		putScratch(s)
-	}
-	if m := meters.Load(); m != nil {
-		m.Serializations.Inc()
-		m.SerializedBytes.Add(int64(len(out)))
-		m.Bytes.Observe(int64(len(out)))
-	}
+	// Encode into a pooled staging buffer, then copy to an exact-size
+	// result: one allocation per call (the escaping result itself) instead
+	// of the log-many growth reallocations of a cold append.
+	s := getScratch()
+	s.buf = b.appendInstances(s.buf[:0])
+	out := bytes.Clone(s.buf)
+	putScratch(s)
 	return out
 }
 
@@ -416,7 +406,7 @@ func Deserialize(buf []byte) *Baggage {
 // ByteSize returns the serialized size of the baggage in bytes. Decoded
 // baggage is measured by encoding into a pooled scratch buffer — the
 // length is read and the bytes discarded — so sizing does not allocate a
-// serialization and does not count as one in the telemetry.
+// serialization.
 func (b *Baggage) ByteSize() int {
 	if b == nil {
 		return 0

@@ -19,11 +19,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // getScratch returns a scratch buffer; its buf may be nil (first use on
 // this P) or hold stale bytes — callers always write via s.buf[:0].
 func getScratch() *scratch {
-	s := scratchPool.Get().(*scratch)
-	if m := meters.Load(); m != nil && s.buf != nil {
-		m.PoolReuses.Inc()
-	}
-	return s
+	return scratchPool.Get().(*scratch)
 }
 
 // putScratch returns the scratch to the pool, dropping oversized buffers.

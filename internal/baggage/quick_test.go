@@ -273,9 +273,8 @@ func sameView(got, want *Baggage) error {
 // that writing one branch never changes a sibling. Split, join and the
 // wire round-trip also run in their context forms (the live baggage held
 // by value in a context node), and a join with nothing is the degenerate
-// copy. Receivers of Split stay in play as stale handles that are written
-// and read but never joined (their interval tree IDs overlap their
-// branches').
+// copy. Receivers of Split and originals of a join with nothing stay in
+// play as stale handles that are written and read but never joined.
 func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 	kinds := append([]SetSpec{{Kind: Union, Fields: tuple.Schema{"a", "b"}}}, allKinds...)
 	bg := context.Background()
@@ -322,7 +321,8 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 					continue
 				}
 				if op == 9 {
-					live[k] = FromContext(JoinContext(bg, NewContext(bg, live[k]), NewContext(bg, live[j])))
+					jc, _ := JoinContext(bg, NewContext(bg, live[k]), NewContext(bg, live[j]))
+					live[k] = FromContext(jc)
 				} else {
 					live[k] = Join(live[k], live[j])
 				}
@@ -336,18 +336,18 @@ func TestQuickSharingMatchesDeepCopies(t *testing.T) {
 					live[k] = Deserialize(live[k].Serialize())
 				}
 				shadow[k] = Deserialize(shadow[k].Serialize())
-			case 6, 11: // join with nothing: the result shares the active instance
-				if op == 11 {
-					live[k] = FromContext(JoinContext(bg, NewContext(bg, live[k]), bg))
-				} else {
-					live[k] = Join(live[k], nil)
-				}
+			case 11: // join with nothing: the result shares the active instance
+				jc, _ := JoinContext(bg, NewContext(bg, live[k]), bg)
+				live[k] = FromContext(jc)
 				shadow[k] = Join(shadow[k], nil)
+			case 6: // join with nothing: the original becomes a stale handle
+				live, shadow = append(live, live[k]), append(shadow, shadow[k])
+				live[k], shadow[k] = Join(live[k], nil), Join(shadow[k], nil)
 			case 7: // read only
 			}
 			for i := range shadow {
-				// New instances draw nonces from one process-wide counter;
-				// give the shadow's the live one's, position by position.
+				// New instances draw random nonces; give the shadow's the
+				// live one's, position by position.
 				shadow[i] = deepCopy(shadow[i])
 				if live[i].raw == nil && shadow[i].raw == nil && len(live[i].insts) == len(shadow[i].insts) {
 					for p, in := range live[i].insts {
@@ -426,7 +426,7 @@ func TestQuickAppendUnpackExtendsPrefix(t *testing.T) {
 				vals := slices.Grow(slices.Concat(prefix...), rng.Intn(8))
 				savedVals := slices.Clone(vals)
 				want := append(slices.Clone(prefix), b.Unpack(slot)...)
-				got, _ := b.AppendUnpack(prefix, vals, slot)
+				got, _, _ := b.AppendUnpack(prefix, vals, slot)
 				if !vals.Equal(savedVals) {
 					return fmt.Errorf("slot %s: AppendUnpack wrote the values it was given", slot)
 				}

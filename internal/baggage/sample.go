@@ -24,7 +24,8 @@ var SampleSpec = SetSpec{Kind: Union, Fields: tuple.Schema{"q", "r"}}
 // It must be called at most once per (request, query), before the
 // request's baggage first splits.
 func (b *Baggage) PackSampleDecision(queryID string, rate float64) {
-	b.active().set(SampleSlot, SampleSpec).Pack(tuple.Tuple{tuple.String(queryID), tuple.Float(rate)})
+	decisions, _ := b.active().set(SampleSlot, SampleSpec) // minted into new baggage: nothing to conflict with
+	decisions.Pack(tuple.Tuple{tuple.String(queryID), tuple.Float(rate)})
 }
 
 // SampleRate looks up the request's decision for queryID: (rate, true)

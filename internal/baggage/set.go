@@ -286,11 +286,11 @@ func admits(spec SetSpec, n int, held func() bool) (store, replace bool) {
 
 // Merge folds another set with the same spec into s. Used when rejoining
 // branched baggage and when combining instances at unpack. A spec
-// mismatch drops o rather than panicking (see conflict).
-func (s *Set) Merge(o *Set) {
+// mismatch drops o rather than panicking, and Merge returns the one
+// conflict (see PackStats.Conflicts); otherwise it returns 0.
+func (s *Set) Merge(o *Set) (conflicts int64) {
 	if !s.Spec.Equal(o.Spec) {
-		conflict()
-		return
+		return 1
 	}
 	switch s.Spec.Kind {
 	case First, Recent:
@@ -333,6 +333,7 @@ func (s *Set) Merge(o *Set) {
 			s.Pack(t)
 		}
 	}
+	return 0
 }
 
 // appendUnpack appends the set's contents to dst as tuples in the packed

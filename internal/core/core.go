@@ -410,11 +410,13 @@ func (h *Installed) Quarantines() []agent.Quarantine {
 }
 
 // Partial reports whether the query's results are known-incomplete:
-// baggage budgets evicted groups or a circuit breaker quarantined advice.
+// baggage budgets evicted groups, the frontend's raw cap evicted rows, or
+// a circuit breaker quarantined advice.
 func (h *Installed) Partial() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.global.DroppedGroups() > 0 || len(h.quarantines) > 0
+	rawsDropped, _ := h.global.CapCounts()
+	return h.global.DroppedGroups() > 0 || rawsDropped > 0 || len(h.quarantines) > 0
 }
 
 // OnReport registers a callback invoked for every per-interval report the
@@ -519,9 +521,10 @@ func (h *Installed) ExplainAnalyze() string {
 	reports, mergeNS := h.reports, h.mergeNS
 	rows := h.global.Len()
 	dropped := h.global.DroppedGroups()
+	rawsDropped, overflowed := h.global.CapCounts()
 	h.mu.Unlock()
-	fmt.Fprintf(&b, "\n\nMERGE at frontend  [reports=%d rows=%d dropped-groups=%d merge=%s]",
-		reports, rows, dropped, time.Duration(mergeNS))
+	fmt.Fprintf(&b, "\n\nMERGE at frontend  [reports=%d rows=%d dropped-groups=%d raws-dropped=%d groups-overflowed=%d merge=%s]",
+		reports, rows, dropped, rawsDropped, overflowed, time.Duration(mergeNS))
 
 	h.pt.explainMu.Lock()
 	var procs []agent.ExplainStats

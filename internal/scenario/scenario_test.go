@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,24 +50,33 @@ func TestAllScenariosShort(t *testing.T) {
 	}
 }
 
-// TestReportDeterminism runs a two-scenario set twice with the same seed
-// and requires byte-identical JSON reports — the harness's headline
-// acceptance criterion. Limplock and failover together cover the HDFS
+// TestReportDeterminism runs a two-scenario set twice with the same seed,
+// the two runs at once in goroutines of their own, and requires
+// byte-identical JSON reports — the harness's headline acceptance
+// criterion. Under -race it also shows that two simulations in one
+// process share no state. Limplock and failover together cover the HDFS
 // and HBase paths plus fault injection and query reinstallation.
 func TestReportDeterminism(t *testing.T) {
 	seed := testSeed()
 	set := []*Scenario{Limplock(), CascadingFailover()}
-	render := func() []byte {
-		h := &Harness{Seed: seed, Short: true}
-		rep := NewReport(seed, true, h.RunAll(set))
-		out, err := rep.JSON()
+	var reports [2][]byte
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reports {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := &Harness{Seed: seed, Short: true}
+			reports[i], errs[i] = NewReport(seed, true, h.RunAll(set)).JSON()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
 	}
-	a, b := render(), render()
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(reports[0], reports[1]) {
 		t.Errorf("same-seed runs produced different JSON reports\n%s", randtest.Replay(t, seed))
 	}
 }

@@ -48,12 +48,22 @@ type PanicSink interface {
 }
 
 // SpanSink observes every Here crossing of a tracepoint, woven or not —
-// the hook span capture attaches via Registry.SetSpanSink. While no sink
+// the hook span capture attaches via Registry.SetSpanSink. While no hook
 // is attached (the default), the disabled fast path pays one extra atomic
 // nil-load; the sink itself derives everything (baggage, process identity,
 // clock) from ctx, so nothing is computed when span capture is off.
 type SpanSink interface {
 	TracepointCrossed(ctx context.Context, tpName string)
+}
+
+// Failpoint is a fault-injection hook (see Registry.SetFailpoint).
+type Failpoint func(a Advice, vals tuple.Tuple)
+
+// hooks are what a registry attaches to every tracepoint it defines; a
+// tracepoint holds nil while neither is set.
+type hooks struct {
+	span SpanSink
+	fail Failpoint
 }
 
 // Tracepoint identifies one or more locations in the system code and the
@@ -70,12 +80,12 @@ type Tracepoint struct {
 	// instrumented call site passes them to Here.
 	Exports tuple.Schema
 
-	schema   tuple.Schema // DefaultExports + Exports
-	woven    atomic.Pointer[[]Advice]
-	weaves   atomic.Int64                      // advice installations at this tracepoint
-	panics   atomic.Int64                      // advice panics recovered at the Here boundary
-	hits     atomic.Pointer[telemetry.Counter] // Here crossings, while telemetry is attached
-	spanSink atomic.Pointer[SpanSink]
+	schema tuple.Schema // DefaultExports + Exports
+	woven  atomic.Pointer[[]Advice]
+	weaves atomic.Int64                      // advice installations at this tracepoint
+	panics atomic.Int64                      // advice panics recovered at the Here boundary
+	hits   atomic.Pointer[telemetry.Counter] // Here crossings, while telemetry is attached
+	hooks  atomic.Pointer[hooks]
 
 	// pool recycles the schema-width tuple Here materializes per enabled
 	// fire, so steady-state enabled crossings allocate nothing for it.
@@ -109,8 +119,8 @@ func (tp *Tracepoint) Here(ctx context.Context, vals ...any) {
 	if h := tp.hits.Load(); h != nil {
 		h.Inc()
 	}
-	if s := tp.spanSink.Load(); s != nil {
-		(*s).TracepointCrossed(ctx, tp.Name)
+	if h := tp.hooks.Load(); h != nil && h.span != nil {
+		h.span.TracepointCrossed(ctx, tp.Name)
 	}
 	if list == nil || len(*list) == 0 {
 		return
@@ -157,6 +167,11 @@ func (tp *Tracepoint) invoke(ctx context.Context, a Advice, full tuple.Tuple) {
 			s.AdvicePanicked(tp.Name, r)
 		}
 	}()
+	if h := tp.hooks.Load(); h != nil && h.fail != nil {
+		if q, ok := a.(interface{ Quarantined() bool }); !ok || !q.Quarantined() {
+			h.fail(a, full)
+		}
+	}
 	a.Invoke(ctx, full)
 }
 
@@ -168,28 +183,52 @@ type Registry struct {
 	hooks []func(*Tracepoint)
 
 	tel      *telemetry.Registry
-	spanSink *SpanSink
+	attached *hooks // what every tracepoint gets; nil while nothing is set
 	weaveNS  atomic.Pointer[telemetry.Histogram]
 }
 
 // SetSpanSink attaches a span sink to the registry: every tracepoint,
 // existing and future, reports its Here crossings to s. Passing nil
 // detaches the sink, restoring the single-load disabled fast path.
-func (r *Registry) SetSpanSink(s SpanSink) {
-	var p *SpanSink
-	if s != nil {
-		p = &s
-	}
+func (r *Registry) SetSpanSink(s SpanSink) { r.setHooks(func(h *hooks) { h.span = s }) }
+
+// SetFailpoint installs a fault-injection hook on the registry: every
+// tracepoint, existing and future, runs fn before each woven advice that
+// is not quarantined, inside the boundary that recovers the advice's
+// panics, so a panic fn raises counts as that advice's own. The
+// declarative pipeline cannot naturally panic or run away, so chaos tests
+// inject exactly those faults through it. Passing nil removes the hook.
+// Not for production use.
+func (r *Registry) SetFailpoint(fn Failpoint) { r.setHooks(func(h *hooks) { h.fail = fn }) }
+
+// setHooks changes the registry's hooks with set and attaches the result
+// to every tracepoint, existing and future.
+func (r *Registry) setHooks(set func(*hooks)) {
 	r.mu.Lock()
-	r.spanSink = p
-	existing := make([]*Tracepoint, 0, len(r.tps))
-	for _, tp := range r.tps {
-		existing = append(existing, tp)
+	var h hooks
+	if r.attached != nil {
+		h = *r.attached
 	}
+	set(&h)
+	p := &h
+	if h.span == nil && h.fail == nil {
+		p = nil
+	}
+	r.attached = p
+	existing := r.defined()
 	r.mu.Unlock()
 	for _, tp := range existing {
-		tp.spanSink.Store(p)
+		tp.hooks.Store(p)
 	}
+}
+
+// defined returns the tracepoints defined so far. The caller holds r.mu.
+func (r *Registry) defined() []*Tracepoint {
+	out := make([]*Tracepoint, 0, len(r.tps))
+	for _, tp := range r.tps {
+		out = append(out, tp)
+	}
+	return out
 }
 
 // SetTelemetry attaches self-telemetry to the registry: every tracepoint,
@@ -223,10 +262,7 @@ func (r *Registry) SetTelemetry(t *telemetry.Registry) {
 func (r *Registry) OnDefine(fn func(*Tracepoint)) {
 	r.mu.Lock()
 	r.hooks = append(r.hooks, fn)
-	existing := make([]*Tracepoint, 0, len(r.tps))
-	for _, tp := range r.tps {
-		existing = append(existing, tp)
-	}
+	existing := r.defined()
 	r.mu.Unlock()
 	for _, tp := range existing {
 		fn(tp)
@@ -264,9 +300,7 @@ func (r *Registry) Define(name string, exports ...string) *Tracepoint {
 	if r.tel != nil {
 		tp.hits.Store(r.tel.Counter("tracepoint.hits." + name))
 	}
-	if r.spanSink != nil {
-		tp.spanSink.Store(r.spanSink)
-	}
+	tp.hooks.Store(r.attached)
 	r.tps[name] = tp
 	var hooks []func(*Tracepoint)
 	hooks = append(hooks, r.hooks...)

@@ -22,17 +22,17 @@ import (
 // each with the reason it stays. A key is types.Func.FullName. An entry
 // whose function gains a caller, or goes, fails the test too.
 var keptWithoutCaller = map[string]string{
-	"(*repro/internal/core.Installed).Lease":         "public API: pivot.Query is core.Installed, and README documents Lease",
-	"(*repro/internal/core.Installed).Quarantines":   "public API: pivot.Query is core.Installed, and README documents Quarantines",
-	"(*repro/internal/core.Installed).Schema":        "public API: pivot.Query is core.Installed, and README documents Schema",
-	"(*repro/internal/tracepoint.Tracepoint).Panics": "public API: pivot.Tracepoint is tracepoint.Tracepoint",
-	"repro/internal/simtime.NewQueue":                "simtime.Queue stays whole: the gated BenchmarkSimHandoff measures it, and a simulated transport is its natural reader",
-	"(*repro/internal/simtime.Queue[T]).Push":        "simtime.Queue stays whole (see NewQueue)",
-	"(*repro/internal/simtime.Queue[T]).Pop":         "simtime.Queue stays whole (see NewQueue)",
-	"(*repro/internal/simtime.Queue[T]).PopTimeout":  "simtime.Queue stays whole (see NewQueue)",
-	"(*repro/internal/simtime.Queue[T]).Len":         "simtime.Queue stays whole (see NewQueue)",
-	"repro/internal/advice.SetFailpoint":             "fault-injection hook: the safety suites make advice panic through it",
-	"repro/internal/oracle.Format":                   "renders oracle rows in the failure messages of the differential suites",
+	"(*repro/internal/core.Installed).Lease":             "public API: pivot.Query is core.Installed, and README documents Lease",
+	"(*repro/internal/core.Installed).Quarantines":       "public API: pivot.Query is core.Installed, and README documents Quarantines",
+	"(*repro/internal/core.Installed).Schema":            "public API: pivot.Query is core.Installed, and README documents Schema",
+	"(*repro/internal/tracepoint.Tracepoint).Panics":     "public API: pivot.Tracepoint is tracepoint.Tracepoint",
+	"repro/internal/simtime.NewQueue":                    "simtime.Queue stays whole: the gated BenchmarkSimHandoff measures it, and a simulated transport is its natural reader",
+	"(*repro/internal/simtime.Queue[T]).Push":            "simtime.Queue stays whole (see NewQueue)",
+	"(*repro/internal/simtime.Queue[T]).Pop":             "simtime.Queue stays whole (see NewQueue)",
+	"(*repro/internal/simtime.Queue[T]).PopTimeout":      "simtime.Queue stays whole (see NewQueue)",
+	"(*repro/internal/simtime.Queue[T]).Len":             "simtime.Queue stays whole (see NewQueue)",
+	"(*repro/internal/tracepoint.Registry).SetFailpoint": "fault-injection hook: the safety suites make advice panic through it",
+	"repro/internal/oracle.Format":                       "renders oracle rows in the failure messages of the differential suites",
 }
 
 // testSupport are the packages that exist to serve tests: their exported
@@ -45,6 +45,37 @@ var testSupport = []string{"querygen", "randtest", "faultinject"}
 // method that implements an interface counts as used, since a call through
 // the interface names the interface's method, not the concrete one.
 func TestInternalFuncsHaveProductionCallers(t *testing.T) {
+	imp := loadModule(t)
+	uncalled := map[string]bool{}
+	for _, fn := range imp.decls {
+		if !fn.Exported() || imp.used(fn) || imp.implements(fn) {
+			continue
+		}
+		path := fn.Pkg().Path()
+		if strings.HasPrefix(path, "repro/internal/") && !slices.Contains(testSupport, strings.TrimPrefix(path, "repro/internal/")) {
+			uncalled[fn.FullName()] = true
+		}
+	}
+	var missing []string
+	for name := range uncalled {
+		if _, kept := keptWithoutCaller[name]; !kept {
+			missing = append(missing, name)
+		}
+	}
+	slices.Sort(missing)
+	for _, name := range missing {
+		t.Errorf("%s: exported, but only tests call it", name)
+	}
+	for name := range keptWithoutCaller {
+		if !uncalled[name] {
+			t.Errorf("keptWithoutCaller names %s, which is gone or has a production caller now: drop the entry", name)
+		}
+	}
+}
+
+// loadModule type-checks every package of this module from source, its
+// non-test files, and bench/ with its tests.
+func loadModule(t *testing.T) *moduleImporter {
 	fset := token.NewFileSet()
 	imp := &moduleImporter{
 		fset:   fset,
@@ -74,45 +105,28 @@ func TestInternalFuncsHaveProductionCallers(t *testing.T) {
 	if _, err := imp.check("repro/bench", "bench", true); err != nil {
 		t.Fatal(err)
 	}
-
-	uncalled := map[string]bool{}
-	for _, fn := range imp.decls {
-		if !fn.Exported() || imp.used(fn) || imp.implements(fn) {
-			continue
-		}
-		path := fn.Pkg().Path()
-		if strings.HasPrefix(path, "repro/internal/") && !slices.Contains(testSupport, strings.TrimPrefix(path, "repro/internal/")) {
-			uncalled[fn.FullName()] = true
-		}
-	}
-	var missing []string
-	for name := range uncalled {
-		if _, kept := keptWithoutCaller[name]; !kept {
-			missing = append(missing, name)
-		}
-	}
-	slices.Sort(missing)
-	for _, name := range missing {
-		t.Errorf("%s: exported, but only tests call it", name)
-	}
-	for name := range keptWithoutCaller {
-		if !uncalled[name] {
-			t.Errorf("keptWithoutCaller names %s, which is gone or has a production caller now: drop the entry", name)
-		}
-	}
+	return imp
 }
 
 // moduleImporter type-checks this module's packages itself, so that every
 // reference resolves to one object, and leaves the standard library to the
 // source importer.
 type moduleImporter struct {
-	fset   *token.FileSet
-	std    types.ImporterFrom
-	pkgs   map[string]*types.Package
-	decls  []*types.Func
-	bodies map[*types.Func]*ast.FuncDecl
-	uses   map[*types.Func][]token.Pos
-	ifaces map[*types.Interface]bool
+	fset    *token.FileSet
+	std     types.ImporterFrom
+	pkgs    map[string]*types.Package
+	checked []checkedPackage
+	decls   []*types.Func
+	bodies  map[*types.Func]*ast.FuncDecl
+	uses    map[*types.Func][]token.Pos
+	ifaces  map[*types.Interface]bool
+}
+
+// checkedPackage is one package as the importer type-checked it.
+type checkedPackage struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -155,15 +169,17 @@ func (m *moduleImporter) check(path, dir string, withTests bool) (*types.Package
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	m.pkgs[path] = p
+	m.checked = append(m.checked, checkedPackage{path, files, info})
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {

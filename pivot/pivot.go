@@ -82,6 +82,30 @@ type PT struct {
 	Agent    *agent.Agent
 
 	info tracepoint.ProcInfo
+	self atomic.Pointer[selfMeters] // set by EnableSelfTelemetry
+}
+
+// selfMeters are the instruments of this runtime that its package
+// functions reach through a request's context (see hopCtx): Inject's
+// "baggage.Serialize" meta-tracepoint and size histogram, and Join's
+// count of merge conflicts.
+type selfMeters struct {
+	serialize *tracepoint.Tracepoint
+	bytes     *telemetry.Histogram
+	conflicts *telemetry.Counter
+}
+
+// runtimeKey is the context key under which a hopCtx answers with its
+// runtime.
+type runtimeKey struct{}
+
+// selfOf returns the self-telemetry of the runtime ctx entered, or nil
+// when ctx entered none or its runtime has none enabled.
+func selfOf(ctx context.Context) *selfMeters {
+	if pt, _ := ctx.Value(runtimeKey{}).(*PT); pt != nil {
+		return pt.self.Load()
+	}
+	return nil
 }
 
 // New creates a Pivot Tracing runtime for this process. procName appears
@@ -107,7 +131,7 @@ func New(procName string) *PT {
 // Context attaches this process's identity to ctx so tracepoint crossings
 // export the right host and procName defaults.
 func (pt *PT) Context(ctx context.Context) context.Context {
-	return &hopCtx{Context: ctx, proc: &pt.info}
+	return &hopCtx{Context: ctx, pt: pt}
 }
 
 // NewRequest returns a context for a fresh request entering this process:
@@ -116,7 +140,7 @@ func (pt *PT) Context(ctx context.Context) context.Context {
 // downstream tracepoint — across splits, joins, and process transfers —
 // agrees whether this request is kept.
 func (pt *PT) NewRequest(ctx context.Context) context.Context {
-	c := &hopCtx{Context: ctx, proc: &pt.info, carries: true}
+	c := &hopCtx{Context: ctx, pt: pt, carries: true}
 	if pt.Agent != nil {
 		pt.Agent.MintSampleDecision(&c.bag)
 	}
@@ -124,12 +148,12 @@ func (pt *PT) NewRequest(ctx context.Context) context.Context {
 }
 
 // hopCtx is the one context node a request gains on entering this process:
-// the process identity and the request's baggage together, where
-// tracepoint.WithProc and baggage.NewContext would stack two nodes and box
-// the identity again for every request.
+// the runtime, whose process identity it answers for, and the request's
+// baggage together, where tracepoint.WithProc and baggage.NewContext would
+// stack two nodes and box the identity again for every request.
 type hopCtx struct {
 	context.Context
-	proc    *tracepoint.ProcInfo
+	pt      *PT
 	bag     baggage.Baggage
 	carries bool // false from PT.Context: baggage further up stays visible
 }
@@ -137,7 +161,9 @@ type hopCtx struct {
 func (c *hopCtx) Value(key any) any {
 	switch key.(type) {
 	case tracepoint.ProcKey:
-		return c.proc
+		return &c.pt.info
+	case runtimeKey:
+		return c.pt
 	case baggage.ContextKey:
 		if c.carries {
 			return &c.bag
@@ -166,18 +192,14 @@ func (pt *PT) InstallNamed(name, text string) (*Query, error) {
 // Flush publishes the current partial results to installed query handles.
 func (pt *PT) Flush() { pt.Agent.Flush() }
 
-// serializeTP is the "baggage.Serialize" meta-tracepoint, armed by
-// EnableSelfTelemetry. It is package-global because Inject is a package
-// function; in the (test-only) case of several runtimes per OS process,
-// the last runtime to enable self-telemetry owns it.
-var serializeTP atomic.Pointer[tracepoint.Tracepoint]
-
 // EnableSelfTelemetry turns the tracer's instruments on itself:
 //
 //   - attaches the frontend's telemetry registry to the tracepoint
-//     registry, the bus, the agent, and the process's baggage layer, so
-//     Status() includes hit/weave counters, per-topic message counts,
-//     report totals, and baggage serialization volume;
+//     registry, the bus, and the agent, so Status() includes hit/weave
+//     counters, per-topic message counts and report totals; and it makes
+//     Inject observe each serialized size in the "baggage.bytes"
+//     histogram, for requests that entered this runtime (NewRequest,
+//     Context);
 //
 //   - defines and arms the meta-tracepoints "agent.Report" (query, rows,
 //     tuples), "tracepoint.Weave" (name, query), and "baggage.Serialize"
@@ -192,10 +214,13 @@ func (pt *PT) EnableSelfTelemetry() *telemetry.Registry {
 	pt.Registry.SetTelemetry(tel)
 	pt.Bus.SetTelemetry(tel)
 	pt.Agent.SetTelemetry(tel)
-	baggage.SetTelemetry(tel)
 	pt.Agent.EnableMetaTracepoint()
 	pt.Frontend.EnableMetaTracepoints()
-	serializeTP.Store(pt.Registry.Define("baggage.Serialize", "bytes"))
+	pt.self.Store(&selfMeters{
+		serialize: pt.Registry.Define("baggage.Serialize", "bytes"),
+		bytes:     tel.Histogram("baggage.bytes"),
+		conflicts: tel.Counter("baggage.merge.conflicts"),
+	})
 	return tel
 }
 
@@ -259,11 +284,13 @@ func (pt *PT) StartReporting(interval time.Duration) (stop func()) {
 }
 
 // Inject serializes the request's baggage for transport in an RPC header.
-// Empty baggage serializes to zero bytes.
+// Empty baggage serializes to zero bytes. With self-telemetry on in the
+// runtime the request entered, the size is observed there.
 func Inject(ctx context.Context) []byte {
 	out := baggage.FromContext(ctx).Serialize()
-	if tp := serializeTP.Load(); tp != nil {
-		tp.Here(ctx, int64(len(out)))
+	if m := selfOf(ctx); m != nil {
+		m.bytes.Observe(int64(len(out)))
+		m.serialize.Here(ctx, int64(len(out)))
 	}
 	return out
 }
@@ -281,9 +308,17 @@ func Split(ctx context.Context) (context.Context, context.Context) {
 }
 
 // Join merges the baggage of two rejoining branches and returns a context
-// carrying the merged baggage.
+// carrying the merged baggage. Slot contents dropped for a mismatched
+// spec are counted in the runtime ctx entered, when it has self-telemetry
+// on.
 func Join(ctx context.Context, a, b context.Context) context.Context {
-	return baggage.JoinContext(ctx, a, b)
+	joined, conflicts := baggage.JoinContext(ctx, a, b)
+	if conflicts > 0 {
+		if m := selfOf(ctx); m != nil {
+			m.conflicts.Add(conflicts)
+		}
+	}
+	return joined
 }
 
 // BusOptions configures a runtime's connection to the pub/sub server: the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
+	"repro/internal/tracepoint"
 	"repro/internal/tuple"
 )
 
@@ -21,6 +22,15 @@ import (
 // its leases and every agent sheds its queries within two TTLs; a query
 // that exhausts its baggage budget reports exactly which groups it lost.
 // Deterministic under -race -count=N.
+
+// panicAdviceOf makes every advice of queryID woven in reg panic.
+func panicAdviceOf(reg *tracepoint.Registry, queryID string) {
+	reg.SetFailpoint(func(a tracepoint.Advice, _ tuple.Tuple) {
+		if a.(*advice.Advice).Prog.QueryID == queryID {
+			panic("injected advice bug")
+		}
+	})
+}
 
 func TestSafetyPanickingAdviceIsQuarantined(t *testing.T) {
 	pt := New("app")
@@ -37,12 +47,7 @@ func TestSafetyPanickingAdviceIsQuarantined(t *testing.T) {
 		t.Fatal("advice not woven")
 	}
 
-	advice.SetFailpoint(func(p *advice.Program, _ tuple.Tuple) {
-		if p.QueryID == "QP" {
-			panic("injected advice bug")
-		}
-	})
-	defer advice.SetFailpoint(nil)
+	panicAdviceOf(pt.Registry, "QP")
 
 	// The workload must be undisturbed: every crossing returns normally
 	// whether the advice panics, is quarantined, or is already unwoven.
@@ -199,12 +204,7 @@ func TestSafetyQuarantineNoticeCrossesBus(t *testing.T) {
 		return worker.Agent.Installed("QP") && tp.Enabled()
 	})
 
-	advice.SetFailpoint(func(p *advice.Program, _ tuple.Tuple) {
-		if p.QueryID == "QP" {
-			panic("injected advice bug")
-		}
-	})
-	defer advice.SetFailpoint(nil)
+	panicAdviceOf(worker.Registry, "QP")
 
 	for i := 0; i < 5; i++ {
 		tp.Here(worker.NewRequest(context.Background()), int64(i))
@@ -447,5 +447,32 @@ func TestSafetyForeignTraceSlotSpecIsReplaced(t *testing.T) {
 	}
 	if tr := traces.Trace(ids[0]); len(tr.Nodes) != 2 || tr.Synthetic || tr.Root != tr.Nodes[0] {
 		t.Errorf("trace holds %d spans (synthetic root %v), want both crossings', the first the root", len(tr.Nodes), tr.Synthetic)
+	}
+}
+
+// TestSafetyFrontendRawCapIsPartial: a raw query's frontend keeps at most
+// MaxRaws rows. Nine rows flushed one per interval stay under the agent's
+// cap every time, so the frontend is the tier that evicts: its result is
+// partial, and EXPLAIN ANALYZE says how many rows it dropped.
+func TestSafetyFrontendRawCapIsPartial(t *testing.T) {
+	pt := New("app")
+	tp := pt.Define("Work.Do", "n")
+	q, err := pt.Frontend.InstallNamed("QR", `From w In Work.Do Select w.n`,
+		plan.Options{Optimize: true, Limits: advice.Limits{MaxRaws: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		tp.Here(pt.NewRequest(context.Background()), int64(i))
+		pt.Flush()
+	}
+	if rows := q.Rows(); len(rows) != 4 {
+		t.Fatalf("%d rows, want the cap's 4", len(rows))
+	}
+	if !q.Partial() {
+		t.Error("the frontend evicted 5 rows, but the result is not partial")
+	}
+	if out := q.ExplainAnalyze(); !strings.Contains(out, "raws-dropped=5 groups-overflowed=0") {
+		t.Errorf("EXPLAIN ANALYZE does not count the 5 evicted rows:\n%s", out)
 	}
 }

@@ -3,6 +3,7 @@ package pivot
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/baggage"
 	"repro/internal/bus"
 	"repro/internal/plan"
+	"repro/internal/telemetry"
 	"repro/internal/tuple"
 )
 
@@ -63,7 +65,7 @@ func TestMetaTracepointQuery(t *testing.T) {
 }
 
 // TestSelfTelemetryCounters checks that enabling self-telemetry populates
-// hit counters, baggage serialization volume, and the status surface.
+// hit counters, baggage serialization sizes, and the status surface.
 func TestSelfTelemetryCounters(t *testing.T) {
 	pt := New("counters-test")
 	tel := pt.EnableSelfTelemetry()
@@ -78,6 +80,7 @@ func TestSelfTelemetryCounters(t *testing.T) {
 	handle.Here(ctx, 1)
 	handle.Here(ctx, 2)
 	Inject(ctx) // empty baggage (no join packs tuples), but still counted
+	Inject(pt.Context(context.Background()))
 	pt.Flush()
 
 	snap := tel.Snapshot()
@@ -87,8 +90,11 @@ func TestSelfTelemetryCounters(t *testing.T) {
 	if got := snap.Counters["tracepoint.weaves.Server.Handle"]; got != 1 {
 		t.Errorf("tracepoint weaves = %d, want 1", got)
 	}
-	if got := snap.Counters["baggage.serializations"]; got < 1 {
-		t.Errorf("baggage serializations = %d, want >= 1", got)
+	if got := snap.Hists["baggage.bytes"].Count; got != 2 {
+		t.Errorf("baggage.bytes observations = %d, want 2 (one per Inject)", got)
+	}
+	if got := snap.Counters["tracepoint.hits.baggage.Serialize"]; got != 2 {
+		t.Errorf("baggage.Serialize crossings = %d, want 2", got)
 	}
 	if got := snap.Counters["agent.reports"]; got < 1 {
 		t.Errorf("agent reports = %d, want >= 1", got)
@@ -180,15 +186,11 @@ func TestSelfTelemetryCountsEachFactOnce(t *testing.T) {
 
 	// Panics: the tracepoint's count, its snapshot name and the program's
 	// breaker all read one count each of the same recoveries.
-	advice.SetFailpoint(func(p *advice.Program, _ tuple.Tuple) {
-		if p.QueryID == "QOnce" {
-			panic("injected")
-		}
-	})
+	panicAdviceOf(pt.Registry, "QOnce")
 	for i := 0; i < 4; i++ {
 		work.Here(pt.NewRequest(context.Background()), int64(i))
 	}
-	advice.SetFailpoint(nil)
+	pt.Registry.SetFailpoint(nil)
 	snap = tel.Snapshot()
 	if got := snap.Counters["tracepoint.panics.Work.Do"]; got != 4 || work.Panics() != 4 || q.Plan.Emit.Cost.Panics.Load() != 4 {
 		t.Errorf("panics: snapshot %d, tracepoint %d, program %d; want 4 each",
@@ -234,5 +236,100 @@ func TestSelfTelemetryCountsEachFactOnce(t *testing.T) {
 		if strings.HasPrefix(name, "baggage.budget.evicted.") {
 			t.Errorf("eviction counted twice: snapshot carries %s", name)
 		}
+	}
+
+	// Baggage counts nothing itself: serializations are baggage.bytes'
+	// count and sum, packed and refused tuples the programs' own costs.
+	for _, dup := range []string{"baggage.serializations", "baggage.serialized.bytes", "baggage.tuples.packed", "baggage.budget.refused"} {
+		if _, ok := snap.Counters[dup]; ok {
+			t.Errorf("counted twice: snapshot carries %s", dup)
+		}
+	}
+}
+
+// TestTwoRuntimesShareNothing runs two runtimes in one process, each with
+// self-telemetry on and driven from its own goroutine. Each counts only
+// what happened in it: A's Injects are A's baggage.bytes observations and
+// A's baggage.Serialize crossings, and a failpoint set in A's registry
+// fires for A's advice, never for B's.
+func TestTwoRuntimesShareNothing(t *testing.T) {
+	a, b := New("a"), New("b")
+	tel := map[*PT]*telemetry.Registry{a: a.EnableSelfTelemetry(), b: b.EnableSelfTelemetry()}
+	queries := map[*PT]*Query{}
+	for _, pt := range []*PT{a, b} {
+		pt.Define("Work.Do", "n")
+		q, err := pt.InstallNamed("QW", `From w In Work.Do GroupBy w.procName Select w.procName, COUNT`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[pt] = q
+	}
+	panicAdviceOf(a.Registry, "QW")
+	var wg sync.WaitGroup
+	for _, pt := range []*PT{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work := pt.Registry.Lookup("Work.Do")
+			for i := 0; i < 3; i++ {
+				ctx := pt.NewRequest(context.Background())
+				work.Here(ctx, int64(i))
+				if pt == a {
+					Inject(ctx)
+				}
+			}
+			pt.Flush()
+		}()
+	}
+	wg.Wait()
+
+	for pt, want := range map[*PT]int64{a: 3, b: 0} {
+		snap := tel[pt].Snapshot()
+		if got := snap.Hists["baggage.bytes"].Count; got != want {
+			t.Errorf("%s: baggage.bytes observations = %d, want %d", pt.info.ProcName, got, want)
+		}
+		if got := snap.Counters["tracepoint.hits.baggage.Serialize"]; got != want {
+			t.Errorf("%s: baggage.Serialize crossings = %d, want %d", pt.info.ProcName, got, want)
+		}
+		if got := snap.Counters["tracepoint.panics.Work.Do"]; got != want {
+			t.Errorf("%s: advice panics = %d, want %d", pt.info.ProcName, got, want)
+		}
+	}
+	if rows := queries[b].Rows(); len(rows) != 1 || rows[0][1].Int() != 3 {
+		t.Errorf("B's rows = %v, want one row counting 3", rows)
+	}
+}
+
+// TestMergeConflictsAreCountedByTheirOwner: a slot a peer stored under
+// another spec is replaced at an advice's pack and counted by the agent
+// that hosts the advice; of two branches that packed one slot under two
+// specs, pivot.Join drops one side and counts it in the runtime its
+// context entered. Each lands once in baggage.merge.conflicts.
+func TestMergeConflictsAreCountedByTheirOwner(t *testing.T) {
+	pt := New("app")
+	tel := pt.EnableSelfTelemetry()
+	recv := pt.Define("Gateway.Receive", "tenant")
+	pt.Define("Store.Write", "bytes")
+	q, err := pt.Install(`From w In Store.Write Join g In First(Gateway.Receive) On g -> w
+		GroupBy g.tenant Select g.tenant, COUNT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conflicts := func() int64 { return tel.Snapshot().Counters["baggage.merge.conflicts"] }
+	xy := baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"x", "y"}}
+	foreign := baggage.New()
+	foreign.Pack(q.Name+".g", xy, tuple.Tuple{tuple.Int(1), tuple.Int(2)})
+	recv.Here(Extract(pt.NewRequest(context.Background()), foreign.Serialize()), "tenant-f")
+	if got := conflicts(); got != 1 {
+		t.Errorf("after a pack over a foreign slot: %d conflicts, want 1", got)
+	}
+
+	ctx := pt.NewRequest(context.Background())
+	l, r := Split(ctx)
+	baggage.FromContext(l).Pack("s", baggage.SetSpec{Kind: baggage.All, Fields: tuple.Schema{"x"}}, tuple.Tuple{tuple.Int(1)})
+	baggage.FromContext(r).Pack("s", xy, tuple.Tuple{tuple.Int(1), tuple.Int(2)})
+	Join(ctx, l, r)
+	if got := conflicts(); got != 2 {
+		t.Errorf("after a join of two specs: %d conflicts, want 2", got)
 	}
 }
