@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/advice"
 	"repro/internal/agent"
@@ -775,6 +776,56 @@ func BenchmarkSimHandoff(b *testing.B) {
 			ping.Push(i)
 			pong.Pop()
 		}
+	})
+}
+
+// BenchmarkSimTimers measures the timer queue under a herd's load: 128
+// managed goroutines sleep in turn through the herd scenario's four delay
+// classes (a small flow's 1.6µs, NameNode CPU's 30µs, RPC latency's
+// 200µs, the agent interval's 100ms) while 8 more wait on a Cond with a
+// timeout that every 4th sleep cancels by a Signal. One op is one Sleep:
+// its arm, the pop that wakes it, and the switch to the goroutine it
+// wakes. Set-up, including one warm-up round of every class, is outside
+// the timing.
+func BenchmarkSimTimers(b *testing.B) {
+	const sleepers, waiters = 128, 8
+	classes := [...]time.Duration{200 * time.Microsecond, 1600 * time.Nanosecond, 30 * time.Microsecond, 100 * time.Millisecond}
+	b.ReportAllocs()
+	env := simtime.NewEnv()
+	env.Run(func() {
+		cond := env.NewCond(nil)
+		for i := 0; i < waiters; i++ {
+			env.Go(func() {
+				for {
+					cond.WaitTimeout(time.Second)
+				}
+			})
+		}
+		per := (b.N + sleepers - 1) / sleepers
+		warm, start, done := env.NewWaitGroup(), env.NewWaitGroup(), env.NewWaitGroup()
+		warm.Add(sleepers)
+		start.Add(1)
+		done.Add(sleepers)
+		for i := 0; i < sleepers; i++ {
+			env.Go(func() {
+				defer done.Done()
+				for _, d := range classes {
+					env.Sleep(d)
+				}
+				warm.Done()
+				start.Wait()
+				for k := 0; k < per; k++ {
+					env.Sleep(classes[(i+k)%len(classes)])
+					if k%4 == 0 {
+						cond.Signal()
+					}
+				}
+			})
+		}
+		warm.Wait()
+		b.ResetTimer()
+		start.Done()
+		done.Wait()
 	})
 }
 

@@ -37,7 +37,7 @@ func main() {
 		write    = flag.Bool("write", false, "re-record the baseline instead of gating")
 		parallel = flag.String("parallel", "HereParallel",
 			"RunParallel benchmarks, swept across the -cpu list")
-		serial = flag.String("serial", "ReportBatch|AgentFlush|CombinerFlush|WideReport|RowsWide|DecodeWideReport|ServerRelay|Tracepoint$|TracepointTelemetry|HereWithSpans|HereSampled|HBRequest|Fig10Pack|Fig10Serialize|Fig10Unpack|Fig10Deserialize|BaggageLazyForwarding|PartialAggregation|NetsimEventQueue|SimRPC|SimHandoff",
+		serial = flag.String("serial", "ReportBatch|AgentFlush|CombinerFlush|WideReport|RowsWide|DecodeWideReport|ServerRelay|Tracepoint$|TracepointTelemetry|HereWithSpans|HereSampled|HBRequest|Fig10Pack|Fig10Serialize|Fig10Unpack|Fig10Deserialize|BaggageLazyForwarding|PartialAggregation|NetsimEventQueue|SimRPC|SimHandoff|SimTimers",
 			"sequential benchmarks, run at -cpu 1 only; none whose allocs/op amortizes set-up over b.N")
 		cpu       = flag.String("cpu", "1,4,8", "go test -cpu list for the -parallel set")
 		count     = flag.Int("count", 2, "runs per benchmark; the gate keeps the lowest allocs/op")

@@ -154,7 +154,7 @@ func (a *Agent) EnableSpans(seed uint64, capacity int) *spans.Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanBuffer
 	}
-	rec := spans.NewRecorder(seed, capacity)
+	rec := spans.NewRecorder(seed, capacity, func(st baggage.PackStats) { a.NotePackStats(nil, st) })
 	a.recorder.Store(rec)
 	a.reg.SetSpanSink(rec)
 	return rec

@@ -104,9 +104,28 @@ func (r *Run) Logf(format string, args ...any) {
 }
 
 // Rand returns a new deterministic rng derived from the run seed and tag.
+// Its source is seeded on its first draw: a driver hands every client one,
+// and most never draw.
 func (r *Run) Rand(tag int64) *rand.Rand {
-	return rand.New(rand.NewSource(r.Seed*-0x61C8864680B583EB + tag))
+	return rand.New(&lazySource{seed: r.Seed*-0x61C8864680B583EB + tag})
 }
+
+// lazySource is rand.NewSource(seed), seeded on its first draw.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) get() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.get().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.get().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // Size picks a scenario parameter for the run's sizing: full for a
 // full-size run, short for a reduced one.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -332,6 +333,45 @@ func TestShortScenariosLeaveNoGoroutines(t *testing.T) {
 		}
 		if len(leaked) > 0 {
 			t.Errorf("%s: %d goroutines left behind after two runs:\n%s", s.ID, len(leaked), strings.Join(leaked, "\n\n"))
+		}
+	}
+}
+
+// TestRunRandDrawsTheSeededStream: Run.Rand seeds its source on the first
+// draw, and draws exactly what a source seeded up front does — through
+// every method of rand.Rand, and after a Seed.
+func TestRunRandDrawsTheSeededStream(t *testing.T) {
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		for _, tag := range []int64{0, 1, 96} {
+			r := &Run{Seed: seed}
+			got, want := r.Rand(tag), rand.New(rand.NewSource(seed*-0x61C8864680B583EB+tag))
+			draws := []struct {
+				name string
+				fn   func(rng *rand.Rand) any
+			}{
+				{"Int63", func(rng *rand.Rand) any { return rng.Int63() }},
+				{"Uint64", func(rng *rand.Rand) any { return rng.Uint64() }},
+				{"Intn", func(rng *rand.Rand) any { return rng.Intn(1000) }},
+				{"Float64", func(rng *rand.Rand) any { return rng.Float64() }},
+				{"Perm", func(rng *rand.Rand) any { return rng.Perm(9) }},
+				{"Shuffle", func(rng *rand.Rand) any {
+					s := []int{0, 1, 2, 3, 4, 5, 6, 7}
+					rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+					return s
+				}},
+				{"Int63 after Seed", func(rng *rand.Rand) any { rng.Seed(seed + tag); return rng.Int63() }},
+				{"Uint64 after Seed", func(rng *rand.Rand) any { return rng.Uint64() }},
+			}
+			for _, d := range draws {
+				if g, w := fmt.Sprint(d.fn(got)), fmt.Sprint(d.fn(want)); g != w {
+					t.Errorf("seed %d tag %d: %s drew %s, want %s", seed, tag, d.name, g, w)
+				}
+			}
+			fresh := r.Rand(tag)
+			fresh.Seed(seed - tag)
+			if g, w := fresh.Int63(), rand.New(rand.NewSource(seed-tag)).Int63(); g != w {
+				t.Errorf("seed %d tag %d: Int63 after a Seed before any draw drew %d, want %d", seed, tag, g, w)
+			}
 		}
 	}
 }

@@ -494,10 +494,14 @@ func ThunderingHerd() *Scenario {
 			nClients, ops := r.Size(1152, 96), r.Size(880, 120)
 
 			// Each client owns a private file it opens and renames, so
-			// concurrent renames never invalidate another client's ops.
+			// concurrent renames never invalidate another client's ops:
+			// paths[i] holds its two names.
 			ctx := r.Admin.NewRequest()
-			for i := 0; i < nClients; i++ {
-				if err := r.AdminFS.CreateMetadataOnly(ctx, fmt.Sprintf("/priv/c%04d", i), 1e3); err != nil {
+			paths := make([][2]string, nClients)
+			for i := range paths {
+				a := fmt.Sprintf("/priv/c%04d", i)
+				paths[i] = [2]string{a, a + "x"}
+				if err := r.AdminFS.CreateMetadataOnly(ctx, a, 1e3); err != nil {
 					return err
 				}
 			}
@@ -510,13 +514,12 @@ func ThunderingHerd() *Scenario {
 			// rest open it under whichever name it currently has. Totals
 			// are exact functions of (nClients, ops).
 			join := r.DriveAsync(clients, ops, func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
-				a := fmt.Sprintf("/priv/c%04d", i)
-				b := a + "x"
 				// k/10 renames have completed before op k (they happen at
-				// k%10 == 9), so the file is at b after an odd number.
-				cur, other := a, b
+				// k%10 == 9), so the file is at its second name after an
+				// odd number.
+				cur, other := paths[i][0], paths[i][1]
 				if (k/10)%2 == 1 {
-					cur, other = b, a
+					cur, other = other, cur
 				}
 				if k%10 == 9 {
 					return fs[i].Rename(ctx, cur, other)
@@ -859,6 +862,11 @@ func SamplingStorm() *Scenario {
 				firesPerOp = 6  // Storm.Op crossings per request
 				nKeys      = 8
 			)
+			// The Storm.Op keys, formatted and boxed once.
+			var keys [nKeys]any
+			for j := range keys {
+				keys[j] = fmt.Sprintf("k%02d", j)
+			}
 			// The generators are MONITORED processes: the sampling decision
 			// is minted by the agent of the process that originates the
 			// request, so unmonitored client procs (StartClients) would run
@@ -915,7 +923,7 @@ func SamplingStorm() *Scenario {
 			stormOp := func(i, k int, ctx context.Context, p *cluster.Process, rng *rand.Rand) error {
 				r.Env.Sleep(time.Duration(20+rng.Intn(16)) * time.Millisecond)
 				for f := 0; f < firesPerOp; f++ {
-					opTPs[i].Here(ctx, fmt.Sprintf("k%02d", rng.Intn(nKeys)), int64(1+rng.Intn(9)))
+					opTPs[i].Here(ctx, keys[rng.Intn(nKeys)], int64(1+rng.Intn(9)))
 				}
 				doneTPs[i].Here(ctx, int64(firesPerOp))
 				return nil

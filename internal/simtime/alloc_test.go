@@ -13,8 +13,8 @@ import (
 )
 
 // TestAllocParkWake: on a warm environment — one whose ready FIFO, timer
-// heap and cond lists have grown to the most goroutines they ever hold — a
-// park and its wake-up allocate nothing, whichever primitive they go
+// lanes and cond lists have grown to the most goroutines they ever hold —
+// a park and its wake-up allocate nothing, whichever primitive they go
 // through.
 func TestAllocParkWake(t *testing.T) {
 	e := NewEnv()

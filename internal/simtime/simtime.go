@@ -38,7 +38,10 @@ import (
 type Env struct {
 	now      time.Duration
 	seq      int64
-	timers   timerHeap
+	timers   int                     // armed timers
+	lanes    laneHeap                // the lanes holding a timer, by their heads
+	byDur    map[time.Duration]*lane // the same lanes and some empty ones, by duration
+	spare    []*lane                 // empty lanes out of byDur, for reuse
 	ready    fifo[*thread]
 	cur      *thread   // the running thread
 	live     []*thread // every thread that has not exited, in no order
@@ -48,7 +51,7 @@ type Env struct {
 
 // NewEnv returns a fresh environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{}
+	return &Env{byDur: map[time.Duration]*lane{}}
 }
 
 // Now returns the current virtual time.
@@ -65,9 +68,15 @@ func (e *Env) Done() bool { return e.done }
 type thread struct {
 	resume func() (struct{}, bool) // runs the thread until it parks or exits
 	yield  func(struct{}) bool     // parks the thread: control goes back to Run
-	timer  int                     // index in the timer heap, -1 if none
 	slot   int                     // index in Env.live
 	cond   *Cond                   // the Cond whose waiters list holds it, if any
+
+	// Its timer, if lane is not nil: due at at, armed seq-th, linked
+	// between prev and next in the lane of its duration.
+	at         time.Duration
+	seq        int64
+	lane       *lane
+	prev, next *thread
 
 	timedOut bool // woken by its timer
 	poisoned bool // resumed by teardown: the thread must unwind
@@ -85,7 +94,7 @@ func (e *Env) spawn(fn func(), root bool) {
 	if e.done {
 		return
 	}
-	t := &thread{timer: -1, slot: len(e.live)}
+	t := &thread{slot: len(e.live)}
 	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
 		defer e.exit(t, root)
@@ -139,13 +148,13 @@ func (e *Env) next() *thread {
 	if e.ready.len() > 0 {
 		return e.ready.pop()
 	}
-	if len(e.timers) == 0 {
+	if e.timers == 0 {
 		e.finish("simtime: deadlock — all managed goroutines blocked with no pending timers")
 		return nil
 	}
-	tm := e.timers.pop()
-	e.now = tm.at
-	t := tm.t
+	t := e.lanes[0].head
+	e.disarm(t)
+	e.now = t.at
 	t.timedOut = true
 	if t.cond != nil {
 		t.cond.remove(t)
@@ -161,7 +170,6 @@ func (e *Env) finish(panicVal any) {
 		e.panicVal = panicVal
 	}
 	e.done = true
-	e.timers = nil
 }
 
 // reap is Run's teardown. It resumes every live thread until it has exited:
@@ -202,11 +210,78 @@ func (e *Env) running() *thread {
 	return e.cur
 }
 
-// arm sets t's timer to fire d from now. seq breaks ties between timers due
-// at the same instant: they fire in the order they were armed.
+// arm sets t's timer to fire d from now, at the tail of the lane of
+// timers armed with d. A lane is in due order: now never falls and seq
+// always rises, so a timer armed later with the same duration falls due
+// later, or at the same instant and later in seq. The lane heap orders the
+// lanes by their heads, so the earliest timer is the head of its root.
 func (e *Env) arm(t *thread, d time.Duration) {
+	d = max(d, 0)
 	e.seq++
-	e.timers.push(timer{at: e.now + max(d, 0), seq: e.seq, t: t})
+	t.at, t.seq = e.now+d, e.seq
+	l := e.byDur[d]
+	if l == nil {
+		l = e.newLane(d)
+	}
+	t.lane, t.prev = l, l.tail
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
+		e.lanes.push(l)
+	}
+	l.tail = t
+	e.timers++
+}
+
+// newLane adds an empty lane for d to the map. Emptied lanes stay in the
+// map, where the next timer of their duration finds them, until the map
+// holds twice as many lanes as the heap: then the empty ones go to the
+// spare list at once. A lane taken out as it emptied would cost a map
+// delete and insert for nearly every Sleep of a sleeper that alternates
+// two durations.
+func (e *Env) newLane(d time.Duration) *lane {
+	if len(e.byDur) >= 2*len(e.lanes)+8 {
+		for k, l := range e.byDur {
+			if l.head == nil {
+				delete(e.byDur, k)
+				e.spare = append(e.spare, l)
+			}
+		}
+	}
+	var l *lane
+	if n := len(e.spare); n > 0 {
+		l, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		l = new(lane)
+	}
+	l.d = d
+	e.byDur[d] = l
+	return l
+}
+
+// disarm unlinks t's timer from its lane. A lane it empties leaves the
+// heap; a lane whose head it was sinks to its new head's place.
+func (e *Env) disarm(t *thread) {
+	l, head := t.lane, t.prev == nil
+	if head {
+		l.head = t.next
+	} else {
+		t.prev.next = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		l.tail = t.prev
+	}
+	t.lane, t.prev, t.next = nil, nil, nil
+	e.timers--
+	switch {
+	case l.head == nil:
+		e.lanes.remove(l.idx)
+	case head:
+		e.lanes.down(l.idx)
+	}
 }
 
 // park suspends the running thread t until it is fired or its timer
@@ -232,8 +307,8 @@ func (e *Env) fire(t *thread) {
 	if e.done {
 		return
 	}
-	if t.timer >= 0 {
-		e.timers.remove(t.timer)
+	if t.lane != nil {
+		e.disarm(t)
 	}
 	e.ready.push(t)
 }
@@ -250,89 +325,72 @@ func (e *Env) Sleep(d time.Duration) {
 // String describes the environment state, for debugging.
 func (e *Env) String() string {
 	return fmt.Sprintf("simtime.Env{now=%v ready=%d timers=%d live=%d done=%v}",
-		e.now, e.ready.len(), len(e.timers), len(e.live), e.done)
+		e.now, e.ready.len(), e.timers, len(e.live), e.done)
 }
 
-// timer is one armed timer. (at, seq) is a total order, so timers pop in
-// exactly one order.
-type timer struct {
-	at  time.Duration
-	seq int64
-	t   *thread
+// lane is the armed timers of one duration, in due order: a list through
+// their threads.
+type lane struct {
+	d          time.Duration
+	head, tail *thread
+	idx        int // index in the lane heap
 }
 
-func (a *timer) before(b *timer) bool {
+// laneHeap is a binary min-heap of lanes by their heads' (at, seq), a total
+// order, so timers fall due in exactly one order. It keeps each lane's idx
+// equal to its index.
+type laneHeap []*lane
+
+func (h laneHeap) less(i, j int) bool {
+	a, b := h[i].head, h[j].head
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// timerHeap is a 4-ary min-heap of timers that keeps each thread's timer
-// field equal to its timer's index.
-type timerHeap []timer
-
-func (h *timerHeap) push(tm timer) {
-	*h = append(*h, tm)
-	h.up(len(*h) - 1)
+func (h laneHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
 }
 
-func (h *timerHeap) pop() timer {
-	tm := (*h)[0]
-	h.remove(0)
-	return tm
+func (h *laneHeap) push(l *lane) {
+	l.idx = len(*h)
+	*h = append(*h, l)
+	h.up(l.idx)
 }
 
-// remove deletes the timer at index i.
-func (h *timerHeap) remove(i int) {
-	old := *h
-	old[i].t.timer = -1
-	last := len(old) - 1
-	moved := old[last]
-	old[last] = timer{}
-	*h = old[:last]
-	if i < last {
-		old[i] = moved
-		if !h.down(i) {
-			h.up(i)
-		}
+// remove deletes the lane at index i.
+func (h *laneHeap) remove(i int) {
+	last := len(*h) - 1
+	h.swap(i, last)
+	(*h)[last] = nil
+	*h = (*h)[:last]
+	if i < last && !h.down(i) {
+		h.up(i)
 	}
 }
 
-func (h timerHeap) up(i int) {
-	tm := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !tm.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].t.timer = i
-		i = p
+func (h laneHeap) up(i int) {
+	for i > 0 && h.less(i, (i-1)/2) {
+		h.swap(i, (i-1)/2)
+		i = (i - 1) / 2
 	}
-	h[i] = tm
-	tm.t.timer = i
 }
 
-// down sifts the timer at i toward the leaves and reports whether it moved.
-func (h timerHeap) down(i int) bool {
-	tm, start := h[i], i
+// down sifts the lane at i toward the leaves and reports whether it moved.
+func (h laneHeap) down(i int) bool {
+	start := i
 	for {
-		c := 4*i + 1
+		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		m := c
-		for j := c + 1; j < min(c+4, len(h)); j++ {
-			if h[j].before(&h[m]) {
-				m = j
-			}
+		if c+1 < len(h) && h.less(c+1, c) {
+			c++
 		}
-		if !h[m].before(&tm) {
+		if !h.less(c, i) {
 			break
 		}
-		h[i] = h[m]
-		h[i].t.timer = i
-		i = m
+		h.swap(i, c)
+		i = c
 	}
-	h[i] = tm
-	tm.t.timer = i
 	return i != start
 }

@@ -72,12 +72,18 @@ type Recorder struct {
 	dropped int64
 
 	captured atomic.Int64
+
+	// note, if not nil, is told of the spec conflicts a crossing met in the
+	// frontier slot: a foreign slot it replaced or a merge dropped.
+	note func(baggage.PackStats)
 }
 
 // NewRecorder returns a recorder minting ids from seed with a ring of the
-// given capacity, which must be positive.
-func NewRecorder(seed uint64, capacity int) *Recorder {
-	return &Recorder{seed: seed, ring: make([]Span, 0, capacity)}
+// given capacity, which must be positive. note, if not nil, receives the
+// PackStats of every crossing that met a spec conflict in the frontier
+// slot.
+func NewRecorder(seed uint64, capacity int, note func(baggage.PackStats)) *Recorder {
+	return &Recorder{seed: seed, ring: make([]Span, 0, capacity), note: note}
 }
 
 // TracepointCrossed records one span for the crossing. Crossings without
@@ -96,7 +102,7 @@ func (r *Recorder) TracepointCrossed(ctx context.Context, tpName string) {
 		parents []uint64
 		latest  = time.Duration(-1)
 	)
-	frontier := bag.Unpack(baggage.TraceSlot)
+	frontier, _, conflicts := bag.AppendUnpack(nil, nil, baggage.TraceSlot)
 	if len(frontier) == 0 {
 		// Root crossing: the first span's id names the trace.
 		traceID = id
@@ -123,8 +129,12 @@ func (r *Recorder) TracepointCrossed(ctx context.Context, tpName string) {
 	// pack goes through the budget machinery for uniformity, but the trace
 	// slot is excluded from budget accounting so it can never evict (or be
 	// evicted by) query data.
-	bag.PackBudgeted("", baggage.TraceSlot, baggage.TraceSpec, baggage.Budget{},
+	st := bag.PackBudgeted("", baggage.TraceSlot, baggage.TraceSpec, baggage.Budget{},
 		tuple.Tuple{tuple.Int(int64(traceID)), tuple.Int(int64(id)), tuple.Int(int64(now))})
+	st.Conflicts += conflicts
+	if st.Conflicts > 0 && r.note != nil {
+		r.note(st)
+	}
 
 	info := tracepoint.ProcFromContext(ctx)
 	r.push(Span{

@@ -41,7 +41,7 @@ func env(t *testing.T, proc string) (context.Context, *baggage.Baggage, *fakeClo
 }
 
 func TestRecorderBuildsCausalChain(t *testing.T) {
-	r := NewRecorder(1<<32, 16)
+	r := NewRecorder(1<<32, 16, nil)
 	ctx, _, clk := env(t, "client")
 	r.TracepointCrossed(ctx, "a")
 	clk.advance(10 * time.Millisecond)
@@ -81,7 +81,7 @@ func TestRecorderBuildsCausalChain(t *testing.T) {
 }
 
 func TestRecorderSkipsBaggagelessCrossings(t *testing.T) {
-	r := NewRecorder(1, 4)
+	r := NewRecorder(1, 4, nil)
 	r.TracepointCrossed(context.Background(), "a")
 	if got := r.Drain(); len(got) != 0 {
 		t.Fatalf("baggage-less crossing recorded %d spans, want 0", len(got))
@@ -89,7 +89,7 @@ func TestRecorderSkipsBaggagelessCrossings(t *testing.T) {
 }
 
 func TestRecorderRingOverflowCountsDrops(t *testing.T) {
-	r := NewRecorder(7, 2)
+	r := NewRecorder(7, 2, nil)
 	ctx, _, clk := env(t, "p")
 	for i := 0; i < 5; i++ {
 		r.TracepointCrossed(ctx, "tp")
@@ -109,7 +109,7 @@ func TestRecorderRingOverflowCountsDrops(t *testing.T) {
 }
 
 func TestRecorderSplitJoinProducesDAG(t *testing.T) {
-	r := NewRecorder(9, 16)
+	r := NewRecorder(9, 16, nil)
 	ctx, bag, clk := env(t, "root")
 	r.TracepointCrossed(ctx, "start")
 

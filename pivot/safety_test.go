@@ -430,9 +430,11 @@ Select g.tenant, SUM(w.bytes), COUNT`)
 // boundary, outside the recover that guards advice, so a panic in its pack
 // would reach the application. Baggage whose span-frontier slot a peer
 // filled under another spec is replaced by the frontier of the crossing
-// that meets it: the crossings record their spans, in one trace.
+// that meets it: the crossings record their spans, in one trace, and the
+// replacement is counted once in the runtime's baggage.merge.conflicts.
 func TestSafetyForeignTraceSlotSpecIsReplaced(t *testing.T) {
 	pt := New("app")
+	tel := pt.EnableSelfTelemetry()
 	traces := pt.EnableSpans(0)
 	tp := pt.Define("Work.Do", "n")
 	foreign := baggage.New()
@@ -447,6 +449,9 @@ func TestSafetyForeignTraceSlotSpecIsReplaced(t *testing.T) {
 	}
 	if tr := traces.Trace(ids[0]); len(tr.Nodes) != 2 || tr.Synthetic || tr.Root != tr.Nodes[0] {
 		t.Errorf("trace holds %d spans (synthetic root %v), want both crossings', the first the root", len(tr.Nodes), tr.Synthetic)
+	}
+	if got := tel.Snapshot().Counters["baggage.merge.conflicts"]; got != 1 {
+		t.Errorf("baggage.merge.conflicts = %d, want 1 for the replaced frontier slot", got)
 	}
 }
 
