@@ -361,10 +361,25 @@ type Host interface {
 }
 
 // Advice is a woven instance of a program bound to an emitter. It
-// implements the tracepoint.Advice interface.
+// implements the tracepoint.Advice interface, and tracepoint.Observer with
+// the positions Prog.Observe reads: a crossing it is woven at leaves the
+// other positions of the tuple null unless other woven advice reads them.
 type Advice struct {
 	Prog    *Program
 	Emitter Emitter
+}
+
+// Observed returns the positions of the crossing's tuple the pipeline
+// reads: only those Prog.Observe names.
+func (a *Advice) Observed() uint64 {
+	var m uint64
+	for _, i := range a.Prog.Observe {
+		if uint(i) >= 64 {
+			return math.MaxUint64
+		}
+		m |= 1 << i
+	}
+	return m
 }
 
 // Invoke runs the advice pipeline for one tracepoint crossing.

@@ -24,7 +24,7 @@ func TestAllocReshareSteadyState(t *testing.T) {
 	add := func(links ...*Link) *flow {
 		f := &flow{remaining: 1e9}
 		f.links = append(f.path[:0], links...)
-		n.flows[f] = struct{}{}
+		n.flows = append(n.flows, f)
 		return f
 	}
 	// narrow caps its flow at 10; the other three split what is left of

@@ -44,7 +44,7 @@ type Network struct {
 	done *simtime.Cond // broadcast on flow completions
 
 	links map[string]*Link
-	flows map[*flow]struct{}
+	flows []*flow // active flows; removal swaps the last one into the gap
 
 	lastUpdate time.Duration
 	running    bool
@@ -77,7 +77,6 @@ func New(env *simtime.Env) *Network {
 	n := &Network{
 		env:   env,
 		links: make(map[string]*Link),
-		flows: make(map[*flow]struct{}),
 	}
 	n.wake = env.NewCond(&n.mu)
 	n.done = env.NewCond(&n.mu)
@@ -186,7 +185,7 @@ func (n *Network) transfer(size float64, links []*Link) (d time.Duration, small 
 	f.links = append(f.path[:0], links...)
 	n.ensureEngineLocked()
 	n.settleLocked()
-	n.flows[f] = struct{}{}
+	n.flows = append(n.flows, f)
 	// A flow whose links carry no other traffic gets the bottleneck
 	// capacity outright; the fair shares of every other flow are
 	// unaffected, so the global reshare can be skipped. On a large
@@ -260,7 +259,7 @@ func (n *Network) settleLocked() {
 	if elapsed <= 0 {
 		return
 	}
-	for f := range n.flows {
+	for _, f := range n.flows {
 		progressed := f.rate * elapsed
 		f.remaining -= progressed
 		for _, l := range f.links {
@@ -271,13 +270,16 @@ func (n *Network) settleLocked() {
 
 // completeLocked finishes flows whose bytes are fully served. It reports
 // whether any completed flow shared a link with still-active flows — only
-// then do the survivors' fair shares change and a reshare is needed.
+// then do the survivors' fair shares change and a reshare is needed. It
+// walks backwards, so the flow swapped into a gap has already been seen.
 func (n *Network) completeLocked() (count int, needReshare bool) {
 	const eps = 1e-6
-	for f := range n.flows {
-		if f.remaining <= eps {
+	for i := len(n.flows) - 1; i >= 0; i-- {
+		if f := n.flows[i]; f.remaining <= eps {
 			f.finished = true
-			delete(n.flows, f)
+			last := len(n.flows) - 1
+			n.flows[i], n.flows[last] = n.flows[last], nil
+			n.flows = n.flows[:last]
 			n.completedFlows++
 			count++
 			for _, l := range f.links {
@@ -294,7 +296,7 @@ func (n *Network) completeLocked() (count int, needReshare bool) {
 // nextCompletionLocked returns the time until the earliest flow finish.
 func (n *Network) nextCompletionLocked() time.Duration {
 	min := math.MaxFloat64
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.rate <= 0 {
 			continue
 		}
@@ -321,10 +323,9 @@ func (n *Network) nextCompletionLocked() time.Duration {
 // nothing.
 func (n *Network) reshareLocked() {
 	links := n.scratchLinks[:0]
-	flows := n.scratchFlows[:0]
-	for f := range n.flows {
+	flows := append(n.scratchFlows[:0], n.flows...)
+	for _, f := range flows {
 		f.rate = 0
-		flows = append(flows, f)
 		for _, l := range f.links {
 			if !l.touched {
 				l.touched = true

@@ -9,11 +9,16 @@
 // fully dynamic. A tracepoint with no woven advice costs a single atomic
 // pointer load (the paper's "zero overhead when disabled" property, modulo
 // the conditional check discussed in its §8 for hard-coded tracepoints).
+//
+// A woven crossing builds only the tuple positions its advice read: advice
+// that states its reads (Observer) leaves every other position null, and
+// advice that states none gets every position.
 package tracepoint
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,12 +36,64 @@ var DefaultExports = tuple.Schema{"host", "time", "procName", "procId", "tracepo
 // package advice; the interface keeps this package dependency-free.
 type Advice interface {
 	// Invoke runs the advice for one tracepoint crossing. vals holds the
-	// full exported tuple (defaults then declared exports) in the
-	// tracepoint's schema order. vals is only valid for the duration of
-	// the call — it is recycled by the tracepoint after every woven advice
-	// has run — so implementations that retain values must copy them
-	// (e.g. tuple.Tuple.Clone or Project).
+	// exported tuple (defaults then declared exports) in the tracepoint's
+	// schema order: every position when the advice is not an Observer,
+	// else at least the positions it observes, the others possibly null.
+	// vals is only valid for the duration of the call — it is recycled by
+	// the tracepoint after every woven advice has run — so implementations
+	// that retain values must copy them (e.g. tuple.Tuple.Clone or
+	// Project).
 	Invoke(ctx context.Context, vals tuple.Tuple)
+}
+
+// Observer is optionally implemented by advice that reads only some
+// positions of the exported tuple. Observed returns them as a mask, bit i
+// for position i; an advice that reads a position past 63 returns every
+// bit. A crossing fills only the positions some woven advice observes
+// (host, procName and procId together, which one lookup gives), or every
+// position if any woven advice is not an Observer, and leaves the others
+// null.
+type Observer interface {
+	Observed() uint64
+}
+
+// allPositions is the read mask of advice that states no reads.
+const allPositions = math.MaxUint64
+
+// procPositions are host, procName and procId: one ProcFromContext walk
+// fills all three, so a woven list that reads one reads all of them.
+const procPositions = 1<<0 | 1<<2 | 1<<3
+
+// reads reports whether position i is in read mask m.
+func reads(m uint64, i int) bool {
+	return m == allPositions || m>>i&1 != 0 // a shift past 63 gives 0
+}
+
+// wovenList is what a tracepoint publishes with one pointer: its advice and
+// the positions they read, so a crossing never sees one without the other.
+type wovenList struct {
+	advice []Advice
+	mask   uint64 // OR of the advice's Observed masks, allPositions for any other advice
+}
+
+// newWovenList returns the list of advice with its mask, or nil when
+// advice is empty.
+func newWovenList(advice []Advice) *wovenList {
+	if len(advice) == 0 {
+		return nil
+	}
+	w := &wovenList{advice: advice}
+	for _, a := range advice {
+		if o, ok := a.(Observer); ok {
+			w.mask |= o.Observed()
+		} else {
+			w.mask = allPositions
+		}
+	}
+	if w.mask&procPositions != 0 {
+		w.mask |= procPositions
+	}
+	return w
 }
 
 // PanicSink is optionally implemented by advice that wants to observe its
@@ -56,7 +113,9 @@ type SpanSink interface {
 	TracepointCrossed(ctx context.Context, tpName string)
 }
 
-// Failpoint is a fault-injection hook (see Registry.SetFailpoint).
+// Failpoint is a fault-injection hook (see Registry.SetFailpoint). vals is
+// the tuple the advice is handed, with the same positions null (see
+// Observer).
 type Failpoint func(a Advice, vals tuple.Tuple)
 
 // hooks are what a registry attaches to every tracepoint it defines; a
@@ -81,7 +140,7 @@ type Tracepoint struct {
 	Exports tuple.Schema
 
 	schema tuple.Schema // DefaultExports + Exports
-	woven  atomic.Pointer[[]Advice]
+	woven  atomic.Pointer[wovenList]
 	weaves atomic.Int64                      // advice installations at this tracepoint
 	panics atomic.Int64                      // advice panics recovered at the Here boundary
 	hits   atomic.Pointer[telemetry.Counter] // Here crossings, while telemetry is attached
@@ -102,8 +161,7 @@ func (tp *Tracepoint) Schema() tuple.Schema { return tp.schema }
 
 // Enabled reports whether any advice is currently woven.
 func (tp *Tracepoint) Enabled() bool {
-	list := tp.woven.Load()
-	return list != nil && len(*list) > 0
+	return tp.woven.Load() != nil
 }
 
 // Panics returns how many advice panics this tracepoint has recovered.
@@ -111,43 +169,57 @@ func (tp *Tracepoint) Panics() int64 { return tp.panics.Load() }
 
 // Here is the hook the instrumented system calls when execution reaches the
 // tracepoint. vals are the declared exports, in Exports order; missing
-// trailing values are null. When no advice is woven the call returns after
-// three atomic loads (advice, hit counter, span sink), without
-// materializing a tuple; hits are counted only while telemetry is attached.
+// trailing values are null, and so are the positions no woven advice
+// observes (see Observer): the process identity, the clock and each export
+// are read only when some woven advice observes them. When no advice is
+// woven the call returns after three atomic loads (advice, hit counter,
+// span sink), without materializing a tuple; hits are counted only while
+// telemetry is attached.
 func (tp *Tracepoint) Here(ctx context.Context, vals ...any) {
-	list := tp.woven.Load()
+	w := tp.woven.Load()
 	if h := tp.hits.Load(); h != nil {
 		h.Inc()
 	}
 	if h := tp.hooks.Load(); h != nil && h.span != nil {
 		h.span.TracepointCrossed(ctx, tp.Name)
 	}
-	if list == nil || len(*list) == 0 {
+	if w == nil {
 		return
 	}
 	p, _ := tp.pool.Get().(*pooledTuple)
 	if p == nil || len(p.t) != len(tp.schema) {
 		p = &pooledTuple{t: make(tuple.Tuple, len(tp.schema))}
 	}
-	full := p.t
-	info := ProcFromContext(ctx)
-	full[0] = tuple.String(info.Host)
-	full[1] = tuple.Int(int64(Now(ctx)))
-	full[2] = tuple.String(info.ProcName)
-	full[3] = tuple.Int(info.ProcID)
-	full[4] = tuple.String(tp.Name)
-	for i := range tp.Exports {
-		if i < len(vals) {
-			full[len(DefaultExports)+i] = tuple.Of(vals[i])
+	full, m := p.t, w.mask
+	if m&procPositions != 0 {
+		info := ProcFromContext(ctx)
+		full[0] = tuple.String(info.Host)
+		full[2] = tuple.String(info.ProcName)
+		full[3] = tuple.Int(info.ProcID)
+	}
+	if reads(m, 1) {
+		full[1] = tuple.Int(int64(Now(ctx)))
+	}
+	if reads(m, 4) {
+		full[4] = tuple.String(tp.Name)
+	}
+	vals = vals[:min(len(vals), len(tp.Exports))]
+	for i, v := range vals {
+		if at := len(DefaultExports) + i; reads(m, at) {
+			full[at] = tuple.Of(v)
 		}
 	}
-	for _, a := range *list {
+	for _, a := range w.advice {
 		tp.invoke(ctx, a, full)
 	}
-	// Clear before pooling: stale values must not leak into the next fire
-	// (positions past len(vals) are expected to read null) and pooled
-	// string references must not pin application memory.
-	clear(full)
+	// Clear what was written before pooling: stale values must not leak
+	// into the next fire (unwritten positions are expected to read null)
+	// and pooled string references must not pin application memory.
+	for i := range full[:len(DefaultExports)+len(vals)] {
+		if reads(m, i) {
+			full[i] = tuple.Value{}
+		}
+	}
 	tp.pool.Put(p)
 }
 
@@ -363,10 +435,9 @@ func (tp *Tracepoint) weave(a Advice) {
 		old := tp.woven.Load()
 		var list []Advice
 		if old != nil {
-			list = append(list, *old...)
+			list = append(list, old.advice...)
 		}
-		list = append(list, a)
-		if tp.woven.CompareAndSwap(old, &list) {
+		if tp.woven.CompareAndSwap(old, newWovenList(append(list, a))) {
 			return
 		}
 	}
@@ -378,17 +449,13 @@ func (tp *Tracepoint) unweave(a Advice) {
 		if old == nil {
 			return
 		}
-		list := make([]Advice, 0, len(*old))
-		for _, x := range *old {
+		list := make([]Advice, 0, len(old.advice))
+		for _, x := range old.advice {
 			if x != a {
 				list = append(list, x)
 			}
 		}
-		var next *[]Advice
-		if len(list) > 0 {
-			next = &list
-		}
-		if tp.woven.CompareAndSwap(old, next) {
+		if tp.woven.CompareAndSwap(old, newWovenList(list)) {
 			return
 		}
 	}
