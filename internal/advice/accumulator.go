@@ -86,7 +86,9 @@ func (a *Accumulator) AddWeighted(w tuple.Tuple, weight float64) {
 // Drain hands over the groups and raw rows folded in since the last
 // Drain, and how many tuples that was, leaving an empty merger sized from
 // them in its place (merge-on-flush: the caller owns the result outright
-// and may publish it, and the accumulator never writes to it again; see
+// and may publish it, and the accumulator never writes to it again). An
+// agent's reports are kept — by its outage ring, by subscribers on its
+// bus — so Drain never lends: it retires the handoff's rows at once (see
 // Handoff). With nothing folded in it returns nil, nil and 0, and copies
 // no merger.
 func (a *Accumulator) Drain() (groups []*Group, raws []tuple.Tuple, n int64) {
@@ -94,6 +96,7 @@ func (a *Accumulator) Drain() (groups []*Group, raws []tuple.Tuple, n int64) {
 	defer a.mu.Unlock()
 	if a.adds > 0 {
 		m := a.Handoff()
+		a.retire()
 		groups, raws, n, a.adds = m.Groups(), m.Raws(), a.adds, 0
 	}
 	return groups, raws, n

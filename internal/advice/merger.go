@@ -22,7 +22,10 @@ type Group struct {
 	States []agg.State
 }
 
-// Clone deep-copies the group.
+// Clone copies the group: its Rep values and states are the copy's own,
+// but it shares the bytes of its key and Rep strings, so the clone of a
+// lent group is lent as long as the group is (agent.Report.Copy copies
+// those too).
 func (g *Group) Clone() *Group {
 	return &Group{Key: g.Key, Rep: g.Rep.Clone(), States: slices.Clone(g.States)}
 }
@@ -66,11 +69,13 @@ func (l Limits) maxRaws() int { return cmp.Or(l.MaxRaws, DefaultMaxRaws) }
 // Accumulator), combiner tiers and the frontend all hold this one type.
 //
 // Reports come in one way, Merge (an Accumulator also folds working tuples
-// in), and go out one way: Groups, Raws and Drops. What comes out is
-// published and may be aliased from then on, so a merger never writes to a
-// group, state, value or raw-row slice it has handed out once Handoff has
-// let go of it: the rows live in slabs that are dropped with the interval,
-// not recycled. A Merger is not safe for concurrent use.
+// in), and go out one way: Groups, Raws and Drops, read off the drained
+// merger Handoff returns. What goes out is lent: a merger never writes to
+// a group, state, value or key byte it has handed off until its owner
+// gives that handoff back with Release, and then it builds the next
+// interval's rows in the same memory. An owner that never releases, as an
+// agent does not, may publish what it drains and let it be aliased for
+// good. A Merger is not safe for concurrent use.
 type Merger struct {
 	// Op is the query's emit operation. It shapes new and overflow groups,
 	// validates incoming ones, and materializes Rows. A combiner tier does
@@ -79,7 +84,6 @@ type Merger struct {
 	Op     *EmitOp
 	limits Limits
 	groups map[string]*Group
-	order  []*Group
 	raws   []tuple.Tuple
 	drops  baggage.DropSet
 
@@ -88,12 +92,16 @@ type Merger struct {
 	// without an Op.
 	empty []agg.State
 
-	// The groups the merger creates, their states, their Rep values, and
-	// the bytes of their keys and Rep strings.
-	groupSlab slab.Slab[Group]
-	stateSlab slab.Slab[agg.State]
-	valueSlab slab.Slab[tuple.Value]
-	byteSlab  slab.Slab[byte]
+	// The groups in first-seen order, and the slabs they are cut from.
+	// While lent is set they are the latest handoff's, and the merger
+	// reads them as empty and builds nothing in them: Release takes them
+	// back, and a group made before that retires them (see retire).
+	rows
+	lent bool
+
+	// handoffs counts the merger's handoffs, so that a Release names the
+	// one it gives back.
+	handoffs uint64
 
 	// Cumulative eviction accounting; survives Handoff so heartbeats can
 	// report exact totals for the query's lifetime.
@@ -115,27 +123,83 @@ func NewMerger(op *EmitOp, l Limits) *Merger {
 	return m
 }
 
+// rows is what a merger builds its groups in: their first-seen order, and
+// the slabs the groups, their states, their Rep values, and the bytes of
+// their keys and Rep strings are cut from.
+type rows struct {
+	order     []*Group
+	groupSlab slab.Slab[Group]
+	stateSlab slab.Slab[agg.State]
+	valueSlab slab.Slab[tuple.Value]
+	byteSlab  slab.Slab[byte]
+}
+
+// next returns the empty rows that replace r once r is handed off for
+// good: slabs sized from r's (see slab.Slab.Next), and no order yet;
+// newGroup makes one, sized the same way.
+func (r *rows) next() rows {
+	return rows{
+		groupSlab: r.groupSlab.Next(), stateSlab: r.stateSlab.Next(),
+		valueSlab: r.valueSlab.Next(), byteSlab: r.byteSlab.Next(),
+	}
+}
+
 // Handoff hands the merger's contents over whole, as a drained merger,
 // and carries on empty: same query, limits and running eviction counts,
-// its slabs sized from what it held (see slab.Slab.Next), and its group
-// table, cleared. The table is a private index that no one outside the
-// merger ever sees, and MaxGroups bounds it, so it stays instead of being
-// rebuilt each interval. The drained merger keeps order, raws and drops —
-// all that Groups, Raws, Drops, Len, Rows and Empty read — and is for
-// reading only: it has no table, so it takes no more input, and Groups
-// returns its order in place.
+// and its group table, cleared. The table is a private index that no one
+// outside the merger ever sees, and MaxGroups bounds it, so it stays
+// instead of being rebuilt each interval. The drained merger keeps order,
+// raws and drops — all that Groups, Raws, Drops, Len, Rows and Empty read
+// — and is for reading only: it has no table, so it takes no more input,
+// and Groups returns its order in place.
+//
+// The drained rows are lent: the merger keeps them, and builds its next
+// interval's rows in them once its owner gives this handoff back with
+// Release (Handoffs names it), or, if a group comes first, in new slabs
+// sized from them. An owner that never releases, as an agent does not,
+// lets its readers keep them for good.
 func (m *Merger) Handoff() Merger {
+	m.retire() // rows lent by a handoff before, never released, stay with their readers
 	d := *m
 	*m = Merger{
 		Op: d.Op, limits: d.limits, groups: d.groups, empty: d.empty,
 		rawsDropped: d.rawsDropped, groupsOverflowed: d.groupsOverflowed,
-		groupSlab: d.groupSlab.Next(), stateSlab: d.stateSlab.Next(), valueSlab: d.valueSlab.Next(),
-		byteSlab: d.byteSlab.Next(),
+		rows: d.rows, lent: true, handoffs: d.handoffs + 1,
 	}
+	m.order = m.order[:0]
 	clear(m.groups)
-	m.order = make([]*Group, 0, m.groupSlab.Want())
 	d.groups = nil
 	return d
+}
+
+// Handoffs returns how many times the merger has handed off; right after
+// a Handoff, the number to give that handoff back with.
+func (m *Merger) Handoffs() uint64 { return m.handoffs }
+
+// Release gives back the rows of handoff n, once nothing reads them any
+// more: the merger clears them and builds its next interval's rows in
+// them. It allocates nothing. A handoff that another has followed since —
+// a combiner's DrainPending, whose reports are kept for good — or whose
+// rows a new group has retired, or that was released already, is left
+// with its readers.
+func (m *Merger) Release(n uint64) {
+	if !m.lent || n != m.handoffs {
+		return
+	}
+	m.lent = false
+	clear(m.order[:cap(m.order)])
+	m.groupSlab.Reuse()
+	m.stateSlab.Reuse()
+	m.valueSlab.Reuse()
+	m.byteSlab.Reuse()
+}
+
+// retire leaves lent rows with their readers for good, and starts the
+// merger on new slabs sized from them.
+func (m *Merger) retire() {
+	if m.lent {
+		m.rows, m.lent = m.rows.next(), false
+	}
 }
 
 // CapCounts returns how many raw rows the raw cap has evicted and how many
@@ -184,6 +248,7 @@ func (m *Merger) atGroupCap() bool {
 // no string it was handed, which may alias a decoded frame or a caller's
 // scratch buffer.
 func (m *Merger) newGroup(key string, rep tuple.Tuple, states []agg.State) *Group {
+	m.retire()
 	g := &m.groupSlab.Take(1)[0]
 	b := m.byteSlab.Take(stringBytes(key, rep))
 	g.Key, b = keep(b, key)
@@ -198,6 +263,9 @@ func (m *Merger) newGroup(key string, rep tuple.Tuple, states []agg.State) *Grou
 	}
 	copy(g.States, states)
 	m.groups[g.Key] = g
+	if m.order == nil {
+		m.order = make([]*Group, 0, m.groupSlab.Want())
+	}
 	m.order = append(m.order, g)
 	return g
 }
@@ -321,8 +389,10 @@ func (m *Merger) Merge(groups []*Group, raws []tuple.Tuple, drops []baggage.Drop
 }
 
 // expect sizes the slabs for the groups among rest whose key the merger
-// does not hold yet, so cloning them costs one allocation per slab.
+// does not hold yet, so cloning them costs one allocation per slab, and
+// makes the interval's order if it has none yet.
 func (m *Merger) expect(rest []*Group) {
+	m.retire()
 	groups, values, bytes := 0, 0, 0
 	for _, g := range rest {
 		if _, ok := m.groups[g.Key]; !ok {
@@ -330,6 +400,9 @@ func (m *Merger) expect(rest []*Group) {
 			values += len(g.Rep)
 			bytes += stringBytes(g.Key, g.Rep)
 		}
+	}
+	if m.order == nil { // sized as the slabs were, before Expect resizes them
+		m.order = make([]*Group, 0, max(m.groupSlab.Want(), groups))
 	}
 	m.groupSlab.Expect(groups)
 	m.stateSlab.Expect(groups * len(rest[0].States))
@@ -400,7 +473,10 @@ func (m *Merger) Empty() bool {
 	return len(m.order) == 0 && len(m.raws) == 0 && len(m.drops) == 0
 }
 
-// Reset lets go of the merger's contents — whoever took them with Groups
-// and Raws keeps them — and starts the next reporting interval empty, on
-// the same group table (see Handoff).
-func (m *Merger) Reset() { m.Handoff() }
+// Reset lets go of the merger's contents for good — whoever took them with
+// Groups and Raws keeps them — and starts the next reporting interval
+// empty, on the same group table (see Handoff).
+func (m *Merger) Reset() {
+	m.Handoff()
+	m.retire()
+}

@@ -266,3 +266,57 @@ func TestMergeRejectsMalformedShape(t *testing.T) {
 		t.Errorf("rejected reports left state behind:\n%s", drained(m))
 	}
 }
+
+// TestMergerReleaseReusesOnlyTheLatestHandoff: a merger builds the
+// interval after a released handoff in the released rows, so the same
+// keys land in the same memory; a handoff that another followed, or whose
+// rows a group made before the Release retired, stays with its readers,
+// and releasing twice changes nothing.
+func TestMergerReleaseReusesOnlyTheLatestHandoff(t *testing.T) {
+	in := func(n int64) []*Group {
+		var out []*Group
+		for _, k := range []string{"a", "b", "c"} {
+			st := agg.Make(agg.Count)
+			for i := int64(0); i < n; i++ {
+				st.Add(tuple.Int(1))
+			}
+			out = append(out, &Group{Key: k, Rep: tuple.Tuple{tuple.String(k)}, States: []agg.State{st}})
+		}
+		return out
+	}
+	m := NewMerger(nil, Unbounded)
+	mustMerge(t, m, in(1), nil, nil)
+	d := m.Handoff()
+	first := d.Groups()[0]
+	m.Release(m.Handoffs())
+	mustMerge(t, m, in(2), nil, nil)
+	if g := m.Groups()[0]; g != first || g.Key != "a" || g.States[0].Result().Int() != 2 {
+		t.Fatalf("the interval after a Release built group %p %+v, want %p reused with count 2", g, g, first)
+	}
+
+	// A Handoff follows before the Release: what it handed out is kept.
+	d = m.Handoff()
+	stale := m.Handoffs()
+	mustMerge(t, m, in(3), nil, nil)
+	kept := m.Handoff()
+	keptFirst := kept.Groups()[0]
+	m.Release(stale)
+	mustMerge(t, m, in(4), nil, nil)
+	if keptFirst.Key != "a" || keptFirst.States[0].Result().Int() != 3 {
+		t.Fatalf("a stale Release reclaimed the later handoff's rows: %+v", keptFirst)
+	}
+
+	// A group before the Release retires the lent rows.
+	d = m.Handoff()
+	lentFirst := d.Groups()[0]
+	n := m.Handoffs()
+	mustMerge(t, m, in(5), nil, nil)
+	m.Release(n)
+	m.Release(n)
+	if lentFirst.Key != "a" || lentFirst.States[0].Result().Int() != 4 {
+		t.Fatalf("a Release after new groups reclaimed the handoff's rows: %+v", lentFirst)
+	}
+	if g := m.Groups(); len(g) != 3 || g[0].States[0].Result().Int() != 5 {
+		t.Fatalf("the interval in progress reads %+v, want three groups, count 5", g)
+	}
+}

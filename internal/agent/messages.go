@@ -6,6 +6,8 @@ package agent
 // bench/ all import them from here.
 
 import (
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/advice"
@@ -143,6 +145,39 @@ type Report struct {
 	// frontend unions them (tombstones are globally unique per evicted
 	// group) so reported + dropped reconciles against the true total.
 	Drops []baggage.DropRecord
+}
+
+// Copy returns a deep copy of r for a holder that keeps it past a loan (a
+// batch a bus.Link delivers, or one a combiner forwards, is lent for one
+// delivery: DESIGN.md, "Report ownership"). Its group and raw-row lists,
+// every group with its Rep values and states, every raw row, the drop
+// list, and the bytes of every group key and string value are the copy's
+// own. What it shares is what no tier builds in memory it reuses: the
+// query id, host and process names, the strings of MIN/MAX states and of
+// drop records.
+func (r *Report) Copy() Report {
+	c := *r
+	c.Groups = slices.Clone(r.Groups)
+	for i, g := range c.Groups {
+		c.Groups[i] = &advice.Group{Key: strings.Clone(g.Key), Rep: copyTuple(g.Rep), States: slices.Clone(g.States)}
+	}
+	c.Raws = slices.Clone(r.Raws)
+	for i, row := range c.Raws {
+		c.Raws[i] = copyTuple(row)
+	}
+	c.Drops = slices.Clone(r.Drops)
+	return c
+}
+
+// copyTuple copies t, string values and all.
+func copyTuple(t tuple.Tuple) tuple.Tuple {
+	out := slices.Clone(t)
+	for i, v := range out {
+		if v.Kind() == tuple.KindString {
+			out[i] = tuple.String(strings.Clone(v.Str()))
+		}
+	}
+	return out
 }
 
 // ReportBatch coalesces one flush interval's Reports from one process into

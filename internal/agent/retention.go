@@ -13,10 +13,14 @@ func (a *Agent) SetRetention(capacity int) {
 	a.retainMu.Unlock()
 }
 
-// Retain buffers a report that failed to reach the bus server (the link's
-// OnDrop path), evicting the oldest buffered report — counted in
-// ReportsDropped — if the ring is full.
+// Retain buffers a copy of a report that failed to reach the bus server
+// (the link's OnDrop path), evicting the oldest buffered report — counted
+// in ReportsDropped — if the ring is full. The ring keeps its own copy
+// (Report.Copy) because the report may be lent: a delivering-tier combiner
+// on this bus publishes on the topic the link sends, and builds its next
+// interval in the rows it forwarded.
 func (a *Agent) Retain(r Report) {
+	r = r.Copy()
 	a.retainMu.Lock()
 	evicted := 0
 	for len(a.retained) >= a.retainCap {

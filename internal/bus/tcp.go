@@ -679,9 +679,11 @@ type LinkOptions struct {
 // with one Codec decoder, and reuses both for the next frame once Publish
 // has returned. A handler that keeps any part of a received message past
 // its return must copy it; an advice.Merger copies what it keeps. OnDrop
-// sees only messages published on the send topics, so it never sees a
-// lent one while no link on the bus sends a topic that a link on it
-// receives, which bridging each topic one way per process rules out.
+// sees only messages published on the send topics, so it never sees one a
+// link lent while no link on the bus sends a topic that a link on it
+// receives, which bridging each topic one way per process rules out. A
+// combiner on the bus lends what it forwards too, so an OnDrop that keeps
+// a message copies it (agent.Agent.Retain does).
 type Link struct {
 	addr    string
 	codec   Codec

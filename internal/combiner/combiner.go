@@ -12,7 +12,8 @@
 // tombstone union, group-shape validation) is not restated here. What this
 // package owns is the tier around it: partition hashing and rendezvous
 // ownership (assign.go), the flush cadence, key-sorted drains stamped
-// with the tier's identity, tenant routing at the tier that delivers to
+// with the tier's identity, lent for their publish and then released to
+// their mergers (see Flush), tenant routing at the tier that delivers to
 // frontends, and the merged/forwarded ledger. Any reassociation of the
 // merge tree yields byte-identical final results; the differential suite
 // (pivot/differential_test.go) proves this against the flat topology on
@@ -87,6 +88,11 @@ type Combiner struct {
 	pending map[string]*advice.Merger // per query: merged, not yet forwarded
 	routes  map[string]route          // queryID → owning tenant (delivering tier only)
 	closed  bool
+
+	// loans and reports are the last Flush's, kept for the next one to
+	// reuse; a Flush in progress holds them and leaves nil here.
+	loans   []loan
+	reports []agent.Report
 
 	// live counts in the heartbeat's own declaration: reports merged in
 	// and rejected, reports and rows forwarded, and upstream frames
@@ -197,12 +203,23 @@ func (c *Combiner) now() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
+// loan is one query's interval while Flush publishes it: the merger it
+// was drained from, and which of its handoffs the merger gets back once
+// the publish has returned.
+type loan struct {
+	from    *advice.Merger
+	handoff uint64
+}
+
 // drainLocked hands off the pending state and renders it as reports
-// stamped with the combiner's identity, sorted by query then group key.
-// Each query keeps its merger, and so its group table, for the next
-// interval; a merger that took nothing since the last drain is deleted,
-// so a query that went quiet leaves nothing behind. Caller holds c.mu.
-func (c *Combiner) drainLocked(now time.Duration) []agent.Report {
+// stamped with the combiner's identity, sorted by query then group key,
+// appended to out. Each query keeps its merger, and so its group table,
+// for the next interval; a merger that took nothing since the last drain
+// is deleted, so a query that went quiet leaves nothing behind. With
+// loans non-nil, each handoff is appended to *loans, so that the caller
+// can release it; without, the reports are the caller's for good. Caller
+// holds c.mu.
+func (c *Combiner) drainLocked(now time.Duration, out []agent.Report, loans *[]loan) []agent.Report {
 	ids := make([]string, 0, len(c.pending))
 	for id, m := range c.pending {
 		if m.Empty() {
@@ -212,18 +229,21 @@ func (c *Combiner) drainLocked(now time.Duration) []agent.Report {
 		}
 	}
 	if len(ids) == 0 {
-		return nil
+		return out
 	}
 	sort.Strings(ids)
-	out := make([]agent.Report, 0, len(ids))
 	for _, id := range ids {
-		m := c.pending[id].Handoff()
+		from := c.pending[id]
+		m := from.Handoff()
 		groups := m.Groups() // the drained merger's own order, ours to sort
 		slices.SortFunc(groups, func(a, b *advice.Group) int { return strings.Compare(a.Key, b.Key) })
 		out = append(out, agent.Report{
 			QueryID: id, Host: c.host, ProcName: c.proc, Time: now,
 			Groups: groups, Raws: m.Raws(), Drops: m.Drops(),
 		})
+		if loans != nil {
+			*loans = append(*loans, loan{from, from.Handoffs()})
+		}
 	}
 	return out
 }
@@ -251,11 +271,17 @@ type run struct {
 // ReportBatch frames — one batch run per topic, so the delivering tier
 // emits each tenant's queries on that tenant's own topic — forgets the
 // routes whose lease lapsed routeGrace TTLs ago, then heartbeats the
-// tier's merge/forward accounting on the health topic.
+// tier's merge/forward accounting on the health topic. A forwarded batch
+// is lent for its Publish: once the publishes return, each query's merger
+// gets its drained rows back and builds the next interval's in them, so a
+// subscriber copies what it keeps past its return (advice.Merger.Merge
+// does), as it does for a batch a bus.Link receives.
 func (c *Combiner) Flush() {
 	now := c.now()
 	c.mu.Lock()
-	reports := c.drainLocked(now)
+	loans := c.loans
+	reports := c.drainLocked(now, c.reports[:0], &loans)
+	c.loans, c.reports = nil, nil
 	queries := len(reports)
 
 	// Cut the (query-sorted) reports into one run per topic, in the order
@@ -285,13 +311,23 @@ func (c *Combiner) Flush() {
 		}
 	}
 	c.mu.Unlock()
+	rest := reports
 	for _, r := range runs {
-		agent.SplitBatches(reports[:r.n], agent.ReportSize, func(batch []agent.Report) {
+		agent.SplitBatches(rest[:r.n], agent.ReportSize, func(batch []agent.Report) {
 			c.live.CombinerFramesOut.Add(1)
 			c.b.Publish(r.topic, agent.ReportBatch{Reports: batch})
 		})
-		reports = reports[r.n:]
+		rest = rest[r.n:]
 	}
+
+	c.mu.Lock()
+	for _, l := range loans {
+		l.from.Release(l.handoff)
+	}
+	clear(loans)
+	clear(reports)
+	c.loans, c.reports = loans[:0], reports[:0]
+	c.mu.Unlock()
 
 	c.b.Publish(agent.HealthTopic, agent.Heartbeat{
 		Host:     c.host,
@@ -336,7 +372,7 @@ func (c *Combiner) DrainPending() []agent.Report {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.drainLocked(now)
+	return c.drainLocked(now, nil, nil)
 }
 
 // Close unsubscribes the combiner and stops its flush loop. Pending state

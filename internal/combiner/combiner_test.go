@@ -1,10 +1,13 @@
 package combiner
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/simtime"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // TestPartitionPinned pins the hash so a refactor cannot silently remap
@@ -193,6 +197,16 @@ func batch(r agent.Report) agent.ReportBatch {
 	return agent.ReportBatch{Reports: []agent.Report{r}}
 }
 
+// snapshot copies the reports of a forwarded batch, which is lent to the
+// handler for the Publish that delivers it (see Combiner.Flush).
+func snapshot(rb agent.ReportBatch) []agent.Report {
+	out := make([]agent.Report, len(rb.Reports))
+	for i := range rb.Reports {
+		out[i] = rb.Reports[i].Copy()
+	}
+	return out
+}
+
 // TestCombinerForwards: reports from two partition topics land in their
 // queries' mergers and forward upstream as one batch, key-sorted and
 // stamped with the tier's identity, with exact merged/forwarded
@@ -203,7 +217,7 @@ func TestCombinerForwards(t *testing.T) {
 	var got []agent.ReportBatch
 	b.Subscribe(agent.ResultsTopic, func(msg any) {
 		if rb, ok := msg.(agent.ReportBatch); ok {
-			got = append(got, rb)
+			got = append(got, agent.ReportBatch{Reports: snapshot(rb)})
 		}
 	})
 	var beats []agent.Heartbeat
@@ -457,13 +471,13 @@ func TestCloseStopsIntake(t *testing.T) {
 	c.Close() // idempotent
 }
 
-// flushedReports flushes c and returns the reports it forwarded on the
-// shared results topic.
+// flushedReports flushes c and returns copies of the reports it forwarded
+// on the shared results topic.
 func flushedReports(b *bus.Bus, c *Combiner) []agent.Report {
 	var got []agent.Report
 	sub := b.Subscribe(agent.ResultsTopic, func(msg any) {
 		if rb, ok := msg.(agent.ReportBatch); ok {
-			got = append(got, rb.Reports...)
+			got = append(got, snapshot(rb)...)
 		}
 	})
 	defer b.Unsubscribe(sub)
@@ -572,5 +586,125 @@ func TestCombinerTenantRunsKeepOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(frames, want) {
 		t.Fatalf("frames:\n got %q\nwant %q", frames, want)
+	}
+}
+
+// TestCombinerLendsForwardedRowsUnderConcurrentMerges: a forwarded batch
+// is lent for its Publish, and the combiner builds later intervals in its
+// rows. Two publishers merge into the combiner, over key sets that change
+// with every report, while another goroutine flushes at least 200 times
+// and a fourth drains the pending state now and then. An upstream merger
+// that merges each forwarded batch during its Publish ends with exactly
+// the totals published, less what the drains took; and every drained
+// report still encodes to the bytes it encoded to when drained. Releasing
+// a merger's rows before its publish returns, or reclaiming the rows of a
+// drain, fails here.
+func TestCombinerLendsForwardedRowsUnderConcurrentMerges(t *testing.T) {
+	const publishers, queries, keys, intervals = 2, 3, 40, 200
+	b := bus.New()
+	c := New(nil, "mid", "combiner", b, Config{Subscribe: PartitionTopics(publishers), Upstream: RootTopic})
+	defer c.Close()
+
+	var upMu sync.Mutex
+	up := map[string]*advice.Merger{}
+	b.Subscribe(RootTopic, func(msg any) {
+		upMu.Lock()
+		defer upMu.Unlock()
+		for _, r := range msg.(agent.ReportBatch).Reports {
+			m := up[r.QueryID]
+			if m == nil {
+				m = advice.NewMerger(nil, advice.Unbounded)
+				up[r.QueryID] = m
+			}
+			if _, err := m.Merge(r.Groups, r.Raws, r.Drops); err != nil {
+				t.Errorf("upstream merge of %s: %v", r.QueryID, err)
+			}
+		}
+	})
+	totals := func(add map[string]int64, rs []agent.Report) {
+		for _, r := range rs {
+			for _, g := range r.Groups {
+				add[r.QueryID+"/"+g.Key] += g.States[0].Result().Int()
+			}
+		}
+	}
+
+	var flushed atomic.Int64
+	sent := make([]map[string]int64, publishers) // query/key → count
+	var pubs sync.WaitGroup
+	for p := range sent {
+		sent[p] = map[string]int64{}
+		pubs.Add(1)
+		go func(p int) {
+			defer pubs.Done()
+			for i := 0; flushed.Load() < intervals; i++ {
+				q := fmt.Sprintf("Q%d", i%queries)
+				var groups []*advice.Group
+				for j := 0; j < 8; j++ {
+					key, n := fmt.Sprintf("k%02d", (i*5+j*3+p)%keys), int64(1+(i+j)%4)
+					groups = append(groups, countGroup(key, n))
+					sent[p][q+"/"+key] += n
+				}
+				b.Publish(PartitionTopic(p, publishers), batch(agent.Report{QueryID: q, Host: "h", ProcName: fmt.Sprint(p), Groups: groups}))
+			}
+		}(p)
+	}
+
+	type drain struct {
+		reports []agent.Report
+		frame   []byte
+	}
+	var drains []drain
+	stop := make(chan struct{})
+	drainer := make(chan struct{})
+	go func() {
+		defer close(drainer)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if rs := c.DrainPending(); len(rs) > 0 {
+				frame, err := wire.Marshal(agent.ReportBatch{Reports: rs})
+				if err != nil {
+					t.Errorf("marshal drained reports: %v", err)
+					return
+				}
+				drains = append(drains, drain{rs, frame})
+			}
+		}
+	}()
+	for flushed.Load() < intervals {
+		c.Flush()
+		flushed.Add(1)
+		time.Sleep(100 * time.Microsecond)
+	}
+	pubs.Wait()
+	close(stop)
+	<-drainer
+	c.Flush()
+
+	want, got := map[string]int64{}, map[string]int64{}
+	for _, m := range sent {
+		for k, n := range m {
+			want[k] += n
+		}
+	}
+	for id, m := range up {
+		totals(got, []agent.Report{{QueryID: id, Groups: m.Groups()}})
+	}
+	for i, d := range drains {
+		frame, err := wire.Marshal(agent.ReportBatch{Reports: d.reports})
+		if err != nil || !bytes.Equal(frame, d.frame) {
+			t.Fatalf("drain %d of %d no longer encodes to the bytes it was drained as (err %v)", i, len(drains), err)
+		}
+		totals(got, d.reports)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("upstream and drained totals differ from what was published:\n got %v\nwant %v", got, want)
+	}
+	if len(drains) == 0 {
+		t.Log("no drain found pending state; the drain path went unexercised this run")
 	}
 }

@@ -420,10 +420,13 @@ func (h *Installed) Partial() bool {
 }
 
 // OnReport registers a callback invoked for every per-interval report the
-// query receives — the streaming interface. A report that arrived over a
-// bus link is lent for the call (see bus.Link): its groups, and their keys
-// and Rep strings, are reused for the link's next frame, so a listener
-// copies what it keeps, as an advice.Merger does.
+// query receives — the streaming interface. Every report is lent for the
+// call: one that arrived over a bus link has its groups, and their keys
+// and Rep strings, reused for the link's next frame (see bus.Link), and
+// one a combiner forwarded has them reused for the combiner's next
+// interval (see combiner.Combiner.Flush). A listener copies what it keeps
+// past its return (agent.Report.Copy), or merges it, as an advice.Merger
+// copies what it keeps.
 func (h *Installed) OnReport(fn func(agent.Report)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

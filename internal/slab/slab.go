@@ -3,16 +3,19 @@
 // it costs half a dozen allocations at every tier it crosses. A Slab cuts
 // them out of a few large chunks instead. Decoded baggage cuts its tuples'
 // values from one the same way, and a link's report decoder cuts every
-// frame's rows from slabs it rewinds for the next.
+// frame's rows from slabs it rewinds for the next, and a combiner builds
+// each interval's rows in the slabs of the interval before, once its
+// publish has returned (Reuse).
 package slab
 
 // Slab hands out slices of T cut from chunks it allocates in bulk. A slice
-// handed out belongs to its taker until the slab's owner calls Rewind: the
-// slab never reads, writes or reuses it before, so what is built in a slab
-// that is never rewound may be published and aliased like any other
-// allocation (DESIGN.md, "Report ownership"). An owner that has handed its
-// rows off for good replaces the slab with Next. The zero value is an
-// empty slab.
+// handed out belongs to its taker until the slab's owner calls Rewind or
+// Reuse: the slab never reads, writes or reuses it before, so what is
+// built in a slab that is never taken back may be published and aliased
+// like any other allocation, and what is built in one that is may only be
+// lent (DESIGN.md, "Report ownership"). An owner that has handed its rows
+// off for good replaces the slab with Next. The zero value is an empty
+// slab.
 type Slab[T any] struct {
 	chunk []T // the newest chunk
 	free  []T // its unused tail
@@ -54,6 +57,18 @@ func (s *Slab[T]) Rewind() {
 		clear(s.chunk[:len(s.chunk)-len(s.free)])
 	}
 	*s = Slab[T]{chunk: s.chunk, free: s.chunk}
+}
+
+// Reuse takes back every slice the slab has handed out, as Rewind does,
+// but never allocates: it clears what was taken from the newest chunk,
+// cuts later Takes from its start again, and keeps expecting what the
+// slab expected (Want). When the slab spilled over several chunks, only
+// the newest stays; a Take beyond it gets a new chunk sized for the rest
+// of what is expected, and that chunk is the one the next Reuse keeps. The
+// newest chunk is kept however little of it later owners take.
+func (s *Slab[T]) Reuse() {
+	clear(s.chunk[:len(s.chunk)-len(s.free)])
+	*s = Slab[T]{chunk: s.chunk, free: s.chunk, want: s.want}
 }
 
 // Next returns the empty slab that replaces s once its slices are handed

@@ -121,3 +121,43 @@ func TestRewindReusesTheNewestChunk(t *testing.T) {
 		t.Errorf("after Rewind, a frame as large as the last cost %d chunks, want 0", chunks)
 	}
 }
+
+// TestReuseNeverAllocates: Reuse hands the newest chunk out again, zeroed
+// and from its start, and keeps what the slab expects; it allocates
+// nothing itself, even after the slab spilled over several chunks, and a
+// Take beyond the kept chunk is sized for the rest of the expectation, so
+// the interval after that one costs nothing.
+func TestReuseNeverAllocates(t *testing.T) {
+	var s Slab[int]
+	s.Expect(30)
+	fill := func(n int) {
+		for i, v := range s.Take(n) {
+			if v != 0 {
+				t.Fatalf("Take(%d) after Reuse handed out %d at %d, want zeroed", n, v, i)
+			}
+		}
+		for i := range s.chunk[:len(s.chunk)-len(s.free)] {
+			s.chunk[i] = 7
+		}
+	}
+	fill(30)
+	first := &s.chunk[0]
+	if n := testing.AllocsPerRun(10, s.Reuse); n != 0 {
+		t.Fatalf("Reuse allocated %.1f objects, want 0", n)
+	}
+	if s.Want() != 30 || &s.chunk[0] != first || len(s.free) != 30 {
+		t.Fatalf("after Reuse: want %d, %d free, same chunk %v; want 30, 30, true", s.Want(), len(s.free), &s.chunk[0] == first)
+	}
+	fill(20)
+	s.Expect(40)
+	fill(40) // spills: 10 fit, so a new chunk holds the 40
+	if n := testing.AllocsPerRun(1, s.Reuse); n != 0 {
+		t.Fatalf("Reuse of a spilled slab allocated %.1f objects, want 0", n)
+	}
+	if len(s.chunk) != 40 {
+		t.Fatalf("Reuse kept a %d-element chunk, want the newest (40)", len(s.chunk))
+	}
+	if n := testing.AllocsPerRun(1, func() { s.Reuse(); fill(40) }); n != 0 {
+		t.Errorf("an interval as large as the newest chunk allocated %.1f objects, want 0", n)
+	}
+}

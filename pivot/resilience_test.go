@@ -1,13 +1,18 @@
 package pivot
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/advice"
 	"repro/internal/agent"
+	"repro/internal/agg"
 	"repro/internal/bus"
 	"repro/internal/combiner"
+	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
@@ -384,4 +389,79 @@ func TestBoundedLossIsExactlyAccounted(t *testing.T) {
 		s := frontend.Status()
 		return len(s.Queries) == 1 && s.Queries[0].Reports == st.Reports-st.ReportsDropped
 	})
+}
+
+// TestCombinerBatchDroppedByDownLinkReplaysIntact: a delivering-tier
+// combiner on a worker runtime's bus publishes on the topic the runtime's
+// link sends, so while the link is down its batches land in the agent's
+// outage ring. A forwarded batch is lent for its Publish and the combiner
+// builds later intervals in its rows, so the ring keeps a copy: a batch
+// dropped by the down link replays, three flushes over the same keys
+// later, encoding to the bytes it was published as. A ring that kept the
+// lent reports themselves replays rewritten rows.
+func TestCombinerBatchDroppedByDownLinkReplaysIntact(t *testing.T) {
+	srv, err := bus.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := New("worker")
+	disconnect, err := worker.ConnectBusWith(srv.Addr(), chaosBusOptions(3, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disconnect()
+	srv.Close()
+	waitFor(t, "the link to notice the outage", func() bool { return !linkConnected(worker) })
+
+	comb := combiner.New(nil, "ctier", "root", worker.Bus, combiner.Config{Subscribe: []string{"part"}})
+	defer comb.Close()
+	var published [][]byte // each forwarded report, as replay frames it
+	capture := worker.Bus.Subscribe(agent.ResultsTopic, func(msg any) {
+		for _, r := range msg.(agent.ReportBatch).Reports {
+			frame, err := wire.Marshal(agent.ReportBatch{Reports: []agent.Report{r}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			published = append(published, frame)
+		}
+	})
+	interval := func(round int) {
+		var reports []agent.Report
+		for _, q := range []string{"Q1", "Q2"} {
+			var groups []*advice.Group
+			for k := 0; k < 16; k++ {
+				st := agg.Make(agg.Count)
+				for i := 0; i <= round+k; i++ {
+					st.Add(tuple.Int(1))
+				}
+				key := fmt.Sprintf("%s-key-%02d", q, k)
+				groups = append(groups, &advice.Group{Key: key, Rep: tuple.Tuple{tuple.String(key)}, States: []agg.State{st}})
+			}
+			reports = append(reports, agent.Report{QueryID: q, Host: "h", ProcName: "w", Groups: groups})
+		}
+		worker.Bus.Publish("part", agent.ReportBatch{Reports: reports})
+		comb.Flush()
+	}
+	interval(0)
+	worker.Bus.Unsubscribe(capture)
+	if len(published) != 2 || worker.Agent.Buffered() != 2 {
+		t.Fatalf("the first flush published %d reports and the ring holds %d, want 2 and 2", len(published), worker.Agent.Buffered())
+	}
+	for round := 1; round <= 3; round++ {
+		interval(round)
+	}
+	replayed := worker.Agent.ReplayRetained(func(r agent.Report) error {
+		if len(published) == 0 {
+			return nil
+		}
+		frame, err := wire.Marshal(agent.ReportBatch{Reports: []agent.Report{r}})
+		if err != nil || !bytes.Equal(frame, published[0]) {
+			t.Errorf("the ring replayed %s encoding to other bytes than it was published as (err %v)", r.QueryID, err)
+		}
+		published = published[1:]
+		return nil
+	})
+	if replayed != 8 {
+		t.Errorf("replayed %d reports, want the 8 of four flushes", replayed)
+	}
 }
